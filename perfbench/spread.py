@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark over several seeds and report each metric's spread.
 
-    python3 perfbench/spread.py --workloads serve,churn --seeds 1-10 [--seconds 10] [--trace 0]
+    python3 perfbench/spread.py --workloads serve,train --seeds 1-10 [--seconds 10] [--trace 0]
 
 Run from the repository root. The spread of a metric is the distance
 between the first and third quartile of its values (Python's
@@ -29,7 +29,7 @@ def seeds(spec):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--workloads", default="serve,churn,train")
+    ap.add_argument("--workloads", default="serve,train")
     ap.add_argument("--seeds", default="1-5")
     ap.add_argument("--seconds", type=int, default=None)
     ap.add_argument("--trace", default="0")

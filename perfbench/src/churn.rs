@@ -1,6 +1,6 @@
-//! Churn: one writer applying a seeded update stream to a persisted
-//! handle while (optionally) one reader serves, then crash recovery
-//! from the directory the writer left behind.
+//! Churn: one writer applying a seeded update stream to a handle, which
+//! may be persisted, while (optionally) one reader serves, then crash
+//! recovery from the directory a persisted round left behind.
 
 use crate::report::Check;
 use crate::serve::{reader, ReaderOut};
@@ -82,8 +82,9 @@ pub struct RoundSpec<'a> {
     pub batch: usize,
     /// Trace the post-round correctness checks classify.
     pub check_trace: &'a [Packet],
-    /// Fresh directory to persist into.
-    pub dir: &'a Path,
+    /// Fresh directory to persist into, or `None` to run without
+    /// persistence.
+    pub dir: Option<&'a Path>,
     /// Round number (span ids).
     pub round: u64,
 }
@@ -97,11 +98,12 @@ fn current_wal_bytes(handle: &ClassifierHandle, dir: &Path) -> u64 {
     handle.health().checkpoint_generation.map_or(0, |g| file_len(&wal_path(dir, g)))
 }
 
-/// Run one churn round: a fresh handle over `spec.tree`, persisted to
-/// `spec.dir`, receives `spec.updates` schedule steps back to back and
-/// checkpoints whenever `Persistence::wants_checkpoint` says so. Then,
-/// outside the timed window, the round checks the handle against a
-/// from-scratch recompile and the linear scan.
+/// Run one churn round: a fresh handle over `spec.tree` receives
+/// `spec.updates` schedule steps back to back. When persisted to
+/// `spec.dir` (default `PersistConfig`), it checkpoints whenever
+/// `Persistence::wants_checkpoint` says so. Then, outside the timed
+/// window, the round checks the handle against a from-scratch
+/// recompile and the linear scan.
 pub fn round(
     spec: &RoundSpec<'_>,
     check: &mut Check,
@@ -109,8 +111,10 @@ pub fn round(
     reader_tracer: impl FnOnce() -> Tracer + Send,
 ) -> Result<Round, String> {
     let handle = ClassifierHandle::new(spec.tree.clone(), RebuildPolicy::default_policy());
-    let persistence = Persistence::new(spec.dir);
-    persistence.checkpoint(&handle, TRAIN_SEED).map_err(|e| format!("attach checkpoint: {e}"))?;
+    let persistence = spec.dir.map(Persistence::new);
+    if let Some(p) = &persistence {
+        p.checkpoint(&handle, TRAIN_SEED).map_err(|e| format!("attach checkpoint: {e}"))?;
+    }
     let live: Vec<RuleId> = (0..spec.rules.len()).collect();
     let mut schedule = ChurnSchedule::new(spec.rules.rules().to_vec(), live, spec.schedule_seed);
     let stop = AtomicBool::new(false);
@@ -127,7 +131,7 @@ pub fn round(
             s.spawn(move || {
                 let t = reader_tracer();
                 start.wait();
-                reader(handle, trace, spec.batch, 0, stop, Instant::now(), t)
+                reader(handle, trace, spec.batch, stop, t)
             })
         });
         start.wait();
@@ -151,12 +155,12 @@ pub fn round(
             };
             t.end_as(span, Some(outcome.span_name()), 1);
             updates.push((outcome, ns));
-            if persistence.wants_checkpoint(&handle) {
+            if let Some(p) = persistence.as_ref().filter(|p| p.wants_checkpoint(&handle)) {
                 if t.on() {
-                    wal_bytes += current_wal_bytes(&handle, spec.dir);
+                    wal_bytes += current_wal_bytes(&handle, p.dir());
                 }
                 let span = t.begin("core.persist.checkpoint", id);
-                match persistence.checkpoint(&handle, TRAIN_SEED) {
+                match p.checkpoint(&handle, TRAIN_SEED) {
                     Ok(report) => wal_records += report.folded_records,
                     Err(e) => checkpoint_err = Some(e.to_string()),
                 }
@@ -171,8 +175,8 @@ pub fn round(
         return Err(format!("checkpoint during churn: {e}"));
     }
     wal_records += handle.health().wal_len.unwrap_or(0);
-    if t.on() {
-        wal_bytes += current_wal_bytes(&handle, spec.dir);
+    if let Some(dir) = spec.dir.filter(|_| t.on()) {
+        wal_bytes += current_wal_bytes(&handle, dir);
     }
 
     // Outside the timed window: the served snapshot must equal a

@@ -1,21 +1,18 @@
-//! The NeuroCuts benchmark: three workloads, one process each, every
+//! The NeuroCuts benchmark: two workloads, one process each, every
 //! output verified before a number is reported.
 //!
-//! * `serve` — uniform traffic from reader threads over the trained
-//!   tree, no updates: cut traversal and leaf scan.
-//! * `churn` — zipf traffic from one reader while one writer applies a
-//!   persisted update stream, then crash recovery: admission, overlay,
-//!   rebuilds, WAL, checkpoints, recovery.
+//! * `serve` — uniform traffic from one reader thread over the trained
+//!   tree, no updates (cut traversal and leaf scan), interleaved with
+//!   churn rounds — one writer applying an update stream, persisted in
+//!   every other round — and followed by crash recovery.
 //! * `train` — paper-width training runs: batched forward, backward and
 //!   the PPO update.
 //!
-//! Every workload sets up the same deployed classifier and reports every
-//! end-to-end metric. The metrics outside a workload's focus come from
-//! short phases after its timed window, on that classifier: `serve` and
-//! `train` run churn rounds without a reader, `train` serves, every
-//! workload recovers, and `serve` and `churn` report the training their
-//! set-up performed. See `README.md` beside this crate for the
-//! workloads' reasons and the per-layer map.
+//! Both workloads set up the same deployed classifier and report every
+//! end-to-end metric: `train` serves, runs churn rounds and recovers
+//! before it trains, and `serve` reports the training its set-ups
+//! performed. See `README.md` beside this crate for the workloads'
+//! reasons and the per-layer map.
 
 pub mod churn;
 pub mod report;
@@ -29,9 +26,10 @@ use classbench::{trace_hash, Packet, RuleSet, TrafficSkew};
 use dtree::{ClassifierHandle, DecisionTree, FlatTree, RebuildPolicy, RuleId, TreeStats};
 use neurocuts::{NeuroCutsConfig, TrainReport};
 use report::{Check, Metrics};
-use serve::ReaderOut;
+use serve::{ReaderOut, Slices};
 use setup::{Deployed, Scale};
 use stats::Summary;
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tracer::{Spans, Tracer};
@@ -47,38 +45,39 @@ const FLAT_PROBE_PASSES: usize = 4;
 /// Width of the slices a serving window is cut into, in seconds.
 const SLICE_S: f64 = 0.25;
 
-/// Share of `--seconds` the phases outside a workload's focus get:
-/// churn rounds (in `serve`; `train` gets this share for churn and
-/// again for serving) and recoveries (in every workload).
-const SIDE_SHARE: f64 = 0.2;
-const RECOVER_SHARE: f64 = 0.2;
-/// Share of `--seconds` the `train` workload trains for (at least one
-/// whole run).
-const TRAIN_SHARE: f64 = 0.4;
+/// Length of one cycle of a serving window and churn rounds, in
+/// seconds, where `serve` and `train` interleave the two.
+const CYCLE_S: f64 = 2.0;
+
+/// Shares of `--seconds`: serving (in `train`; `serve` serves for the
+/// rest), churn rounds and recoveries (in both). Churn is kept short:
+/// its persisted rounds write checkpoints back to back, and sustained
+/// disk writes slow a shared host's disk for the runs that follow.
+const SIDE_SERVE_SHARE: f64 = 0.15;
+const CHURN_SHARE: f64 = 0.1;
+const RECOVER_SHARE: f64 = 0.1;
 
 /// Timed recoveries a run makes at least, whatever the time share.
-const MIN_RECOVERIES: usize = 3;
+const MIN_RECOVERIES: usize = 5;
 
-/// The three workloads.
+/// The two workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// Uniform traffic, no updates.
+    /// Uniform traffic without updates, interleaved with churn rounds,
+    /// then recovery.
     Serve,
-    /// Zipf traffic under a persisted update stream, then recovery.
-    Churn,
     /// Paper-width training.
     Train,
 }
 
 impl Workload {
     /// Every workload, in `BENCHMARK.json` order.
-    pub const ALL: [Workload; 3] = [Workload::Serve, Workload::Churn, Workload::Train];
+    pub const ALL: [Workload; 2] = [Workload::Serve, Workload::Train];
 
     /// The workload's name on the command line.
     pub fn name(self) -> &'static str {
         match self {
             Workload::Serve => "serve",
-            Workload::Churn => "churn",
             Workload::Train => "train",
         }
     }
@@ -108,8 +107,8 @@ pub struct Options {
 
 /// Everything one run measured.
 pub struct RunOutput {
-    /// End-to-end metrics (of the traced window in a traced run) and,
-    /// when traced, per-layer metrics.
+    /// End-to-end metrics (in a traced run, the focus rates of its
+    /// untraced turns) and, when traced, per-layer metrics.
     pub metrics: Metrics,
     /// Verified outputs and failures.
     pub check: Check,
@@ -126,12 +125,6 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Reader threads of the serving phases. One: on a two-core host a
-/// second reader leaves no core for the rest of the process and the
-/// OS, and every wake-up of either then stalls a batch for a whole
-/// scheduler tick.
-pub const READERS: usize = 1;
-
 struct Ctx<'a> {
     opts: &'a Options,
     origin: Instant,
@@ -140,15 +133,20 @@ struct Ctx<'a> {
     overlay: (f64, f64),
 }
 
-/// The timed windows of a run's focus, `share` of `--seconds`: one
-/// untraced window, or in a traced run an untraced half followed by a
-/// traced half (their difference is the tracing overhead).
-fn windows(opts: &Options, share: f64) -> Vec<(bool, f64)> {
-    let secs = opts.seconds * share;
+/// Whether the `k`-th serving window, churn round or training run of a
+/// phase is traced: every other one in a traced run, so that host drift
+/// weighs on both sides of the tracing overhead alike.
+fn traced_turn(opts: &Options, k: usize) -> bool {
+    opts.traced && k % 2 == 1
+}
+
+/// Rounds or runs a phase makes at least: a traced run needs one of
+/// each kind.
+fn min_turns(opts: &Options) -> usize {
     if opts.traced {
-        vec![(false, secs / 2.0), (true, secs / 2.0)]
+        2
     } else {
-        vec![(false, secs)]
+        1
     }
 }
 
@@ -224,7 +222,6 @@ pub fn run(opts: &Options) -> Result<RunOutput, String> {
     ctx.ident("scale", format!("{:?}", opts.scale));
     let result = match opts.workload {
         Workload::Serve => serve_workload(&mut ctx),
-        Workload::Churn => churn_workload(&mut ctx),
         Workload::Train => train_workload(&mut ctx),
     };
     let _ = std::fs::remove_dir_all(&opts.work_dir);
@@ -281,70 +278,116 @@ struct Serving {
     deployed: Deployed,
     handle: ClassifierHandle,
     trace: Vec<Packet>,
-    /// Median env-steps per second of the set-up trainings.
-    train_steps_per_s: f64,
 }
 
-/// Set up `scale.setup_reps` times — generate the rules, train,
-/// compile a handle, generate the trace — and report the median as
-/// `setup_s`. Every set-up must build the same tree. A traced run
-/// traces the set-up's training (and mirrors it) only when
-/// `trace_training`: in `train` the training layers must report the
-/// workload's own paper-width training alone.
+/// The run's set-ups: the first deploys the classifier the workload
+/// serves, and the rest run between the workload's later phases, so
+/// that `setup_s` samples the whole run rather than its first seconds
+/// (a shared host's speed drifts within a run).
+struct Setups {
+    skew: TrafficSkew,
+    stream: u64,
+    /// Whether set-ups record spans.
+    traced: bool,
+    /// The first set-up's tree; every set-up must build the same.
+    stats: TreeStats,
+    /// Seconds of each set-up so far.
+    secs: Vec<f64>,
+    /// Env-steps per second of each set-up's training.
+    steps_per_s: Vec<f64>,
+}
+
+/// One set-up — generate the rules, train, compile a handle, generate
+/// the trace — and its seconds.
+fn setup_once(
+    ctx: &mut Ctx<'_>,
+    skew: TrafficSkew,
+    stream: u64,
+    traced: bool,
+) -> Result<(Serving, f64), String> {
+    let scale = ctx.scale().clone();
+    let mut t = ctx.tracer(traced);
+    let started = Instant::now();
+    let deployed = setup::deploy(&scale, &scale.setup_config(), &mut t)?;
+    let handle = ClassifierHandle::new((*deployed.tree).clone(), RebuildPolicy::default_policy());
+    let trace = setup::trace(&deployed.rules, scale.trace_len, skew, ctx.opts.seed, stream, &mut t);
+    let secs = started.elapsed().as_secs_f64();
+    ctx.progress(&format!(
+        "set-up: {secs:.3}s, training {:.3}s over {} steps",
+        deployed.train_s, deployed.report.timesteps
+    ));
+    ctx.absorb(t);
+    Ok((Serving { deployed, handle, trace }, secs))
+}
+
+/// Make the run's first set-up. A traced run traces set-up training
+/// (and mirrors it) only when `trace_training`: in `train` the training
+/// layers must report the workload's own paper-width training alone.
 fn setup_serving(
     ctx: &mut Ctx<'_>,
     skew: TrafficSkew,
     stream: u64,
     trace_training: bool,
-) -> Result<Serving, String> {
-    let scale = ctx.scale().clone();
-    let cfg = scale.setup_config();
+) -> Result<(Serving, Setups), String> {
+    let cfg = ctx.scale().setup_config();
     ctx.ident("setup_train_workers", cfg.workers);
-    let (mut setup_s, mut steps_per_s) = (Vec::new(), Vec::new());
-    let mut last: Option<(Deployed, ClassifierHandle, Vec<Packet>)> = None;
     let traced = ctx.opts.traced && trace_training;
-    for _ in 0..scale.setup_reps {
-        let mut t = ctx.tracer(traced);
-        let started = Instant::now();
-        let deployed = setup::deploy(&scale, &cfg, &mut t)?;
-        let handle =
-            ClassifierHandle::new((*deployed.tree).clone(), RebuildPolicy::default_policy());
-        let trace =
-            setup::trace(&deployed.rules, scale.trace_len, skew, ctx.opts.seed, stream, &mut t);
-        setup_s.push(started.elapsed().as_secs_f64());
-        ctx.progress(&format!(
-            "set-up: {:.3}s, training {:.3}s over {} steps",
-            started.elapsed().as_secs_f64(),
-            deployed.train_s,
-            deployed.report.timesteps
-        ));
-        ctx.absorb(t);
-        steps_per_s.push(deployed.train_steps_per_s());
-        if let Some((first, _, _)) = &last {
-            let (a, b) = (first.stats, deployed.stats);
-            ctx.out.check.expect(a == b, || format!("set-ups trained different trees: {a} vs {b}"));
-        }
-        last = Some((deployed, handle, trace));
-    }
-    let (deployed, handle, trace) = last.ok_or("no set-up ran")?;
-    set_median(ctx, "setup_s", "setup_s", &setup_s)?;
-    let train_steps_per_s =
-        ctx.series("setup.train_steps_per_s", &steps_per_s).ok_or("no training ran")?.median;
+    let (serving, secs) = setup_once(ctx, skew, stream, traced)?;
+    let deployed = &serving.deployed;
     ctx.ident("deployed_tree_stats_hash", format!("{:016x}", setup::stats_hash(&deployed.stats)));
-    ctx.ident(&format!("trace_hash.{}", skew.tag()), format!("{:016x}", trace_hash(&trace)));
+    ctx.ident(
+        &format!("trace_hash.{}", skew.tag()),
+        format!("{:016x}", trace_hash(&serving.trace)),
+    );
     if ctx.opts.traced {
-        traced_tree(ctx, &deployed.tree, &trace);
+        traced_tree(ctx, &deployed.tree, &serving.trace);
     }
     if traced {
         traced_mirror(ctx, &deployed.rules, &cfg, &deployed.report);
     }
-    Ok(Serving { deployed, handle, trace, train_steps_per_s })
+    let setups = Setups {
+        skew,
+        stream,
+        traced,
+        stats: deployed.stats,
+        secs: vec![secs],
+        steps_per_s: vec![deployed.train_steps_per_s()],
+    };
+    Ok((serving, setups))
 }
 
-/// `serve` and `churn` report their set-up's training and deployed tree.
-fn record_deployment(ctx: &mut Ctx<'_>, serving: &Serving) {
-    ctx.set("train_steps_per_s", serving.train_steps_per_s);
-    record_tree(ctx, &serving.deployed.stats);
+/// Make set-ups until `frac` (0 to 1) of the run's set-ups after the
+/// first are done. Each must build the first set-up's tree.
+fn setups_up_to(ctx: &mut Ctx<'_>, setups: &mut Setups, frac: f64) -> Result<(), String> {
+    let reps = ctx.scale().setup_reps;
+    let want = (1 + (reps.saturating_sub(1) as f64 * frac).floor() as usize).min(reps);
+    while setups.secs.len() < want {
+        let (again, secs) = setup_once(ctx, setups.skew, setups.stream, setups.traced)?;
+        let (a, b) = (setups.stats, again.deployed.stats);
+        ctx.out.check.expect(a == b, || format!("set-ups trained different trees: {a} vs {b}"));
+        setups.secs.push(secs);
+        setups.steps_per_s.push(again.deployed.train_steps_per_s());
+    }
+    Ok(())
+}
+
+/// Make the set-ups that remain and set `setup_s` to their median.
+/// `serve` and `churn` (`report_deployment`) also report the set-ups'
+/// training as `train_steps_per_s`, and the deployed tree.
+fn finish_setups(
+    ctx: &mut Ctx<'_>,
+    setups: &mut Setups,
+    report_deployment: bool,
+) -> Result<(), String> {
+    setups_up_to(ctx, setups, 1.0)?;
+    set_median(ctx, "setup_s", "setup_s", &setups.secs)?;
+    if report_deployment {
+        set_median(ctx, "train_steps_per_s", "setup.train_steps_per_s", &setups.steps_per_s)?;
+        record_tree(ctx, &setups.stats);
+    } else {
+        ctx.series("setup.train_steps_per_s", &setups.steps_per_s);
+    }
+    Ok(())
 }
 
 /// Linear-scan ground truth of `trace` (set-up work, never timed).
@@ -354,28 +397,26 @@ fn ground_truth(rules: &RuleSet, trace: &[Packet]) -> Vec<Option<RuleId>> {
 
 /// Reader bookkeeping shared by every serving phase: verification
 /// against `truth`, counters and spans.
-fn absorb_readers(
+fn absorb_reader(
     ctx: &mut Ctx<'_>,
-    outs: Vec<ReaderOut>,
+    out: ReaderOut,
     truth: Option<&[Option<RuleId>]>,
     traced: bool,
 ) {
     let batch = ctx.scale().batch;
-    for out in outs {
-        if let Some(truth) = truth {
-            out.verify(truth, batch, &mut ctx.out.check);
-        }
-        ctx.count(traced, "dtree.serve.handle.snapshot.refetches", out.refetches as f64);
-        if !out.overlay_lens.is_empty() {
-            ctx.overlay.0 += out.overlay_lens.iter().sum::<f64>();
-            ctx.overlay.1 += out.overlay_lens.len() as f64;
-            let max = out.overlay_lens.iter().copied().fold(0.0, f64::max);
-            let seen = ctx.out.metrics.get("dtree.serve.snapshot.overlay_len.max").unwrap_or(0.0);
-            ctx.set("dtree.serve.snapshot.overlay_len.max", seen.max(max));
-            ctx.set("dtree.serve.snapshot.overlay_len.mean", ctx.overlay.0 / ctx.overlay.1);
-        }
-        ctx.out.spans.absorb(out.spans);
+    if let Some(truth) = truth {
+        out.verify(truth, batch, &mut ctx.out.check);
     }
+    ctx.count(traced, "dtree.serve.handle.snapshot.refetches", out.refetches as f64);
+    if !out.overlay_lens.is_empty() {
+        ctx.overlay.0 += out.overlay_lens.iter().sum::<f64>();
+        ctx.overlay.1 += out.overlay_lens.len() as f64;
+        let max = out.overlay_lens.iter().copied().fold(0.0, f64::max);
+        let seen = ctx.out.metrics.get("dtree.serve.snapshot.overlay_len.max").unwrap_or(0.0);
+        ctx.set("dtree.serve.snapshot.overlay_len.max", seen.max(max));
+        ctx.set("dtree.serve.snapshot.overlay_len.mean", ctx.overlay.0 / ctx.overlay.1);
+    }
+    ctx.out.spans.absorb(out.spans);
 }
 
 /// Set a metric to the median of a series (recorded under `series`).
@@ -391,27 +432,91 @@ fn set_median(
     Ok(median)
 }
 
-/// Serve `trace` from `readers` threads for `secs`, verify every batch
-/// against `truth`, and set the serving metrics: medians over
-/// [`SLICE_S`] slices of the window. Returns Mpkt/s.
-fn serve_phase(
+/// Set a `_p50_` and a `_p99_` metric from one series of latencies,
+/// pooled over a whole phase. Fails when the series is too short to
+/// leave ten samples beyond its 99th percentile.
+fn set_latency(
     ctx: &mut Ctx<'_>,
-    handle: &ClassifierHandle,
-    trace: &[Packet],
+    (p50, p99): (&'static str, &'static str),
+    series: &str,
+    samples: &[f64],
+) -> Result<(), String> {
+    let s = ctx.series(series, samples).ok_or_else(|| format!("no samples for {p50}"))?;
+    let tail = s.p99.ok_or_else(|| format!("{} samples are too few for {p99}", s.n))?;
+    ctx.set(p50, s.median);
+    ctx.set(p99, tail);
+    Ok(())
+}
+
+/// Serve `serving.trace` from one reader for `secs`, verify every
+/// batch against `truth`, and add the window's [`SLICE_S`] slices to
+/// `slices`.
+fn serve_window(
+    ctx: &mut Ctx<'_>,
+    serving: &Serving,
     truth: &[Option<RuleId>],
     secs: f64,
     traced: bool,
-) -> Result<f64, String> {
-    let (batch, origin) = (ctx.scale().batch, ctx.origin);
-    let outs =
-        serve::serve_for(handle, trace, batch, READERS, Duration::from_secs_f64(secs), |i| {
-            Tracer::new(traced, origin, i)
-        });
-    let slices = serve::slices(&outs, SLICE_S);
-    absorb_readers(ctx, outs, Some(truth), traced);
-    set_median(ctx, "batch_p50_us", "serve.slice_batch_p50_us", &slices.p50_us)?;
-    set_median(ctx, "batch_p99_us", "serve.slice_batch_p99_us", &slices.p99_us)?;
-    set_median(ctx, "serve_mpps", "serve.slice_mpps", &slices.mpps)
+    slices: &mut Slices,
+) {
+    let (batch, window) = (ctx.scale().batch, Duration::from_secs_f64(secs));
+    let t = Tracer::new(traced, ctx.origin, 1);
+    let mut out = serve::serve_for(&serving.handle, &serving.trace, batch, window, t);
+    slices.extend(serve::slices(&out, SLICE_S));
+    // No update reaches this handle, so its overlay is always empty; the
+    // overlay metrics describe the churn rounds' readers.
+    out.overlay_lens.clear();
+    absorb_reader(ctx, out, Some(truth), traced);
+}
+
+/// Serve for `serve_share` of `--seconds` and run churn rounds for
+/// [`CHURN_SHARE`], interleaved in cycles of about
+/// [`CYCLE_S`] so that both sample the whole stretch of the run, with
+/// `setup_frac` of the run's later set-ups spread over the cycles; then
+/// recover. Sets the serving metrics (medians over the untraced
+/// windows' slices), the update metrics and `recover_ms`. Returns the
+/// per-slice Mpkt/s of the untraced and of the traced windows.
+fn serve_and_churn(
+    ctx: &mut Ctx<'_>,
+    serving: &Serving,
+    setups: &mut Setups,
+    setup_frac: f64,
+    truth: &[Option<RuleId>],
+    serve_share: f64,
+) -> Result<[Vec<f64>; 2], String> {
+    let serve_s = ctx.opts.seconds * serve_share;
+    let churn_s = ctx.opts.seconds * CHURN_SHARE;
+    let cycles = (((serve_s + churn_s) / CYCLE_S).round() as usize).max(min_turns(ctx.opts));
+    let (tree, rules) = (&serving.deployed.tree, &serving.deployed.rules);
+    let checks = check_prefix(ctx, &serving.trace);
+    // Traced churn rounds have a reader serving a zipf trace (hot
+    // working set, overlay merge, read-lock waits behind the writer).
+    let zipf = ctx.opts.traced.then(|| {
+        let (len, seed) = (ctx.scale().trace_len, ctx.opts.seed);
+        let mut t = ctx.tracer(false);
+        setup::trace(rules, len, TrafficSkew::ZIPF, seed, STREAM_ZIPF, &mut t)
+    });
+    if let Some(zipf) = &zipf {
+        ctx.ident("trace_hash.zipf", format!("{:016x}", trace_hash(zipf)));
+    }
+    let mut slices = [Slices::default(), Slices::default()];
+    let mut rounds = Rounds::default();
+    for c in 0..cycles {
+        let traced = traced_turn(ctx.opts, c);
+        let secs = serve_s / cycles as f64;
+        serve_window(ctx, serving, truth, secs, traced, &mut slices[usize::from(traced)]);
+        let churn_secs = churn_s / cycles as f64;
+        churn_rounds(ctx, tree, rules, zipf.as_deref(), checks, churn_secs, &mut rounds)?;
+        setups_up_to(ctx, setups, setup_frac * (c + 1) as f64 / cycles as f64)?;
+    }
+    let [untraced, traced] = slices;
+    set_median(ctx, "batch_p50_us", "serve.slice_batch_p50_us", &untraced.p50_us)?;
+    set_median(ctx, "batch_p99_us", "serve.slice_batch_p99_us", &untraced.p99_us)?;
+    let mpps = set_median(ctx, "serve_mpps", "serve.slice_mpps", &untraced.mpps)?;
+    ctx.progress(&format!("served {mpps:.3} Mpkt/s"));
+    set_churn_metrics(ctx, &rounds)?;
+    recover(ctx, &rounds, checks, RECOVER_SHARE)?;
+    Ok([untraced.mpps, traced.mpps])
 }
 
 /// `trace`'s prefix the post-round checks classify.
@@ -420,83 +525,105 @@ fn check_prefix<'a>(ctx: &Ctx<'_>, trace: &'a [Packet]) -> &'a [Packet] {
 }
 
 fn serve_workload(ctx: &mut Ctx<'_>) -> Result<(), String> {
-    let serving = setup_serving(ctx, TrafficSkew::Uniform, STREAM_SERVE, true)?;
-    record_deployment(ctx, &serving);
+    let (serving, mut setups) = setup_serving(ctx, TrafficSkew::Uniform, STREAM_SERVE, true)?;
     let truth = ground_truth(&serving.deployed.rules, &serving.trace);
-    ctx.ident("readers", READERS);
-    let mut untraced = None;
-    for (traced, secs) in windows(ctx.opts, 1.0 - SIDE_SHARE - RECOVER_SHARE) {
-        let mpps = serve_phase(ctx, &serving.handle, &serving.trace, &truth, secs, traced)?;
-        ctx.progress(&format!("served {mpps:.3} Mpkt/s (traced {traced})"));
-        overhead(ctx, traced, &mut untraced, mpps)?;
-    }
-    drop(serving.handle);
-    side_churn(ctx, &serving.deployed.tree, &serving.deployed.rules, &serving.trace, SIDE_SHARE)
+    ctx.ident("readers", 1);
+    let share = 1.0 - CHURN_SHARE - RECOVER_SHARE;
+    let [untraced, traced] = serve_and_churn(ctx, &serving, &mut setups, 1.0, &truth, share)?;
+    finish_setups(ctx, &mut setups, true)?;
+    overhead(ctx, &untraced, &traced)
 }
 
-/// In the untraced window remember the headline rate; in the traced one
-/// report how much slower tracing made it.
-fn overhead(
-    ctx: &mut Ctx<'_>,
-    traced: bool,
-    untraced: &mut Option<f64>,
-    rate: f64,
-) -> Result<(), String> {
-    if traced {
-        let base = untraced.ok_or("traced window ran before the untraced one")?;
-        ctx.set("trace.overhead_frac", base / rate - 1.0);
-    } else {
-        *untraced = Some(rate);
+/// In a traced run, report how much slower tracing made the phase: the
+/// median rate of its untraced turns over that of its traced turns,
+/// minus one.
+fn overhead(ctx: &mut Ctx<'_>, untraced: &[f64], traced: &[f64]) -> Result<(), String> {
+    if ctx.opts.traced {
+        let base = Summary::of(untraced).ok_or("a traced run made no untraced turn")?.median;
+        let with = Summary::of(traced).ok_or("a traced run made no traced turn")?.median;
+        ctx.set("trace.overhead_frac", base / with - 1.0);
     }
     Ok(())
 }
 
-/// Rounds of one phase, with the directories of the newest
-/// `max_recoveries + 1` (kept for recovery; older ones are removed).
-struct Rounds {
-    rounds: Vec<churn::Round>,
-    dirs: std::collections::VecDeque<PathBuf>,
+/// What churn rounds of one kind measured, pooled over the rounds.
+#[derive(Default)]
+struct ChurnSamples {
+    /// Latency of every update call, in µs.
+    update_us: Vec<f64>,
+    /// Updates per second of writer time, per round.
+    rates: Vec<f64>,
 }
 
-/// Run churn rounds over `tree` for `secs` (at least one round), each
-/// from the same starting state with its own update stream, fresh
-/// directory and tracer, and (when `reader_trace` is given) a reader
-/// serving while the writer updates. Sets the update metrics and, with
-/// a reader, the serving metrics: medians over rounds. Returns the
-/// phase's rounds and the median round's update rate.
-#[allow(clippy::too_many_arguments)]
-fn churn_phase(
+/// A churn phase: the samples of its unpersisted rounds, untraced and
+/// traced; those of its untraced persisted rounds; and the newest
+/// `max_recoveries + 1` persisted rounds with their directories (kept
+/// for recovery). Older directories stay on disk until the run ends:
+/// deleting files mid-phase makes the next fsync wait for the
+/// filesystem to discard their blocks.
+#[derive(Default)]
+struct Rounds {
+    samples: [ChurnSamples; 2],
+    persisted: ChurnSamples,
+    kept: VecDeque<(PathBuf, churn::Round)>,
+    /// Rounds run so far.
+    count: usize,
+}
+
+/// Whether the `k`-th churn round of a phase persists its handle:
+/// every other one. The end-to-end update metrics come from the
+/// unpersisted rounds: with persistence every 32nd update and every
+/// checkpoint waits for an fsync, and a shared host's fsync latency
+/// swings several-fold from one run to the next, so those figures
+/// measure the disk of the moment more than the code. The persisted
+/// rounds feed recovery and their own per-layer figures.
+fn persisted_round(k: usize) -> bool {
+    k % 2 == 1
+}
+
+/// Whether the `k`-th churn round of a phase is traced: in a traced
+/// run, two rounds (one of each persistence) in every four.
+fn traced_round(opts: &Options, k: usize) -> bool {
+    traced_turn(opts, k / 2)
+}
+
+/// Add churn rounds over `tree` to `phase` for `secs` (at least one
+/// round, and at least one of each kind [`persisted_round`] and
+/// [`traced_round`] make), each from the same starting state with its
+/// own update stream (and, when persisted, a fresh directory). In
+/// traced rounds a reader serves `reader_trace`, when given, while the
+/// writer updates.
+fn churn_rounds(
     ctx: &mut Ctx<'_>,
     tree: &DecisionTree,
     rules: &RuleSet,
     reader_trace: Option<&[Packet]>,
     checks: &[Packet],
     secs: f64,
-    traced: bool,
-    first_round: &mut u64,
-) -> Result<(Rounds, f64), String> {
+    phase: &mut Rounds,
+) -> Result<(), String> {
     let started = Instant::now();
-    let mut rounds: Vec<churn::Round> = Vec::new();
-    let (mut batch_p50, mut batch_p99, mut mpps) = (Vec::new(), Vec::new(), Vec::new());
-    let mut dirs = std::collections::VecDeque::new();
     let keep = ctx.scale().max_recoveries + 1;
-    while rounds.is_empty() || started.elapsed().as_secs_f64() < secs {
-        let round_dir = ctx.dir(&format!("round-{first_round}"));
+    let first = phase.count;
+    let mut k = first;
+    while k == first || k < 2 * min_turns(ctx.opts) || started.elapsed().as_secs_f64() < secs {
+        let (traced, persisted) = (traced_round(ctx.opts, k), persisted_round(k));
+        let round_dir = ctx.dir(&format!("round-{k}"));
         let spec = churn::RoundSpec {
             tree,
             rules,
-            // Every round draws its own update stream, so medians over
-            // rounds average over streams instead of repeating one.
+            // Every round draws its own update stream, so the pooled
+            // samples cover many streams instead of repeating one.
             schedule_seed: setup::sub_seed(
                 setup::sub_seed(ctx.opts.seed, STREAM_SCHEDULE),
-                *first_round,
+                k as u64,
             ),
             updates: ctx.scale().churn_updates,
-            reader_trace,
+            reader_trace: reader_trace.filter(|_| traced),
             batch: ctx.scale().batch,
             check_trace: checks,
-            dir: &round_dir,
-            round: *first_round,
+            dir: persisted.then_some(round_dir.as_path()),
+            round: k as u64,
         };
         let origin = ctx.origin;
         let mut t = ctx.tracer(traced);
@@ -504,70 +631,62 @@ fn churn_phase(
             churn::round(&spec, &mut ctx.out.check, &mut t, move || Tracer::new(traced, origin, 1));
         ctx.absorb(t);
         let mut round = round?;
+        let mut unused = ChurnSamples::default();
+        let s = match (persisted, traced) {
+            (false, _) => &mut phase.samples[usize::from(traced)],
+            (true, false) => &mut phase.persisted,
+            (true, true) => &mut unused,
+        };
+        s.update_us.extend(round.updates.iter().map(|u| u.1 / 1e3));
+        s.rates.push(round.update_rate());
         if let Some(reader) = round.reader.take() {
-            let us: Vec<f64> = reader.batch_ns.iter().map(|ns| ns / 1e3).collect();
-            let lat = Summary::of(&us).ok_or("the churn reader served no batch")?;
-            batch_p50.push(lat.median);
-            batch_p99.push(lat.p99);
-            mpps.push(reader.rate() / 1e6);
-            absorb_readers(ctx, vec![reader], None, traced);
+            absorb_reader(ctx, reader, None, traced);
         }
-        rounds.push(round);
-        dirs.push_back(round_dir);
-        if dirs.len() > keep {
-            let _ = dirs.pop_front().map(std::fs::remove_dir_all);
+        ctx.count(traced, "dtree.wal.records", round.wal_records as f64);
+        ctx.count(traced, "dtree.wal.bytes", round.wal_bytes as f64);
+        if persisted {
+            phase.kept.push_back((round_dir, round));
+            if phase.kept.len() > keep {
+                phase.kept.pop_front();
+            }
         }
-        *first_round += 1;
+        k += 1;
+        phase.count = k;
     }
-    let per_round = |f: &dyn Fn(&Summary) -> f64, r: &churn::Round| {
-        let us: Vec<f64> = r.updates.iter().map(|u| u.1 / 1e3).collect();
-        Summary::of(&us).map_or(0.0, |s| f(&s))
-    };
-    let p50: Vec<f64> = rounds.iter().map(|r| per_round(&|s| s.median, r)).collect();
-    let p99: Vec<f64> = rounds.iter().map(|r| per_round(&|s| s.p99, r)).collect();
-    let rates: Vec<f64> = rounds.iter().map(churn::Round::update_rate).collect();
-    set_median(ctx, "update_p50_us", "churn.round_update_p50_us", &p50)?;
-    set_median(ctx, "update_p99_us", "churn.round_update_p99_us", &p99)?;
-    let rate = set_median(ctx, "update_per_s", "churn.round_update_per_s", &rates)?;
-    for r in &rounds {
-        ctx.count(traced, "dtree.wal.records", r.wal_records as f64);
-        ctx.count(traced, "dtree.wal.bytes", r.wal_bytes as f64);
-    }
-    if !mpps.is_empty() {
-        set_median(ctx, "batch_p50_us", "churn.round_batch_p50_us", &batch_p50)?;
-        set_median(ctx, "batch_p99_us", "churn.round_batch_p99_us", &batch_p99)?;
-        set_median(ctx, "serve_mpps", "churn.round_mpps", &mpps)?;
-    }
-    Ok((Rounds { rounds, dirs }, rate))
+    Ok(())
 }
 
-/// Churn rounds without a reader for `share` of `--seconds`, then
-/// recovery: the update and recovery metrics of workloads whose focus
-/// is elsewhere.
-fn side_churn(
+/// Set the update metrics from the untraced unpersisted rounds of
+/// `phase`: latencies pooled over every call, the rate a median over
+/// rounds. The untraced persisted rounds give the per-layer
+/// `core.persist.update` figures.
+fn set_churn_metrics(ctx: &mut Ctx<'_>, phase: &Rounds) -> Result<(), String> {
+    let p = &phase.persisted;
+    if let Some(rate) = Summary::of(&p.rates) {
+        ctx.set("core.persist.update_per_s", rate.median);
+    }
+    if let Some(tail) = Summary::of(&p.update_us).and_then(|s| s.p99) {
+        ctx.set("core.persist.update.us.p99", tail);
+    }
+    let s = &phase.samples[0];
+    set_latency(ctx, ("update_p50_us", "update_p99_us"), "churn.update_us", &s.update_us)?;
+    let rate = set_median(ctx, "update_per_s", "churn.round_update_per_s", &s.rates)?;
+    ctx.progress(&format!("churn: {} rounds, {rate:.0} updates/s", s.rates.len()));
+    Ok(())
+}
+
+/// Drop-and-recover for `share` of `--seconds`: `recover` from a fresh
+/// copy of each kept round's directory (the oldest as warm-up), checked
+/// against the live handle that round dropped.
+fn recover(
     ctx: &mut Ctx<'_>,
-    tree: &DecisionTree,
-    rules: &RuleSet,
-    trace: &[Packet],
+    phase: &Rounds,
+    check_trace: &[Packet],
     share: f64,
 ) -> Result<(), String> {
-    let checks = check_prefix(ctx, trace);
-    let (traced, secs) = (ctx.opts.traced, ctx.opts.seconds * share);
-    let mut round_no = 0;
-    let (phase, rate) = churn_phase(ctx, tree, rules, None, checks, secs, traced, &mut round_no)?;
-    ctx.progress(&format!("side churn: {rate:.0} updates/s"));
-    recover(ctx, &phase, checks)
-}
-
-/// Drop-and-recover: `recover` from a fresh copy of each kept round's
-/// directory (the oldest as warm-up), checked against the live handle
-/// that round dropped.
-fn recover(ctx: &mut Ctx<'_>, phase: &Rounds, check_trace: &[Packet]) -> Result<(), String> {
-    let newest = &phase.rounds[phase.rounds.len() - phase.dirs.len()..];
     let states: Vec<churn::Persisted<'_>> = phase
-        .dirs
+        .kept
         .iter()
-        .zip(newest)
         .map(|(dir, r)| churn::Persisted {
             dir,
             live_epoch: r.live_epoch,
@@ -576,7 +695,7 @@ fn recover(ctx: &mut Ctx<'_>, phase: &Rounds, check_trace: &[Packet]) -> Result<
         .collect();
     let traced = ctx.opts.traced;
     let mut t = ctx.tracer(traced);
-    let budget = Duration::from_secs_f64(ctx.opts.seconds * RECOVER_SHARE);
+    let budget = Duration::from_secs_f64(ctx.opts.seconds * share);
     let rec = churn::recover_each(
         &states,
         budget,
@@ -593,89 +712,54 @@ fn recover(ctx: &mut Ctx<'_>, phase: &Rounds, check_trace: &[Packet]) -> Result<
     Ok(())
 }
 
-fn churn_workload(ctx: &mut Ctx<'_>) -> Result<(), String> {
-    let serving = setup_serving(ctx, TrafficSkew::ZIPF, STREAM_ZIPF, true)?;
-    record_deployment(ctx, &serving);
-    drop(serving.handle);
-    let (deployed, trace) = (&serving.deployed, &serving.trace[..]);
-    let checks = check_prefix(ctx, trace);
-    ctx.ident("readers", 1);
-    ctx.ident("writers", 1);
-    let mut untraced = None;
-    let mut last = None;
-    let mut round_no = 0u64;
-    for (traced, secs) in windows(ctx.opts, 1.0 - RECOVER_SHARE) {
-        let (phase, rate) = churn_phase(
-            ctx,
-            &deployed.tree,
-            &deployed.rules,
-            Some(trace),
-            checks,
-            secs,
-            traced,
-            &mut round_no,
-        )?;
-        ctx.progress(&format!(
-            "churn: {} rounds, {rate:.0} updates/s (traced {traced})",
-            phase.rounds.len()
-        ));
-        overhead(ctx, traced, &mut untraced, rate)?;
-        if let Some(old) = last.replace(phase) {
-            old.dirs.iter().for_each(|d| drop(std::fs::remove_dir_all(d)));
-        }
-    }
-    let phase = last.ok_or("no churn round ran")?;
-    recover(ctx, &phase, checks)
-}
-
 fn train_workload(ctx: &mut Ctx<'_>) -> Result<(), String> {
-    let serving = setup_serving(ctx, TrafficSkew::Uniform, STREAM_SERVE, false)?;
+    let (serving, mut setups) = setup_serving(ctx, TrafficSkew::Uniform, STREAM_SERVE, false)?;
     // The metrics outside the focus come from the deployed classifier,
-    // exactly as in `serve`, and before the training: after seconds of
-    // matrix work on every core the host runs its next phase slower.
+    // exactly as in `serve`, and before the training (set-ups included):
+    // after seconds of matrix work on every core the host runs its next
+    // phase slower.
     let truth = ground_truth(&serving.deployed.rules, &serving.trace);
-    ctx.ident("readers", READERS);
-    let traced = ctx.opts.traced;
-    let secs = ctx.opts.seconds * SIDE_SHARE;
-    serve_phase(ctx, &serving.handle, &serving.trace, &truth, secs, traced)?;
+    ctx.ident("readers", 1);
+    serve_and_churn(ctx, &serving, &mut setups, 1.0, &truth, SIDE_SERVE_SHARE)?;
+    finish_setups(ctx, &mut setups, false)?;
     drop(serving.handle);
-    side_churn(ctx, &serving.deployed.tree, &serving.deployed.rules, &serving.trace, SIDE_SHARE)?;
 
     let scale = ctx.scale().clone();
     let cfg = scale.train_config(nproc());
     ctx.ident("train_workers", cfg.workers);
-    let mut untraced = None;
+    // Training gets the rest of the run (and at least one whole run).
+    let side = SIDE_SERVE_SHARE + CHURN_SHARE + RECOVER_SHARE;
+    let secs = ctx.opts.seconds * (1.0 - side);
+    let started = Instant::now();
+    let mut rates = [Vec::new(), Vec::new()];
     let mut last: Option<Deployed> = None;
-    for (traced, secs) in windows(ctx.opts, TRAIN_SHARE) {
-        let started = Instant::now();
-        let mut rates = Vec::new();
-        let mut run_s = 0.0;
-        // Start another run only while it is expected to end in the
-        // window; every window runs at least once.
-        while rates.is_empty() || started.elapsed().as_secs_f64() + run_s <= secs {
-            let mut t = ctx.tracer(traced);
-            let run_started = Instant::now();
-            let run = setup::deploy(&scale, &cfg, &mut t)?;
-            run_s = run_started.elapsed().as_secs_f64();
-            ctx.absorb(t);
-            rates.push(run.train_steps_per_s());
-            ctx.progress(&format!(
-                "trained {} steps in {:.3}s ({:.0} steps/s)",
-                run.report.timesteps,
-                run.train_s,
-                run.train_steps_per_s()
-            ));
-            if let Some(first) = &last {
-                let (a, b) = (first.stats, run.stats);
-                ctx.out
-                    .check
-                    .expect(a == b, || format!("training runs built different trees: {a} vs {b}"));
-            }
-            last = Some(run);
+    let (mut k, mut run_s) = (0, 0.0);
+    // Start another run only while it is expected to end in the window.
+    while k < min_turns(ctx.opts) || started.elapsed().as_secs_f64() + run_s <= secs {
+        let traced = traced_turn(ctx.opts, k);
+        let mut t = ctx.tracer(traced);
+        let run_started = Instant::now();
+        let run = setup::deploy(&scale, &cfg, &mut t)?;
+        run_s = run_started.elapsed().as_secs_f64();
+        ctx.absorb(t);
+        rates[usize::from(traced)].push(run.train_steps_per_s());
+        ctx.progress(&format!(
+            "trained {} steps in {:.3}s ({:.0} steps/s, traced {traced})",
+            run.report.timesteps,
+            run.train_s,
+            run.train_steps_per_s()
+        ));
+        if let Some(first) = &last {
+            let (a, b) = (first.stats, run.stats);
+            ctx.out
+                .check
+                .expect(a == b, || format!("training runs built different trees: {a} vs {b}"));
         }
-        let rate = set_median(ctx, "train_steps_per_s", "train.steps_per_s", &rates)?;
-        overhead(ctx, traced, &mut untraced, rate)?;
+        last = Some(run);
+        k += 1;
     }
+    set_median(ctx, "train_steps_per_s", "train.steps_per_s", &rates[0])?;
+    overhead(ctx, &rates[0], &rates[1])?;
     let trained = last.ok_or("no training ran")?;
     record_tree(ctx, &trained.stats);
     let handle = ClassifierHandle::new((*trained.tree).clone(), RebuildPolicy::default_policy());
@@ -700,8 +784,9 @@ fn layer_metrics(spans: &Spans, m: &mut Metrics) {
             .filter(|s| s.work > 0)
             .map(|s| s.durs_ns.iter().sum::<f64>() / s.work as f64 / unit_ns)
     };
-    let pct_us = |name: &str, pick: fn(&Summary) -> f64| {
-        by.get(name).and_then(|s| Summary::of(&s.durs_ns)).map(|s| pick(&s) / 1e3)
+    // A p99 with fewer than ten calls beyond it is left out (reads 0).
+    let pct_us = |name: &str, pick: fn(&Summary) -> Option<f64>| {
+        by.get(name).and_then(|s| Summary::of(&s.durs_ns)).and_then(|s| pick(&s)).map(|v| v / 1e3)
     };
     let calls = |name: &str| by.get(name).map_or(0.0, |s| s.durs_ns.len() as f64);
     let mut put = |name: &'static str, v: Option<f64>| {
@@ -723,7 +808,10 @@ fn layer_metrics(spans: &Spans, m: &mut Metrics) {
         "dtree.serve.snapshot.classify_batch.ns_per_pkt",
         per_work("dtree.serve.snapshot.classify_batch", 1.0),
     );
-    put("dtree.serve.handle.snapshot.us.p50", pct_us("dtree.serve.handle.snapshot", |s| s.median));
+    put(
+        "dtree.serve.handle.snapshot.us.p50",
+        pct_us("dtree.serve.handle.snapshot", |s| Some(s.median)),
+    );
     put("dtree.serve.handle.snapshot.us.p99", pct_us("dtree.serve.handle.snapshot", |s| s.p99));
     for (name, p50, p99, n) in [
         (
@@ -745,7 +833,7 @@ fn layer_metrics(spans: &Spans, m: &mut Metrics) {
             "dtree.serve.rebuild.calls",
         ),
     ] {
-        put(p50, pct_us(name, |s| s.median));
+        put(p50, pct_us(name, |s| Some(s.median)));
         put(p99, pct_us(name, |s| s.p99));
         put(n, Some(calls(name)));
     }

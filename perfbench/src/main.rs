@@ -1,4 +1,4 @@
-//! `perfbench --workload <serve|churn|train> --seed <n> --seconds <s> --trace <0|1>`
+//! `perfbench --workload <serve|train> --seed <n> --seconds <s> --trace <0|1>`
 //!
 //! Runs one workload, writes its record (identity, every timing
 //! series, metrics) and, when traced, its spans next to the binary
@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: perfbench --workload <serve|churn|train> --seed <n> --seconds <s> --trace <0|1>";
+    "usage: perfbench --workload <serve|train> --seed <n> --seconds <s> --trace <0|1>";
 
 fn parse(args: &[String]) -> Result<(Workload, u64, f64, bool), String> {
     let (mut workload, mut seed, mut seconds, mut traced) = (None, None, None, None);
@@ -139,9 +139,10 @@ fn main() -> ExitCode {
     }
     for (name, s, _) in &out.series {
         let tail = s.tail.map_or_else(|| "-".to_string(), |(p, v)| format!("p{p} {v:.4}"));
+        let p99 = s.p99.map_or_else(|| "-".to_string(), |v| format!("{v:.4}"));
         eprintln!(
-            "series {name}: n {} median {:.4} q1 {:.4} q3 {:.4} p99 {:.4} tail {tail}",
-            s.n, s.median, s.q1, s.q3, s.p99
+            "series {name}: n {} median {:.4} q1 {:.4} q3 {:.4} p99 {p99} tail {tail}",
+            s.n, s.median, s.q1, s.q3
         );
     }
     for note in &out.check.notes {

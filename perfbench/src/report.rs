@@ -61,6 +61,8 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("dtree.serve.attempts", "count"),
     ("dtree.wal.records", "count"),
     ("dtree.wal.bytes", "bytes"),
+    ("core.persist.update_per_s", "1/s"),
+    ("core.persist.update.us.p99", "us"),
     ("core.persist.checkpoint.ms", "ms"),
     ("core.persist.checkpoint.calls", "count"),
     ("core.persist.read_checkpoint.ms", "ms"),

@@ -13,13 +13,9 @@ pub const SAMPLE_EVERY: u64 = 8;
 
 /// What one reader thread measured.
 pub struct ReaderOut {
-    /// Packets classified.
-    pub packets: u64,
-    /// Seconds from the first batch's start to the last batch's end.
-    pub secs: f64,
     /// Latency of every batch, snapshot fetch included, in ns.
     pub batch_ns: Vec<f64>,
-    /// When each batch ended, in ns since the window's `origin`.
+    /// When each batch ended, in ns since the reader started.
     pub batch_end_ns: Vec<f64>,
     /// Packets per batch (the trace length is a multiple of it).
     pub batch: usize,
@@ -36,11 +32,6 @@ pub struct ReaderOut {
 }
 
 impl ReaderOut {
-    /// Packets per second.
-    pub fn rate(&self) -> f64 {
-        self.packets as f64 / self.secs.max(1e-9)
-    }
-
     /// Verify every distinct batch this reader served against `truth`
     /// (one output per packet).
     pub fn verify(&self, truth: &[Option<RuleId>], batch: usize, check: &mut Check) {
@@ -58,10 +49,9 @@ impl ReaderOut {
     }
 }
 
-/// Serve `trace` in batches of `batch` packets from `first_batch` on,
+/// Serve `trace` in batches of `batch` packets from its first batch on,
 /// one fresh snapshot per batch, until `stop` is set (at least one
-/// batch). Batch end times
-/// are taken relative to `origin`.
+/// batch). Batch end times are taken relative to the reader's start.
 ///
 /// # Panics
 /// Panics unless the trace length is a positive multiple of `batch`.
@@ -69,9 +59,7 @@ pub fn reader(
     handle: &ClassifierHandle,
     trace: &[Packet],
     batch: usize,
-    first_batch: usize,
     stop: &AtomicBool,
-    origin: Instant,
     mut t: Tracer,
 ) -> ReaderOut {
     assert!(
@@ -80,8 +68,6 @@ pub fn reader(
     );
     let batches = trace.len() / batch;
     let mut out = ReaderOut {
-        packets: 0,
-        secs: 0.0,
         batch_ns: Vec::with_capacity(1 << 16),
         batch_end_ns: Vec::with_capacity(1 << 16),
         batch,
@@ -91,7 +77,7 @@ pub fn reader(
         served: vec![false; batches],
         spans: Vec::new(),
     };
-    let mut b = first_batch % batches;
+    let mut b = 0;
     let mut last_epoch = None;
     let started = Instant::now();
     let mut id = 0u64;
@@ -116,12 +102,11 @@ pub fn reader(
         };
         let end = Instant::now();
         out.batch_ns.push((end - t0).as_nanos() as f64);
-        out.batch_end_ns.push((end - origin).as_nanos() as f64);
+        out.batch_end_ns.push((end - started).as_nanos() as f64);
         if last_epoch.is_some_and(|e| e != snap.epoch()) {
             out.refetches += 1;
         }
         last_epoch = Some(snap.epoch());
-        out.packets += packets.len() as u64;
         out.served[b] = true;
         b = (b + 1) % batches;
         id += 1;
@@ -129,86 +114,81 @@ pub fn reader(
             break;
         }
     }
-    out.secs = started.elapsed().as_secs_f64();
     out.spans = t.finish();
     out
 }
 
-/// Run `readers` reader threads over `trace` for `window`, each
-/// starting at its own offset. Reader `i` traces as thread `i + 1`.
+/// Serve `trace` from one reader thread for `window`, starting at its
+/// first batch. The reader traces as thread 1.
 pub fn serve_for(
     handle: &ClassifierHandle,
     trace: &[Packet],
     batch: usize,
-    readers: usize,
     window: Duration,
-    tracer: impl Fn(u32) -> Tracer + Sync,
-) -> Vec<ReaderOut> {
+    tracer: Tracer,
+) -> ReaderOut {
     let stop = AtomicBool::new(false);
-    let batches = trace.len().div_ceil(batch);
-    let origin = Instant::now();
     std::thread::scope(|s| {
-        let threads: Vec<_> = (0..readers)
-            .map(|i| {
-                let (stop, tracer) = (&stop, &tracer);
-                s.spawn(move || {
-                    let first = i * batches / readers;
-                    reader(handle, trace, batch, first, stop, origin, tracer(i as u32 + 1))
-                })
-            })
-            .collect();
+        let stop = &stop;
+        let reader = s.spawn(move || reader(handle, trace, batch, stop, tracer));
         std::thread::sleep(window);
         stop.store(true, Ordering::Relaxed);
-        threads.into_iter().map(|h| h.join().expect("reader thread panicked")).collect()
+        reader.join().expect("reader thread panicked")
     })
 }
 
-/// Slices of a serving window in which every reader ran.
+/// Per-slice summaries of a serving window.
+#[derive(Debug, Default)]
 pub struct Slices {
-    /// Packets per second over all readers, in millions, per slice.
+    /// Packets per second, in millions, per slice.
     pub mpps: Vec<f64>,
     /// Batch latency median per slice, in µs.
     pub p50_us: Vec<f64>,
-    /// Batch latency 99th percentile per slice, in µs.
+    /// Batch latency 99th percentile per slice, in µs (slices with too
+    /// few batches for a p99 are left out).
     pub p99_us: Vec<f64>,
 }
 
-/// Cut the window in which every one of the concurrent `readers`
-/// (sharing one origin) was serving into equal slices of about
-/// `width_s` (at least one), and summarise each. Medians over slices
-/// keep a few slow seconds of a shared host from moving a run's result.
-pub fn slices(readers: &[ReaderOut], width_s: f64) -> Slices {
-    let first = |o: &ReaderOut| o.batch_end_ns.first().copied().unwrap_or(f64::INFINITY);
-    let last = |o: &ReaderOut| o.batch_end_ns.last().copied().unwrap_or(0.0);
-    let start = readers.iter().map(first).fold(0.0, f64::max);
-    let end = readers.iter().map(last).fold(f64::INFINITY, f64::min);
-    let mut out = Slices { mpps: Vec::new(), p50_us: Vec::new(), p99_us: Vec::new() };
-    if end.partial_cmp(&start) != Some(std::cmp::Ordering::Greater) {
-        return out;
+impl Slices {
+    /// Append another window's slices.
+    pub fn extend(&mut self, other: Slices) {
+        self.mpps.extend(other.mpps);
+        self.p50_us.extend(other.p50_us);
+        self.p99_us.extend(other.p99_us);
+    }
+}
+
+/// Cut the reader's window, from its first batch's end to its last's,
+/// into equal slices of about `width_s` (at least one), and summarise
+/// each. Medians over slices keep a few slow seconds of a shared host
+/// from moving a run's result.
+pub fn slices(out: &ReaderOut, width_s: f64) -> Slices {
+    let mut slices = Slices::default();
+    let (Some(&start), Some(&end)) = (out.batch_end_ns.first(), out.batch_end_ns.last()) else {
+        return slices;
+    };
+    if end <= start {
+        return slices;
     }
     let n = (((end - start) / (width_s * 1e9)) as usize).max(1);
     let width = (end - start) / n as f64;
     let mut packets = vec![0u64; n];
     let mut lat: Vec<Vec<f64>> = vec![Vec::new(); n];
-    for o in readers {
-        for (&t, &ns) in o.batch_end_ns.iter().zip(&o.batch_ns) {
-            // A batch belongs to the slice it ended in; the window's
-            // last instant closes the last slice.
-            let k = (((t - start) / width).ceil() as usize).saturating_sub(1);
-            if t >= start && t <= end {
-                packets[k.min(n - 1)] += o.batch as u64;
-                lat[k.min(n - 1)].push(ns / 1e3);
-            }
-        }
+    // The first batch only opens the window; every later batch belongs
+    // to the slice it ended in.
+    for (&t, &ns) in out.batch_end_ns.iter().zip(&out.batch_ns).skip(1) {
+        let k = ((((t - start) / width).ceil() as usize).saturating_sub(1)).min(n - 1);
+        packets[k] += out.batch as u64;
+        lat[k].push(ns / 1e3);
     }
     for (p, l) in packets.iter().zip(&lat) {
         if let Some(s) = crate::stats::Summary::of(l) {
-            out.mpps.push(*p as f64 / (width / 1e9) / 1e6);
-            out.p50_us.push(s.median);
-            out.p99_us.push(s.p99);
+            slices.mpps.push(*p as f64 / (width / 1e9) / 1e6);
+            slices.p50_us.push(s.median);
+            slices.p99_us.extend(s.p99);
         }
     }
-    out
+    slices
 }
 
 /// Time the compiled kernel alone (`FlatTree::classify_batch`) over

@@ -74,7 +74,7 @@ impl Scale {
             trace_len: 2048,
             batch: 64,
             check_len: 256,
-            churn_updates: 120,
+            churn_updates: 500,
             max_recoveries: 3,
             train_timesteps: 600,
             train_hidden: [32, 32],

@@ -46,9 +46,9 @@ pub struct Summary {
     pub median: f64,
     /// Third quartile.
     pub q3: f64,
-    /// 99th percentile (reported even when fewer than ten samples lie
-    /// beyond it; `tail` says how far the samples really reach).
-    pub p99: f64,
+    /// 99th percentile, present only when at least ten samples lie
+    /// beyond it (1000 samples or more).
+    pub p99: Option<f64>,
     /// `(percentile, value)` of the highest percentile with at least
     /// ten samples beyond it.
     pub tail: Option<(f64, f64)>,
@@ -67,7 +67,9 @@ impl Summary {
             q1: percentile(&sorted, 25.0),
             median: percentile(&sorted, 50.0),
             q3: percentile(&sorted, 75.0),
-            p99: percentile(&sorted, 99.0),
+            p99: tail_percentile(sorted.len())
+                .filter(|&p| p >= 99.0)
+                .map(|_| percentile(&sorted, 99.0)),
             tail: tail_percentile(sorted.len()).map(|p| (p, percentile(&sorted, p))),
         })
     }
@@ -78,9 +80,10 @@ impl Summary {
             Some((p, v)) => format!("{{\"pct\": {p}, \"value\": {v}}}"),
             None => "null".to_string(),
         };
+        let p99 = self.p99.map_or_else(|| "null".to_string(), |v| v.to_string());
         format!(
-            "{{\"n\": {}, \"q1\": {}, \"median\": {}, \"q3\": {}, \"p99\": {}, \"tail\": {tail}}}",
-            self.n, self.q1, self.median, self.q3, self.p99
+            "{{\"n\": {}, \"q1\": {}, \"median\": {}, \"q3\": {}, \"p99\": {p99}, \"tail\": {tail}}}",
+            self.n, self.q1, self.median, self.q3
         )
     }
 }
@@ -115,9 +118,18 @@ mod tests {
         assert_eq!(s.median, 50.5);
         assert_eq!(s.q1, 25.75);
         assert_eq!(s.q3, 75.25);
-        assert!((s.p99 - 99.01).abs() < 1e-9);
         // 100 samples leave exactly ten beyond p90, one beyond p99.
         assert_eq!(s.tail.map(|t| t.0), Some(90.0));
+        assert_eq!(s.p99, None);
+    }
+
+    #[test]
+    fn p99_needs_a_thousand_samples() {
+        let samples: Vec<f64> = (1..=1000).map(f64::from).collect();
+        let s = Summary::of(&samples).unwrap();
+        assert!((s.p99.unwrap() - 990.01).abs() < 1e-9);
+        assert_eq!(s.tail.map(|t| t.0), Some(99.0));
+        assert_eq!(Summary::of(&samples[1..]).unwrap().p99, None);
     }
 
     #[test]

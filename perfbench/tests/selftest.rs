@@ -132,6 +132,10 @@ fn same_seed_repeats_tree_and_traces_exactly() {
     }
 }
 
+fn untraced() -> Tracer {
+    Tracer::new(false, Instant::now(), 1)
+}
+
 /// Mutation: serve a classifier built over other rules. Its answers are
 /// wrong for this trace, and verification must say so.
 #[test]
@@ -144,13 +148,9 @@ fn a_wrong_classifier_is_counted_and_fails_the_run() {
     let other =
         generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, scale.rules).with_seed(99));
     let wrong = ClassifierHandle::new(DecisionTree::new(&other), RebuildPolicy::default_policy());
-    let outs = serve::serve_for(&wrong, &trace, scale.batch, 1, Duration::from_millis(50), |i| {
-        Tracer::new(false, Instant::now(), i)
-    });
+    let out = serve::serve_for(&wrong, &trace, scale.batch, Duration::from_millis(50), untraced());
     let mut check = Check::default();
-    for out in &outs {
-        out.verify(&truth, scale.batch, &mut check);
-    }
+    out.verify(&truth, scale.batch, &mut check);
     assert!(check.attempted > 0);
     assert!(check.failed > 0, "a classifier over other rules passed verification");
     assert!(!check.passed());
@@ -166,11 +166,8 @@ fn one_flipped_answer_is_one_failure() {
     let trace = setup::trace(&rules, scale.trace_len, TrafficSkew::Uniform, 7, 1, &mut t);
     let truth: Vec<_> = trace.iter().map(|p| rules.classify(p)).collect();
     let handle = ClassifierHandle::new(DecisionTree::new(&rules), RebuildPolicy::default_policy());
-    let mut outs =
-        serve::serve_for(&handle, &trace, scale.batch, 1, Duration::from_millis(50), |i| {
-            Tracer::new(false, Instant::now(), i)
-        });
-    let out = &mut outs[0];
+    let mut out =
+        serve::serve_for(&handle, &trace, scale.batch, Duration::from_millis(50), untraced());
     let mut clean = Check::default();
     out.verify(&truth, scale.batch, &mut clean);
     assert!(clean.passed() && clean.attempted > 0);
