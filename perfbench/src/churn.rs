@@ -2,6 +2,7 @@
 //! may be persisted, while (optionally) one reader serves, then crash
 //! recovery from the directory a persisted round left behind.
 
+use crate::cpu;
 use crate::report::Check;
 use crate::serve::{reader, ReaderOut};
 use crate::setup::TRAIN_SEED;
@@ -13,7 +14,6 @@ use neurocuts::{recover, PersistConfig, Persistence};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
 
 /// What one update call turned out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,9 +43,9 @@ impl Outcome {
 
 /// What one churn round measured.
 pub struct Round {
-    /// Latency of every update call, in ns, with its outcome.
+    /// On-CPU time of every update call, in ns, with its outcome.
     pub updates: Vec<(Outcome, f64)>,
-    /// Seconds the writer spent: update calls plus checkpoints.
+    /// On-CPU seconds the writer spent: update calls plus checkpoints.
     pub writer_secs: f64,
     /// WAL records appended over the round.
     pub wal_records: u64,
@@ -60,7 +60,7 @@ pub struct Round {
 }
 
 impl Round {
-    /// Updates per second of writer time.
+    /// Updates per second of writer CPU time.
     pub fn update_rate(&self) -> f64 {
         self.updates.len() as f64 / self.writer_secs.max(1e-9)
     }
@@ -103,7 +103,8 @@ fn current_wal_bytes(handle: &ClassifierHandle, dir: &Path) -> u64 {
 /// `spec.dir` (default `PersistConfig`), it checkpoints whenever
 /// `Persistence::wants_checkpoint` says so. Then, outside the timed
 /// window, the round checks the handle against a from-scratch
-/// recompile and the linear scan.
+/// recompile and the linear scan. Update calls are timed on the writer
+/// thread's CPU clock.
 pub fn round(
     spec: &RoundSpec<'_>,
     check: &mut Check,
@@ -135,15 +136,15 @@ pub fn round(
             })
         });
         start.wait();
-        let started = Instant::now();
+        let started = cpu::thread_ns();
         for u in 0..spec.updates {
             let id = spec.round << 32 | u as u64;
             let rejected = schedule.rejected();
             let rebuilds = if t.on() { handle.stats().rebuilds } else { 0 };
             let span = t.begin("dtree.serve.update", id);
-            let t0 = Instant::now();
+            let t0 = cpu::thread_ns();
             let inserted = schedule.step(&handle);
-            let ns = t0.elapsed().as_nanos() as f64;
+            let ns = (cpu::thread_ns() - t0) as f64;
             let outcome = if schedule.rejected() > rejected {
                 Outcome::Rejected
             } else if t.on() && handle.stats().rebuilds > rebuilds {
@@ -167,7 +168,7 @@ pub fn round(
                 t.end(span, 1);
             }
         }
-        let writer_secs = started.elapsed().as_secs_f64();
+        let writer_secs = (cpu::thread_ns() - started) as f64 / 1e9;
         stop.store(true, Ordering::Relaxed);
         (writer_secs, reader_thread.map(|h| h.join().expect("reader thread panicked")))
     });
@@ -221,76 +222,64 @@ fn copy_dir(from: &Path, to: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Recovery measurements.
-#[derive(Debug, Default)]
+/// One timed recovery.
+#[derive(Debug, Clone, Copy)]
 pub struct Recovered {
-    /// Wall time of each timed `recover` call, in ms.
-    pub ms: Vec<f64>,
-    /// WAL records the timed recoveries replayed.
+    /// Process CPU time of the `recover` call, in ms.
+    pub ms: f64,
+    /// WAL records it replayed.
     pub replayed: u64,
-    /// Probes the timed recoveries' linear-scan proofs checked.
+    /// Probes its linear-scan proof checked.
     pub spot_checked: u64,
 }
 
 /// A directory a dropped handle left behind, with what that handle
 /// served when it was dropped.
-pub struct Persisted<'a> {
+pub struct Persisted {
     /// The directory.
-    pub dir: &'a Path,
+    pub dir: PathBuf,
     /// The live handle's epoch.
     pub live_epoch: u64,
     /// The live handle's classification of the check trace.
-    pub live_results: &'a [Option<RuleId>],
+    pub live_results: Vec<Option<RuleId>>,
 }
 
-/// Recover once from a fresh copy of each directory in turn, the first
-/// untimed (warm-up), until `budget` has passed and at least `min_timed`
-/// recoveries were timed (or the directories run out). Each recovered
-/// handle must reach the live epoch and classify `check_trace` exactly
-/// as the live handle did.
-pub fn recover_each(
-    states: &[Persisted<'_>],
-    budget: Duration,
-    min_timed: usize,
+/// Recover from a fresh copy of `state.dir` at `copy` (removed again
+/// afterwards) and time the `recover` call on the process CPU clock. The recovered handle must
+/// reach the live epoch and classify `check_trace` exactly as the live
+/// handle did.
+pub fn recover_one(
+    state: &Persisted,
+    copy: &Path,
+    id: u64,
     check_trace: &[Packet],
     check: &mut Check,
     t: &mut Tracer,
 ) -> Result<Recovered, String> {
-    let mut out = Recovered::default();
-    let started = Instant::now();
-    for (k, state) in states.iter().enumerate() {
-        if out.ms.len() >= min_timed && started.elapsed() >= budget {
-            break;
-        }
-        let copy = PathBuf::from(format!("{}-copy", state.dir.display()));
-        copy_dir(state.dir, &copy).map_err(|e| format!("copy {}: {e}", state.dir.display()))?;
-        let timed = k > 0;
-        if timed && t.on() {
-            trace_recovery_reads(&copy, k as u64, t)?;
-        }
-        let span = timed.then(|| t.begin("core.persist.recover", k as u64));
-        let started = Instant::now();
-        let result =
-            recover(&copy, RebuildPolicy::default_policy(), &[], &PersistConfig::default());
-        let ms = started.elapsed().as_secs_f64() * 1e3;
-        let (handle, report) = result.map_err(|e| format!("recover {}: {e}", copy.display()))?;
-        if let Some(span) = span {
-            t.end(span, report.replayed);
-            out.ms.push(ms);
-            out.replayed += report.replayed;
-            out.spot_checked += report.spot_checked as u64;
-        }
-        let mut got = vec![None; check_trace.len()];
-        handle.snapshot().classify_batch(check_trace, &mut got);
-        let (epoch, same) = (handle.epoch(), got == state.live_results);
-        let live_epoch = state.live_epoch;
-        check.expect(epoch == live_epoch && same, || {
-            format!("recovery {k}: epoch {epoch} (live {live_epoch}), same classification {same}")
-        });
-        drop(handle);
-        let _ = std::fs::remove_dir_all(&copy);
+    copy_dir(&state.dir, copy).map_err(|e| format!("copy {}: {e}", state.dir.display()))?;
+    if t.on() {
+        trace_recovery_reads(copy, id, t)?;
     }
-    Ok(out)
+    let span = t.begin("core.persist.recover", id);
+    let (result, cpu_s) = cpu::timed(|| {
+        recover(copy, RebuildPolicy::default_policy(), &[], &PersistConfig::default())
+    });
+    let (handle, report) = result.map_err(|e| format!("recover {}: {e}", copy.display()))?;
+    t.end(span, report.replayed);
+    let mut got = vec![None; check_trace.len()];
+    handle.snapshot().classify_batch(check_trace, &mut got);
+    let (epoch, same) = (handle.epoch(), got == state.live_results);
+    let live_epoch = state.live_epoch;
+    check.expect(epoch == live_epoch && same, || {
+        format!("recovery {id}: epoch {epoch} (live {live_epoch}), same classification {same}")
+    });
+    drop(handle);
+    let _ = std::fs::remove_dir_all(copy);
+    Ok(Recovered {
+        ms: cpu_s * 1e3,
+        replayed: report.replayed,
+        spot_checked: report.spot_checked as u64,
+    })
 }
 
 /// Time the two reads recovery starts with — the newest checkpoint and

@@ -2,19 +2,26 @@
 //! output verified before a number is reported.
 //!
 //! * `serve` — uniform traffic from one reader thread over the trained
-//!   tree, no updates (cut traversal and leaf scan), interleaved with
-//!   churn rounds — one writer applying an update stream, persisted in
-//!   every other round — and followed by crash recovery.
+//!   tree, no updates (cut traversal and leaf scan).
 //! * `train` — paper-width training runs: batched forward, backward and
 //!   the PPO update.
 //!
 //! Both workloads set up the same deployed classifier and report every
-//! end-to-end metric: `train` serves, runs churn rounds and recovers
-//! before it trains, and `serve` reports the training its set-ups
-//! performed. See `README.md` beside this crate for the workloads'
-//! reasons and the per-layer map.
+//! end-to-end metric, so both run the same cycle over and over until
+//! the run's seconds are spent: a serving window, churn rounds (one
+//! writer applying an update stream, the first round of each cycle
+//! persisted), crash recoveries from that persisted round, and the set-ups
+//! due by then. In `train` each cycle starts with a paper-width
+//! training run, which takes about half the time; in `serve` the serving
+//! window does. Every metric thus samples the whole stretch of the run.
+//! Timings are on-CPU time ([`cpu`]), scaled to a nominal host speed by
+//! reference samples taken around each timed stretch ([`calib`]).
+//! See `README.md` beside this crate for the workloads' reasons and the
+//! per-layer map.
 
+pub mod calib;
 pub mod churn;
+pub mod cpu;
 pub mod report;
 pub mod serve;
 pub mod setup;
@@ -22,14 +29,14 @@ pub mod stats;
 pub mod tracer;
 pub mod train;
 
+use calib::Calibration;
 use classbench::{trace_hash, Packet, RuleSet, TrafficSkew};
 use dtree::{ClassifierHandle, DecisionTree, FlatTree, RebuildPolicy, RuleId, TreeStats};
 use neurocuts::{NeuroCutsConfig, TrainReport};
 use report::{Check, Metrics};
-use serve::{ReaderOut, Slices};
+use serve::ReaderOut;
 use setup::{Deployed, Scale};
 use stats::Summary;
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tracer::{Spans, Tracer};
@@ -42,23 +49,16 @@ const STREAM_SCHEDULE: u64 = 3;
 /// Passes over the trace when timing the compiled kernel alone.
 const FLAT_PROBE_PASSES: usize = 4;
 
-/// Width of the slices a serving window is cut into, in seconds.
-const SLICE_S: f64 = 0.25;
+/// Longest stretch a serving window runs between two reference samples,
+/// in seconds.
+const SERVE_CHUNK_S: f64 = 0.5;
 
-/// Length of one cycle of a serving window and churn rounds, in
-/// seconds, where `serve` and `train` interleave the two.
-const CYCLE_S: f64 = 2.0;
+/// Share of samples cut from each end before a trimmed mean.
+const TRIM: f64 = 0.1;
 
-/// Shares of `--seconds`: serving (in `train`; `serve` serves for the
-/// rest), churn rounds and recoveries (in both). Churn is kept short:
-/// its persisted rounds write checkpoints back to back, and sustained
-/// disk writes slow a shared host's disk for the runs that follow.
-const SIDE_SERVE_SHARE: f64 = 0.15;
-const CHURN_SHARE: f64 = 0.1;
-const RECOVER_SHARE: f64 = 0.1;
-
-/// Timed recoveries a run makes at least, whatever the time share.
-const MIN_RECOVERIES: usize = 5;
+/// Unpersisted churn rounds a cycle runs at least (so that even a short
+/// run pools enough update calls for a p99).
+const MIN_UNPERSISTED_ROUNDS: usize = 2;
 
 /// The two workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,17 +131,17 @@ struct Ctx<'a> {
     out: RunOutput,
     /// Sum and count of the overlay lengths traced batches saw.
     overlay: (f64, f64),
+    /// Reference samples of the host's speed around each phase.
+    calib: Calibration,
 }
 
-/// Whether the `k`-th serving window, churn round or training run of a
-/// phase is traced: every other one in a traced run, so that host drift
-/// weighs on both sides of the tracing overhead alike.
+/// Whether the `k`-th cycle is traced: every other one in a traced run,
+/// so that host drift weighs on both sides of the tracing overhead alike.
 fn traced_turn(opts: &Options, k: usize) -> bool {
     opts.traced && k % 2 == 1
 }
 
-/// Rounds or runs a phase makes at least: a traced run needs one of
-/// each kind.
+/// Cycles a run makes at least: a traced run needs one of each kind.
 fn min_turns(opts: &Options) -> usize {
     if opts.traced {
         2
@@ -213,6 +213,7 @@ pub fn run(opts: &Options) -> Result<RunOutput, String> {
             spans: Spans::default(),
         },
         overlay: (0.0, 0.0),
+        calib: Calibration::default(),
     };
     ctx.ident("workload", opts.workload.name());
     ctx.ident("seed", opts.seed);
@@ -220,10 +221,7 @@ pub fn run(opts: &Options) -> Result<RunOutput, String> {
     ctx.ident("traced", opts.traced);
     ctx.ident("nproc", nproc());
     ctx.ident("scale", format!("{:?}", opts.scale));
-    let result = match opts.workload {
-        Workload::Serve => serve_workload(&mut ctx),
-        Workload::Train => train_workload(&mut ctx),
-    };
+    let result = workload(&mut ctx, &Plan::of(opts));
     let _ = std::fs::remove_dir_all(&opts.work_dir);
     result?;
     ctx.set("peak_rss_mb", setup::peak_rss_mb()?);
@@ -272,6 +270,43 @@ fn traced_mirror(ctx: &mut Ctx<'_>, rules: &RuleSet, cfg: &NeuroCutsConfig, repo
     ctx.count(true, "rl.ppo.update.epochs", mirrored.epochs as f64);
 }
 
+/// How a workload spends its cycles. Durations are shares of
+/// `--seconds`, so that a short self-test run keeps a full run's shape.
+struct Plan {
+    /// Whether each cycle starts with a paper-width training run.
+    train: bool,
+    /// Share of `--seconds` each cycle's serving window lasts.
+    serve: f64,
+    /// Share of `--seconds` each cycle's unpersisted churn rounds last.
+    churn: f64,
+    /// Timed recoveries per cycle (a fraction spreads them over cycles).
+    recoveries: f64,
+    /// Set-ups per run.
+    setups: usize,
+}
+
+impl Plan {
+    fn of(opts: &Options) -> Plan {
+        let reps = opts.scale.setup_reps;
+        match opts.workload {
+            // About twenty 2.5 s cycles in 50 s: 1.5 s of serving, 0.25 s
+            // of unpersisted churn, a recovery every other cycle.
+            Workload::Serve => {
+                Plan { train: false, serve: 0.03, churn: 0.005, recoveries: 0.5, setups: reps }
+            }
+            // About four 13 s cycles in 50 s: a 7 s training run, 3 s of
+            // serving, 1 s of unpersisted churn, two recoveries.
+            Workload::Train => Plan {
+                train: true,
+                serve: 0.06,
+                churn: 0.02,
+                recoveries: 2.0,
+                setups: reps.div_ceil(2),
+            },
+        }
+    }
+}
+
 /// The deployed classifier every workload sets up, with its rules and
 /// one trace.
 struct Serving {
@@ -281,37 +316,42 @@ struct Serving {
 }
 
 /// The run's set-ups: the first deploys the classifier the workload
-/// serves, and the rest run between the workload's later phases, so
+/// serves, and the rest run between the workload's later cycles, so
 /// that `setup_s` samples the whole run rather than its first seconds
 /// (a shared host's speed drifts within a run).
 struct Setups {
-    skew: TrafficSkew,
-    stream: u64,
+    /// Set-ups the run makes.
+    reps: usize,
     /// Whether set-ups record spans.
     traced: bool,
     /// The first set-up's tree; every set-up must build the same.
     stats: TreeStats,
     /// Seconds of each set-up so far.
     secs: Vec<f64>,
-    /// Env-steps per second of each set-up's training.
-    steps_per_s: Vec<f64>,
+    /// Env-steps and seconds of each set-up's training.
+    training: Vec<(f64, f64)>,
 }
 
 /// One set-up — generate the rules, train, compile a handle, generate
-/// the trace — and its seconds.
-fn setup_once(
-    ctx: &mut Ctx<'_>,
-    skew: TrafficSkew,
-    stream: u64,
-    traced: bool,
-) -> Result<(Serving, f64), String> {
+/// the trace — and its process CPU seconds. Those and its training's
+/// are scaled to the nominal host speed (see [`calib`]).
+fn setup_once(ctx: &mut Ctx<'_>, traced: bool) -> Result<(Serving, f64), String> {
     let scale = ctx.scale().clone();
     let mut t = ctx.tracer(traced);
-    let started = Instant::now();
-    let deployed = setup::deploy(&scale, &scale.setup_config(), &mut t)?;
-    let handle = ClassifierHandle::new((*deployed.tree).clone(), RebuildPolicy::default_policy());
-    let trace = setup::trace(&deployed.rules, scale.trace_len, skew, ctx.opts.seed, stream, &mut t);
-    let secs = started.elapsed().as_secs_f64();
+    let before = ctx.calib.sample();
+    let (set_up, secs) = cpu::timed(|| -> Result<_, String> {
+        let deployed = setup::deploy(&scale, &scale.setup_config(), &mut t)?;
+        let handle =
+            ClassifierHandle::new((*deployed.tree).clone(), RebuildPolicy::default_policy());
+        let (skew, seed) = (TrafficSkew::Uniform, ctx.opts.seed);
+        let trace =
+            setup::trace(&deployed.rules, scale.trace_len, skew, seed, STREAM_SERVE, &mut t);
+        Ok((deployed, handle, trace))
+    });
+    let slowness = (before + ctx.calib.sample()) / 2.0;
+    let (mut deployed, handle, trace) = set_up?;
+    let secs = secs / slowness;
+    deployed.train_s /= slowness;
     ctx.progress(&format!(
         "set-up: {secs:.3}s, training {:.3}s over {} steps",
         deployed.train_s, deployed.report.timesteps
@@ -320,25 +360,26 @@ fn setup_once(
     Ok((Serving { deployed, handle, trace }, secs))
 }
 
+/// Training steps and seconds of a deployed classifier.
+fn training_of(deployed: &Deployed) -> (f64, f64) {
+    (deployed.report.timesteps as f64, deployed.train_s)
+}
+
 /// Make the run's first set-up. A traced run traces set-up training
 /// (and mirrors it) only when `trace_training`: in `train` the training
 /// layers must report the workload's own paper-width training alone.
 fn setup_serving(
     ctx: &mut Ctx<'_>,
-    skew: TrafficSkew,
-    stream: u64,
+    reps: usize,
     trace_training: bool,
 ) -> Result<(Serving, Setups), String> {
     let cfg = ctx.scale().setup_config();
     ctx.ident("setup_train_workers", cfg.workers);
     let traced = ctx.opts.traced && trace_training;
-    let (serving, secs) = setup_once(ctx, skew, stream, traced)?;
+    let (serving, secs) = setup_once(ctx, traced)?;
     let deployed = &serving.deployed;
     ctx.ident("deployed_tree_stats_hash", format!("{:016x}", setup::stats_hash(&deployed.stats)));
-    ctx.ident(
-        &format!("trace_hash.{}", skew.tag()),
-        format!("{:016x}", trace_hash(&serving.trace)),
-    );
+    ctx.ident("trace_hash.uniform", format!("{:016x}", trace_hash(&serving.trace)));
     if ctx.opts.traced {
         traced_tree(ctx, &deployed.tree, &serving.trace);
     }
@@ -346,12 +387,11 @@ fn setup_serving(
         traced_mirror(ctx, &deployed.rules, &cfg, &deployed.report);
     }
     let setups = Setups {
-        skew,
-        stream,
+        reps,
         traced,
         stats: deployed.stats,
         secs: vec![secs],
-        steps_per_s: vec![deployed.train_steps_per_s()],
+        training: vec![training_of(deployed)],
     };
     Ok((serving, setups))
 }
@@ -359,21 +399,22 @@ fn setup_serving(
 /// Make set-ups until `frac` (0 to 1) of the run's set-ups after the
 /// first are done. Each must build the first set-up's tree.
 fn setups_up_to(ctx: &mut Ctx<'_>, setups: &mut Setups, frac: f64) -> Result<(), String> {
-    let reps = ctx.scale().setup_reps;
-    let want = (1 + (reps.saturating_sub(1) as f64 * frac).floor() as usize).min(reps);
+    let reps = setups.reps;
+    let want = (1 + (reps.saturating_sub(1) as f64 * frac.min(1.0)).floor() as usize).min(reps);
     while setups.secs.len() < want {
-        let (again, secs) = setup_once(ctx, setups.skew, setups.stream, setups.traced)?;
+        let (again, secs) = setup_once(ctx, setups.traced)?;
         let (a, b) = (setups.stats, again.deployed.stats);
         ctx.out.check.expect(a == b, || format!("set-ups trained different trees: {a} vs {b}"));
         setups.secs.push(secs);
-        setups.steps_per_s.push(again.deployed.train_steps_per_s());
+        setups.training.push(training_of(&again.deployed));
     }
     Ok(())
 }
 
 /// Make the set-ups that remain and set `setup_s` to their median.
-/// `serve` and `churn` (`report_deployment`) also report the set-ups'
-/// training as `train_steps_per_s`, and the deployed tree.
+/// `serve` (`report_deployment`) also reports the set-ups' training as
+/// `train_steps_per_s` (their steps over their seconds), and the
+/// deployed tree.
 fn finish_setups(
     ctx: &mut Ctx<'_>,
     setups: &mut Setups,
@@ -381,11 +422,12 @@ fn finish_setups(
 ) -> Result<(), String> {
     setups_up_to(ctx, setups, 1.0)?;
     set_median(ctx, "setup_s", "setup_s", &setups.secs)?;
+    let rates: Vec<f64> = setups.training.iter().map(|(n, s)| n / s).collect();
+    ctx.series("setup.train_steps_per_s", &rates);
     if report_deployment {
-        set_median(ctx, "train_steps_per_s", "setup.train_steps_per_s", &setups.steps_per_s)?;
+        let (steps, secs) = setups.training.iter().fold((0.0, 0.0), |a, t| (a.0 + t.0, a.1 + t.1));
+        ctx.set("train_steps_per_s", steps / secs);
         record_tree(ctx, &setups.stats);
-    } else {
-        ctx.series("setup.train_steps_per_s", &setups.steps_per_s);
     }
     Ok(())
 }
@@ -432,8 +474,23 @@ fn set_median(
     Ok(median)
 }
 
+/// Set a metric to the trimmed mean of a series (recorded under
+/// `series`): see [`stats`] for why not its median.
+fn set_mean(
+    ctx: &mut Ctx<'_>,
+    metric: &'static str,
+    series: &str,
+    samples: &[f64],
+) -> Result<f64, String> {
+    ctx.series(series, samples);
+    let mean =
+        stats::trimmed_mean(samples, TRIM).ok_or_else(|| format!("no samples for {metric}"))?;
+    ctx.set(metric, mean);
+    Ok(mean)
+}
+
 /// Set a `_p50_` and a `_p99_` metric from one series of latencies,
-/// pooled over a whole phase. Fails when the series is too short to
+/// pooled over a whole run. Fails when the series is too short to
 /// leave ten samples beyond its 99th percentile.
 fn set_latency(
     ctx: &mut Ctx<'_>,
@@ -448,75 +505,63 @@ fn set_latency(
     Ok(())
 }
 
-/// Serve `serving.trace` from one reader for `secs`, verify every
-/// batch against `truth`, and add the window's [`SLICE_S`] slices to
-/// `slices`.
+/// What the serving windows of one kind of cycle measured.
+#[derive(Default)]
+struct Served {
+    /// On-CPU time of every batch but each stretch's first, in µs, at the
+    /// nominal host speed.
+    batch_us: Vec<f64>,
+    /// Packets of those batches.
+    packets: f64,
+    /// Wall seconds of the windows (for the record).
+    wall_s: f64,
+}
+
+impl Served {
+    /// Packets per CPU second, in millions.
+    fn mpps(&self) -> Option<f64> {
+        let cpu_s = self.batch_us.iter().sum::<f64>() / 1e6;
+        (cpu_s > 0.0).then(|| self.packets / cpu_s / 1e6)
+    }
+}
+
+/// Serve `serving.trace` from one reader for `secs`, in stretches of at
+/// most [`SERVE_CHUNK_S`] with a reference sample before and after each,
+/// verify every batch against `truth`, and add the batches to `served`,
+/// their times scaled to the nominal host speed by those samples. A
+/// stretch's first batch warms the reader up and is not counted.
 fn serve_window(
     ctx: &mut Ctx<'_>,
     serving: &Serving,
     truth: &[Option<RuleId>],
     secs: f64,
     traced: bool,
-    slices: &mut Slices,
+    served: &mut Served,
 ) {
-    let (batch, window) = (ctx.scale().batch, Duration::from_secs_f64(secs));
-    let t = Tracer::new(traced, ctx.origin, 1);
-    let mut out = serve::serve_for(&serving.handle, &serving.trace, batch, window, t);
-    slices.extend(serve::slices(&out, SLICE_S));
-    // No update reaches this handle, so its overlay is always empty; the
-    // overlay metrics describe the churn rounds' readers.
-    out.overlay_lens.clear();
-    absorb_reader(ctx, out, Some(truth), traced);
-}
-
-/// Serve for `serve_share` of `--seconds` and run churn rounds for
-/// [`CHURN_SHARE`], interleaved in cycles of about
-/// [`CYCLE_S`] so that both sample the whole stretch of the run, with
-/// `setup_frac` of the run's later set-ups spread over the cycles; then
-/// recover. Sets the serving metrics (medians over the untraced
-/// windows' slices), the update metrics and `recover_ms`. Returns the
-/// per-slice Mpkt/s of the untraced and of the traced windows.
-fn serve_and_churn(
-    ctx: &mut Ctx<'_>,
-    serving: &Serving,
-    setups: &mut Setups,
-    setup_frac: f64,
-    truth: &[Option<RuleId>],
-    serve_share: f64,
-) -> Result<[Vec<f64>; 2], String> {
-    let serve_s = ctx.opts.seconds * serve_share;
-    let churn_s = ctx.opts.seconds * CHURN_SHARE;
-    let cycles = (((serve_s + churn_s) / CYCLE_S).round() as usize).max(min_turns(ctx.opts));
-    let (tree, rules) = (&serving.deployed.tree, &serving.deployed.rules);
-    let checks = check_prefix(ctx, &serving.trace);
-    // Traced churn rounds have a reader serving a zipf trace (hot
-    // working set, overlay merge, read-lock waits behind the writer).
-    let zipf = ctx.opts.traced.then(|| {
-        let (len, seed) = (ctx.scale().trace_len, ctx.opts.seed);
-        let mut t = ctx.tracer(false);
-        setup::trace(rules, len, TrafficSkew::ZIPF, seed, STREAM_ZIPF, &mut t)
-    });
-    if let Some(zipf) = &zipf {
-        ctx.ident("trace_hash.zipf", format!("{:016x}", trace_hash(zipf)));
+    let batch = ctx.scale().batch;
+    let mut left = secs;
+    let mut before = ctx.calib.sample();
+    loop {
+        let stretch = left.min(SERVE_CHUNK_S);
+        let t = Tracer::new(traced, ctx.origin, 1);
+        let window = Duration::from_secs_f64(stretch);
+        let mut out = serve::serve_for(&serving.handle, &serving.trace, batch, window, t);
+        let after = ctx.calib.sample();
+        let slowness = (before + after) / 2.0;
+        before = after;
+        let counted = out.batch_ns.get(1..).unwrap_or_default();
+        served.batch_us.extend(counted.iter().map(|ns| ns / 1e3 / slowness));
+        served.packets += (counted.len() * batch) as f64;
+        served.wall_s += out.wall_s;
+        // No update reaches this handle, so its overlay is always empty;
+        // the overlay metrics describe the churn rounds' readers.
+        out.overlay_lens.clear();
+        absorb_reader(ctx, out, Some(truth), traced);
+        left -= stretch;
+        if left <= 1e-9 {
+            break;
+        }
     }
-    let mut slices = [Slices::default(), Slices::default()];
-    let mut rounds = Rounds::default();
-    for c in 0..cycles {
-        let traced = traced_turn(ctx.opts, c);
-        let secs = serve_s / cycles as f64;
-        serve_window(ctx, serving, truth, secs, traced, &mut slices[usize::from(traced)]);
-        let churn_secs = churn_s / cycles as f64;
-        churn_rounds(ctx, tree, rules, zipf.as_deref(), checks, churn_secs, &mut rounds)?;
-        setups_up_to(ctx, setups, setup_frac * (c + 1) as f64 / cycles as f64)?;
-    }
-    let [untraced, traced] = slices;
-    set_median(ctx, "batch_p50_us", "serve.slice_batch_p50_us", &untraced.p50_us)?;
-    set_median(ctx, "batch_p99_us", "serve.slice_batch_p99_us", &untraced.p99_us)?;
-    let mpps = set_median(ctx, "serve_mpps", "serve.slice_mpps", &untraced.mpps)?;
-    ctx.progress(&format!("served {mpps:.3} Mpkt/s"));
-    set_churn_metrics(ctx, &rounds)?;
-    recover(ctx, &rounds, checks, RECOVER_SHARE)?;
-    Ok([untraced.mpps, traced.mpps])
 }
 
 /// `trace`'s prefix the post-round checks classify.
@@ -524,253 +569,341 @@ fn check_prefix<'a>(ctx: &Ctx<'_>, trace: &'a [Packet]) -> &'a [Packet] {
     &trace[..trace.len().min(ctx.scale().check_len)]
 }
 
-fn serve_workload(ctx: &mut Ctx<'_>) -> Result<(), String> {
-    let (serving, mut setups) = setup_serving(ctx, TrafficSkew::Uniform, STREAM_SERVE, true)?;
-    let truth = ground_truth(&serving.deployed.rules, &serving.trace);
-    ctx.ident("readers", 1);
-    let share = 1.0 - CHURN_SHARE - RECOVER_SHARE;
-    let [untraced, traced] = serve_and_churn(ctx, &serving, &mut setups, 1.0, &truth, share)?;
-    finish_setups(ctx, &mut setups, true)?;
-    overhead(ctx, &untraced, &traced)
+/// What a run's cycles measured. The end-to-end figures come from its
+/// untraced cycles; in a traced run, the traced cycles' headline rate
+/// gives the tracing overhead.
+#[derive(Default)]
+struct Acc {
+    /// Serving windows of the untraced and of the traced cycles.
+    served: [Served; 2],
+    /// Latency (µs) of every update call of the untraced unpersisted
+    /// rounds.
+    update_us: Vec<f64>,
+    /// Their calls and writer seconds, and each round's rate.
+    updates: (f64, f64),
+    round_rates: Vec<f64>,
+    /// The same latencies, calls and seconds of the untraced persisted
+    /// rounds (per-layer figures).
+    persisted_us: Vec<f64>,
+    persisted: (f64, f64),
+    /// Churn rounds run so far.
+    rounds: usize,
+    /// Recoveries made so far, timed ones, traced ones among those, and
+    /// the untraced ones' times.
+    recoveries: usize,
+    timed: usize,
+    traced_timed: usize,
+    recover_ms: Vec<f64>,
+    /// Training steps and seconds of the untraced and of the traced
+    /// cycles, and each untraced run's rate.
+    train: [(f64, f64); 2],
+    train_rates: Vec<f64>,
+    /// The latest training run; every run must build the same tree.
+    trained: Option<Deployed>,
 }
 
-/// In a traced run, report how much slower tracing made the phase: the
-/// median rate of its untraced turns over that of its traced turns,
+/// Run one workload: set up, then cycles until `--seconds` is spent
+/// (within half a cycle), then the metrics.
+fn workload(ctx: &mut Ctx<'_>, plan: &Plan) -> Result<(), String> {
+    let (serving, mut setups) = setup_serving(ctx, plan.setups, !plan.train)?;
+    let truth = ground_truth(&serving.deployed.rules, &serving.trace);
+    ctx.ident("readers", 1);
+    let checks = check_prefix(ctx, &serving.trace);
+    // Traced churn rounds have a reader serving a zipf trace (hot
+    // working set, overlay merge, read-lock waits behind the writer).
+    let zipf = ctx.opts.traced.then(|| {
+        let (rules, len, seed) = (&serving.deployed.rules, ctx.scale().trace_len, ctx.opts.seed);
+        let mut t = ctx.tracer(false);
+        setup::trace(rules, len, TrafficSkew::ZIPF, seed, STREAM_ZIPF, &mut t)
+    });
+    if let Some(zipf) = &zipf {
+        ctx.ident("trace_hash.zipf", format!("{:016x}", trace_hash(zipf)));
+    }
+    let train_cfg = plan.train.then(|| ctx.scale().train_config());
+    if let Some(cfg) = &train_cfg {
+        ctx.ident("train_workers", cfg.workers);
+    }
+    let seconds = ctx.opts.seconds;
+    let started = Instant::now();
+    let mut acc = Acc::default();
+    let mut c = 0;
+    loop {
+        let traced = traced_turn(ctx.opts, c);
+        if let Some(cfg) = &train_cfg {
+            train_once(ctx, cfg, traced, &mut acc)?;
+        }
+        let served = &mut acc.served[usize::from(traced)];
+        serve_window(ctx, &serving, &truth, seconds * plan.serve, traced, served);
+        let state = churn_cycle(
+            ctx,
+            &serving.deployed,
+            zipf.as_deref(),
+            checks,
+            seconds * plan.churn,
+            traced,
+            &mut acc,
+        )?;
+        if acc.recoveries == 0 {
+            recover_from(ctx, &state, checks, false, true, &mut acc)?;
+        }
+        let due = ((c + 1) as f64 * plan.recoveries).ceil() as usize;
+        // A traced run's traced cycles need a recovery of their own.
+        while acc.timed < due || (traced && acc.traced_timed == 0) {
+            recover_from(ctx, &state, checks, traced, false, &mut acc)?;
+        }
+        setups_up_to(ctx, &mut setups, started.elapsed().as_secs_f64() / seconds)?;
+        c += 1;
+        let elapsed = started.elapsed().as_secs_f64();
+        if c >= min_turns(ctx.opts) && elapsed + 0.5 * elapsed / c as f64 > seconds {
+            break;
+        }
+    }
+    ctx.progress(&format!("{c} cycles"));
+    finish_setups(ctx, &mut setups, !plan.train)?;
+    let [untraced, traced] = &acc.served;
+    let mpps = untraced.mpps().ok_or("no untraced batch was served")?;
+    ctx.set("serve_mpps", mpps);
+    set_latency(ctx, ("batch_p50_us", "batch_p99_us"), "serve.batch_us", &untraced.batch_us)?;
+    let wall_mpps = untraced.packets / untraced.wall_s.max(1e-9) / 1e6;
+    ctx.progress(&format!(
+        "served {mpps:.3} Mpkt/s per CPU second, {wall_mpps:.3} per wall second"
+    ));
+    set_churn_metrics(ctx, &acc)?;
+    set_mean(ctx, "recover_ms", "recover_ms", &acc.recover_ms)?;
+    match train_cfg {
+        Some(cfg) => finish_training(ctx, &cfg, &mut acc, &serving.trace, &truth)?,
+        None => overhead(ctx, Some(mpps), traced.mpps())?,
+    }
+    record_calibration(ctx);
+    Ok(())
+}
+
+/// Put the run's reference samples in the record.
+fn record_calibration(ctx: &mut Ctx<'_>) {
+    let samples = ctx.calib.samples().to_vec();
+    if let Some(s) = ctx.series("calib.reference_ns", &samples) {
+        ctx.progress(&format!("host slowness {:.4} (median)", s.median / calib::NOMINAL_NS));
+    }
+}
+
+/// In a traced run, report how much slower tracing made the run: the
+/// headline rate of its untraced cycles over that of its traced cycles,
 /// minus one.
-fn overhead(ctx: &mut Ctx<'_>, untraced: &[f64], traced: &[f64]) -> Result<(), String> {
+fn overhead(ctx: &mut Ctx<'_>, untraced: Option<f64>, traced: Option<f64>) -> Result<(), String> {
     if ctx.opts.traced {
-        let base = Summary::of(untraced).ok_or("a traced run made no untraced turn")?.median;
-        let with = Summary::of(traced).ok_or("a traced run made no traced turn")?.median;
+        let (Some(base), Some(with)) = (untraced, traced) else {
+            return Err("a traced run made no cycle of each kind".to_string());
+        };
         ctx.set("trace.overhead_frac", base / with - 1.0);
     }
     Ok(())
 }
 
-/// What churn rounds of one kind measured, pooled over the rounds.
-#[derive(Default)]
-struct ChurnSamples {
-    /// Latency of every update call, in µs.
-    update_us: Vec<f64>,
-    /// Updates per second of writer time, per round.
-    rates: Vec<f64>,
-}
-
-/// A churn phase: the samples of its unpersisted rounds, untraced and
-/// traced; those of its untraced persisted rounds; and the newest
-/// `max_recoveries + 1` persisted rounds with their directories (kept
-/// for recovery). Older directories stay on disk until the run ends:
-/// deleting files mid-phase makes the next fsync wait for the
-/// filesystem to discard their blocks.
-#[derive(Default)]
-struct Rounds {
-    samples: [ChurnSamples; 2],
-    persisted: ChurnSamples,
-    kept: VecDeque<(PathBuf, churn::Round)>,
-    /// Rounds run so far.
-    count: usize,
-}
-
-/// Whether the `k`-th churn round of a phase persists its handle:
-/// every other one. The end-to-end update metrics come from the
-/// unpersisted rounds: with persistence every 32nd update and every
-/// checkpoint waits for an fsync, and a shared host's fsync latency
-/// swings several-fold from one run to the next, so those figures
-/// measure the disk of the moment more than the code. The persisted
-/// rounds feed recovery and their own per-layer figures.
-fn persisted_round(k: usize) -> bool {
-    k % 2 == 1
-}
-
-/// Whether the `k`-th churn round of a phase is traced: in a traced
-/// run, two rounds (one of each persistence) in every four.
-fn traced_round(opts: &Options, k: usize) -> bool {
-    traced_turn(opts, k / 2)
-}
-
-/// Add churn rounds over `tree` to `phase` for `secs` (at least one
-/// round, and at least one of each kind [`persisted_round`] and
-/// [`traced_round`] make), each from the same starting state with its
-/// own update stream (and, when persisted, a fresh directory). In
-/// traced rounds a reader serves `reader_trace`, when given, while the
-/// writer updates.
-fn churn_rounds(
+/// One cycle's churn: a persisted round, whose directory the cycle's
+/// recoveries start from, then unpersisted rounds for `secs` (at least
+/// [`MIN_UNPERSISTED_ROUNDS`]) between two reference samples, which
+/// scale their timings to the nominal host speed. Returns the persisted
+/// round's state.
+///
+/// The end-to-end update metrics come from the unpersisted rounds: with
+/// persistence every 32nd update and every checkpoint waits for an
+/// fsync, and a shared host's fsync latency swings several-fold from
+/// one run to the next, so those figures measure the disk of the moment
+/// more than the code. The persisted rounds feed recovery and their own
+/// per-layer figures.
+fn churn_cycle(
     ctx: &mut Ctx<'_>,
-    tree: &DecisionTree,
-    rules: &RuleSet,
+    deployed: &Deployed,
     reader_trace: Option<&[Packet]>,
     checks: &[Packet],
     secs: f64,
-    phase: &mut Rounds,
-) -> Result<(), String> {
-    let started = Instant::now();
-    let keep = ctx.scale().max_recoveries + 1;
-    let first = phase.count;
-    let mut k = first;
-    while k == first || k < 2 * min_turns(ctx.opts) || started.elapsed().as_secs_f64() < secs {
-        let (traced, persisted) = (traced_round(ctx.opts, k), persisted_round(k));
-        let round_dir = ctx.dir(&format!("round-{k}"));
-        let spec = churn::RoundSpec {
-            tree,
-            rules,
-            // Every round draws its own update stream, so the pooled
-            // samples cover many streams instead of repeating one.
-            schedule_seed: setup::sub_seed(
-                setup::sub_seed(ctx.opts.seed, STREAM_SCHEDULE),
-                k as u64,
-            ),
-            updates: ctx.scale().churn_updates,
-            reader_trace: reader_trace.filter(|_| traced),
-            batch: ctx.scale().batch,
-            check_trace: checks,
-            dir: persisted.then_some(round_dir.as_path()),
-            round: k as u64,
-        };
-        let origin = ctx.origin;
-        let mut t = ctx.tracer(traced);
-        let round =
-            churn::round(&spec, &mut ctx.out.check, &mut t, move || Tracer::new(traced, origin, 1));
-        ctx.absorb(t);
-        let mut round = round?;
-        let mut unused = ChurnSamples::default();
-        let s = match (persisted, traced) {
-            (false, _) => &mut phase.samples[usize::from(traced)],
-            (true, false) => &mut phase.persisted,
-            (true, true) => &mut unused,
-        };
-        s.update_us.extend(round.updates.iter().map(|u| u.1 / 1e3));
-        s.rates.push(round.update_rate());
-        if let Some(reader) = round.reader.take() {
-            absorb_reader(ctx, reader, None, traced);
-        }
-        ctx.count(traced, "dtree.wal.records", round.wal_records as f64);
-        ctx.count(traced, "dtree.wal.bytes", round.wal_bytes as f64);
-        if persisted {
-            phase.kept.push_back((round_dir, round));
-            if phase.kept.len() > keep {
-                phase.kept.pop_front();
-            }
-        }
-        k += 1;
-        phase.count = k;
+    traced: bool,
+    acc: &mut Acc,
+) -> Result<churn::Persisted, String> {
+    let dir = ctx.dir(&format!("round-{}", acc.rounds));
+    let round = churn_round(ctx, deployed, reader_trace, checks, Some(&dir), traced, acc)?;
+    if !traced {
+        acc.persisted_us.extend(round.updates.iter().map(|u| u.1 / 1e3));
+        acc.persisted.0 += round.updates.len() as f64;
+        acc.persisted.1 += round.writer_secs;
     }
-    Ok(())
+    let state =
+        churn::Persisted { dir, live_epoch: round.live_epoch, live_results: round.live_results };
+    let before = ctx.calib.sample();
+    let started = Instant::now();
+    let mut rounds = Vec::new();
+    while rounds.len() < MIN_UNPERSISTED_ROUNDS || started.elapsed().as_secs_f64() < secs {
+        rounds.push(churn_round(ctx, deployed, reader_trace, checks, None, traced, acc)?);
+    }
+    let slowness = (before + ctx.calib.sample()) / 2.0;
+    for round in rounds.iter().filter(|_| !traced) {
+        acc.update_us.extend(round.updates.iter().map(|u| u.1 / 1e3 / slowness));
+        acc.updates.0 += round.updates.len() as f64;
+        acc.updates.1 += round.writer_secs / slowness;
+        acc.round_rates.push(round.update_rate() * slowness);
+    }
+    Ok(state)
 }
 
-/// Set the update metrics from the untraced unpersisted rounds of
-/// `phase`: latencies pooled over every call, the rate a median over
-/// rounds. The untraced persisted rounds give the per-layer
-/// `core.persist.update` figures.
-fn set_churn_metrics(ctx: &mut Ctx<'_>, phase: &Rounds) -> Result<(), String> {
-    let p = &phase.persisted;
-    if let Some(rate) = Summary::of(&p.rates) {
-        ctx.set("core.persist.update_per_s", rate.median);
+/// One churn round over the deployed tree with an update stream of its
+/// own (persisted to `dir` when given). In a traced cycle a reader
+/// serves `reader_trace` beside the writer.
+fn churn_round(
+    ctx: &mut Ctx<'_>,
+    deployed: &Deployed,
+    reader_trace: Option<&[Packet]>,
+    checks: &[Packet],
+    dir: Option<&std::path::Path>,
+    traced: bool,
+    acc: &mut Acc,
+) -> Result<churn::Round, String> {
+    let k = acc.rounds;
+    acc.rounds += 1;
+    let spec = churn::RoundSpec {
+        tree: &deployed.tree,
+        rules: &deployed.rules,
+        // Every round draws its own update stream, so the pooled samples
+        // cover many streams instead of repeating one.
+        schedule_seed: setup::sub_seed(setup::sub_seed(ctx.opts.seed, STREAM_SCHEDULE), k as u64),
+        updates: ctx.scale().churn_updates,
+        reader_trace: reader_trace.filter(|_| traced),
+        batch: ctx.scale().batch,
+        check_trace: checks,
+        dir,
+        round: k as u64,
+    };
+    let origin = ctx.origin;
+    let mut t = ctx.tracer(traced);
+    let round =
+        churn::round(&spec, &mut ctx.out.check, &mut t, move || Tracer::new(traced, origin, 1));
+    ctx.absorb(t);
+    let mut round = round?;
+    if let Some(reader) = round.reader.take() {
+        absorb_reader(ctx, reader, None, traced);
     }
-    if let Some(tail) = Summary::of(&p.update_us).and_then(|s| s.p99) {
+    ctx.count(traced, "dtree.wal.records", round.wal_records as f64);
+    ctx.count(traced, "dtree.wal.bytes", round.wal_bytes as f64);
+    Ok(round)
+}
+
+/// Set the update metrics from the untraced unpersisted rounds: the
+/// latencies pooled over every call, the rate their calls over their
+/// writer seconds. The untraced persisted rounds give the per-layer
+/// `core.persist.update` figures.
+fn set_churn_metrics(ctx: &mut Ctx<'_>, acc: &Acc) -> Result<(), String> {
+    if acc.persisted.1 > 0.0 {
+        ctx.set("core.persist.update_per_s", acc.persisted.0 / acc.persisted.1);
+    }
+    if let Some(tail) = Summary::of(&acc.persisted_us).and_then(|s| s.p99) {
         ctx.set("core.persist.update.us.p99", tail);
     }
-    let s = &phase.samples[0];
-    set_latency(ctx, ("update_p50_us", "update_p99_us"), "churn.update_us", &s.update_us)?;
-    let rate = set_median(ctx, "update_per_s", "churn.round_update_per_s", &s.rates)?;
-    ctx.progress(&format!("churn: {} rounds, {rate:.0} updates/s", s.rates.len()));
+    set_latency(ctx, ("update_p50_us", "update_p99_us"), "churn.update_us", &acc.update_us)?;
+    ctx.series("churn.round_update_per_s", &acc.round_rates);
+    let (calls, secs) = acc.updates;
+    if secs <= 0.0 {
+        return Err("no untraced churn round ran".to_string());
+    }
+    ctx.set("update_per_s", calls / secs);
+    ctx.progress(&format!(
+        "churn: {} rounds, {:.0} updates/s",
+        acc.round_rates.len(),
+        calls / secs
+    ));
     Ok(())
 }
 
-/// Drop-and-recover for `share` of `--seconds`: `recover` from a fresh
-/// copy of each kept round's directory (the oldest as warm-up), checked
-/// against the live handle that round dropped.
-fn recover(
+/// Recover from a fresh copy of `state`'s directory, checked against the
+/// live handle that round dropped. A warm-up recovery is not timed.
+fn recover_from(
     ctx: &mut Ctx<'_>,
-    phase: &Rounds,
-    check_trace: &[Packet],
-    share: f64,
+    state: &churn::Persisted,
+    checks: &[Packet],
+    traced: bool,
+    warm_up: bool,
+    acc: &mut Acc,
 ) -> Result<(), String> {
-    let states: Vec<churn::Persisted<'_>> = phase
-        .kept
-        .iter()
-        .map(|(dir, r)| churn::Persisted {
-            dir,
-            live_epoch: r.live_epoch,
-            live_results: &r.live_results,
-        })
-        .collect();
-    let traced = ctx.opts.traced;
-    let mut t = ctx.tracer(traced);
-    let budget = Duration::from_secs_f64(ctx.opts.seconds * share);
-    let rec = churn::recover_each(
-        &states,
-        budget,
-        MIN_RECOVERIES,
-        check_trace,
-        &mut ctx.out.check,
-        &mut t,
-    );
+    let id = acc.recoveries as u64;
+    acc.recoveries += 1;
+    let copy = ctx.dir(&format!("recover-{id}"));
+    let mut t = ctx.tracer(traced && !warm_up);
+    let before = ctx.calib.sample();
+    let rec = churn::recover_one(state, &copy, id, checks, &mut ctx.out.check, &mut t);
+    let slowness = (before + ctx.calib.sample()) / 2.0;
     ctx.absorb(t);
     let rec = rec?;
-    set_median(ctx, "recover_ms", "recover_ms", &rec.ms)?;
+    if warm_up {
+        return Ok(());
+    }
+    acc.timed += 1;
+    acc.traced_timed += usize::from(traced);
+    if !traced {
+        acc.recover_ms.push(rec.ms / slowness);
+    }
     ctx.count(traced, "core.persist.recover.replayed", rec.replayed as f64);
     ctx.count(traced, "core.persist.recover.spot_checked", rec.spot_checked as f64);
     Ok(())
 }
 
-fn train_workload(ctx: &mut Ctx<'_>) -> Result<(), String> {
-    let (serving, mut setups) = setup_serving(ctx, TrafficSkew::Uniform, STREAM_SERVE, false)?;
-    // The metrics outside the focus come from the deployed classifier,
-    // exactly as in `serve`, and before the training (set-ups included):
-    // after seconds of matrix work on every core the host runs its next
-    // phase slower.
-    let truth = ground_truth(&serving.deployed.rules, &serving.trace);
-    ctx.ident("readers", 1);
-    serve_and_churn(ctx, &serving, &mut setups, 1.0, &truth, SIDE_SERVE_SHARE)?;
-    finish_setups(ctx, &mut setups, false)?;
-    drop(serving.handle);
-
+/// One paper-width training run; every run must build the same tree.
+fn train_once(
+    ctx: &mut Ctx<'_>,
+    cfg: &NeuroCutsConfig,
+    traced: bool,
+    acc: &mut Acc,
+) -> Result<(), String> {
     let scale = ctx.scale().clone();
-    let cfg = scale.train_config(nproc());
-    ctx.ident("train_workers", cfg.workers);
-    // Training gets the rest of the run (and at least one whole run).
-    let side = SIDE_SERVE_SHARE + CHURN_SHARE + RECOVER_SHARE;
-    let secs = ctx.opts.seconds * (1.0 - side);
-    let started = Instant::now();
-    let mut rates = [Vec::new(), Vec::new()];
-    let mut last: Option<Deployed> = None;
-    let (mut k, mut run_s) = (0, 0.0);
-    // Start another run only while it is expected to end in the window.
-    while k < min_turns(ctx.opts) || started.elapsed().as_secs_f64() + run_s <= secs {
-        let traced = traced_turn(ctx.opts, k);
-        let mut t = ctx.tracer(traced);
-        let run_started = Instant::now();
-        let run = setup::deploy(&scale, &cfg, &mut t)?;
-        run_s = run_started.elapsed().as_secs_f64();
-        ctx.absorb(t);
-        rates[usize::from(traced)].push(run.train_steps_per_s());
-        ctx.progress(&format!(
-            "trained {} steps in {:.3}s ({:.0} steps/s, traced {traced})",
-            run.report.timesteps,
-            run.train_s,
-            run.train_steps_per_s()
-        ));
-        if let Some(first) = &last {
-            let (a, b) = (first.stats, run.stats);
-            ctx.out
-                .check
-                .expect(a == b, || format!("training runs built different trees: {a} vs {b}"));
-        }
-        last = Some(run);
-        k += 1;
+    let mut t = ctx.tracer(traced);
+    let before = ctx.calib.sample();
+    let run = setup::deploy(&scale, cfg, &mut t);
+    let slowness = (before + ctx.calib.sample()) / 2.0;
+    ctx.absorb(t);
+    let run = run?;
+    let (steps, secs) = training_of(&run);
+    let secs = secs / slowness;
+    let total = &mut acc.train[usize::from(traced)];
+    total.0 += steps;
+    total.1 += secs;
+    if !traced {
+        acc.train_rates.push(steps / secs);
     }
-    set_median(ctx, "train_steps_per_s", "train.steps_per_s", &rates[0])?;
-    overhead(ctx, &rates[0], &rates[1])?;
-    let trained = last.ok_or("no training ran")?;
+    ctx.progress(&format!(
+        "trained {steps} steps in {secs:.3}s ({:.0} steps/s, traced {traced})",
+        steps / secs
+    ));
+    if let Some(first) = &acc.trained {
+        let (a, b) = (first.stats, run.stats);
+        ctx.out.check.expect(a == b, || format!("training runs built different trees: {a} vs {b}"));
+    }
+    acc.trained = Some(run);
+    Ok(())
+}
+
+/// The training metrics: steps over seconds of the untraced runs, the
+/// trained tree (checked against the linear scan over `trace` through
+/// the serving path) and, when traced, the mirrored training.
+fn finish_training(
+    ctx: &mut Ctx<'_>,
+    cfg: &NeuroCutsConfig,
+    acc: &mut Acc,
+    trace: &[Packet],
+    truth: &[Option<RuleId>],
+) -> Result<(), String> {
+    let rate = |(steps, secs): (f64, f64)| (secs > 0.0).then(|| steps / secs);
+    ctx.series("train.steps_per_s", &acc.train_rates);
+    let steps_per_s = rate(acc.train[0]).ok_or("no untraced training ran")?;
+    ctx.set("train_steps_per_s", steps_per_s);
+    overhead(ctx, Some(steps_per_s), rate(acc.train[1]))?;
+    let trained = acc.trained.take().ok_or("no training ran")?;
     record_tree(ctx, &trained.stats);
     let handle = ClassifierHandle::new((*trained.tree).clone(), RebuildPolicy::default_policy());
-    let mut got = vec![None; serving.trace.len()];
-    handle.snapshot().classify_batch(&serving.trace, &mut got);
-    let bad = got.iter().zip(&truth).filter(|(g, w)| g != w).count();
+    let mut got = vec![None; trace.len()];
+    handle.snapshot().classify_batch(trace, &mut got);
+    let bad = got.iter().zip(truth).filter(|(g, w)| g != w).count();
     ctx.out.check.add(got.len() as u64, bad as u64, || {
         format!("trained tree: {bad} packets disagree with the linear scan")
     });
     if ctx.opts.traced {
-        traced_mirror(ctx, &trained.rules, &cfg, &trained.report);
+        traced_mirror(ctx, &trained.rules, cfg, &trained.report);
     }
     Ok(())
 }

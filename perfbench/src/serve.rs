@@ -1,6 +1,7 @@
 //! Readers: a closed loop of fixed-size batches through
 //! `ClassifierHandle::snapshot().classify_batch`.
 
+use crate::cpu;
 use crate::report::Check;
 use crate::tracer::{Span, Tracer};
 use classbench::Packet;
@@ -13,10 +14,10 @@ pub const SAMPLE_EVERY: u64 = 8;
 
 /// What one reader thread measured.
 pub struct ReaderOut {
-    /// Latency of every batch, snapshot fetch included, in ns.
+    /// On-CPU time of every batch, snapshot fetch included, in ns.
     pub batch_ns: Vec<f64>,
-    /// When each batch ended, in ns since the reader started.
-    pub batch_end_ns: Vec<f64>,
+    /// Wall seconds from the first batch's start to the last's end.
+    pub wall_s: f64,
     /// Packets per batch (the trace length is a multiple of it).
     pub batch: usize,
     /// Batches whose snapshot was newer than the previous batch's.
@@ -51,7 +52,7 @@ impl ReaderOut {
 
 /// Serve `trace` in batches of `batch` packets from its first batch on,
 /// one fresh snapshot per batch, until `stop` is set (at least one
-/// batch). Batch end times are taken relative to the reader's start.
+/// batch). Each batch is timed on the reader thread's CPU clock.
 ///
 /// # Panics
 /// Panics unless the trace length is a positive multiple of `batch`.
@@ -69,7 +70,7 @@ pub fn reader(
     let batches = trace.len() / batch;
     let mut out = ReaderOut {
         batch_ns: Vec::with_capacity(1 << 16),
-        batch_end_ns: Vec::with_capacity(1 << 16),
+        wall_s: 0.0,
         batch,
         refetches: 0,
         overlay_lens: Vec::new(),
@@ -85,7 +86,7 @@ pub fn reader(
     loop {
         let range = b * batch..(b + 1) * batch;
         let (packets, results) = (&trace[range.clone()], &mut out.results[range.clone()]);
-        let t0 = Instant::now();
+        let t0 = cpu::thread_ns();
         let snap: std::sync::Arc<Snapshot> = if t.on() && id.is_multiple_of(SAMPLE_EVERY) {
             let span = t.begin("bench.batch", id);
             let snap = t.time("dtree.serve.handle.snapshot", id, 1, || handle.snapshot());
@@ -100,9 +101,7 @@ pub fn reader(
             snap.classify_batch(packets, results);
             snap
         };
-        let end = Instant::now();
-        out.batch_ns.push((end - t0).as_nanos() as f64);
-        out.batch_end_ns.push((end - started).as_nanos() as f64);
+        out.batch_ns.push((cpu::thread_ns() - t0) as f64);
         if last_epoch.is_some_and(|e| e != snap.epoch()) {
             out.refetches += 1;
         }
@@ -114,6 +113,7 @@ pub fn reader(
             break;
         }
     }
+    out.wall_s = started.elapsed().as_secs_f64();
     out.spans = t.finish();
     out
 }
@@ -135,60 +135,6 @@ pub fn serve_for(
         stop.store(true, Ordering::Relaxed);
         reader.join().expect("reader thread panicked")
     })
-}
-
-/// Per-slice summaries of a serving window.
-#[derive(Debug, Default)]
-pub struct Slices {
-    /// Packets per second, in millions, per slice.
-    pub mpps: Vec<f64>,
-    /// Batch latency median per slice, in µs.
-    pub p50_us: Vec<f64>,
-    /// Batch latency 99th percentile per slice, in µs (slices with too
-    /// few batches for a p99 are left out).
-    pub p99_us: Vec<f64>,
-}
-
-impl Slices {
-    /// Append another window's slices.
-    pub fn extend(&mut self, other: Slices) {
-        self.mpps.extend(other.mpps);
-        self.p50_us.extend(other.p50_us);
-        self.p99_us.extend(other.p99_us);
-    }
-}
-
-/// Cut the reader's window, from its first batch's end to its last's,
-/// into equal slices of about `width_s` (at least one), and summarise
-/// each. Medians over slices keep a few slow seconds of a shared host
-/// from moving a run's result.
-pub fn slices(out: &ReaderOut, width_s: f64) -> Slices {
-    let mut slices = Slices::default();
-    let (Some(&start), Some(&end)) = (out.batch_end_ns.first(), out.batch_end_ns.last()) else {
-        return slices;
-    };
-    if end <= start {
-        return slices;
-    }
-    let n = (((end - start) / (width_s * 1e9)) as usize).max(1);
-    let width = (end - start) / n as f64;
-    let mut packets = vec![0u64; n];
-    let mut lat: Vec<Vec<f64>> = vec![Vec::new(); n];
-    // The first batch only opens the window; every later batch belongs
-    // to the slice it ended in.
-    for (&t, &ns) in out.batch_end_ns.iter().zip(&out.batch_ns).skip(1) {
-        let k = ((((t - start) / width).ceil() as usize).saturating_sub(1)).min(n - 1);
-        packets[k] += out.batch as u64;
-        lat[k].push(ns / 1e3);
-    }
-    for (p, l) in packets.iter().zip(&lat) {
-        if let Some(s) = crate::stats::Summary::of(l) {
-            slices.mpps.push(*p as f64 / (width / 1e9) / 1e6);
-            slices.p50_us.push(s.median);
-            slices.p99_us.extend(s.p99);
-        }
-    }
-    slices
 }
 
 /// Time the compiled kernel alone (`FlatTree::classify_batch`) over

@@ -6,6 +6,7 @@
 //! comparable across seeds. The run's seed varies the traffic and the
 //! update stream.
 
+use crate::cpu;
 use crate::tracer::Tracer;
 use classbench::{
     generate_rules, generate_skewed_trace, ClassifierFamily, GeneratorConfig, Packet, RuleSet,
@@ -14,7 +15,6 @@ use classbench::{
 use dtree::{DecisionTree, TreeStats};
 use neurocuts::{NeuroCutsConfig, TrainReport, Trainer};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Generator seed of the benchmark's rule set.
 pub const RULE_SEED: u64 = 0;
@@ -29,7 +29,8 @@ pub struct Scale {
     pub rules: usize,
     /// Training budget of the deployed (width-64) classifier.
     pub setup_timesteps: usize,
-    /// Set-ups per run; `setup_s` is their median.
+    /// Set-ups per `serve` run (`train` makes half as many);
+    /// `setup_s` is their median.
     pub setup_reps: usize,
     /// Packets in each traffic trace.
     pub trace_len: usize,
@@ -39,9 +40,6 @@ pub struct Scale {
     pub check_len: usize,
     /// Updates per churn round.
     pub churn_updates: usize,
-    /// Most timed recoveries per run (after one untimed warm-up): the
-    /// directories of this many rounds are kept.
-    pub max_recoveries: usize,
     /// Training budget of the `train` workload's paper-width runs.
     pub train_timesteps: usize,
     /// Hidden widths of the `train` workload's policy.
@@ -54,12 +52,11 @@ impl Scale {
         Scale {
             rules: 300,
             setup_timesteps: 2000,
-            setup_reps: 7,
+            setup_reps: 8,
             trace_len: 1 << 16,
             batch: 1024,
             check_len: 4096,
             churn_updates: 1000,
-            max_recoveries: 12,
             train_timesteps: 6000,
             train_hidden: [512, 512],
         }
@@ -75,7 +72,6 @@ impl Scale {
             batch: 64,
             check_len: 256,
             churn_updates: 500,
-            max_recoveries: 3,
             train_timesteps: 600,
             train_hidden: [32, 32],
         }
@@ -97,11 +93,14 @@ impl Scale {
 
     /// Training configuration of the `train` workload: paper width, no
     /// early stopping, so every run spends the same budget.
-    pub fn train_config(&self, workers: usize) -> NeuroCutsConfig {
+    pub fn train_config(&self) -> NeuroCutsConfig {
         let mut cfg = NeuroCutsConfig::small(self.train_timesteps).with_seed(TRAIN_SEED);
         cfg.hidden = self.train_hidden;
         cfg.patience = 0;
-        cfg.workers = workers;
+        // One worker, as at set-up: rollout workers meet at a barrier
+        // every round, so on a shared host each round waits for the most
+        // delayed of them. The trained tree is the same for any count.
+        cfg.workers = 1;
         cfg
     }
 }
@@ -147,12 +146,12 @@ pub struct Deployed {
     pub stats: TreeStats,
     /// The training run's report (iterations, timesteps).
     pub report: TrainReport,
-    /// Seconds `Trainer::train` took.
+    /// Process CPU seconds `Trainer::train` took.
     pub train_s: f64,
 }
 
 impl Deployed {
-    /// Env-steps per second of the training run.
+    /// Env-steps per CPU second of the training run.
     pub fn train_steps_per_s(&self) -> f64 {
         self.report.timesteps as f64 / self.train_s
     }
@@ -164,10 +163,8 @@ pub fn deploy(scale: &Scale, cfg: &NeuroCutsConfig, t: &mut Tracer) -> Result<De
         generate_rules(&scale.rule_config())
     });
     let mut trainer = Trainer::new(rules.clone(), cfg.clone()).map_err(|e| e.to_string())?;
-    let train_started = Instant::now();
-    let report =
-        t.time("core.trainer.train", 0, 0, || trainer.train()).map_err(|e| e.to_string())?;
-    let train_s = train_started.elapsed().as_secs_f64();
+    let (report, train_s) = cpu::timed(|| t.time("core.trainer.train", 0, 0, || trainer.train()));
+    let report = report.map_err(|e| e.to_string())?;
     let best = report.best.clone().ok_or("training completed no tree")?;
     Ok(Deployed { rules, tree: best.tree, stats: best.stats, report, train_s })
 }

@@ -4,6 +4,13 @@
 //! median, its quartiles, the highest percentile of a fixed ladder that
 //! still has at least ten samples beyond it, and the sample count. No
 //! best-of-N minimum is ever reported.
+//!
+//! A metric that summarises many recoveries of a run is their trimmed
+//! mean, not their median. A shared host runs in slow and fast phases a
+//! few seconds long, so such samples are bimodal: their median jumps
+//! from one mode to the other as the share of slow time passes one half,
+//! while their mean moves with that share smoothly. Trimming keeps one
+//! stalled sample from moving the mean.
 
 /// Percentiles the tail is chosen from, lowest first.
 const TAIL_LADDER: [f64; 6] = [50.0, 90.0, 99.0, 99.9, 99.99, 99.999];
@@ -88,6 +95,20 @@ impl Summary {
     }
 }
 
+/// Mean of `samples` after dropping the lowest and the highest
+/// `trim` share (0 to 0.5, rounded down to whole samples) of them.
+/// `None` for an empty series.
+pub fn trimmed_mean(samples: &[f64], trim: f64) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let cut = ((sorted.len() as f64 * trim.clamp(0.0, 0.5)) as usize).min((sorted.len() - 1) / 2);
+    let kept = &sorted[cut..sorted.len() - cut];
+    Some(kept.iter().sum::<f64>() / kept.len() as f64)
+}
+
 /// Median of `samples` (0 for an empty series).
 pub fn median(samples: &[f64]) -> f64 {
     Summary::of(samples).map_or(0.0, |s| s.median)
@@ -142,6 +163,32 @@ mod tests {
         assert_eq!(tail_percentile(1_000), Some(99.0));
         assert_eq!(tail_percentile(10_000), Some(99.9));
         assert_eq!(tail_percentile(10_000_000), Some(99.999));
+    }
+
+    #[test]
+    fn trimmed_mean_drops_both_ends() {
+        let mut samples: Vec<f64> = (1..=10).map(f64::from).collect();
+        samples[9] = 1000.0;
+        // One sample cut from each end: the mean of 2..=9.
+        assert_eq!(trimmed_mean(&samples, 0.1), Some(5.5));
+        assert_eq!(trimmed_mean(&samples, 0.0), Some(104.5));
+        // Too few samples to cut any: the plain mean; half cuts to the middle.
+        assert_eq!(trimmed_mean(&[4.0, 8.0], 0.1), Some(6.0));
+        assert_eq!(trimmed_mean(&[1.0, 2.0, 9.0], 0.5), Some(2.0));
+        assert_eq!(trimmed_mean(&[], 0.1), None);
+    }
+
+    #[test]
+    fn trimmed_mean_follows_a_mixture_smoothly() {
+        // Samples from a fast mode (10) and a slow mode (8): the median
+        // jumps between the modes, the trimmed mean moves by steps.
+        let mix = |slow: usize| -> Vec<f64> {
+            (0..20).map(|i| if i < slow { 8.0 } else { 10.0 }).collect()
+        };
+        assert_eq!(median(&mix(9)), 10.0);
+        assert_eq!(median(&mix(11)), 8.0);
+        let (a, b) = (trimmed_mean(&mix(9), 0.1).unwrap(), trimmed_mean(&mix(11), 0.1).unwrap());
+        assert!((a - b).abs() < 0.5, "{a} vs {b}");
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn tiny(test: &str, workload: Workload, traced: bool) -> Options {
         workload.name(),
         u8::from(traced)
     ));
-    Options { workload, seed: 7, seconds: 1.0, traced, work_dir: dir, scale: Scale::tiny() }
+    Options { workload, seed: 7, seconds: 2.0, traced, work_dir: dir, scale: Scale::tiny() }
 }
 
 #[test]
