@@ -19,11 +19,10 @@
 //! | `NC_BENCH_OUT` | output path | `BENCH_classify.json` |
 //!
 //! CI runs it with a tiny config as a smoke check; the defaults are
-//! the ACL-1k / 4096-packet configuration of the
-//! `classify_throughput` criterion bench.
+//! ACL-1k rules and a 4096-packet trace.
 
 use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
-use dtree::{run_engine, EngineConfig, FlatTree};
+use dtree::{run_engine, ClassifierHandle, EngineConfig, RebuildPolicy};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -73,7 +72,8 @@ fn main() {
     let mut failures = 0usize;
     for name in &algos {
         let tree = nc_bench::build_baseline(name, &rules);
-        let flat = FlatTree::compile(&tree);
+        let snap = ClassifierHandle::new(tree.clone(), RebuildPolicy::never()).snapshot();
+        let flat = snap.flat();
 
         // Correctness gates: every serving path must equal the linear
         // scan before its throughput is worth reporting.
@@ -128,11 +128,11 @@ fn main() {
 
         for &t in &threads {
             // One calibration run sizes the timed pass count.
-            let (_, probe) = run_engine(&flat, &trace, EngineConfig::new(t));
+            let (_, probe) = run_engine(&snap, &trace, EngineConfig::new(t));
             let passes = ((target_ms as f64 / 1e3 * probe.packets_per_sec) / trace.len() as f64)
                 .clamp(1.0, 100_000.0) as usize;
             let (engine_out, report) =
-                run_engine(&flat, &trace, EngineConfig::new(t).with_passes(passes));
+                run_engine(&snap, &trace, EngineConfig::new(t).with_passes(passes));
             if engine_out != batch {
                 eprintln!("MISMATCH {name} engine({t}) vs batch");
                 failures += 1;

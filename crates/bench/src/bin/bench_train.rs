@@ -5,14 +5,14 @@
 //! alongside `BENCH_classify.json` / `BENCH_updates.json`:
 //!
 //! 1. **Rollout collection throughput** (env-steps/sec) under a frozen
-//!    random policy, comparing the legacy *serial* path (one episode at
-//!    a time, one scalar network forward per decision) against the
-//!    vectorised collector (`neurocuts::VecEnv`: lockstep envs, one
-//!    batched matrix-matrix forward per step) at 1 and N workers.
+//!    random policy of the vectorised collector (`neurocuts::VecEnv`:
+//!    lockstep envs, one batched matrix-matrix forward per step): the
+//!    *serial* row runs one env slot, so one episode at a time with a
+//!    one-row forward per decision, against N slots at 1 and N workers.
 //! 2. **A full training run** (`Trainer`, the vectorised collector +
 //!    PPO), reporting steps/sec and the best objective.
 //! 3. **The train → compile → serve hand-off**: the trained tree is
-//!    compiled to a `FlatTree`, verified packet-for-packet against the
+//!    compiled to a serving snapshot, verified packet-for-packet against the
 //!    linear-scan ground truth (any mismatch exits non-zero — the
 //!    numbers must never outlive correctness), and pushed through the
 //!    sharded serving engine for an end-to-end Mpps figure.
@@ -43,12 +43,11 @@
 //! single-core floor, not the scaling ceiling.
 
 use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
-use dtree::{run_engine, EngineConfig, FlatTree, TreeStats};
+use dtree::{run_engine, ClassifierHandle, DecisionTree, EngineConfig, RebuildPolicy, TreeStats};
 use neurocuts::{NeuroCutsConfig, NeuroCutsEnv, Trainer, VecEnv};
 use nn::{NetConfig, PolicyValueNet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rl::collect_parallel;
 use std::time::Instant;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -130,7 +129,7 @@ fn main() {
         let env = env.clone();
         let (steps, secs, sps) = measure_collect(3, || {
             env.reset_best();
-            collect_parallel(&env, &net, samples, 1, 10).len()
+            VecEnv::new(env.clone(), 1, 10).collect(&net, samples, 1).len()
         });
         rows.push(CollectRow {
             path: "serial",
@@ -195,10 +194,10 @@ fn main() {
     );
 
     // Train → compile → serve: verify, then measure the engine.
-    let flat = FlatTree::compile(&tree);
+    let snap = ClassifierHandle::new(DecisionTree::clone(&tree), RebuildPolicy::never()).snapshot();
     let mut mismatches = 0usize;
     for p in &trace {
-        let got = flat.classify_checked(&tree, p).expect("fresh compile is never stale");
+        let got = snap.flat().classify_checked(&tree, p).expect("fresh compile is never stale");
         if got != rules.classify(p) {
             mismatches += 1;
         }
@@ -208,7 +207,7 @@ fn main() {
     } else {
         eprintln!("trained tree verified against the linear scan on {} packets", trace.len());
     }
-    let (_, engine) = run_engine(&flat, &trace, EngineConfig::new(hw_threads).with_passes(8));
+    let (_, engine) = run_engine(&snap, &trace, EngineConfig::new(hw_threads).with_passes(8));
     eprintln!(
         "serving engine {:>2}t  {:>10.0} pkts/s ({:.2} Mpps)",
         engine.threads,

@@ -27,9 +27,7 @@
 //! | `NC_BENCH_OUT` | output path | `BENCH_updates.json` |
 
 use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
-use dtree::{
-    find_rebuild_divergence, serve_during, ChurnSchedule, ClassifierHandle, RebuildPolicy,
-};
+use dtree::{serve_during, ChurnSchedule, ClassifierHandle, RebuildPolicy};
 use std::time::Instant;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -102,7 +100,7 @@ fn main() {
                     if (i + 1).is_multiple_of(checkpoint_every) || i + 1 == updates {
                         update_secs += seg_start.elapsed().as_secs_f64();
                         checkpoints += 1;
-                        if let Some(p) = find_rebuild_divergence(&handle, &trace) {
+                        if let Some(p) = handle.check_divergence(&trace) {
                             eprintln!("MISMATCH {name} snapshot vs rebuild at {p}");
                             checkpoint_failures += 1;
                         }

@@ -6,9 +6,8 @@ use classbench::{
     RuleSet, TraceConfig,
 };
 use dtree::{
-    find_rebuild_divergence, run_engine, run_live_engine, serve_during, ChurnSchedule,
-    ClassifierHandle, DecisionTree, EngineConfig, FaultInjector, FaultSchedule, FlatTree,
-    RebuildPolicy, TreeStats, FAULT_POINTS,
+    run_engine, serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, EngineConfig,
+    FaultInjector, FaultSchedule, RebuildPolicy, TreeStats, FAULT_POINTS,
 };
 use neurocuts::{
     churn_retrain_timeline, retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig,
@@ -156,8 +155,8 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 /// Trains with the vectorised collector (`--envs` lockstep
 /// environments, `--workers` threads, batched policy inference), then
 /// closes the loop the way a deployment would: the best tree is
-/// compiled to a [`FlatTree`], verified packet-for-packet against the
-/// linear-scan ground truth, and pushed through the PR-2 sharded
+/// compiled to a serving snapshot, verified packet-for-packet against
+/// the linear-scan ground truth, and pushed through the sharded
 /// serving engine to report end-to-end lookup throughput.
 pub fn train(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
@@ -206,7 +205,8 @@ pub fn train(argv: &[String]) -> Result<(), String> {
 
     // Compile to the serving form and prove it correct before it is
     // allowed anywhere near traffic.
-    let flat = FlatTree::compile(&tree);
+    let snap = ClassifierHandle::new(DecisionTree::clone(&tree), RebuildPolicy::never()).snapshot();
+    let flat = snap.flat();
     eprintln!(
         "compiled: {} nodes, {} rules, {} resident bytes",
         flat.num_nodes(),
@@ -222,7 +222,7 @@ pub fn train(argv: &[String]) -> Result<(), String> {
             }
         }
         eprintln!("verified {} packets against the linear-scan ground truth", trace.len());
-        let (_, engine) = run_engine(&flat, &trace, EngineConfig::new(threads));
+        let (_, engine) = run_engine(&snap, &trace, EngineConfig::new(threads));
         eprintln!(
             "serving engine {:>2}t  {:>10.0} pkts/s ({:.2} Mpps)",
             engine.threads,
@@ -301,7 +301,9 @@ pub fn serve_bench(argv: &[String]) -> Result<(), String> {
     let passes: usize = args.parse_or("passes", 20)?;
     let trace = generate_trace(&rules, &TraceConfig::new(n).with_seed(seed));
 
-    let flat = FlatTree::compile(&tree);
+    let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
+    let snap = handle.snapshot();
+    let flat = snap.flat();
     eprintln!(
         "compiled: {} nodes, {} rules, {} resident bytes",
         flat.num_nodes(),
@@ -313,13 +315,16 @@ pub fn serve_bench(argv: &[String]) -> Result<(), String> {
     // tree before its throughput means anything. The checked lookup
     // also proves the snapshot is not stale (generation match).
     let mut expect = vec![None; trace.len()];
-    flat.classify_batch_checked(&tree, &trace, &mut expect).map_err(|e| e.to_string())?;
-    for (p, &want) in trace.iter().zip(&expect) {
-        let scalar = flat.classify_checked(&tree, p).map_err(|e| e.to_string())?;
-        if scalar != want || tree.classify(p) != want {
-            return Err(format!("serving paths disagree at {p}"));
+    handle.with_tree(|tree| {
+        flat.classify_batch_checked(tree, &trace, &mut expect).map_err(|e| e.to_string())?;
+        for (p, &want) in trace.iter().zip(&expect) {
+            let scalar = flat.classify_checked(tree, p).map_err(|e| e.to_string())?;
+            if scalar != want || tree.classify(p) != want {
+                return Err(format!("serving paths disagree at {p}"));
+            }
         }
-    }
+        Ok(())
+    })?;
 
     let start = std::time::Instant::now();
     let mut hits = 0usize;
@@ -329,10 +334,10 @@ pub fn serve_bench(argv: &[String]) -> Result<(), String> {
     let scalar = (trace.len() * passes) as f64 / start.elapsed().as_secs_f64();
     println!("scalar      1t  {:>10.0} pkts/s  ({hits}/{} matched)", scalar, trace.len());
 
-    let (_, batch) = run_engine(&flat, &trace, EngineConfig::new(1).with_passes(passes));
+    let (_, batch) = run_engine(&snap, &trace, EngineConfig::new(1).with_passes(passes));
     println!("flat-batch  1t  {:>10.0} pkts/s", batch.packets_per_sec);
 
-    let (out, engine) = run_engine(&flat, &trace, EngineConfig::new(threads).with_passes(passes));
+    let (out, engine) = run_engine(&snap, &trace, EngineConfig::new(threads).with_passes(passes));
     println!("engine     {:>2}t  {:>10.0} pkts/s", engine.threads, engine.packets_per_sec);
     if out != expect {
         return Err("engine results diverged from the batched path".into());
@@ -480,7 +485,7 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
     }
 
     // Correctness gate: the final snapshot must equal a full recompile.
-    if let Some(p) = find_rebuild_divergence(&handle, &trace) {
+    if let Some(p) = handle.check_divergence(&trace) {
         return Err(format!("snapshot diverged from full rebuild at {p}"));
     }
     println!("final snapshot verified bit-identical to a full rebuild");
@@ -492,16 +497,19 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
         );
     }
 
-    // And the live engine agrees too.
+    // And the sharded engine over the final snapshot agrees too.
+    let snap = handle.snapshot();
     let mut got = vec![None; trace.len()];
-    handle.snapshot().classify_batch(&trace, &mut got);
-    let (out, report) = run_live_engine(&handle, &trace, EngineConfig::new(threads));
+    snap.classify_batch(&trace, &mut got);
+    let (out, report) = run_engine(&snap, &trace, EngineConfig::new(threads));
     if out != got {
-        return Err("live engine diverged from the snapshot".into());
+        return Err("engine diverged from the snapshot".into());
     }
     println!(
-        "live engine       {:>2}t  {:>10.0} pkts/s (epoch {}..{})",
-        report.threads, report.packets_per_sec, report.min_epoch, report.max_epoch
+        "engine            {:>2}t  {:>10.0} pkts/s (epoch {})",
+        report.threads,
+        report.packets_per_sec,
+        snap.epoch()
     );
     Ok(())
 }

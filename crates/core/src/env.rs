@@ -20,7 +20,7 @@ use nn::{MaskedCategorical, PolicyValueNet};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rl::{RolloutEnv, Sample};
+use rl::Sample;
 use std::sync::Arc;
 
 /// Per-node bookkeeping the observation encoding needs but the tree
@@ -444,13 +444,6 @@ impl NeuroCutsEnv {
             dim_mask.iter().position(|&m| m).expect("caller checked a dim is cuttable")
         };
         (dim, 0) // action 0 = Cut with ncuts 2
-    }
-}
-
-impl RolloutEnv for NeuroCutsEnv {
-    fn episode(&mut self, net: &PolicyValueNet, seed: u64) -> (Vec<Sample>, f64) {
-        let ep = self.build_tree(net, seed, false);
-        (ep.samples, -ep.objective)
     }
 }
 

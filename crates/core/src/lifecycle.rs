@@ -36,8 +36,8 @@ use crate::config::NeuroCutsConfig;
 use crate::trainer::{TrainError, Trainer};
 use classbench::{Packet, RuleSet};
 use dtree::{
-    find_rebuild_divergence, serve_during, ChurnSchedule, ClassifierHandle, DecisionTree,
-    FaultInjector, FaultPoint, TreeStats,
+    serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, FaultInjector, FaultPoint,
+    TreeStats,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -777,8 +777,8 @@ impl Default for TimelineConfig {
 /// `bench_lifecycle`: measure a baseline, apply churn under concurrent
 /// readers, let the worker retrain and hot-swap while readers keep
 /// serving, then measure the steady state — with a differential
-/// certification ([`find_rebuild_divergence`]) at every checkpoint and
-/// phase boundary.
+/// certification ([`ClassifierHandle::check_divergence`]) at every
+/// checkpoint and phase boundary.
 ///
 /// The worker is polled *synchronously* after the churn phase so runs
 /// are deterministic given (rules, seeds, config); [`LifecycleWorker::run`]
@@ -795,7 +795,7 @@ pub fn churn_retrain_timeline(
     let mut checks = 0usize;
     let check = |handle: &ClassifierHandle, divergences: &mut usize, checks: &mut usize| {
         *checks += 1;
-        if find_rebuild_divergence(handle, trace).is_some() {
+        if handle.check_divergence(trace).is_some() {
             *divergences += 1;
         }
     };
@@ -944,7 +944,7 @@ mod tests {
         assert_eq!(stats.overlay_len, 0, "the swap folds the overlay");
         assert_eq!(stats.log.total(), 0, "the swap resets the churn log");
         // Published state is certified against a from-scratch recompile.
-        assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+        assert_eq!(handle.check_divergence(&trace), None);
         // The cap holds: no further retrains even under more churn.
         for _ in 0..60 {
             schedule.step(&handle);
@@ -1043,7 +1043,7 @@ mod tests {
         assert_eq!(event.failures_after, 0);
         assert!(!worker.health().degraded);
         assert_eq!(handle.health().consecutive_failures, 0);
-        assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+        assert_eq!(handle.check_divergence(&trace), None);
     }
 
     #[test]
@@ -1086,7 +1086,7 @@ mod tests {
         // overlay and reset the churn log deterministically.
         assert_eq!(handle.stats().overlay_len, 0);
         assert!(handle.health().degraded);
-        assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+        assert_eq!(handle.check_divergence(&trace), None);
         // The baseline was kept, so the trigger re-fires after the
         // backoff; the 4th attempt (no fault armed) succeeds and
         // clears the degraded flag.

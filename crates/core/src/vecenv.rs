@@ -280,7 +280,7 @@ mod tests {
     use nn::NetConfig;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use rl::{Ppo, PpoConfig, RolloutEnv};
+    use rl::{Ppo, PpoConfig};
 
     fn env_and_net(mode: PartitionMode, size: usize) -> (NeuroCutsEnv, PolicyValueNet) {
         let rules =
@@ -358,9 +358,8 @@ mod tests {
         let mut scalar = RolloutBatch::default();
         let mut k = 0u64;
         while scalar.len() < 40 {
-            let mut e = env.clone();
-            let (samples, ep_return) = e.episode(&net, 500 + k);
-            scalar.push_episode(0, samples, ep_return);
+            let ep = env.build_tree(&net, 500 + k, false);
+            scalar.push_episode(0, ep.samples, -ep.objective);
             k += 1;
         }
         assert_batches_bit_identical(&batch, &scalar);

@@ -16,7 +16,7 @@
 //!    unbounded overlay growth.
 //! 4. **Certified serving throughout** — at every checkpoint, faulted
 //!    or not, the published snapshot classifies bit-identically to a
-//!    from-scratch recompile (`find_rebuild_divergence`).
+//!    from-scratch recompile (`ClassifierHandle::check_divergence`).
 //!
 //! The deterministic test drives `poll` synchronously so each fault
 //! lands on a known attempt. The free-running test races churn, two
@@ -28,8 +28,8 @@ use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, RuleSet, TraceConfig,
 };
 use dtree::{
-    find_rebuild_divergence, serve_during, ChurnSchedule, ClassifierHandle, DecisionTree,
-    FaultInjector, FaultPoint, FaultSchedule, RebuildPolicy, FAULT_POINTS,
+    serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, FaultInjector, FaultPoint,
+    FaultSchedule, RebuildPolicy, FAULT_POINTS,
 };
 use neurocuts::{LifecycleConfig, LifecycleWorker, NeuroCutsConfig, RetrainTrigger, RetryPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -138,7 +138,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
             "failed attempt {attempt} replaced the served snapshot"
         );
         assert_eq!(handle.health().consecutive_failures, attempt, "health mirror");
-        assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+        assert_eq!(handle.check_divergence(&trace), None);
     }
 
     // a4: the 4th consecutive failure crosses the bound — the worker
@@ -153,7 +153,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     let health = handle.health();
     assert!(health.degraded, "degradation is mirrored into the handle");
     assert_eq!(health.epoch_lag, 0, "the fallback resets the update log");
-    assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+    assert_eq!(handle.check_divergence(&trace), None);
 
     // a5: faults exhausted — the retry succeeds and clears everything.
     let event = poll_past_backoff(&mut worker, &handle, &trace);
@@ -163,7 +163,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     let health = handle.health();
     assert_eq!(health.consecutive_failures, 0);
     assert!(!health.degraded);
-    assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+    assert_eq!(handle.check_divergence(&trace), None);
     assert_eq!(faults.fired(FaultPoint::RetrainPanic), 2);
     assert_eq!(faults.fired(FaultPoint::AdoptCorruption), 2);
 
@@ -197,7 +197,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     assert!(event.fallback_rebuild, "2nd timeout crosses max_failures=2");
     assert!(worker.health().degraded);
     assert_eq!(handle.stats().overlay_len, 0, "degraded mode still folds the overlay");
-    assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+    assert_eq!(handle.check_divergence(&trace), None);
     assert_eq!(faults.fired(FaultPoint::RetrainSlow), 2);
 
     // --- Churn C: injected update bursts against a tiny overlay bound
@@ -222,7 +222,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
         health.backpressure_rebuilds >= 1,
         "bursts against an 8-slot overlay must force backpressure folds: {health}"
     );
-    assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+    assert_eq!(handle.check_divergence(&trace), None);
     assert_eq!(faults.fired(FaultPoint::UpdateBurst), 2);
 
     // The whole schedule ran: every fault class fired exactly its two
@@ -285,7 +285,7 @@ fn seeded_free_running_soak_never_serves_a_divergent_packet() {
             for i in 0..STEPS {
                 churn.step(&handle);
                 if (i + 1) % CHECK_EVERY == 0 {
-                    checkpoints.push((i + 1, find_rebuild_divergence(&handle, &trace)));
+                    checkpoints.push((i + 1, handle.check_divergence(&trace)));
                 }
             }
             checkpoints
@@ -348,5 +348,5 @@ fn seeded_free_running_soak_never_serves_a_divergent_packet() {
         Ok(_) | Err(dtree::UpdateError::DuplicateRule(_)) => {}
         Err(err) => panic!("seed {seed}: unexpected admission error: {err}"),
     }
-    assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+    assert_eq!(handle.check_divergence(&trace), None);
 }

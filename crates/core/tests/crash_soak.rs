@@ -232,7 +232,7 @@ fn kill_points_recover_bit_identical() {
         reference.snapshot().classify_batch(&trace, &mut want);
         assert_eq!(got, want, "seed {seed}: {point}@{occ} trace classification diverged");
         assert_eq!(
-            dtree::find_rebuild_divergence(&recovered, &trace),
+            recovered.check_divergence(&trace),
             None,
             "seed {seed}: {point}@{occ} recovered snapshot diverged from a recompile"
         );

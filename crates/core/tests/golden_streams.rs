@@ -29,7 +29,7 @@ use neurocuts::{NeuroCutsConfig, NeuroCutsEnv, PartitionMode, VecEnv};
 use nn::{NetConfig, PolicyValueNet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rl::{RolloutBatch, RolloutEnv};
+use rl::RolloutBatch;
 
 /// FNV-1a over u64 words: stable, dependency-free, platform-independent.
 struct Fnv(u64);
@@ -272,9 +272,8 @@ fn scalar_and_vecenv_streams_agree_for_all_families_and_modes() {
             let mut scalar = RolloutBatch::default();
             let mut k = 0u64;
             while scalar.len() < 30 {
-                let mut e = env.clone();
-                let (samples, ep_return) = e.episode(&net, 4242 + k);
-                scalar.push_episode(0, samples, ep_return);
+                let ep = env.build_tree(&net, 4242 + k, false);
+                scalar.push_episode(0, ep.samples, -ep.objective);
                 k += 1;
             }
             assert_eq!(batch_fingerprint(&batch), batch_fingerprint(&scalar));

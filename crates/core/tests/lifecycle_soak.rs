@@ -12,7 +12,7 @@
 //! 2. **Certified epochs** — every checkpoint's published snapshot is
 //!    bit-identical to a from-scratch `FlatTree::compile` of the live
 //!    tree (including probes inside every overlay-served insert), via
-//!    [`find_rebuild_divergence`].
+//!    `ClassifierHandle::check_divergence`.
 //! 3. **Reproducible swaps** — every adopted retrain is re-derived
 //!    from scratch out of nothing but the event's frozen
 //!    `snapshot_rules` and `train_seed`, and must reproduce the
@@ -25,8 +25,7 @@ use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, TraceConfig,
 };
 use dtree::{
-    find_rebuild_divergence, serve_during, ChurnSchedule, ClassifierHandle, DecisionTree,
-    RebuildPolicy, TreeStats,
+    serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, RebuildPolicy, TreeStats,
 };
 use neurocuts::{
     retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig, RetrainTrigger,
@@ -80,7 +79,7 @@ fn five_thousand_updates_with_background_retrains_stay_bounded_and_certified() {
                 if (i + 1) % CHECK_EVERY == 0 {
                     let stats = handle.stats();
                     let depth = handle.with_tree(TreeStats::compute).time;
-                    let divergence = find_rebuild_divergence(&handle, &trace);
+                    let divergence = handle.check_divergence(&trace);
                     checkpoints.push((i + 1, stats, depth, divergence));
                 }
             }
@@ -154,5 +153,5 @@ fn five_thousand_updates_with_background_retrains_stay_bounded_and_certified() {
         Ok(_) | Err(dtree::UpdateError::DuplicateRule(_)) => {}
         Err(err) => panic!("unexpected admission error: {err}"),
     }
-    assert_eq!(find_rebuild_divergence(&handle, &trace), None);
+    assert_eq!(handle.check_divergence(&trace), None);
 }

@@ -77,7 +77,7 @@ fn recovered_state_matches_the_live_handle_bit_for_bit() {
     recovered.snapshot().classify_batch(&trace, &mut got);
     live.snapshot().classify_batch(&trace, &mut want);
     assert_eq!(got, want, "recovered classification diverged from live");
-    assert_eq!(dtree::find_rebuild_divergence(&recovered, &trace), None);
+    assert_eq!(recovered.check_divergence(&trace), None);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,22 +1,27 @@
-//! A sharded, multi-core serving engine over a compiled [`FlatTree`].
+//! A sharded, multi-core serving engine over a published [`Snapshot`].
 //!
 //! The paper's end product classifies packets on the datapath; this
-//! module is the deployment harness around [`FlatTree`]: a trace is
-//! sharded into contiguous chunks, one per worker, and each worker
-//! drives the batched wavefront lookup ([`FlatTree::classify_batch`])
-//! over its shard. The tree is shared read-only (`&FlatTree` — no
+//! module is the deployment harness around a serving snapshot: a trace
+//! is sharded into contiguous chunks, one per worker, and each worker
+//! drives the snapshot's batched lookup ([`Snapshot::classify_batch`]:
+//! the compiled tree's wavefront, then the insert-overlay merge) over
+//! its shard. The snapshot is shared read-only (`&Snapshot` — no
 //! locks, no cloning), workers are scoped threads, and results land in
 //! disjoint sub-slices of the caller's output buffer, so the combined
-//! output is **bit-identical** to running scalar
-//! [`FlatTree::classify`] over the whole trace in order.
+//! output is **bit-identical** to running scalar [`Snapshot::classify`]
+//! over the whole trace in order.
+//!
+//! A bare tree is a snapshot with an empty overlay:
+//! `ClassifierHandle::new(tree, RebuildPolicy::never()).snapshot()`.
+//! Serving while updates land is [`crate::serve_during`]'s job; it
+//! re-fetches the newest snapshot before each batch.
 //!
 //! [`run_engine`] wraps the sharded lookup in a timing loop and
 //! reports aggregate packets/sec — the serving-throughput number the
 //! benchmarks and the `serve-bench` CLI subcommand record.
 
-use crate::flat::FlatTree;
 use crate::node::RuleId;
-use crate::serve::ClassifierHandle;
+use crate::serve::Snapshot;
 use classbench::Packet;
 
 /// How a serving run is sharded and measured.
@@ -56,13 +61,13 @@ pub struct EngineReport {
 }
 
 /// Classify `trace` into `out` using `threads` workers over the shared
-/// tree. Shards are contiguous chunks, so `out[i]` is exactly what
-/// `tree.classify(&trace[i])` returns regardless of the thread count.
+/// snapshot. Shards are contiguous chunks, so `out[i]` is exactly what
+/// `snap.classify(&trace[i])` returns regardless of the thread count.
 ///
 /// # Panics
 /// Panics if `trace` and `out` have different lengths.
 pub fn classify_sharded(
-    tree: &FlatTree,
+    snap: &Snapshot,
     trace: &[Packet],
     out: &mut [Option<RuleId>],
     threads: usize,
@@ -71,7 +76,7 @@ pub fn classify_sharded(
     assert_eq!(trace.len(), out.len(), "output slice must match the trace");
     let threads = threads.max(1);
     if threads == 1 || trace.len() < 2 {
-        tree.classify_batch(trace, out);
+        snap.classify_batch(trace, out);
         return;
     }
     // Ceiling division so every packet lands in one of <= `threads`
@@ -79,7 +84,7 @@ pub fn classify_sharded(
     let shard = trace.len().div_ceil(threads);
     std::thread::scope(|scope| {
         for (pkts, results) in trace.chunks(shard).zip(out.chunks_mut(shard)) {
-            scope.spawn(move || tree.classify_batch(pkts, results));
+            scope.spawn(move || snap.classify_batch(pkts, results));
         }
     });
 }
@@ -87,13 +92,13 @@ pub fn classify_sharded(
 /// Time a sharded serving run over `cfg.passes` passes and report the
 /// aggregate packets/sec. Returns the classification results (which
 /// are identical on every pass, and identical to scalar
-/// [`FlatTree::classify`]) alongside the report.
+/// [`Snapshot::classify`]) alongside the report.
 ///
 /// Workers are spawned **once** and loop their passes internally, so
 /// the measurement amortises thread start-up the way a long-lived
 /// serving process would, instead of paying it once per pass.
 pub fn run_engine(
-    tree: &FlatTree,
+    snap: &Snapshot,
     trace: &[Packet],
     cfg: EngineConfig,
 ) -> (Vec<Option<RuleId>>, EngineReport) {
@@ -102,7 +107,7 @@ pub fn run_engine(
     let start = std::time::Instant::now();
     if threads == 1 || trace.len() < 2 {
         for _ in 0..cfg.passes {
-            tree.classify_batch(trace, &mut out);
+            snap.classify_batch(trace, &mut out);
         }
     } else {
         let shard = trace.len().div_ceil(threads);
@@ -110,7 +115,7 @@ pub fn run_engine(
             for (pkts, results) in trace.chunks(shard).zip(out.chunks_mut(shard)) {
                 scope.spawn(move || {
                     for _ in 0..cfg.passes {
-                        tree.classify_batch(pkts, results);
+                        snap.classify_batch(pkts, results);
                     }
                 });
             }
@@ -127,172 +132,68 @@ pub fn run_engine(
     (out, report)
 }
 
-/// Aggregate result of a timed [`run_live_engine`] run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiveEngineReport {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Total packets classified across all passes.
-    pub packets: usize,
-    /// Wall-clock seconds for all passes.
-    pub seconds: f64,
-    /// Aggregate throughput: `packets / seconds`.
-    pub packets_per_sec: f64,
-    /// Lowest snapshot epoch any worker served from.
-    pub min_epoch: u64,
-    /// Highest snapshot epoch any worker served from.
-    pub max_epoch: u64,
-}
-
-/// Classify `trace` into `out` using `threads` workers reading
-/// **through the handle**: each worker fetches the current snapshot
-/// once and serves its shard from it. With no concurrent updates this
-/// is bit-identical to [`classify_sharded`] over the handle's compiled
-/// tree; under concurrent updates every worker serves a *consistent*
-/// snapshot (never a torn one), though different shards may observe
-/// different epochs.
-///
-/// # Panics
-/// Panics if `trace` and `out` have different lengths.
-pub fn classify_sharded_live(
-    handle: &ClassifierHandle,
-    trace: &[Packet],
-    out: &mut [Option<RuleId>],
-    threads: usize,
-) {
-    // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
-    assert_eq!(trace.len(), out.len(), "output slice must match the trace");
-    let threads = threads.max(1);
-    if threads == 1 || trace.len() < 2 {
-        handle.snapshot().classify_batch(trace, out);
-        return;
-    }
-    let shard = trace.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (pkts, results) in trace.chunks(shard).zip(out.chunks_mut(shard)) {
-            scope.spawn(move || handle.snapshot().classify_batch(pkts, results));
-        }
-    });
-}
-
-/// Time a live serving run: like [`run_engine`], but workers read
-/// through the handle and **re-fetch the snapshot between passes**
-/// whenever the handle's epoch counter says a newer one exists (one
-/// atomic load per pass — the epoch scheme's whole point). Updates
-/// applied concurrently by other threads therefore land in the
-/// serving path without stopping it; the report records the epoch
-/// range the workers actually served from.
-pub fn run_live_engine(
-    handle: &ClassifierHandle,
-    trace: &[Packet],
-    cfg: EngineConfig,
-) -> (Vec<Option<RuleId>>, LiveEngineReport) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let threads = cfg.threads.max(1);
-    let mut out = vec![None; trace.len()];
-    let min_epoch = AtomicU64::new(u64::MAX);
-    let max_epoch = AtomicU64::new(0);
-    let observe = |e: u64| {
-        min_epoch.fetch_min(e, Ordering::Relaxed);
-        max_epoch.fetch_max(e, Ordering::Relaxed);
-    };
-    let start = std::time::Instant::now();
-    if threads == 1 || trace.len() < 2 {
-        let mut snap = handle.snapshot();
-        for _ in 0..cfg.passes {
-            if snap.epoch() != handle.epoch() {
-                snap = handle.snapshot();
-            }
-            observe(snap.epoch());
-            snap.classify_batch(trace, &mut out);
-        }
-    } else {
-        let shard = trace.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (pkts, results) in trace.chunks(shard).zip(out.chunks_mut(shard)) {
-                let observe = &observe;
-                scope.spawn(move || {
-                    let mut snap = handle.snapshot();
-                    for _ in 0..cfg.passes {
-                        if snap.epoch() != handle.epoch() {
-                            snap = handle.snapshot();
-                        }
-                        observe(snap.epoch());
-                        snap.classify_batch(pkts, results);
-                    }
-                });
-            }
-        });
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let packets = trace.len() * cfg.passes;
-    let report = LiveEngineReport {
-        threads,
-        packets,
-        seconds,
-        packets_per_sec: if seconds > 0.0 { packets as f64 / seconds } else { 0.0 },
-        min_epoch: min_epoch.load(Ordering::Relaxed),
-        max_epoch: max_epoch.load(Ordering::Relaxed),
-    };
-    (out, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::RebuildPolicy;
+    use crate::flat::FlatTree;
+    use crate::serve::{ClassifierHandle, RebuildPolicy};
     use crate::tree::DecisionTree;
     use classbench::{
-        generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, TraceConfig,
+        generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, Rule, RuleSet,
+        TraceConfig,
     };
 
-    fn compiled_tree() -> (FlatTree, classbench::RuleSet) {
-        let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 200).with_seed(7));
+    /// A handle over a two-level cut tree of `size` ACL rules.
+    fn handle(size: usize, seed: u64, policy: RebuildPolicy) -> (ClassifierHandle, RuleSet) {
+        let rules =
+            generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, size).with_seed(seed));
         let mut tree = DecisionTree::new(&rules);
-        let kids = tree.cut_node(tree.root(), Dim::SrcIp, 8);
-        for k in kids {
+        for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
             if !tree.is_terminal(k, 8) {
                 tree.cut_node(k, Dim::DstPort, 4);
             }
         }
-        (FlatTree::compile(&tree), rules)
+        (ClassifierHandle::new(tree, policy), rules)
     }
 
     #[test]
     fn sharded_results_match_scalar_for_any_thread_count() {
-        let (flat, rules) = compiled_tree();
+        let (handle, rules) = handle(200, 7, RebuildPolicy::never());
+        let snap = handle.snapshot();
         let trace = generate_trace(&rules, &TraceConfig::new(333).with_seed(8));
-        let expect: Vec<_> = trace.iter().map(|p| flat.classify(p)).collect();
+        let expect: Vec<_> = trace.iter().map(|p| snap.classify(p)).collect();
         for threads in [1, 2, 3, 4, 8, 64, 1000] {
             let mut out = vec![None; trace.len()];
-            classify_sharded(&flat, &trace, &mut out, threads);
+            classify_sharded(&snap, &trace, &mut out, threads);
             assert_eq!(out, expect, "threads={threads}");
         }
     }
 
     #[test]
     fn sharded_handles_degenerate_traces() {
-        let (flat, rules) = compiled_tree();
+        let (handle, rules) = handle(200, 7, RebuildPolicy::never());
+        let snap = handle.snapshot();
         for len in [0usize, 1, 2] {
             let trace = generate_trace(&rules, &TraceConfig::new(len).with_seed(9));
             let mut out = vec![None; len];
-            classify_sharded(&flat, &trace, &mut out, 4);
+            classify_sharded(&snap, &trace, &mut out, 4);
             for (p, got) in trace.iter().zip(&out) {
-                assert_eq!(*got, flat.classify(p));
+                assert_eq!(*got, snap.classify(p));
             }
         }
     }
 
     #[test]
     fn run_engine_reports_all_passes() {
-        let (flat, rules) = compiled_tree();
+        let (handle, rules) = handle(200, 7, RebuildPolicy::never());
+        let snap = handle.snapshot();
         let trace = generate_trace(&rules, &TraceConfig::new(100).with_seed(10));
-        let (out, report) = run_engine(&flat, &trace, EngineConfig::new(2).with_passes(3));
+        let (out, report) = run_engine(&snap, &trace, EngineConfig::new(2).with_passes(3));
         assert_eq!(report.threads, 2);
         assert_eq!(report.packets, 300);
         assert!(report.seconds >= 0.0);
         assert!(report.packets_per_sec > 0.0);
-        let expect: Vec<_> = trace.iter().map(|p| flat.classify(p)).collect();
+        let expect: Vec<_> = trace.iter().map(|p| snap.classify(p)).collect();
         assert_eq!(out, expect);
     }
 
@@ -303,44 +204,50 @@ mod tests {
         assert_eq!(cfg.passes, 1);
     }
 
-    fn live_handle() -> (ClassifierHandle, classbench::RuleSet) {
-        let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 150).with_seed(50));
-        let mut tree = DecisionTree::new(&rules);
-        for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
-            if !tree.is_terminal(k, 8) {
-                tree.cut_node(k, Dim::DstPort, 4);
-            }
-        }
-        (ClassifierHandle::new(tree, RebuildPolicy::default_policy()), rules)
-    }
-
     #[test]
     fn live_sharded_matches_static_engine_when_idle() {
-        let (handle, rules) = live_handle();
+        // A snapshot carrying pending updates (overlay inserts and a
+        // patched delete) shards exactly like a from-scratch compile
+        // of the updated tree.
+        let (handle, rules) = handle(150, 50, RebuildPolicy::never());
+        let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
+        let mut inserted = Vec::new();
+        for (i, k) in [3usize, 40, 90].into_iter().enumerate() {
+            let mut r = rules.rule(k).clone();
+            r.priority = top + 1 + i as i32;
+            inserted.push(handle.insert(r).unwrap());
+        }
+        handle.delete(7).unwrap();
+        let snap = handle.snapshot();
+        assert_eq!(snap.overlay_len(), inserted.len());
         let trace = generate_trace(&rules, &TraceConfig::new(257).with_seed(51));
         let flat = handle.with_tree(FlatTree::compile);
         let expect: Vec<_> = trace.iter().map(|p| flat.classify(p)).collect();
+        assert!(expect.iter().any(|m| m.is_some_and(|id| inserted.contains(&id))));
         for threads in [1, 2, 5] {
             let mut out = vec![None; trace.len()];
-            classify_sharded_live(&handle, &trace, &mut out, threads);
+            classify_sharded(&snap, &trace, &mut out, threads);
             assert_eq!(out, expect, "threads={threads}");
         }
     }
 
     #[test]
     fn live_engine_picks_up_published_updates() {
-        let (handle, rules) = live_handle();
+        let (handle, rules) = handle(150, 50, RebuildPolicy::default_policy());
         let trace = generate_trace(&rules, &TraceConfig::new(120).with_seed(52));
-        // Serve a pass, apply updates, serve again through the same
-        // handle: the second run must see the post-update snapshot.
-        let (before, r1) = run_live_engine(&handle, &trace, EngineConfig::new(2).with_passes(2));
-        assert_eq!(r1.min_epoch, 0);
+        // Serve a snapshot, publish an update, serve the newest
+        // snapshot: the engine serves exactly the snapshot it is given.
+        let old = handle.snapshot();
+        let (before, _) = run_engine(&old, &trace, EngineConfig::new(2).with_passes(2));
         let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
-        let id = handle.insert(classbench::Rule::default_rule(top + 1)).unwrap();
-        let (after, r2) = run_live_engine(&handle, &trace, EngineConfig::new(2).with_passes(2));
-        assert!(r2.min_epoch >= 1, "workers must serve the new epoch");
+        let id = handle.insert(Rule::default_rule(top + 1)).unwrap();
+        let new = handle.snapshot();
+        assert_eq!((old.epoch(), new.epoch()), (0, 1));
+        let (after, _) = run_engine(&new, &trace, EngineConfig::new(2).with_passes(2));
         assert!(after.iter().all(|&m| m == Some(id)), "shadowing insert must win everywhere");
         assert_ne!(before, after);
+        // The old snapshot still serves the state it was published at.
+        assert_eq!(run_engine(&old, &trace, EngineConfig::new(2)).0, before);
         // And the results equal a from-scratch rebuild of the tree.
         let rebuilt = handle.with_tree(FlatTree::compile);
         let want: Vec<_> = trace.iter().map(|p| rebuilt.classify(p)).collect();
@@ -349,24 +256,27 @@ mod tests {
 
     #[test]
     fn live_engine_survives_concurrent_churn() {
-        let (handle, rules) = live_handle();
+        let (handle, rules) = handle(150, 50, RebuildPolicy::default_policy());
         let trace = generate_trace(&rules, &TraceConfig::new(400).with_seed(53));
         let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
         std::thread::scope(|scope| {
             let h = &handle;
             let t = &trace;
             let reader = scope.spawn(move || {
-                let mut total = 0usize;
+                let (mut total, mut epoch) = (0usize, 0u64);
                 for _ in 0..20 {
-                    let (out, rep) = run_live_engine(h, t, EngineConfig::new(2));
+                    let snap = h.snapshot();
+                    assert!(snap.epoch() >= epoch, "published epochs never go back");
+                    epoch = snap.epoch();
+                    let (out, rep) = run_engine(&snap, t, EngineConfig::new(2));
+                    assert_eq!(rep.packets, out.len());
                     total += out.len();
-                    assert!(rep.max_epoch >= rep.min_epoch);
                 }
                 total
             });
             let mut inserted = Vec::new();
             for i in 0..30 {
-                inserted.push(h.insert(classbench::Rule::default_rule(top + 1 + i)).unwrap());
+                inserted.push(h.insert(Rule::default_rule(top + 1 + i)).unwrap());
                 if i % 3 == 0 {
                     h.delete(inserted[inserted.len() - 1]).unwrap();
                 }

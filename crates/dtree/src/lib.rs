@@ -17,7 +17,8 @@
 //!   time and memory accounting per the paper's Eqs. 1–4
 //!   ([`stats`], [`memory`]);
 //! * the serving path: a compiled [`FlatTree`] with batched wavefront
-//!   lookup and a sharded multi-core engine ([`engine`]);
+//!   lookup and a sharded multi-core engine over serving snapshots
+//!   ([`engine`]);
 //! * live serving under updates: an epoch-swapped
 //!   [`serve::ClassifierHandle`] that applies §4 incremental updates
 //!   and publishes fresh snapshots without pausing readers ([`serve`]);
@@ -45,15 +46,12 @@ pub mod validate;
 pub mod viz;
 pub mod wal;
 
-pub use engine::{
-    classify_sharded, classify_sharded_live, run_engine, run_live_engine, EngineConfig,
-    EngineReport, LiveEngineReport,
-};
+pub use engine::{classify_sharded, run_engine, EngineConfig, EngineReport};
 pub use faults::{FaultInjector, FaultParseError, FaultPoint, FaultSchedule, FAULT_POINTS};
 pub use flat::{FlatTree, StaleTreeError};
 pub use memory::MemoryModel;
 pub use node::{Node, NodeId, NodeKind, RuleId, RuleSpan};
-pub use replay::{find_rebuild_divergence, serve_during, ChurnSchedule};
+pub use replay::{serve_during, ChurnSchedule};
 pub use serve::{
     AdoptError, AdoptReport, ClassifierHandle, HealthReport, RebuildPolicy, RuleSnapshot, Snapshot,
     UpdateStats,

@@ -2,13 +2,12 @@
 //! [`ClassifierHandle`] under load.
 //!
 //! Both live-update entry points — the CLI `update-bench` subcommand
-//! and the `bench_updates` JSON emitter — need the same three pieces:
-//! a seeded insert/delete schedule, a pool of reader threads serving a
-//! trace from epoch-swapped snapshots while updates land, and a
-//! differential check that the served snapshot equals a from-scratch
-//! recompile. Keeping them here (next to the handle they drive) keeps
-//! the two entry points in lockstep instead of carrying diverging
-//! copies.
+//! and the `bench_updates` JSON emitter — need the same two pieces: a
+//! seeded insert/delete schedule and a pool of reader threads serving
+//! a trace from epoch-swapped snapshots while updates land. Both then
+//! certify the result with [`ClassifierHandle::check_divergence`].
+//! Keeping the pieces here (next to the handle they drive) keeps the
+//! two entry points in lockstep instead of carrying diverging copies.
 
 use crate::faults::{FaultInjector, FaultPoint};
 use crate::node::RuleId;
@@ -152,22 +151,6 @@ pub fn serve_during<R>(
     (result, served.load(Ordering::Relaxed))
 }
 
-/// The differential gate: classify `trace` through the handle's
-/// current snapshot and through a from-scratch `FlatTree::compile` of
-/// its tree; return the first packet where they disagree (`None` means
-/// bit-identical — the live-update correctness claim).
-///
-/// Delegates to [`ClassifierHandle::check_divergence`], which takes
-/// snapshot and recompile under **one** lock acquisition (two separate
-/// fetches could interleave with a concurrent update and report a false
-/// divergence) and adds a probe packet inside every pending overlay
-/// rule, so a snapshot taken mid-overlay is certified on the inserts it
-/// actually serves — this is the per-swap spot check of the lifecycle
-/// loop.
-pub fn find_rebuild_divergence(handle: &ClassifierHandle, trace: &[Packet]) -> Option<Packet> {
-    handle.check_divergence(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,7 +184,7 @@ mod tests {
         assert_eq!(h1.stats().active_rules, h2.stats().active_rules);
         assert!(h1.stats().active_rules >= 16, "live floor must hold");
         let trace = generate_trace(&rules, &TraceConfig::new(200).with_seed(56));
-        assert_eq!(find_rebuild_divergence(&h1, &trace), None);
+        assert_eq!(h1.check_divergence(&trace), None);
     }
 
     #[test]
@@ -221,6 +204,6 @@ mod tests {
         // any scheduler they have at least been spawned; the served
         // count is a multiple of the trace length.
         assert!(served.is_multiple_of(trace.len() as u64));
-        assert_eq!(find_rebuild_divergence(&h, &trace), None);
+        assert_eq!(h.check_divergence(&trace), None);
     }
 }

@@ -808,14 +808,19 @@ impl ClassifierHandle {
         })
     }
 
-    /// Differential certification under one consistent view: a single
-    /// read-lock acquisition grabs the published snapshot, recompiles
-    /// the tree from scratch, and synthesises one probe packet inside
-    /// every pending overlay rule; the comparison then runs lock-free.
-    /// Returns the first diverging packet (`None` = certified). The
-    /// probes matter: a snapshot taken mid-overlay serves inserts the
-    /// compiled table does not know about, and an arbitrary trace may
-    /// never hit them.
+    /// The differential gate: classify `trace` through the published
+    /// snapshot and through a from-scratch [`FlatTree::compile`] of the
+    /// tree, and return the first packet where they disagree (`None`
+    /// means bit-identical — the live-update correctness claim).
+    ///
+    /// Snapshot and recompile are taken under **one** read-lock
+    /// acquisition (two separate fetches could interleave with a
+    /// concurrent update and report a false divergence), which also
+    /// synthesises one probe packet inside every pending overlay rule;
+    /// the comparison then runs lock-free. The probes matter: a
+    /// snapshot taken mid-overlay serves inserts the compiled table
+    /// does not know about, and an arbitrary trace may never hit them.
+    /// This is the per-swap spot check of the lifecycle loop.
     pub fn check_divergence(&self, trace: &[Packet]) -> Option<Packet> {
         let (snap, rebuilt, probes) = {
             let s = self.state.read();

@@ -13,7 +13,7 @@ use classbench::{
     RuleSet, TraceConfig,
 };
 use dtree::{
-    classify_sharded_live, run_live_engine, ClassifierHandle, DecisionTree, EngineConfig, FlatTree,
+    classify_sharded, run_engine, ClassifierHandle, DecisionTree, EngineConfig, FlatTree,
     RebuildPolicy,
 };
 use proptest::prelude::*;
@@ -142,7 +142,7 @@ fn thousand_update_churn_is_rebuild_identical_under_concurrent_reads() {
             scope.spawn(move || {
                 let mut out = vec![None; trace.len()];
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    classify_sharded_live(handle, trace, &mut out, 2);
+                    classify_sharded(&handle.snapshot(), trace, &mut out, 2);
                     served.fetch_add(trace.len(), std::sync::atomic::Ordering::Relaxed);
                 }
             });
@@ -183,13 +183,14 @@ fn thousand_update_churn_is_rebuild_identical_under_concurrent_reads() {
     assert!(served.load(std::sync::atomic::Ordering::Relaxed) > 0, "readers must have served");
     assert_snapshot_is_rebuild_identical(&handle, &trace);
 
-    // The final snapshot also agrees with a timed live-engine run.
-    let (out, report) = run_live_engine(&handle, &trace, EngineConfig::new(3));
+    // The final snapshot also agrees with a timed engine run.
+    let snap = handle.snapshot();
+    assert_eq!(snap.epoch(), 1000);
+    let (out, _) = run_engine(&snap, &trace, EngineConfig::new(3));
     let rebuilt = handle.with_tree(FlatTree::compile);
     for (p, got) in trace.iter().zip(&out) {
-        assert_eq!(*got, rebuilt.classify(p), "live engine at {p}");
+        assert_eq!(*got, rebuilt.classify(p), "engine at {p}");
     }
-    assert_eq!(report.min_epoch, 1000);
 }
 
 proptest! {

@@ -10,11 +10,19 @@ use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, DimRange, GeneratorConfig, Packet, Rule,
     RuleSet, TraceConfig,
 };
-use dtree::{classify_sharded, updates, DecisionTree, FlatTree};
+use dtree::{
+    classify_sharded, updates, ClassifierHandle, DecisionTree, FlatTree, RebuildPolicy, Snapshot,
+};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng as _, SeedableRng as _};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
+
+/// A bare tree's serving snapshot: its compile plus an empty overlay.
+fn snapshot_of(tree: &DecisionTree) -> Arc<Snapshot> {
+    ClassifierHandle::new(tree.clone(), RebuildPolicy::never()).snapshot()
+}
 
 /// Assert every serving path agrees on `trace`.
 ///
@@ -22,12 +30,13 @@ use rand_chacha::ChaCha8Rng;
 /// `None` when the tree has diverged from the rule set (incremental
 /// updates renumber nothing, but inserted rules are not in the set).
 fn assert_all_paths_agree(tree: &DecisionTree, ruleset: Option<&RuleSet>, trace: &[Packet]) {
-    let flat = FlatTree::compile(tree);
+    let snap = snapshot_of(tree);
+    let flat = snap.flat();
     let mut batch = vec![None; trace.len()];
     flat.classify_batch(trace, &mut batch);
     for threads in [1, 2, 4, 7] {
         let mut sharded = vec![None; trace.len()];
-        classify_sharded(&flat, trace, &mut sharded, threads);
+        classify_sharded(&snap, trace, &mut sharded, threads);
         assert_eq!(sharded, batch, "engine({threads}) diverged from batch");
     }
     for (p, &batched) in trace.iter().zip(&batch) {
@@ -231,7 +240,8 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5e41);
         random_expand_all_kinds(&mut tree, &mut rng, steps);
 
-        let flat = FlatTree::compile(&tree);
+        let snap = snapshot_of(&tree);
+        let flat = snap.flat();
         prop_assert_eq!(flat.num_nodes(), tree.num_nodes());
 
         // Random valid packets plus a rule-biased trace.
@@ -250,7 +260,7 @@ proptest! {
         let mut batch = vec![None; trace.len()];
         flat.classify_batch(&trace, &mut batch);
         let mut sharded = vec![None; trace.len()];
-        classify_sharded(&flat, &trace, &mut sharded, 3);
+        classify_sharded(&snap, &trace, &mut sharded, 3);
         for (i, p) in trace.iter().enumerate() {
             let arena = tree.classify(p);
             prop_assert_eq!(arena, rules.classify(p), "tree vs ground truth at {}", p);

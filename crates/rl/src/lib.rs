@@ -15,19 +15,19 @@
 //! * [`Ppo`] — the clipped-surrogate actor-critic update with entropy
 //!   regularisation, clipped value loss, and KL-target early stopping
 //!   (the paper's PPO, Table 1 hyperparameters);
-//! * [`sampler`] — scoped-thread parallel rollout collection over
-//!   whole episodes, the "policy evaluation" workers of Figure 7 (the
-//!   lockstep *vectorised* collector with batched policy inference
-//!   lives with the environment, in `neurocuts::vecenv`).
+//! * [`QLearner`] — the Q-learning ablation the paper compares PPO
+//!   against.
+//!
+//! Rollouts are collected by the environment's own vectorised
+//! collector (`neurocuts::VecEnv`: lockstep envs, batched policy
+//! inference), the "policy evaluation" workers of Figure 7.
 
 #![warn(missing_docs)]
 
 pub mod ppo;
 pub mod qlearning;
 pub mod rollout;
-pub mod sampler;
 
 pub use ppo::{Ppo, PpoConfig, UpdateStats};
 pub use qlearning::{QConfig, QLearner, QStats};
 pub use rollout::{EpisodeSpan, RolloutBatch, Sample};
-pub use sampler::{collect_parallel, RolloutEnv};

@@ -31,13 +31,13 @@ pub struct Sample {
 }
 
 /// One episode's contiguous slice inside a [`RolloutBatch`] — which
-/// environment slot produced it and where its samples live. Spans are
-/// what let the learner treat a merged multi-env batch as per-env
-/// *trajectories* (for GAE) instead of an undifferentiated sample pool.
+/// environment slot produced it and where its samples live. Spans let
+/// the learner treat a multi-env batch as per-env *trajectories* (for
+/// GAE) instead of an undifferentiated sample pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EpisodeSpan {
-    /// Environment slot (vectorised collector) or worker id (legacy
-    /// sampler) that produced the episode.
+    /// Environment slot of the vectorised collector that produced the
+    /// episode.
     pub env: usize,
     /// Index of the episode's first sample in `samples`.
     pub start: usize,
@@ -138,22 +138,6 @@ impl RolloutBatch {
     pub fn normalized_advantages(&self) -> Vec<f32> {
         normalize(&self.gae(0.0, 0.0))
     }
-
-    /// Merge another batch into this one, pooling episode statistics
-    /// and re-anchoring the merged-in spans.
-    pub fn merge(&mut self, other: RolloutBatch) {
-        let total = self.episodes + other.episodes;
-        if total > 0 {
-            self.mean_episode_return = (self.mean_episode_return * self.episodes as f64
-                + other.mean_episode_return * other.episodes as f64)
-                / total as f64;
-        }
-        self.episodes = total;
-        let offset = self.samples.len();
-        self.spans
-            .extend(other.spans.iter().map(|s| EpisodeSpan { start: s.start + offset, ..*s }));
-        self.samples.extend(other.samples);
-    }
 }
 
 /// Normalise to zero mean, unit variance; degenerate inputs (len < 2 or
@@ -220,26 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_pools_episode_stats() {
-        let mut a = RolloutBatch {
-            samples: vec![sample(1.0, 0.0)],
-            episodes: 2,
-            mean_episode_return: 10.0,
-            ..Default::default()
-        };
-        let b = RolloutBatch {
-            samples: vec![sample(2.0, 0.0), sample(3.0, 0.0)],
-            episodes: 2,
-            mean_episode_return: 20.0,
-            ..Default::default()
-        };
-        a.merge(b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.episodes, 4);
-        assert!((a.mean_episode_return - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn push_episode_records_spans_and_pools_returns() {
         let mut batch = RolloutBatch::default();
         batch.push_episode(3, vec![sample(1.0, 0.0), sample(2.0, 0.0)], 10.0);
@@ -257,24 +221,6 @@ mod tests {
         batch.push_episode(0, Vec::new(), 0.0);
         assert_eq!(batch.episodes, 3);
         assert_eq!(batch.spans[2], EpisodeSpan { env: 0, start: 3, len: 0 });
-    }
-
-    #[test]
-    fn merge_reanchors_spans() {
-        let mut a = RolloutBatch::default();
-        a.push_episode(0, vec![sample(1.0, 0.0)], 1.0);
-        let mut b = RolloutBatch::default();
-        b.push_episode(1, vec![sample(2.0, 0.0), sample(3.0, 0.0)], 2.0);
-        a.merge(b);
-        assert_eq!(
-            a.spans,
-            vec![
-                EpisodeSpan { env: 0, start: 0, len: 1 },
-                EpisodeSpan { env: 1, start: 1, len: 2 },
-            ]
-        );
-        // Spans still index the right samples after the merge.
-        assert_eq!(a.samples[a.spans[1].start].reward, 2.0);
     }
 
     #[test]

@@ -58,6 +58,7 @@ mod tests {
             "a": 1,
             "b": json!([1.5, -2, true, Value::Null]),
             "c": json!({ "nested": "stri\"ng\n" }),
+            "d": "é日本🦀",
         });
         let text = to_string(&v).unwrap();
         let back: Value = from_str(&text).unwrap();
@@ -65,6 +66,7 @@ mod tests {
         assert_eq!(back["a"].as_u64(), Some(1));
         assert_eq!(back["b"][0].as_f64(), Some(1.5));
         assert_eq!(back["c"]["nested"].as_str(), Some("stri\"ng\n"));
+        assert_eq!(back["d"].as_str(), Some("é日本🦀"));
         assert!(back["missing"].is_null());
     }
 
@@ -87,6 +89,7 @@ mod tests {
         assert!(from_str::<Value>("[1, 2,,]").is_err());
         assert!(from_str::<Value>("{} trailing").is_err());
         assert!(from_str::<Value>("").is_err());
+        assert!(from_str::<Value>("\"raw\u{1}control\"").is_err());
     }
 
     #[test]

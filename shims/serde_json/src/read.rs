@@ -167,17 +167,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                 }
                 *pos += 1;
             }
+            Some(&b) if b < 0x20 => return Err(err(*pos, "control character in string")),
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so slicing
-                // at char boundaries is safe via the str API).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().unwrap();
-                if (c as u32) < 0x20 {
-                    return Err(err(*pos, "control character in string"));
+                // Copy the whole run of plain bytes up to the next quote,
+                // backslash or control byte at once. Those stops are all
+                // ASCII, so the run ends on a char boundary of the input.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20) {
+                    *pos += 1;
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err(start, "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }

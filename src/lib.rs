@@ -6,7 +6,7 @@
 //! * [`baselines`] — HiCuts / HyperCuts / HyperSplit / EffiCuts /
 //!   CutSplit;
 //! * [`nn`] — the dense policy network;
-//! * [`rl`] — PPO and parallel samplers;
+//! * [`rl`] — PPO, Q-learning and rollout buffers;
 //! * [`neurocuts`] — the RL environment and trainer (the paper's
 //!   contribution).
 
