@@ -12,7 +12,7 @@ use nc_lint::config::LintConfig;
 /// bump this — the diff is the review hook.
 const PINNED_ALLOWS: usize = 16;
 /// Pinned count of kernel-marked functions.
-const PINNED_KERNELS: usize = 13;
+const PINNED_KERNELS: usize = 14;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")

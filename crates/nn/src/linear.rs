@@ -78,6 +78,14 @@ impl Linear {
     /// return the input gradient. `x` must be the input the forward pass
     /// saw.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
+        self.accumulate_grad(x, dy);
+        dy.matmul_nn(&self.w)
+    }
+
+    /// The parameter half of [`Linear::backward`]: accumulate the
+    /// batch's weight and bias gradients without computing the input
+    /// gradient, for a first layer whose input needs none.
+    pub fn accumulate_grad(&mut self, x: &Matrix, dy: &Matrix) {
         assert_eq!(x.rows, dy.rows, "batch mismatch");
         assert_eq!(dy.cols, self.out_dim());
         dy.accumulate_tn(x, &mut self.gw);
@@ -86,7 +94,6 @@ impl Linear {
                 *g += d;
             }
         }
-        dy.matmul_nn(&self.w)
     }
 
     /// Reset accumulated gradients.

@@ -1,4 +1,28 @@
 //! Row-major `f32` matrices with the few kernels the model needs.
+//!
+//! # Bit-identity
+//!
+//! The three products — the forward [`Matrix::matmul_nt_into`], the
+//! input gradient [`Matrix::matmul_nn`] and the weight gradient
+//! [`Matrix::accumulate_tn`] — compute every output as the sum a naive
+//! loop computes: one product per step, rounded on its own (never a
+//! fused multiply-add), added in the order of the summed index. Their
+//! speed comes from register tiles that never reorder a sum. A tile
+//! holds a few rows × a few output columns of accumulators and is
+//! vectorised across the columns, so the lanes of a vector belong to
+//! different outputs and each lane adds exactly what the scalar loop
+//! adds. Results are therefore bit-identical at any vector width and on
+//! any CPU, which is what lets the batched forward, the PPO update and
+//! the golden decision streams pin exact bits.
+//!
+//! # Two compiled instances
+//!
+//! Each kernel's tiled body is generic over its tile width and compiled
+//! twice: for the build's baseline target (SSE2 on x86-64, 8-column
+//! tiles) and with AVX2 enabled (16-column tiles). Every call takes the
+//! AVX2 instance when `is_x86_feature_detected!("avx2")` reports it —
+//! a platform check, not a setting — and the baseline instance is the
+//! only one on other CPUs. Tests run both instances directly.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -72,9 +96,9 @@ impl Matrix {
 
     /// `x · wᵀ`: `[n, in] · [out, in]ᵀ -> [n, out]`.
     ///
-    /// The weight layout `[out, in]` keeps the inner loop over the
-    /// weight row contiguous in both the forward and input-gradient
-    /// kernels.
+    /// The weight layout `[out, in]` keeps each weight row contiguous,
+    /// and the same layout serves the input-gradient kernel
+    /// ([`Matrix::matmul_nn`]) without a transpose.
     pub fn matmul_nt(&self, w: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         self.matmul_nt_into(w, &mut out);
@@ -86,20 +110,16 @@ impl Matrix {
     /// steady-state batched inference allocation-free (the buffer only
     /// grows).
     ///
-    /// The loop is blocked two ways. Over input rows: each block of
-    /// rows (sized to stay L1-resident) is swept by every weight row
-    /// before the next block starts, so the weight matrix — the
-    /// dominant memory traffic; a `[512, 278]` layer is ~570 KB — is
-    /// streamed once per *block* instead of once per *row*. And over
-    /// **weight rows, eight at a time**: a lone `f32` dot product is a
-    /// single serial dependency chain (one add per FMA latency);
-    /// accumulating eight output columns side by side gives the core
-    /// eight independent chains to overlap, which is where most of the
-    /// kernel's throughput comes from. Neither blocking changes any
-    /// element's reduction: every output is still the same `k`-ordered
-    /// dot product, so results are **bit-identical** to the naive
-    /// row-at-a-time kernel for every batch size — the determinism
-    /// contract the vectorised collector's tests pin.
+    /// Each output is `0.0 + x[r][0]·w[j][0] + x[r][1]·w[j][1] + …` in
+    /// `k` order, bit-identical to the naive loop (see the module docs).
+    /// A tile holds 4 rows × 16 output columns (8 in the baseline
+    /// instance). Each `k` step broadcasts one input per row against a
+    /// panel of `wᵀ` packed into a fixed stack buffer, at most 256 `k`
+    /// at a time, so the panel stays in L1 while every row tile sweeps
+    /// it: a `[512, 315]` weight matrix (~645 KB) is read once per
+    /// *batch*, not once per row. A single row skips the tiles, since
+    /// packing would cost as much as its sums: its outputs are scalar
+    /// chains, eight in flight, adding the same terms in the same order.
     // nc-lint: kernel
     pub fn matmul_nt_into(&self, w: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, w.cols, "inner dimension mismatch");
@@ -109,104 +129,60 @@ impl Matrix {
         // a shape-stable steady state (the hot inference case) must not
         // pay a per-call memset.
         out.data.resize(self.rows * w.rows, 0.0);
-        // ~16 rows × 4 B × up to 512 columns stays within L1 alongside
-        // eight weight rows.
-        const ROW_BLOCK: usize = 16;
-        const J_BLOCK: usize = 8;
-        for r0 in (0..self.rows).step_by(ROW_BLOCK) {
-            let r1 = (r0 + ROW_BLOCK).min(self.rows);
-            let mut j0 = 0;
-            while j0 + J_BLOCK <= w.rows {
-                // Eight weight rows swept together: eight independent
-                // accumulator chains per input row. Input rows are
-                // additionally paired so each weight load feeds two
-                // rows' chains (16 chains in flight, half the loads
-                // per multiply-add).
-                let wr: [&[f32]; J_BLOCK] = std::array::from_fn(|i| w.row(j0 + i));
-                let mut r = r0;
-                while r + 2 <= r1 {
-                    let xa = self.row(r);
-                    let xb = self.row(r + 1);
-                    let mut acc_a = [0.0f32; J_BLOCK];
-                    let mut acc_b = [0.0f32; J_BLOCK];
-                    for (k, (&xav, &xbv)) in xa.iter().zip(xb).enumerate() {
-                        for i in 0..J_BLOCK {
-                            let wv = wr[i][k];
-                            acc_a[i] += xav * wv;
-                            acc_b[i] += xbv * wv;
-                        }
-                    }
-                    out.data[r * w.rows + j0..r * w.rows + j0 + J_BLOCK].copy_from_slice(&acc_a);
-                    out.data[(r + 1) * w.rows + j0..(r + 1) * w.rows + j0 + J_BLOCK]
-                        .copy_from_slice(&acc_b);
-                    r += 2;
-                }
-                if r < r1 {
-                    let x = self.row(r);
-                    let mut acc = [0.0f32; J_BLOCK];
-                    for (k, &xv) in x.iter().enumerate() {
-                        for (a, wrj) in acc.iter_mut().zip(&wr) {
-                            *a += xv * wrj[k];
-                        }
-                    }
-                    out.data[r * w.rows + j0..r * w.rows + j0 + J_BLOCK].copy_from_slice(&acc);
-                }
-                j0 += J_BLOCK;
-            }
-            // Remainder columns, one chain each.
-            for j in j0..w.rows {
-                let wr = w.row(j);
-                for r in r0..r1 {
-                    let x = self.row(r);
-                    let mut acc = 0.0f32;
-                    for k in 0..x.len() {
-                        acc += x[k] * wr[k];
-                    }
-                    out.data[r * w.rows + j] = acc;
-                }
-            }
+        if self.rows == 1 {
+            return matmul_nt_row(&self.data, w, &mut out.data);
         }
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the only feature the
+            // instance is compiled for.
+            return unsafe { avx2::matmul_nt(self, w, &mut out.data) };
+        }
+        baseline::matmul_nt(self, w, &mut out.data);
     }
 
     /// `dy · w`: `[n, out] · [out, in] -> [n, in]` (input gradient).
+    ///
+    /// Each output is `0.0 + dy[r][0]·w[0][k] + dy[r][1]·w[1][k] + …` in
+    /// `j` order, skipping every factor `dy[r][j]` equal to zero (`-0.0`
+    /// included), bit-identical to the naive loop (see the module docs).
+    /// A tile holds 4 rows × 16 columns (8 in the baseline instance),
+    /// and a tile with no zero factor runs without the skip test.
     pub fn matmul_nn(&self, w: &Matrix) -> Matrix {
         assert_eq!(self.cols, w.rows, "inner dimension mismatch");
         let mut out = Matrix::zeros(self.rows, w.cols);
-        for r in 0..self.rows {
-            let dy = self.row(r);
-            let o = out.row_mut(r);
-            for (j, &d) in dy.iter().enumerate() {
-                if d == 0.0 {
-                    continue;
-                }
-                let wr = w.row(j);
-                for k in 0..o.len() {
-                    o[k] += d * wr[k];
-                }
-            }
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the only feature the
+            // instance is compiled for.
+            unsafe { avx2::matmul_nn(self, w, &mut out.data) };
+            return out;
         }
+        baseline::matmul_nn(self, w, &mut out.data);
         out
     }
 
     /// `dyᵀ · x` accumulated into `acc`: `[n, out]ᵀ · [n, in] -> [out,
     /// in]` (weight gradient).
+    ///
+    /// `acc[j][k]` gains `dy[0][j]·x[0][k]`, then `dy[1][j]·x[1][k]`, …
+    /// in row order, skipping every factor `dy[r][j]` equal to zero
+    /// (`-0.0` included), bit-identical to the naive loop (see the
+    /// module docs). A tile of 4 accumulator rows × 16 columns (8 in the
+    /// baseline instance) is loaded once, swept over the whole batch and
+    /// stored once. Allocation-free.
+    // nc-lint: kernel
     pub fn accumulate_tn(&self, x: &Matrix, acc: &mut Matrix) {
         assert_eq!(self.rows, x.rows, "batch mismatch");
         assert_eq!(acc.rows, self.cols);
         assert_eq!(acc.cols, x.cols);
-        for r in 0..self.rows {
-            let dy = self.row(r);
-            let xr = x.row(r);
-            for (j, &d) in dy.iter().enumerate() {
-                if d == 0.0 {
-                    continue;
-                }
-                let a = acc.row_mut(j);
-                for k in 0..xr.len() {
-                    a[k] += d * xr[k];
-                }
-            }
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the only feature the
+            // instance is compiled for.
+            return unsafe { avx2::accumulate_tn(self, x, &mut acc.data) };
         }
+        baseline::accumulate_tn(self, x, &mut acc.data);
     }
 
     /// Element-wise `tanh`.
@@ -292,11 +268,512 @@ impl Matrix {
     }
 }
 
+/// Rows (forward and input gradient) or accumulator rows (weight
+/// gradient) per register tile.
+const MR: usize = 4;
+/// Columns per register tile in the baseline instance: two 4-lane SSE2
+/// vectors per row, so a tile's eight accumulators and its operands fit
+/// the sixteen vector registers (sixteen columns would spill).
+const NR_BASELINE: usize = 8;
+/// Columns per register tile in the AVX2 instance: two 8-lane vectors
+/// per row.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+const NR_AVX2: usize = 16;
+/// Inner-dimension steps per packed forward panel: `KC × NR` floats
+/// (16 KB at `NR = 16`) stay in L1 while every row tile sweeps them.
+const KC: usize = 256;
+
+/// The kernels compiled for the build's baseline target — the only
+/// instance that runs on a CPU without AVX2.
+mod baseline {
+    use super::{Matrix, NR_BASELINE};
+
+    pub(super) fn matmul_nt(x: &Matrix, w: &Matrix, out: &mut [f32]) {
+        super::matmul_nt_tiles::<NR_BASELINE>(x, w, out);
+    }
+
+    pub(super) fn matmul_nn(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
+        super::matmul_nn_tiles::<NR_BASELINE>(dy, w, out);
+    }
+
+    pub(super) fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
+        super::accumulate_tn_tiles::<NR_BASELINE>(dy, x, acc);
+    }
+}
+
+/// The same kernels compiled with AVX2 enabled: 8-lane vectors, and no
+/// FMA, which would fuse each product into its sum and change bits.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod avx2 {
+    use super::{Matrix, NR_AVX2};
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn matmul_nt(x: &Matrix, w: &Matrix, out: &mut [f32]) {
+        super::matmul_nt_tiles::<NR_AVX2>(x, w, out);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn matmul_nn(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
+        super::matmul_nn_tiles::<NR_AVX2>(dy, w, out);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
+        super::accumulate_tn_tiles::<NR_AVX2>(dy, x, acc);
+    }
+}
+
+/// `out = x · wᵀ` for a single row `x`, without tiles: packing a panel
+/// of `wᵀ` would cost as much as the row's sums, so each output is its
+/// own scalar chain, eight in flight.
+fn matmul_nt_row(x: &[f32], w: &Matrix, out: &mut [f32]) {
+    for (j0, ob) in (0..).step_by(8).zip(out.chunks_mut(8)) {
+        // Chains past the last output repeat its weight row; their sums
+        // are never stored.
+        let wr: [&[f32]; 8] = std::array::from_fn(|c| &w.row(j0 + c.min(ob.len() - 1))[..x.len()]);
+        let mut acc = [0.0f32; 8];
+        for (k, &xv) in x.iter().enumerate() {
+            for (a, wr) in acc.iter_mut().zip(&wr) {
+                *a += xv * wr[k];
+            }
+        }
+        ob.copy_from_slice(&acc[..ob.len()]);
+    }
+}
+
+/// `out = x · wᵀ`, one `NR`-column panel of `wᵀ` at a time. `out`
+/// holds `x.rows × w.rows` values.
+#[inline(always)]
+fn matmul_nt_tiles<const NR: usize>(x: &Matrix, w: &Matrix, out: &mut [f32]) {
+    if x.cols == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut panel = [[0.0f32; NR]; KC];
+    for j0 in (0..w.rows).step_by(NR) {
+        let cols = NR.min(w.rows - j0);
+        for k0 in (0..x.cols).step_by(KC) {
+            let panel = &mut panel[..KC.min(x.cols - k0)];
+            // panel[k][c] = w[j0 + c][k0 + k]. Columns past the matrix
+            // hold zeros, and their sums are never stored.
+            for c in 0..NR {
+                if c < cols {
+                    let wr = &w.row(j0 + c)[k0..k0 + panel.len()];
+                    for (p, &v) in panel.iter_mut().zip(wr) {
+                        p[c] = v;
+                    }
+                } else {
+                    panel.iter_mut().for_each(|p| p[c] = 0.0);
+                }
+            }
+            let mut r = 0;
+            while r + MR <= x.rows {
+                nt_tile::<MR, NR>(x, r, k0, panel, j0, cols, out);
+                r += MR;
+            }
+            for r in r..x.rows {
+                nt_tile::<1, NR>(x, r, k0, panel, j0, cols, out);
+            }
+        }
+    }
+}
+
+/// Rows `r..r + R`, columns `j0..j0 + cols` of `x · wᵀ`, over the
+/// panel's slice `k0..k0 + panel.len()` of the inner dimension. The
+/// sums start from zero in the first slice and resume from `out` in
+/// later ones.
+#[inline(always)]
+fn nt_tile<const R: usize, const NR: usize>(
+    x: &Matrix,
+    r: usize,
+    k0: usize,
+    panel: &[[f32; NR]],
+    j0: usize,
+    cols: usize,
+    out: &mut [f32],
+) {
+    let stride = out.len() / x.rows;
+    let xr: [&[f32]; R] = std::array::from_fn(|i| &x.row(r + i)[k0..k0 + panel.len()]);
+    let mut acc = [[0.0f32; NR]; R];
+    if k0 > 0 {
+        for (i, a) in acc.iter_mut().enumerate() {
+            a[..cols].copy_from_slice(&out[(r + i) * stride + j0..][..cols]);
+        }
+    }
+    for (k, p) in panel.iter().enumerate() {
+        for (a, xr) in acc.iter_mut().zip(&xr) {
+            let xv = xr[k];
+            for (a, &pv) in a.iter_mut().zip(p) {
+                *a += xv * pv;
+            }
+        }
+    }
+    for (i, a) in acc.iter().enumerate() {
+        out[(r + i) * stride + j0..][..cols].copy_from_slice(&a[..cols]);
+    }
+}
+
+/// `out = dy · w`, one tile of rows at a time. `out` holds
+/// `dy.rows × w.cols` values.
+#[inline(always)]
+fn matmul_nn_tiles<const NR: usize>(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
+    let mut r = 0;
+    while r + MR <= dy.rows {
+        nn_rows::<MR, NR>(dy, w, r, out);
+        r += MR;
+    }
+    for r in r..dy.rows {
+        nn_rows::<1, NR>(dy, w, r, out);
+    }
+}
+
+/// Rows `r..r + R` of `dy · w`, one `NR`-column strip at a time.
+#[inline(always)]
+fn nn_rows<const R: usize, const NR: usize>(dy: &Matrix, w: &Matrix, r: usize, out: &mut [f32]) {
+    let dense = dy.data[r * dy.cols..(r + R) * dy.cols].iter().all(|&d| d != 0.0);
+    for k0 in (0..w.cols).step_by(NR) {
+        // One call per case the compiler should specialise: the full
+        // strip's constant width unrolls and vectorises the column
+        // loops, and a tile without zero factors drops the skip test.
+        match (w.cols - k0 >= NR, dense) {
+            (true, true) => nn_tile::<R, NR>(dy, w, r, k0, NR, false, out),
+            (true, false) => nn_tile::<R, NR>(dy, w, r, k0, NR, true, out),
+            (false, _) => nn_tile::<R, NR>(dy, w, r, k0, w.cols - k0, true, out),
+        }
+    }
+}
+
+/// Rows `r..r + R`, columns `k0..k0 + cols` of `dy · w`. `skip_zeros`
+/// may be clear only when no factor `dy[r + i][j]` is zero.
+#[inline(always)]
+fn nn_tile<const R: usize, const NR: usize>(
+    dy: &Matrix,
+    w: &Matrix,
+    r: usize,
+    k0: usize,
+    cols: usize,
+    skip_zeros: bool,
+    out: &mut [f32],
+) {
+    let dyr: [&[f32]; R] = std::array::from_fn(|i| dy.row(r + i));
+    let mut acc = [[0.0f32; NR]; R];
+    for j in 0..w.rows {
+        // A narrow last strip is zero-padded to the tile width, so
+        // every strip runs the same vector loop.
+        let mut wv = [0.0f32; NR];
+        wv[..cols].copy_from_slice(&w.row(j)[k0..k0 + cols]);
+        for (a, dyr) in acc.iter_mut().zip(&dyr) {
+            let d = dyr[j];
+            if !skip_zeros || d != 0.0 {
+                for (a, &wv) in a.iter_mut().zip(&wv) {
+                    *a += d * wv;
+                }
+            }
+        }
+    }
+    for (i, a) in acc.iter().enumerate() {
+        out[(r + i) * w.cols + k0..][..cols].copy_from_slice(&a[..cols]);
+    }
+}
+
+/// `acc += dyᵀ · x`, one tile of accumulator rows at a time. `acc`
+/// holds `dy.cols × x.cols` values.
+#[inline(always)]
+fn accumulate_tn_tiles<const NR: usize>(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
+    let mut j = 0;
+    while j + MR <= dy.cols {
+        tn_rows::<MR, NR>(dy, x, j, acc);
+        j += MR;
+    }
+    for j in j..dy.cols {
+        tn_rows::<1, NR>(dy, x, j, acc);
+    }
+}
+
+/// Accumulator rows `j0..j0 + R` of `acc += dyᵀ · x`, one `NR`-column
+/// strip at a time.
+#[inline(always)]
+fn tn_rows<const R: usize, const NR: usize>(dy: &Matrix, x: &Matrix, j0: usize, acc: &mut [f32]) {
+    let dense = dy.data.chunks_exact(dy.cols).all(|d| d[j0..j0 + R].iter().all(|&d| d != 0.0));
+    for k0 in (0..x.cols).step_by(NR) {
+        // Specialised as in `nn_rows`.
+        match (x.cols - k0 >= NR, dense) {
+            (true, true) => tn_tile::<R, NR>(dy, x, j0, k0, NR, false, acc),
+            (true, false) => tn_tile::<R, NR>(dy, x, j0, k0, NR, true, acc),
+            (false, _) => tn_tile::<R, NR>(dy, x, j0, k0, x.cols - k0, true, acc),
+        }
+    }
+}
+
+/// Accumulator rows `j0..j0 + R`, columns `k0..k0 + cols` of
+/// `acc += dyᵀ · x`. `skip_zeros` may be clear only when no factor
+/// `dy[r][j0 + i]` is zero.
+#[inline(always)]
+fn tn_tile<const R: usize, const NR: usize>(
+    dy: &Matrix,
+    x: &Matrix,
+    j0: usize,
+    k0: usize,
+    cols: usize,
+    skip_zeros: bool,
+    acc: &mut [f32],
+) {
+    let mut a = [[0.0f32; NR]; R];
+    for (i, a) in a.iter_mut().enumerate() {
+        a[..cols].copy_from_slice(&acc[(j0 + i) * x.cols + k0..][..cols]);
+    }
+    for r in 0..dy.rows {
+        // Zero-padded like `nn_tile`'s strip.
+        let mut xv = [0.0f32; NR];
+        xv[..cols].copy_from_slice(&x.row(r)[k0..k0 + cols]);
+        for (a, &d) in a.iter_mut().zip(&dy.row(r)[j0..j0 + R]) {
+            if !skip_zeros || d != 0.0 {
+                for (a, &xv) in a.iter_mut().zip(&xv) {
+                    *a += d * xv;
+                }
+            }
+        }
+    }
+    for (i, a) in a.iter().enumerate() {
+        acc[(j0 + i) * x.cols + k0..][..cols].copy_from_slice(&a[..cols]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The kernels as they were before the register tiles, kept as the
+    /// references the tiled instances must match bit for bit.
+    mod reference {
+        use super::Matrix;
+
+        pub fn matmul_nt(x: &Matrix, w: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(x.rows, w.rows);
+            const ROW_BLOCK: usize = 16;
+            const J_BLOCK: usize = 8;
+            for r0 in (0..x.rows).step_by(ROW_BLOCK) {
+                let r1 = (r0 + ROW_BLOCK).min(x.rows);
+                let mut j0 = 0;
+                while j0 + J_BLOCK <= w.rows {
+                    let wr: [&[f32]; J_BLOCK] = std::array::from_fn(|i| w.row(j0 + i));
+                    let mut r = r0;
+                    while r + 2 <= r1 {
+                        let xa = x.row(r);
+                        let xb = x.row(r + 1);
+                        let mut acc_a = [0.0f32; J_BLOCK];
+                        let mut acc_b = [0.0f32; J_BLOCK];
+                        for (k, (&xav, &xbv)) in xa.iter().zip(xb).enumerate() {
+                            for i in 0..J_BLOCK {
+                                let wv = wr[i][k];
+                                acc_a[i] += xav * wv;
+                                acc_b[i] += xbv * wv;
+                            }
+                        }
+                        out.data[r * w.rows + j0..r * w.rows + j0 + J_BLOCK]
+                            .copy_from_slice(&acc_a);
+                        out.data[(r + 1) * w.rows + j0..(r + 1) * w.rows + j0 + J_BLOCK]
+                            .copy_from_slice(&acc_b);
+                        r += 2;
+                    }
+                    if r < r1 {
+                        let xr = x.row(r);
+                        let mut acc = [0.0f32; J_BLOCK];
+                        for (k, &xv) in xr.iter().enumerate() {
+                            for (a, wrj) in acc.iter_mut().zip(&wr) {
+                                *a += xv * wrj[k];
+                            }
+                        }
+                        out.data[r * w.rows + j0..r * w.rows + j0 + J_BLOCK].copy_from_slice(&acc);
+                    }
+                    j0 += J_BLOCK;
+                }
+                for j in j0..w.rows {
+                    let wr = w.row(j);
+                    for r in r0..r1 {
+                        let xr = x.row(r);
+                        let mut acc = 0.0f32;
+                        for k in 0..xr.len() {
+                            acc += xr[k] * wr[k];
+                        }
+                        out.data[r * w.rows + j] = acc;
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn matmul_nn(dy: &Matrix, w: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(dy.rows, w.cols);
+            for r in 0..dy.rows {
+                let d = dy.row(r);
+                let o = out.row_mut(r);
+                for (j, &d) in d.iter().enumerate() {
+                    if d == 0.0 {
+                        continue;
+                    }
+                    let wr = w.row(j);
+                    for k in 0..o.len() {
+                        o[k] += d * wr[k];
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut Matrix) {
+            for r in 0..dy.rows {
+                let d = dy.row(r);
+                let xr = x.row(r);
+                for (j, &d) in d.iter().enumerate() {
+                    if d == 0.0 {
+                        continue;
+                    }
+                    let a = acc.row_mut(j);
+                    for k in 0..xr.len() {
+                        a[k] += d * xr[k];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Xavier values with exact `0.0` and `-0.0` at every seventh and
+    /// every eleventh element.
+    fn with_zeros(rows: usize, cols: usize, rng: &mut ChaCha8Rng) -> Matrix {
+        let mut m = Matrix::xavier(rows, cols, 1.0, rng);
+        for (i, v) in m.data.iter_mut().enumerate() {
+            if i % 7 == 3 {
+                *v = 0.0;
+            } else if i % 11 == 5 {
+                *v = -0.0;
+            }
+        }
+        m
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// One compiled instance of the three kernels.
+    struct Instance {
+        name: &'static str,
+        matmul_nt: unsafe fn(&Matrix, &Matrix, &mut [f32]),
+        matmul_nn: unsafe fn(&Matrix, &Matrix, &mut [f32]),
+        accumulate_tn: unsafe fn(&Matrix, &Matrix, &mut [f32]),
+    }
+
+    /// The baseline instance, and the AVX2 one when this CPU has it.
+    fn instances() -> Vec<Instance> {
+        let mut all = vec![Instance {
+            name: "baseline",
+            matmul_nt: baseline::matmul_nt,
+            matmul_nn: baseline::matmul_nn,
+            accumulate_tn: baseline::accumulate_tn,
+        }];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") {
+            all.push(Instance {
+                name: "avx2",
+                matmul_nt: avx2::matmul_nt,
+                matmul_nn: avx2::matmul_nn,
+                accumulate_tn: avx2::accumulate_tn,
+            });
+        }
+        all
+    }
+
+    /// Every `(batch, inner, outputs)` shape the bit-identity tests run:
+    /// batch 1/3/16/17/256 × inner width 7/64/315/512 × outputs
+    /// 1/5/14/64/512. An unoptimised build skips shapes over 2^20
+    /// multiply-adds, which would take minutes there; each batch still
+    /// meets every width and every output count.
+    fn shapes() -> Vec<(usize, usize, usize)> {
+        let mut all = Vec::new();
+        for n in [1, 3, 16, 17, 256] {
+            for k in [7, 64, 315, 512] {
+                for m in [1, 5, 14, 64, 512] {
+                    if !cfg!(debug_assertions) || n * k * m <= 1 << 20 {
+                        all.push((n, k, m));
+                    }
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn tiled_matmul_nt_is_bit_identical_to_the_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        for (n, k, m) in shapes() {
+            let x = with_zeros(n, k, &mut rng);
+            let w = Matrix::xavier(m, k, 1.0, &mut rng);
+            let want = bits(&reference::matmul_nt(&x, &w).data);
+            let shape = format!("n {n}, in {k}, out {m}");
+            assert_eq!(bits(&x.matmul_nt(&w).data), want, "matmul_nt: {shape}");
+            for inst in instances() {
+                // Stale contents must be overwritten.
+                let mut out = vec![f32::NAN; n * m];
+                // SAFETY: `instances` lists the AVX2 instance only when
+                // this CPU supports AVX2.
+                unsafe { (inst.matmul_nt)(&x, &w, &mut out) };
+                assert_eq!(bits(&out), want, "{} matmul_nt: {shape}", inst.name);
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_matmul_nn_is_bit_identical_to_the_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        for (n, k, m) in shapes() {
+            let dy = with_zeros(n, m, &mut rng);
+            let mut w = Matrix::xavier(m, k, 1.0, &mut rng);
+            // A zero factor must skip this weight, not turn it into NaN.
+            w.data[m / 2 * k + k / 2] = f32::INFINITY;
+            let want = bits(&reference::matmul_nn(&dy, &w).data);
+            let shape = format!("n {n}, in {k}, out {m}");
+            assert_eq!(bits(&dy.matmul_nn(&w).data), want, "matmul_nn: {shape}");
+            for inst in instances() {
+                let mut out = vec![0.0; n * k];
+                // SAFETY: as in the forward test.
+                unsafe { (inst.matmul_nn)(&dy, &w, &mut out) };
+                assert_eq!(bits(&out), want, "{} matmul_nn: {shape}", inst.name);
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_accumulate_tn_is_bit_identical_to_the_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        for (n, k, m) in shapes() {
+            let dy = with_zeros(n, m, &mut rng);
+            let x = with_zeros(n, k, &mut rng);
+            // A non-zero accumulator, `-0.0` entries included, gains the
+            // batch twice.
+            let acc0 = with_zeros(m, k, &mut rng);
+            let mut want = acc0.clone();
+            reference::accumulate_tn(&dy, &x, &mut want);
+            reference::accumulate_tn(&dy, &x, &mut want);
+            let want = bits(&want.data);
+            let shape = format!("n {n}, in {k}, out {m}");
+            let mut acc = acc0.clone();
+            dy.accumulate_tn(&x, &mut acc);
+            dy.accumulate_tn(&x, &mut acc);
+            assert_eq!(bits(&acc.data), want, "accumulate_tn: {shape}");
+            for inst in instances() {
+                let mut acc = acc0.data.clone();
+                // SAFETY: as in the forward test.
+                unsafe {
+                    (inst.accumulate_tn)(&dy, &x, &mut acc);
+                    (inst.accumulate_tn)(&dy, &x, &mut acc);
+                }
+                assert_eq!(bits(&acc), want, "{} accumulate_tn: {shape}", inst.name);
+            }
+        }
+    }
 
     #[test]
     fn matmul_nt_small() {

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Network topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetConfig {
-    /// Observation width (278 for the NeuroCuts encoding).
+    /// Observation width (315 for the NeuroCuts encoding).
     pub obs_dim: usize,
     /// First categorical head width (number of dimensions, 5).
     pub dim_actions: usize,
@@ -178,7 +178,7 @@ impl PolicyValueNet {
         let dh2_pre = Matrix::tanh_backward(&dh2, &cache.h2);
         let dh1 = self.l2.backward(&cache.h1, &dh2_pre);
         let dh1_pre = Matrix::tanh_backward(&dh1, &cache.h1);
-        let _ = self.l1.backward(&cache.x, &dh1_pre);
+        self.l1.accumulate_grad(&cache.x, &dh1_pre);
     }
 
     fn layers_mut(&mut self) -> [&mut Linear; 5] {
