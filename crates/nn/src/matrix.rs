@@ -302,7 +302,9 @@ mod baseline {
 }
 
 /// The same kernels compiled with AVX2 enabled: 8-lane vectors, and no
-/// FMA, which would fuse each product into its sum and change bits.
+/// FMA, which would fuse each product into its sum and change bits. The
+/// tiled bodies are `#[inline(always)]`, so each compiles inside the
+/// instance that calls it, with that instance's target features.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
     use super::{Matrix, NR_AVX2};
@@ -689,8 +691,8 @@ mod tests {
     /// Every `(batch, inner, outputs)` shape the bit-identity tests run:
     /// batch 1/3/16/17/256 × inner width 7/64/315/512 × outputs
     /// 1/5/14/64/512. An unoptimised build skips shapes over 2^20
-    /// multiply-adds, which would take minutes there; each batch still
-    /// meets every width and every output count.
+    /// multiply-adds, which would take most of a minute there; each
+    /// batch still meets every width and every output count.
     fn shapes() -> Vec<(usize, usize, usize)> {
         let mut all = Vec::new();
         for n in [1, 3, 16, 17, 256] {
