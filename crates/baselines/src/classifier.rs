@@ -48,8 +48,9 @@ pub struct ClassifierStats {
 }
 
 impl ClassifierStats {
-    /// Worst-case lookup depth (`T_root`, ≥ 1 for any non-empty tree).
-    pub fn depth(&self) -> usize {
+    /// Worst-case classification time in memory accesses (the paper's
+    /// `T_root`, ≥ 1 for any non-empty tree).
+    pub fn time(&self) -> usize {
         self.tree.time
     }
 }
@@ -329,7 +330,7 @@ mod tests {
         let rs = rules();
         let c = HiCutsClassifier::build(&rs);
         let s = c.stats();
-        assert!(s.depth() >= 1);
+        assert!(s.time() >= 1);
         assert!(s.tree.bytes > 0);
         assert!(s.tree.nodes >= 1);
         assert!(s.tree.bytes_per_rule.is_finite() && s.tree.bytes_per_rule > 0.0);

@@ -1,17 +1,16 @@
 //! `bench_build` — machine-readable tree-construction benchmark.
 //!
-//! PR 2's `bench_classify` tracks the serving path and `bench_train`
-//! the whole actor-learner pipeline; this emitter isolates the **build
-//! path** the arena-backed rule store optimises: episode construction
-//! (the per-decision tree mutation work that dominates training time)
-//! and the hand-tuned baseline builders, all on the same rules.
+//! `bench_train` tracks the whole actor-learner pipeline; this emitter
+//! isolates the **build path** the arena-backed rule store optimises:
+//! episode construction (the per-decision tree mutation work that
+//! dominates training time) and the hand-tuned baseline builders, all
+//! on the same rules.
 //!
 //! 1. **Episode construction throughput** for NeuroCuts under a frozen
 //!    random policy at the two model widths that bracket the regimes:
-//!    `[64, 64]` (env-side tree work dominates — the number this PR
-//!    moves) and `[512, 512]` (the paper's production width, where the
-//!    batched policy forward shares the bill). Reported as
-//!    env-steps/sec *and* episodes/sec.
+//!    `[64, 64]` (env-side tree work dominates) and `[512, 512]` (the
+//!    paper's production width, where the batched policy forward
+//!    shares the bill). Reported as env-steps/sec *and* episodes/sec.
 //! 2. **Baseline build times** for HiCuts, HyperCuts, EffiCuts, and
 //!    CutSplit — the same single-pass assignment kernels drive their
 //!    `simulate_*` probes and expansions.
@@ -20,75 +19,52 @@
 //!    against the rule set's linear scan; any mismatch exits non-zero,
 //!    so the numbers can never outlive correctness.
 //!
-//! Scale is controlled by environment variables:
+//! The scale is fixed (ACL-300 rules, 4000 env-steps per measurement,
+//! 8 lockstep envs, 4096 verification packets, best of 3) so every run
+//! compares with the committed baseline; `NC_BENCH_OUT` sets the
+//! output path (default `BENCH_build.json`).
 //!
-//! | variable | meaning | default |
-//! |---|---|---|
-//! | `NC_BENCH_SIZE` | rules in the classifier | 300 |
-//! | `NC_BENCH_SAMPLES` | env-steps per collection measurement | 4000 |
-//! | `NC_BENCH_ENVS` | lockstep environments in the collector | 8 |
-//! | `NC_BENCH_TRACE` | packets for ground-truth verification | 4096 |
-//! | `NC_BENCH_REPS` | best-of reps per measurement | 3 |
-//! | `NC_BENCH_OUT` | output path | `BENCH_build.json` |
-//!
-//! CI runs this at the committed default scale and gates the fresh
-//! `steps_per_sec` against the committed `BENCH_build.json` with
-//! `bench_gate` (>20% regression fails the job).
+//! CI gates the fresh `steps_per_sec` and `episodes_per_sec` against
+//! the committed `BENCH_build.json` with `bench_gate`.
 
-use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
+use classbench::{
+    generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, Packet, RuleSet, TraceConfig,
+};
 use dtree::{DecisionTree, TreeStats};
+use nc_bench::emit::{best_of, Report};
 use neurocuts::{NeuroCutsConfig, NeuroCutsEnv, VecEnv};
 use nn::{NetConfig, PolicyValueNet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
+use serde_json::json;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// One measured NeuroCuts episode-construction row.
-struct BuildRow {
-    hidden: usize,
-    envs: usize,
-    env_steps: usize,
-    episodes: usize,
-    secs: f64,
-    steps_per_sec: f64,
-    episodes_per_sec: f64,
-}
-
-/// One measured baseline-builder row.
-struct BaselineRow {
-    algo: &'static str,
-    secs: f64,
-    builds_per_sec: f64,
-    nodes: usize,
-    max_depth: usize,
-}
+const SIZE: usize = 300;
+const SAMPLES: usize = 4000;
+const ENVS: usize = 8;
+const TRACE: usize = 4096;
+const REPS: usize = 3;
 
 /// Verify a tree against the rule set's linear scan over `trace`;
 /// returns the number of mismatching packets.
-fn verify(tree: &DecisionTree, rules: &classbench::RuleSet, trace: &[classbench::Packet]) -> usize {
+fn verify(tree: &DecisionTree, rules: &RuleSet, trace: &[Packet]) -> usize {
     trace.iter().filter(|p| tree.classify(p) != rules.classify(p)).count()
 }
 
 fn main() {
-    let size = env_usize("NC_BENCH_SIZE", 300);
-    let samples = env_usize("NC_BENCH_SAMPLES", 4000);
-    let num_envs = env_usize("NC_BENCH_ENVS", 8).max(1);
-    let trace_len = env_usize("NC_BENCH_TRACE", 4096);
-    let reps = env_usize("NC_BENCH_REPS", 3).max(1);
-    let out_path = std::env::var("NC_BENCH_OUT").unwrap_or_else(|_| "BENCH_build.json".to_string());
-
-    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, size).with_seed(1));
-    let trace = generate_trace(&rules, &TraceConfig::new(trace_len).with_seed(2));
+    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, SIZE).with_seed(1));
+    let trace = generate_trace(&rules, &TraceConfig::new(TRACE).with_seed(2));
     eprintln!(
-        "bench_build: acl/{size} rules, {samples} steps/measurement, {num_envs} envs, \
-         {} verification packets, best of {reps}",
+        "bench_build: acl/{SIZE} rules, {SAMPLES} steps/measurement, {ENVS} envs, {} \
+         verification packets, best of {REPS}",
         trace.len()
     );
-
+    let mut report = Report::new(
+        "build",
+        json!({
+            "family": "acl", "size": SIZE, "samples": SAMPLES, "envs": ENVS,
+            "trace": trace.len(), "reps": REPS, "rule_seed": 1, "trace_seed": 2,
+        }),
+    );
     let mut mismatches = 0usize;
 
     // Episode-construction throughput at both model widths. The policy
@@ -96,7 +72,7 @@ fn main() {
     // env side plus one batched forward per lockstep round — exactly
     // what one training iteration's collection phase does.
     let cfg = NeuroCutsConfig::small(10_000);
-    let mut rows: Vec<BuildRow> = Vec::new();
+    let mut rows = Vec::new();
     for hidden in [64usize, 512] {
         let env = NeuroCutsEnv::new(rules.clone(), cfg.clone());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -109,130 +85,55 @@ fn main() {
             },
             &mut rng,
         );
-        let mut best: Option<(usize, usize, f64)> = None;
-        for _ in 0..reps {
-            env.reset_best();
-            let start = Instant::now();
-            let batch = VecEnv::new(env.clone(), num_envs, 10).collect(&net, samples, 1);
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            if best.is_none_or(|(s, _, t)| batch.len() as f64 / secs > s as f64 / t) {
-                best = Some((batch.len(), batch.episodes, secs));
-            }
-        }
-        let (env_steps, episodes, secs) = best.expect("at least one rep");
+        let ((steps, episodes), secs) = best_of(
+            REPS,
+            || {
+                env.reset_best();
+                let batch = VecEnv::new(env.clone(), ENVS, 10).collect(&net, SAMPLES, 1);
+                (batch.len(), batch.episodes)
+            },
+            |&(steps, _)| steps,
+        );
         // Ground-truth the trees this policy actually builds: the best
-        // completed episode of the measured collection.
+        // completed episode of the last collection.
         let best_tree = env.best().expect("collection completed at least one episode");
         mismatches += verify(&best_tree.tree, &rules, &trace);
-        rows.push(BuildRow {
-            hidden,
-            envs: num_envs,
-            env_steps,
-            episodes,
-            secs,
-            steps_per_sec: env_steps as f64 / secs,
-            episodes_per_sec: episodes as f64 / secs,
-        });
-    }
-    for r in &rows {
+        let (sps, eps) = (steps as f64 / secs, episodes as f64 / secs);
         eprintln!(
-            "neurocuts [{:>3},{:>3}]  envs {:>2}  {:>7} steps / {:>5} episodes in {:>6.2}s  \
-             {:>9.0} steps/s  {:>7.1} episodes/s",
-            r.hidden,
-            r.hidden,
-            r.envs,
-            r.env_steps,
-            r.episodes,
-            r.secs,
-            r.steps_per_sec,
-            r.episodes_per_sec
+            "neurocuts [{hidden:>3},{hidden:>3}]  envs {ENVS:>2}  {steps:>7} steps / \
+             {episodes:>5} episodes in {secs:>6.2}s  {sps:>9.0} steps/s  {eps:>7.1} episodes/s"
         );
+        rows.push(json!({
+            "hidden": hidden, "envs": ENVS, "env_steps": steps, "episodes": episodes,
+            "secs": secs, "steps_per_sec": sps, "episodes_per_sec": eps,
+        }));
     }
+    report.set("neurocuts", rows);
 
-    // Baseline builders, best-of-reps, each verified.
-    let mut base_rows: Vec<BaselineRow> = Vec::new();
+    // Baseline builders, best of REPS, each verified.
+    let mut rows = Vec::new();
     for algo in ["HiCuts", "HyperCuts", "EffiCuts", "CutSplit"] {
-        let mut best_secs = f64::INFINITY;
-        let mut tree = None;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let t = nc_bench::build_baseline(algo, &rules);
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            if secs < best_secs {
-                best_secs = secs;
-            }
-            tree = Some(t);
-        }
-        let tree = tree.expect("at least one build");
+        let (tree, secs) = best_of(REPS, || nc_bench::build_baseline(algo, &rules), |_| 1);
         mismatches += verify(&tree, &rules, &trace);
         let stats = TreeStats::compute(&tree);
         eprintln!(
-            "{algo:<10} built in {best_secs:>8.4}s  ({:>7.1} builds/s)  nodes {:>6}  depth {:>2}",
-            1.0 / best_secs,
+            "{algo:<10} built in {secs:>8.4}s  ({:>7.1} builds/s)  nodes {:>6}  depth {:>2}",
+            1.0 / secs,
             stats.nodes,
             stats.max_depth
         );
-        base_rows.push(BaselineRow {
-            algo,
-            secs: best_secs,
-            builds_per_sec: 1.0 / best_secs,
-            nodes: stats.nodes,
-            max_depth: stats.max_depth,
-        });
+        rows.push(json!({
+            "algo": algo, "secs": secs, "builds_per_sec": 1.0 / secs, "nodes": stats.nodes,
+            "max_depth": stats.max_depth,
+        }));
     }
+    report.set("baselines", rows);
 
-    if mismatches > 0 {
-        eprintln!("MISMATCH: {mismatches} packets diverged from the linear-scan ground truth");
-    } else {
-        eprintln!("all trees verified against the linear scan on {} packets each", trace.len());
-    }
-
-    // Hand-rolled JSON: flat structure, no string escapes needed.
-    let mut json = String::from("{\n  \"schema\": \"bench_build/v1\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"family\": \"acl\", \"size\": {size}, \"samples\": {samples}, \
-         \"envs\": {num_envs}, \"trace\": {}, \"reps\": {reps}, \"rule_seed\": 1, \
-         \"trace_seed\": 2}},\n",
-        trace.len()
-    ));
-    json.push_str("  \"neurocuts\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"hidden\": {}, \"envs\": {}, \"env_steps\": {}, \"episodes\": {}, \
-             \"secs\": {:.4}, \"steps_per_sec\": {:.1}, \"episodes_per_sec\": {:.2}}}{}\n",
-            r.hidden,
-            r.envs,
-            r.env_steps,
-            r.episodes,
-            r.secs,
-            r.steps_per_sec,
-            r.episodes_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"baselines\": [\n");
-    for (i, r) in base_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"algo\": \"{}\", \"secs\": {:.4}, \"builds_per_sec\": {:.1}, \
-             \"nodes\": {}, \"max_depth\": {}}}{}\n",
-            r.algo,
-            r.secs,
-            r.builds_per_sec,
-            r.nodes,
-            r.max_depth,
-            if i + 1 < base_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"verified\": {{\"packets_per_tree\": {}, \"mismatches\": {mismatches}}}\n}}\n",
-        trace.len()
-    ));
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-    eprintln!("wrote {out_path}");
-
-    if mismatches > 0 {
-        eprintln!("correctness failure — numbers are not trustworthy");
-        std::process::exit(1);
-    }
+    eprintln!("{mismatches} of {} packets per tree diverged from the linear scan", trace.len());
+    report.set("verified", json!({"packets_per_tree": trace.len(), "mismatches": mismatches}));
+    report.check(
+        mismatches == 0,
+        format!("{mismatches} packets diverged from the linear-scan ground truth"),
+    );
+    report.finish();
 }

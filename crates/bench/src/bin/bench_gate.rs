@@ -6,20 +6,22 @@
 //! ```
 //!
 //! Scans every top-level array of row objects in the baseline (e.g.
-//! `collect` in `BENCH_train.json`, `neurocuts` in `BENCH_build.json`)
-//! and, for each row carrying a `steps_per_sec` metric, compares the
-//! fresh run's matching row (same position and identity fields). The
-//! gate **fails** (exit 1) when any fresh metric drops below
+//! `collect` in `BENCH_train.json`, `phases` in `BENCH_lifecycle.json`)
+//! and, for each row carrying one of the gated metrics
+//! (`steps_per_sec`, `episodes_per_sec`, `mpps`), compares the fresh
+//! run's matching row (same position and identity fields). The gate
+//! **fails** (exit 1) when any fresh metric drops below
 //! `NC_GATE_MIN_RATIO` (default `0.8`, i.e. a >20% regression) of the
 //! committed baseline.
 //!
-//! Guard rails, because absolute throughput is machine- and
-//! scale-dependent:
+//! Absolute throughput only compares like with like, so:
 //!
-//! * if the two files' `config` objects differ (different scale knobs,
-//!   different machine-independent setup), the gate **skips** with a
-//!   warning instead of comparing apples to oranges;
-//! * a missing baseline file also skips (first run of a new emitter).
+//! * the two files' `config` objects (minus `hw_threads`, which
+//!   describes the machine) must be equal key for key, in order; any
+//!   drift **fails** (exit 1) rather than silently disarming the gate
+//!   — regenerate the baseline or restore the emitter's setup;
+//! * a missing or unparseable baseline file **skips** the gate (first
+//!   run of a new emitter).
 //!
 //! This is a tripwire, not a precision instrument: CI runners vary,
 //! and the 20% tolerance absorbs normal noise while still catching
@@ -28,12 +30,11 @@
 
 use serde_json::Value;
 
-/// The per-row throughput metrics worth gating. `mpps` and
-/// `sustained_mpps` cover the serving-side emitters: `bench_updates`
-/// rows (Mpps sustained during churn) and `bench_lifecycle` phase rows
-/// (Mpps sustained in every lifecycle phase, including *during* a
-/// background retrain).
-const METRICS: [&str; 4] = ["steps_per_sec", "episodes_per_sec", "mpps", "sustained_mpps"];
+/// The per-row throughput metrics worth gating. `mpps` covers the
+/// serving-side rows: `bench_lifecycle` phases (Mpps sustained in every
+/// lifecycle phase, including *during* a background retrain) and
+/// `bench_sweep` cells and per-family medians.
+const METRICS: [&str; 3] = ["steps_per_sec", "episodes_per_sec", "mpps"];
 
 /// Identity fields used to label a row in failure messages. The
 /// `family`/`size`/`seed`/`skew` axes identify `bench_sweep` matrix
@@ -68,8 +69,7 @@ fn main() {
         eprintln!("usage: bench_gate <baseline.json> <fresh.json>");
         std::process::exit(2);
     }
-    let min_ratio: f64 =
-        std::env::var("NC_GATE_MIN_RATIO").ok().and_then(|v| v.parse().ok()).unwrap_or(0.8);
+    let min_ratio: f64 = nc_bench::emit::knob("NC_GATE_MIN_RATIO", 0.8);
 
     let baseline = match std::fs::read_to_string(&args[1]) {
         Ok(s) => s,
@@ -101,10 +101,14 @@ fn main() {
     };
     if scale_config(&baseline) != scale_config(&fresh) {
         eprintln!(
-            "bench_gate: config mismatch between {} and {}; skipping ratio gate",
-            args[1], args[2]
+            "bench_gate: config drift between {} and {}: {} vs {}; regenerate the baseline or \
+             restore the emitter's setup",
+            args[1],
+            args[2],
+            serde_json::to_string(&baseline["config"]).expect("a parsed value serialises"),
+            serde_json::to_string(&fresh["config"]).expect("a parsed value serialises")
         );
-        return;
+        std::process::exit(1);
     }
 
     let Some(obj) = baseline.as_object() else {

@@ -1,12 +1,12 @@
 //! `bench_lifecycle` — machine-readable churn → retrain → hot-swap
 //! benchmark.
 //!
-//! Exercises the full classifier lifecycle that `bench_updates` stops
-//! short of: train an initial classifier, churn its rule set under
-//! concurrent readers, let the background [`LifecycleWorker`] notice
-//! the accumulated churn, retrain on a frozen snapshot, verify the
-//! grafted winner against the linear-scan ground truth, and publish it
-//! through one epoch swap — measuring sustained Mpps in every phase.
+//! Exercises the full classifier lifecycle: train an initial
+//! classifier, churn its rule set under concurrent readers, let the
+//! background [`LifecycleWorker`] notice the accumulated churn,
+//! retrain on a frozen snapshot, verify the grafted winner against the
+//! linear-scan ground truth, and publish it through one epoch swap —
+//! measuring sustained Mpps in every phase.
 //! Writes `BENCH_lifecycle.json` so the staleness-recovery trajectory
 //! is tracked in CI from PR to PR (the `phases` rows carry `mpps`, so
 //! `bench_gate` trips on a sustained-throughput regression in any
@@ -30,37 +30,32 @@
 //!   emitted for tracking but named outside `bench_gate`'s gated
 //!   METRICS — recovery latency is reported, never gated.
 //!
-//! Scale is controlled by environment variables:
-//!
-//! | variable | meaning | default |
-//! |---|---|---|
-//! | `NC_BENCH_SIZE` | rules in the classifier | 300 |
-//! | `NC_BENCH_TRACE` | packets in the serving trace | 4096 |
-//! | `NC_BENCH_UPDATES` | churn updates before the retrain | 600 |
-//! | `NC_BENCH_READERS` | concurrent reader threads | 2 |
-//! | `NC_BENCH_TIMESTEPS` | RL timesteps per train | 6000 |
-//! | `NC_BENCH_RETRAIN_CHURN` | retrain trigger (fraction) | 0.25 |
-//! | `NC_BENCH_OUT` | output path | `BENCH_lifecycle.json` |
+//! The scale is fixed (ACL-300 rules, a 4096-packet trace, 600 churn
+//! updates under 2 reader threads, 6000 RL timesteps per train, a
+//! retrain trigger at 25% churn) so every run compares with the
+//! committed baseline; `NC_BENCH_OUT` sets the output path (default
+//! `BENCH_lifecycle.json`).
 
 use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
 use dtree::{
     serve_during, ChurnSchedule, ClassifierHandle, FaultPoint, FaultSchedule, RebuildPolicy,
     TreeStats,
 };
+use nc_bench::emit::{hw_threads, Report};
 use neurocuts::{
     churn_retrain_timeline, retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig,
     RetrainTrigger, RetryPolicy, TimelineConfig,
 };
+use serde_json::json;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+const SIZE: usize = 300;
+const TRACE: usize = 4096;
+const UPDATES: usize = 600;
+const READERS: usize = 2;
+const TIMESTEPS: usize = 6000;
+const RETRAIN_CHURN: f64 = 0.25;
 
 /// Serve `trace` from `readers` threads for `millis` and return Mpps —
 /// the same measurement the timeline's quiet phases use.
@@ -78,26 +73,26 @@ fn measure_mpps(
 }
 
 fn main() {
-    let size = env_usize("NC_BENCH_SIZE", 300);
-    let trace_len = env_usize("NC_BENCH_TRACE", 4096);
-    let updates = env_usize("NC_BENCH_UPDATES", 600);
-    let readers = env_usize("NC_BENCH_READERS", 2).max(1);
-    let timesteps = env_usize("NC_BENCH_TIMESTEPS", 6000);
-    let retrain_churn = env_f64("NC_BENCH_RETRAIN_CHURN", 0.25);
-    let out_path =
-        std::env::var("NC_BENCH_OUT").unwrap_or_else(|_| "BENCH_lifecycle.json".to_string());
-
-    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, size).with_seed(1));
-    let trace = generate_trace(&rules, &TraceConfig::new(trace_len).with_seed(2));
-    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, SIZE).with_seed(1));
+    let trace = generate_trace(&rules, &TraceConfig::new(TRACE).with_seed(2));
+    let hw_threads = hw_threads();
     eprintln!(
-        "bench_lifecycle: acl/{size} rules, {} packets, {updates} updates, {readers} reader(s), \
-         retrain at {:.0}% churn, {timesteps} timesteps/train, {hw_threads} hardware thread(s)",
+        "bench_lifecycle: acl/{SIZE} rules, {} packets, {UPDATES} updates, {READERS} reader(s), \
+         retrain at {:.0}% churn, {TIMESTEPS} timesteps/train, {hw_threads} hardware thread(s)",
         trace.len(),
-        retrain_churn * 100.0
+        RETRAIN_CHURN * 100.0
+    );
+    let mut report = Report::new(
+        "lifecycle",
+        json!({
+            "family": "acl", "size": SIZE, "trace": trace.len(), "updates": UPDATES,
+            "readers": READERS, "timesteps": TIMESTEPS, "retrain_churn": RETRAIN_CHURN,
+            "rule_seed": 1, "trace_seed": 2, "schedule_seed": 3, "train_seed": 4,
+            "hw_threads": hw_threads,
+        }),
     );
 
-    let train_cfg = NeuroCutsConfig::small(timesteps).with_seed(4);
+    let train_cfg = NeuroCutsConfig::small(TIMESTEPS).with_seed(4);
     let (tree, initial_stats, _) =
         retrain_snapshot(&rules, &train_cfg, train_cfg.seed).expect("initial training succeeds");
     eprintln!("initial tree: {initial_stats}");
@@ -105,17 +100,17 @@ fn main() {
 
     let mut lc = LifecycleConfig::new(train_cfg.clone());
     lc.trigger =
-        RetrainTrigger { min_churn: retrain_churn, min_updates: 32, max_drift: f64::INFINITY };
+        RetrainTrigger { min_churn: RETRAIN_CHURN, min_updates: 32, max_drift: f64::INFINITY };
     let mut worker = LifecycleWorker::new(lc, &handle);
     let tl = TimelineConfig {
-        updates,
-        readers,
+        updates: UPDATES,
+        readers: READERS,
         measure_ms: 400,
         schedule_seed: 3,
-        check_every: (updates / 8).max(1),
+        check_every: (UPDATES / 8).max(1),
         faults: None,
     };
-    let report = churn_retrain_timeline(&handle, &rules, &trace, &mut worker, &tl);
+    let timeline = churn_retrain_timeline(&handle, &rules, &trace, &mut worker, &tl);
     let lc_report = worker.into_report();
     let adopted: Vec<_> = lc_report.events.iter().filter(|e| e.adopted).collect();
 
@@ -129,9 +124,9 @@ fn main() {
     let (fresh_tree, fresh_stats, _) = retrain_snapshot(final_snap.rules(), &train_cfg, fresh_seed)
         .expect("fresh training on the final rules succeeds");
     let fresh_handle = ClassifierHandle::new((*fresh_tree).clone(), RebuildPolicy::never());
-    let fresh_mpps = measure_mpps(&fresh_handle, &trace, readers, tl.measure_ms);
+    let fresh_mpps = measure_mpps(&fresh_handle, &trace, READERS, tl.measure_ms);
     let served_depth = handle.with_tree(TreeStats::compute).time;
-    let steady_mpps = report.phases.last().map_or(0.0, |p| p.mpps);
+    let steady_mpps = timeline.phases.last().map_or(0.0, |p| p.mpps);
     let depth_ratio = served_depth as f64 / fresh_stats.time.max(1) as f64;
     let mpps_ratio = steady_mpps / fresh_mpps.max(1e-9);
 
@@ -186,7 +181,7 @@ fn main() {
         faults.total_fired()
     );
 
-    for p in &report.phases {
+    for p in &timeline.phases {
         eprintln!(
             "{:<9} {:>6.2}s {:>8.2} Mpps  depth {:>3}  epoch {:>5}  rebuilds {:>3}  retrains \
              {:>2}  overlay {:>4}",
@@ -199,104 +194,77 @@ fn main() {
         fresh_stats.time
     );
 
-    // Hand-rolled JSON, matching the other emitters.
-    let mut json = String::from("{\n  \"schema\": \"bench_lifecycle/v1\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"family\": \"acl\", \"size\": {size}, \"trace\": {}, \"updates\": \
-         {updates}, \"readers\": {readers}, \"timesteps\": {timesteps}, \"retrain_churn\": \
-         {retrain_churn}, \"rule_seed\": 1, \"trace_seed\": 2, \"schedule_seed\": 3, \
-         \"train_seed\": 4, \"hw_threads\": {hw_threads}}},\n",
-        trace.len()
-    ));
-    json.push_str("  \"phases\": [\n");
-    for (i, p) in report.phases.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"secs\": {:.3}, \"mpps\": {:.3}, \"updates\": {}, \
-             \"epoch\": {}, \"rebuilds\": {}, \"retrains\": {}, \"depth\": {}, \
-             \"bytes_per_rule\": {:.1}, \"overlay\": {}}}{}\n",
-            p.phase,
-            p.secs,
-            p.mpps,
-            p.updates,
-            p.epoch,
-            p.rebuilds,
-            p.retrains,
-            p.depth,
-            p.bytes_per_rule,
-            p.overlay,
-            if i + 1 < report.phases.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"retrains\": [\n");
-    for (i, e) in lc_report.events.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"train_seed\": {}, \"adopted\": {}, \"churn\": {:.3}, \"timesteps\": {}, \
-             \"train_secs\": {:.3}, \"depth_before\": {}, \"depth_after\": {}, \
-             \"reconciled_inserts\": {}, \"reconciled_deletes\": {}, \"spot_checked\": {}}}{}\n",
-            e.train_seed,
-            e.adopted,
-            e.churn,
-            e.timesteps,
-            e.train_secs,
-            e.depth_before,
-            e.depth_after,
-            e.reconciled_inserts,
-            e.reconciled_deletes,
-            e.spot_checked,
-            if i + 1 < lc_report.events.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"recovery\": {{\"injected_faults\": {}, \"retrain_failures\": \
-         {retrain_failures}, \"degraded_phases\": {degraded_phases}, \"fallback_rebuilds\": \
-         {fallback_rebuilds}, \"recovery_ms\": {recovery_ms:.0}, \"recovered\": {recovered}}},\n",
-        faults.total_fired()
-    ));
-    json.push_str(&format!(
-        "  \"verification\": {{\"checks\": {}, \"divergences\": {}, \"adopted\": {}, \
-         \"served_depth\": {served_depth}, \"fresh_depth\": {}, \"depth_ratio\": \
-         {depth_ratio:.3}, \"steady_mpps\": {steady_mpps:.3}, \"fresh_mpps\": {fresh_mpps:.3}, \
-         \"mpps_ratio\": {mpps_ratio:.3}}}\n}}\n",
-        report.checks,
-        report.divergences,
-        adopted.len(),
-        fresh_stats.time
-    ));
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-    eprintln!("wrote {out_path}");
+    let phases: Vec<_> = timeline
+        .phases
+        .iter()
+        .map(|p| {
+            json!({
+                "phase": p.phase, "secs": p.secs, "mpps": p.mpps, "updates": p.updates,
+                "epoch": p.epoch, "rebuilds": p.rebuilds, "retrains": p.retrains,
+                "depth": p.depth, "bytes_per_rule": p.bytes_per_rule, "overlay": p.overlay,
+            })
+        })
+        .collect();
+    report.set("phases", phases);
+    let retrains: Vec<_> = lc_report
+        .events
+        .iter()
+        .map(|e| {
+            json!({
+                "train_seed": e.train_seed, "adopted": e.adopted, "churn": e.churn,
+                "timesteps": e.timesteps, "train_secs": e.train_secs,
+                "depth_before": e.depth_before, "depth_after": e.depth_after,
+                "reconciled_inserts": e.reconciled_inserts,
+                "reconciled_deletes": e.reconciled_deletes, "spot_checked": e.spot_checked,
+            })
+        })
+        .collect();
+    report.set("retrains", retrains);
+    report.set(
+        "recovery",
+        json!({
+            "injected_faults": faults.total_fired(), "retrain_failures": retrain_failures,
+            "degraded_phases": degraded_phases, "fallback_rebuilds": fallback_rebuilds,
+            "recovery_ms": recovery_ms, "recovered": recovered,
+        }),
+    );
+    report.set(
+        "verification",
+        json!({
+            "checks": timeline.checks, "divergences": timeline.divergences,
+            "adopted": adopted.len(), "served_depth": served_depth,
+            "fresh_depth": fresh_stats.time, "depth_ratio": depth_ratio,
+            "steady_mpps": steady_mpps, "fresh_mpps": fresh_mpps, "mpps_ratio": mpps_ratio,
+        }),
+    );
 
-    let mut failures = Vec::new();
-    if report.divergences > 0 {
-        failures.push(format!("{} differential checks diverged", report.divergences));
-    }
-    if adopted.is_empty() {
-        failures.push("no retrain was adopted".to_string());
-    }
-    if adopted.iter().any(|e| e.spot_checked == 0) {
-        failures.push("an adopted swap skipped its spot check".to_string());
-    }
-    if !recovered {
-        failures.push(format!(
-            "the fault-injected worker never recovered ({retrain_failures} failed attempts)"
-        ));
-    }
-    if depth_ratio > 1.10 {
-        failures.push(format!(
+    report.check(
+        timeline.divergences == 0,
+        format!("{} differential checks diverged", timeline.divergences),
+    );
+    report.check(!adopted.is_empty(), "no retrain was adopted");
+    report.check(
+        adopted.iter().all(|e| e.spot_checked > 0),
+        "an adopted swap skipped its spot check",
+    );
+    report.check(
+        recovered,
+        format!("the fault-injected worker never recovered ({retrain_failures} failed attempts)"),
+    );
+    report.check(
+        depth_ratio <= 1.10,
+        format!(
             "auto-retrained depth {served_depth} is more than 10% worse than the fresh-trained \
              depth {} (ratio {depth_ratio:.3})",
             fresh_stats.time
-        ));
-    }
-    if mpps_ratio < 0.75 {
-        failures.push(format!(
+        ),
+    );
+    report.check(
+        mpps_ratio >= 0.75,
+        format!(
             "steady-state {steady_mpps:.2} Mpps fell more than 25% below the fresh-trained \
              {fresh_mpps:.2} Mpps"
-        ));
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+        ),
+    );
+    report.finish();
 }

@@ -25,52 +25,39 @@
 //! * a clean directory must recover with no torn tail and replay every
 //!   logged record.
 //!
-//! Scale is controlled by environment variables:
-//!
-//! | variable | meaning | default |
-//! |---|---|---|
-//! | `NC_BENCH_SIZE` | rules in the classifier | 200 |
-//! | `NC_BENCH_TRACE` | packets in the proof trace | 1024 |
-//! | `NC_BENCH_OUT` | output path | `BENCH_recovery.json` |
+//! The scale is fixed (ACL-200 rules, a 1024-packet proof trace);
+//! `NC_BENCH_OUT` sets the output path (default `BENCH_recovery.json`).
 
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, TraceConfig,
 };
 use dtree::{ChurnSchedule, ClassifierHandle, DecisionTree, RebuildPolicy, TreeStats};
+use nc_bench::emit::Report;
 use neurocuts::{recover, PersistConfig, Persistence};
+use serde_json::json;
 use std::time::Instant;
 
+const SIZE: usize = 200;
+const TRACE: usize = 1024;
 const WAL_TARGETS: [usize; 4] = [0, 128, 512, 1024];
 const SEED: u64 = 0xBE9C_0BE5;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-struct Row {
-    wal_target: usize,
-    wal_records: u64,
-    recovery_ms: f64,
-    us_per_record: f64,
-    checkpoint_bytes: u64,
-    epoch: u64,
-}
-
 fn main() {
-    let size = env_usize("NC_BENCH_SIZE", 200);
-    let trace_len = env_usize("NC_BENCH_TRACE", 1024);
-    let out_path =
-        std::env::var("NC_BENCH_OUT").unwrap_or_else(|_| "BENCH_recovery.json".to_string());
-
-    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, size).with_seed(SEED));
-    let trace = generate_trace(&rules, &TraceConfig::new(trace_len).with_seed(SEED ^ 0x7ACE));
+    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, SIZE).with_seed(SEED));
+    let trace = generate_trace(&rules, &TraceConfig::new(TRACE).with_seed(SEED ^ 0x7ACE));
     eprintln!(
-        "bench_recovery: acl/{size} rules, {} probe packets, WAL targets {WAL_TARGETS:?}",
+        "bench_recovery: acl/{SIZE} rules, {} probe packets, WAL targets {WAL_TARGETS:?}",
         trace.len()
+    );
+    let mut report = Report::new(
+        "recovery",
+        json!({
+            "family": "acl", "size": SIZE, "trace": trace.len(), "seed": SEED,
+            "wal_targets": WAL_TARGETS,
+        }),
     );
 
     let mut rows = Vec::new();
-    let mut failures = Vec::new();
     for (i, &target) in WAL_TARGETS.iter().enumerate() {
         let dir =
             std::env::temp_dir().join(format!("nc-bench-recovery-{}-{i}", std::process::id()));
@@ -97,90 +84,58 @@ fn main() {
         let logged = live.health().wal_len.unwrap_or(0);
 
         let started = Instant::now();
-        let (recovered, report) =
+        let (recovered, recovery) =
             recover(&dir, RebuildPolicy::default_policy(), &trace, &PersistConfig::default())
                 .expect("recovery from a clean directory");
         let recovery_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        if report.truncated_tail.is_some() {
-            failures.push(format!("target {target}: clean directory reported a torn tail"));
-        }
-        if report.replayed != logged {
-            failures.push(format!(
-                "target {target}: replayed {} of {logged} logged records",
-                report.replayed
-            ));
-        }
-        if recovered.epoch() != live.epoch() {
-            failures.push(format!(
+        report.check(
+            recovery.truncated_tail.is_none(),
+            format!("target {target}: clean directory reported a torn tail"),
+        );
+        report.check(
+            recovery.replayed == logged,
+            format!("target {target}: replayed {} of {logged} logged records", recovery.replayed),
+        );
+        report.check(
+            recovered.epoch() == live.epoch(),
+            format!(
                 "target {target}: recovered epoch {} != live epoch {}",
                 recovered.epoch(),
                 live.epoch()
-            ));
-        }
-        if recovered.with_tree(TreeStats::compute) != live.with_tree(TreeStats::compute) {
-            failures.push(format!("target {target}: recovered tree statistics diverged"));
-        }
+            ),
+        );
+        report.check(
+            recovered.with_tree(TreeStats::compute) == live.with_tree(TreeStats::compute),
+            format!("target {target}: recovered tree statistics diverged"),
+        );
         let mut got = vec![None; trace.len()];
         let mut want = vec![None; trace.len()];
         recovered.snapshot().classify_batch(&trace, &mut got);
         live.snapshot().classify_batch(&trace, &mut want);
-        if got != want {
-            failures.push(format!("target {target}: recovered classification diverged from live"));
-        }
+        report.check(
+            got == want,
+            format!("target {target}: recovered classification diverged from live"),
+        );
 
-        let us_per_record = recovery_ms * 1e3 / report.replayed.max(1) as f64;
+        let us_per_record = recovery_ms * 1e3 / recovery.replayed.max(1) as f64;
         eprintln!(
             "wal {target:>5} -> {:>5} replayed in {recovery_ms:>8.2}ms ({us_per_record:>7.2}us/record, \
              checkpoint {} bytes, epoch {})",
-            report.replayed,
+            recovery.replayed,
             attach.bytes,
-            report.epoch
+            recovery.epoch
         );
-        rows.push(Row {
-            wal_target: target,
-            wal_records: report.replayed,
-            recovery_ms,
-            us_per_record,
-            checkpoint_bytes: attach.bytes,
-            epoch: report.epoch,
-        });
+        rows.push(json!({
+            "wal_target": target, "wal_records": recovery.replayed, "recovery_ms": recovery_ms,
+            "us_per_record": us_per_record, "checkpoint_bytes": attach.bytes,
+            "epoch": recovery.epoch,
+        }));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Hand-rolled JSON, matching the other emitters.
-    let mut json = String::from("{\n  \"schema\": \"bench_recovery/v1\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"family\": \"acl\", \"size\": {size}, \"trace\": {}, \"seed\": {SEED}, \
-         \"wal_targets\": [0, 128, 512, 1024]}},\n",
-        trace.len()
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"wal_target\": {}, \"wal_records\": {}, \"recovery_ms\": {:.3}, \
-             \"us_per_record\": {:.3}, \"checkpoint_bytes\": {}, \"epoch\": {}}}{}\n",
-            r.wal_target,
-            r.wal_records,
-            r.recovery_ms,
-            r.us_per_record,
-            r.checkpoint_bytes,
-            r.epoch,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"verification\": {{\"targets\": {}, \"failures\": {}}}\n}}\n",
-        rows.len(),
-        failures.len()
-    ));
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-    eprintln!("wrote {out_path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    let targets = rows.len();
+    report.set("rows", rows);
+    report.set("verification", json!({"targets": targets, "failures": report.failures()}));
+    report.finish();
 }

@@ -7,11 +7,12 @@
 //! unified [`Classifier`] trait (NeuroCuts plus all five baselines)
 //! the way artifact-grade evaluations do: one harness, one output,
 //! nothing unverified. Per cell it records flat-batch throughput
-//! (Mpps), worst-case depth, bytes/rule, compiled footprint, and
-//! build time, and — before any number is written — checks **every
-//! sampled packet** of the cell's trace against the rule set's linear
-//! scan through both the scalar and the batched path. Any mismatch
-//! anywhere exits non-zero: the matrix can never outlive correctness.
+//! (Mpps), the paper's worst-case classification time (`time`, i.e.
+//! `T_root`), bytes/rule, compiled footprint, and build time, and —
+//! before any number is written — checks **every sampled packet** of
+//! the cell's trace against the rule set's linear scan through both
+//! the scalar and the batched path. Any mismatch anywhere exits
+//! non-zero: the matrix can never outlive correctness.
 //!
 //! Scale is controlled by environment variables:
 //!
@@ -21,15 +22,14 @@
 //! | `NC_SIZES` | comma list of rules-per-classifier | `300,1000,10000` |
 //! | `NC_SEEDS` | comma list of generator seeds | `0,1` |
 //! | `NC_SKEWS` | comma list of traffic skews (`uniform`, `zipf[:EXP]`, `locality[:SETxBURST]`) | `uniform,zipf,locality` |
-//! | `NC_SWEEP_ALGOS` | comma list of algorithms | all six |
 //! | `NC_TIMESTEPS` | RL timesteps per NeuroCuts cell | 2000 |
 //! | `NC_BENCH_TRACE` | packets per cell (verified + measured) | 2048 |
 //! | `NC_BENCH_MS` | target measure time per cell (ms) | 80 |
 //! | `NC_BENCH_OUT` | output path | `BENCH_sweep.json` |
 //!
-//! Classifiers are built once per (family, size, seed) rule set and
-//! re-measured under every skew, so the traffic axis isolates the
-//! trace distribution rather than rebuild noise. The JSON carries a
+//! Each (family, size, seed) rule set runs all six algorithms, built
+//! once and re-measured under every skew, so the traffic axis isolates
+//! the trace distribution rather than rebuild noise. The JSON carries a
 //! `cells` array (one row per matrix cell) and a `summary` array
 //! (median flat-batch Mpps per family × algorithm) that CI's
 //! `bench_gate` gates against the committed smoke baseline.
@@ -39,34 +39,15 @@ use classbench::{
     generate_rules, generate_skewed_trace, trace_hash, ClassifierFamily, GeneratorConfig, Packet,
     RuleSet, SkewedTraceConfig, TrafficSkew,
 };
+use nc_bench::emit::{knob, measure_ns, Report};
+use nc_bench::CLASSIFIER_NAMES;
 use neurocuts::NeuroCutsConfig;
+use serde_json::{json, Value};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_list(name: &str, default: &str) -> Vec<String> {
-    let raw = std::env::var(name).unwrap_or_else(|_| default.to_string());
+/// The comma list in environment variable `name` (or `default`).
+fn list(name: &str, default: &str) -> Vec<String> {
+    let raw = knob(name, default.to_string());
     raw.split(',').map(|t| t.trim().to_string()).filter(|t| !t.is_empty()).collect()
-}
-
-/// One verified + measured matrix cell.
-struct Cell {
-    family: &'static str,
-    size: usize,
-    seed: u64,
-    skew: String,
-    algo: String,
-    mpps: f64,
-    ns_per_packet: f64,
-    depth: usize,
-    max_depth: usize,
-    nodes: usize,
-    bytes_per_rule: f64,
-    resident_bytes: usize,
-    build_secs: f64,
-    trace_hash: u64,
-    mismatches: usize,
 }
 
 /// Verify one classifier against the linear scan over `trace` through
@@ -93,15 +74,8 @@ fn verify_cell(c: &dyn Classifier, rules: &RuleSet, trace: &[Packet]) -> usize {
     bad
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // All strings we emit are algorithm names / family tags / skew
-    // tags from fixed vocabularies; assert rather than escape.
-    assert!(s.chars().all(|c| c.is_ascii_alphanumeric() || ":._-".contains(c)), "{s:?}");
-    s
-}
-
 fn main() {
-    let families: Vec<ClassifierFamily> = env_list("NC_FAMILIES", "acl,fw,ipc")
+    let families: Vec<ClassifierFamily> = list("NC_FAMILIES", "acl,fw,ipc")
         .iter()
         .map(|t| {
             ClassifierFamily::ALL
@@ -110,26 +84,25 @@ fn main() {
                 .unwrap_or_else(|| panic!("unknown family {t}"))
         })
         .collect();
-    let sizes: Vec<usize> = env_list("NC_SIZES", "300,1000,10000")
+    let sizes: Vec<usize> = list("NC_SIZES", "300,1000,10000")
         .iter()
         .map(|t| t.parse().unwrap_or_else(|_| panic!("bad size {t}")))
         .collect();
-    let seeds: Vec<u64> = env_list("NC_SEEDS", "0,1")
+    let seeds: Vec<u64> = list("NC_SEEDS", "0,1")
         .iter()
         .map(|t| t.parse().unwrap_or_else(|_| panic!("bad seed {t}")))
         .collect();
-    let skew_tags = env_list("NC_SKEWS", "uniform,zipf,locality");
+    let skew_tags = list("NC_SKEWS", "uniform,zipf,locality");
     let skews: Vec<(String, TrafficSkew)> = skew_tags
         .iter()
         .map(|t| (t.clone(), TrafficSkew::parse(t).unwrap_or_else(|| panic!("unknown skew {t}"))))
         .collect();
-    let algos = env_list("NC_SWEEP_ALGOS", &nc_bench::CLASSIFIER_NAMES.join(","));
-    let timesteps = env_usize("NC_TIMESTEPS", 2000);
-    let trace_len = env_usize("NC_BENCH_TRACE", 2048);
-    let target_ms = env_usize("NC_BENCH_MS", 80) as u64;
-    let out_path = std::env::var("NC_BENCH_OUT").unwrap_or_else(|_| "BENCH_sweep.json".to_string());
+    let timesteps: usize = knob("NC_TIMESTEPS", 2000);
+    let trace_len: usize = knob("NC_BENCH_TRACE", 2048);
+    let target_ms: u64 = knob("NC_BENCH_MS", 80);
 
-    let total_cells = families.len() * sizes.len() * seeds.len() * skews.len() * algos.len();
+    let total_cells =
+        families.len() * sizes.len() * seeds.len() * skews.len() * CLASSIFIER_NAMES.len();
     eprintln!(
         "bench_sweep: {} families x {} sizes x {} seeds x {} skews x {} algorithms = {} cells, \
          {trace_len} packets/cell",
@@ -137,11 +110,22 @@ fn main() {
         sizes.len(),
         seeds.len(),
         skews.len(),
-        algos.len(),
+        CLASSIFIER_NAMES.len(),
         total_cells
     );
+    let join = |v: Vec<String>| v.join(",");
+    let mut report = Report::new(
+        "sweep",
+        json!({
+            "families": join(families.iter().map(|f| f.tag().to_string()).collect()),
+            "sizes": join(sizes.iter().map(|s| s.to_string()).collect()),
+            "seeds": join(seeds.iter().map(|s| s.to_string()).collect()),
+            "skews": join(skew_tags), "algos": CLASSIFIER_NAMES.join(","),
+            "timesteps": timesteps, "trace": trace_len, "ms": target_ms,
+        }),
+    );
 
-    let mut cells: Vec<Cell> = Vec::with_capacity(total_cells);
+    let mut cells: Vec<Value> = Vec::with_capacity(total_cells);
     let mut mismatches = 0usize;
     for &family in &families {
         for &size in &sizes {
@@ -154,15 +138,17 @@ fn main() {
                 // trains under the env-scaled budget with the cell's
                 // seed, so every cell is reproducible from its row.
                 let nc_cfg = NeuroCutsConfig::small(timesteps).with_seed(seed);
-                let classifiers: Vec<Box<dyn Classifier>> =
-                    algos.iter().map(|a| nc_bench::build_classifier(a, &rules, &nc_cfg)).collect();
+                let classifiers: Vec<Box<dyn Classifier>> = CLASSIFIER_NAMES
+                    .iter()
+                    .map(|a| nc_bench::build_classifier(a, &rules, &nc_cfg))
+                    .collect();
                 for c in &classifiers {
                     let s = c.stats();
                     eprintln!(
-                        "   built {:<10} in {:>7.3}s  depth {:>3}  bytes/rule {:>9.1}  nodes {:>7}",
+                        "   built {:<10} in {:>7.3}s  time {:>3}  bytes/rule {:>9.1}  nodes {:>7}",
                         c.name(),
                         s.build_secs,
-                        s.depth(),
+                        s.time(),
                         s.tree.bytes_per_rule,
                         s.tree.nodes
                     );
@@ -179,7 +165,7 @@ fn main() {
                         let bad = verify_cell(c.as_ref(), &rules, &trace);
                         mismatches += bad;
                         let mut out = vec![None; trace.len()];
-                        let (ns, mpps) = nc_bench::measure_ns(trace.len(), target_ms, || {
+                        let (ns, mpps) = measure_ns(trace.len(), target_ms, || {
                             c.classify_batch(&trace, &mut out);
                             std::hint::black_box(&out);
                         });
@@ -189,23 +175,14 @@ fn main() {
                             c.name(),
                             if bad == 0 { "verified" } else { "MISMATCH" }
                         );
-                        cells.push(Cell {
-                            family: family.tag(),
-                            size,
-                            seed,
-                            skew: tag.clone(),
-                            algo: c.name().to_string(),
-                            mpps,
-                            ns_per_packet: ns,
-                            depth: s.depth(),
-                            max_depth: s.tree.max_depth,
-                            nodes: s.tree.nodes,
-                            bytes_per_rule: s.tree.bytes_per_rule,
-                            resident_bytes: s.resident_bytes,
-                            build_secs: s.build_secs,
-                            trace_hash: thash,
-                            mismatches: bad,
-                        });
+                        cells.push(json!({
+                            "family": family.tag(), "size": size, "seed": seed, "skew": tag,
+                            "algo": c.name(), "mpps": mpps, "ns_per_packet": ns,
+                            "time": s.time(), "max_depth": s.tree.max_depth,
+                            "nodes": s.tree.nodes, "bytes_per_rule": s.tree.bytes_per_rule,
+                            "resident_bytes": s.resident_bytes, "build_secs": s.build_secs,
+                            "trace_hash": format!("{thash:016x}"), "mismatches": bad,
+                        }));
                     }
                 }
             }
@@ -214,124 +191,54 @@ fn main() {
 
     // Per-family x algorithm flat-batch summary (median over cells) —
     // the rows CI's bench_gate tracks, plus a printed tradeoff table.
-    struct Summary {
-        family: &'static str,
-        algo: String,
-        cells: usize,
-        mpps: f64,
-        depth: f64,
-        bytes_per_rule: f64,
-        build_secs: f64,
-    }
-    let mut summaries: Vec<Summary> = Vec::new();
-    for &family in &families {
-        for algo in &algos {
-            let sel: Vec<&Cell> =
-                cells.iter().filter(|c| c.family == family.tag() && &c.algo == algo).collect();
-            if sel.is_empty() {
-                continue;
-            }
-            let med = |f: &dyn Fn(&Cell) -> f64| {
-                nc_bench::median(&sel.iter().map(|c| f(c)).collect::<Vec<f64>>())
-            };
-            summaries.push(Summary {
-                family: family.tag(),
-                algo: algo.clone(),
-                cells: sel.len(),
-                mpps: med(&|c| c.mpps),
-                depth: med(&|c| c.depth as f64),
-                bytes_per_rule: med(&|c| c.bytes_per_rule),
-                build_secs: med(&|c| c.build_secs),
-            });
-        }
-    }
     eprintln!("\ntradeoff summary (median over cells, flat-batch path):");
     eprintln!(
         "{:<6} {:<10} {:>6} {:>10} {:>8} {:>12} {:>10}",
-        "family", "algo", "cells", "Mpps", "depth", "bytes/rule", "build s"
+        "family", "algo", "cells", "Mpps", "time", "bytes/rule", "build s"
     );
-    for s in &summaries {
-        eprintln!(
-            "{:<6} {:<10} {:>6} {:>10.2} {:>8.1} {:>12.1} {:>10.3}",
-            s.family, s.algo, s.cells, s.mpps, s.depth, s.bytes_per_rule, s.build_secs
-        );
+    let mut summary = Vec::new();
+    for &family in &families {
+        for algo in CLASSIFIER_NAMES {
+            let sel: Vec<&Value> = cells
+                .iter()
+                .filter(|c| c["family"].as_str() == Some(family.tag()))
+                .filter(|c| c["algo"].as_str() == Some(algo))
+                .collect();
+            if sel.is_empty() {
+                continue;
+            }
+            let med = |key: &str| {
+                let xs: Vec<f64> =
+                    sel.iter().map(|c| c[key].as_f64().expect("numeric cell field")).collect();
+                nc_bench::median(&xs)
+            };
+            let (mpps, time, bpr, build) =
+                (med("mpps"), med("time"), med("bytes_per_rule"), med("build_secs"));
+            eprintln!(
+                "{:<6} {algo:<10} {:>6} {mpps:>10.2} {time:>8.1} {bpr:>12.1} {build:>10.3}",
+                family.tag(),
+                sel.len()
+            );
+            summary.push(json!({
+                "family": family.tag(), "algo": algo, "path": "flat_batch", "cells": sel.len(),
+                "mpps": mpps, "time": time, "bytes_per_rule": bpr, "build_secs": build,
+            }));
+        }
     }
 
-    if mismatches > 0 {
-        eprintln!("\nMISMATCH: {mismatches} packets diverged from the linear-scan ground truth");
-    } else {
-        eprintln!(
-            "\nall {} cells verified against the linear scan ({trace_len} packets each)",
-            cells.len()
-        );
-    }
-
-    // Hand-rolled JSON; strings come from fixed vocabularies (asserted
-    // escape-free), so no escaping machinery is needed.
-    let list = |v: &[String]| v.join(",");
-    let mut json = String::from("{\n  \"schema\": \"bench_sweep/v1\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"families\": \"{}\", \"sizes\": \"{}\", \"seeds\": \"{}\", \
-         \"skews\": \"{}\", \"algos\": \"{}\", \"timesteps\": {timesteps}, \
-         \"trace\": {trace_len}, \"ms\": {target_ms}}},\n",
-        families.iter().map(|f| f.tag().to_string()).collect::<Vec<_>>().join(","),
-        sizes.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(","),
-        seeds.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(","),
-        list(&skew_tags),
-        list(&algos),
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"family\": \"{}\", \"size\": {}, \"seed\": {}, \"skew\": \"{}\", \
-             \"algo\": \"{}\", \"mpps\": {:.3}, \"ns_per_packet\": {:.2}, \"depth\": {}, \
-             \"max_depth\": {}, \"nodes\": {}, \"bytes_per_rule\": {:.1}, \
-             \"resident_bytes\": {}, \"build_secs\": {:.4}, \"trace_hash\": \"{:016x}\", \
-             \"mismatches\": {}}}{}\n",
-            c.family,
-            c.size,
-            c.seed,
-            json_escape_free(&c.skew),
-            json_escape_free(&c.algo),
-            c.mpps,
-            c.ns_per_packet,
-            c.depth,
-            c.max_depth,
-            c.nodes,
-            c.bytes_per_rule,
-            c.resident_bytes,
-            c.build_secs,
-            c.trace_hash,
-            c.mismatches,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"summary\": [\n");
-    for (i, s) in summaries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"family\": \"{}\", \"algo\": \"{}\", \"path\": \"flat_batch\", \
-             \"cells\": {}, \"mpps\": {:.3}, \"depth\": {:.1}, \"bytes_per_rule\": {:.1}, \
-             \"build_secs\": {:.4}}}{}\n",
-            s.family,
-            json_escape_free(&s.algo),
-            s.cells,
-            s.mpps,
-            s.depth,
-            s.bytes_per_rule,
-            s.build_secs,
-            if i + 1 < summaries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"verified\": {{\"packets_per_cell\": {trace_len}, \"cells\": {}, \
-         \"mismatches\": {mismatches}}}\n}}\n",
+    eprintln!(
+        "\n{mismatches} packets diverged from the linear scan over {} cells ({trace_len} packets \
+         each)",
         cells.len()
-    ));
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-    eprintln!("wrote {out_path}");
-
-    if mismatches > 0 {
-        eprintln!("correctness failure — numbers are not trustworthy");
-        std::process::exit(1);
-    }
+    );
+    let verified =
+        json!({"packets_per_cell": trace_len, "cells": cells.len(), "mismatches": mismatches});
+    report.set("cells", cells);
+    report.set("summary", summary);
+    report.set("verified", verified);
+    report.check(
+        mismatches == 0,
+        format!("{mismatches} packets diverged from the linear-scan ground truth"),
+    );
+    report.finish();
 }

@@ -101,7 +101,7 @@ mod tests {
             assert_eq!(batch[i], scalar, "batch at {p}");
         }
         let s = c.stats();
-        assert!(s.depth() >= 1);
+        assert!(s.time() >= 1);
         assert!(s.build_secs > 0.0);
         assert!(s.resident_bytes > 0);
     }

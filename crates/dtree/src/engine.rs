@@ -18,7 +18,8 @@
 //!
 //! [`run_engine`] wraps the sharded lookup in a timing loop and
 //! reports aggregate packets/sec — the serving-throughput number the
-//! benchmarks and the `serve-bench` CLI subcommand record.
+//! `serve-bench` CLI subcommand records per thread count and
+//! `bench_train` records for the tree it trained.
 
 use crate::node::RuleId;
 use crate::serve::Snapshot;

@@ -1,13 +1,15 @@
 //! Churn-replay harness: the shared machinery for exercising a
 //! [`ClassifierHandle`] under load.
 //!
-//! Both live-update entry points — the CLI `update-bench` subcommand
-//! and the `bench_updates` JSON emitter — need the same two pieces: a
-//! seeded insert/delete schedule and a pool of reader threads serving
-//! a trace from epoch-swapped snapshots while updates land. Both then
-//! certify the result with [`ClassifierHandle::check_divergence`].
-//! Keeping the pieces here (next to the handle they drive) keeps the
-//! two entry points in lockstep instead of carrying diverging copies.
+//! Every live-update driver — the CLI `update-bench` subcommand, the
+//! lifecycle timeline behind `bench_lifecycle`, the soak tests, and
+//! perfbench's churn rounds — replays the same seeded insert/delete
+//! schedule, and the drivers that measure serving under churn share
+//! one pool of reader threads serving a trace from epoch-swapped
+//! snapshots while updates land. They certify the result with
+//! [`ClassifierHandle::check_divergence`]. Keeping the pieces here
+//! (next to the handle they drive) keeps the drivers in lockstep
+//! instead of carrying diverging copies.
 
 use crate::faults::{FaultInjector, FaultPoint};
 use crate::node::RuleId;
