@@ -6,7 +6,10 @@
 //! background [`LifecycleWorker`] notice the accumulated churn,
 //! retrain on a frozen snapshot, verify the grafted winner against the
 //! linear-scan ground truth, and publish it through one epoch swap —
-//! measuring sustained Mpps in every phase.
+//! measuring sustained Mpps in every phase. The four-phase timeline
+//! ([`churn_retrain_timeline`]) lives here; `neurocuts update-bench
+//! --auto-retrain true` runs the same worker free-running under faults
+//! and persistence.
 //! Writes `BENCH_lifecycle.json` so the staleness-recovery trajectory
 //! is tracked in CI from PR to PR (the `phases` rows carry `mpps`, so
 //! `bench_gate` trips on a sustained-throughput regression in any
@@ -36,16 +39,15 @@
 //! committed baseline; `NC_BENCH_OUT` sets the output path (default
 //! `BENCH_lifecycle.json`).
 
-use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
+use classbench::{
+    generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, Packet, RuleSet, TraceConfig,
+};
 use dtree::{
     serve_during, ChurnSchedule, ClassifierHandle, FaultPoint, FaultSchedule, RebuildPolicy,
     TreeStats,
 };
 use nc_bench::emit::{hw_threads, Report};
-use neurocuts::{
-    churn_retrain_timeline, retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig,
-    RetrainTrigger, RetryPolicy, TimelineConfig,
-};
+use neurocuts::{retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig};
 use serde_json::json;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,20 +58,151 @@ const UPDATES: usize = 600;
 const READERS: usize = 2;
 const TIMESTEPS: usize = 6000;
 const RETRAIN_CHURN: f64 = 0.25;
+/// Mpps window of each quiet phase (milliseconds).
+const MEASURE_MS: u64 = 400;
+/// Seed of the timeline's churn schedule.
+const SCHEDULE_SEED: u64 = 3;
+/// A differential check runs every this many churn updates.
+const CHECK_EVERY: usize = UPDATES / 8;
 
-/// Serve `trace` from `readers` threads for `millis` and return Mpps —
-/// the same measurement the timeline's quiet phases use.
-fn measure_mpps(
+/// One measured phase of a [`churn_retrain_timeline`] run.
+struct PhaseRow {
+    /// Phase name (`baseline`, `churn`, `retrain`, `steady`).
+    phase: &'static str,
+    /// Wall-clock seconds the phase ran.
+    secs: f64,
+    /// Sustained reader throughput during the phase (million packets
+    /// per second, all readers combined).
+    mpps: f64,
+    /// Updates applied during the phase.
+    updates: usize,
+    /// Published epoch at phase end.
+    epoch: u64,
+    /// Cumulative rebuilds at phase end.
+    rebuilds: u64,
+    /// Cumulative adopted retrains at phase end.
+    retrains: u64,
+    /// Served worst-case depth (Eq. 1) at phase end.
+    depth: usize,
+    /// Bytes per rule at phase end.
+    bytes_per_rule: f64,
+    /// Overlay length at phase end.
+    overlay: usize,
+}
+
+/// What a [`churn_retrain_timeline`] run produced.
+struct TimelineReport {
+    /// The measured phases, in order.
+    phases: Vec<PhaseRow>,
+    /// Differential checks that found a divergence (must be 0).
+    divergences: usize,
+    /// Differential checks run.
+    checks: usize,
+}
+
+/// Run `body` while [`READERS`] threads serve `trace`: returns its
+/// result, the seconds it took, and the Mpps the readers sustained.
+fn serve_while<R>(
     handle: &ClassifierHandle,
-    trace: &[classbench::Packet],
-    readers: usize,
-    millis: u64,
-) -> f64 {
+    trace: &[Packet],
+    body: impl FnOnce() -> R,
+) -> (R, f64, f64) {
     let started = Instant::now();
-    let ((), served) = serve_during(handle, trace, readers, || {
-        std::thread::sleep(Duration::from_millis(millis));
+    let (result, served) = serve_during(handle, trace, READERS, body);
+    let secs = started.elapsed().as_secs_f64();
+    (result, secs, served as f64 / secs.max(1e-9) / 1e6)
+}
+
+/// The body of a quiet phase: no updates for [`MEASURE_MS`].
+fn quiet() {
+    std::thread::sleep(Duration::from_millis(MEASURE_MS));
+}
+
+/// The churn-then-retrain timeline: measure a baseline, apply
+/// [`UPDATES`] churn updates under concurrent readers, let the worker
+/// retrain and hot-swap while readers keep serving, then measure the
+/// steady state — with a differential certification
+/// ([`ClassifierHandle::check_divergence`]) every [`CHECK_EVERY`]
+/// updates and at every phase boundary.
+///
+/// The worker is polled *synchronously* after the churn phase, so runs
+/// are deterministic given (rules, seeds); `LifecycleWorker::run` is the
+/// free-running alternative exercised by the soak tests and
+/// `update-bench`.
+fn churn_retrain_timeline(
+    handle: &ClassifierHandle,
+    donors: &RuleSet,
+    trace: &[Packet],
+    worker: &mut LifecycleWorker,
+) -> TimelineReport {
+    let mut phases = Vec::new();
+    let mut divergences = 0usize;
+    let mut checks = 0usize;
+    let mut check = |handle: &ClassifierHandle| {
+        checks += 1;
+        if handle.check_divergence(trace).is_some() {
+            divergences += 1;
+        }
+    };
+    let row = |phase: &'static str, secs: f64, mpps: f64, updates: usize| {
+        let stats = handle.stats();
+        let tree_stats = handle.with_tree(TreeStats::compute);
+        PhaseRow {
+            phase,
+            secs,
+            mpps,
+            updates,
+            epoch: stats.epoch,
+            rebuilds: stats.rebuilds,
+            retrains: stats.retrains,
+            depth: tree_stats.time,
+            bytes_per_rule: tree_stats.bytes_per_rule,
+            overlay: stats.overlay_len,
+        }
+    };
+
+    // Phase 1: the freshly trained baseline.
+    let ((), secs, mpps) = serve_while(handle, trace, quiet);
+    check(handle);
+    phases.push(row("baseline", secs, mpps, 0));
+
+    // Phase 2: churn under concurrent readers.
+    let mut schedule = ChurnSchedule::new(
+        donors.rules().to_vec(),
+        (0..handle.stats().active_rules).collect(),
+        SCHEDULE_SEED,
+    );
+    let ((), secs, mpps) = serve_while(handle, trace, || {
+        for i in 0..UPDATES {
+            schedule.step(handle);
+            if (i + 1) % CHECK_EVERY == 0 {
+                check(handle);
+            }
+        }
     });
-    served as f64 / started.elapsed().as_secs_f64().max(1e-9) / 1e6
+    check(handle);
+    phases.push(row("churn", secs, mpps, UPDATES));
+
+    // Phase 3: the background retrain — readers serve the old epoch
+    // while the worker trains, verifies, and swaps. A failed attempt
+    // backs off and retries, so poll until the worker either publishes
+    // (adopt or fallback rebuild) or has nothing left to do.
+    let ((), secs, mpps) = serve_while(handle, trace, || {
+        while let Some(event) = worker.poll_past_backoff(handle, trace) {
+            if event.adopted || event.fallback_rebuild {
+                break;
+            }
+        }
+    });
+    check(handle);
+    phases.push(row("retrain", secs, mpps, 0));
+
+    // Phase 4: steady state on the retrained tree.
+    let ((), secs, mpps) = serve_while(handle, trace, quiet);
+    check(handle);
+    phases.push(row("steady", secs, mpps, 0));
+
+    TimelineReport { phases, divergences, checks }
 }
 
 fn main() {
@@ -99,18 +232,9 @@ fn main() {
     let handle = ClassifierHandle::new((*tree).clone(), RebuildPolicy::default_policy());
 
     let mut lc = LifecycleConfig::new(train_cfg.clone());
-    lc.trigger =
-        RetrainTrigger { min_churn: RETRAIN_CHURN, min_updates: 32, max_drift: f64::INFINITY };
+    lc.retrain_churn = RETRAIN_CHURN;
     let mut worker = LifecycleWorker::new(lc, &handle);
-    let tl = TimelineConfig {
-        updates: UPDATES,
-        readers: READERS,
-        measure_ms: 400,
-        schedule_seed: 3,
-        check_every: (UPDATES / 8).max(1),
-        faults: None,
-    };
-    let timeline = churn_retrain_timeline(&handle, &rules, &trace, &mut worker, &tl);
+    let timeline = churn_retrain_timeline(&handle, &rules, &trace, &mut worker);
     let lc_report = worker.into_report();
     let adopted: Vec<_> = lc_report.events.iter().filter(|e| e.adopted).collect();
 
@@ -124,7 +248,7 @@ fn main() {
     let (fresh_tree, fresh_stats, _) = retrain_snapshot(final_snap.rules(), &train_cfg, fresh_seed)
         .expect("fresh training on the final rules succeeds");
     let fresh_handle = ClassifierHandle::new((*fresh_tree).clone(), RebuildPolicy::never());
-    let fresh_mpps = measure_mpps(&fresh_handle, &trace, READERS, tl.measure_ms);
+    let ((), _, fresh_mpps) = serve_while(&fresh_handle, &trace, quiet);
     let served_depth = handle.with_tree(TreeStats::compute).time;
     let steady_mpps = timeline.phases.last().map_or(0.0, |p| p.mpps);
     let depth_ratio = served_depth as f64 / fresh_stats.time.max(1) as f64;
@@ -133,10 +257,10 @@ fn main() {
     // Fault-injected recovery mini-cycle: arm two retrain panics, churn
     // the (already measured) handle past a fresh trigger, and time how
     // long the worker takes to heal — both injected failures retried
-    // with backoff, then a clean adopt. Runs after every gated
-    // measurement; the recovery numbers are tracked in the JSON but
-    // deliberately named outside bench_gate's METRICS so they are
-    // reported, not gated.
+    // once their backoff polls run out, then a clean adopt. Runs after
+    // every gated measurement; the recovery numbers are tracked in the
+    // JSON but deliberately named outside bench_gate's METRICS so they
+    // are reported, not gated.
     let faults = Arc::new(
         FaultSchedule::empty()
             .arm(FaultPoint::RetrainPanic, 0)
@@ -144,13 +268,7 @@ fn main() {
             .injector(),
     );
     let mut lc = LifecycleConfig::new(train_cfg.clone());
-    lc.trigger = RetrainTrigger { min_churn: 0.05, min_updates: 32, max_drift: f64::INFINITY };
-    lc.retry = RetryPolicy {
-        max_failures: 3,
-        base_backoff: Duration::from_millis(5),
-        max_backoff: Duration::from_millis(20),
-        attempt_deadline: Duration::from_secs(120),
-    };
+    lc.retrain_churn = 0.05;
     lc.faults = Some(faults.clone());
     let mut recovery_worker = LifecycleWorker::new(lc, &handle);
     let mut recovery_churn = ChurnSchedule::new(rules.rules().to_vec(), Vec::new(), 5);
@@ -160,12 +278,8 @@ fn main() {
     let recovery_started = Instant::now();
     let (mut retrain_failures, mut degraded_phases, mut fallback_rebuilds) = (0u64, 0u64, 0u64);
     let mut recovered = false;
-    for _ in 0..10_000 {
-        if recovery_worker.in_backoff() {
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        let Some(event) = recovery_worker.poll(&handle, &trace) else { break };
+    for _ in 0..10 {
+        let Some(event) = recovery_worker.poll_past_backoff(&handle, &trace) else { break };
         if event.adopted {
             recovered = true;
             break;
@@ -212,7 +326,7 @@ fn main() {
         .map(|e| {
             json!({
                 "train_seed": e.train_seed, "adopted": e.adopted, "churn": e.churn,
-                "timesteps": e.timesteps, "train_secs": e.train_secs,
+                "timesteps": e.timesteps,
                 "depth_before": e.depth_before, "depth_after": e.depth_after,
                 "reconciled_inserts": e.reconciled_inserts,
                 "reconciled_deletes": e.reconciled_deletes, "spot_checked": e.spot_checked,
@@ -267,4 +381,35 @@ fn main() {
         ),
     );
     report.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use classbench::Dim;
+    use dtree::DecisionTree;
+
+    #[test]
+    fn timeline_runs_all_phases_and_stays_certified() {
+        let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 150).with_seed(65));
+        let mut tree = DecisionTree::new(&rules);
+        for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
+            if !tree.is_terminal(k, 8) {
+                tree.cut_node(k, Dim::DstIp, 4);
+            }
+        }
+        let handle = ClassifierHandle::new(tree, RebuildPolicy::default_policy());
+        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
+        cfg.max_retrains = 1;
+        let mut worker = LifecycleWorker::new(cfg, &handle);
+        let trace = generate_trace(&rules, &TraceConfig::new(128).with_seed(66));
+        let report = churn_retrain_timeline(&handle, &rules, &trace, &mut worker);
+        assert_eq!(report.phases.len(), 4);
+        assert_eq!(report.divergences, 0, "every checkpoint certified");
+        assert_eq!(report.checks, UPDATES / CHECK_EVERY + 4);
+        let retrain = &report.phases[2];
+        assert_eq!(retrain.phase, "retrain");
+        assert_eq!(retrain.retrains, 1, "the timeline's poll must adopt");
+        assert_eq!(report.phases[3].overlay, 0);
+    }
 }

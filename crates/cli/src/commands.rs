@@ -1,4 +1,4 @@
-//! The nine CLI subcommands.
+//! The eight CLI subcommands.
 
 use crate::args::Args;
 use classbench::{
@@ -10,8 +10,8 @@ use dtree::{
     FaultInjector, FaultSchedule, RebuildPolicy, TreeStats, FAULT_POINTS,
 };
 use neurocuts::{
-    churn_retrain_timeline, retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig,
-    PartitionMode, PersistConfig, Persistence, RetrainTrigger, TimelineConfig, Trainer,
+    LifecycleConfig, LifecycleWorker, NeuroCutsConfig, PartitionMode, PersistConfig, Persistence,
+    Trainer,
 };
 
 /// Top-level usage text.
@@ -48,30 +48,20 @@ subcommands:
       ClassifierHandle while engine readers serve concurrently;
       reports updates/sec applied and Mpps sustained during churn.
       with --auto-retrain true, a background lifecycle worker watches
-      the churn and hot-swaps a freshly retrained tree mid-replay.
+      the churn and hot-swaps a freshly retrained tree mid-replay once
+      the updates reach --retrain-churn (default 0.25) of the rules.
       --fault-schedule injects deterministic faults, e.g.
       \"retrain-panic@0;update-burst@100,400\" (points: retrain-panic,
-      retrain-slow, adopt-corruption, update-burst, plus the crash
-      points wal-append, checkpoint-write, adopt-persist, which abort
-      the process mid-write — pair them with --persist-dir; @N = the
-      N-th evaluation fires); the run prints the per-attempt health
+      adopt-corruption, update-burst, plus the crash points
+      wal-append, checkpoint-write, adopt-persist, which abort the
+      process mid-write — pair them with --persist-dir; @N = the N-th
+      evaluation fires); the run prints the per-attempt health
       timeline and the final HealthReport.
       --persist-dir DIR attaches crash-consistent persistence: every
       admitted update is write-ahead logged under DIR, the run
-      checkpoints on attach and at exit, and a kill -9 at any instant
-      is recoverable with `neurocuts recover`
-  lifecycle-bench --rules FILE [--updates N] [--trace N] [--timesteps N]
-                  [--readers R] [--retrain-churn C] [--seed S]
-                  [--fault-schedule SPEC] [--persist-dir DIR]
-      the full churn → retrain → hot-swap loop: train an initial
-      classifier, churn it under concurrent readers, let the
-      background lifecycle worker retrain and verify-swap the
-      optimised tree, and compare the result against a fresh train on
-      the final rules; exits non-zero on any divergence or if no swap
-      was adopted. --fault-schedule (same SPEC as update-bench) arms
-      injected faults across the whole loop and reports recovery.
-      --persist-dir (as in update-bench) additionally checkpoints
-      after every adopted retrain
+      checkpoints on attach and at exit and after every adopted
+      retrain, and a kill -9 at any instant is recoverable with
+      `neurocuts recover`
   recover  --persist-dir DIR [--rules FILE] [--trace N] [--seed S]
       rebuild the live classifier from DIR after a crash: load the
       newest valid checkpoint, truncate any torn write-ahead-log
@@ -371,6 +361,9 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
     }
     let auto_retrain: bool = args.parse_or("auto-retrain", false)?;
     let retrain_churn: f64 = args.parse_or("retrain-churn", 0.25)?;
+    if !retrain_churn.is_finite() || retrain_churn <= 0.0 {
+        return Err("--retrain-churn must be a positive fraction".into());
+    }
     let train_timesteps: usize = args.parse_or("timesteps", 3_000)?;
     let faults = parse_fault_schedule(&args)?;
     let persistence = args.get("persist-dir").map(|dir| {
@@ -406,8 +399,7 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
     }
     let worker = auto_retrain.then(|| {
         let mut lc = LifecycleConfig::new(NeuroCutsConfig::small(train_timesteps).with_seed(seed));
-        lc.trigger =
-            RetrainTrigger { min_churn: retrain_churn, min_updates: 32, max_drift: f64::INFINITY };
+        lc.retrain_churn = retrain_churn;
         lc.faults = faults.clone();
         lc.persist = persistence.clone();
         LifecycleWorker::new(lc, &handle)
@@ -468,10 +460,10 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
                     e.epoch
                 ),
                 Some(why) => println!(
-                    "  seed {} skipped: {why} (failures {}, backoff {}ms{}{})",
+                    "  seed {} skipped: {why} (failures {}, backoff {} polls{}{})",
                     e.train_seed,
                     e.failures_after,
-                    e.backoff_ms,
+                    e.backoff_polls,
                     if e.fallback_rebuild { ", fallback rebuild" } else { "" },
                     if e.degraded { ", degraded" } else { "" }
                 ),
@@ -510,148 +502,6 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
         report.threads,
         report.packets_per_sec,
         snap.epoch()
-    );
-    Ok(())
-}
-
-/// `neurocuts lifecycle-bench`: the churn → retrain → hot-swap loop.
-///
-/// Trains an initial classifier, serves it through a
-/// [`ClassifierHandle`] while a seeded churn schedule mutates the rule
-/// set, then lets a [`LifecycleWorker`] detect the accumulated churn,
-/// retrain on a frozen snapshot, verify the graft against the
-/// linear-scan ground truth, and publish it through one epoch swap —
-/// measuring sustained Mpps in every phase. Finishes by training a
-/// fresh classifier on the *final* rules and comparing depths: the
-/// auto-retrained tree should be close to what a from-scratch deploy
-/// would give.
-pub fn lifecycle_bench(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
-    let rules = read_rules(args.required("rules")?)?;
-    let updates: usize = args.parse_or("updates", 1_000)?;
-    let n: usize = args.parse_or("trace", 20_000)?;
-    let timesteps: usize = args.parse_or("timesteps", 3_000)?;
-    let readers: usize = args.parse_or("readers", 2)?;
-    let retrain_churn: f64 = args.parse_or("retrain-churn", 0.25)?;
-    if !retrain_churn.is_finite() || retrain_churn <= 0.0 {
-        return Err("--retrain-churn must be a positive fraction".into());
-    }
-    let seed: u64 = args.parse_or("seed", 0)?;
-    let faults = parse_fault_schedule(&args)?;
-    let persistence = args.get("persist-dir").map(|dir| {
-        Persistence::with_config(
-            dir,
-            PersistConfig { faults: faults.clone(), ..PersistConfig::default() },
-        )
-    });
-    let trace = generate_trace(&rules, &TraceConfig::new(n).with_seed(seed));
-    let train_cfg = NeuroCutsConfig::small(timesteps).with_seed(seed);
-
-    eprintln!("training the initial classifier on {} rules...", rules.len());
-    let (tree, stats, _) = retrain_snapshot(&rules, &train_cfg, seed).map_err(|e| e.to_string())?;
-    eprintln!("initial tree: {stats}");
-    let handle = ClassifierHandle::new((*tree).clone(), RebuildPolicy::default_policy());
-    if let Some(p) = &persistence {
-        let ck = p.checkpoint(&handle, seed).map_err(|e| e.to_string())?;
-        eprintln!(
-            "persistence attached: {} (generation {}, wal-logged from here)",
-            p.dir().display(),
-            ck.generation
-        );
-    }
-
-    let mut lc = LifecycleConfig::new(train_cfg.clone());
-    lc.trigger =
-        RetrainTrigger { min_churn: retrain_churn, min_updates: 32, max_drift: f64::INFINITY };
-    lc.faults = faults.clone();
-    lc.persist = persistence.clone();
-    let mut worker = LifecycleWorker::new(lc, &handle);
-    let tl = TimelineConfig {
-        updates,
-        readers: readers.max(1),
-        measure_ms: 400,
-        schedule_seed: seed ^ 0x11fe,
-        check_every: (updates / 8).max(1),
-        faults: faults.clone(),
-    };
-    let report = churn_retrain_timeline(&handle, &rules, &trace, &mut worker, &tl);
-
-    println!("phase      secs     Mpps  updates  epoch  rebuilds  retrains  depth  overlay");
-    for r in &report.phases {
-        println!(
-            "{:<9} {:>5.2} {:>8.2} {:>8} {:>6} {:>9} {:>9} {:>6} {:>8}",
-            r.phase, r.secs, r.mpps, r.updates, r.epoch, r.rebuilds, r.retrains, r.depth, r.overlay
-        );
-    }
-    println!("differential checks: {} run, {} divergences", report.checks, report.divergences);
-
-    let lc_report = worker.into_report();
-    for e in &lc_report.events {
-        match &e.skipped {
-            None => println!(
-                "retrain (seed {}): {:.0}% churn, {} timesteps in {:.2}s, depth {} -> {}, \
-                 reconciled +{}/-{}, spot-checked {} packets, published epoch {}",
-                e.train_seed,
-                e.churn * 100.0,
-                e.timesteps,
-                e.train_secs,
-                e.depth_before,
-                e.depth_after,
-                e.reconciled_inserts,
-                e.reconciled_deletes,
-                e.spot_checked,
-                e.epoch
-            ),
-            Some(why) => println!(
-                "retrain (seed {}) skipped: {why} (failures {}, backoff {}ms{}{})",
-                e.train_seed,
-                e.failures_after,
-                e.backoff_ms,
-                if e.fallback_rebuild { ", fallback rebuild" } else { "" },
-                if e.degraded { ", degraded" } else { "" }
-            ),
-        }
-    }
-    println!("updates rejected  {} (admission control)", report.rejected);
-    if let Some(p) = &persistence {
-        let ck = p.checkpoint(&handle, seed).map_err(|e| e.to_string())?;
-        println!(
-            "final checkpoint  generation {} ({} bytes, folded {} wal record(s))",
-            ck.generation, ck.bytes, ck.folded_records
-        );
-    }
-    println!("health            {}", handle.health());
-    if let Some(faults) = &faults {
-        print_fault_outcome(faults);
-    }
-
-    // The staleness comparator: how does the auto-retrained classifier
-    // compare with training from scratch on the rules we ended up with?
-    let final_rules = handle.rule_snapshot();
-    let (_, fresh, _) =
-        retrain_snapshot(final_rules.rules(), &train_cfg, seed).map_err(|e| e.to_string())?;
-    let served_depth = handle.with_tree(TreeStats::compute).time;
-    println!(
-        "auto-retrained depth {served_depth} vs fresh-trained depth {} on the final {} rules \
-         (ratio {:.2})",
-        fresh.time,
-        final_rules.len(),
-        served_depth as f64 / fresh.time.max(1) as f64
-    );
-
-    if report.divergences > 0 {
-        return Err(format!("{} differential checks diverged", report.divergences));
-    }
-    // Under fault injection a run may legitimately end degraded: the
-    // fallback rebuild *is* the recovery path, so it satisfies the
-    // "the loop did something" gate too.
-    if lc_report.adopted() == 0 && lc_report.fallback_rebuilds() == 0 {
-        return Err("no retrain was adopted — raise --updates or lower --retrain-churn".into());
-    }
-    println!(
-        "lifecycle verified: every epoch certified, {} swap(s) adopted, {} fallback rebuild(s)",
-        lc_report.adopted(),
-        lc_report.fallback_rebuilds()
     );
     Ok(())
 }

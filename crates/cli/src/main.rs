@@ -8,7 +8,6 @@
 //! neurocuts classify --tree tree.json --rules rules.txt --trace 10000
 //! neurocuts serve-bench --tree tree.json --rules rules.txt --threads 8
 //! neurocuts update-bench --tree tree.json --rules rules.txt --updates 1000
-//! neurocuts lifecycle-bench --rules rules.txt --updates 1000 --timesteps 3000
 //! neurocuts recover  --persist-dir state/ --rules rules.txt
 //! neurocuts stats    --tree tree.json
 //! ```
@@ -34,7 +33,6 @@ fn main() -> ExitCode {
         "classify" => commands::classify(rest),
         "serve-bench" => commands::serve_bench(rest),
         "update-bench" => commands::update_bench(rest),
-        "lifecycle-bench" => commands::lifecycle_bench(rest),
         "recover" => commands::recover(rest),
         "stats" => commands::stats(rest),
         "help" | "--help" | "-h" => {

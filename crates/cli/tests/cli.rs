@@ -1,0 +1,80 @@
+//! End-to-end runs of the `neurocuts` binary: flag validation and the
+//! generate → build → `update-bench --auto-retrain` path.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn neurocuts(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_neurocuts"))
+        .args(args)
+        .output()
+        .expect("the neurocuts binary runs")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+/// A fresh directory `name` holding a generated 60-rule ACL set and a
+/// HiCuts tree built on it; returns the (rules, tree) paths.
+fn rules_and_tree(name: &str) -> (String, String) {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the test directory");
+    let path = |file: &str| dir.join(file).to_str().expect("utf-8 path").to_string();
+    let (rules, tree) = (path("rules.txt"), path("tree.json"));
+    for args in [
+        &["generate", "--family", "acl", "--size", "60", "--seed", "3", "--out", &rules][..],
+        &["build", "--rules", &rules, "--algo", "hicuts", "--out", &tree],
+    ] {
+        let out = neurocuts(args);
+        assert!(out.status.success(), "{args:?} failed: {}", text(&out.stderr));
+    }
+    (rules, tree)
+}
+
+#[test]
+fn update_bench_rejects_a_nan_retrain_churn() {
+    let (rules, tree) = rules_and_tree("nan_retrain_churn");
+    let out = neurocuts(&[
+        "update-bench",
+        "--tree",
+        &tree,
+        "--rules",
+        &rules,
+        "--updates",
+        "40",
+        "--retrain-churn",
+        "nan",
+    ]);
+    let stderr = text(&out.stderr);
+    assert!(!out.status.success(), "a NaN fraction must be refused; stderr: {stderr}");
+    assert!(stderr.contains("--retrain-churn"), "the error names the flag: {stderr}");
+}
+
+#[test]
+fn update_bench_auto_retrains_and_verifies_the_final_snapshot() {
+    let (rules, tree) = rules_and_tree("auto_retrain");
+    let out = neurocuts(&[
+        "update-bench",
+        "--tree",
+        &tree,
+        "--rules",
+        &rules,
+        "--updates",
+        "200",
+        "--trace",
+        "1000",
+        "--threads",
+        "1",
+        "--auto-retrain",
+        "true",
+        "--timesteps",
+        "400",
+    ]);
+    let stdout = text(&out.stdout);
+    assert!(out.status.success(), "update-bench failed: {}\n{stdout}", text(&out.stderr));
+    assert!(stdout.contains("final snapshot verified"), "{stdout}");
+    let retrain = stdout.lines().find(|l| l.starts_with("auto-retrain")).expect("worker summary");
+    assert!(!retrain.contains(" 0 adopted"), "the worker adopts a retrain: {retrain}");
+}

@@ -34,10 +34,9 @@
 //!   updates (§4). Degenerate inputs surface as [`TrainError`]s rather
 //!   than panics;
 //! * [`lifecycle`] — the churn → retrain → hot-swap loop: a background
-//!   [`LifecycleWorker`] watches churn and tree-quality drift, retrains
-//!   on a frozen snapshot while readers keep serving, spot-checks the
-//!   grafted winner against a linear scan, and publishes it through one
-//!   epoch swap;
+//!   [`LifecycleWorker`] watches churn, retrains on a frozen snapshot
+//!   while readers keep serving, spot-checks the grafted winner against
+//!   a linear scan, and publishes it through one epoch swap;
 //! * [`persist`] — crash-consistent durability: generation-stamped
 //!   checkpoints over `dtree::wal`'s write-ahead log, and a typed
 //!   recovery path ([`recover`]) that survives `kill -9` at any
@@ -79,9 +78,8 @@ pub use classifier::NeuroCutsClassifier;
 pub use config::{NeuroCutsConfig, PartitionMode, RewardScaling};
 pub use env::{EpisodeState, NeuroCutsEnv, PendingDecision};
 pub use lifecycle::{
-    churn_retrain_timeline, drift_signal, retrain_snapshot, LifecycleConfig, LifecycleError,
-    LifecycleEvent, LifecycleReport, LifecycleWorker, PhaseRow, RetrainTrigger, RetryPolicy,
-    TimelineConfig, TimelineReport, WorkerHealth,
+    retrain_snapshot, LifecycleConfig, LifecycleError, LifecycleEvent, LifecycleReport,
+    LifecycleWorker, RetryPolicy, WorkerHealth,
 };
 pub use obs::ObsEncoder;
 pub use persist::{

@@ -9,12 +9,11 @@
 //! reconfigure in the background, verify continuously, swap invisibly):
 //!
 //! 1. **Watch** — a [`LifecycleWorker`] polls the handle's lifetime
-//!    update counters (churn since the last baseline) and a cheap tree-
-//!    quality drift signal (worst-case depth × bytes/rule vs. the
-//!    post-train baseline, [`drift_signal`]).
-//! 2. **Trigger** — a [`RetrainTrigger`] decides when accumulated churn
-//!    or quality drift warrants a retrain (with a `min_updates` gate so
-//!    small classifiers don't thrash).
+//!    update counters (churn since the last baseline).
+//! 2. **Trigger** — churn is the only trigger: a retrain fires once the
+//!    updates since the baseline reach [`LifecycleConfig::retrain_churn`]
+//!    of the active rules, and never before [`MIN_RETRAIN_UPDATES`]
+//!    updates so small classifiers don't thrash.
 //! 3. **Retrain** — the worker freezes the current rule set
 //!    ([`dtree::ClassifierHandle::rule_snapshot`]), trains a fresh
 //!    policy on the side via [`Trainer`] + the vectorised collector,
@@ -27,97 +26,54 @@
 //!    resetting the churn log atomically. A failed spot check abandons
 //!    the swap with the serving state untouched.
 //!
-//! The [`churn_retrain_timeline`] driver at the bottom is the shared
-//! harness behind the CLI `lifecycle-bench` subcommand and the
-//! `bench_lifecycle` JSON emitter, so the two entry points measure the
-//! same loop instead of carrying diverging copies.
+//! The worker reads no clock: it is a state machine over its polls.
+//! Failure backoff counts polls, and each retrain's work is bounded by
+//! [`NeuroCutsConfig::max_timesteps`], so the same handle, churn, poll
+//! sequence and fault schedule always record the same events.
 
 use crate::config::NeuroCutsConfig;
 use crate::trainer::{TrainError, Trainer};
 use classbench::{Packet, RuleSet};
-use dtree::{
-    serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, FaultInjector, FaultPoint,
-    TreeStats,
-};
+use dtree::{ClassifierHandle, DecisionTree, FaultInjector, FaultPoint, TreeStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// When accumulated churn or quality drift warrants a background
-/// retrain (the lifecycle analogue of `dtree`'s `RebuildPolicy`, one
-/// level up: a rebuild re-flattens the mutated tree, a retrain re-runs
-/// the optimiser that chose its shape).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetrainTrigger {
-    /// Retrain when updates since the last baseline reach this
-    /// fraction of the active rules.
-    pub min_churn: f64,
-    /// Never retrain before this many updates since the baseline, so
-    /// small classifiers don't retrain on every handful of updates.
-    pub min_updates: usize,
-    /// Retrain regardless of churn when the quality signal
-    /// ([`drift_signal`]) grows past this ratio of the baseline.
-    pub max_drift: f64,
-}
-
-impl RetrainTrigger {
-    /// Retrain at 25% churn (or 1.5× quality drift), not before 32
-    /// updates.
-    pub fn default_trigger() -> Self {
-        RetrainTrigger { min_churn: 0.25, min_updates: 32, max_drift: 1.5 }
-    }
-
-    /// True when the accumulated signals warrant a retrain.
-    pub fn fires(&self, updates_since: usize, churn: f64, drift: f64) -> bool {
-        updates_since >= self.min_updates && (churn >= self.min_churn || drift >= self.max_drift)
-    }
-}
-
-impl Default for RetrainTrigger {
-    fn default() -> Self {
-        Self::default_trigger()
-    }
-}
+/// Never retrain before this many updates since the baseline, so small
+/// classifiers don't retrain on every handful of updates.
+pub const MIN_RETRAIN_UPDATES: usize = 32;
 
 /// Bounded-retry exponential backoff for *transient* retrain failures
-/// (panics, deadline overruns, failed adoptions). Deterministic trainer
-/// refusals ([`TrainError`]) are not retried at all — the same snapshot
-/// fails the same way every time.
+/// (panics, failed adoptions), counted in worker polls. Deterministic
+/// trainer refusals ([`TrainError`]) are not retried at all — the same
+/// snapshot fails the same way every time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Consecutive transient failures before the worker degrades to a
     /// deterministic heuristic rebuild (fold-overlay recompile) so the
     /// served shape never stays stale just because training is broken.
     pub max_failures: u32,
-    /// Backoff after the first failure; doubles per consecutive
+    /// Polls skipped after the first failure; doubles per consecutive
     /// failure up to [`Self::max_backoff`].
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Per-attempt wall-clock deadline: a retrain running past it is a
-    /// [`LifecycleError::Timeout`] and its tree is discarded.
-    pub attempt_deadline: Duration,
+    pub base_backoff: u32,
+    /// Backoff ceiling, in polls.
+    pub max_backoff: u32,
 }
 
 impl RetryPolicy {
-    /// Degrade after 3 consecutive failures, backing off 100ms → 5s,
-    /// with a 60s per-attempt deadline.
+    /// Degrade after 3 consecutive failures, backing off 5 → 250 polls
+    /// (100ms → 5s at a 20ms poll interval).
     pub fn default_policy() -> Self {
-        RetryPolicy {
-            max_failures: 3,
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(5),
-            attempt_deadline: Duration::from_secs(60),
-        }
+        RetryPolicy { max_failures: 3, base_backoff: 5, max_backoff: 250 }
     }
 
-    /// Backoff imposed after the `failures`-th consecutive failure
+    /// Polls skipped after the `failures`-th consecutive failure
     /// (1-based): `base · 2^(failures-1)`, capped at
     /// [`Self::max_backoff`]. Zero failures back off nothing.
-    pub fn backoff_after(&self, failures: u32) -> Duration {
+    pub fn backoff_after(&self, failures: u32) -> u32 {
         if failures == 0 {
-            return Duration::ZERO;
+            return 0;
         }
         let shift = (failures - 1).min(16);
         self.base_backoff.saturating_mul(1u32 << shift).min(self.max_backoff)
@@ -143,14 +99,6 @@ pub enum LifecycleError {
     /// The retrain panicked; the payload message was captured by the
     /// `catch_unwind` isolation and the worker survives.
     Panicked(String),
-    /// The retrain ran past [`RetryPolicy::attempt_deadline`]; its
-    /// tree (if any) was discarded.
-    Timeout {
-        /// Wall-clock the attempt actually took (milliseconds).
-        elapsed_ms: u64,
-        /// The deadline it overran (milliseconds).
-        deadline_ms: u64,
-    },
     /// Training succeeded but [`dtree::ClassifierHandle::adopt`]
     /// refused the tree (spot-check divergence, stale snapshot, ...).
     Adopt(dtree::AdoptError),
@@ -161,9 +109,6 @@ impl std::fmt::Display for LifecycleError {
         match self {
             LifecycleError::Train(e) => write!(f, "train: {e}"),
             LifecycleError::Panicked(msg) => write!(f, "retrain panicked: {msg}"),
-            LifecycleError::Timeout { elapsed_ms, deadline_ms } => {
-                write!(f, "retrain overran its deadline: {elapsed_ms}ms > {deadline_ms}ms")
-            }
             LifecycleError::Adopt(e) => write!(f, "adopt: {e}"),
         }
     }
@@ -186,28 +131,22 @@ pub struct WorkerHealth {
     pub in_backoff: bool,
 }
 
-/// The cheap tree-quality signal the worker watches: worst-case
-/// classification depth (Eq. 1) × bytes per rule. Depth is fixed by the
-/// structure while churn only mutates leaves, so the product moves with
-/// the rule count and leaf occupancy — exactly the "shape chosen for a
-/// rule set that no longer exists" drift a rebuild cannot fix.
-pub fn drift_signal(stats: &TreeStats) -> f64 {
-    stats.time as f64 * stats.bytes_per_rule.max(1.0)
-}
-
 /// Everything a [`LifecycleWorker`] needs to run.
 #[derive(Debug, Clone)]
 pub struct LifecycleConfig {
-    /// When to retrain.
-    pub trigger: RetrainTrigger,
+    /// Retrain when updates since the last baseline reach this fraction
+    /// of the active rules (and at least [`MIN_RETRAIN_UPDATES`]). May
+    /// exceed 1.0 to retrain less often than once per rule-set turnover.
+    pub retrain_churn: f64,
     /// Training budget and hyperparameters for each background retrain.
     /// Each retrain `k` uses `train.seed + k`, recorded per event, so
     /// every swap is reproducible from its snapshot alone.
+    /// [`NeuroCutsConfig::max_timesteps`] bounds each retrain's work.
     pub train: NeuroCutsConfig,
     /// Stop after this many retrain attempts (0 = unlimited).
     pub max_retrains: usize,
-    /// Failure handling: per-attempt deadline, bounded-retry backoff,
-    /// and the degradation threshold.
+    /// Failure handling: bounded-retry backoff and the degradation
+    /// threshold.
     pub retry: RetryPolicy,
     /// Optional fault injector (chaos harnesses): the worker evaluates
     /// the retrain-side fault points around every attempt. `None` in
@@ -223,11 +162,12 @@ pub struct LifecycleConfig {
 }
 
 impl LifecycleConfig {
-    /// A worker around the given training config with the default
-    /// trigger, default retry policy, no retrain cap, and no faults.
+    /// A worker around the given training config that retrains at 25%
+    /// churn, with the default retry policy, no retrain cap, and no
+    /// faults.
     pub fn new(train: NeuroCutsConfig) -> Self {
         LifecycleConfig {
-            trigger: RetrainTrigger::default_trigger(),
+            retrain_churn: 0.25,
             train,
             max_retrains: 0,
             retry: RetryPolicy::default_policy(),
@@ -235,13 +175,19 @@ impl LifecycleConfig {
             persist: None,
         }
     }
+
+    /// True when `updates_since` updates, a `churn` fraction of the
+    /// active rules, warrant a retrain. A NaN fraction never fires.
+    fn fires(&self, updates_since: usize, churn: f64) -> bool {
+        updates_since >= MIN_RETRAIN_UPDATES && churn >= self.retrain_churn
+    }
 }
 
 /// One retrain attempt, adopted or skipped. Carries the frozen snapshot
 /// and seed so any published epoch can be re-derived from scratch
 /// (retrain the snapshot with the same seed, graft, compare) — the
 /// reproducibility claim the soak test pins.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleEvent {
     /// Epoch after the swap (the pre-attempt epoch when skipped).
     pub epoch: u64,
@@ -251,12 +197,8 @@ pub struct LifecycleEvent {
     pub train_seed: u64,
     /// Churn fraction since the baseline at trigger time.
     pub churn: f64,
-    /// Quality-drift ratio vs. the baseline at trigger time.
-    pub drift: f64,
     /// Environment timesteps the retrain consumed.
     pub timesteps: usize,
-    /// Wall-clock seconds spent training (readers served throughout).
-    pub train_secs: f64,
     /// Stats of the trained template *before* grafting — re-deriving
     /// them from `snapshot_rules` + `train_seed` must reproduce this
     /// exactly (the trainer is deterministic), which is how the soak
@@ -293,9 +235,9 @@ pub struct LifecycleEvent {
     /// wrote (`None` without persistence, on failed attempts, and when
     /// the checkpoint itself failed).
     pub checkpoint_generation: Option<u64>,
-    /// Backoff imposed after this attempt (milliseconds; 0 on success
-    /// and deterministic skips).
-    pub backoff_ms: u64,
+    /// Polls of backoff imposed after this attempt (0 on success and
+    /// deterministic skips).
+    pub backoff_polls: u32,
 }
 
 /// Everything a worker did over its lifetime.
@@ -315,8 +257,8 @@ impl LifecycleReport {
         self.events.iter().filter(|e| e.adopted).count()
     }
 
-    /// Attempts that failed transiently (panic, timeout, refused
-    /// adoption) — deterministic trainer skips are not failures.
+    /// Attempts that failed transiently (panic, refused adoption) —
+    /// deterministic trainer skips are not failures.
     pub fn failures(&self) -> usize {
         self.events.iter().filter(|e| !e.adopted && e.failures_after > 0).count()
     }
@@ -335,13 +277,13 @@ impl LifecycleReport {
 pub struct LifecycleWorker {
     cfg: LifecycleConfig,
     baseline_updates: usize,
-    baseline_signal: f64,
     polls: usize,
     retrains: usize,
     events: Vec<LifecycleEvent>,
     consecutive_failures: u32,
     degraded: bool,
-    backoff_until: Option<Instant>,
+    /// Polls still to skip before the trigger is evaluated again.
+    backoff_left: u32,
     /// The seed that trained the currently served tree — pinned into
     /// every checkpoint so a recovered image keeps the PR 6
     /// reproducibility contract (snapshot rules + seed re-derive the
@@ -350,21 +292,18 @@ pub struct LifecycleWorker {
 }
 
 impl LifecycleWorker {
-    /// Attach a worker to a handle: the current tree becomes the
-    /// quality baseline and churn starts counting from now.
+    /// Attach a worker to a handle: churn starts counting from now.
     pub fn new(cfg: LifecycleConfig, handle: &ClassifierHandle) -> Self {
-        let stats = handle.with_tree(TreeStats::compute);
         let last_train_seed = cfg.train.seed;
         LifecycleWorker {
             cfg,
             baseline_updates: handle.stats().lifetime_updates(),
-            baseline_signal: drift_signal(&stats),
             polls: 0,
             retrains: 0,
             events: Vec::new(),
             consecutive_failures: 0,
             degraded: false,
-            backoff_until: None,
+            backoff_left: 0,
             last_train_seed,
         }
     }
@@ -389,10 +328,10 @@ impl LifecycleWorker {
         }
     }
 
-    /// True while a failure backoff is pending: polls return `None`
-    /// without evaluating the trigger until it expires.
+    /// True while a failure backoff is pending: the next polls return
+    /// `None` without evaluating the trigger until it is used up.
     pub fn in_backoff(&self) -> bool {
-        self.backoff_until.is_some_and(|until| Instant::now() < until)
+        self.backoff_left > 0
     }
 
     /// Evaluate the trigger once and, when it fires, run one full
@@ -408,14 +347,14 @@ impl LifecycleWorker {
     /// rule so a corrupted template cannot sneak past an unlucky trace.
     ///
     /// Failure handling (the self-healing contract):
-    /// - the trainer call is panic-isolated (`catch_unwind`) and
-    ///   deadline-checked ([`RetryPolicy::attempt_deadline`]);
+    /// - the trainer call is panic-isolated (`catch_unwind`);
     /// - deterministic [`TrainError`]s skip and re-baseline (retrying
     ///   the same degenerate snapshot every poll would spin);
-    /// - transient failures (panic/timeout/refused adoption) keep the
-    ///   baseline — the trigger re-fires after an exponential backoff —
-    ///   and after [`RetryPolicy::max_failures`] in a row the worker
-    ///   **degrades**: a deterministic fold-overlay recompile
+    /// - transient failures (panic/refused adoption) keep the baseline —
+    ///   the trigger re-fires after an exponential backoff of
+    ///   [`RetryPolicy::backoff_after`] polls — and after
+    ///   [`RetryPolicy::max_failures`] in a row the worker **degrades**:
+    ///   a deterministic fold-overlay recompile
     ///   ([`dtree::ClassifierHandle::force_rebuild`]) keeps the served
     ///   shape fresh, `degraded` stays set until a retrain succeeds;
     /// - every failed attempt leaves the published epoch untouched
@@ -434,22 +373,22 @@ impl LifecycleWorker {
         if self.cfg.persist.as_ref().is_some_and(|p| p.wants_checkpoint(handle)) {
             self.checkpoint_now(handle);
         }
-        if self.cfg.max_retrains > 0 && self.retrains >= self.cfg.max_retrains {
+        if self.backoff_left > 0 {
+            self.backoff_left -= 1;
             return None;
         }
-        if self.in_backoff() {
+        if self.cfg.max_retrains > 0 && self.retrains >= self.cfg.max_retrains {
             return None;
         }
         let stats = handle.stats();
         let updates_since = stats.lifetime_updates().saturating_sub(self.baseline_updates);
         let churn = updates_since as f64 / stats.active_rules.max(1) as f64;
-        let tree_stats = handle.with_tree(TreeStats::compute);
-        let drift = drift_signal(&tree_stats) / self.baseline_signal.max(f64::MIN_POSITIVE);
-        if !self.cfg.trigger.fires(updates_since, churn, drift) {
+        if !self.cfg.fires(updates_since, churn) {
             return None;
         }
 
         self.retrains += 1;
+        let before = handle.with_tree(TreeStats::compute);
         let snap = handle.rule_snapshot();
         let seed = self.cfg.train.seed.wrapping_add(self.retrains as u64);
         let mut event = LifecycleEvent {
@@ -457,13 +396,11 @@ impl LifecycleWorker {
             snapshot_rules: snap.rules().clone(),
             train_seed: seed,
             churn,
-            drift,
             timesteps: 0,
-            train_secs: 0.0,
             template_stats: None,
-            depth_before: tree_stats.time,
-            depth_after: tree_stats.time,
-            bytes_per_rule_after: tree_stats.bytes_per_rule,
+            depth_before: before.time,
+            depth_after: before.time,
+            bytes_per_rule_after: before.bytes_per_rule,
             reconciled_inserts: 0,
             reconciled_deletes: 0,
             spot_checked: 0,
@@ -473,16 +410,16 @@ impl LifecycleWorker {
             degraded: self.degraded,
             fallback_rebuild: false,
             checkpoint_generation: None,
-            backoff_ms: 0,
+            backoff_polls: 0,
         };
         let outcome = self.attempt(handle, &snap, spot_check, seed, &mut event);
         match outcome {
             Ok(()) => {
-                // Success clears the whole failure state: streak,
-                // backoff, and the degraded flag.
+                // Success clears the whole failure state: the streak
+                // and the degraded flag (no backoff is pending, or the
+                // attempt would not have run).
                 self.consecutive_failures = 0;
                 self.degraded = false;
-                self.backoff_until = None;
                 event.degraded = false;
                 self.rebaseline(handle);
                 handle.note_worker_health(0, false, None);
@@ -509,11 +446,10 @@ impl LifecycleWorker {
                 // re-fires, back off exponentially, and degrade to the
                 // heuristic rebuild once the streak crosses the bound.
                 self.consecutive_failures += 1;
-                let backoff = self.cfg.retry.backoff_after(self.consecutive_failures);
-                self.backoff_until = Some(Instant::now() + backoff);
+                self.backoff_left = self.cfg.retry.backoff_after(self.consecutive_failures);
                 event.skipped = Some(err.to_string());
                 event.failures_after = self.consecutive_failures as u64;
-                event.backoff_ms = backoff.as_millis() as u64;
+                event.backoff_polls = self.backoff_left;
                 if self.consecutive_failures >= self.cfg.retry.max_failures {
                     handle.force_rebuild();
                     self.degraded = true;
@@ -529,6 +465,21 @@ impl LifecycleWorker {
         }
         self.events.push(event);
         self.events.last()
+    }
+
+    /// Poll through any pending failure backoff, then once more: the
+    /// next attempt's event, or `None` when the trigger holds (or the
+    /// retrain budget is spent). Synchronous drivers use it to retry a
+    /// failed attempt at once; the skipped polls still count.
+    pub fn poll_past_backoff(
+        &mut self,
+        handle: &ClassifierHandle,
+        spot_check: &[Packet],
+    ) -> Option<&LifecycleEvent> {
+        while self.in_backoff() {
+            self.poll(handle, spot_check);
+        }
+        self.poll(handle, spot_check)
     }
 
     /// Checkpoint the handle into a fresh durable generation, returning
@@ -560,42 +511,25 @@ impl LifecycleWorker {
         seed: u64,
         event: &mut LifecycleEvent,
     ) -> Result<(), LifecycleError> {
-        let deadline = self.cfg.retry.attempt_deadline;
         let faults = self.cfg.faults.clone();
         let train = self.cfg.train.clone();
         let snap_rules = snap.rules().clone();
-        let started = Instant::now();
         // Panic isolation: a buggy (or fault-injected) trainer must
         // not take the worker thread down. AssertUnwindSafe is sound
         // here — everything the closure touches is owned by it, so an
         // unwind cannot leave shared state half-mutated.
         let trained = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(f) = &faults {
-                if f.should_fire(FaultPoint::RetrainPanic) {
-                    panic!("injected retrain panic (fault schedule)");
-                }
-                if f.should_fire(FaultPoint::RetrainSlow) {
-                    // Sleep decisively past the deadline so the slow
-                    // path deterministically classifies as a timeout.
-                    std::thread::sleep(deadline + deadline / 2);
-                }
+            if faults.as_ref().is_some_and(|f| f.should_fire(FaultPoint::RetrainPanic)) {
+                panic!("injected retrain panic (fault schedule)");
             }
             retrain_snapshot(&snap_rules, &train, seed)
         }));
-        let elapsed = started.elapsed();
         let (tree, template_stats, timesteps) = match trained {
             Err(payload) => return Err(LifecycleError::Panicked(panic_message(&*payload))),
-            Ok(_) if elapsed > deadline => {
-                return Err(LifecycleError::Timeout {
-                    elapsed_ms: elapsed.as_millis() as u64,
-                    deadline_ms: deadline.as_millis() as u64,
-                });
-            }
             Ok(Err(err)) => return Err(LifecycleError::Train(err)),
             Ok(Ok(result)) => result,
         };
         event.timesteps = timesteps;
-        event.train_secs = elapsed.as_secs_f64();
         event.template_stats = Some(template_stats);
         // Fault point: corrupt the trained template *before* adoption —
         // the pre-publish spot check must catch it (the probes below
@@ -633,12 +567,12 @@ impl LifecycleWorker {
 
     fn rebaseline(&mut self, handle: &ClassifierHandle) {
         self.baseline_updates = handle.stats().lifetime_updates();
-        self.baseline_signal = drift_signal(&handle.with_tree(TreeStats::compute));
     }
 
     /// Run as a background worker: poll every `interval` until `stop`
-    /// is set, then return the full report. Spawn on its own thread
-    /// (e.g. `std::thread::scope`) next to readers and updaters.
+    /// is set, drain once through any pending backoff, then return the
+    /// full report. Spawn on its own thread (e.g. `std::thread::scope`)
+    /// next to readers and updaters.
     pub fn run(
         mut self,
         handle: &ClassifierHandle,
@@ -657,10 +591,11 @@ impl LifecycleWorker {
                 left = left.saturating_sub(step);
             }
         }
-        // One drain poll, so churn that accumulated since the last
-        // tick is not silently dropped at shutdown (a replay shorter
-        // than one interval would otherwise never trigger).
-        self.poll(handle, spot_check);
+        // One drain poll, through any pending backoff, so churn that
+        // accumulated since the last tick and a retry still owed after
+        // a failure are not silently dropped at shutdown (a replay
+        // shorter than one interval would otherwise never trigger).
+        self.poll_past_backoff(handle, spot_check);
         self.into_report()
     }
 
@@ -699,193 +634,21 @@ pub fn retrain_snapshot(
     trainer.train_to_tree()
 }
 
-/// One measured phase of a [`churn_retrain_timeline`] run.
-#[derive(Debug, Clone)]
-pub struct PhaseRow {
-    /// Phase name (`baseline`, `churn`, `retrain`, `steady`).
-    pub phase: &'static str,
-    /// Wall-clock seconds the phase ran.
-    pub secs: f64,
-    /// Sustained reader throughput during the phase (million packets
-    /// per second, all readers combined).
-    pub mpps: f64,
-    /// Updates applied during the phase.
-    pub updates: usize,
-    /// Published epoch at phase end.
-    pub epoch: u64,
-    /// Cumulative rebuilds at phase end.
-    pub rebuilds: u64,
-    /// Cumulative adopted retrains at phase end.
-    pub retrains: u64,
-    /// Served worst-case depth (Eq. 1) at phase end.
-    pub depth: usize,
-    /// Bytes per rule at phase end.
-    pub bytes_per_rule: f64,
-    /// Overlay length at phase end.
-    pub overlay: usize,
-}
-
-/// What a [`churn_retrain_timeline`] run produced.
-#[derive(Debug, Clone)]
-pub struct TimelineReport {
-    /// The measured phases, in order.
-    pub phases: Vec<PhaseRow>,
-    /// Differential checks that found a divergence (must be 0).
-    pub divergences: usize,
-    /// Differential checks run.
-    pub checks: usize,
-    /// Updates the handle's admission control refused during the churn
-    /// phase (duplicate draws, overlay backpressure races) — normal
-    /// operation, reported so harnesses can account for every step.
-    pub rejected: u64,
-}
-
-/// Knobs for [`churn_retrain_timeline`].
-#[derive(Debug, Clone)]
-pub struct TimelineConfig {
-    /// Updates to apply during the churn phase.
-    pub updates: usize,
-    /// Reader threads serving throughout.
-    pub readers: usize,
-    /// Mpps measurement window for the quiet phases (milliseconds).
-    pub measure_ms: u64,
-    /// Seed for the churn schedule.
-    pub schedule_seed: u64,
-    /// Run a differential check every this many updates (0 = only at
-    /// phase boundaries).
-    pub check_every: usize,
-    /// Optional fault injector shared with the worker: the churn phase
-    /// evaluates [`dtree::FaultPoint::UpdateBurst`] at every step so a
-    /// CLI `--fault-schedule` reaches the update side too.
-    pub faults: Option<Arc<FaultInjector>>,
-}
-
-impl Default for TimelineConfig {
-    fn default() -> Self {
-        TimelineConfig {
-            updates: 200,
-            readers: 2,
-            measure_ms: 300,
-            schedule_seed: 7,
-            check_every: 64,
-            faults: None,
-        }
-    }
-}
-
-/// The shared churn-then-retrain harness behind `lifecycle-bench` and
-/// `bench_lifecycle`: measure a baseline, apply churn under concurrent
-/// readers, let the worker retrain and hot-swap while readers keep
-/// serving, then measure the steady state — with a differential
-/// certification ([`ClassifierHandle::check_divergence`]) at every
-/// checkpoint and phase boundary.
-///
-/// The worker is polled *synchronously* after the churn phase so runs
-/// are deterministic given (rules, seeds, config); [`LifecycleWorker::run`]
-/// is the free-running alternative exercised by the soak test.
-pub fn churn_retrain_timeline(
-    handle: &ClassifierHandle,
-    donors: &RuleSet,
-    trace: &[Packet],
-    worker: &mut LifecycleWorker,
-    cfg: &TimelineConfig,
-) -> TimelineReport {
-    let mut phases = Vec::new();
-    let mut divergences = 0usize;
-    let mut checks = 0usize;
-    let check = |handle: &ClassifierHandle, divergences: &mut usize, checks: &mut usize| {
-        *checks += 1;
-        if handle.check_divergence(trace).is_some() {
-            *divergences += 1;
-        }
-    };
-    let row = |phase: &'static str, secs: f64, served: u64, updates: usize| {
-        let stats = handle.stats();
-        let tree_stats = handle.with_tree(TreeStats::compute);
-        PhaseRow {
-            phase,
-            secs,
-            mpps: served as f64 / secs.max(1e-9) / 1e6,
-            updates,
-            epoch: stats.epoch,
-            rebuilds: stats.rebuilds,
-            retrains: stats.retrains,
-            depth: tree_stats.time,
-            bytes_per_rule: tree_stats.bytes_per_rule,
-            overlay: stats.overlay_len,
-        }
-    };
-
-    // Phase 1: the freshly trained baseline.
-    let started = Instant::now();
-    let ((), served) = serve_during(handle, trace, cfg.readers, || {
-        std::thread::sleep(Duration::from_millis(cfg.measure_ms));
-    });
-    check(handle, &mut divergences, &mut checks);
-    phases.push(row("baseline", started.elapsed().as_secs_f64(), served, 0));
-
-    // Phase 2: churn under concurrent readers.
-    let mut schedule = ChurnSchedule::new(
-        donors.rules().to_vec(),
-        (0..handle.stats().active_rules).collect(),
-        cfg.schedule_seed,
-    );
-    if let Some(faults) = &cfg.faults {
-        schedule = schedule.with_faults(faults.clone());
-    }
-    let started = Instant::now();
-    let (_, served) = serve_during(handle, trace, cfg.readers, || {
-        for i in 0..cfg.updates {
-            schedule.step(handle);
-            if cfg.check_every > 0 && (i + 1) % cfg.check_every == 0 {
-                check(handle, &mut divergences, &mut checks);
-            }
-        }
-    });
-    check(handle, &mut divergences, &mut checks);
-    phases.push(row("churn", started.elapsed().as_secs_f64(), served, cfg.updates));
-
-    // Phase 3: the background retrain — readers serve the old epoch
-    // while the worker trains, verifies, and swaps. Under fault
-    // injection one poll is not enough: failed attempts back off and
-    // retry, so poll until the worker either publishes (adopt or
-    // fallback rebuild) or genuinely has nothing left to do.
-    let started = Instant::now();
-    let (_, served) = serve_during(handle, trace, cfg.readers, || loop {
-        let published = worker.poll(handle, trace).map(|e| e.adopted || e.fallback_rebuild);
-        match published {
-            Some(true) => break, // adopted, or degraded via fallback rebuild
-            Some(false) => {}    // failed or skipped attempt: pace set by backoff
-            None if !worker.in_backoff() => break, // trigger quiet, nothing pending
-            None => {}
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    });
-    check(handle, &mut divergences, &mut checks);
-    phases.push(row("retrain", started.elapsed().as_secs_f64(), served, 0));
-
-    // Phase 4: steady state on the retrained tree.
-    let started = Instant::now();
-    let ((), served) = serve_during(handle, trace, cfg.readers, || {
-        std::thread::sleep(Duration::from_millis(cfg.measure_ms));
-    });
-    check(handle, &mut divergences, &mut checks);
-    phases.push(row("steady", started.elapsed().as_secs_f64(), served, 0));
-
-    TimelineReport { phases, divergences, checks, rejected: schedule.rejected() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use classbench::{
         generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, TraceConfig,
     };
-    use dtree::RebuildPolicy;
+    use dtree::{ChurnSchedule, FaultSchedule, RebuildPolicy};
 
     fn served_handle(seed: u64) -> (ClassifierHandle, RuleSet) {
+        sized_handle(150, seed)
+    }
+
+    fn sized_handle(size: usize, seed: u64) -> (ClassifierHandle, RuleSet) {
         let rules =
-            generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 150).with_seed(seed));
+            generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, size).with_seed(seed));
         let mut tree = DecisionTree::new(&rules);
         for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
             if !tree.is_terminal(k, 8) {
@@ -895,35 +658,43 @@ mod tests {
         (ClassifierHandle::new(tree, RebuildPolicy::default_policy()), rules)
     }
 
+    /// A smoke-scale worker config retraining at `retrain_churn`.
+    fn smoke_config(retrain_churn: f64) -> LifecycleConfig {
+        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
+        cfg.retrain_churn = retrain_churn;
+        cfg
+    }
+
     #[test]
-    fn trigger_gates_on_updates_then_fires_on_churn_or_drift() {
-        let t = RetrainTrigger { min_churn: 0.25, min_updates: 10, max_drift: 1.5 };
-        assert!(!t.fires(9, 9.0, 9.0), "min_updates must gate everything");
-        assert!(!t.fires(10, 0.1, 1.0), "neither signal past threshold");
-        assert!(t.fires(10, 0.25, 1.0), "churn alone fires");
-        assert!(t.fires(10, 0.0, 1.5), "drift alone fires");
+    fn trigger_gates_on_updates_then_fires_on_churn() {
+        let mut cfg = smoke_config(0.25);
+        assert!(!cfg.fires(MIN_RETRAIN_UPDATES - 1, 9.0), "the update floor gates everything");
+        assert!(!cfg.fires(MIN_RETRAIN_UPDATES, 0.1), "churn below the fraction");
+        assert!(cfg.fires(MIN_RETRAIN_UPDATES, 0.25), "churn at the fraction fires");
+        cfg.retrain_churn = 2.0;
+        assert!(!cfg.fires(400, 1.9), "a fraction above 1.0 waits for more churn");
+        assert!(cfg.fires(400, 2.0));
+        cfg.retrain_churn = f64::NAN;
+        assert!(!cfg.fires(usize::MAX, f64::INFINITY), "a NaN fraction never fires");
     }
 
     #[test]
     fn worker_holds_until_enough_churn_accumulates() {
         let (handle, rules) = served_handle(60);
-        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-        cfg.trigger = RetrainTrigger { min_churn: 0.3, min_updates: 16, max_drift: 100.0 };
-        let mut worker = LifecycleWorker::new(cfg, &handle);
+        let mut worker = LifecycleWorker::new(smoke_config(0.3), &handle);
         let trace = generate_trace(&rules, &TraceConfig::new(64).with_seed(61));
         assert!(worker.poll(&handle, &trace).is_none(), "no churn yet");
         for i in 0..8 {
             handle.insert(classbench::Rule::default_rule(200_000 + i)).unwrap();
         }
-        assert!(worker.poll(&handle, &trace).is_none(), "below min_updates");
+        assert!(worker.poll(&handle, &trace).is_none(), "below the update floor");
         assert_eq!(worker.retrains(), 0);
     }
 
     #[test]
     fn worker_retrains_verifies_and_swaps() {
         let (handle, rules) = served_handle(62);
-        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-        cfg.trigger = RetrainTrigger { min_churn: 0.2, min_updates: 16, max_drift: 100.0 };
+        let mut cfg = smoke_config(0.2);
         cfg.max_retrains = 1;
         let mut worker = LifecycleWorker::new(cfg, &handle);
         let trace = generate_trace(&rules, &TraceConfig::new(256).with_seed(63));
@@ -960,11 +731,12 @@ mod tests {
             RuleSet::from_ordered((0..6).map(|_| classbench::Rule::default_rule(0)).collect());
         let tree = DecisionTree::new(&rules);
         let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
-        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-        cfg.trigger = RetrainTrigger { min_churn: 0.5, min_updates: 4, max_drift: 100.0 };
-        let mut worker = LifecycleWorker::new(cfg, &handle);
-        for i in 0..6 {
-            handle.insert(classbench::Rule::default_rule(10 + i)).unwrap();
+        let mut worker = LifecycleWorker::new(smoke_config(0.5), &handle);
+        // Insert/delete pairs reach the update floor while the rule set
+        // stays degenerate.
+        for i in 0..MIN_RETRAIN_UPDATES / 2 {
+            let id = handle.insert(classbench::Rule::default_rule(10 + i as i32)).unwrap();
+            handle.delete(id).unwrap();
         }
         let event = worker.poll(&handle, &[]).expect("trigger fires").clone();
         assert!(!event.adopted);
@@ -974,19 +746,14 @@ mod tests {
 
     #[test]
     fn backoff_schedule_doubles_and_caps() {
-        let retry = RetryPolicy {
-            max_failures: 3,
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(1),
-            attempt_deadline: Duration::from_secs(60),
-        };
-        assert_eq!(retry.backoff_after(0), Duration::ZERO);
-        assert_eq!(retry.backoff_after(1), Duration::from_millis(100));
-        assert_eq!(retry.backoff_after(2), Duration::from_millis(200));
-        assert_eq!(retry.backoff_after(3), Duration::from_millis(400));
-        assert_eq!(retry.backoff_after(4), Duration::from_millis(800));
-        assert_eq!(retry.backoff_after(5), Duration::from_secs(1), "capped");
-        assert_eq!(retry.backoff_after(60), Duration::from_secs(1), "shift is clamped");
+        let retry = RetryPolicy { max_failures: 3, base_backoff: 100, max_backoff: 1000 };
+        assert_eq!(retry.backoff_after(0), 0);
+        assert_eq!(retry.backoff_after(1), 100);
+        assert_eq!(retry.backoff_after(2), 200);
+        assert_eq!(retry.backoff_after(3), 400);
+        assert_eq!(retry.backoff_after(4), 800);
+        assert_eq!(retry.backoff_after(5), 1000, "capped");
+        assert_eq!(retry.backoff_after(60), 1000, "shift is clamped");
     }
 
     /// Churn the handle past the worker's trigger threshold.
@@ -1001,16 +768,10 @@ mod tests {
     #[test]
     fn injected_panic_is_isolated_and_retried_with_backoff() {
         let (handle, rules) = served_handle(70);
-        let schedule = dtree::FaultSchedule::empty().arm(dtree::FaultPoint::RetrainPanic, 0);
+        let schedule = FaultSchedule::empty().arm(FaultPoint::RetrainPanic, 0);
         let faults = Arc::new(schedule.injector());
-        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-        cfg.trigger = RetrainTrigger { min_churn: 0.2, min_updates: 16, max_drift: 100.0 };
-        cfg.retry = RetryPolicy {
-            max_failures: 3,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(40),
-            attempt_deadline: Duration::from_secs(60),
-        };
+        let mut cfg = smoke_config(0.2);
+        cfg.retry = RetryPolicy { max_failures: 3, base_backoff: 2, max_backoff: 8 };
         cfg.faults = Some(faults.clone());
         let mut worker = LifecycleWorker::new(cfg, &handle);
         churn_past_trigger(&handle, &rules, 71, 60);
@@ -1025,19 +786,22 @@ mod tests {
             event.skipped
         );
         assert_eq!(event.failures_after, 1);
+        assert_eq!(event.backoff_polls, 2);
         assert!(!event.degraded, "one failure is below the degradation bound");
         assert_eq!(handle.epoch(), epoch_before, "a failed attempt publishes nothing");
-        assert_eq!(faults.fired(dtree::FaultPoint::RetrainPanic), 1);
+        assert_eq!(faults.fired(FaultPoint::RetrainPanic), 1);
         // The failure is mirrored into the handle's health report.
         let health = handle.health();
         assert_eq!(health.consecutive_failures, 1);
         assert!(health.last_error.as_deref().unwrap_or("").contains("panicked"));
-        // Backoff gates the next poll...
-        assert!(worker.in_backoff());
-        assert!(worker.poll(&handle, &trace).is_none(), "backoff holds the trigger");
-        std::thread::sleep(Duration::from_millis(15));
-        // ...and once it expires the retry succeeds (occurrence 1 of
-        // the panic point is not armed) and clears the failure state.
+        // Backoff holds the trigger for exactly two polls...
+        for _ in 0..2 {
+            assert!(worker.in_backoff());
+            assert!(worker.poll(&handle, &trace).is_none(), "backoff holds the trigger");
+        }
+        assert!(!worker.in_backoff());
+        // ...and the next poll's retry succeeds (occurrence 1 of the
+        // panic point is not armed) and clears the failure state.
         let event = worker.poll(&handle, &trace).expect("retry runs").clone();
         assert!(event.adopted, "retry must succeed: {:?}", event.skipped);
         assert_eq!(event.failures_after, 0);
@@ -1049,19 +813,13 @@ mod tests {
     #[test]
     fn repeated_failures_degrade_to_heuristic_rebuild_then_recover() {
         let (handle, rules) = served_handle(74);
-        let mut schedule = dtree::FaultSchedule::empty();
+        let mut schedule = FaultSchedule::empty();
         for occ in 0..3 {
-            schedule = schedule.arm(dtree::FaultPoint::RetrainPanic, occ);
+            schedule = schedule.arm(FaultPoint::RetrainPanic, occ);
         }
         let faults = Arc::new(schedule.injector());
-        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-        cfg.trigger = RetrainTrigger { min_churn: 0.2, min_updates: 16, max_drift: 100.0 };
-        cfg.retry = RetryPolicy {
-            max_failures: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-            attempt_deadline: Duration::from_secs(60),
-        };
+        let mut cfg = smoke_config(0.2);
+        cfg.retry = RetryPolicy { max_failures: 3, base_backoff: 1, max_backoff: 4 };
         cfg.faults = Some(faults);
         let mut worker = LifecycleWorker::new(cfg, &handle);
         churn_past_trigger(&handle, &rules, 75, 60);
@@ -1069,10 +827,7 @@ mod tests {
 
         let mut fallback_seen = false;
         for want_failures in 1..=3u64 {
-            while worker.in_backoff() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let event = worker.poll(&handle, &trace).expect("attempt runs").clone();
+            let event = worker.poll_past_backoff(&handle, &trace).expect("attempt runs").clone();
             assert!(!event.adopted);
             assert_eq!(event.failures_after, want_failures);
             if want_failures == 3 {
@@ -1090,10 +845,7 @@ mod tests {
         // The baseline was kept, so the trigger re-fires after the
         // backoff; the 4th attempt (no fault armed) succeeds and
         // clears the degraded flag.
-        while worker.in_backoff() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let event = worker.poll(&handle, &trace).expect("recovery attempt").clone();
+        let event = worker.poll_past_backoff(&handle, &trace).expect("recovery attempt").clone();
         assert!(event.adopted, "recovery retrain must adopt: {:?}", event.skipped);
         assert!(!event.degraded, "success clears the degraded flag");
         assert!(!handle.health().degraded);
@@ -1101,40 +853,11 @@ mod tests {
     }
 
     #[test]
-    fn slow_retrain_times_out_without_publishing() {
-        let (handle, rules) = served_handle(78);
-        let schedule = dtree::FaultSchedule::empty().arm(dtree::FaultPoint::RetrainSlow, 0);
-        let faults = Arc::new(schedule.injector());
-        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-        cfg.trigger = RetrainTrigger { min_churn: 0.2, min_updates: 16, max_drift: 100.0 };
-        cfg.retry = RetryPolicy {
-            max_failures: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-            attempt_deadline: Duration::from_millis(20),
-        };
-        cfg.faults = Some(faults);
-        let mut worker = LifecycleWorker::new(cfg, &handle);
-        churn_past_trigger(&handle, &rules, 79, 60);
-        let trace = generate_trace(&rules, &TraceConfig::new(64).with_seed(80));
-        let epoch_before = handle.epoch();
-        let event = worker.poll(&handle, &trace).expect("attempt runs").clone();
-        assert!(!event.adopted);
-        assert!(event.skipped.as_deref().unwrap_or("").contains("deadline"));
-        assert_eq!(event.failures_after, 1);
-        assert_eq!(handle.epoch(), epoch_before, "a timed-out attempt publishes nothing");
-    }
-
-    #[test]
     fn corrupted_template_is_caught_by_the_spot_check() {
         let (handle, rules) = served_handle(82);
-        let schedule = dtree::FaultSchedule::empty().arm(dtree::FaultPoint::AdoptCorruption, 0);
-        let faults = Arc::new(schedule.injector());
-        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-        cfg.trigger = RetrainTrigger { min_churn: 0.2, min_updates: 16, max_drift: 100.0 };
-        cfg.retry.base_backoff = Duration::from_millis(1);
-        cfg.retry.max_backoff = Duration::from_millis(4);
-        cfg.faults = Some(faults);
+        let schedule = FaultSchedule::empty().arm(FaultPoint::AdoptCorruption, 0);
+        let mut cfg = smoke_config(0.2);
+        cfg.faults = Some(Arc::new(schedule.injector()));
         let mut worker = LifecycleWorker::new(cfg, &handle);
         churn_past_trigger(&handle, &rules, 83, 60);
         // Even with an EMPTY caller trace the sabotage cannot slip
@@ -1148,29 +871,46 @@ mod tests {
         assert_eq!(handle.stats().retrains, 0);
     }
 
-    #[test]
-    fn timeline_runs_all_phases_and_stays_certified() {
-        let (handle, rules) = served_handle(65);
-        let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-        cfg.trigger = RetrainTrigger { min_churn: 0.2, min_updates: 16, max_drift: 100.0 };
-        cfg.max_retrains = 1;
+    /// Churn a fresh handle and poll every 8th update under a fault
+    /// schedule of two panics and a corrupted template; returns what
+    /// the worker recorded and the state it left.
+    fn scripted_run() -> (LifecycleReport, u64, TreeStats) {
+        let (handle, rules) = sized_handle(60, 86);
+        let schedule = FaultSchedule::empty()
+            .arm(FaultPoint::RetrainPanic, 0)
+            .arm(FaultPoint::RetrainPanic, 1)
+            .arm(FaultPoint::AdoptCorruption, 0);
+        let mut cfg = smoke_config(0.2);
+        cfg.train.max_timesteps = 200;
+        cfg.train.timesteps_per_batch = 200;
+        cfg.max_retrains = 4;
+        cfg.retry = RetryPolicy { max_failures: 4, base_backoff: 1, max_backoff: 8 };
+        cfg.faults = Some(Arc::new(schedule.injector()));
         let mut worker = LifecycleWorker::new(cfg, &handle);
-        let trace = generate_trace(&rules, &TraceConfig::new(128).with_seed(66));
-        let tl_cfg = TimelineConfig {
-            updates: 60,
-            readers: 1,
-            measure_ms: 20,
-            schedule_seed: 67,
-            check_every: 20,
-            faults: None,
-        };
-        let report = churn_retrain_timeline(&handle, &rules, &trace, &mut worker, &tl_cfg);
-        assert_eq!(report.phases.len(), 4);
-        assert_eq!(report.divergences, 0, "every checkpoint certified");
-        assert!(report.checks >= 4);
-        let retrain = &report.phases[2];
-        assert_eq!(retrain.phase, "retrain");
-        assert_eq!(retrain.retrains, 1, "the timeline's poll must adopt");
-        assert_eq!(report.phases[3].overlay, 0);
+        let trace = generate_trace(&rules, &TraceConfig::new(64).with_seed(87));
+        let mut churn = ChurnSchedule::new(rules.rules().to_vec(), (0..rules.len()).collect(), 88);
+        for step in 1..=200 {
+            churn.step(&handle);
+            if step % 8 == 0 {
+                worker.poll(&handle, &trace);
+            }
+        }
+        (worker.into_report(), handle.epoch(), handle.with_tree(TreeStats::compute))
+    }
+
+    #[test]
+    fn the_same_churn_polls_and_faults_replay_the_same_events() {
+        let (first, epoch, stats) = scripted_run();
+        // Panic, panic, refused adoption — each followed by a doubling
+        // backoff — then a clean adopt.
+        let outcomes: Vec<_> =
+            first.events.iter().map(|e| (e.adopted, e.failures_after, e.backoff_polls)).collect();
+        assert_eq!(outcomes, [(false, 1, 1), (false, 2, 2), (false, 3, 4), (true, 0, 0)]);
+        assert!(first.events[2].template_stats.is_some(), "the corrupted attempt trained");
+        let (second, replay_epoch, replay_stats) = scripted_run();
+        assert_eq!(second.events, first.events, "the replay records identical events");
+        assert_eq!(second.polls, first.polls);
+        assert_eq!(replay_epoch, epoch);
+        assert_eq!(replay_stats, stats);
     }
 }

@@ -3,14 +3,15 @@
 //! The fault-injection facility (`dtree::faults`) arms every fault
 //! class at least twice and the tests here pin the recovery contract:
 //!
-//! 1. **Isolation** — an injected retrain panic, deadline overrun, or
-//!    corrupted template never unwinds past the worker and never
-//!    publishes: the served epoch (and the exact snapshot `Arc`) is
-//!    byte-identical across every failed non-fallback attempt.
-//! 2. **Bounded retry** — consecutive transient failures back off and,
-//!    at the retry bound, degrade to the deterministic fold-overlay
-//!    rebuild so the served shape stays fresh even while training is
-//!    broken; the next successful retrain clears the degraded flag.
+//! 1. **Isolation** — an injected retrain panic or corrupted template
+//!    never unwinds past the worker and never publishes: the served
+//!    epoch (and the exact snapshot `Arc`) is byte-identical across
+//!    every failed non-fallback attempt.
+//! 2. **Bounded retry** — consecutive transient failures back off for a
+//!    doubling number of polls and, at the retry bound, degrade to the
+//!    deterministic fold-overlay rebuild so the served shape stays
+//!    fresh even while training is broken; the next successful retrain
+//!    clears the degraded flag.
 //! 3. **Admission under storms** — injected update bursts hit the
 //!    overlay bound and force fold-rebuild backpressure instead of
 //!    unbounded overlay growth.
@@ -31,7 +32,7 @@ use dtree::{
     serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, FaultInjector, FaultPoint,
     FaultSchedule, RebuildPolicy, FAULT_POINTS,
 };
-use neurocuts::{LifecycleConfig, LifecycleWorker, NeuroCutsConfig, RetrainTrigger, RetryPolicy};
+use neurocuts::{LifecycleConfig, LifecycleWorker, NeuroCutsConfig, RetryPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,29 +57,10 @@ fn churn_past_trigger(handle: &ClassifierHandle, rules: &RuleSet, seed: u64, ste
 
 fn lifecycle_config(faults: &Arc<FaultInjector>, retry: RetryPolicy) -> LifecycleConfig {
     let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-    cfg.trigger = RetrainTrigger { min_churn: 0.2, min_updates: 16, max_drift: 100.0 };
+    cfg.retrain_churn = 0.2;
     cfg.retry = retry;
     cfg.faults = Some(faults.clone());
     cfg
-}
-
-/// Poll until the pending backoff expires and an attempt actually runs.
-fn poll_past_backoff(
-    worker: &mut LifecycleWorker,
-    handle: &ClassifierHandle,
-    trace: &[classbench::Packet],
-) -> neurocuts::LifecycleEvent {
-    for _ in 0..1_000 {
-        if worker.in_backoff() {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        }
-        if let Some(event) = worker.poll(handle, trace) {
-            return event.clone();
-        }
-        panic!("trigger went cold while a retry was still owed");
-    }
-    panic!("backoff never expired");
 }
 
 /// One shared injector walks every fault class at least twice, each on
@@ -90,16 +72,12 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     //             a3 corrupt@0, a4 corrupt@1,       -> spot check refuses
     //             (a4 = 4th failure = bound -> fallback rebuild, degraded)
     //             a5 clean                          -> adopts, clears
-    //   worker B: b1 slow@3, b2 slow@4              -> timeouts; 2nd hits
-    //             (slow evals 0..3 happened in a3..a5)   the bound again
-    //   churn  C: update-burst@10,25                -> overlay backpressure
+    //   churn  B: update-burst@10,25                -> overlay backpressure
     let schedule = FaultSchedule::empty()
         .arm(FaultPoint::RetrainPanic, 0)
         .arm(FaultPoint::RetrainPanic, 1)
         .arm(FaultPoint::AdoptCorruption, 0)
         .arm(FaultPoint::AdoptCorruption, 1)
-        .arm(FaultPoint::RetrainSlow, 3)
-        .arm(FaultPoint::RetrainSlow, 4)
         .arm(FaultPoint::UpdateBurst, 10)
         .arm(FaultPoint::UpdateBurst, 25);
     let faults = Arc::new(schedule.injector());
@@ -107,12 +85,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     // --- Worker A: panics and corrupted templates, then recovery. ---
     let (handle, rules) = served_handle(90, RebuildPolicy::default_policy());
     let trace = generate_trace(&rules, &TraceConfig::new(128).with_seed(91));
-    let retry = RetryPolicy {
-        max_failures: 4,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(8),
-        attempt_deadline: Duration::from_secs(120),
-    };
+    let retry = RetryPolicy { max_failures: 4, base_backoff: 1, max_backoff: 8 };
     let mut worker = LifecycleWorker::new(lifecycle_config(&faults, retry), &handle);
     churn_past_trigger(&handle, &rules, 92, 60);
 
@@ -123,7 +96,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     {
         let epoch_before = handle.epoch();
         let snap_before = handle.snapshot();
-        let event = poll_past_backoff(&mut worker, &handle, &trace);
+        let event = worker.poll_past_backoff(&handle, &trace).expect("an attempt runs").clone();
         assert!(!event.adopted, "attempt {attempt} must fail");
         assert!(
             event.skipped.as_deref().unwrap_or("").contains(expect),
@@ -144,7 +117,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     // a4: the 4th consecutive failure crosses the bound — the worker
     // degrades and force-publishes the deterministic fold-rebuild.
     let epoch_before = handle.epoch();
-    let event = poll_past_backoff(&mut worker, &handle, &trace);
+    let event = worker.poll_past_backoff(&handle, &trace).expect("an attempt runs").clone();
     assert!(!event.adopted);
     assert!(event.fallback_rebuild, "4th failure must trigger the heuristic fallback");
     assert!(event.degraded);
@@ -156,7 +129,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     assert_eq!(handle.check_divergence(&trace), None);
 
     // a5: faults exhausted — the retry succeeds and clears everything.
-    let event = poll_past_backoff(&mut worker, &handle, &trace);
+    let event = worker.poll_past_backoff(&handle, &trace).expect("an attempt runs").clone();
     assert!(event.adopted, "clean retry must adopt: {:?}", event.skipped);
     assert!(!event.degraded, "success clears the degraded flag");
     assert_eq!(event.failures_after, 0);
@@ -167,40 +140,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     assert_eq!(faults.fired(FaultPoint::RetrainPanic), 2);
     assert_eq!(faults.fired(FaultPoint::AdoptCorruption), 2);
 
-    // --- Worker B: deadline overruns on a fresh handle. The tight
-    // deadline makes both armed slow occurrences deterministic
-    // timeouts; the 2nd hits the (smaller) bound and falls back.
-    let (handle, rules) = served_handle(93, RebuildPolicy::default_policy());
-    let trace = generate_trace(&rules, &TraceConfig::new(128).with_seed(94));
-    let retry = RetryPolicy {
-        max_failures: 2,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(8),
-        attempt_deadline: Duration::from_millis(250),
-    };
-    let mut worker = LifecycleWorker::new(lifecycle_config(&faults, retry), &handle);
-    churn_past_trigger(&handle, &rules, 95, 60);
-
-    let epoch_before = handle.epoch();
-    let snap_before = handle.snapshot();
-    let event = poll_past_backoff(&mut worker, &handle, &trace);
-    assert!(!event.adopted);
-    assert!(
-        event.skipped.as_deref().unwrap_or("").contains("overran its deadline"),
-        "skipped = {:?}",
-        event.skipped
-    );
-    assert_eq!(handle.epoch(), epoch_before, "a timed-out attempt publishes nothing");
-    assert!(Arc::ptr_eq(&snap_before, &handle.snapshot()));
-
-    let event = poll_past_backoff(&mut worker, &handle, &trace);
-    assert!(event.fallback_rebuild, "2nd timeout crosses max_failures=2");
-    assert!(worker.health().degraded);
-    assert_eq!(handle.stats().overlay_len, 0, "degraded mode still folds the overlay");
-    assert_eq!(handle.check_divergence(&trace), None);
-    assert_eq!(faults.fired(FaultPoint::RetrainSlow), 2);
-
-    // --- Churn C: injected update bursts against a tiny overlay bound
+    // --- Churn B: injected update bursts against a tiny overlay bound
     // force fold-rebuild backpressure instead of unbounded growth.
     let policy =
         RebuildPolicy { max_churn: f64::INFINITY, min_updates: usize::MAX, max_overlay: 8 };
@@ -257,17 +197,9 @@ fn seeded_free_running_soak_never_serves_a_divergent_packet() {
     let trace = generate_trace(&rules, &TraceConfig::new(256).with_seed(seed ^ 0xB));
 
     let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
-    cfg.trigger = RetrainTrigger { min_churn: 0.3, min_updates: 400, max_drift: 100.0 };
-    // A deadline this tight can time out even an honest retrain on a
-    // loaded machine — which is fine: the soak asserts *serving* and
-    // *recovery accounting*, not adoption, and a spurious timeout just
-    // exercises the same failure path as the injected one.
-    cfg.retry = RetryPolicy {
-        max_failures: 3,
-        base_backoff: Duration::from_millis(2),
-        max_backoff: Duration::from_millis(20),
-        attempt_deadline: Duration::from_secs(2),
-    };
+    // Churn past 1.5× the active rules first fires after ≈320 updates.
+    cfg.retrain_churn = 1.5;
+    cfg.retry = RetryPolicy { max_failures: 3, base_backoff: 1, max_backoff: 4 };
     cfg.faults = Some(faults.clone());
     let worker = LifecycleWorker::new(cfg, &handle);
 

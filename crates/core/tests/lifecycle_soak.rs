@@ -27,9 +27,7 @@ use classbench::{
 use dtree::{
     serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, RebuildPolicy, TreeStats,
 };
-use neurocuts::{
-    retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig, RetrainTrigger,
-};
+use neurocuts::{retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -59,7 +57,8 @@ fn five_thousand_updates_with_background_retrains_stay_bounded_and_certified() {
     let trace = generate_trace(&rules, &TraceConfig::new(256).with_seed(82));
 
     let mut cfg = LifecycleConfig::new(smoke_train_config());
-    cfg.trigger = RetrainTrigger { min_churn: 0.5, min_updates: 600, max_drift: 100.0 };
+    // Churn past twice the active rules first fires after ≈670 updates.
+    cfg.retrain_churn = 2.0;
     cfg.max_retrains = 4;
     let worker = LifecycleWorker::new(cfg.clone(), &handle);
 

@@ -33,9 +33,6 @@ pub enum FaultPoint {
     /// Panic inside the background retrain (the `Trainer` call) — the
     /// worker's `catch_unwind` isolation must contain it.
     RetrainPanic,
-    /// Stall the retrain past the worker's per-attempt deadline, so the
-    /// attempt is discarded as a timeout.
-    RetrainSlow,
     /// Corrupt the retrained template before `adopt` — the pre-publish
     /// linear-scan spot check must reject the swap.
     AdoptCorruption,
@@ -57,9 +54,8 @@ pub enum FaultPoint {
 }
 
 /// Every fault point, in the canonical (index) order.
-pub const FAULT_POINTS: [FaultPoint; 7] = [
+pub const FAULT_POINTS: [FaultPoint; 6] = [
     FaultPoint::RetrainPanic,
-    FaultPoint::RetrainSlow,
     FaultPoint::AdoptCorruption,
     FaultPoint::UpdateBurst,
     FaultPoint::WalAppend,
@@ -72,7 +68,6 @@ impl FaultPoint {
     pub const fn name(self) -> &'static str {
         match self {
             FaultPoint::RetrainPanic => "retrain-panic",
-            FaultPoint::RetrainSlow => "retrain-slow",
             FaultPoint::AdoptCorruption => "adopt-corruption",
             FaultPoint::UpdateBurst => "update-burst",
             FaultPoint::WalAppend => "wal-append",
@@ -89,12 +84,11 @@ impl FaultPoint {
     const fn index(self) -> usize {
         match self {
             FaultPoint::RetrainPanic => 0,
-            FaultPoint::RetrainSlow => 1,
-            FaultPoint::AdoptCorruption => 2,
-            FaultPoint::UpdateBurst => 3,
-            FaultPoint::WalAppend => 4,
-            FaultPoint::CheckpointWrite => 5,
-            FaultPoint::AdoptPersist => 6,
+            FaultPoint::AdoptCorruption => 1,
+            FaultPoint::UpdateBurst => 2,
+            FaultPoint::WalAppend => 3,
+            FaultPoint::CheckpointWrite => 4,
+            FaultPoint::AdoptPersist => 5,
         }
     }
 }
@@ -154,7 +148,7 @@ impl std::error::Error for FaultParseError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Per [`FaultPoint::index`]: sorted, deduplicated firing indices.
-    occurrences: [Vec<u64>; 7],
+    occurrences: [Vec<u64>; FAULT_POINTS.len()],
 }
 
 impl FaultSchedule {
@@ -175,9 +169,9 @@ impl FaultSchedule {
 
     /// A reproducibly random schedule: for every fault point, draw
     /// `per_class` distinct occurrence indices. The retrain-side points
-    /// (`retrain-panic`, `retrain-slow`, `adopt-corruption`) and the
-    /// checkpoint crash points (`checkpoint-write`, `adopt-persist`)
-    /// draw from `0..retrain_window` (retrain/checkpoint *attempts*);
+    /// (`retrain-panic`, `adopt-corruption`) and the checkpoint crash
+    /// points (`checkpoint-write`, `adopt-persist`) draw from
+    /// `0..retrain_window` (retrain/checkpoint *attempts*);
     /// the update-path points (`update-burst`, `wal-append`) draw from
     /// `0..update_window` (churn *steps* / WAL appends). The same
     /// `(seed, windows)` always yields the same schedule — that is the
@@ -267,8 +261,8 @@ impl std::fmt::Display for FaultSchedule {
 #[derive(Debug)]
 pub struct FaultInjector {
     schedule: FaultSchedule,
-    evals: [AtomicU64; 7],
-    fired: [AtomicU64; 7],
+    evals: [AtomicU64; FAULT_POINTS.len()],
+    fired: [AtomicU64; FAULT_POINTS.len()],
 }
 
 impl FaultInjector {
@@ -276,14 +270,14 @@ impl FaultInjector {
     pub fn new(schedule: FaultSchedule) -> Self {
         FaultInjector {
             schedule,
-            evals: [const { AtomicU64::new(0) }; 7],
-            fired: [const { AtomicU64::new(0) }; 7],
+            evals: [const { AtomicU64::new(0) }; FAULT_POINTS.len()],
+            fired: [const { AtomicU64::new(0) }; FAULT_POINTS.len()],
         }
     }
 
     /// Evaluate `point` once: advances its occurrence counter and
     /// reports whether this occurrence is armed. The caller then
-    /// performs the fault (panic, sleep, corruption, burst, crash) —
+    /// performs the fault (panic, corruption, burst, crash) —
     /// the injector only decides *when*.
     pub fn should_fire(&self, point: FaultPoint) -> bool {
         let i = point.index();
@@ -367,7 +361,7 @@ mod tests {
         let s = FaultSchedule::parse("retrain-panic@0,2; wal-append@5").unwrap();
         assert_eq!(s.armed(FaultPoint::RetrainPanic), &[0, 2]);
         assert_eq!(s.armed(FaultPoint::WalAppend), &[5]);
-        assert!(s.armed(FaultPoint::RetrainSlow).is_empty());
+        assert!(s.armed(FaultPoint::AdoptCorruption).is_empty());
         let shown = s.to_string();
         assert_eq!(FaultSchedule::parse(&shown).unwrap(), s, "display round-trips");
         assert!(FaultSchedule::parse("").unwrap().is_empty());

@@ -305,7 +305,7 @@ impl DecisionTree {
 
     /// Classify a packet: id of the highest-precedence matching rule.
     pub fn classify(&self, packet: &Packet) -> Option<RuleId> {
-        self.classify_from(self.root, packet)
+        self.walk(self.root, packet, &mut |_| {})
     }
 
     /// Classify and report the lookup cost: the number of nodes visited,
@@ -314,65 +314,8 @@ impl DecisionTree {
     /// than the worst case). Used for traffic-aware objectives (§8).
     pub fn classify_traced(&self, packet: &Packet) -> (Option<RuleId>, usize) {
         let mut visited = 0usize;
-        let result = self.classify_traced_from(self.root, packet, &mut visited);
+        let result = self.walk(self.root, packet, &mut |_| visited += 1);
         (result, visited)
-    }
-
-    fn classify_traced_from(
-        &self,
-        mut id: NodeId,
-        packet: &Packet,
-        visited: &mut usize,
-    ) -> Option<RuleId> {
-        loop {
-            *visited += 1;
-            let node = &self.nodes[id];
-            match &node.kind {
-                NodeKind::Leaf => {
-                    return self
-                        .span_slice(node.span)
-                        .iter()
-                        .copied()
-                        .find(|&r| self.active[r] && self.store.rule(r).matches(packet));
-                }
-                NodeKind::Partition { children } => {
-                    let mut best: Option<RuleId> = None;
-                    for &c in children {
-                        if let Some(r) = self.classify_traced_from(c, packet, visited) {
-                            if best.is_none_or(|b| self.precedes(r, b)) {
-                                best = Some(r);
-                            }
-                        }
-                    }
-                    return best;
-                }
-                NodeKind::Cut { dim, ncuts, children } => {
-                    let idx =
-                        Self::cut_child_index(node.space.range(*dim), *ncuts, packet.value(*dim));
-                    id = children[idx];
-                }
-                NodeKind::MultiCut { dims, children } => {
-                    let mut idx = 0usize;
-                    for &(dim, ncuts) in dims {
-                        let i =
-                            Self::cut_child_index(node.space.range(dim), ncuts, packet.value(dim));
-                        idx = idx * ncuts + i;
-                    }
-                    id = children[idx];
-                }
-                NodeKind::DenseCut { dim, bounds, children } => {
-                    let v = packet.value(*dim);
-                    let idx = bounds
-                        .partition_point(|&b| b <= v)
-                        .saturating_sub(1)
-                        .min(children.len() - 1);
-                    id = children[idx];
-                }
-                NodeKind::Split { dim, threshold, children } => {
-                    id = if packet.value(*dim) < *threshold { children[0] } else { children[1] };
-                }
-            }
-        }
     }
 
     /// How many packets of `trace` pass through each node during lookup
@@ -381,54 +324,22 @@ impl DecisionTree {
     pub fn node_visit_counts(&self, trace: &[Packet]) -> Vec<usize> {
         let mut counts = vec![0usize; self.nodes.len()];
         for packet in trace {
-            self.count_visits(self.root, packet, &mut counts);
+            self.walk(self.root, packet, &mut |id| counts[id] += 1);
         }
         counts
     }
 
-    fn count_visits(&self, mut id: NodeId, packet: &Packet, counts: &mut [usize]) {
+    /// The one lookup walk: descend from `id` along `packet`'s path,
+    /// calling `visit` at every node it passes (each child of a
+    /// partition included), and return the highest-precedence match.
+    fn walk(
+        &self,
+        mut id: NodeId,
+        packet: &Packet,
+        visit: &mut impl FnMut(NodeId),
+    ) -> Option<RuleId> {
         loop {
-            counts[id] += 1;
-            let node = &self.nodes[id];
-            match &node.kind {
-                NodeKind::Leaf => return,
-                NodeKind::Partition { children } => {
-                    for &c in children {
-                        self.count_visits(c, packet, counts);
-                    }
-                    return;
-                }
-                NodeKind::Cut { dim, ncuts, children } => {
-                    let idx =
-                        Self::cut_child_index(node.space.range(*dim), *ncuts, packet.value(*dim));
-                    id = children[idx];
-                }
-                NodeKind::MultiCut { dims, children } => {
-                    let mut idx = 0usize;
-                    for &(dim, ncuts) in dims {
-                        let i =
-                            Self::cut_child_index(node.space.range(dim), ncuts, packet.value(dim));
-                        idx = idx * ncuts + i;
-                    }
-                    id = children[idx];
-                }
-                NodeKind::DenseCut { dim, bounds, children } => {
-                    let v = packet.value(*dim);
-                    let idx = bounds
-                        .partition_point(|&b| b <= v)
-                        .saturating_sub(1)
-                        .min(children.len() - 1);
-                    id = children[idx];
-                }
-                NodeKind::Split { dim, threshold, children } => {
-                    id = if packet.value(*dim) < *threshold { children[0] } else { children[1] };
-                }
-            }
-        }
-    }
-
-    fn classify_from(&self, mut id: NodeId, packet: &Packet) -> Option<RuleId> {
-        loop {
+            visit(id);
             let node = &self.nodes[id];
             match &node.kind {
                 NodeKind::Leaf => {
@@ -470,7 +381,7 @@ impl DecisionTree {
                     // All partitions must be consulted; highest precedence wins.
                     let mut best: Option<RuleId> = None;
                     for &c in children {
-                        if let Some(r) = self.classify_from(c, packet) {
+                        if let Some(r) = self.walk(c, packet, visit) {
                             if best.is_none_or(|b| self.precedes(r, b)) {
                                 best = Some(r);
                             }

@@ -1,36 +1,30 @@
 //! Per-domain lint configuration.
 //!
 //! Each contract rule applies to a *domain*: a set of workspace-relative
-//! path prefixes (with optional carve-outs). [`LintConfig::workspace`]
-//! is the checked-in configuration for this repository; fixture tests
-//! build their own configs pointing at synthetic paths.
+//! path prefixes. [`LintConfig::workspace`] is the checked-in
+//! configuration for this repository; fixture tests build their own
+//! configs pointing at synthetic paths.
 
-/// A set of files described by include/exclude path prefixes.
-/// Paths are workspace-relative with `/` separators; an include of
-/// `crates/core/src/` covers the whole directory, an include of a full
-/// file path covers exactly that file.
+/// A set of files described by path prefixes. Paths are
+/// workspace-relative with `/` separators; a prefix of
+/// `crates/core/src/` covers the whole directory, a full file path
+/// covers exactly that file.
 #[derive(Debug, Clone, Default)]
 pub struct Domain {
     /// Prefixes a file must match one of.
     pub include: Vec<String>,
-    /// Prefixes that carve files back out.
-    pub exclude: Vec<String>,
 }
 
 impl Domain {
-    /// Build a domain from include/exclude prefix lists.
-    pub fn new(include: &[&str], exclude: &[&str]) -> Domain {
-        Domain {
-            include: include.iter().map(|s| s.to_string()).collect(),
-            exclude: exclude.iter().map(|s| s.to_string()).collect(),
-        }
+    /// Build a domain from a prefix list.
+    pub fn new(include: &[&str]) -> Domain {
+        Domain { include: include.iter().map(|s| s.to_string()).collect() }
     }
 
     /// True when `rel` (workspace-relative, `/`-separated) is in the
     /// domain.
     pub fn contains(&self, rel: &str) -> bool {
         self.include.iter().any(|p| rel.starts_with(p.as_str()))
-            && !self.exclude.iter().any(|p| rel.starts_with(p.as_str()))
     }
 }
 
@@ -64,10 +58,10 @@ impl LintConfig {
     ///   `dtree::wal` rides along because appends run inline under the
     ///   admission write lock — a panicking durability layer would take
     ///   the serving path down with it.
-    /// * determinism: training and retraining (`core` minus
-    ///   `lifecycle.rs`, `rl`, `nn`) must not read wall clocks or
-    ///   ambient randomness; `lifecycle.rs` is the single file where
-    ///   wall-clock time is allowed to enter.
+    /// * determinism: all of `core` (training, the lifecycle worker,
+    ///   persistence), `rl` and `nn` must not read wall clocks or
+    ///   ambient randomness; the lifecycle worker counts polls, not
+    ///   time.
     /// * taxonomy: `dtree` and `core` public APIs report failures as
     ///   typed errors, not panics.
     /// * locks: `state` (the `ClassifierHandle` epoch-swap lock) is the
@@ -75,21 +69,15 @@ impl LintConfig {
     ///   its write guard.
     pub fn workspace() -> LintConfig {
         LintConfig {
-            serving: Domain::new(
-                &[
-                    "crates/dtree/src/flat.rs",
-                    "crates/dtree/src/serve.rs",
-                    "crates/dtree/src/engine.rs",
-                    "crates/dtree/src/store.rs",
-                    "crates/dtree/src/wal.rs",
-                ],
-                &[],
-            ),
-            determinism: Domain::new(
-                &["crates/core/src/", "crates/rl/src/", "crates/nn/src/"],
-                &["crates/core/src/lifecycle.rs"],
-            ),
-            taxonomy: Domain::new(&["crates/dtree/src/", "crates/core/src/"], &[]),
+            serving: Domain::new(&[
+                "crates/dtree/src/flat.rs",
+                "crates/dtree/src/serve.rs",
+                "crates/dtree/src/engine.rs",
+                "crates/dtree/src/store.rs",
+                "crates/dtree/src/wal.rs",
+            ]),
+            determinism: Domain::new(&["crates/core/src/", "crates/rl/src/", "crates/nn/src/"]),
+            taxonomy: Domain::new(&["crates/dtree/src/", "crates/core/src/"]),
             lock_order: vec!["state".to_string()],
             forbidden_under_write: vec![
                 "train".to_string(),
@@ -107,9 +95,11 @@ mod tests {
 
     #[test]
     fn domain_prefix_matching() {
-        let d = Domain::new(&["crates/core/src/"], &["crates/core/src/lifecycle.rs"]);
+        let d = Domain::new(&["crates/core/src/", "crates/nn/src/matrix.rs"]);
         assert!(d.contains("crates/core/src/env.rs"));
-        assert!(!d.contains("crates/core/src/lifecycle.rs"));
+        assert!(d.contains("crates/core/src/lifecycle.rs"));
+        assert!(d.contains("crates/nn/src/matrix.rs"), "a full path covers that file");
+        assert!(!d.contains("crates/nn/src/lib.rs"));
         assert!(!d.contains("crates/rl/src/ppo.rs"));
     }
 
@@ -119,7 +109,7 @@ mod tests {
         assert!(c.serving.contains("crates/dtree/src/flat.rs"));
         assert!(!c.serving.contains("crates/dtree/src/tree.rs"));
         assert!(c.determinism.contains("crates/rl/src/ppo.rs"));
-        assert!(!c.determinism.contains("crates/core/src/lifecycle.rs"));
+        assert!(c.determinism.contains("crates/core/src/lifecycle.rs"), "no file is exempt");
         assert_eq!(c.lock_order, ["state"]);
     }
 }

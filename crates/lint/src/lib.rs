@@ -153,8 +153,8 @@ mod tests {
 
     fn serving_cfg() -> LintConfig {
         let mut cfg = LintConfig::workspace();
-        cfg.serving = Domain::new(&["fix.rs"], &[]);
-        cfg.taxonomy = Domain::new(&["fix.rs"], &[]);
+        cfg.serving = Domain::new(&["fix.rs"]);
+        cfg.taxonomy = Domain::new(&["fix.rs"]);
         cfg
     }
 

@@ -193,8 +193,8 @@ fn no_alloc_in_kernels(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 }
 
 /// Rule 3: the determinism domain must not read wall clocks or ambient
-/// randomness. Wall-clock time enters the system only through
-/// `lifecycle.rs` (excluded by config).
+/// randomness: every result follows from pinned seeds and the calls
+/// made, so runs replay exactly.
 fn determinism_purity(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     if !ctx.cfg.determinism.contains(ctx.rel) {
         return;
@@ -211,8 +211,8 @@ fn determinism_purity(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                 "determinism-purity",
                 t.line,
                 format!(
-                    "`{}` in the determinism domain — wall-clock and ambient randomness are \
-                     confined to lifecycle.rs",
+                    "`{}` in the determinism domain — results must follow from pinned seeds, \
+                     not wall clocks or ambient randomness",
                     t.text
                 ),
             );

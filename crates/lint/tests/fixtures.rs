@@ -11,9 +11,9 @@ use nc_lint::report::Violation;
 
 fn fixture_cfg() -> LintConfig {
     let mut cfg = LintConfig::workspace();
-    cfg.serving = Domain::new(&["no_panic_in_serving/"], &[]);
-    cfg.determinism = Domain::new(&["determinism_purity/"], &[]);
-    cfg.taxonomy = Domain::new(&["error_taxonomy/"], &[]);
+    cfg.serving = Domain::new(&["no_panic_in_serving/"]);
+    cfg.determinism = Domain::new(&["determinism_purity/"]);
+    cfg.taxonomy = Domain::new(&["error_taxonomy/"]);
     cfg
 }
 

@@ -56,9 +56,16 @@ fn seeded_violation_in_real_source_is_caught() {
 
 #[test]
 fn seeded_determinism_violation_is_caught() {
-    let path = workspace_root().join("crates/core/src/vecenv.rs");
-    let src = fs::read_to_string(&path).unwrap();
-    let seeded = format!("{src}\nfn sneak_clock() -> std::time::Instant {{ Instant::now() }}\n");
-    let out = nc_lint::lint_source("crates/core/src/vecenv.rs", &seeded, &LintConfig::workspace());
-    assert!(out.violations.iter().any(|v| v.rule == "determinism-purity"), "{:#?}", out.violations);
+    // The lifecycle worker is inside the domain like the rest of core.
+    for rel in ["crates/core/src/vecenv.rs", "crates/core/src/lifecycle.rs"] {
+        let src = fs::read_to_string(workspace_root().join(rel)).unwrap();
+        let seeded =
+            format!("{src}\nfn sneak_clock() -> std::time::Instant {{ Instant::now() }}\n");
+        let out = nc_lint::lint_source(rel, &seeded, &LintConfig::workspace());
+        assert!(
+            out.violations.iter().any(|v| v.rule == "determinism-purity"),
+            "{rel}: {:#?}",
+            out.violations
+        );
+    }
 }
