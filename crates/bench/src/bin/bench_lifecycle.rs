@@ -127,8 +127,7 @@ fn quiet() {
 ///
 /// The worker is polled *synchronously* after the churn phase, so runs
 /// are deterministic given (rules, seeds); `LifecycleWorker::run` is the
-/// free-running alternative exercised by the soak tests and
-/// `update-bench`.
+/// free-running alternative `update-bench --auto-retrain` exercises.
 fn churn_retrain_timeline(
     handle: &ClassifierHandle,
     donors: &RuleSet,

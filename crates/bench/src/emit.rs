@@ -4,7 +4,7 @@
 //! exit.
 //!
 //! Each emitter (`bench_train`, `bench_build`, `bench_lifecycle`,
-//! `bench_recovery`, `bench_sweep`) builds its rows with
+//! `bench_sweep`) builds its rows with
 //! [`serde_json::json!`] and hands them to a [`Report`]. The file keeps
 //! one top-level key per line and one row per line: `bench_gate`
 //! matches rows by position, and a fresh file diffs line by line

@@ -18,7 +18,7 @@
 //! (who wins, by what factor) are what these defaults reproduce.
 //!
 //! The JSON benchmark emitters (`bench_train`, `bench_build`,
-//! `bench_lifecycle`, `bench_recovery`, `bench_sweep`) share [`emit`].
+//! `bench_lifecycle`, `bench_sweep`) share [`emit`].
 
 #![warn(missing_docs)]
 

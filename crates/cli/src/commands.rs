@@ -52,11 +52,9 @@ subcommands:
       the updates reach --retrain-churn (default 0.25) of the rules.
       --fault-schedule injects deterministic faults, e.g.
       \"retrain-panic@0;update-burst@100,400\" (points: retrain-panic,
-      adopt-corruption, update-burst, plus the crash points
-      wal-append, checkpoint-write, adopt-persist, which abort the
-      process mid-write — pair them with --persist-dir; @N = the N-th
-      evaluation fires); the run prints the per-attempt health
-      timeline and the final HealthReport.
+      adopt-corruption, update-burst; @N = the N-th evaluation
+      fires); the run prints the per-attempt health timeline and the
+      final HealthReport.
       --persist-dir DIR attaches crash-consistent persistence: every
       admitted update is write-ahead logged under DIR, the run
       checkpoints on attach and at exit and after every adopted
@@ -366,12 +364,7 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
     }
     let train_timesteps: usize = args.parse_or("timesteps", 3_000)?;
     let faults = parse_fault_schedule(&args)?;
-    let persistence = args.get("persist-dir").map(|dir| {
-        Persistence::with_config(
-            dir,
-            PersistConfig { faults: faults.clone(), ..PersistConfig::default() },
-        )
-    });
+    let persistence = args.get("persist-dir").map(Persistence::new);
     let trace = generate_trace(&rules, &TraceConfig::new(n).with_seed(seed));
 
     let policy = RebuildPolicy { max_churn, min_updates: 8, max_overlay: 256 };

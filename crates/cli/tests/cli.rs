@@ -1,5 +1,6 @@
-//! End-to-end runs of the `neurocuts` binary: flag validation and the
-//! generate → build → `update-bench --auto-retrain` path.
+//! End-to-end runs of the `neurocuts` binary: flag validation, the
+//! generate → build → `update-bench --auto-retrain` path, and `recover`
+//! after a real `kill -9`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -77,4 +78,47 @@ fn update_bench_auto_retrains_and_verifies_the_final_snapshot() {
     assert!(stdout.contains("final snapshot verified"), "{stdout}");
     let retrain = stdout.lines().find(|l| l.starts_with("auto-retrain")).expect("worker summary");
     assert!(!retrain.contains(" 0 adopted"), "the worker adopts a retrain: {retrain}");
+}
+
+/// The end-to-end anchor for crash recovery: a real `kill -9` of a
+/// persisting `update-bench` once its write-ahead log holds records,
+/// then `recover` twice.
+#[test]
+fn recover_after_a_real_kill_replays_the_log_once() {
+    let (rules, tree) = rules_and_tree("kill");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("kill").join("state");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_neurocuts"))
+        .args(["update-bench", "--tree", &tree, "--rules", &rules, "--trace", "256"])
+        .args(["--threads", "1", "--updates", "100000000", "--persist-dir"])
+        .arg(&dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("update-bench starts");
+    // The 16-byte header lands during the attach; records only after.
+    let wal = dir.join("wal-00000000.ncwal");
+    for _ in 0..6000 {
+        if std::fs::metadata(&wal).is_ok_and(|m| m.len() > 16) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.kill().expect("SIGKILL");
+    let status = child.wait().expect("reap the child");
+    assert_eq!(status.code(), None, "update-bench ended before the kill: {status}");
+
+    // `recover` prints "  <label> <value> ...": read one value.
+    let recover = || {
+        let out = neurocuts(&["recover", "--persist-dir", dir.to_str().expect("utf-8 path")]);
+        let stdout = text(&out.stdout);
+        assert!(out.status.success(), "recover failed: {}\n{stdout}", text(&out.stderr));
+        let value = |label: &str| -> u64 {
+            let line = stdout.lines().find(|l| l.trim_start().starts_with(label)).expect(label);
+            line.trim_start()[label.len()..].split_whitespace().next().unwrap().parse().unwrap()
+        };
+        (value("wal replayed"), value("epoch"))
+    };
+    let (replayed, epoch) = recover();
+    assert!(replayed >= 1, "the killed run's records replay");
+    assert_eq!(recover(), (0, epoch), "a second recover replays nothing");
 }

@@ -186,7 +186,7 @@ impl LifecycleConfig {
 /// One retrain attempt, adopted or skipped. Carries the frozen snapshot
 /// and seed so any published epoch can be re-derived from scratch
 /// (retrain the snapshot with the same seed, graft, compare) — the
-/// reproducibility claim the soak test pins.
+/// reproducibility claim the lifecycle simulator pins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleEvent {
     /// Epoch after the swap (the pre-attempt epoch when skipped).
@@ -201,8 +201,8 @@ pub struct LifecycleEvent {
     pub timesteps: usize,
     /// Stats of the trained template *before* grafting — re-deriving
     /// them from `snapshot_rules` + `train_seed` must reproduce this
-    /// exactly (the trainer is deterministic), which is how the soak
-    /// test certifies every published epoch. `None` when training was
+    /// exactly (the trainer is deterministic), which is how the
+    /// lifecycle simulator certifies every published epoch. `None` when training was
     /// skipped.
     pub template_stats: Option<TreeStats>,
     /// Served worst-case depth before the swap.
@@ -256,18 +256,6 @@ impl LifecycleReport {
     pub fn adopted(&self) -> usize {
         self.events.iter().filter(|e| e.adopted).count()
     }
-
-    /// Attempts that failed transiently (panic, refused adoption) —
-    /// deterministic trainer skips are not failures.
-    pub fn failures(&self) -> usize {
-        self.events.iter().filter(|e| !e.adopted && e.failures_after > 0).count()
-    }
-
-    /// Failures that crossed the degradation threshold and forced the
-    /// deterministic fallback rebuild.
-    pub fn fallback_rebuilds(&self) -> usize {
-        self.events.iter().filter(|e| e.fallback_rebuild).count()
-    }
 }
 
 /// The off-hot-path self-optimisation worker (module docs). Drive it
@@ -311,11 +299,6 @@ impl LifecycleWorker {
     /// Retrain attempts so far (adopted + skipped).
     pub fn retrains(&self) -> usize {
         self.retrains
-    }
-
-    /// The attempts recorded so far.
-    pub fn events(&self) -> &[LifecycleEvent] {
-        &self.events
     }
 
     /// The worker's current health (failure streak, degraded flag,
@@ -620,9 +603,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Retrain on a frozen rule-set snapshot: train with `cfg` reseeded to
 /// `seed`, and return the tree to deploy plus its stats and the
 /// timesteps consumed. Deterministic for a fixed (rules, cfg, seed) —
-/// the soak test re-derives published epochs through this exact entry
-/// point, from nothing but a [`LifecycleEvent`]'s `snapshot_rules` and
-/// `train_seed`.
+/// the lifecycle simulator re-derives published epochs through this
+/// exact entry point, from nothing but a [`LifecycleEvent`]'s
+/// `snapshot_rules` and `train_seed`.
 pub fn retrain_snapshot(
     rules: &RuleSet,
     cfg: &NeuroCutsConfig,

@@ -27,9 +27,15 @@
 //!
 //! Checkpoints are written **tmp → fsync → rename → fsync(dir)**, so a
 //! generation either exists completely or not at all; the WAL for
-//! generation `g` is created (and the live handle's log rotated onto
-//! it, under one write-lock acquisition) *before* checkpoint `g` is
-//! written, so a crash at any instant leaves a recoverable chain.
+//! generation `g` is created (and the live handle's log synced and
+//! rotated onto it, under one write-lock acquisition) *before*
+//! checkpoint `g` is written, so a crash at any instant leaves a
+//! recoverable chain.
+//!
+//! Every file operation goes through a [`Storage`]:
+//! [`Persistence::new`] and [`recover`] use the directory storage,
+//! [`Persistence::with_storage`] takes any other — the lifecycle
+//! simulator's in-memory storage, which it crashes after any call.
 //!
 //! # Recovery state machine
 //!
@@ -56,14 +62,14 @@
 //!
 //! Epoch accounting makes "bit-identical" checkable: every logged
 //! record publishes exactly one epoch, so the recovered epoch must be
-//! `checkpoint epoch + replayed records` — and the crash soak asserts
-//! exactly that, plus `TreeStats` and full-trace agreement.
+//! `checkpoint epoch + replayed records` — and the lifecycle simulator
+//! checks the recovered epoch, `TreeStats` and a full trace against
+//! what the live handle served at that epoch.
 
 use classbench::Packet;
+use dtree::storage::{DirStorage, Storage};
 use dtree::wal::{self, WalError, WalWriter};
-use dtree::{
-    ClassifierHandle, DecisionTree, FaultInjector, FaultPoint, RebuildPolicy, UpdateError,
-};
+use dtree::{ClassifierHandle, DecisionTree, RebuildPolicy, UpdateError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -321,14 +327,11 @@ pub struct PersistConfig {
     /// by the lifecycle worker each poll, on top of its
     /// checkpoint-after-adopt).
     pub checkpoint_wal_threshold: u64,
-    /// Crash-injection hooks (`wal-append`, `checkpoint-write`,
-    /// `adopt-persist`): the soak's deterministic `kill -9`.
-    pub faults: Option<Arc<FaultInjector>>,
 }
 
 impl Default for PersistConfig {
     fn default() -> Self {
-        PersistConfig { sync_every: 32, checkpoint_wal_threshold: 512, faults: None }
+        PersistConfig { sync_every: 32, checkpoint_wal_threshold: 512 }
     }
 }
 
@@ -441,130 +444,100 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
 
 /// Read and verify one checkpoint file.
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, PersistError> {
+    read_checkpoint_from(&DirStorage, path)
+}
+
+fn read_checkpoint_from(storage: &dyn Storage, path: &Path) -> Result<Checkpoint, PersistError> {
     let bytes =
-        std::fs::read(path).map_err(|err| PersistError::Io { path: path.to_path_buf(), err })?;
+        storage.read(path).map_err(|err| PersistError::Io { path: path.to_path_buf(), err })?;
     decode_checkpoint(&bytes).map_err(|err| PersistError::Corrupt { path: path.to_path_buf(), err })
 }
 
-fn parse_generation(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+const CHECKPOINT_NAME: (&str, &str) = ("checkpoint-", ".ncck");
+const WAL_NAME: (&str, &str) = ("wal-", ".ncwal");
+
+/// The generation a file `name` carries when it is `prefix<g>suffix`.
+fn generation(name: &str, (prefix, suffix): (&str, &str)) -> Option<u64> {
     name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+}
+
+/// The generations among file `names` of one kind, ascending.
+fn generations(names: &[String], kind: (&str, &str)) -> Vec<u64> {
+    let mut gens: Vec<u64> = names.iter().filter_map(|n| generation(n, kind)).collect();
+    gens.sort_unstable();
+    gens
 }
 
 /// Checkpoint generations present under `dir`, ascending.
 pub fn list_checkpoint_generations(dir: &Path) -> Result<Vec<u64>, PersistError> {
-    list_generations(dir, "checkpoint-", ".ncck")
-}
-
-/// WAL generations present under `dir`, ascending.
-pub fn list_wal_generations(dir: &Path) -> Result<Vec<u64>, PersistError> {
-    list_generations(dir, "wal-", ".ncwal")
-}
-
-fn list_generations(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<u64>, PersistError> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|err| PersistError::Io { path: dir.to_path_buf(), err })?;
-    let mut gens = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|err| PersistError::Io { path: dir.to_path_buf(), err })?;
-        if let Some(name) = entry.file_name().to_str() {
-            if let Some(g) = parse_generation(name, prefix, suffix) {
-                gens.push(g);
-            }
-        }
-    }
-    gens.sort_unstable();
-    Ok(gens)
-}
-
-fn fsync_dir(dir: &Path) -> Result<(), PersistError> {
-    let d = std::fs::File::open(dir)
-        .map_err(|err| PersistError::Io { path: dir.to_path_buf(), err })?;
-    d.sync_all().map_err(|err| PersistError::Io { path: dir.to_path_buf(), err })
+    let names =
+        DirStorage.list(dir).map_err(|err| PersistError::Io { path: dir.to_path_buf(), err })?;
+    Ok(generations(&names, CHECKPOINT_NAME))
 }
 
 /// Write `ck` durably as `checkpoint-<gen>.ncck` under `dir`:
-/// tmp → fsync → rename → fsync(dir). With `faults` armed, the
-/// `checkpoint-write` point crashes mid-tmp-write (torn tmp, final
-/// file absent) and `adopt-persist` crashes after the tmp is complete
-/// but before the rename — the two halves of the atomicity claim.
-/// Returns the file's byte length.
-pub fn write_checkpoint(
+/// tmp → sync → rename (with the directory sync). Returns the file's
+/// byte length.
+fn write_checkpoint(
+    storage: &dyn Storage,
     dir: &Path,
     ck: &Checkpoint,
-    faults: Option<&Arc<FaultInjector>>,
 ) -> Result<u64, PersistError> {
     let bytes = encode_checkpoint(ck);
     let final_path = checkpoint_path(dir, ck.generation);
     let tmp_path = final_path.with_extension("ncck.tmp");
     let io = |err| PersistError::Io { path: tmp_path.clone(), err };
-    if let Some(f) = faults {
-        if f.should_fire(FaultPoint::CheckpointWrite) {
-            // Crash mid-write: a torn tmp file, no published generation.
-            let half = bytes.len() / 2;
-            if let Ok(mut tmp) = std::fs::File::create(&tmp_path) {
-                let _ = tmp.write_all(&bytes[..half]);
-                let _ = tmp.sync_all();
-            }
-            std::process::abort();
-        }
-    }
-    let mut tmp = std::fs::File::create(&tmp_path).map_err(io)?;
-    tmp.write_all(&bytes).map_err(io)?;
-    tmp.sync_all().map_err(io)?;
+    let mut tmp = storage.create(&tmp_path).map_err(io)?;
+    tmp.append(&bytes).map_err(io)?;
+    tmp.sync().map_err(io)?;
     drop(tmp);
-    if let Some(f) = faults {
-        if f.should_fire(FaultPoint::AdoptPersist) {
-            // Crash on the rename edge: the tmp is complete and synced,
-            // the generation not yet published.
-            std::process::abort();
-        }
-    }
-    std::fs::rename(&tmp_path, &final_path)
+    storage
+        .rename(&tmp_path, &final_path)
         .map_err(|err| PersistError::Io { path: final_path.clone(), err })?;
-    fsync_dir(dir)?;
     Ok(bytes.len() as u64)
 }
 
 /// Best-effort GC: remove checkpoint and WAL files older than
-/// `keep_generation` (their chain is superseded). Failures are ignored
-/// — stale files cost disk, not correctness.
-fn gc_older_than(dir: &Path, keep_generation: u64) {
-    let sweep = |gens: Result<Vec<u64>, PersistError>, path_of: fn(&Path, u64) -> PathBuf| {
-        if let Ok(gens) = gens {
-            for g in gens.into_iter().filter(|&g| g < keep_generation) {
-                let _ = std::fs::remove_file(path_of(dir, g));
-            }
-        }
-    };
-    sweep(list_checkpoint_generations(dir), checkpoint_path);
-    sweep(list_wal_generations(dir), wal_path);
-    // Leftover tmp files from crashed checkpoint writes.
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if entry.file_name().to_str().is_some_and(|n| n.ends_with(".ncck.tmp")) {
-                let _ = std::fs::remove_file(entry.path());
-            }
+/// `keep_generation` (their chain is superseded) and the temporary
+/// files of crashed checkpoint writes. Failures are ignored — stale
+/// files cost disk, not correctness.
+fn gc_older_than(storage: &dyn Storage, dir: &Path, keep_generation: u64) {
+    let Ok(names) = storage.list(dir) else { return };
+    let older = |name: &str, kind| generation(name, kind).is_some_and(|g| g < keep_generation);
+    for name in names {
+        if name.ends_with(".ncck.tmp") || older(&name, CHECKPOINT_NAME) || older(&name, WAL_NAME) {
+            let _ = storage.remove(&dir.join(name));
         }
     }
 }
 
-/// A persist directory bound to its tunables: the object the lifecycle
-/// worker and the CLI carry around.
+/// A persist directory bound to its tunables and its storage: the
+/// object the lifecycle worker and the CLI carry around.
 #[derive(Debug, Clone)]
 pub struct Persistence {
     dir: PathBuf,
     cfg: PersistConfig,
+    storage: Arc<dyn Storage>,
 }
 
 impl Persistence {
     /// Bind `dir` with default tunables.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Persistence { dir: dir.into(), cfg: PersistConfig::default() }
+        Persistence::with_config(dir, PersistConfig::default())
     }
 
     /// Bind `dir` with explicit tunables.
     pub fn with_config(dir: impl Into<PathBuf>, cfg: PersistConfig) -> Self {
-        Persistence { dir: dir.into(), cfg }
+        Persistence::with_storage(Arc::new(DirStorage), dir, cfg)
+    }
+
+    /// Bind `dir` of `storage` with explicit tunables.
+    pub fn with_storage(
+        storage: Arc<dyn Storage>,
+        dir: impl Into<PathBuf>,
+        cfg: PersistConfig,
+    ) -> Self {
+        Persistence { dir: dir.into(), cfg, storage }
     }
 
     /// The bound directory.
@@ -572,42 +545,38 @@ impl Persistence {
         &self.dir
     }
 
-    /// The bound tunables.
-    pub fn config(&self) -> &PersistConfig {
-        &self.cfg
-    }
-
     /// Checkpoint `handle` into a fresh generation and rotate its WAL
     /// onto it (this is also how persistence is *attached* to a handle
-    /// that has none yet). Under one write-lock acquisition the tree +
-    /// epoch are frozen and the new WAL installed; the image is then
-    /// written durably and older generations are GC'd. `train_seed` is
-    /// pinned into the image for the reproducibility contract.
+    /// that has none yet). Under one write-lock acquisition the old WAL
+    /// is synced, the tree + epoch frozen and the new WAL installed;
+    /// the image is then written durably and older generations are
+    /// GC'd. `train_seed` is pinned into the image for the
+    /// reproducibility contract.
     pub fn checkpoint(
         &self,
         handle: &ClassifierHandle,
         train_seed: u64,
     ) -> Result<CheckpointReport, PersistError> {
-        std::fs::create_dir_all(&self.dir)
+        let storage = &*self.storage;
+        storage
+            .create_dir(&self.dir)
             .map_err(|err| PersistError::Io { path: self.dir.clone(), err })?;
-        let next_gen = list_checkpoint_generations(&self.dir)?
-            .into_iter()
-            .chain(list_wal_generations(&self.dir)?)
+        let names = storage
+            .list(&self.dir)
+            .map_err(|err| PersistError::Io { path: self.dir.clone(), err })?;
+        let next_gen = names
+            .iter()
+            .filter_map(|n| generation(n, CHECKPOINT_NAME).or(generation(n, WAL_NAME)))
             .max()
             .map_or(0, |g| g + 1);
         let folded = handle.health().wal_len.unwrap_or(0);
         let path = wal_path(&self.dir, next_gen);
-        let cfg = &self.cfg;
         let (tree, epoch) = handle.rotate_wal(next_gen, |next_lsn| {
-            let w = WalWriter::create(&path, next_lsn, cfg.sync_every)?;
-            Ok::<_, WalError>(match &cfg.faults {
-                Some(f) => w.with_faults(f.clone()),
-                None => w,
-            })
+            WalWriter::create(storage, &path, next_lsn, self.cfg.sync_every)
         })?;
         let ck = Checkpoint { generation: next_gen, epoch, train_seed, tree };
-        let bytes = write_checkpoint(&self.dir, &ck, self.cfg.faults.as_ref())?;
-        gc_older_than(&self.dir, next_gen);
+        let bytes = write_checkpoint(storage, &self.dir, &ck)?;
+        gc_older_than(storage, &self.dir, next_gen);
         Ok(CheckpointReport { generation: next_gen, epoch, bytes, folded_records: folded })
     }
 
@@ -616,6 +585,129 @@ impl Persistence {
     /// worker's cue to checkpoint outside the adopt path.
     pub fn wants_checkpoint(&self, handle: &ClassifierHandle) -> bool {
         handle.health().wal_len.is_some_and(|n| n >= self.cfg.checkpoint_wal_threshold)
+    }
+
+    /// Rebuild a serving classifier from the bound directory after a
+    /// crash (see the module docs for the four-step state machine).
+    /// `extra_probes` joins the per-rule low-corner probes in the
+    /// pre-serving linear-scan proof. On success the handle already has
+    /// a fresh checkpoint + WAL attached and is safe to serve from.
+    pub fn recover(
+        &self,
+        policy: RebuildPolicy,
+        extra_probes: &[Packet],
+    ) -> Result<(ClassifierHandle, RecoverReport), RecoverError> {
+        let (storage, dir) = (&*self.storage, self.dir.as_path());
+        let names =
+            storage.list(dir).map_err(|err| RecoverError::Io { path: dir.to_path_buf(), err })?;
+
+        // Step 1: newest checkpoint that reads back clean.
+        let mut rejected = Vec::new();
+        let mut base = None;
+        for g in generations(&names, CHECKPOINT_NAME).into_iter().rev() {
+            match read_checkpoint_from(storage, &checkpoint_path(dir, g)) {
+                Ok(ck) => {
+                    base = Some(ck);
+                    break;
+                }
+                Err(err) => rejected.push(err.to_string()),
+            }
+        }
+        let Some(base) = base else {
+            return Err(RecoverError::NoCheckpoint { dir: dir.to_path_buf(), rejected });
+        };
+
+        // Step 2: replay the WAL chain from the base generation forward.
+        let wal_gens = generations(&names, WAL_NAME);
+        let handle = ClassifierHandle::new_at_epoch(base.tree.clone(), policy, base.epoch);
+        let mut replayed = 0u64;
+        let mut truncated_tail = None;
+        let mut expect_lsn: Option<u64> = None;
+        let mut gen = base.generation;
+        while wal_gens.binary_search(&gen).is_ok() {
+            let path = wal_path(dir, gen);
+            let outcome = wal::read_wal_from(storage, &path)
+                .map_err(|err| RecoverError::Wal { path: path.clone(), err })?;
+            // A torn header (a crash inside the file's creation) carries
+            // no start LSN to check.
+            let header_torn = matches!(outcome.tail, Some(WalError::TornHeader { .. }));
+            if let Some(want) = expect_lsn.filter(|_| !header_torn) {
+                if outcome.start_lsn != want {
+                    return Err(RecoverError::Wal {
+                        path,
+                        err: WalError::LsnMismatch {
+                            offset: 0,
+                            expected: want,
+                            got: outcome.start_lsn,
+                        },
+                    });
+                }
+            }
+            if let Some(tail) = outcome.tail {
+                // A torn tail is the signature of a crash mid-append —
+                // legal only on the newest file of the chain. Anywhere
+                // else it would silently drop admitted ops that later
+                // files replay on top of, so it is a hard error there.
+                if wal_gens.binary_search(&(gen + 1)).is_ok() {
+                    return Err(RecoverError::Wal { path, err: tail });
+                }
+                storage.truncate(&path, outcome.valid_len).map_err(|err| RecoverError::Wal {
+                    path: path.clone(),
+                    err: WalError::Io(err),
+                })?;
+                truncated_tail =
+                    Some(format!("truncated torn wal tail (generation {gen}): {tail}"));
+            }
+            for (lsn, record) in (outcome.start_lsn..).zip(outcome.records) {
+                replay_record(&handle, lsn, record)?;
+                replayed += 1;
+            }
+            expect_lsn = Some(outcome.next_lsn);
+            gen += 1;
+        }
+        debug_assert_eq!(
+            handle.epoch(),
+            base.epoch + replayed,
+            "one WAL record must publish exactly one epoch"
+        );
+
+        // Step 3: prove the recovered state against the linear scan
+        // before anything serves from it — one low-corner probe per
+        // active rule, plus whatever the caller wants checked.
+        let mut probes: Vec<Packet> = handle.with_tree(|t| {
+            t.rules()
+                .iter()
+                .enumerate()
+                .filter(|&(id, _)| t.is_active(id))
+                .map(|(_, r)| r.low_corner())
+                .collect()
+        });
+        probes.extend_from_slice(extra_probes);
+        if let Some(packet) = handle.check_divergence(&probes) {
+            return Err(RecoverError::Diverged { packet });
+        }
+        let linear_miss = handle
+            .with_tree(|t| probes.iter().find(|p| t.classify(p) != t.linear_classify(p)).copied());
+        if let Some(packet) = linear_miss {
+            return Err(RecoverError::Diverged { packet });
+        }
+
+        // Step 4: fold everything into a fresh generation so the next
+        // crash replays from here, then attach the new WAL and record
+        // the sticky recovery note.
+        let report = self.checkpoint(&handle, base.train_seed)?;
+        handle.note_recovery(report.generation, truncated_tail.clone());
+        let recover_report = RecoverReport {
+            base_generation: base.generation,
+            new_generation: report.generation,
+            epoch: handle.epoch(),
+            replayed,
+            truncated_tail,
+            skipped_checkpoints: rejected,
+            spot_checked: probes.len(),
+            train_seed: base.train_seed,
+        };
+        Ok((handle, recover_report))
     }
 }
 
@@ -644,126 +736,15 @@ fn replay_record(
     }
 }
 
-/// Rebuild a serving classifier from `dir` after a crash (see the
-/// module docs for the four-step state machine). `extra_probes` joins
-/// the per-rule low-corner probes in the pre-serving linear-scan proof.
-/// On success the handle already has a fresh checkpoint + WAL attached
-/// and is safe to serve from.
+/// Rebuild a serving classifier from the directory `dir` after a crash:
+/// [`Persistence::recover`] over the directory storage.
 pub fn recover(
     dir: &Path,
     policy: RebuildPolicy,
     extra_probes: &[Packet],
     cfg: &PersistConfig,
 ) -> Result<(ClassifierHandle, RecoverReport), RecoverError> {
-    // Step 1: newest checkpoint that reads back clean.
-    let mut rejected = Vec::new();
-    let gens = match list_checkpoint_generations(dir) {
-        Ok(gens) => gens,
-        Err(PersistError::Io { path, err }) => return Err(RecoverError::Io { path, err }),
-        Err(other) => return Err(RecoverError::Persist(other)),
-    };
-    let mut base = None;
-    for g in gens.into_iter().rev() {
-        match read_checkpoint(&checkpoint_path(dir, g)) {
-            Ok(ck) => {
-                base = Some(ck);
-                break;
-            }
-            Err(err) => rejected.push(err.to_string()),
-        }
-    }
-    let Some(base) = base else {
-        return Err(RecoverError::NoCheckpoint { dir: dir.to_path_buf(), rejected });
-    };
-
-    // Step 2: replay the WAL chain from the base generation forward.
-    let handle = ClassifierHandle::new_at_epoch(base.tree.clone(), policy, base.epoch);
-    let mut replayed = 0u64;
-    let mut truncated_tail = None;
-    let mut expect_lsn: Option<u64> = None;
-    let mut gen = base.generation;
-    loop {
-        let path = wal_path(dir, gen);
-        if !path.exists() {
-            break;
-        }
-        let outcome =
-            wal::read_wal(&path).map_err(|err| RecoverError::Wal { path: path.clone(), err })?;
-        if let Some(want) = expect_lsn {
-            if outcome.start_lsn != want {
-                return Err(RecoverError::Wal {
-                    path,
-                    err: WalError::LsnMismatch {
-                        offset: 0,
-                        expected: want,
-                        got: outcome.start_lsn,
-                    },
-                });
-            }
-        }
-        if let Some(tail) = outcome.tail {
-            // A torn tail is the signature of a crash mid-append — legal
-            // only on the newest file of the chain. Anywhere else it
-            // would silently drop admitted ops that later files replay
-            // on top of, so it is a hard error there.
-            if wal_path(dir, gen + 1).exists() {
-                return Err(RecoverError::Wal { path, err: tail });
-            }
-            wal::truncate_wal(&path, outcome.valid_len)
-                .map_err(|err| RecoverError::Wal { path: path.clone(), err })?;
-            truncated_tail = Some(format!("truncated torn wal tail (generation {gen}): {tail}"));
-        }
-        for (lsn, record) in (outcome.start_lsn..).zip(outcome.records) {
-            replay_record(&handle, lsn, record)?;
-            replayed += 1;
-        }
-        expect_lsn = Some(outcome.next_lsn);
-        gen += 1;
-    }
-    debug_assert_eq!(
-        handle.epoch(),
-        base.epoch + replayed,
-        "one WAL record must publish exactly one epoch"
-    );
-
-    // Step 3: prove the recovered state against the linear scan before
-    // anything serves from it — one low-corner probe per active rule,
-    // plus whatever the caller wants checked.
-    let mut probes: Vec<Packet> = handle.with_tree(|t| {
-        t.rules()
-            .iter()
-            .enumerate()
-            .filter(|&(id, _)| t.is_active(id))
-            .map(|(_, r)| r.low_corner())
-            .collect()
-    });
-    probes.extend_from_slice(extra_probes);
-    if let Some(packet) = handle.check_divergence(&probes) {
-        return Err(RecoverError::Diverged { packet });
-    }
-    let linear_miss = handle
-        .with_tree(|t| probes.iter().find(|p| t.classify(p) != t.linear_classify(p)).copied());
-    if let Some(packet) = linear_miss {
-        return Err(RecoverError::Diverged { packet });
-    }
-
-    // Step 4: fold everything into a fresh generation so the next crash
-    // replays from here, then attach the new WAL and record the sticky
-    // recovery note.
-    let persistence = Persistence::with_config(dir, cfg.clone());
-    let report = persistence.checkpoint(&handle, base.train_seed)?;
-    handle.note_recovery(report.generation, truncated_tail.clone());
-    let recover_report = RecoverReport {
-        base_generation: base.generation,
-        new_generation: report.generation,
-        epoch: handle.epoch(),
-        replayed,
-        truncated_tail,
-        skipped_checkpoints: rejected,
-        spot_checked: probes.len(),
-        train_seed: base.train_seed,
-    };
-    Ok((handle, recover_report))
+    Persistence::with_config(dir, cfg.clone()).recover(policy, extra_probes)
 }
 
 #[cfg(test)]
@@ -794,6 +775,20 @@ mod tests {
             Rule::default_rule(1),
         ]);
         DecisionTree::new(&rules)
+    }
+
+    /// A handle over `small_tree` with persistence (one fsync per
+    /// record) attached under a fresh directory, pinning `train_seed`.
+    fn attached(tag: &str, train_seed: u64) -> (PathBuf, ClassifierHandle, CheckpointReport) {
+        let dir = tmp_dir(tag);
+        let cfg = PersistConfig { sync_every: 1, ..PersistConfig::default() };
+        let handle = ClassifierHandle::new(small_tree(), RebuildPolicy::never());
+        let report = Persistence::with_config(&dir, cfg).checkpoint(&handle, train_seed).unwrap();
+        (dir, handle, report)
+    }
+
+    fn recovered(dir: &Path) -> Result<(ClassifierHandle, RecoverReport), RecoverError> {
+        recover(dir, RebuildPolicy::never(), &[], &PersistConfig::default())
     }
 
     #[test]
@@ -842,13 +837,7 @@ mod tests {
 
     #[test]
     fn checkpoint_then_recover_restores_epoch_and_stats() {
-        let dir = tmp_dir("roundtrip");
-        let persistence = Persistence::with_config(
-            &dir,
-            PersistConfig { sync_every: 1, ..PersistConfig::default() },
-        );
-        let handle = ClassifierHandle::new(small_tree(), RebuildPolicy::never());
-        persistence.checkpoint(&handle, 1234).unwrap();
+        let (dir, handle, _) = attached("roundtrip", 1234);
 
         // Mutate past the checkpoint: the WAL carries these.
         let id = handle.insert(rule(5, 500, 40)).unwrap();
@@ -859,8 +848,7 @@ mod tests {
         let live_stats = handle.with_tree(TreeStats::compute);
         drop(handle);
 
-        let (recovered, report) =
-            recover(&dir, RebuildPolicy::never(), &[], &PersistConfig::default()).unwrap();
+        let (recovered, report) = recovered(&dir).unwrap();
         assert_eq!(report.base_generation, 0);
         assert_eq!(report.replayed, 4);
         assert_eq!(report.truncated_tail, None);
@@ -869,7 +857,8 @@ mod tests {
         assert_eq!(recovered.with_tree(TreeStats::compute), live_stats);
         // The old chain was folded and GC'd behind the new generation.
         assert_eq!(list_checkpoint_generations(&dir).unwrap(), vec![report.new_generation]);
-        assert_eq!(list_wal_generations(&dir).unwrap(), vec![report.new_generation]);
+        let wals = generations(&DirStorage.list(&dir).unwrap(), WAL_NAME);
+        assert_eq!(wals, vec![report.new_generation]);
         let health = recovered.health();
         assert_eq!(health.checkpoint_generation, Some(report.new_generation));
         assert_eq!(health.wal_len, Some(0));
@@ -878,13 +867,7 @@ mod tests {
 
     #[test]
     fn recover_truncates_a_torn_tail_on_the_last_file() {
-        let dir = tmp_dir("torn");
-        let persistence = Persistence::with_config(
-            &dir,
-            PersistConfig { sync_every: 1, ..PersistConfig::default() },
-        );
-        let handle = ClassifierHandle::new(small_tree(), RebuildPolicy::never());
-        let report = persistence.checkpoint(&handle, 0).unwrap();
+        let (dir, handle, report) = attached("torn", 0);
         handle.insert(rule(5, 500, 40)).unwrap();
         let epoch = handle.epoch();
         drop(handle);
@@ -895,8 +878,7 @@ mod tests {
         f.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
         drop(f);
 
-        let (recovered, report) =
-            recover(&dir, RebuildPolicy::never(), &[], &PersistConfig::default()).unwrap();
+        let (recovered, report) = recovered(&dir).unwrap();
         assert_eq!(report.replayed, 1);
         assert!(report.truncated_tail.as_deref().unwrap().contains("torn"));
         assert_eq!(recovered.epoch(), epoch);
@@ -909,13 +891,7 @@ mod tests {
 
     #[test]
     fn recover_falls_back_past_an_unreadable_newer_checkpoint() {
-        let dir = tmp_dir("fallback");
-        let persistence = Persistence::with_config(
-            &dir,
-            PersistConfig { sync_every: 1, ..PersistConfig::default() },
-        );
-        let handle = ClassifierHandle::new(small_tree(), RebuildPolicy::never());
-        persistence.checkpoint(&handle, 77).unwrap();
+        let (dir, handle, _) = attached("fallback", 77);
         handle.insert(rule(5, 500, 40)).unwrap();
         let epoch = handle.epoch();
         drop(handle);
@@ -924,8 +900,7 @@ mod tests {
         // the tmp-file protocol would leave behind.
         std::fs::write(checkpoint_path(&dir, 1), b"NCCKPT1\ngeneration 1\n").unwrap();
 
-        let (recovered, report) =
-            recover(&dir, RebuildPolicy::never(), &[], &PersistConfig::default()).unwrap();
+        let (recovered, report) = recovered(&dir).unwrap();
         assert_eq!(report.base_generation, 0);
         assert_eq!(report.skipped_checkpoints.len(), 1);
         assert_eq!(recovered.epoch(), epoch);
@@ -935,8 +910,7 @@ mod tests {
     #[test]
     fn recover_refuses_an_empty_dir() {
         let dir = tmp_dir("empty");
-        let err = recover(&dir, RebuildPolicy::never(), &[], &PersistConfig::default())
-            .expect_err("nothing to recover from");
+        let err = recovered(&dir).expect_err("nothing to recover from");
         assert!(matches!(err, RecoverError::NoCheckpoint { .. }));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -11,16 +11,14 @@
 //!
 //! Determinism contract: each fault point is evaluated from a single
 //! thread (the lifecycle worker owns the retrain-side points, the
-//! update thread owns `UpdateBurst` and `WalAppend`), so the per-point
+//! update thread owns `UpdateBurst`), so the per-point
 //! evaluation counter advances in a fixed order and `should_fire` is a
 //! pure function of the schedule. The counters are atomics only so the
 //! injector can be shared (`Arc`) between the worker and the update
 //! thread without a lock.
 //!
-//! The three `*-write`/`*-persist` points are **crash points**: instead
-//! of an in-process failure the instrumented site writes a deliberately
-//! torn prefix and calls `std::process::abort()` — the deterministic
-//! `kill -9` the crash-recovery soak drives from a child process.
+//! Crashes are not fault points: the lifecycle simulator crashes an
+//! in-memory [`crate::storage::Storage`] after any call instead.
 
 use rand::{Rng as _, SeedableRng as _};
 use rand_chacha::ChaCha8Rng;
@@ -39,29 +37,11 @@ pub enum FaultPoint {
     /// A burst of extra inserts at one churn step — pressure on the
     /// bounded overlay and its fold-rebuild backpressure.
     UpdateBurst,
-    /// Crash mid-append to the write-ahead log: half the record reaches
-    /// the disk, then the process aborts. Recovery must truncate the
-    /// torn tail and lose nothing that was admitted before it.
-    WalAppend,
-    /// Crash mid-write of a checkpoint's temporary file, before the
-    /// rename-into-place. Recovery must fall back to the previous
-    /// generation and replay its WAL chain.
-    CheckpointWrite,
-    /// Crash after the checkpoint's temporary file is fully written and
-    /// synced but *before* the atomic rename publishes it — the rename
-    /// either happened or it didn't; recovery must cope with both.
-    AdoptPersist,
 }
 
 /// Every fault point, in the canonical (index) order.
-pub const FAULT_POINTS: [FaultPoint; 6] = [
-    FaultPoint::RetrainPanic,
-    FaultPoint::AdoptCorruption,
-    FaultPoint::UpdateBurst,
-    FaultPoint::WalAppend,
-    FaultPoint::CheckpointWrite,
-    FaultPoint::AdoptPersist,
-];
+pub const FAULT_POINTS: [FaultPoint; 3] =
+    [FaultPoint::RetrainPanic, FaultPoint::AdoptCorruption, FaultPoint::UpdateBurst];
 
 impl FaultPoint {
     /// Stable CLI/log name of the point.
@@ -70,9 +50,6 @@ impl FaultPoint {
             FaultPoint::RetrainPanic => "retrain-panic",
             FaultPoint::AdoptCorruption => "adopt-corruption",
             FaultPoint::UpdateBurst => "update-burst",
-            FaultPoint::WalAppend => "wal-append",
-            FaultPoint::CheckpointWrite => "checkpoint-write",
-            FaultPoint::AdoptPersist => "adopt-persist",
         }
     }
 
@@ -86,9 +63,6 @@ impl FaultPoint {
             FaultPoint::RetrainPanic => 0,
             FaultPoint::AdoptCorruption => 1,
             FaultPoint::UpdateBurst => 2,
-            FaultPoint::WalAppend => 3,
-            FaultPoint::CheckpointWrite => 4,
-            FaultPoint::AdoptPersist => 5,
         }
     }
 }
@@ -169,11 +143,9 @@ impl FaultSchedule {
 
     /// A reproducibly random schedule: for every fault point, draw
     /// `per_class` distinct occurrence indices. The retrain-side points
-    /// (`retrain-panic`, `adopt-corruption`) and the checkpoint crash
-    /// points (`checkpoint-write`, `adopt-persist`) draw from
-    /// `0..retrain_window` (retrain/checkpoint *attempts*);
-    /// the update-path points (`update-burst`, `wal-append`) draw from
-    /// `0..update_window` (churn *steps* / WAL appends). The same
+    /// (`retrain-panic`, `adopt-corruption`) draw from
+    /// `0..retrain_window` (retrain *attempts*); `update-burst` draws
+    /// from `0..update_window` (churn *steps*). The same
     /// `(seed, windows)` always yields the same schedule — that is the
     /// whole point.
     pub fn seeded(seed: u64, per_class: usize, retrain_window: u64, update_window: u64) -> Self {
@@ -181,7 +153,7 @@ impl FaultSchedule {
         let mut schedule = FaultSchedule::empty();
         for point in FAULT_POINTS {
             let window = match point {
-                FaultPoint::UpdateBurst | FaultPoint::WalAppend => update_window,
+                FaultPoint::UpdateBurst => update_window,
                 _ => retrain_window,
             }
             .max(1);
@@ -195,7 +167,7 @@ impl FaultSchedule {
     }
 
     /// Parse a CLI spec: `;`-separated `point@occ[,occ...]` clauses,
-    /// e.g. `"retrain-panic@0,2;wal-append@5"`. Errors are typed
+    /// e.g. `"retrain-panic@0,2;update-burst@5"`. Errors are typed
     /// ([`FaultParseError`]) and name the offending token.
     pub fn parse(spec: &str) -> Result<Self, FaultParseError> {
         let mut schedule = FaultSchedule::empty();
@@ -277,7 +249,7 @@ impl FaultInjector {
 
     /// Evaluate `point` once: advances its occurrence counter and
     /// reports whether this occurrence is armed. The caller then
-    /// performs the fault (panic, corruption, burst, crash) —
+    /// performs the fault (panic, corruption, burst) —
     /// the injector only decides *when*.
     pub fn should_fire(&self, point: FaultPoint) -> bool {
         let i = point.index();
@@ -308,12 +280,6 @@ impl FaultInjector {
     pub fn total_fired(&self) -> u64 {
         FAULT_POINTS.iter().map(|&p| self.fired(p)).sum()
     }
-
-    /// True when every armed occurrence of every point has fired (the
-    /// chaos-soak "the schedule ran to completion" check).
-    pub fn exhausted(&self) -> bool {
-        FAULT_POINTS.iter().all(|&p| self.fired(p) as usize == self.schedule.armed(p).len())
-    }
 }
 
 #[cfg(test)]
@@ -330,7 +296,7 @@ mod tests {
         assert_eq!(fired, vec![false, true, false, true, false, false]);
         assert_eq!(inj.fired(FaultPoint::RetrainPanic), 2);
         assert_eq!(inj.evaluated(FaultPoint::RetrainPanic), 6);
-        assert!(inj.exhausted());
+        assert_eq!(inj.total_fired(), 2, "every armed occurrence fired");
         assert_eq!(inj.fired(FaultPoint::UpdateBurst), 0, "points are independent");
     }
 
@@ -344,7 +310,7 @@ mod tests {
         for point in FAULT_POINTS {
             assert_eq!(a.armed(point).len(), 2, "{point}: two occurrences per class");
             let window = match point {
-                FaultPoint::UpdateBurst | FaultPoint::WalAppend => 100,
+                FaultPoint::UpdateBurst => 100,
                 _ => 6,
             };
             assert!(a.armed(point).iter().all(|&o| o < window));
@@ -358,9 +324,9 @@ mod tests {
 
     #[test]
     fn parse_round_trips_and_rejects_garbage() {
-        let s = FaultSchedule::parse("retrain-panic@0,2; wal-append@5").unwrap();
+        let s = FaultSchedule::parse("retrain-panic@0,2; update-burst@5").unwrap();
         assert_eq!(s.armed(FaultPoint::RetrainPanic), &[0, 2]);
-        assert_eq!(s.armed(FaultPoint::WalAppend), &[5]);
+        assert_eq!(s.armed(FaultPoint::UpdateBurst), &[5]);
         assert!(s.armed(FaultPoint::AdoptCorruption).is_empty());
         let shown = s.to_string();
         assert_eq!(FaultSchedule::parse(&shown).unwrap(), s, "display round-trips");
@@ -376,10 +342,10 @@ mod tests {
             }
             other => panic!("expected UnknownPoint, got {other:?}"),
         }
-        match FaultSchedule::parse("retrain-panic@0;checkpoint-write@x") {
+        match FaultSchedule::parse("retrain-panic@0;adopt-corruption@x") {
             Err(FaultParseError::BadOccurrence { token, clause }) => {
                 assert_eq!(token, "x");
-                assert_eq!(clause, "checkpoint-write@x");
+                assert_eq!(clause, "adopt-corruption@x");
             }
             other => panic!("expected BadOccurrence, got {other:?}"),
         }
@@ -390,9 +356,9 @@ mod tests {
             other => panic!("expected MissingAt, got {other:?}"),
         }
         // Every error's Display names its token.
-        let err = FaultSchedule::parse("wal-apend@1").unwrap_err();
-        assert!(err.to_string().contains("wal-apend"), "{err}");
-        assert!(err.to_string().contains("wal-append"), "suggests the known names: {err}");
+        let err = FaultSchedule::parse("update-brust@1").unwrap_err();
+        assert!(err.to_string().contains("update-brust"), "{err}");
+        assert!(err.to_string().contains("update-burst"), "suggests the known names: {err}");
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   priority-ordered linear scan;
 //! * per-level visualisation data for Figures 5 and 6 ([`viz`]);
 //! * incremental rule insertion/deletion (§4 "Handling classifier
-//!   updates", [`updates`]).
+//!   updates", [`updates`]);
+//! * durability: a write-ahead log ([`wal`]) over a storage seam
+//!   ([`storage`]) that tests can back with memory and crash.
 
 #![warn(missing_docs)]
 
@@ -39,6 +41,7 @@ pub mod replay;
 pub mod serve;
 pub mod space;
 pub mod stats;
+pub mod storage;
 pub mod store;
 pub mod tree;
 pub mod updates;

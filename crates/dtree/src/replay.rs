@@ -2,8 +2,8 @@
 //! [`ClassifierHandle`] under load.
 //!
 //! Every live-update driver — the CLI `update-bench` subcommand, the
-//! lifecycle timeline behind `bench_lifecycle`, the soak tests, and
-//! perfbench's churn rounds — replays the same seeded insert/delete
+//! lifecycle timeline behind `bench_lifecycle`, the live-update tests,
+//! and perfbench's churn rounds — replays the same seeded insert/delete
 //! schedule, and the drivers that measure serving under churn share
 //! one pool of reader threads serving a trace from epoch-swapped
 //! snapshots while updates land. They certify the result with

@@ -618,17 +618,22 @@ impl ClassifierHandle {
         if let Err(kind) = Self::wal_append_locked(&mut s, &wal::WalRecord::Delete { id }) {
             return Err(UpdateError::WalAppend { kind });
         }
-        if let Err(err) = updates::delete_rule(&mut s.tree, id) {
-            s.last_error = Some(err.to_string());
-            return Err(err);
-        }
+        let refilled = match updates::delete_and_refill(&mut s.tree, id) {
+            Ok(refilled) => refilled,
+            Err(err) => {
+                s.last_error = Some(err.to_string());
+                return Err(err);
+            }
+        };
         s.log.deleted += 1;
         s.total_deleted += 1;
         // Check the rebuild policy *first*: when this delete tips the
         // churn over the threshold, the recompile supersedes both the
         // overlay removal and the copy-on-write patch (whose clone
-        // would otherwise be paid and immediately thrown away).
-        if s.policy.should_rebuild(&s.log, s.tree.num_active_rules()) {
+        // would otherwise be paid and immediately thrown away). Rules
+        // put back into truncated leaves are unknown to the compiled
+        // tree, so a refill recompiles too.
+        if refilled > 0 || s.policy.should_rebuild(&s.log, s.tree.num_active_rules()) {
             Self::rebuild_locked(&mut s);
         } else if let Some(pos) = s.overlay.iter().position(|(oid, _)| *oid == id) {
             s.overlay.remove(pos);
@@ -905,44 +910,31 @@ impl ClassifierHandle {
         f(&self.state.read().tree)
     }
 
-    /// Attach a write-ahead log running ahead of checkpoint
-    /// `generation`: every subsequently admitted insert, delete, adopt,
-    /// and forced rebuild is appended (and refused on append failure)
-    /// *before* it mutates the serving state. Replaces any previously
-    /// attached writer.
-    pub fn attach_wal(&self, writer: wal::WalWriter, generation: u64) {
-        let mut s = self.state.write();
-        s.wal = Some(writer);
-        s.checkpoint_generation = Some(generation);
-    }
-
     /// Atomically freeze a checkpoint image and rotate the WAL: under
-    /// one write-lock acquisition, `make_writer` is called with the LSN
-    /// the next record must carry (so the LSN line continues unbroken
-    /// across generations), the new writer replaces the old (which is
-    /// synced and retired), and the tree + epoch are cloned out as the
-    /// image the caller must now write durably as checkpoint
+    /// one write-lock acquisition the old writer syncs its last batch,
+    /// `make_writer` is called with the LSN the next record must carry
+    /// (so the LSN line continues unbroken across generations), the new
+    /// writer replaces the old, and the tree + epoch are cloned out as
+    /// the image the caller must now write durably as checkpoint
     /// `generation`. No update can slip between the image and the
     /// rotation — that is the crash-consistency pivot: every admitted
-    /// op is either inside the returned image or in the new WAL.
+    /// op is either inside the returned image or in the new WAL. The
+    /// old log is synced before the new one exists, so a crash never
+    /// leaves a torn record in the middle of the chain.
     ///
-    /// If `make_writer` fails nothing changes (same writer, same
-    /// generation).
-    pub fn rotate_wal<E>(
+    /// If the sync or `make_writer` fails nothing changes (same writer,
+    /// same generation).
+    pub fn rotate_wal(
         &self,
         generation: u64,
-        make_writer: impl FnOnce(u64) -> Result<wal::WalWriter, E>,
-    ) -> Result<(DecisionTree, u64), E> {
+        make_writer: impl FnOnce(u64) -> Result<wal::WalWriter, wal::WalError>,
+    ) -> Result<(DecisionTree, u64), wal::WalError> {
         let mut s = self.state.write();
-        let next_lsn = s.wal.as_ref().map_or(0, wal::WalWriter::next_lsn);
-        let writer = make_writer(next_lsn)?;
-        if let Some(mut old) = s.wal.replace(writer) {
-            // Best-effort: flush the retired generation's sync batch.
-            // Its records were already `write`-visible (process-crash
-            // durable); this closes the power-loss window before the
-            // file is superseded by the checkpoint being written.
-            let _ = old.sync();
+        if let Some(old) = s.wal.as_mut() {
+            old.sync()?;
         }
+        let next_lsn = s.wal.as_ref().map_or(0, wal::WalWriter::next_lsn);
+        s.wal = Some(make_writer(next_lsn)?);
         s.checkpoint_generation = Some(generation);
         Ok((s.tree.clone(), s.published.epoch))
     }

@@ -8,6 +8,7 @@
 //! policy layer can decide when.
 
 use crate::node::{NodeId, NodeKind, RuleId};
+use crate::space::NodeSpace;
 use crate::tree::DecisionTree;
 use classbench::{Dim, Rule, DIMS};
 use serde::{Deserialize, Serialize};
@@ -185,14 +186,25 @@ pub(crate) fn route_insert(tree: &mut DecisionTree, id: RuleId) {
 
 /// Remove `id` from every leaf list it appears in, leaving the active
 /// flag alone (the flag half of deletion belongs to [`delete_rule`] and
-/// the adoption path, which own the accounting).
-pub(crate) fn route_remove(tree: &mut DecisionTree, id: RuleId) {
+/// the adoption path, which own the accounting). Returns the leaves
+/// that listed `id` and whose whole space it covers — the only leaves
+/// where covered-rule truncation may have dropped rules below it —
+/// when `id` may have been a covering rule at all.
+pub(crate) fn route_remove(tree: &mut DecisionTree, id: RuleId) -> Vec<NodeId> {
+    let may_cover = id < tree.cover_horizon();
+    let mut covered = Vec::new();
     let mut stack: Vec<NodeId> = vec![tree.root()];
     while let Some(nid) = stack.pop() {
         if !tree.node(nid).space.intersects_rule(tree.rule(id)) {
             continue;
         }
         if tree.node(nid).is_leaf() {
+            if may_cover
+                && tree.store().covers(id, &tree.node(nid).space)
+                && tree.rules_at(nid).contains(&id)
+            {
+                covered.push(nid);
+            }
             tree.leaf_remove(nid, id);
         } else {
             // Every non-leaf kind descends all children: partition
@@ -202,6 +214,7 @@ pub(crate) fn route_remove(tree: &mut DecisionTree, id: RuleId) {
             stack.extend(tree.node(nid).kind.children().iter().copied());
         }
     }
+    covered
 }
 
 /// Guarantee the routing invariant for one active rule: every leaf a
@@ -270,10 +283,21 @@ fn subtree_holds(tree: &DecisionTree, nid: NodeId, id: RuleId) -> bool {
 /// node arena. Partition children share their parent's space and any
 /// of them may hold the rule, so all are descended.
 ///
+/// A leaf whose space the deleted rule covered may have been truncated
+/// below it ([`DecisionTree::truncate_covered`]); the rules that
+/// truncation dropped are reachable again, so they are put back.
+///
 /// Errors (instead of panicking) on an out-of-range or already-deleted
 /// id, so callers driving live update streams can surface bad updates
 /// without crashing the serving process.
 pub fn delete_rule(tree: &mut DecisionTree, id: RuleId) -> Result<(), UpdateError> {
+    delete_and_refill(tree, id).map(drop)
+}
+
+/// [`delete_rule`], returning how many leaf placements the refill of
+/// truncated leaves added (a compiled copy of the tree that only
+/// patches the deletion out is stale when this is not 0).
+pub(crate) fn delete_and_refill(tree: &mut DecisionTree, id: RuleId) -> Result<usize, UpdateError> {
     if id >= tree.rules().len() {
         return Err(UpdateError::UnknownRule(id));
     }
@@ -281,8 +305,32 @@ pub fn delete_rule(tree: &mut DecisionTree, id: RuleId) -> Result<(), UpdateErro
         return Err(UpdateError::InactiveRule(id));
     }
     tree.deactivate_rule(id);
-    route_remove(tree, id);
-    Ok(())
+    let covered = route_remove(tree, id);
+    if covered.is_empty() {
+        return Ok(0);
+    }
+    // Candidates: the active rules below `id` that overlap it (a
+    // covered leaf lies inside `id`'s box).
+    let reach = NodeSpace { ranges: tree.rule(id).ranges };
+    let candidates: Vec<RuleId> = (0..tree.rules().len())
+        .filter(|&r| {
+            tree.is_active(r) && tree.precedes(id, r) && tree.store().intersects(r, &reach)
+        })
+        .collect();
+    let mut refilled = 0;
+    for leaf in covered {
+        let space = tree.node(leaf).space;
+        let dropped: Vec<RuleId> = candidates
+            .iter()
+            .copied()
+            .filter(|&r| tree.store().intersects(r, &space) && !tree.rules_at(leaf).contains(&r))
+            .collect();
+        refilled += dropped.len();
+        for r in dropped {
+            tree.leaf_insert_sorted(leaf, r);
+        }
+    }
+    Ok(refilled)
 }
 
 impl DecisionTree {

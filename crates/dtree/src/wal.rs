@@ -37,22 +37,27 @@
 //! LSN misorder, an undecodable payload behind a valid CRC) are hard
 //! typed errors — never a panic, never a silently wrong replay.
 //!
-//! # Fsync policy
+//! # Fsync policy and the crash model
 //!
-//! Each append issues one `write` syscall (the record is visible to the
-//! OS page cache immediately, which is all `kill -9` durability needs —
-//! the page cache outlives the process), while `fsync` is batched every
-//! [`WalWriter::sync_every`] records to keep the update path fast:
-//! batching only trades the tail of the current batch against *power
-//! loss*, not process death. Checkpoints fsync everything.
+//! The writer reaches its file through the [`crate::storage`] seam.
+//! Each append is one storage append (with the directory storage, one
+//! `write` syscall: the record reaches the page cache at once, which
+//! is all a `kill -9` needs, because the page cache outlives the
+//! process), while the sync is batched every `sync_every` records (set
+//! by [`WalWriter::create`]) to keep the update path fast. A crash
+//! keeps the synced bytes and any prefix of the rest, so batching
+//! trades only the tail of the current batch against power loss, never
+//! a record in the middle of the log. Checkpoints sync everything.
+//!
+//! An append is all or nothing: it either leaves one more complete
+//! record and returns `Ok`, or leaves the file at the previous record
+//! boundary and returns `Err`, so a refused update never has a record
+//! in the log.
 
-use crate::faults::{FaultInjector, FaultPoint};
 use crate::node::RuleId;
+use crate::storage::{DirStorage, Storage, StorageFile};
 use classbench::{DimRange, Rule, NUM_DIMS};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 
 /// File magic: the first 8 bytes of every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"NCWALv1\n";
@@ -168,6 +173,13 @@ pub enum WalError {
         /// The kind byte it carried.
         kind: u8,
     },
+    /// An append failed and so did cutting the file back to its last
+    /// record boundary, so the file may end in a partial record. The
+    /// writer refuses every append until a checkpoint rotates it out.
+    Poisoned {
+        /// The failed append and the failed rollback.
+        why: String,
+    },
 }
 
 impl WalError {
@@ -178,18 +190,6 @@ impl WalError {
             WalError::Io(e) => e.kind(),
             _ => std::io::ErrorKind::InvalidData,
         }
-    }
-
-    /// True for the failure modes a crash legitimately leaves at the
-    /// tail of the newest file — recovery truncates these (with the
-    /// error recorded) instead of refusing to start.
-    pub fn is_torn_tail(&self) -> bool {
-        matches!(
-            self,
-            WalError::TornHeader { .. }
-                | WalError::TornRecord { .. }
-                | WalError::CorruptRecord { .. }
-        )
     }
 }
 
@@ -212,6 +212,9 @@ impl std::fmt::Display for WalError {
             }
             WalError::MalformedPayload { offset, kind } => {
                 write!(f, "wal record at byte {offset} (kind {kind}) has an undecodable payload")
+            }
+            WalError::Poisoned { why } => {
+                write!(f, "wal refuses appends until a checkpoint rotates it out: {why}")
             }
         }
     }
@@ -367,8 +370,13 @@ pub struct WalReadOutcome {
 
 /// Read and verify a WAL file. See [`read_wal_bytes`].
 pub fn read_wal(path: &Path) -> Result<WalReadOutcome, WalError> {
-    let bytes = std::fs::read(path).map_err(WalError::Io)?;
-    read_wal_bytes(&bytes)
+    read_wal_from(&DirStorage, path)
+}
+
+/// Read and verify the WAL file `path` of `storage`. See
+/// [`read_wal_bytes`].
+pub fn read_wal_from(storage: &dyn Storage, path: &Path) -> Result<WalReadOutcome, WalError> {
+    read_wal_bytes(&storage.read(path).map_err(WalError::Io)?)
 }
 
 /// Read and verify an in-memory WAL image. Torn/corrupt tails come
@@ -446,58 +454,47 @@ pub fn read_wal_bytes(bytes: &[u8]) -> Result<WalReadOutcome, WalError> {
     Ok(WalReadOutcome { start_lsn, records, next_lsn: lsn, valid_len, tail })
 }
 
-/// Cut a WAL file back to its verified prefix (recovery's torn-tail
-/// repair; `valid_len` comes from [`WalReadOutcome::valid_len`]).
-pub fn truncate_wal(path: &Path, valid_len: u64) -> Result<(), WalError> {
-    let file = OpenOptions::new().write(true).open(path).map_err(WalError::Io)?;
-    file.set_len(valid_len).map_err(WalError::Io)?;
-    file.sync_all().map_err(WalError::Io)
-}
-
 /// The append half: owns one open WAL file and its sequence counter.
 /// Held by the `ClassifierHandle` behind its state lock, so appends are
 /// naturally serialised with the mutations they precede.
 #[derive(Debug)]
 pub struct WalWriter {
-    file: File,
-    path: PathBuf,
+    file: Box<dyn StorageFile>,
+    /// Byte length of the file up to its last complete record.
+    len: u64,
     next_lsn: u64,
     appended: u64,
     since_sync: usize,
     sync_every: usize,
-    faults: Option<Arc<FaultInjector>>,
+    /// Set when a failed append could not be rolled back.
+    poisoned: Option<String>,
 }
 
 impl WalWriter {
-    /// Create a fresh WAL file (refusing to overwrite — generations
-    /// are never reused) whose first record will carry `start_lsn`,
-    /// fsyncing every `sync_every` appends.
-    pub fn create(path: &Path, start_lsn: u64, sync_every: usize) -> Result<WalWriter, WalError> {
-        let mut file =
-            OpenOptions::new().write(true).create_new(true).open(path).map_err(WalError::Io)?;
+    /// Create a fresh WAL file `path` in `storage` (refusing to
+    /// overwrite — generations are never reused) whose first record
+    /// will carry `start_lsn`, syncing every `sync_every` appends.
+    pub fn create(
+        storage: &dyn Storage,
+        path: &Path,
+        start_lsn: u64,
+        sync_every: usize,
+    ) -> Result<WalWriter, WalError> {
+        let mut file = storage.create(path).map_err(WalError::Io)?;
         let mut header = Vec::with_capacity(WAL_HEADER_LEN);
         header.extend_from_slice(&WAL_MAGIC);
         put_u64(&mut header, start_lsn);
-        file.write_all(&header).map_err(WalError::Io)?;
-        file.sync_all().map_err(WalError::Io)?;
+        file.append(&header).map_err(WalError::Io)?;
+        file.sync().map_err(WalError::Io)?;
         Ok(WalWriter {
             file,
-            path: path.to_path_buf(),
+            len: WAL_HEADER_LEN as u64,
             next_lsn: start_lsn,
             appended: 0,
             since_sync: 0,
             sync_every: sync_every.max(1),
-            faults: None,
+            poisoned: None,
         })
-    }
-
-    /// Arm a fault injector: an armed `wal-append` occurrence makes the
-    /// next append write only half its record and then abort the
-    /// process — the deterministic `kill -9`-mid-write the crash soak
-    /// drives from a child process.
-    pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> WalWriter {
-        self.faults = Some(faults);
-        self
     }
 
     /// The LSN the next append will carry.
@@ -512,48 +509,45 @@ impl WalWriter {
         self.appended
     }
 
-    /// The fsync batch size this writer was created with.
-    pub fn sync_every(&self) -> usize {
-        self.sync_every
-    }
-
-    /// The file this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Append one record (see the module docs for the fsync policy).
-    /// Returns the record's LSN. On error nothing is considered
-    /// durable and the caller must refuse the mutation.
+    /// Append one record, syncing when it completes a batch of
+    /// `sync_every` (see the module docs). Returns the record's
+    /// LSN. On error the file is back at its previous record boundary
+    /// and the caller must refuse the mutation. When that rollback
+    /// fails too the writer is [`WalError::Poisoned`] for good.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
+        if let Some(why) = &self.poisoned {
+            return Err(WalError::Poisoned { why: why.clone() });
+        }
         let lsn = self.next_lsn;
         let bytes = encode_record(lsn, record);
-        if let Some(f) = &self.faults {
-            if f.should_fire(FaultPoint::WalAppend) {
-                // The injected crash: half the record reaches the disk,
-                // then the process dies without unwinding — exactly the
-                // torn tail recovery must truncate.
-                if let Some(prefix) = bytes.get(..bytes.len() / 2) {
-                    let _ = self.file.write_all(prefix);
-                }
-                let _ = self.file.sync_all();
-                std::process::abort();
+        let sync = self.since_sync + 1 >= self.sync_every;
+        let written = self.file.append(&bytes).and_then(|()| match sync {
+            true => self.file.sync(),
+            false => Ok(()),
+        });
+        if let Err(err) = written {
+            if let Err(cut) = self.file.truncate(self.len) {
+                let why = format!(
+                    "append of lsn {lsn} failed ({err}) and cutting the log back to byte {} \
+                     failed ({cut})",
+                    self.len
+                );
+                self.poisoned = Some(why.clone());
+                return Err(WalError::Poisoned { why });
             }
+            return Err(WalError::Io(err));
         }
-        self.file.write_all(&bytes).map_err(WalError::Io)?;
+        self.len += bytes.len() as u64;
         self.next_lsn = lsn.wrapping_add(1);
         self.appended += 1;
-        self.since_sync += 1;
-        if self.since_sync >= self.sync_every {
-            self.sync()?;
-        }
+        self.since_sync = if sync { 0 } else { self.since_sync + 1 };
         Ok(lsn)
     }
 
-    /// Flush the batched fsync now (checkpoints call this before the
-    /// old generation is retired).
+    /// Sync the current batch now (a checkpoint calls this before it
+    /// retires the generation).
     pub fn sync(&mut self) -> Result<(), WalError> {
-        self.file.sync_data().map_err(WalError::Io)?;
+        self.file.sync().map_err(WalError::Io)?;
         self.since_sync = 0;
         Ok(())
     }
@@ -562,6 +556,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_wal(tag: &str) -> PathBuf {
@@ -592,7 +587,7 @@ mod tests {
     #[test]
     fn append_then_read_round_trips() {
         let path = tmp_wal("roundtrip");
-        let mut w = WalWriter::create(&path, 7, 2).expect("create");
+        let mut w = WalWriter::create(&DirStorage, &path, 7, 2).expect("create");
         let records = sample_records();
         for (i, r) in records.iter().enumerate() {
             assert_eq!(w.append(r).expect("append"), 7 + i as u64);
@@ -613,15 +608,15 @@ mod tests {
     #[test]
     fn create_refuses_to_overwrite() {
         let path = tmp_wal("exists");
-        let _w = WalWriter::create(&path, 0, 1).expect("create");
-        assert!(matches!(WalWriter::create(&path, 0, 1), Err(WalError::Io(_))));
+        let _w = WalWriter::create(&DirStorage, &path, 0, 1).expect("create");
+        assert!(matches!(WalWriter::create(&DirStorage, &path, 0, 1), Err(WalError::Io(_))));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn torn_tail_is_reported_and_truncatable() {
         let path = tmp_wal("torn");
-        let mut w = WalWriter::create(&path, 0, 1).expect("create");
+        let mut w = WalWriter::create(&DirStorage, &path, 0, 1).expect("create");
         for r in sample_records() {
             w.append(&r).expect("append");
         }
@@ -635,9 +630,8 @@ mod tests {
         let torn = read_wal(&path).expect("torn tails are recoverable");
         assert_eq!(torn.records.len(), sample_records().len() - 1);
         assert!(matches!(torn.tail, Some(WalError::TornRecord { .. })), "{:?}", torn.tail);
-        assert!(torn.tail.as_ref().unwrap().is_torn_tail());
 
-        truncate_wal(&path, torn.valid_len).expect("truncate");
+        DirStorage.truncate(&path, torn.valid_len).expect("truncate");
         let clean = read_wal(&path).expect("read after truncate");
         assert!(clean.tail.is_none());
         assert_eq!(clean.records, torn.records);
@@ -647,7 +641,7 @@ mod tests {
     #[test]
     fn corrupt_byte_is_detected_not_replayed() {
         let path = tmp_wal("corrupt");
-        let mut w = WalWriter::create(&path, 0, 1).expect("create");
+        let mut w = WalWriter::create(&DirStorage, &path, 0, 1).expect("create");
         for r in sample_records() {
             w.append(&r).expect("append");
         }
@@ -709,11 +703,11 @@ mod tests {
         // recovery chain can verify continuity across files.
         let p0 = tmp_wal("chain0");
         let p1 = tmp_wal("chain1");
-        let mut w0 = WalWriter::create(&p0, 0, 8).expect("create");
+        let mut w0 = WalWriter::create(&DirStorage, &p0, 0, 8).expect("create");
         w0.append(&WalRecord::Rebuild).expect("append");
         w0.append(&WalRecord::Delete { id: 0 }).expect("append");
         w0.sync().expect("sync");
-        let mut w1 = WalWriter::create(&p1, w0.next_lsn(), 8).expect("create");
+        let mut w1 = WalWriter::create(&DirStorage, &p1, w0.next_lsn(), 8).expect("create");
         w1.append(&WalRecord::Adopt).expect("append");
         w1.sync().expect("sync");
         let o0 = read_wal(&p0).expect("read gen 0");

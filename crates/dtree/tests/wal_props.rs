@@ -6,6 +6,7 @@
 //! order, from the front).
 
 use classbench::Rule;
+use dtree::storage::{DirStorage, Storage};
 use dtree::wal::{
     self, encode_record, read_wal_bytes, WalError, WalRecord, WAL_HEADER_LEN, WAL_MAGIC,
 };
@@ -129,7 +130,7 @@ proptest! {
                 // record boundary read clean with fewer records.
                 prop_assert_eq!(out.tail.is_some(), out.valid_len as usize != cut);
             }
-            // The repaired image (what `truncate_wal` would leave on
+            // The repaired image (what recovery's truncate would leave on
             // disk) must read back clean with the same records.
             let repaired = read_wal_bytes(&torn[..out.valid_len as usize])
                 .expect("repaired image must read");
@@ -188,7 +189,7 @@ proptest! {
     }
 }
 
-/// Non-property pin: `truncate_wal` + `valid_len` actually repair a
+/// Non-property pin: a storage truncate to `valid_len` actually repairs a
 /// torn file on disk end to end.
 #[test]
 fn truncate_repairs_a_torn_file_on_disk() {
@@ -203,7 +204,7 @@ fn truncate_repairs_a_torn_file_on_disk() {
     let out = wal::read_wal(&path).unwrap();
     assert!(matches!(out.tail, Some(WalError::TornRecord { .. })));
     assert_eq!(out.records.len(), 3);
-    wal::truncate_wal(&path, out.valid_len).unwrap();
+    DirStorage.truncate(&path, out.valid_len).unwrap();
 
     let repaired = wal::read_wal(&path).unwrap();
     assert!(repaired.tail.is_none());

@@ -55,9 +55,9 @@ impl LintConfig {
     ///
     /// * serving: the branch-free epoch-swap serving path
     ///   (`dtree::{flat, serve, engine, store}`) must be panic-free;
-    ///   `dtree::wal` rides along because appends run inline under the
-    ///   admission write lock — a panicking durability layer would take
-    ///   the serving path down with it.
+    ///   `dtree::{wal, storage}` ride along because appends run inline
+    ///   under the admission write lock — a panicking durability layer
+    ///   would take the serving path down with it.
     /// * determinism: all of `core` (training, the lifecycle worker,
     ///   persistence), `rl` and `nn` must not read wall clocks or
     ///   ambient randomness; the lifecycle worker counts polls, not
@@ -75,6 +75,7 @@ impl LintConfig {
                 "crates/dtree/src/engine.rs",
                 "crates/dtree/src/store.rs",
                 "crates/dtree/src/wal.rs",
+                "crates/dtree/src/storage.rs",
             ]),
             determinism: Domain::new(&["crates/core/src/", "crates/rl/src/", "crates/nn/src/"]),
             taxonomy: Domain::new(&["crates/dtree/src/", "crates/core/src/"]),
@@ -108,6 +109,8 @@ mod tests {
         let c = LintConfig::workspace();
         assert!(c.serving.contains("crates/dtree/src/flat.rs"));
         assert!(!c.serving.contains("crates/dtree/src/tree.rs"));
+        assert!(c.serving.contains("crates/dtree/src/wal.rs"));
+        assert!(c.serving.contains("crates/dtree/src/storage.rs"), "WAL appends call it");
         assert!(c.determinism.contains("crates/rl/src/ppo.rs"));
         assert!(c.determinism.contains("crates/core/src/lifecycle.rs"), "no file is exempt");
         assert_eq!(c.lock_order, ["state"]);
