@@ -1,49 +1,60 @@
-//! Crash-injection soak: `kill -9` at every seeded kill point, then
-//! prove recovery is **bit-identical** to the durable logical op
-//! stream.
+//! Crash soak: crash a persisted classifier at every kill point of a
+//! scripted workload, then prove recovery is **bit-identical** to the
+//! durable logical op stream.
 //!
-//! The harness is two tests sharing one binary:
+//! The workload — attach, then inserts, deletes and forced rebuilds
+//! with a checkpoint every few ops — runs over the in-memory storage
+//! of `mem_storage`, which images the files after every mutating call
+//! (create, append, sync, rename, remove, truncate). Each image is a
+//! kill point, and each kill point crashes three ways: every file
+//! keeps its synced bytes and none of its unsynced tail (a power loss),
+//! all of it (a `kill -9`: the page cache survives) or half of it (a
+//! torn write). For every crash the test builds an **independent
+//! reference** straight from the surviving bytes, through the raw
+//! decoders and the plain public admission API, then runs
+//! `Persistence::recover` and asserts the recovered handle matches the
+//! reference bit-for-bit: `TreeStats`, epoch, and every packet of a
+//! 256-packet trace — plus the recovery's own linear-scan proof.
 //!
-//! * [`crash_child`] — inert under `cargo test`; when `NC_CRASH_DIR`
-//!   is set it becomes the victim process: build a deterministic
-//!   classifier, attach persistence with exactly one crash point armed
-//!   (`wal-append` / `checkpoint-write` / `adopt-persist` at a chosen
-//!   occurrence), run a scripted churn + checkpoint workload, and die
-//!   mid-write via `std::process::abort()` when the point fires.
-//! * [`kill_points_recover_bit_identical`] — the parent: spawns the
-//!   victim once per kill point (21 points, 7 occurrences across each
-//!   of the three crash classes), asserts it died, builds an
-//!   **independent reference** straight from the on-disk checkpoint +
-//!   WAL chain through the plain public admission API, then runs
-//!   [`neurocuts::recover`] and asserts the recovered handle matches
-//!   the reference bit-for-bit: `TreeStats`, epoch, and every packet
-//!   of a 256-packet trace — plus the recovery's own linear-scan proof.
-//!
-//! Seeding mirrors the chaos soak: `NC_CRASH_SEED` (CI passes the run
-//! number) shapes the rule set and workload and is printed so any
-//! failure replays exactly.
+//! `NC_SIM_SEED` shapes the rule set and workload and is printed so
+//! any failure replays exactly.
 
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, DimRange, GeneratorConfig, Rule,
     TraceConfig,
 };
-use dtree::wal::{self, WalRecord};
-use dtree::{ClassifierHandle, DecisionTree, FaultSchedule, RebuildPolicy, TreeStats};
-use neurocuts::persist::{checkpoint_path, list_checkpoint_generations, read_checkpoint, wal_path};
-use neurocuts::{recover, PersistConfig, Persistence, RecoverError};
-use std::path::{Path, PathBuf};
+use dtree::storage::Storage;
+use dtree::wal::{read_wal_bytes, WalRecord};
+use dtree::{ClassifierHandle, DecisionTree, RebuildPolicy, TreeStats};
+use neurocuts::persist::{decode_checkpoint, wal_path};
+use neurocuts::{PersistConfig, Persistence, RecoverError};
+use std::collections::VecDeque;
+use std::path::Path;
 use std::sync::Arc;
+
+mod mem_storage;
+use mem_storage::{Image, Mem};
 
 const OPS: usize = 60;
 const CHECKPOINT_EVERY: usize = 8;
 const DEFAULT_SEED: u64 = 0xC4A0_5EED;
+const DIR: &str = "crash";
+/// How much of its unsynced tail (the argument) a file keeps.
+type Keep = fn(usize) -> usize;
+/// The three crashes of every kill point.
+const CRASHES: [(&str, Keep); 3] =
+    [("power loss", |_| 0), ("kill -9", |tail| tail), ("torn write", |tail| tail / 2)];
 
 fn soak_seed() -> u64 {
-    std::env::var("NC_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SEED)
+    std::env::var("NC_SIM_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SEED)
 }
 
-/// The victim's starting classifier: generator rules + a hand-cut tree,
-/// fully determined by the seed (no training on the crash path).
+fn persist_config() -> PersistConfig {
+    PersistConfig { sync_every: 4, ..PersistConfig::default() }
+}
+
+/// The starting classifier: generator rules + a hand-cut tree, fully
+/// determined by the seed (no training on the crash path).
 fn seeded_tree(seed: u64) -> DecisionTree {
     let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 80).with_seed(seed));
     let mut tree = DecisionTree::new(&rules);
@@ -64,61 +75,60 @@ fn scripted_rule(seed: u64, i: usize) -> Rule {
     rule
 }
 
-/// The child: runs the scripted workload with one crash point armed and
-/// must never return from the op the fault lands on.
-#[test]
-fn crash_child() {
-    let Ok(dir) = std::env::var("NC_CRASH_DIR") else {
-        return; // inert unless spawned by the parent
-    };
-    let point = std::env::var("NC_CRASH_POINT").expect("NC_CRASH_POINT");
-    let occ: u64 = std::env::var("NC_CRASH_OCC").expect("NC_CRASH_OCC").parse().unwrap();
-    let seed = soak_seed();
-
-    let schedule = FaultSchedule::parse(&format!("{point}@{occ}")).expect("crash point spec");
-    let faults = Arc::new(schedule.injector());
-    let persistence = Persistence::with_config(
-        &dir,
-        PersistConfig { sync_every: 4, faults: Some(faults.clone()), ..PersistConfig::default() },
-    );
-
+/// Attach persistence and run `ops` scripted ops, imaging the files
+/// after every mutating storage call. Each image is bounded by the
+/// newest epoch whose WAL records were all synced before its call and
+/// the live epoch after it.
+fn run_workload(seed: u64, ops: usize) -> Vec<Image> {
+    let storage = Mem::default();
+    storage.set(|d| d.capture = Some(0));
+    let persistence = Persistence::with_storage(Arc::new(storage.clone()), DIR, persist_config());
     let handle = ClassifierHandle::new(seeded_tree(seed), RebuildPolicy::default_policy());
-    // Attach (checkpoint generation 0). The crash points at occurrence
-    // 0 of the checkpoint classes land here.
-    persistence.checkpoint(&handle, seed).expect("attach checkpoint");
+    let (mut images, mut durable) = (Vec::new(), 0);
+    let mut record = |handle: &ClassifierHandle| {
+        let (taken, synced) = storage.take_images(durable, handle.epoch());
+        images.extend(taken);
+        if synced {
+            durable = handle.epoch();
+        }
+    };
 
-    let mut inserted: Vec<usize> = Vec::new();
-    for i in 0..OPS {
+    persistence.checkpoint(&handle, seed).expect("attach checkpoint");
+    record(&handle);
+    let mut inserted = VecDeque::new();
+    for i in 0..ops {
         match i % 8 {
             3 => {
-                if let Some(id) = inserted.first().copied() {
-                    inserted.remove(0);
+                if let Some(id) = inserted.pop_front() {
                     handle.delete(id).expect("scripted delete");
                 }
             }
             6 => handle.force_rebuild(),
             _ => {
-                let id = handle.insert(scripted_rule(seed, i)).expect("scripted insert");
-                inserted.push(id);
+                inserted.push_back(handle.insert(scripted_rule(seed, i)).expect("scripted insert"))
             }
         }
+        record(&handle);
         if (i + 1) % CHECKPOINT_EVERY == 0 {
             persistence.checkpoint(&handle, seed).expect("periodic checkpoint");
+            record(&handle);
         }
     }
-    // Reaching here means the armed occurrence never fired — the parent
-    // treats a clean exit as a harness bug.
+    images
 }
 
-/// Build the ground-truth handle straight from the durable bytes, using
-/// only the raw read APIs and the plain public admission path — fully
-/// independent of `neurocuts::recover`'s internals.
-fn independent_reference(dir: &Path) -> ClassifierHandle {
-    let gens = list_checkpoint_generations(dir).expect("list checkpoints");
-    let base = gens
+/// Build the ground-truth handle straight from the surviving bytes,
+/// using only raw reads, the decoders and the plain public admission
+/// path — fully independent of `Persistence::recover`'s internals.
+fn independent_reference(storage: &Mem) -> ClassifierHandle {
+    let dir = Path::new(DIR);
+    let mut names = storage.list(dir).expect("list the crashed files");
+    names.sort();
+    let base = names
         .iter()
         .rev()
-        .find_map(|&g| read_checkpoint(&checkpoint_path(dir, g)).ok())
+        .filter(|n| n.starts_with("checkpoint-") && n.ends_with(".ncck"))
+        .find_map(|n| decode_checkpoint(&storage.read(&dir.join(n)).ok()?).ok())
         .expect("at least one durable checkpoint");
     let handle = ClassifierHandle::new_at_epoch(
         base.tree.clone(),
@@ -126,12 +136,8 @@ fn independent_reference(dir: &Path) -> ClassifierHandle {
         base.epoch,
     );
     let mut gen = base.generation;
-    loop {
-        let path = wal_path(dir, gen);
-        if !path.exists() {
-            break;
-        }
-        let outcome = wal::read_wal(&path).expect("chain file reads");
+    while let Ok(bytes) = storage.read(&wal_path(dir, gen)) {
+        let outcome = read_wal_bytes(&bytes).expect("chain file reads");
         for record in outcome.records {
             match record {
                 WalRecord::Insert { id, rule } => {
@@ -151,125 +157,107 @@ fn independent_reference(dir: &Path) -> ClassifierHandle {
     handle
 }
 
-fn spawn_victim(dir: &Path, point: &str, occ: u64, seed: u64) -> std::process::ExitStatus {
-    std::process::Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["crash_child", "--exact", "--nocapture"])
-        .env("NC_CRASH_DIR", dir)
-        .env("NC_CRASH_POINT", point)
-        .env("NC_CRASH_OCC", occ.to_string())
-        .env("NC_CRASH_SEED", seed.to_string())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("spawn crash child")
-}
-
-fn soak_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nc-crash-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The soak proper: 21 kill points across the three crash classes.
+/// The soak proper: every kill point after the first checkpoint lands,
+/// each crashed three ways.
 #[test]
 fn kill_points_recover_bit_identical() {
-    if std::env::var("NC_CRASH_DIR").is_ok() {
-        return; // we *are* a victim process; only crash_child runs
-    }
     let seed = soak_seed();
-    println!("crash soak: NC_CRASH_SEED={seed}");
-
-    // wal-append occurrences 0..7 crash mid-append from the first op
-    // onward. The checkpoint classes start at occurrence 1: their
-    // occurrence 0 is the initial attach, where no durable state can
-    // exist yet (that edge is pinned separately below).
-    let kill_points: Vec<(&str, u64)> = (0..7)
-        .map(|occ| ("wal-append", occ))
-        .chain((1..8).map(|occ| ("checkpoint-write", occ)))
-        .chain((1..8).map(|occ| ("adopt-persist", occ)))
-        .collect();
-    assert!(kill_points.len() >= 20, "the soak must cover at least 20 kill points");
-
+    println!("crash soak: NC_SIM_SEED={seed}");
     let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 80).with_seed(seed));
     let trace = generate_trace(&rules, &TraceConfig::new(256).with_seed(seed ^ 0x7ACE));
 
-    let mut torn_tails = 0usize;
-    for (point, occ) in &kill_points {
-        let dir = soak_dir(&format!("{point}-{occ}"));
-        let status = spawn_victim(&dir, point, *occ, seed);
-        assert!(
-            !status.success(),
-            "seed {seed}: {point}@{occ} victim exited cleanly — the kill point never fired"
-        );
+    // Kill points before the first checkpoint lands have no durable
+    // state behind them; that edge is pinned separately below.
+    let images = run_workload(seed, OPS);
+    let kill_points: Vec<&Image> = images.iter().filter(|i| i.has_checkpoint()).collect();
+    assert!(kill_points.len() >= 21, "the soak must cover at least 21 kill points");
 
-        // Ground truth first: recover() rewrites the directory.
-        let reference = independent_reference(&dir);
+    let (mut torn_records, mut tmp_writes, mut before_renames) = (0usize, 0usize, 0usize);
+    for (k, image) in kill_points.iter().enumerate() {
+        let tmp_synced = image.tmp_checkpoint_synced();
+        tmp_writes += usize::from(tmp_synced == Some(false));
+        before_renames += usize::from(tmp_synced == Some(true));
+        for (how, keep) in CRASHES {
+            let at = format!("seed {seed}: kill point {k} ({how})");
+            let (storage, torn, torn_record) = image.crash(keep);
+            torn_records += usize::from(torn_record);
 
-        let (recovered, report) =
-            recover(&dir, RebuildPolicy::default_policy(), &trace, &PersistConfig::default())
-                .unwrap_or_else(|e| panic!("seed {seed}: {point}@{occ} recovery failed: {e}"));
-        torn_tails += report.truncated_tail.is_some() as usize;
+            // Ground truth first: recovery rewrites the files.
+            let reference = independent_reference(&storage);
+            let persistence = Persistence::with_storage(Arc::new(storage), DIR, persist_config());
+            let (recovered, report) = persistence
+                .recover(RebuildPolicy::default_policy(), &trace)
+                .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+            assert_eq!(
+                report.truncated_tail.is_some(),
+                torn,
+                "{at}: a WAL ending off a record boundary must be truncated, never replayed"
+            );
 
-        // Bit-identical: epoch, tree statistics, and every packet.
-        assert_eq!(
-            recovered.epoch(),
-            reference.epoch(),
-            "seed {seed}: {point}@{occ} epoch diverged"
-        );
-        assert_eq!(
-            report.epoch,
-            recovered.epoch(),
-            "seed {seed}: {point}@{occ} report epoch must match the recovered handle"
-        );
-        assert_eq!(
-            recovered.with_tree(TreeStats::compute),
-            reference.with_tree(TreeStats::compute),
-            "seed {seed}: {point}@{occ} tree stats diverged"
-        );
-        let mut got = vec![None; trace.len()];
-        let mut want = vec![None; trace.len()];
-        recovered.snapshot().classify_batch(&trace, &mut got);
-        reference.snapshot().classify_batch(&trace, &mut want);
-        assert_eq!(got, want, "seed {seed}: {point}@{occ} trace classification diverged");
-        assert_eq!(
-            recovered.check_divergence(&trace),
-            None,
-            "seed {seed}: {point}@{occ} recovered snapshot diverged from a recompile"
-        );
-
-        println!(
-            "crash soak: {point}@{occ} recovered gen {} -> {} ({} replayed{})",
-            report.base_generation,
-            report.new_generation,
-            report.replayed,
-            if report.truncated_tail.is_some() { ", torn tail truncated" } else { "" }
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+            // Bit-identical: epoch, tree statistics, and every packet.
+            let epoch = recovered.epoch();
+            assert_eq!(epoch, reference.epoch(), "{at}: epoch diverged");
+            assert_eq!(report.epoch, epoch, "{at}: report epoch must match the recovered handle");
+            assert!(
+                (image.floor..=image.ceiling).contains(&epoch),
+                "{at}: recovered epoch {epoch} outside [{}, {}]",
+                image.floor,
+                image.ceiling
+            );
+            assert_eq!(
+                recovered.with_tree(TreeStats::compute),
+                reference.with_tree(TreeStats::compute),
+                "{at}: tree stats diverged"
+            );
+            let mut got = vec![None; trace.len()];
+            let mut want = vec![None; trace.len()];
+            recovered.snapshot().classify_batch(&trace, &mut got);
+            reference.snapshot().classify_batch(&trace, &mut want);
+            assert_eq!(got, want, "{at}: trace classification diverged");
+            assert_eq!(
+                recovered.check_divergence(&trace),
+                None,
+                "{at}: recovered snapshot diverged from a recompile"
+            );
+        }
     }
+    println!(
+        "crash soak: {} kill points: {torn_records} torn WAL records, {tmp_writes} inside a \
+         checkpoint write, {before_renames} between its sync and its rename",
+        kill_points.len()
+    );
 
-    // Every wal-append kill leaves a half-written record; all of them
-    // must have been detected and truncated (never replayed).
-    assert!(torn_tails >= 7, "every wal-append crash must surface as a truncated torn tail");
+    // Every crash class of the old abort() kill points comes up at
+    // least as often as it was sampled there.
+    assert!(torn_records >= 7, "crashes inside a WAL append: {torn_records}");
+    assert!(tmp_writes >= 7, "crashes inside a checkpoint write: {tmp_writes}");
+    assert!(before_renames >= 7, "crashes between a checkpoint sync and rename: {before_renames}");
 }
 
-/// The one kill point with nothing durable behind it: a crash during
-/// the *initial* attach (before the first checkpoint ever lands) must
-/// surface as the typed `NoCheckpoint` error — not a panic, and not a
-/// silently empty classifier.
+/// The kill points with nothing durable behind them: a crash anywhere
+/// in the *initial* attach before its checkpoint is renamed into place
+/// must surface as the typed `NoCheckpoint` error — not a panic, and
+/// not a silently empty classifier.
 #[test]
 fn crash_during_first_attach_is_a_typed_no_checkpoint() {
-    if std::env::var("NC_CRASH_DIR").is_ok() {
-        return;
-    }
     let seed = soak_seed();
-    let dir = soak_dir("first-attach");
-    let status = spawn_victim(&dir, "checkpoint-write", 0, seed);
-    assert!(!status.success(), "the attach-time kill point must fire");
-
-    match recover(&dir, RebuildPolicy::default_policy(), &[], &PersistConfig::default()) {
-        Err(RecoverError::NoCheckpoint { .. }) => {}
-        Ok(_) => panic!("recovered from a directory with no durable checkpoint"),
-        Err(other) => panic!("expected NoCheckpoint, got: {other}"),
+    let images = run_workload(seed, 0);
+    let before_rename: Vec<&Image> = images.iter().filter(|i| !i.has_checkpoint()).collect();
+    assert!(
+        before_rename.iter().any(|i| i.tmp_checkpoint_synced() == Some(false)),
+        "the attach must be imaged inside its checkpoint write"
+    );
+    for (k, image) in before_rename.iter().enumerate() {
+        for (how, keep) in CRASHES {
+            let (storage, _, _) = image.crash(keep);
+            let persistence = Persistence::with_storage(Arc::new(storage), DIR, persist_config());
+            match persistence.recover(RebuildPolicy::default_policy(), &[]) {
+                Err(RecoverError::NoCheckpoint { rejected, .. }) => {
+                    assert!(rejected.is_empty(), "kill point {k} ({how}): rejected {rejected:?}");
+                }
+                Ok(_) => panic!("kill point {k} ({how}): recovered with no durable checkpoint"),
+                Err(other) => panic!("kill point {k} ({how}): expected NoCheckpoint, got: {other}"),
+            }
+        }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

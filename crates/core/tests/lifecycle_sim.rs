@@ -16,7 +16,6 @@ use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, Packet, Rule, RuleSet,
     TraceConfig,
 };
-use dtree::storage::{Storage, StorageFile};
 use dtree::{
     ClassifierHandle, DecisionTree, FaultInjector, FaultPoint, FaultSchedule, RebuildPolicy,
     RuleId, TreeStats, UpdateError,
@@ -28,10 +27,11 @@ use neurocuts::{
 use rand::{Rng as _, SeedableRng as _};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
-use std::io::{self, ErrorKind};
 use std::ops::RangeInclusive;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+mod mem_storage;
+use mem_storage::{Image, Mem};
 
 const DEFAULT_SEED: u64 = 0x51_5EED;
 const STEPS: usize = 800;
@@ -52,180 +52,6 @@ const DIR: &str = "sim";
 /// folding, not into the adopted shape, so their tree statistics are
 /// not compared (a known gap).
 const EXEMPT: &str = "images exempt from the TreeStats check";
-
-/// One file: its bytes, how many a sync covered, and where each append
-/// ended (the record boundaries).
-#[derive(Debug, Clone, Default)]
-struct MemFile {
-    data: Vec<u8>,
-    synced: usize,
-    ends: Vec<usize>,
-}
-
-impl MemFile {
-    fn cut(&mut self, len: usize) {
-        self.data.truncate(len);
-        self.ends.retain(|&e| e <= len);
-        self.synced = self.synced.min(len);
-    }
-}
-
-/// The files right after one mutating call, with the bounds a recovery
-/// from them must meet: the newest epoch known synced before the call,
-/// and the live epoch after it.
-#[derive(Debug, Clone)]
-struct Image {
-    files: BTreeMap<PathBuf, MemFile>,
-    floor: u64,
-    ceiling: u64,
-}
-
-#[derive(Debug, Default)]
-struct Disk {
-    files: BTreeMap<PathBuf, MemFile>,
-    calls: u64,
-    /// Image the files after call `n` (after every call when 0).
-    capture: Option<u64>,
-    images: Vec<Image>,
-    /// One-shot faults: the next sync fails, the next append stops
-    /// half-way, the next cut fails.
-    fail_sync: bool,
-    short_append: bool,
-    fail_cut: bool,
-}
-
-impl Disk {
-    fn file(&mut self, path: &Path) -> io::Result<&mut MemFile> {
-        self.files.get_mut(path).ok_or(ErrorKind::NotFound.into())
-    }
-}
-
-/// The in-memory [`Storage`]; clones share the files.
-#[derive(Debug, Clone, Default)]
-struct Mem(Arc<Mutex<Disk>>);
-
-impl Mem {
-    /// Run `f` on the files; a mutating call is imaged when armed.
-    fn with<T>(&self, mutates: bool, f: impl FnOnce(&mut Disk) -> io::Result<T>) -> io::Result<T> {
-        let mut disk = self.0.lock().expect("no storage call panics holding the lock");
-        let out = f(&mut disk)?;
-        disk.calls += u64::from(mutates);
-        if mutates && disk.capture.is_some_and(|at| at == 0 || at == disk.calls) {
-            let files = disk.files.clone();
-            disk.images.push(Image { files, floor: 0, ceiling: 0 });
-        }
-        Ok(out)
-    }
-
-    fn set(&self, f: impl FnOnce(&mut Disk)) {
-        f(&mut self.0.lock().expect("no storage call panics holding the lock"));
-    }
-}
-
-#[derive(Debug)]
-struct MemHandle(Mem, PathBuf);
-
-impl StorageFile for MemHandle {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.0.with(true, |disk| {
-            let short = std::mem::take(&mut disk.short_append);
-            let file = disk.file(&self.1)?;
-            file.data.extend_from_slice(&bytes[..bytes.len() / (1 + usize::from(short))]);
-            if short {
-                return Err(io::Error::other("injected short write"));
-            }
-            file.ends.push(file.data.len());
-            Ok(())
-        })
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.0.with(true, |disk| match std::mem::take(&mut disk.fail_sync) {
-            true => Err(io::Error::other("injected sync failure")),
-            false => disk.file(&self.1).map(|f| f.synced = f.data.len()),
-        })
-    }
-
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.0.with(true, |disk| match std::mem::take(&mut disk.fail_cut) {
-            true => Err(io::Error::other("injected cut failure")),
-            false => disk.file(&self.1).map(|f| f.cut(len as usize)),
-        })
-    }
-}
-
-impl Storage for Mem {
-    fn create_dir(&self, _: &Path) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
-        self.with(true, |disk| match disk.files.contains_key(path) {
-            true => Err(ErrorKind::AlreadyExists.into()),
-            false => Ok(disk.files.insert(path.to_path_buf(), MemFile::default())),
-        })?;
-        Ok(Box::new(MemHandle(self.clone(), path.to_path_buf())))
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.with(false, |disk| Ok(disk.file(path)?.data.clone()))
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.with(false, |disk| {
-            let names = disk.files.keys().filter(|p| p.parent() == Some(dir));
-            Ok(names.filter_map(|p| Some(p.file_name()?.to_str()?.to_string())).collect())
-        })
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.with(true, |disk| {
-            let file = disk.files.remove(from).ok_or(ErrorKind::NotFound)?;
-            disk.files.insert(to.to_path_buf(), file);
-            Ok(())
-        })
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        self.with(true, |disk| disk.files.remove(path).map(drop).ok_or(ErrorKind::NotFound.into()))
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        // The cut is synced: everything left is durable.
-        self.with(true, |disk| {
-            disk.file(path).map(|f| (f.cut(len as usize), f.synced = f.data.len()).1)
-        })
-    }
-}
-
-fn named(path: &Path, test: impl Fn(&str) -> bool) -> bool {
-    path.file_name().and_then(|n| n.to_str()).is_some_and(test)
-}
-
-impl Image {
-    /// Crash: each file keeps its synced bytes and a prefix of its tail
-    /// — none on `power_loss`, else none, all or part, drawn from `rng`.
-    /// Also says whether a WAL file now ends off a record boundary, and
-    /// whether past its header (a crash inside a WAL append).
-    fn crash(&self, rng: &mut ChaCha8Rng, power_loss: bool) -> (Mem, bool, bool) {
-        let (mut torn, mut torn_record, mut files) = (false, false, self.files.clone());
-        for (path, file) in &mut files {
-            let tail = file.data.len() - file.synced;
-            let keep = match (power_loss, rng.gen_range(0..3)) {
-                (true, _) | (false, 0) => 0,
-                (false, 1) => tail,
-                _ => rng.gen_range(0..=tail),
-            };
-            file.cut(file.synced + keep);
-            file.synced = file.data.len();
-            if named(path, |n| n.starts_with("wal-")) && !file.ends.contains(&file.data.len()) {
-                torn = true;
-                torn_record |= file.ends.first().is_some_and(|&header| file.data.len() > header);
-            }
-        }
-        (Mem(Arc::new(Mutex::new(Disk { files, ..Disk::default() }))), torn, torn_record)
-    }
-}
 
 /// What the live handle served at one epoch, and whether an adopt
 /// published it.
@@ -361,17 +187,8 @@ impl Sim {
         if epoch == self.history.len() as u64 {
             self.history.push(served(&self.handle, &self.trace, adopt));
         }
-        let (floor, mut synced) = (self.durable, false);
-        self.storage.set(|disk| {
-            for mut image in std::mem::take(&mut disk.images) {
-                (image.floor, image.ceiling) = (floor, epoch);
-                self.crashes.push(image);
-            }
-            let unsynced = |(p, f): (&PathBuf, &MemFile)| {
-                named(p, |n| n.starts_with("wal-")) && f.synced < f.data.len()
-            };
-            synced = !disk.files.iter().any(unsynced);
-        });
+        let (images, synced) = self.storage.take_images(self.durable, epoch);
+        self.crashes.extend(images);
         if synced {
             self.durable = epoch;
         }
@@ -504,9 +321,16 @@ impl Sim {
         let (floor, ceiling) = (image.floor, image.ceiling);
         let at =
             format!("seed {}: image in [{floor}, {ceiling}], power loss {power_loss}", self.seed);
-        let (storage, torn, torn_record) = image.crash(&mut self.rng, power_loss);
+        // None on a power loss, else none, all or part, drawn from the seed.
+        let rng = &mut self.rng;
+        let (storage, torn, torn_record) =
+            image.crash(|tail| match (power_loss, rng.gen_range(0..3)) {
+                (true, _) | (false, 0) => 0,
+                (false, 1) => tail,
+                _ => rng.gen_range(0..=tail),
+            });
         let persistence = Persistence::with_storage(Arc::new(storage.clone()), DIR, PERSIST);
-        let has_checkpoint = image.files.keys().any(|p| p.extension().is_some_and(|e| e == "ncck"));
+        let has_checkpoint = image.has_checkpoint();
         let (handle, report) = match persistence.recover(POLICY, &self.trace) {
             Err(RecoverError::NoCheckpoint { rejected, .. })
                 if !has_checkpoint && rejected.is_empty() =>
@@ -518,8 +342,7 @@ impl Sim {
             Ok(ok) => ok,
         };
         assert!(has_checkpoint, "{at}: recovered without a checkpoint");
-        let tmp = image.files.iter().find(|(p, _)| named(p, |n| n.ends_with(".ncck.tmp")));
-        let tmp_synced = tmp.map(|(_, f)| !f.data.is_empty() && f.synced == f.data.len());
+        let tmp_synced = image.tmp_checkpoint_synced();
         self.hit("recovered images", true);
         self.hit("crashes inside a tmp checkpoint write", tmp_synced == Some(false));
         self.hit("crashes between a tmp sync and its rename", tmp_synced == Some(true));
