@@ -1,7 +1,9 @@
 //! An in-memory [`Storage`] that images its files after any mutating
 //! call and crashes an image on demand: each file keeps its synced
-//! bytes and a chosen prefix of its unsynced tail. Shared by the
-//! lifecycle simulator and the crash soak.
+//! bytes and a chosen prefix of its unsynced tail, and a cut not yet
+//! synced may be undone. Shared by the lifecycle simulator and the
+//! crash soak, each of which uses part of it.
+#![allow(dead_code)]
 
 use dtree::storage::{Storage, StorageFile};
 use std::collections::BTreeMap;
@@ -16,13 +18,29 @@ pub struct MemFile {
     pub data: Vec<u8>,
     pub synced: usize,
     pub ends: Vec<usize>,
+    /// The synced file as it was before a cut into its synced bytes:
+    /// what a power loss leaves until the next sync.
+    pub uncut: Option<Box<MemFile>>,
 }
 
 impl MemFile {
-    pub fn cut(&mut self, len: usize) {
+    fn cut(&mut self, len: usize) {
+        if len < self.synced && self.uncut.is_none() {
+            let mut old = self.clone();
+            old.cut(self.synced);
+            self.uncut = Some(Box::new(old));
+        }
         self.data.truncate(len);
         self.ends.retain(|&e| e <= len);
         self.synced = self.synced.min(len);
+    }
+
+    fn sync(&mut self) {
+        (self.synced, self.uncut) = (self.data.len(), None);
+    }
+
+    fn is_synced(&self) -> bool {
+        self.synced == self.data.len() && self.uncut.is_none()
     }
 }
 
@@ -43,7 +61,8 @@ pub struct Disk {
     /// Image the files after call `n` (after every call when 0).
     pub capture: Option<u64>,
     pub images: Vec<Image>,
-    /// One-shot faults: the next sync fails, the next append stops
+    /// One-shot faults: the next sync fails (having written everything
+    /// back, the worst case for what it leaves), the next append stops
     /// half-way, the next cut fails.
     pub fail_sync: bool,
     pub short_append: bool,
@@ -83,10 +102,15 @@ impl Mem {
         let mut disk = self.0.lock().expect("no storage call panics holding the lock");
         let mut images = std::mem::take(&mut disk.images);
         images.iter_mut().for_each(|image| (image.floor, image.ceiling) = (floor, ceiling));
-        let unsynced = |(p, f): (&PathBuf, &MemFile)| {
-            named(p, |n| n.starts_with("wal-")) && f.synced < f.data.len()
-        };
+        let unsynced =
+            |(p, f): (&PathBuf, &MemFile)| named(p, |n| n.starts_with("wal-")) && !f.is_synced();
         (images, !disk.files.iter().any(unsynced))
+    }
+
+    /// The files as they are now.
+    pub fn image(&self) -> Image {
+        let files = self.0.lock().expect("no storage call panics holding the lock").files.clone();
+        Image { files, floor: 0, ceiling: 0 }
     }
 }
 
@@ -108,9 +132,13 @@ impl StorageFile for MemHandle {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.0.with(true, |disk| match std::mem::take(&mut disk.fail_sync) {
-            true => Err(io::Error::other("injected sync failure")),
-            false => disk.file(&self.1).map(|f| f.synced = f.data.len()),
+        self.0.with(true, |disk| {
+            let fail = std::mem::take(&mut disk.fail_sync);
+            disk.file(&self.1)?.sync();
+            match fail {
+                true => Err(io::Error::other("injected sync failure")),
+                false => Ok(()),
+            }
         })
     }
 
@@ -160,9 +188,7 @@ impl Storage for Mem {
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
         // The cut is synced: everything left is durable.
-        self.with(true, |disk| {
-            disk.file(path).map(|f| (f.cut(len as usize), f.synced = f.data.len()).1)
-        })
+        self.with(true, |disk| disk.file(path).map(|f| (f.cut(len as usize), f.sync()).1))
     }
 }
 
@@ -181,20 +207,24 @@ impl Image {
     /// `Some(true)` one between its sync and its rename.
     pub fn tmp_checkpoint_synced(&self) -> Option<bool> {
         let tmp = self.files.iter().find(|(p, _)| named(p, |n| n.ends_with(".ncck.tmp")));
-        tmp.map(|(_, f)| !f.data.is_empty() && f.synced == f.data.len())
+        tmp.map(|(_, f)| !f.data.is_empty() && f.is_synced())
     }
 
     /// Crash: each file keeps its synced bytes and the prefix of its
     /// unsynced tail that `keep(tail length)` picks — 0 is a power
     /// loss, the whole tail a `kill -9`, anything between a torn write.
-    /// Also says whether a WAL file now ends off a record boundary, and
-    /// whether past its header (a crash inside a WAL append).
+    /// A power loss also undoes an unsynced cut. Also says whether a
+    /// WAL file now ends off a record boundary, and whether past its
+    /// header (a crash inside a WAL append).
     pub fn crash(&self, mut keep: impl FnMut(usize) -> usize) -> (Mem, bool, bool) {
         let (mut torn, mut torn_record, mut files) = (false, false, self.files.clone());
         for (path, file) in &mut files {
             let kept = keep(file.data.len() - file.synced);
-            file.cut(file.synced + kept);
-            file.synced = file.data.len();
+            match file.uncut.take() {
+                Some(old) if kept == 0 => *file = *old,
+                _ => file.cut(file.synced + kept),
+            }
+            file.sync();
             if named(path, |n| n.starts_with("wal-")) && !file.ends.contains(&file.data.len()) {
                 torn = true;
                 torn_record |= file.ends.first().is_some_and(|&header| file.data.len() > header);

@@ -52,11 +52,6 @@ pub struct DecisionTree {
     /// longer reflects this tree is detectable ([`crate::FlatTree::is_stale`])
     /// instead of silently serving stale matches.
     generation: u64,
-    /// Only rules with ids below this may have been the covering rule of
-    /// a [`Self::truncate_covered`] (in this tree, or in the one it was
-    /// grafted from or saved as), so only their deletion can expose
-    /// truncated rules again.
-    cover_horizon: usize,
 }
 
 /// Hand-written so the JSON deployment format stays exactly the four
@@ -105,7 +100,6 @@ impl Deserialize for DecisionTree {
             })
         };
         let rules: Vec<Rule> = Deserialize::deserialize_value(field("rules")?)?;
-        let rules_len = rules.len();
         let active: Vec<bool> = Deserialize::deserialize_value(field("active")?)?;
         let node_values = field("nodes")?
             .as_array()
@@ -142,9 +136,6 @@ impl Deserialize for DecisionTree {
             root,
             sep_cache,
             generation: 0,
-            // What the saved tree truncated is not recorded: any rule
-            // may have been a covering rule.
-            cover_horizon: rules_len,
         })
     }
 }
@@ -172,7 +163,6 @@ impl DecisionTree {
             root: 0,
             sep_cache: vec![0],
             generation: 0,
-            cover_horizon: 0,
         }
     }
 
@@ -214,7 +204,6 @@ impl DecisionTree {
             root: template.root,
             sep_cache: vec![0; template.nodes.len()],
             generation: onto.generation + 1,
-            cover_horizon: if template.cover_horizon > 0 { onto.store.len() } else { 0 },
         }
     }
 
@@ -223,12 +212,6 @@ impl DecisionTree {
     /// to detect stale compiled snapshots.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Rules with ids at or above this were never a covering rule of a
-    /// truncation (see [`Self::truncate_covered`]).
-    pub(crate) fn cover_horizon(&self) -> usize {
-        self.cover_horizon
     }
 
     /// Record a mutation (see [`Self::generation`]).
@@ -758,7 +741,6 @@ impl DecisionTree {
             Some(pos) if pos + 1 < self.nodes[id].span.len => {
                 let removed = self.nodes[id].span.len - pos - 1;
                 self.nodes[id].span.len = pos + 1;
-                self.cover_horizon = self.store.len();
                 self.sep_cache[id] = 0;
                 self.bump_generation();
                 removed

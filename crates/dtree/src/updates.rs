@@ -188,10 +188,8 @@ pub(crate) fn route_insert(tree: &mut DecisionTree, id: RuleId) {
 /// flag alone (the flag half of deletion belongs to [`delete_rule`] and
 /// the adoption path, which own the accounting). Returns the leaves
 /// that listed `id` and whose whole space it covers — the only leaves
-/// where covered-rule truncation may have dropped rules below it —
-/// when `id` may have been a covering rule at all.
+/// where covered-rule truncation may have dropped rules below it.
 pub(crate) fn route_remove(tree: &mut DecisionTree, id: RuleId) -> Vec<NodeId> {
-    let may_cover = id < tree.cover_horizon();
     let mut covered = Vec::new();
     let mut stack: Vec<NodeId> = vec![tree.root()];
     while let Some(nid) = stack.pop() {
@@ -199,10 +197,7 @@ pub(crate) fn route_remove(tree: &mut DecisionTree, id: RuleId) -> Vec<NodeId> {
             continue;
         }
         if tree.node(nid).is_leaf() {
-            if may_cover
-                && tree.store().covers(id, &tree.node(nid).space)
-                && tree.rules_at(nid).contains(&id)
-            {
+            if tree.store().covers(id, &tree.node(nid).space) && tree.rules_at(nid).contains(&id) {
                 covered.push(nid);
             }
             tree.leaf_remove(nid, id);
@@ -285,7 +280,8 @@ fn subtree_holds(tree: &DecisionTree, nid: NodeId, id: RuleId) -> bool {
 ///
 /// A leaf whose space the deleted rule covered may have been truncated
 /// below it ([`DecisionTree::truncate_covered`]); the rules that
-/// truncation dropped are reachable again, so they are put back.
+/// truncation dropped are reachable again up to the next rule of the
+/// leaf that covers it, so those are put back.
 ///
 /// Errors (instead of panicking) on an out-of-range or already-deleted
 /// id, so callers driving live update streams can surface bad updates
@@ -310,18 +306,26 @@ pub(crate) fn delete_and_refill(tree: &mut DecisionTree, id: RuleId) -> Result<u
         return Ok(0);
     }
     // Candidates: the active rules below `id` that overlap it (a
-    // covered leaf lies inside `id`'s box).
+    // covered leaf lies inside `id`'s box), in precedence order.
     let reach = NodeSpace { ranges: tree.rule(id).ranges };
-    let candidates: Vec<RuleId> = (0..tree.rules().len())
+    let mut candidates: Vec<RuleId> = (0..tree.rules().len())
         .filter(|&r| {
             tree.is_active(r) && tree.precedes(id, r) && tree.store().intersects(r, &reach)
         })
         .collect();
+    candidates.sort_by_key(|&r| (std::cmp::Reverse(tree.rule(r).priority), r));
     let mut refilled = 0;
     for leaf in covered {
         let space = tree.node(leaf).space;
+        // Rules below the leaf's next covering rule stay unreachable.
+        let covers = |r: RuleId| tree.is_active(r) && tree.store().covers(r, &space);
+        let reachable = match tree.rules_at(leaf).iter().copied().find(|&r| covers(r)) {
+            Some(cover) => candidates.partition_point(|&r| tree.precedes(r, cover)),
+            None => candidates.len(),
+        };
         let dropped: Vec<RuleId> = candidates
             .iter()
+            .take(reachable)
             .copied()
             .filter(|&r| tree.store().intersects(r, &space) && !tree.rules_at(leaf).contains(&r))
             .collect();

@@ -50,9 +50,11 @@
 //! a record in the middle of the log. Checkpoints sync everything.
 //!
 //! An append is all or nothing: it either leaves one more complete
-//! record and returns `Ok`, or leaves the file at the previous record
-//! boundary and returns `Err`, so a refused update never has a record
-//! in the log.
+//! record and returns `Ok`, or cuts the file back to the previous
+//! record boundary, syncs the cut and returns `Err`, so a refused
+//! update never has a record in the log. When the cut fails the writer
+//! refuses every append, and the checkpoint that would retire the log
+//! retries the cut first and is refused while it fails.
 
 use crate::node::RuleId;
 use crate::storage::{DirStorage, Storage, StorageFile};
@@ -174,8 +176,9 @@ pub enum WalError {
         kind: u8,
     },
     /// An append failed and so did cutting the file back to its last
-    /// record boundary, so the file may end in a partial record. The
-    /// writer refuses every append until a checkpoint rotates it out.
+    /// record boundary, so the file may end in a refused record. The
+    /// writer refuses every append until a checkpoint's sync retries
+    /// the cut and it holds; the checkpoint is refused while it fails.
     Poisoned {
         /// The failed append and the failed rollback.
         why: String,
@@ -511,9 +514,10 @@ impl WalWriter {
 
     /// Append one record, syncing when it completes a batch of
     /// `sync_every` (see the module docs). Returns the record's
-    /// LSN. On error the file is back at its previous record boundary
-    /// and the caller must refuse the mutation. When that rollback
-    /// fails too the writer is [`WalError::Poisoned`] for good.
+    /// LSN. On error the file is durably back at its previous record
+    /// boundary and the caller must refuse the mutation. When that
+    /// rollback fails too the writer is [`WalError::Poisoned`] until
+    /// [`Self::sync`] manages the cut.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
         if let Some(why) = &self.poisoned {
             return Err(WalError::Poisoned { why: why.clone() });
@@ -526,7 +530,7 @@ impl WalWriter {
             false => Ok(()),
         });
         if let Err(err) = written {
-            if let Err(cut) = self.file.truncate(self.len) {
+            if let Err(cut) = self.cut_back() {
                 let why = format!(
                     "append of lsn {lsn} failed ({err}) and cutting the log back to byte {} \
                      failed ({cut})",
@@ -545,11 +549,29 @@ impl WalWriter {
     }
 
     /// Sync the current batch now (a checkpoint calls this before it
-    /// retires the generation).
+    /// retires the generation). A poisoned writer first retries the cut
+    /// back to its last record and is healed when that holds; when it
+    /// fails again the sync is refused, so the log is never retired
+    /// with a refused record in it.
     pub fn sync(&mut self) -> Result<(), WalError> {
+        if let Some(why) = self.poisoned.take() {
+            if let Err(cut) = self.cut_back() {
+                self.poisoned = Some(why.clone());
+                return Err(WalError::Poisoned {
+                    why: format!("{why}; retrying the cut failed ({cut})"),
+                });
+            }
+        }
         self.file.sync().map_err(WalError::Io)?;
         self.since_sync = 0;
         Ok(())
+    }
+
+    /// Cut the file back to its last complete record and make the cut
+    /// durable, so a refused record cannot come back after a crash.
+    fn cut_back(&mut self) -> std::io::Result<()> {
+        self.file.truncate(self.len)?;
+        self.file.sync()
     }
 }
 

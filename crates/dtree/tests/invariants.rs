@@ -1,9 +1,10 @@
 //! Structural property tests: arbitrary random expansion sequences must
 //! preserve every tree invariant — arena consistency, space tiling,
-//! rule assignment by intersection, and lookup ≡ linear scan.
+//! rule assignment by intersection, and lookup ≡ linear scan, also
+//! after deleting the covering rules of truncated leaves.
 
-use classbench::{generate_rules, ClassifierFamily, Dim, GeneratorConfig, Packet};
-use dtree::{DecisionTree, NodeKind};
+use classbench::{generate_rules, ClassifierFamily, Dim, GeneratorConfig, Packet, Rule};
+use dtree::{ClassifierHandle, DecisionTree, NodeKind, RebuildPolicy, RuleId};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng as _, SeedableRng as _};
@@ -56,12 +57,49 @@ fn random_expand(tree: &mut DecisionTree, rng: &mut ChaCha8Rng, steps: usize) {
     }
 }
 
+/// Give `n` random leaves a rule covering exactly their space, ranked
+/// among their rules, and truncate below it. Returns the new rules.
+fn cover_and_truncate(tree: &mut DecisionTree, rng: &mut ChaCha8Rng, n: usize) -> Vec<RuleId> {
+    let mut covering = Vec::new();
+    for _ in 0..n {
+        let leaves: Vec<usize> =
+            tree.leaf_ids().filter(|&l| tree.node(l).num_rules() > 1).collect();
+        let Some(&leaf) = leaves.as_slice().choose(rng) else { break };
+        let under = *tree.rules_at(leaf).choose(rng).expect("a leaf with rules");
+        let rule =
+            Rule { ranges: tree.node(leaf).space.ranges, priority: tree.rule(under).priority };
+        covering.push(dtree::updates::insert_rule(tree, rule));
+        tree.truncate_covered(leaf);
+    }
+    covering
+}
+
+/// Delete `n` random active rules from `tree` and from `handle`, which
+/// serves a copy of it; every other one is picked from `covering`
+/// while any of those is active.
+fn random_deletes(
+    tree: &mut DecisionTree,
+    handle: &ClassifierHandle,
+    rng: &mut ChaCha8Rng,
+    covering: &[RuleId],
+    n: usize,
+) {
+    for k in 0..n {
+        let active: Vec<RuleId> = (0..tree.rules().len()).filter(|&r| tree.is_active(r)).collect();
+        let picked: Vec<RuleId> = covering.iter().copied().filter(|&r| tree.is_active(r)).collect();
+        let pool = if k % 2 == 0 && !picked.is_empty() { picked } else { active };
+        let Some(&id) = pool.as_slice().choose(rng) else { return };
+        dtree::updates::delete_rule(tree, id).expect("an active rule deletes");
+        handle.delete(id).expect("the handle deletes it too");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn prop_random_expansions_keep_all_invariants(
-        seed in 0u64..1000, steps in 1usize..25)
+        seed in 0u64..1000, steps in 1usize..25, deletes in 0usize..24)
     {
         let rules = generate_rules(
             &GeneratorConfig::new(ClassifierFamily::Ipc, 80).with_seed(seed));
@@ -115,17 +153,25 @@ proptest! {
         }
 
         // (3) Lookup equals the linear scan (includes the effect of
-        // truncate_covered, which must never change results).
+        // truncate_covered, which must never change results), also
+        // after deleting the covering rules of truncated leaves, in
+        // place and through a handle.
+        let covering = cover_and_truncate(&mut tree, &mut rng, 4);
+        let handle = ClassifierHandle::new(tree.clone(), RebuildPolicy::never());
+        random_deletes(&mut tree, &handle, &mut rng, &covering, deletes);
+        let snapshot = handle.snapshot();
         let mut prng = ChaCha8Rng::seed_from_u64(seed ^ 0x7777);
-        for _ in 0..40 {
-            let p = Packet::new(
+        let corners: Vec<Packet> = tree.rules().iter().map(|r| r.low_corner()).collect();
+        for k in 0..40 + corners.len() {
+            let p = corners.get(k).copied().unwrap_or_else(|| Packet::new(
                 prng.gen_range(0..1u64 << 32),
                 prng.gen_range(0..1u64 << 32),
                 prng.gen_range(0..1u64 << 16),
                 prng.gen_range(0..1u64 << 16),
                 prng.gen_range(0..256),
-            );
+            ));
             prop_assert_eq!(tree.classify(&p), tree.linear_classify(&p), "at {}", p);
+            prop_assert_eq!(snapshot.classify(&p), tree.linear_classify(&p), "served at {}", p);
             // Traced lookup agrees with plain lookup.
             prop_assert_eq!(tree.classify_traced(&p).0, tree.classify(&p));
         }
