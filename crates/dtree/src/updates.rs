@@ -12,6 +12,7 @@ use crate::space::NodeSpace;
 use crate::tree::DecisionTree;
 use classbench::{Dim, Rule, DIMS};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Why an update could not be applied — the admission-control taxonomy
 /// live update streams surface instead of panicking. Every variant
@@ -305,33 +306,47 @@ pub(crate) fn delete_and_refill(tree: &mut DecisionTree, id: RuleId) -> Result<u
     if covered.is_empty() {
         return Ok(0);
     }
+    // Rules below a covered leaf's next covering rule stay unreachable
+    // there; with no covering rule left, every rule below `id` is back.
+    // A leaf whose next covering rule precedes `id` takes none back.
+    let next_cover: BTreeMap<NodeId, Option<RuleId>> = covered
+        .into_iter()
+        .map(|leaf| {
+            let space = tree.node(leaf).space;
+            let covers = |r: RuleId| tree.is_active(r) && tree.store().covers(r, &space);
+            (leaf, tree.rules_at(leaf).iter().copied().find(|&r| covers(r)))
+        })
+        .filter(|(_, cover)| cover.is_none_or(|c| tree.precedes(id, c)))
+        .collect();
+    if next_cover.is_empty() {
+        return Ok(0);
+    }
     // Candidates: the active rules below `id` that overlap it (a
-    // covered leaf lies inside `id`'s box), in precedence order.
+    // covered leaf lies inside `id`'s box). Each is routed to the
+    // covered leaves it overlaps, as a delete routes.
     let reach = NodeSpace { ranges: tree.rule(id).ranges };
-    let mut candidates: Vec<RuleId> = (0..tree.rules().len())
+    let candidates: Vec<RuleId> = (0..tree.rules().len())
         .filter(|&r| {
             tree.is_active(r) && tree.precedes(id, r) && tree.store().intersects(r, &reach)
         })
         .collect();
-    candidates.sort_by_key(|&r| (std::cmp::Reverse(tree.rule(r).priority), r));
     let mut refilled = 0;
-    for leaf in covered {
-        let space = tree.node(leaf).space;
-        // Rules below the leaf's next covering rule stay unreachable.
-        let covers = |r: RuleId| tree.is_active(r) && tree.store().covers(r, &space);
-        let reachable = match tree.rules_at(leaf).iter().copied().find(|&r| covers(r)) {
-            Some(cover) => candidates.partition_point(|&r| tree.precedes(r, cover)),
-            None => candidates.len(),
-        };
-        let dropped: Vec<RuleId> = candidates
-            .iter()
-            .take(reachable)
-            .copied()
-            .filter(|&r| tree.store().intersects(r, &space) && !tree.rules_at(leaf).contains(&r))
-            .collect();
-        refilled += dropped.len();
-        for r in dropped {
-            tree.leaf_insert_sorted(leaf, r);
+    for r in candidates {
+        let mut stack: Vec<NodeId> = vec![tree.root()];
+        while let Some(nid) = stack.pop() {
+            let space = tree.node(nid).space;
+            if !tree.store().intersects(r, &space) || !tree.store().intersects(id, &space) {
+                continue;
+            }
+            let reachable = |cover: &Option<RuleId>| cover.is_none_or(|c| tree.precedes(r, c));
+            if !tree.node(nid).is_leaf() {
+                stack.extend(tree.node(nid).kind.children().iter().copied());
+            } else if next_cover.get(&nid).is_some_and(reachable)
+                && !tree.rules_at(nid).contains(&r)
+            {
+                tree.leaf_insert_sorted(nid, r);
+                refilled += 1;
+            }
         }
     }
     Ok(refilled)

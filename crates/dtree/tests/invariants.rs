@@ -58,7 +58,9 @@ fn random_expand(tree: &mut DecisionTree, rng: &mut ChaCha8Rng, steps: usize) {
 }
 
 /// Give `n` random leaves a rule covering exactly their space, ranked
-/// among their rules, and truncate below it. Returns the new rules.
+/// among their rules, and truncate below it; half of them then get a
+/// second covering rule ranked among the rules that truncation
+/// dropped. Returns the new rules.
 fn cover_and_truncate(tree: &mut DecisionTree, rng: &mut ChaCha8Rng, n: usize) -> Vec<RuleId> {
     let mut covering = Vec::new();
     for _ in 0..n {
@@ -68,8 +70,15 @@ fn cover_and_truncate(tree: &mut DecisionTree, rng: &mut ChaCha8Rng, n: usize) -
         let under = *tree.rules_at(leaf).choose(rng).expect("a leaf with rules");
         let rule =
             Rule { ranges: tree.node(leaf).space.ranges, priority: tree.rule(under).priority };
-        covering.push(dtree::updates::insert_rule(tree, rule));
+        let cover = dtree::updates::insert_rule(tree, rule.clone());
+        let listed = tree.rules_at(leaf).to_vec();
         tree.truncate_covered(leaf);
+        covering.push(cover);
+        let below: Vec<RuleId> = listed.into_iter().skip_while(|&r| r != cover).skip(1).collect();
+        if let Some(&low) = below.choose(rng).filter(|_| rng.gen_bool(0.5)) {
+            let priority = tree.rule(low).priority;
+            covering.push(dtree::updates::insert_rule(tree, Rule { priority, ..rule }));
+        }
     }
     covering
 }
