@@ -8,8 +8,9 @@
 //! linear-scan ground truth, and publish it through one epoch swap —
 //! measuring sustained Mpps in every phase. The four-phase timeline
 //! ([`churn_retrain_timeline`]) lives here; `neurocuts update-bench
-//! --auto-retrain true` runs the same worker free-running under faults
-//! and persistence.
+//! --auto-retrain true` runs the same worker free-running with
+//! persistence, and the `chaos_soak` test checks how it heals from
+//! retrain panics and corrupted templates.
 //! Writes `BENCH_lifecycle.json` so the staleness-recovery trajectory
 //! is tracked in CI from PR to PR (the `phases` rows carry `mpps`, so
 //! `bench_gate` trips on a sustained-throughput regression in any
@@ -25,13 +26,7 @@
 //! * the auto-retrained depth must be within 10% of a fresh train on
 //!   the final rules (the staleness claim this PR exists for), and the
 //!   steady-state Mpps within 25% of serving that fresh tree (wider,
-//!   because throughput is noisy where depth is deterministic);
-//! * the fault-injected recovery mini-cycle (two armed retrain panics
-//!   after the gated phases) must heal: both failures isolated and
-//!   retried, then a clean adopt. Its `recovery` metrics
-//!   (`retrain_failures`, `degraded_phases`, `recovery_ms`) are
-//!   emitted for tracking but named outside `bench_gate`'s gated
-//!   METRICS — recovery latency is reported, never gated.
+//!   because throughput is noisy where depth is deterministic).
 //!
 //! The scale is fixed (ACL-300 rules, a 4096-packet trace, 600 churn
 //! updates under 2 reader threads, 6000 RL timesteps per train, a
@@ -42,14 +37,10 @@
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, Packet, RuleSet, TraceConfig,
 };
-use dtree::{
-    serve_during, ChurnSchedule, ClassifierHandle, FaultPoint, FaultSchedule, RebuildPolicy,
-    TreeStats,
-};
+use dtree::{serve_during, ChurnSchedule, ClassifierHandle, RebuildPolicy, TreeStats};
 use nc_bench::emit::{hw_threads, Report};
 use neurocuts::{retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig};
 use serde_json::json;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SIZE: usize = 300;
@@ -253,47 +244,6 @@ fn main() {
     let depth_ratio = served_depth as f64 / fresh_stats.time.max(1) as f64;
     let mpps_ratio = steady_mpps / fresh_mpps.max(1e-9);
 
-    // Fault-injected recovery mini-cycle: arm two retrain panics, churn
-    // the (already measured) handle past a fresh trigger, and time how
-    // long the worker takes to heal — both injected failures retried
-    // once their backoff polls run out, then a clean adopt. Runs after
-    // every gated measurement; the recovery numbers are tracked in the
-    // JSON but deliberately named outside bench_gate's METRICS so they
-    // are reported, not gated.
-    let faults = Arc::new(
-        FaultSchedule::empty()
-            .arm(FaultPoint::RetrainPanic, 0)
-            .arm(FaultPoint::RetrainPanic, 1)
-            .injector(),
-    );
-    let mut lc = LifecycleConfig::new(train_cfg.clone());
-    lc.retrain_churn = 0.05;
-    lc.faults = Some(faults.clone());
-    let mut recovery_worker = LifecycleWorker::new(lc, &handle);
-    let mut recovery_churn = ChurnSchedule::new(rules.rules().to_vec(), Vec::new(), 5);
-    for _ in 0..80 {
-        recovery_churn.step(&handle);
-    }
-    let recovery_started = Instant::now();
-    let (mut retrain_failures, mut degraded_phases, mut fallback_rebuilds) = (0u64, 0u64, 0u64);
-    let mut recovered = false;
-    for _ in 0..10 {
-        let Some(event) = recovery_worker.poll_past_backoff(&handle, &trace) else { break };
-        if event.adopted {
-            recovered = true;
-            break;
-        }
-        retrain_failures += 1;
-        degraded_phases += u64::from(event.degraded);
-        fallback_rebuilds += u64::from(event.fallback_rebuild);
-    }
-    let recovery_ms = recovery_started.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "recovery: {} injected fault(s), {retrain_failures} failed attempt(s), \
-         {degraded_phases} degraded phase(s), healed in {recovery_ms:.0}ms (recovered: {recovered})",
-        faults.total_fired()
-    );
-
     for p in &timeline.phases {
         eprintln!(
             "{:<9} {:>6.2}s {:>8.2} Mpps  depth {:>3}  epoch {:>5}  rebuilds {:>3}  retrains \
@@ -334,14 +284,6 @@ fn main() {
         .collect();
     report.set("retrains", retrains);
     report.set(
-        "recovery",
-        json!({
-            "injected_faults": faults.total_fired(), "retrain_failures": retrain_failures,
-            "degraded_phases": degraded_phases, "fallback_rebuilds": fallback_rebuilds,
-            "recovery_ms": recovery_ms, "recovered": recovered,
-        }),
-    );
-    report.set(
         "verification",
         json!({
             "checks": timeline.checks, "divergences": timeline.divergences,
@@ -359,10 +301,6 @@ fn main() {
     report.check(
         adopted.iter().all(|e| e.spot_checked > 0),
         "an adopted swap skipped its spot check",
-    );
-    report.check(
-        recovered,
-        format!("the fault-injected worker never recovered ({retrain_failures} failed attempts)"),
     );
     report.check(
         depth_ratio <= 1.10,

@@ -7,7 +7,7 @@ use classbench::{
 };
 use dtree::{
     run_engine, serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, EngineConfig,
-    FaultInjector, FaultSchedule, RebuildPolicy, TreeStats, FAULT_POINTS,
+    RebuildPolicy, TreeStats,
 };
 use neurocuts::{
     LifecycleConfig, LifecycleWorker, NeuroCutsConfig, PartitionMode, PersistConfig, Persistence,
@@ -43,18 +43,15 @@ subcommands:
   update-bench --tree TREE.json --rules FILE [--updates N] [--trace N]
                [--threads T] [--churn C] [--seed S]
                [--auto-retrain true] [--retrain-churn C] [--timesteps N]
-               [--fault-schedule SPEC] [--persist-dir DIR]
+               [--persist-dir DIR]
       replay an insert/delete churn schedule through the live
       ClassifierHandle while engine readers serve concurrently;
       reports updates/sec applied and Mpps sustained during churn.
       with --auto-retrain true, a background lifecycle worker watches
       the churn and hot-swaps a freshly retrained tree mid-replay once
-      the updates reach --retrain-churn (default 0.25) of the rules.
-      --fault-schedule injects deterministic faults, e.g.
-      \"retrain-panic@0;update-burst@100,400\" (points: retrain-panic,
-      adopt-corruption, update-burst; @N = the N-th evaluation
-      fires); the run prints the per-attempt health timeline and the
-      final HealthReport.
+      the updates reach --retrain-churn (default 0.25) of the rules;
+      the run prints the per-attempt health timeline and the final
+      HealthReport.
       --persist-dir DIR attaches crash-consistent persistence: every
       admitted update is write-ahead logged under DIR, the run
       checkpoints on attach and at exit and after every adopted
@@ -68,36 +65,9 @@ subcommands:
       fold everything into a fresh checkpoint; with --rules the
       recovered tree is additionally verified over a synthetic trace
   stats    --tree TREE.json
-      print a saved tree's statistics";
+      print a saved tree's statistics
 
-/// Parse `--fault-schedule` into a shared injector (`None` when the
-/// flag is absent or the spec arms nothing).
-fn parse_fault_schedule(args: &Args) -> Result<Option<std::sync::Arc<FaultInjector>>, String> {
-    match args.get("fault-schedule") {
-        Some(spec) => {
-            let schedule = FaultSchedule::parse(spec).map_err(|e| e.to_string())?;
-            if schedule.is_empty() {
-                return Ok(None);
-            }
-            eprintln!("fault schedule armed: {schedule}");
-            Ok(Some(std::sync::Arc::new(schedule.injector())))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Per-point firing report after a fault-injected run.
-fn print_fault_outcome(faults: &FaultInjector) {
-    for point in FAULT_POINTS {
-        println!(
-            "fault {:<16} fired {}/{} (evaluated {} times)",
-            point.name(),
-            faults.fired(point),
-            faults.schedule().armed(point).len(),
-            faults.evaluated(point)
-        );
-    }
-}
+an unknown flag is an error that names it";
 
 fn read_rules(path: &str) -> Result<RuleSet, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -123,7 +93,7 @@ fn write_out(out: Option<&str>, content: &str) -> Result<(), String> {
 
 /// `neurocuts generate`.
 pub fn generate(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "family size seed out")?;
     let family = match args.required("family")? {
         "acl" => ClassifierFamily::Acl,
         "fw" => ClassifierFamily::Fw,
@@ -147,7 +117,8 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 /// the linear-scan ground truth, and pushed through the sharded
 /// serving engine to report end-to-end lookup throughput.
 pub fn train(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args =
+        Args::parse(argv, "rules timesteps c partition seed envs workers threads serve-trace out")?;
     let rules = read_rules(args.required("rules")?)?;
     let timesteps: usize = args.parse_or("timesteps", 60_000)?;
     let c: f64 = args.parse_or("c", 1.0)?;
@@ -223,7 +194,7 @@ pub fn train(argv: &[String]) -> Result<(), String> {
 
 /// `neurocuts build`.
 pub fn build(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "rules algo out")?;
     let rules = read_rules(args.required("rules")?)?;
     let algo = args.required("algo")?;
     let tree = match algo {
@@ -242,7 +213,7 @@ pub fn build(argv: &[String]) -> Result<(), String> {
 
 /// `neurocuts classify`.
 pub fn classify(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "tree rules trace seed")?;
     let tree = read_tree(args.required("tree")?)?;
     let rules = read_rules(args.required("rules")?)?;
     let n: usize = args.parse_or("trace", 10_000)?;
@@ -279,7 +250,7 @@ pub fn classify(argv: &[String]) -> Result<(), String> {
 
 /// `neurocuts serve-bench`.
 pub fn serve_bench(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "tree rules trace seed threads passes")?;
     let tree = read_tree(args.required("tree")?)?;
     let rules = read_rules(args.required("rules")?)?;
     let n: usize = args.parse_or("trace", 100_000)?;
@@ -345,7 +316,11 @@ pub fn serve_bench(argv: &[String]) -> Result<(), String> {
 /// verified bit-identical to a from-scratch recompile of the updated
 /// tree.
 pub fn update_bench(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(
+        argv,
+        "tree rules updates trace seed threads churn auto-retrain retrain-churn timesteps \
+         persist-dir",
+    )?;
     let tree = read_tree(args.required("tree")?)?;
     let rules = read_rules(args.required("rules")?)?;
     let updates: usize = args.parse_or("updates", 1000)?;
@@ -363,7 +338,6 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
         return Err("--retrain-churn must be a positive fraction".into());
     }
     let train_timesteps: usize = args.parse_or("timesteps", 3_000)?;
-    let faults = parse_fault_schedule(&args)?;
     let persistence = args.get("persist-dir").map(Persistence::new);
     let trace = generate_trace(&rules, &TraceConfig::new(n).with_seed(seed));
 
@@ -387,13 +361,9 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
     let live: Vec<usize> =
         (0..rules.len()).filter(|&id| handle.with_tree(|t| t.is_active(id))).collect();
     let mut schedule = ChurnSchedule::new(rules.rules().to_vec(), live, seed ^ 0x5eed);
-    if let Some(faults) = &faults {
-        schedule = schedule.with_faults(faults.clone());
-    }
     let worker = auto_retrain.then(|| {
         let mut lc = LifecycleConfig::new(NeuroCutsConfig::small(train_timesteps).with_seed(seed));
         lc.retrain_churn = retrain_churn;
-        lc.faults = faults.clone();
         lc.persist = persistence.clone();
         LifecycleWorker::new(lc, &handle)
     });
@@ -465,9 +435,6 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
     }
     println!("updates rejected  {} (admission control)", schedule.rejected());
     println!("health            {}", handle.health());
-    if let Some(faults) = &faults {
-        print_fault_outcome(faults);
-    }
 
     // Correctness gate: the final snapshot must equal a full recompile.
     if let Some(p) = handle.check_divergence(&trace) {
@@ -509,7 +476,7 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
 /// handle that comes back is already serving-safe. With `--rules` the
 /// recovered tree is additionally verified over a synthetic trace.
 pub fn recover(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "persist-dir rules trace seed")?;
     let dir = std::path::PathBuf::from(args.required("persist-dir")?);
     let n: usize = args.parse_or("trace", 10_000)?;
     let seed: u64 = args.parse_or("seed", 0)?;
@@ -552,7 +519,7 @@ pub fn recover(argv: &[String]) -> Result<(), String> {
 
 /// `neurocuts stats`.
 pub fn stats(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "tree")?;
     let tree = read_tree(args.required("tree")?)?;
     let stats = TreeStats::compute(&tree);
     println!("{stats}");

@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (five flags per subcommand do not
-//! justify a dependency); every subcommand prints its usage on error.
+//! justify a dependency); every subcommand declares the flags it
+//! takes, so a misspelt or retired flag is an error that names it.
 
 mod args;
 mod commands;

@@ -53,6 +53,22 @@ fn update_bench_rejects_a_nan_retrain_churn() {
     assert!(stderr.contains("--retrain-churn"), "the error names the flag: {stderr}");
 }
 
+/// A misspelt flag and a retired one (the fault-injection flag older
+/// `update-bench` builds took) are errors that name the flag.
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let (rules, tree) = rules_and_tree("unknown_flags");
+    let gone = ["update-bench", "--tree", &tree, "--rules", &rules, "--updates", "40"];
+    let gone = [&gone[..], &["--fault-schedule", "retrain-panic@0"]].concat();
+    let misspelt = ["generate", "--family", "acl", "--size", "5", "--szie", "500"];
+    for (args, flag) in [(&gone[..], "--fault-schedule"), (&misspelt[..], "--szie")] {
+        let out = neurocuts(args);
+        let stderr = text(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must be refused; stderr: {stderr}");
+        assert!(stderr.contains(flag), "the error names {flag}: {stderr}");
+    }
+}
+
 #[test]
 fn update_bench_auto_retrains_and_verifies_the_final_snapshot() {
     let (rules, tree) = rules_and_tree("auto_retrain");

@@ -29,12 +29,17 @@
 //! The worker reads no clock: it is a state machine over its polls.
 //! Failure backoff counts polls, and each retrain's work is bounded by
 //! [`NeuroCutsConfig::max_timesteps`], so the same handle, churn, poll
-//! sequence and fault schedule always record the same events.
+//! sequence and retrain function always record the same events.
+//!
+//! The worker provokes no failure itself. Its one test seam is the
+//! function it trains through, [`LifecycleConfig::retrain`]: a test
+//! hands it one that panics or returns a sabotaged tree on chosen
+//! attempts, and inserts its own update bursts.
 
 use crate::config::NeuroCutsConfig;
 use crate::trainer::{TrainError, Trainer};
 use classbench::{Packet, RuleSet};
-use dtree::{ClassifierHandle, DecisionTree, FaultInjector, FaultPoint, TreeStats};
+use dtree::{ClassifierHandle, DecisionTree, TreeStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -131,6 +136,16 @@ pub struct WorkerHealth {
     pub in_backoff: bool,
 }
 
+/// The function a [`LifecycleWorker`] trains through: the frozen
+/// snapshot's rules, [`LifecycleConfig::train`] and the attempt's seed
+/// in; the tree to adopt, its stats and the timesteps consumed out.
+/// [`retrain_snapshot`] is the one that ships.
+pub type RetrainFn = fn(
+    &RuleSet,
+    &NeuroCutsConfig,
+    u64,
+) -> Result<(Arc<DecisionTree>, TreeStats, usize), TrainError>;
+
 /// Everything a [`LifecycleWorker`] needs to run.
 #[derive(Debug, Clone)]
 pub struct LifecycleConfig {
@@ -148,10 +163,11 @@ pub struct LifecycleConfig {
     /// Failure handling: bounded-retry backoff and the degradation
     /// threshold.
     pub retry: RetryPolicy,
-    /// Optional fault injector (chaos harnesses): the worker evaluates
-    /// the retrain-side fault points around every attempt. `None` in
-    /// production.
-    pub faults: Option<Arc<FaultInjector>>,
+    /// The function each retrain trains through, inside the worker's
+    /// `catch_unwind`. Attempt `k` (from 1) passes the seed
+    /// `train.seed + k`, so a test can key a fault on `k`. Defaults to
+    /// [`retrain_snapshot`].
+    pub retrain: RetrainFn,
     /// Optional durability: when set, the worker checkpoints the handle
     /// after every successful adopt and whenever the WAL outgrows
     /// [`crate::persist::PersistConfig::checkpoint_wal_threshold`].
@@ -163,15 +179,15 @@ pub struct LifecycleConfig {
 
 impl LifecycleConfig {
     /// A worker around the given training config that retrains at 25%
-    /// churn, with the default retry policy, no retrain cap, and no
-    /// faults.
+    /// churn through [`retrain_snapshot`], with the default retry
+    /// policy, no retrain cap, and no persistence.
     pub fn new(train: NeuroCutsConfig) -> Self {
         LifecycleConfig {
             retrain_churn: 0.25,
             train,
             max_retrains: 0,
             retry: RetryPolicy::default_policy(),
-            faults: None,
+            retrain: retrain_snapshot,
             persist: None,
         }
     }
@@ -494,39 +510,23 @@ impl LifecycleWorker {
         seed: u64,
         event: &mut LifecycleEvent,
     ) -> Result<(), LifecycleError> {
-        let faults = self.cfg.faults.clone();
-        let train = self.cfg.train.clone();
-        let snap_rules = snap.rules().clone();
-        // Panic isolation: a buggy (or fault-injected) trainer must
-        // not take the worker thread down. AssertUnwindSafe is sound
-        // here — everything the closure touches is owned by it, so an
-        // unwind cannot leave shared state half-mutated.
-        let trained = catch_unwind(AssertUnwindSafe(|| {
-            if faults.as_ref().is_some_and(|f| f.should_fire(FaultPoint::RetrainPanic)) {
-                panic!("injected retrain panic (fault schedule)");
-            }
-            retrain_snapshot(&snap_rules, &train, seed)
-        }));
-        let (tree, template_stats, timesteps) = match trained {
+        // Panic isolation: a buggy trainer must not take the worker
+        // thread down. AssertUnwindSafe is sound here — the closure
+        // only reads what it borrows, so an unwind cannot leave shared
+        // state half-mutated. The seam is called as a plain function
+        // so nc-lint's lock-discipline rule sees the call.
+        let retrain = self.cfg.retrain;
+        let trained =
+            catch_unwind(AssertUnwindSafe(|| retrain(snap.rules(), &self.cfg.train, seed)));
+        let (template, template_stats, timesteps) = match trained {
             Err(payload) => return Err(LifecycleError::Panicked(panic_message(&*payload))),
             Ok(Err(err)) => return Err(LifecycleError::Train(err)),
             Ok(Ok(result)) => result,
         };
         event.timesteps = timesteps;
         event.template_stats = Some(template_stats);
-        // Fault point: corrupt the trained template *before* adoption —
-        // the pre-publish spot check must catch it (the probes below
-        // include every snapshot rule's low corner, so the sabotaged
-        // rule cannot hide behind an unlucky trace).
-        let template = match &faults {
-            Some(f) if f.should_fire(FaultPoint::AdoptCorruption) => {
-                let mut sabotaged = (*tree).clone();
-                dtree::updates::delete_rule(&mut sabotaged, 0)
-                    .expect("template rule 0 exists: the trainer refuses empty rule sets");
-                Arc::new(sabotaged)
-            }
-            _ => tree,
-        };
+        // The probes include every snapshot rule's low corner, so a
+        // template that lost a rule cannot hide behind an unlucky trace.
         let probes: Vec<Packet> = spot_check
             .iter()
             .copied()
@@ -623,7 +623,7 @@ mod tests {
     use classbench::{
         generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, TraceConfig,
     };
-    use dtree::{ChurnSchedule, FaultSchedule, RebuildPolicy};
+    use dtree::{ChurnSchedule, RebuildPolicy};
 
     fn served_handle(seed: u64) -> (ClassifierHandle, RuleSet) {
         sized_handle(150, seed)
@@ -748,14 +748,37 @@ mod tests {
         }
     }
 
+    /// Retrain as [`retrain_snapshot`] does, except that attempt `k`
+    /// (read back from its seed `cfg.seed + k`) panics when it is in
+    /// `panics` and returns a template missing rule 0 when it is in
+    /// `corrupts`.
+    fn faulty(
+        rules: &RuleSet,
+        cfg: &NeuroCutsConfig,
+        seed: u64,
+        panics: &[u64],
+        corrupts: &[u64],
+    ) -> Result<(Arc<DecisionTree>, TreeStats, usize), TrainError> {
+        let k = seed.wrapping_sub(cfg.seed);
+        if panics.contains(&k) {
+            panic!("injected retrain panic (attempt {k})");
+        }
+        let (tree, stats, timesteps) = retrain_snapshot(rules, cfg, seed)?;
+        if !corrupts.contains(&k) {
+            return Ok((tree, stats, timesteps));
+        }
+        let mut sabotaged = (*tree).clone();
+        dtree::updates::delete_rule(&mut sabotaged, 0)
+            .expect("template rule 0 exists: the trainer refuses empty rule sets");
+        Ok((Arc::new(sabotaged), stats, timesteps))
+    }
+
     #[test]
     fn injected_panic_is_isolated_and_retried_with_backoff() {
         let (handle, rules) = served_handle(70);
-        let schedule = FaultSchedule::empty().arm(FaultPoint::RetrainPanic, 0);
-        let faults = Arc::new(schedule.injector());
         let mut cfg = smoke_config(0.2);
         cfg.retry = RetryPolicy { max_failures: 3, base_backoff: 2, max_backoff: 8 };
-        cfg.faults = Some(faults.clone());
+        cfg.retrain = |rules, cfg, seed| faulty(rules, cfg, seed, &[1], &[]);
         let mut worker = LifecycleWorker::new(cfg, &handle);
         churn_past_trigger(&handle, &rules, 71, 60);
         let trace = generate_trace(&rules, &TraceConfig::new(64).with_seed(72));
@@ -772,7 +795,6 @@ mod tests {
         assert_eq!(event.backoff_polls, 2);
         assert!(!event.degraded, "one failure is below the degradation bound");
         assert_eq!(handle.epoch(), epoch_before, "a failed attempt publishes nothing");
-        assert_eq!(faults.fired(FaultPoint::RetrainPanic), 1);
         // The failure is mirrored into the handle's health report.
         let health = handle.health();
         assert_eq!(health.consecutive_failures, 1);
@@ -783,8 +805,8 @@ mod tests {
             assert!(worker.poll(&handle, &trace).is_none(), "backoff holds the trigger");
         }
         assert!(!worker.in_backoff());
-        // ...and the next poll's retry succeeds (occurrence 1 of the
-        // panic point is not armed) and clears the failure state.
+        // ...and the next poll's retry (attempt 2, which trains
+        // cleanly) succeeds and clears the failure state.
         let event = worker.poll(&handle, &trace).expect("retry runs").clone();
         assert!(event.adopted, "retry must succeed: {:?}", event.skipped);
         assert_eq!(event.failures_after, 0);
@@ -796,14 +818,9 @@ mod tests {
     #[test]
     fn repeated_failures_degrade_to_heuristic_rebuild_then_recover() {
         let (handle, rules) = served_handle(74);
-        let mut schedule = FaultSchedule::empty();
-        for occ in 0..3 {
-            schedule = schedule.arm(FaultPoint::RetrainPanic, occ);
-        }
-        let faults = Arc::new(schedule.injector());
         let mut cfg = smoke_config(0.2);
         cfg.retry = RetryPolicy { max_failures: 3, base_backoff: 1, max_backoff: 4 };
-        cfg.faults = Some(faults);
+        cfg.retrain = |rules, cfg, seed| faulty(rules, cfg, seed, &[1, 2, 3], &[]);
         let mut worker = LifecycleWorker::new(cfg, &handle);
         churn_past_trigger(&handle, &rules, 75, 60);
         let trace = generate_trace(&rules, &TraceConfig::new(64).with_seed(76));
@@ -826,7 +843,7 @@ mod tests {
         assert!(handle.health().degraded);
         assert_eq!(handle.check_divergence(&trace), None);
         // The baseline was kept, so the trigger re-fires after the
-        // backoff; the 4th attempt (no fault armed) succeeds and
+        // backoff; the 4th attempt (which trains cleanly) succeeds and
         // clears the degraded flag.
         let event = worker.poll_past_backoff(&handle, &trace).expect("recovery attempt").clone();
         assert!(event.adopted, "recovery retrain must adopt: {:?}", event.skipped);
@@ -838,9 +855,8 @@ mod tests {
     #[test]
     fn corrupted_template_is_caught_by_the_spot_check() {
         let (handle, rules) = served_handle(82);
-        let schedule = FaultSchedule::empty().arm(FaultPoint::AdoptCorruption, 0);
         let mut cfg = smoke_config(0.2);
-        cfg.faults = Some(Arc::new(schedule.injector()));
+        cfg.retrain = |rules, cfg, seed| faulty(rules, cfg, seed, &[], &[1]);
         let mut worker = LifecycleWorker::new(cfg, &handle);
         churn_past_trigger(&handle, &rules, 83, 60);
         // Even with an EMPTY caller trace the sabotage cannot slip
@@ -854,21 +870,17 @@ mod tests {
         assert_eq!(handle.stats().retrains, 0);
     }
 
-    /// Churn a fresh handle and poll every 8th update under a fault
-    /// schedule of two panics and a corrupted template; returns what
-    /// the worker recorded and the state it left.
+    /// Churn a fresh handle and poll every 8th update while the first
+    /// two retrains panic and the third returns a corrupted template;
+    /// returns what the worker recorded and the state it left.
     fn scripted_run() -> (LifecycleReport, u64, TreeStats) {
         let (handle, rules) = sized_handle(60, 86);
-        let schedule = FaultSchedule::empty()
-            .arm(FaultPoint::RetrainPanic, 0)
-            .arm(FaultPoint::RetrainPanic, 1)
-            .arm(FaultPoint::AdoptCorruption, 0);
         let mut cfg = smoke_config(0.2);
         cfg.train.max_timesteps = 200;
         cfg.train.timesteps_per_batch = 200;
         cfg.max_retrains = 4;
         cfg.retry = RetryPolicy { max_failures: 4, base_backoff: 1, max_backoff: 8 };
-        cfg.faults = Some(Arc::new(schedule.injector()));
+        cfg.retrain = |rules, cfg, seed| faulty(rules, cfg, seed, &[1, 2], &[3]);
         let mut worker = LifecycleWorker::new(cfg, &handle);
         let trace = generate_trace(&rules, &TraceConfig::new(64).with_seed(87));
         let mut churn = ChurnSchedule::new(rules.rules().to_vec(), (0..rules.len()).collect(), 88);

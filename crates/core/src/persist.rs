@@ -50,15 +50,18 @@
 //!    normal admission path ([`ClassifierHandle::insert`]/`delete`/
 //!    `force_rebuild`]), verifying LSN continuity across files and
 //!    re-deriving each logged insert id. A torn/corrupt tail is legal
-//!    only on the *last* file of the chain: it is truncated away (and
-//!    recorded, sticky, in the health report); anywhere else it is a
-//!    hard error.
+//!    only on the *last* file of the chain: it is truncated away (a
+//!    file torn inside its header, which holds no record, is removed)
+//!    and recorded, sticky, in the health report; anywhere else it is
+//!    a hard error.
 //! 3. **Prove** the result against the linear-scan ground truth (low-
 //!    corner probe per active rule + caller probes) before anything is
 //!    served.
 //! 4. **Re-checkpoint** into a fresh generation and attach a fresh WAL,
 //!    so the next crash replays from *here* instead of re-walking the
-//!    whole chain.
+//!    whole chain. The new WAL continues the replayed chain's LSN line
+//!    and a WAL torn inside its header was removed in step 2, so a
+//!    crash inside recovery leaves a chain the next recovery accepts.
 //!
 //! Epoch accounting makes "bit-identical" checkable: every logged
 //! record publishes exactly one epoch, so the recovered epoch must be
@@ -557,6 +560,19 @@ impl Persistence {
         handle: &ClassifierHandle,
         train_seed: u64,
     ) -> Result<CheckpointReport, PersistError> {
+        self.checkpoint_resuming(handle, train_seed, None)
+    }
+
+    /// [`Self::checkpoint`], with the first LSN of the new WAL given
+    /// for a handle that has none yet: recovery resumes the LSN line of
+    /// the chain it replayed, so a crash before its checkpoint lands
+    /// leaves a chain the next recovery accepts.
+    fn checkpoint_resuming(
+        &self,
+        handle: &ClassifierHandle,
+        train_seed: u64,
+        resume_lsn: Option<u64>,
+    ) -> Result<CheckpointReport, PersistError> {
         let storage = &*self.storage;
         storage
             .create_dir(&self.dir)
@@ -572,7 +588,7 @@ impl Persistence {
         let folded = handle.health().wal_len.unwrap_or(0);
         let path = wal_path(&self.dir, next_gen);
         let (tree, epoch) = handle.rotate_wal(next_gen, |next_lsn| {
-            WalWriter::create(storage, &path, next_lsn, self.cfg.sync_every)
+            WalWriter::create(storage, &path, resume_lsn.unwrap_or(next_lsn), self.cfg.sync_every)
         })?;
         let ck = Checkpoint { generation: next_gen, epoch, train_seed, tree };
         let bytes = write_checkpoint(storage, &self.dir, &ck)?;
@@ -651,7 +667,14 @@ impl Persistence {
                 if wal_gens.binary_search(&(gen + 1)).is_ok() {
                     return Err(RecoverError::Wal { path, err: tail });
                 }
-                storage.truncate(&path, outcome.valid_len).map_err(|err| RecoverError::Wal {
+                // A file torn inside its header holds no record: remove
+                // it, or the WAL this recovery creates next would leave
+                // it torn in the middle of the chain.
+                let cut = match header_torn {
+                    true => storage.remove(&path),
+                    false => storage.truncate(&path, outcome.valid_len),
+                };
+                cut.map_err(|err| RecoverError::Wal {
                     path: path.clone(),
                     err: WalError::Io(err),
                 })?;
@@ -662,7 +685,9 @@ impl Persistence {
                 replay_record(&handle, lsn, record)?;
                 replayed += 1;
             }
-            expect_lsn = Some(outcome.next_lsn);
+            if !header_torn {
+                expect_lsn = Some(outcome.next_lsn);
+            }
             gen += 1;
         }
         debug_assert_eq!(
@@ -693,9 +718,10 @@ impl Persistence {
         }
 
         // Step 4: fold everything into a fresh generation so the next
-        // crash replays from here, then attach the new WAL and record
-        // the sticky recovery note.
-        let report = self.checkpoint(&handle, base.train_seed)?;
+        // crash replays from here, then attach the new WAL (continuing
+        // the replayed chain's LSN line) and record the sticky recovery
+        // note.
+        let report = self.checkpoint_resuming(&handle, base.train_seed, expect_lsn)?;
         handle.note_recovery(report.generation, truncated_tail.clone());
         let recover_report = RecoverReport {
             base_generation: base.generation,

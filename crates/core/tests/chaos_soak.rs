@@ -1,41 +1,52 @@
-//! Chaos soak: the self-healing claims under injected faults.
+//! Chaos soak: the self-healing claims under provoked failures.
 //!
-//! The fault-injection facility (`dtree::faults`) arms every fault
-//! class at least twice and the tests here pin the recovery contract:
+//! The worker's retrain seam (`LifecycleConfig::retrain`) is handed a
+//! function that panics or returns a corrupted template on chosen
+//! attempts, and the churn loop inserts its own update bursts, so
+//! each test provokes every failure class twice. The tests here pin the
+//! recovery contract:
 //!
-//! 1. **Isolation** — an injected retrain panic or corrupted template
-//!    never unwinds past the worker and never publishes: the served
-//!    epoch (and the exact snapshot `Arc`) is byte-identical across
-//!    every failed non-fallback attempt.
+//! 1. **Isolation** — a retrain panic never unwinds past the worker,
+//!    and a corrupted template is refused unless the swap's
+//!    reconciliation re-routes the rule it lost. A failed attempt
+//!    never publishes: the served epoch (and the exact snapshot `Arc`)
+//!    is byte-identical across every failed non-fallback attempt.
 //! 2. **Bounded retry** — consecutive transient failures back off for a
 //!    doubling number of polls and, at the retry bound, degrade to the
 //!    deterministic fold-overlay rebuild so the served shape stays
 //!    fresh even while training is broken; the next successful retrain
 //!    clears the degraded flag.
-//! 3. **Admission under storms** — injected update bursts hit the
-//!    overlay bound and force fold-rebuild backpressure instead of
-//!    unbounded overlay growth.
+//! 3. **Admission under storms** — update bursts hit the overlay bound
+//!    and force fold-rebuild backpressure instead of unbounded overlay
+//!    growth.
 //! 4. **Certified serving throughout** — at every checkpoint, faulted
 //!    or not, the published snapshot classifies bit-identically to a
 //!    from-scratch recompile (`ClassifierHandle::check_divergence`).
 //!
-//! The deterministic test drives `poll` synchronously so each fault
+//! The deterministic test drives `poll` synchronously so each failure
 //! lands on a known attempt. The free-running test races churn, two
-//! readers and a background worker under a **seeded** schedule; the
-//! seed comes from `NC_SIM_SEED`, the lifecycle simulator's variable,
-//! and is printed so any failure replays exactly.
+//! readers and a background worker while the failing attempts and the
+//! burst steps are drawn from a seed; the seed comes from
+//! `NC_SIM_SEED`, the lifecycle simulator's variable, and is printed
+//! so any failure replays exactly.
 
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, RuleSet, TraceConfig,
 };
-use dtree::{
-    serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, FaultInjector, FaultPoint,
-    FaultSchedule, RebuildPolicy, FAULT_POINTS,
-};
-use neurocuts::{LifecycleConfig, LifecycleWorker, NeuroCutsConfig, RetryPolicy};
+use dtree::{serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, RebuildPolicy};
+use neurocuts::{LifecycleConfig, LifecycleWorker, NeuroCutsConfig, RetrainFn, RetryPolicy};
+use rand::seq::SliceRandom as _;
+use rand::{Rng as _, SeedableRng as _};
+use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+mod faulty_retrain;
+use faulty_retrain::faulty;
+
+/// Churn steps of the free-running soak.
+const STEPS: usize = 3_000;
 
 fn served_handle(seed: u64, policy: RebuildPolicy) -> (ClassifierHandle, RuleSet) {
     let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 150).with_seed(seed));
@@ -55,38 +66,42 @@ fn churn_past_trigger(handle: &ClassifierHandle, rules: &RuleSet, seed: u64, ste
     }
 }
 
-fn lifecycle_config(faults: &Arc<FaultInjector>, retry: RetryPolicy) -> LifecycleConfig {
+fn lifecycle_config(retrain: RetrainFn, retry: RetryPolicy) -> LifecycleConfig {
     let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
     cfg.retrain_churn = 0.2;
     cfg.retry = retry;
-    cfg.faults = Some(faults.clone());
+    cfg.retrain = retrain;
     cfg
 }
 
-/// One shared injector walks every fault class at least twice, each on
-/// a known attempt, while `poll` is driven synchronously.
+/// An update burst: eight inserts at once, donor clones at priorities
+/// no churn step draws, so none is a duplicate.
+fn burst(handle: &ClassifierHandle, donors: &RuleSet, step: usize) {
+    for i in step * 8..step * 8 + 8 {
+        let mut rule = donors.rules()[i % donors.len()].clone();
+        rule.priority = 200_000 + i as i32;
+        handle.insert(rule).expect("a burst insert is admitted");
+    }
+}
+
+/// Every failure class comes up twice, each on a known attempt or
+/// step, while `poll` is driven synchronously.
 #[test]
 fn every_fault_class_fires_twice_and_the_worker_heals() {
-    // Attempt map (per-point occurrence counters are independent):
-    //   worker A: a1 panic@0, a2 panic@1,           -> isolated failures
-    //             a3 corrupt@0, a4 corrupt@1,       -> spot check refuses
+    // Attempt map:
+    //   worker A: a1, a2 panic                      -> isolated failures
+    //             a3, a4 corrupted template         -> spot check refuses
     //             (a4 = 4th failure = bound -> fallback rebuild, degraded)
     //             a5 clean                          -> adopts, clears
-    //   churn  B: update-burst@10,25                -> overlay backpressure
-    let schedule = FaultSchedule::empty()
-        .arm(FaultPoint::RetrainPanic, 0)
-        .arm(FaultPoint::RetrainPanic, 1)
-        .arm(FaultPoint::AdoptCorruption, 0)
-        .arm(FaultPoint::AdoptCorruption, 1)
-        .arm(FaultPoint::UpdateBurst, 10)
-        .arm(FaultPoint::UpdateBurst, 25);
-    let faults = Arc::new(schedule.injector());
+    //   churn  B: bursts at steps 10 and 25         -> overlay backpressure
 
     // --- Worker A: panics and corrupted templates, then recovery. ---
     let (handle, rules) = served_handle(90, RebuildPolicy::default_policy());
     let trace = generate_trace(&rules, &TraceConfig::new(128).with_seed(91));
     let retry = RetryPolicy { max_failures: 4, base_backoff: 1, max_backoff: 8 };
-    let mut worker = LifecycleWorker::new(lifecycle_config(&faults, retry), &handle);
+    let cfg =
+        lifecycle_config(|rules, cfg, seed| faulty(rules, cfg, seed, &[1, 2], &[3, 4]), retry);
+    let mut worker = LifecycleWorker::new(cfg, &handle);
     churn_past_trigger(&handle, &rules, 92, 60);
 
     // a1..a3: three failures (two panics, one refused adoption), none
@@ -119,6 +134,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     let epoch_before = handle.epoch();
     let event = worker.poll_past_backoff(&handle, &trace).expect("an attempt runs").clone();
     assert!(!event.adopted);
+    assert!(event.skipped.as_deref().unwrap_or("").contains("adopt:"), "{:?}", event.skipped);
     assert!(event.fallback_rebuild, "4th failure must trigger the heuristic fallback");
     assert!(event.degraded);
     assert!(handle.epoch() > epoch_before, "the fallback rebuild publishes");
@@ -128,7 +144,7 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     assert_eq!(health.epoch_lag, 0, "the fallback resets the update log");
     assert_eq!(handle.check_divergence(&trace), None);
 
-    // a5: faults exhausted — the retry succeeds and clears everything.
+    // a5: a clean retrain — the retry succeeds and clears everything.
     let event = worker.poll_past_backoff(&handle, &trace).expect("an attempt runs").clone();
     assert!(event.adopted, "clean retry must adopt: {:?}", event.skipped);
     assert!(!event.degraded, "success clears the degraded flag");
@@ -137,18 +153,18 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
     assert_eq!(health.consecutive_failures, 0);
     assert!(!health.degraded);
     assert_eq!(handle.check_divergence(&trace), None);
-    assert_eq!(faults.fired(FaultPoint::RetrainPanic), 2);
-    assert_eq!(faults.fired(FaultPoint::AdoptCorruption), 2);
 
-    // --- Churn B: injected update bursts against a tiny overlay bound
-    // force fold-rebuild backpressure instead of unbounded growth.
+    // --- Churn B: update bursts against a tiny overlay bound force
+    // fold-rebuild backpressure instead of unbounded growth.
     let policy =
         RebuildPolicy { max_churn: f64::INFINITY, min_updates: usize::MAX, max_overlay: 8 };
     let (handle, rules) = served_handle(96, policy);
     let trace = generate_trace(&rules, &TraceConfig::new(128).with_seed(97));
-    let mut churn = ChurnSchedule::new(rules.rules().to_vec(), (0..rules.len()).collect(), 98)
-        .with_faults(faults.clone());
+    let mut churn = ChurnSchedule::new(rules.rules().to_vec(), (0..rules.len()).collect(), 98);
     for step in 0..60 {
+        if [10, 25].contains(&step) {
+            burst(&handle, &rules, step);
+        }
         churn.step(&handle);
         let health = handle.health();
         assert!(
@@ -163,77 +179,86 @@ fn every_fault_class_fires_twice_and_the_worker_heals() {
         "bursts against an 8-slot overlay must force backpressure folds: {health}"
     );
     assert_eq!(handle.check_divergence(&trace), None);
-    assert_eq!(faults.fired(FaultPoint::UpdateBurst), 2);
+}
 
-    // The whole schedule ran: every fault class fired exactly its two
-    // armed occurrences.
-    assert_eq!(faults.total_fired(), 6, "every armed occurrence must have fired");
-    for point in FAULT_POINTS {
-        assert_eq!(
-            faults.fired(point),
-            faults.schedule().armed(point).len() as u64,
-            "{point} must fire exactly its armed occurrences"
-        );
+/// What the seeded soak provokes, drawn from its seed: attempts 1 to 4
+/// shuffled into two that panic and two that return a corrupted
+/// template, and two distinct churn steps (of the first quarter) that
+/// start with a burst.
+fn drawn(seed: u64) -> [Vec<u64>; 3] {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut panics = vec![1, 2, 3, 4];
+    panics.shuffle(&mut rng);
+    let corrupts = panics.split_off(2);
+    let mut bursts = Vec::new();
+    while bursts.len() < 2 {
+        let step = rng.gen_range(0..STEPS as u64 / 4);
+        if !bursts.contains(&step) {
+            bursts.push(step);
+        }
     }
+    [panics, corrupts, bursts]
 }
 
 /// Free-running chaos: churn + two readers + a background worker while
-/// a *seeded* schedule fires faults at unplanned moments. Serving must
-/// stay certified at every checkpoint no matter what lands when.
+/// *seeded* failures land at unplanned moments. Serving must stay
+/// certified at every checkpoint no matter what lands when.
 ///
 /// Replay any failure with `NC_SIM_SEED=<printed seed>`.
 #[test]
 fn seeded_free_running_soak_never_serves_a_divergent_packet() {
-    const STEPS: usize = 3_000;
     const CHECK_EVERY: usize = 500;
 
     let seed: u64 =
         std::env::var("NC_SIM_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xC4A0_5EED);
-    let schedule = FaultSchedule::seeded(seed, 2, 4, (STEPS / 4) as u64);
-    println!("chaos soak: NC_SIM_SEED={seed} schedule [{schedule}]");
-    let faults = Arc::new(schedule.injector());
+    let [panics, corrupts, bursts] = drawn(seed);
+    println!(
+        "chaos soak: NC_SIM_SEED={seed} panics {panics:?} corrupts {corrupts:?} bursts {bursts:?}"
+    );
 
     let (handle, rules) = served_handle(seed ^ 0xA, RebuildPolicy::default_policy());
     let trace = generate_trace(&rules, &TraceConfig::new(256).with_seed(seed ^ 0xB));
 
-    let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
+    let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test().with_seed(seed));
     // Churn past 1.5× the active rules first fires after ≈320 updates.
     cfg.retrain_churn = 1.5;
     cfg.retry = RetryPolicy { max_failures: 3, base_backoff: 1, max_backoff: 4 };
-    cfg.faults = Some(faults.clone());
+    // The failing attempts are drawn from the base seed `cfg.seed`.
+    cfg.retrain = |rules, cfg, seed| {
+        let [panics, corrupts, _] = drawn(cfg.seed);
+        faulty(rules, cfg, seed, &panics, &corrupts)
+    };
     let worker = LifecycleWorker::new(cfg, &handle);
 
     let stop = AtomicBool::new(false);
-    let (report, checkpoints, served) = std::thread::scope(|scope| {
+    let (report, checkpoints, inserted, served) = std::thread::scope(|scope| {
         let worker_thread = {
             let (handle, trace, stop) = (&handle, &trace, &stop);
             scope.spawn(move || worker.run(handle, trace, stop, Duration::from_millis(5)))
         };
         let mut churn =
-            ChurnSchedule::new(rules.rules().to_vec(), (0..rules.len()).collect(), seed)
-                .with_faults(faults.clone());
-        let (checkpoints, served) = serve_during(&handle, &trace, 2, || {
-            let mut checkpoints = Vec::new();
+            ChurnSchedule::new(rules.rules().to_vec(), (0..rules.len()).collect(), seed);
+        let ((checkpoints, inserted), served) = serve_during(&handle, &trace, 2, || {
+            let (mut checkpoints, mut inserted) = (Vec::new(), 0);
             for i in 0..STEPS {
+                if bursts.contains(&(i as u64)) {
+                    burst(&handle, &rules, i);
+                    inserted += 1;
+                }
                 churn.step(&handle);
                 if (i + 1) % CHECK_EVERY == 0 {
                     checkpoints.push((i + 1, handle.check_divergence(&trace)));
                 }
             }
-            checkpoints
+            (checkpoints, inserted)
         });
         stop.store(true, Ordering::Relaxed);
-        (worker_thread.join().expect("worker thread survives every fault"), checkpoints, served)
+        let report = worker_thread.join().expect("worker thread survives every fault");
+        (report, checkpoints, inserted, served)
     });
 
-    for point in FAULT_POINTS {
-        println!(
-            "chaos soak: {point} fired {}/{} (evaluated {})",
-            faults.fired(point),
-            faults.schedule().armed(point).len(),
-            faults.evaluated(point)
-        );
-    }
+    let failed = report.events.iter().filter(|e| e.skipped.is_some()).count();
+    println!("chaos soak: {} attempt(s), {failed} failed", report.events.len());
 
     // Serving never diverged, at any checkpoint, faults or not.
     assert_eq!(checkpoints.len(), STEPS / CHECK_EVERY);
@@ -245,14 +270,25 @@ fn seeded_free_running_soak_never_serves_a_divergent_packet() {
     }
     assert!(served > 0, "readers must have classified packets throughout");
     assert!(report.polls > 0, "worker never polled");
+    assert_eq!(inserted, 2, "seed {seed}: both drawn bursts sit inside the churn window");
 
-    // The update-side fault class is deterministic: the churn thread
-    // evaluates every step, and the seeded window sits inside STEPS.
-    assert_eq!(
-        faults.fired(FaultPoint::UpdateBurst),
-        2,
-        "seed {seed}: both seeded update bursts sit inside the churn window"
-    );
+    // Each drawn failure that the run reached landed as drawn. A panic
+    // is isolated as a skip. A corrupted template is refused, unless
+    // churn deleted snapshot rules while it trained: the swap then
+    // re-routes every snapshot rule, the lost one included.
+    for event in &report.events {
+        let attempt = event.train_seed.wrapping_sub(seed);
+        let skipped = event.skipped.as_deref().unwrap_or("");
+        if panics.contains(&attempt) {
+            assert!(skipped.contains("injected retrain panic"), "seed {seed}: attempt {attempt}");
+        }
+        if corrupts.contains(&attempt) {
+            assert!(
+                !event.adopted || event.reconciled_deletes > 0,
+                "seed {seed}: attempt {attempt} adopted a corrupted template nothing repaired"
+            );
+        }
+    }
 
     // Recovery accounting stays coherent: the handle's health report
     // mirrors the worker's last attempt, and a degraded worker must
@@ -273,6 +309,22 @@ fn seeded_free_running_soak_never_serves_a_divergent_packet() {
     for event in report.events.iter().filter(|e| e.fallback_rebuild) {
         assert!(event.failures_after > 0, "seed {seed}: fallback without a failure streak");
     }
+
+    // Ground truth, not only self-consistency: the final snapshot
+    // answers as the linear scan over the live rules does, on the trace
+    // and at every live rule's low corner, so no adopted template lost
+    // a rule.
+    let served_snap = handle.snapshot();
+    let rules_now = handle.rule_snapshot();
+    let corners: Vec<_> = rules_now.rules().rules().iter().map(|r| r.low_corner()).collect();
+    let wrong = handle.with_tree(|tree| {
+        trace
+            .iter()
+            .chain(&corners)
+            .copied()
+            .find(|p| served_snap.classify(p) != tree.linear_classify(p))
+    });
+    assert_eq!(wrong, None, "seed {seed}: the final snapshot disagrees with the linear scan");
 
     // Still live after the storm: updates admit (or correctly refuse a
     // duplicate) and the final snapshot is certified.

@@ -1,6 +1,6 @@
 //! Crash soak: crash a persisted classifier at every kill point of a
 //! scripted workload, then prove recovery is **bit-identical** to the
-//! durable logical op stream.
+//! durable logical op stream — also when the recovery itself crashes.
 //!
 //! The workload — attach, then inserts, deletes and forced rebuilds
 //! with a checkpoint every few ops — runs over the in-memory storage
@@ -14,13 +14,15 @@
 //! decoders and the plain public admission API, then runs
 //! `Persistence::recover` and asserts the recovered handle matches the
 //! reference bit-for-bit: `TreeStats`, epoch, and every packet of a
-//! 256-packet trace — plus the recovery's own linear-scan proof.
+//! 256-packet trace — plus the recovery's own linear-scan proof. The
+//! recovery of each distinct power-loss image is imaged and crashed in
+//! turn, and the recovery after that must match the same reference.
 //!
 //! `NC_SIM_SEED` shapes the rule set and workload and is printed so
 //! any failure replays exactly.
 
 use classbench::{
-    generate_rules, generate_trace, ClassifierFamily, Dim, DimRange, GeneratorConfig, Rule,
+    generate_rules, generate_trace, ClassifierFamily, Dim, DimRange, GeneratorConfig, Packet, Rule,
     TraceConfig,
 };
 use dtree::storage::Storage;
@@ -157,6 +159,27 @@ fn independent_reference(storage: &Mem) -> ClassifierHandle {
     handle
 }
 
+/// Assert `recovered` matches `reference` bit-for-bit: epoch, tree
+/// statistics and every packet of `trace`.
+fn assert_matches(
+    recovered: &ClassifierHandle,
+    reference: &ClassifierHandle,
+    trace: &[Packet],
+    at: &str,
+) {
+    assert_eq!(recovered.epoch(), reference.epoch(), "{at}: epoch diverged");
+    assert_eq!(
+        recovered.with_tree(TreeStats::compute),
+        reference.with_tree(TreeStats::compute),
+        "{at}: tree stats diverged"
+    );
+    let mut got = vec![None; trace.len()];
+    let mut want = vec![None; trace.len()];
+    recovered.snapshot().classify_batch(trace, &mut got);
+    reference.snapshot().classify_batch(trace, &mut want);
+    assert_eq!(got, want, "{at}: trace classification diverged");
+}
+
 /// The soak proper: every kill point after the first checkpoint lands,
 /// each crashed three ways.
 #[test]
@@ -195,8 +218,8 @@ fn kill_points_recover_bit_identical() {
             );
 
             // Bit-identical: epoch, tree statistics, and every packet.
+            assert_matches(&recovered, &reference, &trace, &at);
             let epoch = recovered.epoch();
-            assert_eq!(epoch, reference.epoch(), "{at}: epoch diverged");
             assert_eq!(report.epoch, epoch, "{at}: report epoch must match the recovered handle");
             assert!(
                 (image.floor..=image.ceiling).contains(&epoch),
@@ -204,16 +227,6 @@ fn kill_points_recover_bit_identical() {
                 image.floor,
                 image.ceiling
             );
-            assert_eq!(
-                recovered.with_tree(TreeStats::compute),
-                reference.with_tree(TreeStats::compute),
-                "{at}: tree stats diverged"
-            );
-            let mut got = vec![None; trace.len()];
-            let mut want = vec![None; trace.len()];
-            recovered.snapshot().classify_batch(&trace, &mut got);
-            reference.snapshot().classify_batch(&trace, &mut want);
-            assert_eq!(got, want, "{at}: trace classification diverged");
             assert_eq!(
                 recovered.check_divergence(&trace),
                 None,
@@ -232,6 +245,59 @@ fn kill_points_recover_bit_identical() {
     assert!(torn_records >= 7, "crashes inside a WAL append: {torn_records}");
     assert!(tmp_writes >= 7, "crashes inside a checkpoint write: {tmp_writes}");
     assert!(before_renames >= 7, "crashes between a checkpoint sync and rename: {before_renames}");
+}
+
+/// A crash inside recovery leaves a directory the next recovery
+/// accepts. The recovery of each distinct power-loss image of a kill
+/// point is imaged at every storage call, each image is crashed as a
+/// power loss and as a `kill -9`, and the recovery after that must land
+/// where the first one would have: on the independent reference of the
+/// kill point's image.
+#[test]
+fn a_crash_inside_recovery_recovers_to_the_same_state() {
+    let seed = soak_seed();
+    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 80).with_seed(seed));
+    let trace = generate_trace(&rules, &TraceConfig::new(256).with_seed(seed ^ 0x7ACE));
+    let (mut seen, mut crashes) = (Vec::new(), 0usize);
+    for (k, image) in run_workload(seed, OPS).iter().filter(|i| i.has_checkpoint()).enumerate() {
+        let (storage, _, _) = image.crash(CRASHES[0].1);
+        let files = storage.image().files;
+        if seen.contains(&files) {
+            continue;
+        }
+        seen.push(files);
+        let reference = independent_reference(&storage);
+        storage.set(|d| d.capture = Some(0));
+        let persistence =
+            Persistence::with_storage(Arc::new(storage.clone()), DIR, persist_config());
+        let recovery = persistence.recover(RebuildPolicy::default_policy(), &[]);
+        recovery.unwrap_or_else(|e| panic!("seed {seed}: kill point {k}: recovery failed: {e}"));
+        let (images, _) = storage.take_images(0, 0);
+        assert!(!images.is_empty(), "seed {seed}: kill point {k}: recovery wrote nothing");
+        let mut tried = Vec::new();
+        for (i, image) in images.iter().enumerate() {
+            for (how, keep) in &CRASHES[..2] {
+                let (crashed, _, _) = image.crash(keep);
+                let files = crashed.image().files;
+                if tried.contains(&files) {
+                    continue;
+                }
+                tried.push(files);
+                crashes += 1;
+                let at = format!("seed {seed}: kill point {k}, recovery call {i} ({how})");
+                let persistence =
+                    Persistence::with_storage(Arc::new(crashed), DIR, persist_config());
+                let (recovered, _) = persistence
+                    .recover(RebuildPolicy::default_policy(), &[])
+                    .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+                assert_matches(&recovered, &reference, &trace, &at);
+            }
+        }
+    }
+    println!(
+        "crash soak: {} power-loss images, {crashes} crashes inside their recovery",
+        seen.len()
+    );
 }
 
 /// The kill points with nothing durable behind them: a crash anywhere

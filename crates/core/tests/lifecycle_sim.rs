@@ -2,9 +2,9 @@
 //! lifecycle over an in-memory storage that can crash after any call.
 //!
 //! One thread draws every step from one seed (`NC_SIM_SEED`, printed
-//! so a failure replays exactly): churn with update bursts armed,
-//! reader batches checked against the linear scan, lifecycle worker
-//! polls with retrain panics and corrupted templates armed, hand-driven
+//! so a failure replays exactly): churn with update bursts, reader
+//! batches checked against the linear scan, lifecycle worker polls
+//! whose retrain seam panics once and corrupts one template, hand-driven
 //! retrains whose swap lands after more churn, checkpoints and crashes.
 //! The storage keeps each file's synced bytes apart from its unsynced
 //! tail; a crash lands at a seeded storage call and keeps the synced
@@ -19,22 +19,21 @@ use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, Packet, Rule, RuleSet,
     TraceConfig,
 };
-use dtree::{
-    ClassifierHandle, DecisionTree, FaultInjector, FaultPoint, FaultSchedule, RebuildPolicy,
-    RuleId, TreeStats, UpdateError,
-};
+use dtree::{ClassifierHandle, DecisionTree, RebuildPolicy, RuleId, TreeStats, UpdateError};
 use neurocuts::persist::{checkpoint_path, wal_path};
 use neurocuts::{
     retrain_snapshot, LifecycleConfig, LifecycleEvent, LifecycleWorker, NeuroCutsConfig,
-    PersistConfig, Persistence, RetryPolicy,
+    PersistConfig, Persistence, RetrainFn, RetryPolicy,
 };
 use rand::{Rng as _, SeedableRng as _};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
+mod faulty_retrain;
 mod mem_storage;
+use faulty_retrain::faulty;
 use mem_storage::{Image, Mem};
 
 const DEFAULT_SEED: u64 = 0x51_5EED;
@@ -69,6 +68,17 @@ fn served(handle: &ClassifierHandle, trace: &[Packet], adopt: bool) -> Served {
     Served { stats: handle.with_tree(TreeStats::compute), classes, adopt }
 }
 
+/// The run's first retrain attempt panics and its second template is
+/// corrupted: two failures in a row reach the retry bound. A worker
+/// started after `done` attempts of the run picks up from there.
+fn retrain_after(done: usize) -> RetrainFn {
+    match done {
+        0 => |rules, cfg, seed| faulty(rules, cfg, seed, &[1], &[2]),
+        1 => |rules, cfg, seed| faulty(rules, cfg, seed, &[], &[1]),
+        _ => retrain_snapshot,
+    }
+}
+
 fn seeded_tree(rules: &RuleSet) -> DecisionTree {
     let mut tree = DecisionTree::new(rules);
     for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
@@ -84,7 +94,8 @@ struct Sim {
     rng: ChaCha8Rng,
     donors: Vec<Rule>,
     trace: Vec<Packet>,
-    faults: Arc<FaultInjector>,
+    /// Steps that start with an update burst.
+    bursts: BTreeSet<usize>,
     cfg: LifecycleConfig,
     storage: Mem,
     persistence: Persistence,
@@ -112,25 +123,27 @@ impl Sim {
         let config = GeneratorConfig::new(ClassifierFamily::Acl, RULES).with_seed(seed);
         let rules = generate_rules(&config);
         let trace = generate_trace(&rules, &TraceConfig::new(128).with_seed(seed ^ 0x7ACE));
-        // The first attempt panics and the next one's template is
-        // corrupted: two failures in a row reach the retry bound. Three
-        // bursts land in the first third of the run.
-        let faults = Arc::new(FaultSchedule::seeded(seed, 3, 1, STEPS as u64 / 3).injector());
+        // Three bursts land in the first third of the run.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut bursts = BTreeSet::new();
+        while bursts.len() < 3 {
+            bursts.insert(rng.gen_range(0..STEPS / 3));
+        }
         let mut cfg = LifecycleConfig::new(NeuroCutsConfig::smoke_test());
         (cfg.train.max_timesteps, cfg.train.timesteps_per_batch) = (200, 200);
-        (cfg.retrain_churn, cfg.retry, cfg.faults) = (0.3, RETRY, Some(faults.clone()));
+        (cfg.retrain_churn, cfg.retry) = (0.3, RETRY);
         let handle = ClassifierHandle::new(seeded_tree(&rules), POLICY);
         let storage = Mem::default();
         let mut sim = Sim {
             seed,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng,
             donors: rules.rules().to_vec(),
             live: Vec::new(),
             history: Vec::new(),
             worker: LifecycleWorker::new(cfg.clone(), &handle),
             persistence: Persistence::with_storage(Arc::new(storage.clone()), DIR, PERSIST),
             trace,
-            faults,
+            bursts,
             cfg,
             storage,
             handle,
@@ -153,7 +166,7 @@ impl Sim {
 
     /// Restart the bookkeeping at the current handle and storage: its
     /// epoch, counters and active ids, and a fresh worker within the
-    /// retrain budget.
+    /// retrain budget that fails where the run's faults say.
     fn restart(&mut self) {
         let (handle, epoch) = (&self.handle, self.handle.epoch());
         self.history.truncate(epoch as usize);
@@ -163,7 +176,7 @@ impl Sim {
             handle.with_tree(|t| (0..t.rules().len()).filter(|&i| t.is_active(i)).collect());
         self.persistence = Persistence::with_storage(Arc::new(self.storage.clone()), DIR, PERSIST);
         let mut cfg = self.cfg.clone();
-        cfg.persist = Some(self.persistence.clone());
+        (cfg.persist, cfg.retrain) = (Some(self.persistence.clone()), retrain_after(self.attempts));
         match RETRAIN_BUDGET.saturating_sub(self.attempts) {
             0 => cfg.retrain_churn = f64::INFINITY,
             left => cfg.max_retrains = left,
@@ -209,9 +222,6 @@ impl Sim {
     }
 
     fn churn(&mut self) {
-        if self.faults.should_fire(FaultPoint::UpdateBurst) {
-            (0..8).for_each(|_| self.insert());
-        }
         if self.live.len() < MIN_LIVE || self.rng.gen_range(0..5) < 3 {
             return self.insert();
         }
@@ -231,8 +241,9 @@ impl Sim {
         assert_eq!(got, want, "seed {}: a reader saw a wrong match", self.seed);
     }
 
-    /// One worker poll. How the worker handles the faults armed here
-    /// is `chaos_soak`'s to check; the run checks what it published.
+    /// One worker poll. How the worker handles the failures provoked
+    /// here is `chaos_soak`'s to check; the run checks what it
+    /// published.
     fn poll(&mut self) {
         let event = self.worker.poll(&self.handle, &self.trace).cloned();
         self.record(event.as_ref().is_some_and(|e| e.adopted));
@@ -309,6 +320,9 @@ impl Sim {
         for step in 0..STEPS {
             let (mut armed, mut calls) = (false, 0);
             self.storage.set(|d| (armed, calls) = (d.capture.is_some(), d.calls));
+            if self.bursts.contains(&step) {
+                (0..8).for_each(|_| self.insert());
+            }
             match self.rng.gen_range(0..100) {
                 0..=54 => self.churn(),
                 55..=69 => self.read(),

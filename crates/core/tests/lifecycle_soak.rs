@@ -20,6 +20,10 @@
 //!    the trainer is deterministic, so a published epoch is fully
 //!    explained by (rules, seed) even though the worker raced freely
 //!    against updates and readers.
+//!
+//! The rule set, trace and churn are seeded `s`, `s + 1` and `s + 2`
+//! for `s` = `NC_SIM_SEED` (default 81), printed so any failure
+//! replays exactly.
 
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, TraceConfig,
@@ -34,6 +38,7 @@ use std::time::Duration;
 const UPDATES: usize = 5_000;
 const CHECK_EVERY: usize = 500;
 const DEPTH_CAP: usize = 64;
+const DEFAULT_SEED: u64 = 81;
 
 fn smoke_train_config() -> NeuroCutsConfig {
     let mut cfg = NeuroCutsConfig::smoke_test();
@@ -45,7 +50,10 @@ fn smoke_train_config() -> NeuroCutsConfig {
 
 #[test]
 fn five_thousand_updates_with_background_retrains_stay_bounded_and_certified() {
-    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 200).with_seed(81));
+    let seed = std::env::var("NC_SIM_SEED").ok().and_then(|s| s.parse().ok());
+    let seed: u64 = seed.unwrap_or(DEFAULT_SEED);
+    println!("lifecycle soak: NC_SIM_SEED={seed}");
+    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 200).with_seed(seed));
     let mut tree = DecisionTree::new(&rules);
     for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
         if !tree.is_terminal(k, 8) {
@@ -54,7 +62,7 @@ fn five_thousand_updates_with_background_retrains_stay_bounded_and_certified() {
     }
     let policy = RebuildPolicy::default_policy();
     let handle = ClassifierHandle::new(tree, policy);
-    let trace = generate_trace(&rules, &TraceConfig::new(256).with_seed(82));
+    let trace = generate_trace(&rules, &TraceConfig::new(256).with_seed(seed.wrapping_add(1)));
 
     let mut cfg = LifecycleConfig::new(smoke_train_config());
     // Churn past twice the active rules first fires after ≈670 updates.
@@ -69,8 +77,11 @@ fn five_thousand_updates_with_background_retrains_stay_bounded_and_certified() {
             scope.spawn(move || worker.run(handle, trace, stop, Duration::from_millis(20)))
         };
         // The update loop races two dedicated readers *and* the worker.
-        let mut schedule =
-            ChurnSchedule::new(rules.rules().to_vec(), (0..rules.len()).collect(), 83);
+        let mut schedule = ChurnSchedule::new(
+            rules.rules().to_vec(),
+            (0..rules.len()).collect(),
+            seed.wrapping_add(2),
+        );
         let (checkpoints, _) = serve_during(&handle, &trace, 2, || {
             let mut checkpoints = Vec::new();
             for i in 0..UPDATES {

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 
 /// One file: its bytes, how many a sync covered, and where each append
 /// ended (the record boundaries).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemFile {
     pub data: Vec<u8>,
     pub synced: usize,

@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod faults;
 pub mod flat;
 pub mod memory;
 pub mod node;
@@ -50,7 +49,6 @@ pub mod viz;
 pub mod wal;
 
 pub use engine::{classify_sharded, run_engine, EngineConfig, EngineReport};
-pub use faults::{FaultInjector, FaultParseError, FaultPoint, FaultSchedule, FAULT_POINTS};
 pub use flat::{FlatTree, StaleTreeError};
 pub use memory::MemoryModel;
 pub use node::{Node, NodeId, NodeKind, RuleId, RuleSpan};

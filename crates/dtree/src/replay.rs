@@ -2,23 +2,22 @@
 //! [`ClassifierHandle`] under load.
 //!
 //! Every live-update driver — the CLI `update-bench` subcommand, the
-//! lifecycle timeline behind `bench_lifecycle`, the live-update tests,
-//! and perfbench's churn rounds — replays the same seeded insert/delete
-//! schedule, and the drivers that measure serving under churn share
-//! one pool of reader threads serving a trace from epoch-swapped
-//! snapshots while updates land. They certify the result with
+//! lifecycle timeline behind `bench_lifecycle`, the live-update and
+//! lifecycle tests, and perfbench's churn rounds — replays the same
+//! seeded insert/delete schedule (a test that wants an update burst
+//! inserts it itself), and the drivers that measure serving under
+//! churn share one pool of reader threads serving a trace from
+//! epoch-swapped snapshots while updates land. They certify the result with
 //! [`ClassifierHandle::check_divergence`]. Keeping the pieces here
 //! (next to the handle they drive) keeps the drivers in lockstep
 //! instead of carrying diverging copies.
 
-use crate::faults::{FaultInjector, FaultPoint};
 use crate::node::RuleId;
 use crate::serve::ClassifierHandle;
 use classbench::{Packet, Rule};
 use rand::{Rng as _, SeedableRng as _};
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A deterministic, seeded stream of interleaved inserts and deletes.
 ///
@@ -26,19 +25,12 @@ use std::sync::Arc;
 /// pick a random currently-live rule (so they never fail). Roughly 3
 /// in 5 steps insert, and the schedule refuses to delete below a
 /// small floor of live rules so the classifier never empties.
-///
-/// With [`Self::with_faults`], each step also consults the injector's
-/// [`FaultPoint::UpdateBurst`] point: a firing occurrence turns that
-/// step into a burst of extra inserts — the update-storm fault class
-/// that exercises overlay backpressure.
 #[derive(Debug)]
 pub struct ChurnSchedule {
     rng: ChaCha8Rng,
     donors: Vec<Rule>,
     live: Vec<RuleId>,
     min_live: usize,
-    faults: Option<Arc<FaultInjector>>,
-    burst: usize,
     rejected: u64,
 }
 
@@ -56,18 +48,8 @@ impl ChurnSchedule {
             donors,
             live,
             min_live: 16,
-            faults: None,
-            burst: 8,
             rejected: 0,
         }
-    }
-
-    /// Arm the schedule with a fault injector: every step evaluates
-    /// [`FaultPoint::UpdateBurst`] and a firing occurrence piles a
-    /// burst of extra inserts onto that step.
-    pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
-        self.faults = Some(faults);
-        self
     }
 
     /// Updates the handle refused (duplicate inserts the schedule
@@ -78,35 +60,24 @@ impl ChurnSchedule {
         self.rejected
     }
 
-    /// Insert one donor clone with a random priority; `None` when the
-    /// handle refuses it (e.g. the draw duplicated a live rule).
-    fn insert_one(&mut self, handle: &ClassifierHandle) -> Option<RuleId> {
-        let mut rule = self.donors[self.rng.gen_range(0..self.donors.len())].clone();
-        rule.priority = self.rng.gen_range(-100..100_000);
-        match handle.insert(rule) {
-            Ok(id) => {
-                self.live.push(id);
-                Some(id)
-            }
-            Err(_) => {
-                self.rejected += 1;
-                None
-            }
-        }
-    }
-
-    /// Apply one update to the handle. Returns the id inserted, or
-    /// `None` when the step was a delete (or a rejected insert).
+    /// Apply one update to the handle: insert a donor clone with a
+    /// random priority, or delete a live rule. Returns the id inserted,
+    /// or `None` when the step was a delete or the handle refused the
+    /// insert (e.g. the draw duplicated a live rule).
     pub fn step(&mut self, handle: &ClassifierHandle) -> Option<RuleId> {
-        if let Some(faults) = &self.faults {
-            if faults.should_fire(FaultPoint::UpdateBurst) {
-                for _ in 0..self.burst {
-                    self.insert_one(handle);
+        if self.live.len() < self.min_live || self.rng.gen_range(0..5) < 3 {
+            let mut rule = self.donors[self.rng.gen_range(0..self.donors.len())].clone();
+            rule.priority = self.rng.gen_range(-100..100_000);
+            match handle.insert(rule) {
+                Ok(id) => {
+                    self.live.push(id);
+                    Some(id)
+                }
+                Err(_) => {
+                    self.rejected += 1;
+                    None
                 }
             }
-        }
-        if self.live.len() < self.min_live || self.rng.gen_range(0..5) < 3 {
-            self.insert_one(handle)
         } else {
             let idx = self.rng.gen_range(0..self.live.len());
             let id = self.live.swap_remove(idx);

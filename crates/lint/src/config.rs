@@ -45,7 +45,9 @@ pub struct LintConfig {
     pub lock_order: Vec<String>,
     /// Function names that must never be called while a `.write()`
     /// guard on any configured lock is in scope (the trainer/retrain
-    /// entry points — training happens *before* the publish lock).
+    /// entry points — training happens *before* the publish lock —
+    /// including `retrain`, the lifecycle worker's retrain seam, which
+    /// the worker calls as a plain `retrain(..)`).
     pub forbidden_under_write: Vec<String>,
 }
 
@@ -84,6 +86,7 @@ impl LintConfig {
                 "train".to_string(),
                 "train_to_tree".to_string(),
                 "retrain_snapshot".to_string(),
+                "retrain".to_string(),
                 "poll".to_string(),
             ],
         }
@@ -114,5 +117,7 @@ mod tests {
         assert!(c.determinism.contains("crates/rl/src/ppo.rs"));
         assert!(c.determinism.contains("crates/core/src/lifecycle.rs"), "no file is exempt");
         assert_eq!(c.lock_order, ["state"]);
+        let seam = "retrain".to_string();
+        assert!(c.forbidden_under_write.contains(&seam), "the worker's retrain seam");
     }
 }

@@ -63,8 +63,9 @@ fn determinism_purity_fixtures() {
 #[test]
 fn lock_discipline_fixtures() {
     let bad = lint_fixture("lock_discipline/bad.rs");
-    assert_all_rule(&bad, "lock-discipline", 2);
+    assert_all_rule(&bad, "lock-discipline", 3);
     assert!(bad.iter().any(|v| v.msg.contains("train_to_tree")));
+    assert!(bad.iter().any(|v| v.msg.contains("`retrain(..)`")), "the retrain seam");
     assert!(bad.iter().any(|v| v.msg.contains("not reentrant")));
     assert_all_rule(&lint_fixture("lock_discipline/ok.rs"), "", 0);
 }
