@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn live_sharded_matches_static_engine_when_idle() {
         // A snapshot carrying pending updates (overlay inserts and a
-        // patched delete) shards exactly like a from-scratch compile
+        // retired rank) shards exactly like a from-scratch compile
         // of the updated tree.
         let (handle, rules) = handle(150, 50, RebuildPolicy::never());
         let top = rules.rules().iter().map(|r| r.priority).max().unwrap();

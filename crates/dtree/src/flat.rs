@@ -33,7 +33,7 @@
 
 use crate::node::{NodeKind, RuleId};
 use crate::tree::DecisionTree;
-use classbench::{Packet, NUM_DIMS};
+use classbench::{DimRange, Packet, NUM_DIMS};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -50,6 +50,57 @@ const LEAF_ENTRY: usize = 16;
 
 /// Lanes per bound half of a [`LEAF_ENTRY`] (real dims + padding).
 const LEAF_LANES: usize = LEAF_ENTRY / 2;
+
+/// A set of table ranks a lookup skips: a leaf scan that matches a
+/// skipped rank keeps scanning, so the next rule in precedence order
+/// wins, exactly as if the rank had never been compiled. The
+/// live-update layer ([`crate::serve`]) skips the ranks of rules
+/// deleted since the last compile.
+pub trait RankSkip: Copy {
+    /// True when a match on `rank` must not win.
+    fn skips(self, rank: u32) -> bool;
+}
+
+/// The empty skip set. It is a zero-sized type, so a lookup through it
+/// compiles to the same kernel as one with no skip test at all.
+#[derive(Debug, Clone, Copy)]
+pub struct NoSkip;
+
+impl RankSkip for NoSkip {
+    #[inline(always)]
+    fn skips(self, _rank: u32) -> bool {
+        false
+    }
+}
+
+/// A bitset over ranks: `rank` is skipped when bit `rank % 64` of word
+/// `rank / 64` is set. Ranks past the last word are not skipped.
+impl RankSkip for &[u64] {
+    // nc-lint: kernel
+    #[inline(always)]
+    fn skips(self, rank: u32) -> bool {
+        self.get(rank as usize / 64).is_some_and(|word| word >> (rank % 64) & 1 == 1)
+    }
+}
+
+/// One rule's leaf-scan entry (see [`FlatTree`]'s `leaf_bounds`).
+/// Padding lanes are always-true; a degenerate empty range (lo >= hi,
+/// matches nothing) gets the unsatisfiable lane [1, 0] so the rule
+/// never wins, exactly like `Rule::matches`.
+fn scan_entry(ranges: &[DimRange; NUM_DIMS]) -> [u32; LEAF_ENTRY] {
+    let mut entry = [0u32; LEAF_ENTRY];
+    let (los, his) = entry.split_at_mut(LEAF_LANES);
+    his.fill(u32::MAX);
+    for ((lo, hi), rg) in los.iter_mut().zip(his.iter_mut()).zip(ranges) {
+        (*lo, *hi) = if rg.is_empty() {
+            (1, 0)
+        } else {
+            debug_assert!(rg.hi <= 1 << 32);
+            (rg.lo as u32, (rg.hi - 1) as u32)
+        };
+    }
+    entry
+}
 
 /// Precompute the reciprocal for division-free `x / step`, exact for
 /// all `x < 2^32` and `1 < step < 2^32` (Granlund–Montgomery round-up
@@ -146,12 +197,10 @@ pub struct FlatTree {
     /// ([`crate::serve`]), which must merge compiled matches against
     /// not-yet-compiled overlay inserts by (priority, id) precedence.
     rule_prio: Vec<i32>,
-    /// Ranks retired in place by [`Self::patch_delete`] since compile.
-    retired: u32,
-    /// [`DecisionTree::generation`] of the source tree at compile time
-    /// (advanced again by each applied patch). A snapshot whose
-    /// generation disagrees with its tree is **stale**: the tree has
-    /// mutated since, and lookups may return wrong matches.
+    /// [`DecisionTree::generation`] of the source tree at compile time.
+    /// A compiled tree whose generation disagrees with its tree is
+    /// **stale**: the tree has mutated since, and lookups may return
+    /// wrong matches.
     generation: u64,
     root: u32,
 }
@@ -160,7 +209,7 @@ pub struct FlatTree {
 /// seen updates the snapshot was never told about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaleTreeError {
-    /// Generation the snapshot was compiled from / patched up to.
+    /// Generation the snapshot was compiled from.
     pub compiled: u64,
     /// The tree's current generation.
     pub current: u64,
@@ -193,15 +242,19 @@ impl FlatTree {
         let mut rule_hi = vec![0u64; NUM_DIMS * n];
         let mut orig_ids = Vec::with_capacity(n);
         let mut rule_prio = Vec::with_capacity(n);
+        // Each rank's leaf-scan entry, built once and copied into every
+        // leaf that lists the rule.
+        let mut entries = Vec::with_capacity(n);
         for (rank, &r) in order.iter().enumerate() {
             table_index[r] = rank as u32;
             orig_ids.push(r as u32);
-            rule_prio.push(tree.rule(r).priority);
             let rule = tree.rule(r);
+            rule_prio.push(rule.priority);
             for d in 0..NUM_DIMS {
                 rule_lo[d * n + rank] = rule.ranges[d].lo;
                 rule_hi[d * n + rank] = rule.ranges[d].hi;
             }
+            entries.push(scan_entry(&rule.ranges));
         }
 
         // Breadth-first renumbering: hot upper levels become the first
@@ -229,18 +282,23 @@ impl FlatTree {
             }
         }
 
+        // The leaf tables are reserved at their final length, so the
+        // closing `shrink_to_fit` moves nothing.
+        let leaf_entries: usize = tree
+            .leaf_ids()
+            .map(|id| tree.rules_at(id).iter().filter(|&&r| tree.is_active(r)).count())
+            .sum();
         let mut flat = FlatTree {
             nodes: Vec::with_capacity(tree.num_nodes()),
             children: Vec::new(),
-            leaf_rules: Vec::new(),
+            leaf_rules: Vec::with_capacity(leaf_entries),
             bounds: Vec::new(),
             cut_dims: Vec::new(),
             rule_lo,
             rule_hi,
-            leaf_bounds: Vec::new(),
+            leaf_bounds: Vec::with_capacity(leaf_entries * LEAF_ENTRY),
             orig_ids,
             rule_prio,
-            retired: 0,
             generation: tree.generation(),
             root: 0,
         };
@@ -251,28 +309,9 @@ impl FlatTree {
                 NodeKind::Leaf => {
                     let start = flat.leaf_rules.len() as u32;
                     for &r in tree.rules_at(old).iter().filter(|&&r| tree.is_active(r)) {
-                        flat.leaf_rules.push(table_index[r]);
-                        let ranges = &tree.rule(r).ranges;
-                        // Padding lanes are always-true; a degenerate
-                        // empty range (lo >= hi, matches nothing) gets
-                        // the unsatisfiable lane [1, 0] so the rule
-                        // never wins, exactly like `Rule::matches`.
-                        let lane_bounds = |lane: usize| -> (u32, u32) {
-                            match ranges.get(lane) {
-                                None => (0, u32::MAX),
-                                Some(rg) if rg.is_empty() => (1, 0),
-                                Some(rg) => {
-                                    debug_assert!(rg.hi <= 1 << 32);
-                                    (rg.lo as u32, (rg.hi - 1) as u32)
-                                }
-                            }
-                        };
-                        for lane in 0..LEAF_LANES {
-                            flat.leaf_bounds.push(lane_bounds(lane).0);
-                        }
-                        for lane in 0..LEAF_LANES {
-                            flat.leaf_bounds.push(lane_bounds(lane).1);
-                        }
+                        let rank = table_index[r];
+                        flat.leaf_rules.push(rank);
+                        flat.leaf_bounds.extend_from_slice(&entries[rank as usize]);
                     }
                     FlatNode::Leaf { start, end: flat.leaf_rules.len() as u32 }
                 }
@@ -350,20 +389,21 @@ impl FlatTree {
         self.nodes.len()
     }
 
-    /// Number of active rules in the compiled table (compiled entries
-    /// minus ranks retired in place by [`Self::patch_delete`]).
+    /// Number of rules in the compiled table. A serving snapshot that
+    /// retired some of them since the compile counts fewer
+    /// ([`crate::Snapshot::num_rules`]).
     pub fn num_rules(&self) -> usize {
-        self.orig_ids.len() - self.retired as usize
+        self.orig_ids.len()
     }
 
-    /// The tree generation this snapshot was compiled from (or patched
-    /// up to). See [`DecisionTree::generation`].
+    /// The tree generation this table was compiled from. See
+    /// [`DecisionTree::generation`].
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// True when `tree` has mutated since this snapshot was compiled /
-    /// patched: lookups against it may silently return wrong matches.
+    /// True when `tree` has mutated since this table was compiled:
+    /// lookups against it may silently return wrong matches.
     pub fn is_stale(&self, tree: &DecisionTree) -> bool {
         self.generation != tree.generation()
     }
@@ -404,48 +444,11 @@ impl FlatTree {
         Ok(())
     }
 
-    /// Retire one rule **in place**: stamp every leaf-scan entry of the
-    /// rule's rank with the unsatisfiable bounds lane `[1, 0]`, so the
-    /// scan skips it and the runner-up in each touched leaf wins —
-    /// exactly what a recompile without the rule would produce. This is
-    /// the cheap below-threshold delete path of the live-update layer:
-    /// no node renumbering, no pool rebuilds, no rank shifts. (The
-    /// scans here — rank lookup over `orig_ids`, entry sweep over
-    /// `leaf_rules` — are linear but cache-sequential over `u32`
-    /// arrays; in the live handle the cost of a patched delete is
-    /// dominated by the copy-on-write clone of the snapshot, not by
-    /// the patch.)
-    ///
-    /// `generation` is the tree generation the patched snapshot will
-    /// claim to serve ([`Self::is_stale`] compares against it), so it
-    /// is the **caller's freshness assertion**: pass the tree's current
-    /// generation only when this patch makes the snapshot reflect the
-    /// tree exactly (no other unapplied mutations, e.g. pending overlay
-    /// inserts); pass `self.generation()` to leave the stamp — and the
-    /// staleness verdict — unchanged. A patch that finds nothing to
-    /// retire never touches the stamp.
-    ///
-    /// Returns the number of leaf entries stamped (0 when the id is not
-    /// in the compiled table — e.g. it was inserted after compile). The
-    /// caller must not retire the same id twice (the tree-side delete
-    /// already errors on double deletes).
-    // nc-lint: allow(no-panic-in-serving, reason = "leaf table spans were minted by compile; the found rank bounds every slice by construction")
-    pub fn patch_delete(&mut self, id: RuleId, generation: u64) -> usize {
-        let Some(rank) = self.orig_ids.iter().position(|&o| o as usize == id) else {
-            return 0;
-        };
-        self.generation = generation;
-        let rank = rank as u32;
-        let mut stamped = 0usize;
-        for j in 0..self.leaf_rules.len() {
-            if self.leaf_rules[j] == rank {
-                self.leaf_bounds[j * LEAF_ENTRY] = 1;
-                self.leaf_bounds[j * LEAF_ENTRY + LEAF_LANES] = 0;
-                stamped += 1;
-            }
-        }
-        self.retired += 1;
-        stamped
+    /// The table rank of arena rule `id`, or `None` when the rule was
+    /// not compiled (e.g. it was inserted after compile). A linear scan
+    /// of the rank-to-id map.
+    pub(crate) fn rank_of(&self, id: RuleId) -> Option<u32> {
+        self.orig_ids.iter().position(|&o| o as usize == id).map(|rank| rank as u32)
     }
 
     /// Resident heap + inline size of the compiled structure, in bytes.
@@ -476,7 +479,8 @@ impl FlatTree {
     }
 
     /// Scan `leaf_rules[start..end]` (ascending rank = precedence
-    /// order) for the first rule containing the packet.
+    /// order) for the first rule containing the packet whose rank
+    /// `skip` does not skip.
     ///
     /// Bounds come from the cache-packed `leaf_bounds` copy, and the
     /// dimension test is evaluated branch-free (`&`, not `&&`) over
@@ -484,10 +488,17 @@ impl FlatTree {
     /// data-dependent and would mispredict, while the one per-rule
     /// "matched?" branch is almost always false until the winner. The
     /// fixed-width lane loops vectorise, and `chunks_exact` keeps the
-    /// compares free of per-element bounds checks.
+    /// compares free of per-element bounds checks. The skip test runs
+    /// only on a matched entry, and vanishes for [`NoSkip`].
     // nc-lint: kernel
     #[inline]
-    fn leaf_scan(&self, start: u32, end: u32, packet: &Packet) -> Option<u32> {
+    fn leaf_scan<S: RankSkip>(
+        &self,
+        start: u32,
+        end: u32,
+        packet: &Packet,
+        skip: S,
+    ) -> Option<u32> {
         let mut pv = [0u32; LEAF_LANES];
         for (lane, &v) in pv.iter_mut().zip(&packet.values) {
             *lane = v as u32;
@@ -505,7 +516,7 @@ impl FlatTree {
             for lane in 0..LEAF_LANES {
                 matched &= pv[lane] <= his[lane];
             }
-            if matched {
+            if matched && !skip.skips(rank) {
                 return Some(rank);
             }
         }
@@ -515,9 +526,9 @@ impl FlatTree {
     /// Advance a lookup at `id` by one node.
     // nc-lint: kernel
     #[inline]
-    fn step(&self, id: u32, packet: &Packet) -> Step {
+    fn step<S: RankSkip>(&self, id: u32, packet: &Packet, skip: S) -> Step {
         match self.nodes[id as usize] {
-            FlatNode::Leaf { start, end } => Step::Done(self.leaf_scan(start, end, packet)),
+            FlatNode::Leaf { start, end } => Step::Done(self.leaf_scan(start, end, packet, skip)),
             FlatNode::Cut { dim, lo, magic, ncuts, base } => {
                 let v = packet.values[dim as usize];
                 let idx = div_by_step(v.saturating_sub(lo), magic).min(u64::from(ncuts) - 1) as u32;
@@ -547,7 +558,7 @@ impl FlatTree {
             FlatNode::Partition { start, end } => {
                 let mut best: Option<u32> = None;
                 for &c in &self.children[start as usize..end as usize] {
-                    if let Some(ti) = self.classify_from(c, packet) {
+                    if let Some(ti) = self.classify_from(c, packet, skip) {
                         // Table order *is* precedence order.
                         if best.is_none_or(|b| ti < b) {
                             best = Some(ti);
@@ -562,14 +573,16 @@ impl FlatTree {
     /// Classify a packet: the **original** rule id of the highest-
     /// precedence match, identical to the source tree's `classify`.
     pub fn classify(&self, packet: &Packet) -> Option<RuleId> {
-        self.classify_rank(packet).map(|rank| self.rank_to_id(rank))
+        self.classify_rank(packet, NoSkip).map(|rank| self.rank_to_id(rank))
     }
 
     /// Classify a packet to its winning **table rank** (ranks are dense
-    /// precedence order: rank 0 wins every comparison). The live-update
-    /// layer merges ranks against overlay inserts by priority.
-    pub fn classify_rank(&self, packet: &Packet) -> Option<u32> {
-        self.classify_from(self.root, packet)
+    /// precedence order: rank 0 wins every comparison), passing over
+    /// the ranks `skip` skips. The live-update layer skips the rules it
+    /// deleted since the compile and merges the rank against its
+    /// overlay inserts by priority.
+    pub fn classify_rank<S: RankSkip>(&self, packet: &Packet, skip: S) -> Option<u32> {
+        self.classify_from(self.root, packet, skip)
     }
 
     /// The original arena rule id behind a table rank.
@@ -593,7 +606,7 @@ impl FlatTree {
     /// data-dependent and mispredicts every level, while "is it a
     /// Cut?" is predicted almost perfectly on cut-built trees.
     // nc-lint: kernel
-    fn classify_from(&self, mut id: u32, packet: &Packet) -> Option<u32> {
+    fn classify_from<S: RankSkip>(&self, mut id: u32, packet: &Packet, skip: S) -> Option<u32> {
         loop {
             let node = &self.nodes[id as usize];
             if let FlatNode::Cut { dim, lo, magic, ncuts, base } = *node {
@@ -603,13 +616,13 @@ impl FlatTree {
                 continue;
             }
             if let FlatNode::Leaf { start, end } = *node {
-                return self.leaf_scan(start, end, packet);
+                return self.leaf_scan(start, end, packet, skip);
             }
             if let FlatNode::Split { dim, threshold, left, right } = *node {
                 id = if packet.values[dim as usize] < threshold { left } else { right };
                 continue;
             }
-            match self.step(id, packet) {
+            match self.step(id, packet, skip) {
                 Step::Descend(next) => id = next,
                 Step::Done(result) => return result,
             }
@@ -632,20 +645,22 @@ impl FlatTree {
     pub fn classify_batch(&self, packets: &[Packet], out: &mut [Option<RuleId>]) {
         // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
         assert_eq!(packets.len(), out.len(), "output slice must match the batch");
-        self.classify_batch_with(packets, |pi, rank| {
+        self.classify_batch_with(packets, NoSkip, |pi, rank| {
             out[pi] = rank.map(|rank| self.orig_ids[rank as usize] as RuleId);
         });
     }
 
-    /// The batched wavefront lookup, reporting winning **table ranks**:
-    /// `emit(packet_index, rank)` is called exactly once per packet, in
-    /// no particular order. [`Self::classify_batch`] is this plus the
+    /// The batched wavefront lookup, reporting winning **table ranks**
+    /// and passing over the ranks `skip` skips: `emit(packet_index,
+    /// rank)` is called exactly once per packet, in no particular
+    /// order. [`Self::classify_batch`] is this with [`NoSkip`] plus the
     /// rank-to-id mapping; the live-update layer consumes the ranks
     /// directly to merge against its overlay by precedence.
     // nc-lint: kernel
-    pub fn classify_batch_with<F: FnMut(usize, Option<u32>)>(
+    pub fn classify_batch_with<S: RankSkip, F: FnMut(usize, Option<u32>)>(
         &self,
         packets: &[Packet],
+        skip: S,
         mut emit: F,
     ) {
         if let FlatNode::Partition { start, end } = self.nodes[self.root as usize] {
@@ -654,10 +669,12 @@ impl FlatTree {
             // Instead, wavefront the whole batch through each subtree
             // and merge per packet by rank (table order is precedence
             // order), which is exactly what the scalar path computes.
+            // Each child's leaf scans skip on their own, so the lowest
+            // surviving rank per packet is still the winner.
             // nc-lint: allow(no-alloc-in-kernels, reason = "one amortised rank buffer per batch at a root partition, not per packet")
             let mut best = vec![NO_RANK; packets.len()];
             for &c in &self.children[start as usize..end as usize] {
-                self.classify_batch_ranks(c, packets, |pi, rank| {
+                self.classify_batch_ranks(c, packets, skip, |pi, rank| {
                     if let Some(rank) = rank {
                         best[pi] = best[pi].min(rank);
                     }
@@ -667,7 +684,7 @@ impl FlatTree {
                 emit(pi, (rank != NO_RANK).then_some(rank));
             }
         } else {
-            self.classify_batch_ranks(self.root, packets, emit);
+            self.classify_batch_ranks(self.root, packets, skip, emit);
         }
     }
 
@@ -684,10 +701,11 @@ impl FlatTree {
     /// (leaf reached, or interior partition resolved via the scalar
     /// path) simply drop out of the next round's frontier.
     // nc-lint: kernel
-    fn classify_batch_ranks<F: FnMut(usize, Option<u32>)>(
+    fn classify_batch_ranks<S: RankSkip, F: FnMut(usize, Option<u32>)>(
         &self,
         from: u32,
         packets: &[Packet],
+        skip: S,
         mut emit: F,
     ) {
         // nc-lint: allow(no-alloc-in-kernels, reason = "one frontier allocation per batch, amortised over every packet in it")
@@ -710,9 +728,9 @@ impl FlatTree {
                         next_round.push((pi, self.children[(base + idx) as usize]));
                     }
                     FlatNode::Leaf { start, end } => {
-                        emit(pi as usize, self.leaf_scan(start, end, packet));
+                        emit(pi as usize, self.leaf_scan(start, end, packet, skip));
                     }
-                    _ => match self.step(nid, packet) {
+                    _ => match self.step(nid, packet, skip) {
                         Step::Descend(id) => next_round.push((pi, id)),
                         Step::Done(result) => emit(pi as usize, result),
                     },
@@ -951,44 +969,6 @@ mod tests {
         let fresh = FlatTree::compile(&tree);
         assert!(!fresh.is_stale(&tree));
         assert_eq!(fresh.classify_checked(&tree, &p).unwrap(), tree.classify(&p));
-    }
-
-    #[test]
-    fn patch_delete_matches_full_recompile() {
-        let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 120).with_seed(87));
-        let mut tree = DecisionTree::new(&rules);
-        for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
-            if !tree.is_terminal(k, 8) {
-                tree.cut_node(k, Dim::DstPort, 4);
-            }
-        }
-        let mut flat = FlatTree::compile(&tree);
-        let before = flat.num_rules();
-        // Delete a few arena rules in the tree and patch them out of the
-        // compiled snapshot in place.
-        for victim in [0usize, 11, 63] {
-            crate::updates::delete_rule(&mut tree, victim).unwrap();
-            flat.patch_delete(victim, tree.generation());
-        }
-        assert!(!flat.is_stale(&tree));
-        assert_eq!(flat.num_rules(), before - 3);
-        assert_eq!(flat.num_rules(), tree.num_active_rules());
-        // The patched snapshot serves exactly what a recompile would.
-        let recompiled = FlatTree::compile(&tree);
-        let trace = generate_trace(&rules, &TraceConfig::new(400).with_seed(86));
-        let mut patched_out = vec![None; trace.len()];
-        flat.classify_batch(&trace, &mut patched_out);
-        for (i, p) in trace.iter().enumerate() {
-            assert_eq!(flat.classify(p), recompiled.classify(p), "at {p}");
-            assert_eq!(flat.classify(p), tree.classify(p), "vs tree at {p}");
-            assert_eq!(patched_out[i], flat.classify(p), "batch at {p}");
-        }
-        // Patching an id that was never compiled (inserted after
-        // compile) is a no-op on the leaf entries.
-        let top = tree.rules().iter().map(|r| r.priority).max().unwrap();
-        let id = crate::updates::insert_rule(&mut tree, Rule::default_rule(top + 1));
-        crate::updates::delete_rule(&mut tree, id).unwrap();
-        assert_eq!(flat.patch_delete(id, tree.generation()), 0);
     }
 
     #[test]

@@ -25,12 +25,16 @@
 //!   snapshot exists with a single atomic load and re-fetch at their
 //!   convenience — the sharded engine does this between batches.
 //!
-//! Below the rebuild threshold, updates are cheap:
+//! Below the rebuild threshold, updates are cheap, and the compiled
+//! `FlatTree` is never copied or changed: every snapshot since the
+//! last compile shares it.
 //!
-//! * **Deletes** of compiled rules are patched into a copy-on-write
-//!   clone of the `FlatTree` ([`FlatTree::patch_delete`] stamps the
-//!   rule's leaf-scan entries unsatisfiable); deletes of
-//!   not-yet-compiled rules just drop them from the overlay.
+//! * **Deletes** of compiled rules add the rule's table rank to a
+//!   small **retired set** carried by the snapshot (a bitset over
+//!   ranks). A leaf scan that matches a retired rank keeps scanning,
+//!   so the next rule in precedence order wins, exactly as after a
+//!   recompile. Deletes of not-yet-compiled rules just drop them from
+//!   the overlay.
 //! * **Inserts** land in a small precedence-sorted **overlay** carried
 //!   by the snapshot. A lookup merges the compiled winner with the
 //!   first matching overlay rule by (priority, id) precedence —
@@ -39,10 +43,11 @@
 //!
 //! When [`UpdateLog::churn`] crosses [`RebuildPolicy::max_churn`], the
 //! handle recompiles the `FlatTree` from the updated tree, clears the
-//! overlay, resets the log, and publishes the fresh snapshot — still
-//! without pausing readers.
+//! overlay and the retired set, resets the log, and publishes the
+//! fresh snapshot — still without pausing readers. The churn bound
+//! bounds the retired set as it bounds the overlay.
 
-use crate::flat::FlatTree;
+use crate::flat::{FlatTree, NoSkip, RankSkip};
 use crate::node::RuleId;
 use crate::tree::DecisionTree;
 use crate::updates::{self, UpdateError, UpdateLog};
@@ -78,9 +83,9 @@ impl RebuildPolicy {
 
     /// Never recompile automatically (updates stay incremental until
     /// [`ClassifierHandle::force_rebuild`] is called). Useful for tests
-    /// that exercise the patch/overlay path exclusively — which is why
-    /// the overlay bound is also lifted; production policies should
-    /// keep a finite `max_overlay`.
+    /// that exercise the retired-set/overlay path exclusively — which
+    /// is why the overlay bound is also lifted; production policies
+    /// should keep a finite `max_overlay`.
     pub fn never() -> Self {
         RebuildPolicy { max_churn: f64::INFINITY, min_updates: usize::MAX, max_overlay: usize::MAX }
     }
@@ -97,18 +102,23 @@ impl Default for RebuildPolicy {
     }
 }
 
-/// An immutable, self-contained serving state: one compiled tree plus
-/// the overlay of inserts it does not know about yet. Cheap to clone
-/// behind an `Arc`; readers hold it for as long as they like.
+/// An immutable, self-contained serving state: one compiled tree, the
+/// set of its ranks deleted since the compile, and the overlay of
+/// inserts it does not know about yet. Cheap to clone behind an `Arc`;
+/// readers hold it for as long as they like.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Epoch this snapshot was published at (monotonic per handle).
     epoch: u64,
     /// [`DecisionTree::generation`] this snapshot faithfully serves.
     tree_generation: u64,
-    /// The compiled tree. Shared (not cloned) across snapshots until a
-    /// delete patches it (copy-on-write) or a rebuild replaces it.
+    /// The compiled tree. Shared (never copied) by every snapshot
+    /// until a rebuild replaces it.
     flat: Arc<FlatTree>,
+    /// Table ranks of compiled rules deleted since the compile, as a
+    /// bitset over ranks (see [`RankSkip`] for `&[u64]`). Empty until
+    /// the first such delete.
+    retired: Arc<[u64]>,
     /// Rules inserted since the last recompile, in precedence order
     /// (higher priority first, ties broken by lower id). Small by
     /// construction: the rebuild policy recompiles before it grows.
@@ -126,7 +136,10 @@ impl Snapshot {
         self.tree_generation
     }
 
-    /// The compiled tree inside (stats, resident bytes, …).
+    /// The compiled tree inside (stats, resident bytes, …), as
+    /// compiled: it knows nothing of the deletes and inserts since, so
+    /// after one it reports [`FlatTree::is_stale`]. Classify through
+    /// the snapshot, which applies them.
     pub fn flat(&self) -> &FlatTree {
         &self.flat
     }
@@ -137,9 +150,11 @@ impl Snapshot {
         self.overlay.len()
     }
 
-    /// Active rules served by this snapshot (compiled + overlay).
+    /// Active rules served by this snapshot (compiled and not retired,
+    /// plus overlay).
     pub fn num_rules(&self) -> usize {
-        self.flat.num_rules() + self.overlay.len()
+        let retired: usize = self.retired.iter().map(|word| word.count_ones() as usize).sum();
+        self.flat.num_rules() - retired + self.overlay.len()
     }
 
     /// First overlay match for `packet`, as `(id, priority)`. The
@@ -173,11 +188,17 @@ impl Snapshot {
     /// Classify a packet: the id of the highest-precedence active rule,
     /// identical to a fresh `FlatTree::compile` of the current tree.
     pub fn classify(&self, packet: &Packet) -> Option<RuleId> {
-        self.merge(self.flat.classify_rank(packet), self.overlay_match(packet))
+        let rank = if self.retired.is_empty() {
+            self.flat.classify_rank(packet, NoSkip)
+        } else {
+            self.flat.classify_rank(packet, &*self.retired)
+        };
+        self.merge(rank, self.overlay_match(packet))
     }
 
     /// Batched classify (wavefront through the compiled tree, then the
     /// overlay merge per packet), same results as [`Self::classify`].
+    /// A snapshot with no retired rank runs the plain kernel.
     ///
     /// # Panics
     /// Panics if `packets` and `out` have different lengths.
@@ -185,13 +206,20 @@ impl Snapshot {
     pub fn classify_batch(&self, packets: &[Packet], out: &mut [Option<RuleId>]) {
         // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
         assert_eq!(packets.len(), out.len(), "output slice must match the batch");
-        if self.overlay.is_empty() {
-            self.flat.classify_batch(packets, out);
-        } else {
-            self.flat.classify_batch_with(packets, |pi, rank| {
-                out[pi] = self.merge(rank, self.overlay_match(&packets[pi]));
-            });
+        match (self.retired.is_empty(), self.overlay.is_empty()) {
+            (true, true) => self.flat.classify_batch(packets, out),
+            (true, false) => self.merge_batch(packets, out, NoSkip),
+            (false, _) => self.merge_batch(packets, out, &*self.retired),
         }
+    }
+
+    /// The wavefront lookup skipping `skip`, merged per packet with the
+    /// overlay.
+    // nc-lint: kernel
+    fn merge_batch<S: RankSkip>(&self, packets: &[Packet], out: &mut [Option<RuleId>], skip: S) {
+        self.flat.classify_batch_with(packets, skip, |pi, rank| {
+            out[pi] = self.merge(rank, self.overlay_match(&packets[pi]));
+        });
     }
 }
 
@@ -201,6 +229,8 @@ struct State {
     tree: DecisionTree,
     policy: RebuildPolicy,
     flat: Arc<FlatTree>,
+    /// The published snapshots' retired set (see [`Snapshot`]).
+    retired: Arc<[u64]>,
     overlay: Vec<(RuleId, Rule)>,
     log: UpdateLog,
     rebuilds: u64,
@@ -445,7 +475,8 @@ pub struct AdoptReport {
 
 /// A packet at the low corner of every dimension of `rule` — inside the
 /// rule whenever its ranges are non-empty. Differential checks add one
-/// per overlay rule so overlay-served inserts are actually exercised.
+/// per overlay rule and per retired rule, so overlay-served inserts and
+/// retired ranks are actually exercised.
 // nc-lint: allow(no-panic-in-serving, reason = "Dim::index() is 0..NUM_DIMS over the fixed [DimRange; NUM_DIMS] array")
 fn probe_packet(rule: &Rule) -> Packet {
     Packet::new(
@@ -455,6 +486,16 @@ fn probe_packet(rule: &Rule) -> Packet {
         rule.ranges[Dim::DstPort.index()].lo,
         rule.ranges[Dim::Proto.index()].lo,
     )
+}
+
+/// `retired` with `rank` added: a fresh bitset over `ranks` compiled
+/// ranks, since published snapshots share the old one.
+fn retire(retired: &[u64], ranks: usize, rank: u32) -> Arc<[u64]> {
+    let mut words = if retired.is_empty() { vec![0; ranks.div_ceil(64)] } else { retired.to_vec() };
+    if let Some(word) = words.get_mut(rank as usize / 64) {
+        *word |= 1 << (rank % 64);
+    }
+    words.into()
 }
 
 /// The owner of a live classifier: the mutable [`DecisionTree`] plus
@@ -489,6 +530,7 @@ impl ClassifierHandle {
             epoch,
             tree_generation: tree.generation(),
             flat: flat.clone(),
+            retired: Arc::default(),
             overlay: Arc::new(Vec::new()),
         });
         ClassifierHandle {
@@ -496,6 +538,7 @@ impl ClassifierHandle {
                 tree,
                 policy,
                 flat,
+                retired: Arc::default(),
                 overlay: Vec::new(),
                 log: UpdateLog::default(),
                 rebuilds: 0,
@@ -594,11 +637,11 @@ impl ClassifierHandle {
     }
 
     /// Delete a rule: applied to the tree in place, then either dropped
-    /// from the overlay (not-yet-compiled rules) or patched out of a
-    /// copy-on-write clone of the compiled tree
-    /// ([`FlatTree::patch_delete`]). Publishes a new snapshot before
-    /// returning. Errors on unknown/already-deleted ids without
-    /// touching the serving state.
+    /// from the overlay (not-yet-compiled rules) or retired: its table
+    /// rank joins the snapshot's retired set, which lookups skip, and
+    /// the compiled tree itself is neither copied nor changed.
+    /// Publishes a new snapshot before returning. Errors on
+    /// unknown/already-deleted ids without touching the serving state.
     pub fn delete(&self, id: RuleId) -> Result<(), UpdateError> {
         let mut s = self.state.write();
         // Admission-check first (mirroring `delete_rule`'s own guards)
@@ -629,24 +672,15 @@ impl ClassifierHandle {
         s.total_deleted += 1;
         // Check the rebuild policy *first*: when this delete tips the
         // churn over the threshold, the recompile supersedes both the
-        // overlay removal and the copy-on-write patch (whose clone
-        // would otherwise be paid and immediately thrown away). Rules
-        // put back into truncated leaves are unknown to the compiled
-        // tree, so a refill recompiles too.
+        // overlay removal and the retirement. Rules put back into
+        // truncated leaves are unknown to the compiled tree, so a
+        // refill recompiles too.
         if refilled > 0 || s.policy.should_rebuild(&s.log, s.tree.num_active_rules()) {
             Self::rebuild_locked(&mut s);
         } else if let Some(pos) = s.overlay.iter().position(|(oid, _)| *oid == id) {
             s.overlay.remove(pos);
-        } else {
-            // Advance the compiled tree's freshness stamp only when the
-            // patch leaves it reflecting the tree exactly; while overlay
-            // inserts are pending, the flat alone is genuinely stale
-            // (it misses those rules) and must keep saying so.
-            let generation =
-                if s.overlay.is_empty() { s.tree.generation() } else { s.flat.generation() };
-            // Readers hold the current Arc, so make_mut clones once
-            // (copy-on-write) and the patch lands in the new copy.
-            Arc::make_mut(&mut s.flat).patch_delete(id, generation);
+        } else if let Some(rank) = s.flat.rank_of(id) {
+            s.retired = retire(&s.retired, s.flat.num_rules(), rank);
         }
         self.publish_locked(&mut s);
         Ok(())
@@ -821,15 +855,22 @@ impl ClassifierHandle {
     /// Snapshot and recompile are taken under **one** read-lock
     /// acquisition (two separate fetches could interleave with a
     /// concurrent update and report a false divergence), which also
-    /// synthesises one probe packet inside every pending overlay rule;
-    /// the comparison then runs lock-free. The probes matter: a
-    /// snapshot taken mid-overlay serves inserts the compiled table
-    /// does not know about, and an arbitrary trace may never hit them.
-    /// This is the per-swap spot check of the lifecycle loop.
+    /// synthesises one probe packet inside every pending overlay rule
+    /// and every retired rule; the comparison then runs lock-free. The
+    /// probes matter: a snapshot taken mid-overlay serves inserts the
+    /// compiled table does not know about and skips deleted rules it
+    /// still holds, and an arbitrary trace may never hit either. This
+    /// is the per-swap spot check of the lifecycle loop.
     pub fn check_divergence(&self, trace: &[Packet]) -> Option<Packet> {
         let (snap, rebuilt, probes) = {
             let s = self.state.read();
-            let probes: Vec<Packet> = s.overlay.iter().map(|(_, r)| probe_packet(r)).collect();
+            let retired = (0..s.flat.num_rules() as u32).filter(|&rank| (&*s.retired).skips(rank));
+            let probes: Vec<Packet> = s
+                .overlay
+                .iter()
+                .map(|(_, r)| probe_packet(r))
+                .chain(retired.map(|rank| probe_packet(s.tree.rule(s.flat.rank_to_id(rank)))))
+                .collect();
             (s.published.clone(), FlatTree::compile(&s.tree), probes)
         };
         let mut got = vec![None; trace.len()];
@@ -967,6 +1008,7 @@ impl ClassifierHandle {
 
     fn rebuild_locked(s: &mut State) {
         s.flat = Arc::new(FlatTree::compile(&s.tree));
+        s.retired = Arc::default();
         s.overlay.clear();
         s.log = UpdateLog::default();
         s.rebuilds += 1;
@@ -987,6 +1029,7 @@ impl ClassifierHandle {
             epoch,
             tree_generation: s.tree.generation(),
             flat: s.flat.clone(),
+            retired: s.retired.clone(),
             overlay: Arc::new(s.overlay.clone()),
         });
         self.epoch.store(epoch, Ordering::Release);
@@ -1048,12 +1091,16 @@ mod tests {
     }
 
     #[test]
-    fn deletes_patch_the_compiled_tree() {
+    fn deletes_retire_ranks_without_copying_the_compiled_tree() {
         let (tree, rules) = built_tree(32);
         let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
         let trace = generate_trace(&rules, &TraceConfig::new(300).with_seed(33));
+        let flat = handle.snapshot().flat() as *const FlatTree;
         for victim in [0usize, 5, 17] {
             handle.delete(victim).unwrap();
+            let snap = handle.snapshot();
+            assert_eq!(snap.flat() as *const FlatTree, flat, "a delete must not copy the tree");
+            assert_eq!(snap.num_rules(), handle.stats().active_rules);
         }
         assert_eq!(handle.stats().rebuilds, 0);
         assert_eq!(handle.stats().log.deleted, 3);
@@ -1153,11 +1200,11 @@ mod tests {
 
     #[test]
     fn compiled_flat_stays_stale_while_overlay_inserts_are_pending() {
-        // A delete patch must not launder staleness: with an overlay
-        // insert pending, the compiled FlatTree alone misses that rule,
-        // so even after a patched delete it must keep reporting stale
+        // The compiled FlatTree alone misses the overlay insert and
+        // still holds the deleted rule, so it must keep reporting stale
         // (the *snapshot* serves correctly — the overlay supplies the
-        // missing rule — but the bare flat does not).
+        // missing rule and the retired set skips the deleted one — but
+        // the bare flat does not).
         let (tree, rules) = built_tree(44);
         let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
         let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
@@ -1431,6 +1478,19 @@ mod tests {
     }
 
     #[test]
+    fn check_divergence_probes_retired_rules() {
+        // With an empty trace, certification still exercises every
+        // retired rank through a probe inside the deleted rule.
+        let (tree, _) = built_tree(59);
+        let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
+        for victim in [0usize, 9, 40] {
+            handle.delete(victim).unwrap();
+        }
+        assert_eq!(handle.stats().rebuilds, 0, "the deletes retire ranks");
+        assert_eq!(handle.check_divergence(&[]), None);
+    }
+
+    #[test]
     fn duplicate_priorities_tiebreak_by_id_across_overlay_and_table() {
         // Two identical-priority rules covering the probe: one
         // compiled, one in the overlay (its SrcIp range narrowed so
@@ -1578,10 +1638,11 @@ mod tests {
         let flat_before = handle.snapshot().flat() as *const FlatTree as usize;
         handle.delete(victim).unwrap();
         let snap = handle.snapshot();
-        // The delete was overlay-only: the compiled tree was neither
-        // patched nor recompiled (same allocation), and the overlay
-        // dropped exactly the victim.
+        // The delete was overlay-only: the compiled tree was not
+        // recompiled (same allocation), no rank was retired, and the
+        // overlay dropped exactly the victim.
         assert_eq!(snap.flat() as *const FlatTree as usize, flat_before, "flat must be untouched");
+        assert_eq!(snap.num_rules(), snap.flat().num_rules() + 2, "no rank retired");
         assert_eq!(handle.stats().overlay_len, 2);
         let p = Packet::new(1, 2, 3, 4, 6);
         assert_eq!(snap.classify(&p), Some(keep_hi), "surviving overlay rules keep serving");

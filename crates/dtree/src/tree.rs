@@ -41,6 +41,10 @@ pub struct DecisionTree {
     nodes: Vec<Node>,
     /// The shared rule-id pool all node spans index into.
     pool: Vec<RuleId>,
+    /// Pool entries no span covers any more: windows a leaf insert
+    /// re-homed and tails a removal or truncation cut off. The live
+    /// updates compact the pool once this outgrows the live part.
+    garbage: usize,
     root: NodeId,
     /// Lazily computed per-node separability masks (bit `d` = dimension
     /// `d` separable, [`SEP_COMPUTED`] = entry valid). Invalidated on
@@ -133,6 +137,7 @@ impl Deserialize for DecisionTree {
             num_active,
             nodes,
             pool,
+            garbage: 0,
             root,
             sep_cache,
             generation: 0,
@@ -160,6 +165,7 @@ impl DecisionTree {
             store,
             nodes: vec![root],
             pool: (0..n).collect(),
+            garbage: 0,
             root: 0,
             sep_cache: vec![0],
             generation: 0,
@@ -201,6 +207,7 @@ impl DecisionTree {
             num_active: onto.num_active,
             nodes: template.nodes.clone(),
             pool: template.pool.iter().map(|&r| map[r]).collect(),
+            garbage: template.garbage,
             root: template.root,
             sep_cache: vec![0; template.nodes.len()],
             generation: onto.generation + 1,
@@ -741,6 +748,7 @@ impl DecisionTree {
             Some(pos) if pos + 1 < self.nodes[id].span.len => {
                 let removed = self.nodes[id].span.len - pos - 1;
                 self.nodes[id].span.len = pos + 1;
+                self.garbage += removed;
                 self.sep_cache[id] = 0;
                 self.bump_generation();
                 removed
@@ -759,8 +767,8 @@ impl DecisionTree {
 
     /// Insert `id` into a leaf's rule list at its precedence position.
     /// The list is re-homed at the end of the pool (spans are append-
-    /// only windows); the old window becomes garbage until the next
-    /// rebuild folds it away.
+    /// only windows), and the old window becomes garbage; once garbage
+    /// outgrows the live spans, the pool is compacted.
     pub(crate) fn leaf_insert_sorted(&mut self, node: NodeId, id: RuleId) {
         debug_assert!(self.nodes[node].is_leaf());
         let span = self.nodes[node].span;
@@ -774,10 +782,12 @@ impl DecisionTree {
         self.nodes[node].span = RuleSpan { start, len: span.len + 1 };
         self.sep_cache[node] = 0;
         self.bump_generation();
+        self.collect_garbage(span.len);
     }
 
     /// Remove `id` from a leaf's rule list if present (in-place span
-    /// compaction).
+    /// compaction; the cut-off tail becomes garbage, as in
+    /// [`Self::leaf_insert_sorted`]).
     pub(crate) fn leaf_remove(&mut self, node: NodeId, id: RuleId) {
         debug_assert!(self.nodes[node].is_leaf());
         let span = self.nodes[node].span;
@@ -792,6 +802,33 @@ impl DecisionTree {
         self.nodes[node].span.len = w - span.start;
         self.sep_cache[node] = 0;
         self.bump_generation();
+        self.collect_garbage(span.start + span.len - w);
+    }
+
+    /// Count `made` newly abandoned pool entries, and rewrite the pool
+    /// to the live spans in node order once garbage exceeds the live
+    /// part. A compaction copies at most one entry per garbage entry
+    /// made since the last one, so its amortised cost is O(1) per
+    /// entry. Contents do not change, so neither does the generation.
+    fn collect_garbage(&mut self, made: usize) {
+        self.garbage += made;
+        if self.garbage <= self.pool.len() - self.garbage {
+            return;
+        }
+        let mut pool = Vec::with_capacity(self.pool.len() - self.garbage);
+        for node in &mut self.nodes {
+            let span = node.span;
+            node.span.start = pool.len();
+            pool.extend_from_slice(&self.pool[span.start..span.start + span.len]);
+        }
+        self.pool = pool;
+        self.garbage = 0;
+    }
+
+    /// Length of the rule-id pool, garbage included.
+    #[cfg(test)]
+    pub(crate) fn pool_len(&self) -> usize {
+        self.pool.len()
     }
 
     /// Mark a rule deleted.
@@ -1143,7 +1180,10 @@ mod tests {
         assert_eq!(t.classify(&Packet::new(0, 0, 0, 9999, 17)), Some(2));
     }
 
+    // The cover check is a `debug_assert!` (partitioning is a training
+    // hot path), so only debug builds panic.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "exactly cover")]
     fn partition_must_cover_rules() {
         let rs = small_rules();

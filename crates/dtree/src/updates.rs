@@ -293,7 +293,7 @@ pub fn delete_rule(tree: &mut DecisionTree, id: RuleId) -> Result<(), UpdateErro
 
 /// [`delete_rule`], returning how many leaf placements the refill of
 /// truncated leaves added (a compiled copy of the tree that only
-/// patches the deletion out is stale when this is not 0).
+/// retires the deleted rule is stale when this is not 0).
 pub(crate) fn delete_and_refill(tree: &mut DecisionTree, id: RuleId) -> Result<usize, UpdateError> {
     if id >= tree.rules().len() {
         return Err(UpdateError::UnknownRule(id));
@@ -509,6 +509,33 @@ mod tests {
         let trace = generate_trace(&rs, &TraceConfig::new(200));
         for p in &trace {
             assert_eq!(t.classify(p), t.linear_classify(p));
+        }
+    }
+
+    #[test]
+    fn live_updates_keep_the_pool_within_twice_its_live_entries() {
+        use rand::{Rng as _, SeedableRng as _};
+        let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 30).with_seed(13));
+        let donors = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 200).with_seed(14));
+        let mut t = DecisionTree::new(&rs);
+        for k in t.cut_node(t.root(), Dim::SrcIp, 8) {
+            for g in t.cut_node(k, Dim::DstPort, 4) {
+                t.truncate_covered(g);
+            }
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
+        let mut live: Vec<RuleId> = (0..t.rules().len()).collect();
+        for call in 0..2_000u64 {
+            if live.len() < 16 || rng.gen_range(0..5) < 2 {
+                let mut r = donors.rules()[rng.gen_range(0..donors.len())].clone();
+                r.priority = rng.gen_range(-100..100_000);
+                live.push(insert_rule(&mut t, r));
+            } else {
+                delete_rule(&mut t, live.swap_remove(rng.gen_range(0..live.len()))).unwrap();
+            }
+            let spans: usize = (0..t.num_nodes()).map(|n| t.rules_at(n).len()).sum();
+            assert!(t.pool_len() <= 2 * spans, "call {call}: pool {} vs {spans}", t.pool_len());
+            assert_tree_valid(&t, 8, call);
         }
     }
 

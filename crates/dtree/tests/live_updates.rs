@@ -1,7 +1,7 @@
 //! Differential churn tests for the live-update serving path.
 //!
 //! The claim under test: a [`ClassifierHandle`] serving snapshot —
-//! compiled `FlatTree` + delete patches + insert overlay — is
+//! compiled `FlatTree` + retired ranks + insert overlay — is
 //! **bit-identical** to a from-scratch `FlatTree::compile` of the
 //! handle's current tree (and to the arena linear scan) after *every*
 //! interleaved insert/delete, on every node kind, with duplicate
@@ -252,8 +252,10 @@ proptest! {
 }
 
 /// A rule spanning several partition children must stay consistent
-/// through insert → serve → delete, whichever child the routed insert
-/// placed it in.
+/// through insert → serve → compile → delete, whichever child the
+/// routed insert placed it in; and deletes of compiled rules in every
+/// partition child retire ranks under the root partition, which the
+/// batch path merges per child.
 #[test]
 fn wildcard_insert_spans_partition_children_and_deletes_cleanly() {
     let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 120).with_seed(70));
@@ -269,7 +271,7 @@ fn wildcard_insert_spans_partition_children_and_deletes_cleanly() {
         }
     }
     let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
-    let probes = generate_trace(&rules, &TraceConfig::new(300).with_seed(71));
+    let mut probes = generate_trace(&rules, &TraceConfig::new(300).with_seed(71));
 
     let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
     let id = handle.insert(Rule::default_rule(top + 1)).unwrap();
@@ -278,10 +280,22 @@ fn wildcard_insert_spans_partition_children_and_deletes_cleanly() {
     for p in &probes {
         assert_eq!(snap.classify(p), Some(id), "full wildcard must shadow everything at {p}");
     }
+    handle.force_rebuild();
     handle.delete(id).unwrap();
     assert_snapshot_is_rebuild_identical(&handle, &probes);
     let snap = handle.snapshot();
     for p in &probes {
         assert_ne!(snap.classify(p), Some(id), "deleted wildcard resurfaced at {p}");
     }
+    // The wildcard covered its leaves, so its delete may refill them
+    // and recompile; these deletes only retire ranks. A probe inside
+    // each victim sends the batch path through the retired rank.
+    let rebuilds = handle.stats().rebuilds;
+    for part in [a, b, c] {
+        probes.push(rules.rule(part[0]).low_corner());
+        handle.delete(part[0]).unwrap();
+    }
+    assert_eq!(handle.stats().rebuilds, rebuilds, "compiled deletes retire ranks");
+    assert_snapshot_is_rebuild_identical(&handle, &probes);
+    assert_eq!(handle.check_divergence(&probes), None);
 }

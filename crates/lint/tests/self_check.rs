@@ -10,9 +10,9 @@ use nc_lint::config::LintConfig;
 
 /// Pinned count of allow pragmas in the workspace. If you add one,
 /// bump this — the diff is the review hook.
-const PINNED_ALLOWS: usize = 16;
+const PINNED_ALLOWS: usize = 15;
 /// Pinned count of kernel-marked functions.
-const PINNED_KERNELS: usize = 14;
+const PINNED_KERNELS: usize = 16;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
