@@ -12,7 +12,7 @@ use nc_lint::config::LintConfig;
 /// bump this — the diff is the review hook.
 const PINNED_ALLOWS: usize = 15;
 /// Pinned count of kernel-marked functions.
-const PINNED_KERNELS: usize = 16;
+const PINNED_KERNELS: usize = 18;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -7,7 +7,9 @@
 //! hand-derived reverse-mode gradients:
 //!
 //! * [`Matrix`] — a row-major `f32` matrix with the handful of BLAS-like
-//!   kernels the model needs;
+//!   kernels the model needs, and [`PackedWeights`], a weight matrix
+//!   with the forward's panels packed once per change (the activation,
+//!   `tanh`, is the crate's own port of fdlibm's `tanhf`);
 //! * [`Linear`] — an affine layer with gradient accumulation and Adam
 //!   state;
 //! * [`categorical`] — masked categorical distributions over logits
@@ -29,9 +31,10 @@ pub mod categorical;
 pub mod linear;
 pub mod matrix;
 pub mod policy_value;
+mod tanh;
 
 pub use adam::AdamConfig;
 pub use categorical::MaskedCategorical;
 pub use linear::Linear;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, PackedWeights};
 pub use policy_value::{ForwardCache, InferBuffer, NetConfig, PolicyValueNet};

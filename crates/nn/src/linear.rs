@@ -1,7 +1,7 @@
 //! Affine layers with gradient accumulation and Adam state.
 
 use crate::adam::{AdamConfig, AdamState};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, PackedWeights};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 /// [`Linear::zero_grad`]; [`Linear::adam_step`] applies the update.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
-    /// Weights, `[out, in]`.
-    pub w: Matrix,
+    /// Weights, `[out, in]`, with the forward's packed panels.
+    pub w: PackedWeights,
     /// Bias, `[out]`.
     pub b: Vec<f32>,
     /// Accumulated weight gradient.
@@ -29,7 +29,7 @@ impl Linear {
     /// uniform).
     pub fn new(in_dim: usize, out_dim: usize, gain: f32, rng: &mut impl Rng) -> Self {
         Linear {
-            w: Matrix::xavier(out_dim, in_dim, gain, rng),
+            w: PackedWeights::new(Matrix::xavier(out_dim, in_dim, gain, rng)),
             b: vec![0.0; out_dim],
             gw: Matrix::zeros(out_dim, in_dim),
             gb: vec![0.0; out_dim],
@@ -115,9 +115,10 @@ impl Linear {
         self.gw.data.iter().map(|g| g * g).sum::<f32>() + self.gb.iter().map(|g| g * g).sum::<f32>()
     }
 
-    /// Apply one Adam update from the accumulated gradients.
+    /// Apply one Adam update from the accumulated gradients (and repack
+    /// the forward's panels).
     pub fn adam_step(&mut self, cfg: &AdamConfig, t: u64) {
-        self.opt_w.step(&mut self.w.data, &self.gw.data, cfg, t);
+        self.w.update(|w| self.opt_w.step(&mut w.data, &self.gw.data, cfg, t));
         self.opt_b.step(&mut self.b, &self.gb, cfg, t);
     }
 }
@@ -145,11 +146,11 @@ mod tests {
         let eps = 1e-2f32;
         for idx in [0, in_dim * out_dim / 2, in_dim * out_dim - 1] {
             let orig = layer.w.data[idx];
-            layer.w.data[idx] = orig + eps;
+            layer.w.update(|w| w.data[idx] = orig + eps);
             let lp = loss(&layer);
-            layer.w.data[idx] = orig - eps;
+            layer.w.update(|w| w.data[idx] = orig - eps);
             let lm = loss(&layer);
-            layer.w.data[idx] = orig;
+            layer.w.update(|w| w.data[idx] = orig);
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = layer.gw.data[idx];
             assert!(
@@ -179,7 +180,7 @@ mod tests {
     fn forward_applies_bias() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let mut layer = Linear::new(2, 2, 1.0, &mut rng);
-        layer.w = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
+        layer.w = PackedWeights::new(Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]));
         layer.b = vec![10.0, -10.0];
         let y = layer.forward(&Matrix::from_vec(1, 2, vec![1.0, 2.0]));
         assert_eq!(y.data, vec![11.0, -8.0]);
@@ -201,7 +202,7 @@ mod tests {
     fn sgd_via_adam_fits_a_linear_map() {
         // Teach the layer to reproduce a fixed target map.
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let target = Matrix::xavier(2, 4, 1.0, &mut rng);
+        let target = PackedWeights::new(Matrix::xavier(2, 4, 1.0, &mut rng));
         let mut layer = Linear::new(4, 2, 1.0, &mut rng);
         let cfg = AdamConfig { lr: 0.02, ..Default::default() };
         for t in 1..=800 {

@@ -13,16 +13,22 @@
 //! different outputs and each lane adds exactly what the scalar loop
 //! adds. Results are therefore bit-identical at any vector width and on
 //! any CPU, which is what lets the batched forward, the PPO update and
-//! the golden decision streams pin exact bits.
+//! the golden decision streams pin exact bits. [`Matrix::tanh_inplace`]
+//! runs the crate's own port of fdlibm's `tanhf` (`nn::tanh`), so
+//! the activations do not depend on the host's libm either.
+//!
+//! The forward reads `wᵀ` from column panels that [`PackedWeights`]
+//! packs once per change of the weights, not once per call.
 //!
 //! # Two compiled instances
 //!
-//! Each kernel's tiled body is generic over its tile width and compiled
+//! Each kernel's body is generic over its tile or lane width and compiled
 //! twice: for the build's baseline target (SSE2 on x86-64, 8-column
-//! tiles) and with AVX2 enabled (16-column tiles). Every call takes the
-//! AVX2 instance when `is_x86_feature_detected!("avx2")` reports it —
-//! a platform check, not a setting — and the baseline instance is the
-//! only one on other CPUs. Tests run both instances directly.
+//! tiles, 4 `tanh` lanes) and with AVX2 enabled (16-column tiles, 8
+//! lanes). Every call takes the AVX2 instance when
+//! `is_x86_feature_detected!("avx2")` reports it — a platform check, not
+//! a setting — and the baseline instance is the only one on other CPUs.
+//! Tests run both instances directly.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -99,7 +105,7 @@ impl Matrix {
     /// The weight layout `[out, in]` keeps each weight row contiguous,
     /// and the same layout serves the input-gradient kernel
     /// ([`Matrix::matmul_nn`]) without a transpose.
-    pub fn matmul_nt(&self, w: &Matrix) -> Matrix {
+    pub fn matmul_nt(&self, w: &PackedWeights) -> Matrix {
         let mut out = Matrix::default();
         self.matmul_nt_into(w, &mut out);
         out
@@ -113,15 +119,13 @@ impl Matrix {
     /// Each output is `0.0 + x[r][0]·w[j][0] + x[r][1]·w[j][1] + …` in
     /// `k` order, bit-identical to the naive loop (see the module docs).
     /// A tile holds 4 rows × 16 output columns (8 in the baseline
-    /// instance). Each `k` step broadcasts one input per row against a
-    /// panel of `wᵀ` packed into a fixed stack buffer, at most 256 `k`
-    /// at a time, so the panel stays in L1 while every row tile sweeps
-    /// it: a `[512, 315]` weight matrix (~645 KB) is read once per
-    /// *batch*, not once per row. A single row skips the tiles, since
-    /// packing would cost as much as its sums: its outputs are scalar
-    /// chains, eight in flight, adding the same terms in the same order.
+    /// instance); each `k` step broadcasts one input per row against a
+    /// row of one of `w`'s packed panels, which every row tile of the
+    /// batch reads in turn: a `[512, 315]` weight matrix (~645 KB) is
+    /// read once per *batch* from the panels, and never repacked here.
+    /// A single row runs the same tiles.
     // nc-lint: kernel
-    pub fn matmul_nt_into(&self, w: &Matrix, out: &mut Matrix) {
+    pub fn matmul_nt_into(&self, w: &PackedWeights, out: &mut Matrix) {
         assert_eq!(self.cols, w.cols, "inner dimension mismatch");
         out.rows = self.rows;
         out.cols = w.rows;
@@ -129,9 +133,6 @@ impl Matrix {
         // a shape-stable steady state (the hot inference case) must not
         // pay a per-call memset.
         out.data.resize(self.rows * w.rows, 0.0);
-        if self.rows == 1 {
-            return matmul_nt_row(&self.data, w, &mut out.data);
-        }
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU supports AVX2, the only feature the
@@ -187,19 +188,22 @@ impl Matrix {
 
     /// Element-wise `tanh`.
     pub fn tanh(&self) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v.tanh()).collect(),
-        }
+        let mut out = self.clone();
+        out.tanh_inplace();
+        out
     }
 
     /// Element-wise `tanh` in place (the batched-inference variant of
-    /// [`Matrix::tanh`]; identical values, no allocation).
+    /// [`Matrix::tanh`]; identical values, no allocation): the lane-wise
+    /// body of the crate's port of fdlibm's `tanhf`, bit-identical to
+    /// its scalar reference.
     pub fn tanh_inplace(&mut self) {
-        for v in &mut self.data {
-            *v = v.tanh();
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: as in `matmul_nt_into`.
+            return unsafe { avx2::tanh(&mut self.data) };
         }
+        baseline::tanh(&mut self.data);
     }
 
     /// Backprop through tanh: `dx = dy ⊙ (1 - y²)` where `y = tanh(x)`.
@@ -268,6 +272,81 @@ impl Matrix {
     }
 }
 
+/// A weight matrix `w` (`[out, in]`) with `wᵀ` packed into the
+/// forward's column panels, so that [`Matrix::matmul_nt_into`] reads the
+/// panels instead of packing them on every call.
+///
+/// The panels are rebuilt whenever the weights change: at construction
+/// ([`PackedWeights::new`]), on deserialisation, and in
+/// [`PackedWeights::update`], the only way to write the weights, so they
+/// cannot go stale. They are never serialised: the JSON is `w`'s alone.
+/// Reads of `w` go through `Deref<Target = Matrix>`.
+#[derive(Debug, Clone)]
+pub struct PackedWeights {
+    w: Matrix,
+    /// Panel `p` covers outputs `16p..16p + 16` and is
+    /// `panels[p * in..(p + 1) * in]`: its row `k` holds `w[16p + c][k]`
+    /// in lane `c`, and zeros in lanes past the last output.
+    panels: Vec<[f32; PW]>,
+}
+
+impl PackedWeights {
+    /// Pack `w`.
+    pub fn new(w: Matrix) -> Self {
+        // Lanes past the last output stay zero: `pack` never writes them.
+        let panels = vec![[0.0; PW]; w.rows.div_ceil(PW) * w.cols];
+        let mut packed = PackedWeights { w, panels };
+        packed.pack();
+        packed
+    }
+
+    /// Change the weights through `f`, then repack the panels.
+    ///
+    /// # Panics
+    /// Panics if `f` changes the shape.
+    pub fn update(&mut self, f: impl FnOnce(&mut Matrix)) {
+        let (rows, cols) = (self.w.rows, self.w.cols);
+        f(&mut self.w);
+        let shape = (self.w.rows, self.w.cols, self.w.data.len());
+        assert_eq!(shape, (rows, cols, rows * cols), "weight shape changed");
+        self.pack();
+    }
+
+    fn pack(&mut self) {
+        let n_in = self.w.cols;
+        for j in 0..self.w.rows {
+            let panel = &mut self.panels[j / PW * n_in..][..n_in];
+            for (p, &v) in panel.iter_mut().zip(self.w.row(j)) {
+                p[j % PW] = v;
+            }
+        }
+    }
+}
+
+impl std::ops::Deref for PackedWeights {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        &self.w
+    }
+}
+
+impl Serialize for PackedWeights {
+    fn serialize_value(&self) -> serde::Value {
+        self.w.serialize_value()
+    }
+}
+
+impl Deserialize for PackedWeights {
+    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let w = Matrix::deserialize_value(value)?;
+        if w.rows.checked_mul(w.cols) != Some(w.data.len()) {
+            return Err(serde::Error::custom("PackedWeights: `data` is not `rows × cols` long"));
+        }
+        Ok(PackedWeights::new(w))
+    }
+}
+
 /// Rows (forward and input gradient) or accumulator rows (weight
 /// gradient) per register tile.
 const MR: usize = 4;
@@ -279,16 +358,21 @@ const NR_BASELINE: usize = 8;
 /// per row.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 const NR_AVX2: usize = 16;
-/// Inner-dimension steps per packed forward panel: `KC × NR` floats
-/// (16 KB at `NR = 16`) stay in L1 while every row tile sweeps them.
-const KC: usize = 256;
+/// Columns per packed forward panel: the AVX2 tile width. The baseline
+/// instance reads each panel as two 8-column halves.
+const PW: usize = 16;
+/// `tanh` lanes per group in the baseline instance: one SSE2 vector.
+const TANH_LANES_BASELINE: usize = 4;
+/// `tanh` lanes per group in the AVX2 instance: one AVX2 vector.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+const TANH_LANES_AVX2: usize = 8;
 
 /// The kernels compiled for the build's baseline target — the only
 /// instance that runs on a CPU without AVX2.
-mod baseline {
-    use super::{Matrix, NR_BASELINE};
+pub(crate) mod baseline {
+    use super::{Matrix, PackedWeights, NR_BASELINE, TANH_LANES_BASELINE};
 
-    pub(super) fn matmul_nt(x: &Matrix, w: &Matrix, out: &mut [f32]) {
+    pub(super) fn matmul_nt(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
         super::matmul_nt_tiles::<NR_BASELINE>(x, w, out);
     }
 
@@ -299,18 +383,23 @@ mod baseline {
     pub(super) fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
         super::accumulate_tn_tiles::<NR_BASELINE>(dy, x, acc);
     }
+
+    pub(crate) fn tanh(v: &mut [f32]) {
+        crate::tanh::tanh_lanes::<TANH_LANES_BASELINE>(v);
+    }
 }
 
 /// The same kernels compiled with AVX2 enabled: 8-lane vectors, and no
 /// FMA, which would fuse each product into its sum and change bits. The
-/// tiled bodies are `#[inline(always)]`, so each compiles inside the
-/// instance that calls it, with that instance's target features.
+/// tiled and lane-wise bodies are `#[inline(always)]`, so each compiles
+/// inside the instance that calls it, with that instance's target
+/// features.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-mod avx2 {
-    use super::{Matrix, NR_AVX2};
+pub(crate) mod avx2 {
+    use super::{Matrix, PackedWeights, NR_AVX2, TANH_LANES_AVX2};
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn matmul_nt(x: &Matrix, w: &Matrix, out: &mut [f32]) {
+    pub(super) fn matmul_nt(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
         super::matmul_nt_tiles::<NR_AVX2>(x, w, out);
     }
 
@@ -323,86 +412,55 @@ mod avx2 {
     pub(super) fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
         super::accumulate_tn_tiles::<NR_AVX2>(dy, x, acc);
     }
-}
 
-/// `out = x · wᵀ` for a single row `x`, without tiles: packing a panel
-/// of `wᵀ` would cost as much as the row's sums, so each output is its
-/// own scalar chain, eight in flight.
-fn matmul_nt_row(x: &[f32], w: &Matrix, out: &mut [f32]) {
-    for (j0, ob) in (0..).step_by(8).zip(out.chunks_mut(8)) {
-        // Chains past the last output repeat its weight row; their sums
-        // are never stored.
-        let wr: [&[f32]; 8] = std::array::from_fn(|c| &w.row(j0 + c.min(ob.len() - 1))[..x.len()]);
-        let mut acc = [0.0f32; 8];
-        for (k, &xv) in x.iter().enumerate() {
-            for (a, wr) in acc.iter_mut().zip(&wr) {
-                *a += xv * wr[k];
-            }
-        }
-        ob.copy_from_slice(&acc[..ob.len()]);
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn tanh(v: &mut [f32]) {
+        crate::tanh::tanh_lanes::<TANH_LANES_AVX2>(v);
     }
 }
 
-/// `out = x · wᵀ`, one `NR`-column panel of `wᵀ` at a time. `out`
-/// holds `x.rows × w.rows` values.
+/// `out = x · wᵀ`, one `NR`-column strip of a packed panel at a time.
+/// `out` holds `x.rows × w.rows` values.
+// nc-lint: kernel
 #[inline(always)]
-fn matmul_nt_tiles<const NR: usize>(x: &Matrix, w: &Matrix, out: &mut [f32]) {
+fn matmul_nt_tiles<const NR: usize>(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
     if x.cols == 0 {
         out.fill(0.0);
         return;
     }
-    let mut panel = [[0.0f32; NR]; KC];
-    for j0 in (0..w.rows).step_by(NR) {
-        let cols = NR.min(w.rows - j0);
-        for k0 in (0..x.cols).step_by(KC) {
-            let panel = &mut panel[..KC.min(x.cols - k0)];
-            // panel[k][c] = w[j0 + c][k0 + k]. Columns past the matrix
-            // hold zeros, and their sums are never stored.
-            for c in 0..NR {
-                if c < cols {
-                    let wr = &w.row(j0 + c)[k0..k0 + panel.len()];
-                    for (p, &v) in panel.iter_mut().zip(wr) {
-                        p[c] = v;
-                    }
-                } else {
-                    panel.iter_mut().for_each(|p| p[c] = 0.0);
-                }
-            }
+    for (p, panel) in w.panels.chunks_exact(x.cols).enumerate() {
+        for j0 in (p * PW..w.rows.min(p * PW + PW)).step_by(NR) {
             let mut r = 0;
             while r + MR <= x.rows {
-                nt_tile::<MR, NR>(x, r, k0, panel, j0, cols, out);
+                nt_tile::<MR, NR>(x, r, panel, j0, out);
                 r += MR;
             }
             for r in r..x.rows {
-                nt_tile::<1, NR>(x, r, k0, panel, j0, cols, out);
+                nt_tile::<1, NR>(x, r, panel, j0, out);
             }
         }
     }
 }
 
-/// Rows `r..r + R`, columns `j0..j0 + cols` of `x · wᵀ`, over the
-/// panel's slice `k0..k0 + panel.len()` of the inner dimension. The
-/// sums start from zero in the first slice and resume from `out` in
-/// later ones.
+/// Rows `r..r + R`, columns `j0..j0 + NR` (fewer past the last output)
+/// of `x · wᵀ`, from the panel holding column `j0`.
 #[inline(always)]
 fn nt_tile<const R: usize, const NR: usize>(
     x: &Matrix,
     r: usize,
-    k0: usize,
-    panel: &[[f32; NR]],
+    panel: &[[f32; PW]],
     j0: usize,
-    cols: usize,
     out: &mut [f32],
 ) {
+    let c0 = j0 % PW;
     let stride = out.len() / x.rows;
-    let xr: [&[f32]; R] = std::array::from_fn(|i| &x.row(r + i)[k0..k0 + panel.len()]);
+    let cols = NR.min(stride - j0);
+    // Cut to the panel's length, so that the loop below needs no bounds
+    // check and keeps its accumulators in registers.
+    let xr: [&[f32]; R] = std::array::from_fn(|i| &x.row(r + i)[..panel.len()]);
     let mut acc = [[0.0f32; NR]; R];
-    if k0 > 0 {
-        for (i, a) in acc.iter_mut().enumerate() {
-            a[..cols].copy_from_slice(&out[(r + i) * stride + j0..][..cols]);
-        }
-    }
     for (k, p) in panel.iter().enumerate() {
+        let p = &p[c0..c0 + NR];
         for (a, xr) in acc.iter_mut().zip(&xr) {
             let xv = xr[k];
             for (a, &pv) in a.iter_mut().zip(p) {
@@ -660,10 +718,10 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
-    /// One compiled instance of the three kernels.
+    /// One compiled instance of the three products.
     struct Instance {
         name: &'static str,
-        matmul_nt: unsafe fn(&Matrix, &Matrix, &mut [f32]),
+        matmul_nt: unsafe fn(&Matrix, &PackedWeights, &mut [f32]),
         matmul_nn: unsafe fn(&Matrix, &Matrix, &mut [f32]),
         accumulate_tn: unsafe fn(&Matrix, &Matrix, &mut [f32]),
     }
@@ -714,6 +772,7 @@ mod tests {
             let x = with_zeros(n, k, &mut rng);
             let w = Matrix::xavier(m, k, 1.0, &mut rng);
             let want = bits(&reference::matmul_nt(&x, &w).data);
+            let w = PackedWeights::new(w);
             let shape = format!("n {n}, in {k}, out {m}");
             assert_eq!(bits(&x.matmul_nt(&w).data), want, "matmul_nt: {shape}");
             for inst in instances() {
@@ -781,7 +840,7 @@ mod tests {
     fn matmul_nt_small() {
         // x = [[1,2],[3,4]], w = [[1,0],[0,1],[1,1]] (3 outputs)
         let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let w = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+        let w = PackedWeights::new(Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]));
         let y = x.matmul_nt(&w);
         assert_eq!(y.data, vec![1.0, 2.0, 3.0, 3.0, 4.0, 7.0]);
     }
@@ -790,7 +849,7 @@ mod tests {
     fn matmul_nn_is_transpose_consistent() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let x = Matrix::xavier(4, 3, 1.0, &mut rng);
-        let w = Matrix::xavier(5, 3, 1.0, &mut rng);
+        let w = PackedWeights::new(Matrix::xavier(5, 3, 1.0, &mut rng));
         // (x · wᵀ) · w == x · (wᵀw); just check shapes and one entry by hand.
         let y = x.matmul_nt(&w);
         let back = y.matmul_nn(&w);
@@ -822,7 +881,7 @@ mod tests {
         let dy = Matrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
         let dx = Matrix::tanh_backward(&dy, &y);
         for i in 0..3 {
-            let t = x.data[i].tanh();
+            let t = crate::tanh::tanhf(x.data[i]);
             assert!((dx.data[i] - (1.0 - t * t)).abs() < 1e-6);
         }
     }
@@ -854,7 +913,7 @@ mod tests {
     fn matmul_nt_into_reuses_buffer_bit_identically() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let x = Matrix::xavier(4, 6, 1.0, &mut rng);
-        let w = Matrix::xavier(5, 6, 1.0, &mut rng);
+        let w = PackedWeights::new(Matrix::xavier(5, 6, 1.0, &mut rng));
         let fresh = x.matmul_nt(&w);
         // A stale, differently-shaped buffer must be fully overwritten.
         let mut buf = Matrix::from_vec(1, 2, vec![9.0, 9.0]);
@@ -864,6 +923,25 @@ mod tests {
         let mut t = fresh.clone();
         t.tanh_inplace();
         assert_eq!(t, fresh.tanh());
+    }
+
+    #[test]
+    fn packed_weights_serialise_as_their_matrix_and_repack_on_update() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let x = Matrix::xavier(3, 20, 1.0, &mut rng);
+        let w = Matrix::xavier(21, 20, 1.0, &mut rng);
+        let mut packed = PackedWeights::new(w.clone());
+        let json = serde_json::to_string(&packed).unwrap();
+        assert_eq!(json, serde_json::to_string(&w).unwrap());
+        let loaded: PackedWeights = serde_json::from_str(&json).unwrap();
+        assert_eq!(x.matmul_nt(&loaded), x.matmul_nt(&packed));
+        // A write through `update` reaches the panels.
+        let w2 = Matrix::xavier(21, 20, 1.0, &mut rng);
+        packed.update(|w| w.data.copy_from_slice(&w2.data));
+        assert_eq!(x.matmul_nt(&packed), x.matmul_nt(&PackedWeights::new(w2)));
+        // A `data` of the wrong length is refused, not packed.
+        let short = r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#;
+        assert!(serde_json::from_str::<PackedWeights>(short).is_err());
     }
 
     #[test]

@@ -144,7 +144,8 @@ impl PolicyValueNet {
     /// buffers are warm. One matrix-matrix pass replaces `n` per-row
     /// matrix-vector passes, and the results are bit-identical to
     /// [`PolicyValueNet::forward`]/[`PolicyValueNet::forward_one`]
-    /// row-for-row (the same kernels run over the same row layout).
+    /// row-for-row (the same kernels run over the same row layout, and
+    /// read the weight panels packed at the last weight change).
     pub fn infer(&self, x: &Matrix, buf: &mut InferBuffer) {
         assert_eq!(x.cols, self.config.obs_dim, "observation width mismatch");
         self.l1.forward_into(x, &mut buf.h1);
