@@ -295,13 +295,15 @@ impl Trainer {
 
     /// Restore a policy saved by [`Trainer::save_policy`].
     ///
-    /// Fails with [`TrainError::BadCheckpoint`] when the JSON doesn't
-    /// parse or the checkpoint's network shape doesn't match this
-    /// trainer's configuration; the current policy is untouched on
-    /// every error path.
+    /// Fails with [`TrainError::BadCheckpoint`] when the JSON is not a
+    /// well-formed network (it doesn't parse, or a layer's shape
+    /// disagrees with its own tensors or with the net's `config`) or
+    /// the checkpoint's network shape doesn't match this trainer's
+    /// configuration; the current policy is untouched on every error
+    /// path.
     pub fn load_policy(&mut self, json: &str) -> Result<(), TrainError> {
         let net = PolicyValueNet::from_json(json)
-            .map_err(|e| TrainError::BadCheckpoint(format!("unparseable JSON: {e}")))?;
+            .map_err(|e| TrainError::BadCheckpoint(format!("not a network: {e}")))?;
         if net.config != self.net.config {
             return Err(TrainError::BadCheckpoint(format!(
                 "network shape {:?} does not match trainer config {:?}",
@@ -395,6 +397,36 @@ mod tests {
         restored.load_policy(&ckpt).unwrap();
         let (_, s2) = restored.greedy_tree();
         assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn malformed_checkpoints_are_refused_without_touching_the_policy() {
+        let mut cfg = NeuroCutsConfig::smoke_test();
+        cfg.hidden = [8, 8];
+        let mut trainer = Trainer::new(rules(64), cfg.clone()).unwrap();
+        let saved = trainer.save_policy();
+        let json: serde_json::Value = serde_json::from_str(&saved).unwrap();
+        // The 8×8 `l2`'s weight gradient one entry short: it used to load
+        // and panic in the first update.
+        let mut cut = json.clone();
+        cut["l2"]["gw"]["data"].as_array_mut().unwrap().pop();
+        // Layers 16 wide under this trainer's own config, whose `hidden`
+        // therefore disagrees with them.
+        let mut wide_cfg = cfg;
+        wide_cfg.hidden = [16, 16];
+        let wide = Trainer::new(rules(64), wide_cfg).unwrap().save_policy();
+        let mut wide: serde_json::Value = serde_json::from_str(&wide).unwrap();
+        wide["config"] = json["config"].clone();
+        for bad in [cut, wide] {
+            let bad = serde_json::to_string(&bad).unwrap();
+            match trainer.load_policy(&bad) {
+                Err(TrainError::BadCheckpoint(why)) => {
+                    assert!(why.contains("not a network"), "{why}")
+                }
+                other => panic!("malformed checkpoint loaded: {other:?}"),
+            }
+            assert_eq!(trainer.save_policy(), saved);
+        }
     }
 
     #[test]

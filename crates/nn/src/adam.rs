@@ -36,6 +36,11 @@ impl AdamState {
         AdamState { m: vec![0.0; n], v: vec![0.0; n] }
     }
 
+    /// Whether the moments cover a tensor of `n` parameters.
+    pub(crate) fn fits(&self, n: usize) -> bool {
+        self.m.len() == n && self.v.len() == n
+    }
+
     /// Apply one Adam update to `params` given `grads`; `t` is the
     /// 1-based global step used for bias correction.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32], cfg: &AdamConfig, t: u64) {

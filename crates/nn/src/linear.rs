@@ -9,7 +9,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Gradients accumulate across [`Linear::backward`] calls until
 /// [`Linear::zero_grad`]; [`Linear::adam_step`] applies the update.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Deserialisation refuses a layer whose bias, gradients or Adam moments
+/// do not match the shape of its weights.
+#[derive(Debug, Clone, Serialize)]
 pub struct Linear {
     /// Weights, `[out, in]`, with the forward's packed panels.
     pub w: PackedWeights,
@@ -123,6 +125,33 @@ impl Linear {
     }
 }
 
+impl Deserialize for Linear {
+    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Fields {
+            w: PackedWeights,
+            b: Vec<f32>,
+            gw: Matrix,
+            gb: Vec<f32>,
+            opt_w: AdamState,
+            opt_b: AdamState,
+        }
+        let Fields { w, b, gw, gb, opt_w, opt_b } = Fields::deserialize_value(value)?;
+        // `PackedWeights` has checked that `w.data` is `rows × cols` long.
+        let (rows, cols) = (w.rows, w.cols);
+        let wrong = if b.len() != rows || gb.len() != rows {
+            "`b` and `gb` need one entry per output"
+        } else if (gw.rows, gw.cols, gw.data.len()) != (rows, cols, rows * cols) {
+            "`gw` needs the shape of `w`"
+        } else if !opt_w.fits(rows * cols) || !opt_b.fits(rows) {
+            "each Adam moment needs the length of its tensor"
+        } else {
+            return Ok(Linear { w, b, gw, gb, opt_w, opt_b });
+        };
+        Err(serde::Error::custom(format!("Linear [{rows}, {cols}]: {wrong}")))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +213,39 @@ mod tests {
         layer.b = vec![10.0, -10.0];
         let y = layer.forward(&Matrix::from_vec(1, 2, vec![1.0, 2.0]));
         assert_eq!(y.data, vec![11.0, -8.0]);
+    }
+
+    #[test]
+    fn deserialisation_refuses_mismatched_shapes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let json = serde_json::to_value(&Linear::new(3, 2, 1.0, &mut rng)).unwrap();
+        assert!(serde_json::from_value::<Linear>(json.clone()).is_ok());
+        let short = |field: &str, path: &[&str]| {
+            let mut j = json.clone();
+            let mut v = &mut j[field];
+            for key in path {
+                v = &mut v[*key];
+            }
+            v.as_array_mut().unwrap().pop();
+            serde_json::from_value::<Linear>(j)
+        };
+        for (field, path) in [
+            ("b", &[][..]),
+            ("gb", &[]),
+            ("gw", &["data"]),
+            ("opt_w", &["m"]),
+            ("opt_w", &["v"]),
+            ("opt_b", &["m"]),
+            ("opt_b", &["v"]),
+        ] {
+            let err = short(field, path).unwrap_err().to_string();
+            assert!(err.contains("Linear [2, 3]"), "{field}{path:?}: {err}");
+        }
+        // A `gw` of the right length but the wrong shape.
+        let mut j = json.clone();
+        j["gw"]["rows"] = serde_json::json!(3);
+        j["gw"]["cols"] = serde_json::json!(2);
+        assert!(serde_json::from_value::<Linear>(j).is_err());
     }
 
     #[test]

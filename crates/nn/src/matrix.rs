@@ -20,15 +20,26 @@
 //! The forward reads `wᵀ` from column panels that [`PackedWeights`]
 //! packs once per change of the weights, not once per call.
 //!
-//! # Two compiled instances
+//! # Three compiled instances
 //!
-//! Each kernel's body is generic over its tile or lane width and compiled
-//! twice: for the build's baseline target (SSE2 on x86-64, 8-column
-//! tiles, 4 `tanh` lanes) and with AVX2 enabled (16-column tiles, 8
-//! lanes). Every call takes the AVX2 instance when
-//! `is_x86_feature_detected!("avx2")` reports it — a platform check, not
-//! a setting — and the baseline instance is the only one on other CPUs.
-//! Tests run both instances directly.
+//! Each kernel's body is generic over its tile shape or lane count and
+//! compiled three times:
+//!
+//! | instance | forward tile | gradient tiles | `tanh` lanes |
+//! |---|---|---|---|
+//! | baseline (SSE2 on x86-64) | 4 rows × 8 columns | 4 × 8 | 4 |
+//! | `avx2` | 4 × 16 | 4 × 16 | 8 |
+//! | `avx512` (AVX-512F, 32 registers) | 8 × 16 | 4 × 32 | 16 |
+//!
+//! A row left over after the forward's full row tiles spans 1, 2 or 4
+//! panels (16 columns each), so that it still keeps four independent
+//! accumulator vectors. Every call takes the widest instance the CPU
+//! reports — AVX-512F, then AVX2, then the baseline, the only one on
+//! other CPUs — through one platform check (`widest`), not a setting.
+//! The AVX-512 instance keeps the bits for the reason the others do: its
+//! lanes are outputs, and although `avx512f` implies `fma`, the compiler
+//! never contracts a multiply and an add that the source writes apart.
+//! Tests run every instance the CPU has directly.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -118,12 +129,13 @@ impl Matrix {
     ///
     /// Each output is `0.0 + x[r][0]·w[j][0] + x[r][1]·w[j][1] + …` in
     /// `k` order, bit-identical to the naive loop (see the module docs).
-    /// A tile holds 4 rows × 16 output columns (8 in the baseline
-    /// instance); each `k` step broadcasts one input per row against a
-    /// row of one of `w`'s packed panels, which every row tile of the
-    /// batch reads in turn: a `[512, 315]` weight matrix (~645 KB) is
-    /// read once per *batch* from the panels, and never repacked here.
-    /// A single row runs the same tiles.
+    /// A tile holds 4 rows × 16 output columns (8 × 16 in the AVX-512
+    /// instance, 4 × 8 in the baseline one); each `k` step broadcasts one
+    /// input per row against a row of one of `w`'s packed panels, which
+    /// every row tile of the batch reads in turn: a `[512, 315]` weight
+    /// matrix (~645 KB) is read once per *batch* from the panels, and
+    /// never repacked here. A row left over after the full tiles, a
+    /// single row included, runs several panels at a time.
     // nc-lint: kernel
     pub fn matmul_nt_into(&self, w: &PackedWeights, out: &mut Matrix) {
         assert_eq!(self.cols, w.cols, "inner dimension mismatch");
@@ -133,13 +145,8 @@ impl Matrix {
         // a shape-stable steady state (the hot inference case) must not
         // pay a per-call memset.
         out.data.resize(self.rows * w.rows, 0.0);
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, the only feature the
-            // instance is compiled for.
-            return unsafe { avx2::matmul_nt(self, w, &mut out.data) };
-        }
-        baseline::matmul_nt(self, w, &mut out.data);
+        // SAFETY: `widest` returns an instance this CPU runs.
+        unsafe { (widest().matmul_nt)(self, w, &mut out.data) }
     }
 
     /// `dy · w`: `[n, out] · [out, in] -> [n, in]` (input gradient).
@@ -147,19 +154,14 @@ impl Matrix {
     /// Each output is `0.0 + dy[r][0]·w[0][k] + dy[r][1]·w[1][k] + …` in
     /// `j` order, skipping every factor `dy[r][j]` equal to zero (`-0.0`
     /// included), bit-identical to the naive loop (see the module docs).
-    /// A tile holds 4 rows × 16 columns (8 in the baseline instance),
-    /// and a tile with no zero factor runs without the skip test.
+    /// A tile holds 4 rows × 16 columns (32 in the AVX-512 instance, 8
+    /// in the baseline one), and a tile with no zero factor runs without
+    /// the skip test.
     pub fn matmul_nn(&self, w: &Matrix) -> Matrix {
         assert_eq!(self.cols, w.rows, "inner dimension mismatch");
         let mut out = Matrix::zeros(self.rows, w.cols);
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, the only feature the
-            // instance is compiled for.
-            unsafe { avx2::matmul_nn(self, w, &mut out.data) };
-            return out;
-        }
-        baseline::matmul_nn(self, w, &mut out.data);
+        // SAFETY: as in `matmul_nt_into`.
+        unsafe { (widest().matmul_nn)(self, w, &mut out.data) };
         out
     }
 
@@ -169,21 +171,16 @@ impl Matrix {
     /// `acc[j][k]` gains `dy[0][j]·x[0][k]`, then `dy[1][j]·x[1][k]`, …
     /// in row order, skipping every factor `dy[r][j]` equal to zero
     /// (`-0.0` included), bit-identical to the naive loop (see the
-    /// module docs). A tile of 4 accumulator rows × 16 columns (8 in the
-    /// baseline instance) is loaded once, swept over the whole batch and
-    /// stored once. Allocation-free.
+    /// module docs). A tile of 4 accumulator rows × 16 columns (32 in
+    /// the AVX-512 instance, 8 in the baseline one) is loaded once, swept
+    /// over the whole batch and stored once. Allocation-free.
     // nc-lint: kernel
     pub fn accumulate_tn(&self, x: &Matrix, acc: &mut Matrix) {
         assert_eq!(self.rows, x.rows, "batch mismatch");
         assert_eq!(acc.rows, self.cols);
         assert_eq!(acc.cols, x.cols);
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, the only feature the
-            // instance is compiled for.
-            return unsafe { avx2::accumulate_tn(self, x, &mut acc.data) };
-        }
-        baseline::accumulate_tn(self, x, &mut acc.data);
+        // SAFETY: as in `matmul_nt_into`.
+        unsafe { (widest().accumulate_tn)(self, x, &mut acc.data) }
     }
 
     /// Element-wise `tanh`.
@@ -198,12 +195,8 @@ impl Matrix {
     /// body of the crate's port of fdlibm's `tanhf`, bit-identical to
     /// its scalar reference.
     pub fn tanh_inplace(&mut self) {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: as in `matmul_nt_into`.
-            return unsafe { avx2::tanh(&mut self.data) };
-        }
-        baseline::tanh(&mut self.data);
+        // SAFETY: as in `matmul_nt_into`.
+        unsafe { (widest().tanh)(&mut self.data) }
     }
 
     /// Backprop through tanh: `dx = dy ⊙ (1 - y²)` where `y = tanh(x)`.
@@ -287,14 +280,21 @@ pub struct PackedWeights {
     /// Panel `p` covers outputs `16p..16p + 16` and is
     /// `panels[p * in..(p + 1) * in]`: its row `k` holds `w[16p + c][k]`
     /// in lane `c`, and zeros in lanes past the last output.
-    panels: Vec<[f32; PW]>,
+    panels: Vec<PanelRow>,
 }
+
+/// One row of a packed panel, aligned to its 64 bytes so that no vector
+/// load of it straddles two cache lines (an AVX-512 load of a
+/// misaligned row always would, at about twice the cost).
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct PanelRow([f32; PW]);
 
 impl PackedWeights {
     /// Pack `w`.
     pub fn new(w: Matrix) -> Self {
         // Lanes past the last output stay zero: `pack` never writes them.
-        let panels = vec![[0.0; PW]; w.rows.div_ceil(PW) * w.cols];
+        let panels = vec![PanelRow([0.0; PW]); w.rows.div_ceil(PW) * w.cols];
         let mut packed = PackedWeights { w, panels };
         packed.pack();
         packed
@@ -317,7 +317,7 @@ impl PackedWeights {
         for j in 0..self.w.rows {
             let panel = &mut self.panels[j / PW * n_in..][..n_in];
             for (p, &v) in panel.iter_mut().zip(self.w.row(j)) {
-                p[j % PW] = v;
+                p.0[j % PW] = v;
             }
         }
     }
@@ -347,83 +347,184 @@ impl Deserialize for PackedWeights {
     }
 }
 
-/// Rows (forward and input gradient) or accumulator rows (weight
-/// gradient) per register tile.
-const MR: usize = 4;
-/// Columns per register tile in the baseline instance: two 4-lane SSE2
-/// vectors per row, so a tile's eight accumulators and its operands fit
-/// the sixteen vector registers (sixteen columns would spill).
-const NR_BASELINE: usize = 8;
-/// Columns per register tile in the AVX2 instance: two 8-lane vectors
-/// per row.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-const NR_AVX2: usize = 16;
-/// Columns per packed forward panel: the AVX2 tile width. The baseline
-/// instance reads each panel as two 8-column halves.
+/// Columns per packed forward panel: one row of an AVX2 tile, one
+/// AVX-512 vector. The baseline instance's 4-row tiles read each panel
+/// as two 8-column halves.
 const PW: usize = 16;
-/// `tanh` lanes per group in the baseline instance: one SSE2 vector.
-const TANH_LANES_BASELINE: usize = 4;
-/// `tanh` lanes per group in the AVX2 instance: one AVX2 vector.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-const TANH_LANES_AVX2: usize = 8;
 
-/// The kernels compiled for the build's baseline target — the only
-/// instance that runs on a CPU without AVX2.
+/// One compiled instance of the kernels: the three products and the
+/// lane-wise `tanh`. Its functions may only be called on a CPU for which
+/// `runs_here` reports true.
+pub(crate) struct Kernels {
+    /// The instance's name in test reports.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) name: &'static str,
+    /// Whether this CPU has the features the instance is compiled for.
+    runs_here: fn() -> bool,
+    pub(crate) matmul_nt: unsafe fn(&Matrix, &PackedWeights, &mut [f32]),
+    pub(crate) matmul_nn: unsafe fn(&Matrix, &Matrix, &mut [f32]),
+    pub(crate) accumulate_tn: unsafe fn(&Matrix, &Matrix, &mut [f32]),
+    pub(crate) tanh: unsafe fn(&mut [f32]),
+}
+
+/// Every compiled instance, narrowest first.
+static INSTANCES: &[Kernels] = &[
+    baseline::KERNELS,
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    avx2::KERNELS,
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    avx512::KERNELS,
+];
+
+/// The instances this CPU runs, narrowest first: the ones the tests
+/// hold to the references.
+pub(crate) fn runnable() -> impl Iterator<Item = &'static Kernels> {
+    INSTANCES.iter().filter(|k| (k.runs_here)())
+}
+
+/// The widest instance this CPU runs — AVX-512F, then AVX2, then the
+/// baseline — and so the one every call takes. A platform check, not a
+/// setting, made here and nowhere else.
+fn widest() -> &'static Kernels {
+    runnable().last().unwrap_or(&baseline::KERNELS)
+}
+
+/// The kernels compiled for the build's baseline target (SSE2 on
+/// x86-64), the only instance that runs on a CPU without AVX2. Tiles
+/// are 8 columns wide, two 4-lane vectors per row, so that a 4-row
+/// tile's eight accumulators and its operands fit the sixteen vector
+/// registers (sixteen columns would spill); the forward reads each
+/// panel as two halves, and a row left over spans both. `tanh` runs 4
+/// lanes.
 pub(crate) mod baseline {
-    use super::{Matrix, PackedWeights, NR_BASELINE, TANH_LANES_BASELINE};
+    use super::{Kernels, Matrix, PackedWeights};
 
-    pub(super) fn matmul_nt(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
-        super::matmul_nt_tiles::<NR_BASELINE>(x, w, out);
+    pub(crate) const KERNELS: Kernels =
+        Kernels { name: "baseline", runs_here: || true, matmul_nt, matmul_nn, accumulate_tn, tanh };
+
+    // nc-lint: kernel
+    fn matmul_nt(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
+        super::matmul_nt_tiles::<4, 8, 1>(x, w, out);
     }
 
-    pub(super) fn matmul_nn(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
-        super::matmul_nn_tiles::<NR_BASELINE>(dy, w, out);
+    // nc-lint: kernel
+    fn matmul_nn(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
+        super::matmul_nn_tiles::<4, 8>(dy, w, out);
     }
 
-    pub(super) fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
-        super::accumulate_tn_tiles::<NR_BASELINE>(dy, x, acc);
+    // nc-lint: kernel
+    fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
+        super::accumulate_tn_tiles::<4, 8>(dy, x, acc);
     }
 
-    pub(crate) fn tanh(v: &mut [f32]) {
-        crate::tanh::tanh_lanes::<TANH_LANES_BASELINE>(v);
+    // nc-lint: kernel
+    fn tanh(v: &mut [f32]) {
+        crate::tanh::tanh_lanes::<4>(v);
     }
 }
 
-/// The same kernels compiled with AVX2 enabled: 8-lane vectors, and no
-/// FMA, which would fuse each product into its sum and change bits. The
-/// tiled and lane-wise bodies are `#[inline(always)]`, so each compiles
-/// inside the instance that calls it, with that instance's target
-/// features.
+/// The same kernels compiled with AVX2 enabled: tiles of 4 rows × 16
+/// columns, two 8-lane vectors per row; a row left over spans two
+/// panels. `tanh` runs 8 lanes. No FMA, which would fuse each product
+/// into its sum and change bits. The tiled and lane-wise bodies are
+/// `#[inline(always)]`, so each compiles inside the instance that calls
+/// it, with that instance's target features.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 pub(crate) mod avx2 {
-    use super::{Matrix, PackedWeights, NR_AVX2, TANH_LANES_AVX2};
+    use super::{Kernels, Matrix, PackedWeights};
 
+    pub(crate) const KERNELS: Kernels = Kernels {
+        name: "avx2",
+        runs_here: || is_x86_feature_detected!("avx2"),
+        matmul_nt,
+        matmul_nn,
+        accumulate_tn,
+        tanh,
+    };
+
+    // nc-lint: kernel
     #[target_feature(enable = "avx2")]
-    pub(super) fn matmul_nt(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
-        super::matmul_nt_tiles::<NR_AVX2>(x, w, out);
+    fn matmul_nt(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
+        super::matmul_nt_tiles::<4, 16, 2>(x, w, out);
     }
 
+    // nc-lint: kernel
     #[target_feature(enable = "avx2")]
-    pub(super) fn matmul_nn(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
-        super::matmul_nn_tiles::<NR_AVX2>(dy, w, out);
+    fn matmul_nn(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
+        super::matmul_nn_tiles::<4, 16>(dy, w, out);
     }
 
+    // nc-lint: kernel
     #[target_feature(enable = "avx2")]
-    pub(super) fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
-        super::accumulate_tn_tiles::<NR_AVX2>(dy, x, acc);
+    fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
+        super::accumulate_tn_tiles::<4, 16>(dy, x, acc);
     }
 
+    // nc-lint: kernel
     #[target_feature(enable = "avx2")]
-    pub(crate) fn tanh(v: &mut [f32]) {
-        crate::tanh::tanh_lanes::<TANH_LANES_AVX2>(v);
+    fn tanh(v: &mut [f32]) {
+        crate::tanh::tanh_lanes::<8>(v);
     }
 }
 
-/// `out = x · wᵀ`, one `NR`-column strip of a packed panel at a time.
-/// `out` holds `x.rows × w.rows` values.
+/// The same kernels compiled with AVX-512F enabled, for its 32 vector
+/// registers of 16 lanes. The forward's tiles are 8 rows × 16 columns,
+/// one vector per row over the same panels (eight accumulators), and a
+/// row left over spans four panels; the gradients' tiles are 4 rows ×
+/// 32 columns, two vectors per row. `tanh` runs 16 lanes. `avx512f`
+/// implies `fma`, but the compiler only fuses what the source writes as
+/// a fused multiply-add, and these bodies never do, so the bits are the
+/// other instances'.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+pub(crate) mod avx512 {
+    use super::{Kernels, Matrix, PackedWeights};
+
+    pub(crate) const KERNELS: Kernels = Kernels {
+        name: "avx512",
+        runs_here: || is_x86_feature_detected!("avx512f"),
+        matmul_nt,
+        matmul_nn,
+        accumulate_tn,
+        tanh,
+    };
+
+    // nc-lint: kernel
+    #[target_feature(enable = "avx512f")]
+    fn matmul_nt(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
+        super::matmul_nt_tiles::<8, 16, 4>(x, w, out);
+    }
+
+    // nc-lint: kernel
+    #[target_feature(enable = "avx512f")]
+    fn matmul_nn(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
+        super::matmul_nn_tiles::<4, 32>(dy, w, out);
+    }
+
+    // nc-lint: kernel
+    #[target_feature(enable = "avx512f")]
+    fn accumulate_tn(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
+        super::accumulate_tn_tiles::<4, 32>(dy, x, acc);
+    }
+
+    // nc-lint: kernel
+    #[target_feature(enable = "avx512f")]
+    fn tanh(v: &mut [f32]) {
+        crate::tanh::tanh_lanes::<16>(v);
+    }
+}
+
+/// `out = x · wᵀ` from `w`'s packed panels. `out` holds
+/// `x.rows × w.rows` values. Tiles of `MR` rows run one `NR`-column
+/// strip at a time. A row left over after them runs `P` whole panels at
+/// a time, so that it still has independent accumulator chains, where
+/// one strip would leave every `k` step waiting on the previous add.
 // nc-lint: kernel
 #[inline(always)]
-fn matmul_nt_tiles<const NR: usize>(x: &Matrix, w: &PackedWeights, out: &mut [f32]) {
+fn matmul_nt_tiles<const MR: usize, const NR: usize, const P: usize>(
+    x: &Matrix,
+    w: &PackedWeights,
+    out: &mut [f32],
+) {
     if x.cols == 0 {
         out.fill(0.0);
         return;
@@ -435,9 +536,16 @@ fn matmul_nt_tiles<const NR: usize>(x: &Matrix, w: &PackedWeights, out: &mut [f3
                 nt_tile::<MR, NR>(x, r, panel, j0, out);
                 r += MR;
             }
-            for r in r..x.rows {
-                nt_tile::<1, NR>(x, r, panel, j0, out);
-            }
+        }
+    }
+    let panels = w.rows.div_ceil(PW);
+    let wide = panels - panels % P;
+    for r in x.rows - x.rows % MR..x.rows {
+        for p0 in (0..wide).step_by(P) {
+            nt_row::<P>(x, r, w, p0, out);
+        }
+        for p0 in wide..panels {
+            nt_row::<1>(x, r, w, p0, out);
         }
     }
 }
@@ -448,7 +556,7 @@ fn matmul_nt_tiles<const NR: usize>(x: &Matrix, w: &PackedWeights, out: &mut [f3
 fn nt_tile<const R: usize, const NR: usize>(
     x: &Matrix,
     r: usize,
-    panel: &[[f32; PW]],
+    panel: &[PanelRow],
     j0: usize,
     out: &mut [f32],
 ) {
@@ -460,7 +568,7 @@ fn nt_tile<const R: usize, const NR: usize>(
     let xr: [&[f32]; R] = std::array::from_fn(|i| &x.row(r + i)[..panel.len()]);
     let mut acc = [[0.0f32; NR]; R];
     for (k, p) in panel.iter().enumerate() {
-        let p = &p[c0..c0 + NR];
+        let p = &p.0[c0..c0 + NR];
         for (a, xr) in acc.iter_mut().zip(&xr) {
             let xv = xr[k];
             for (a, &pv) in a.iter_mut().zip(p) {
@@ -473,10 +581,33 @@ fn nt_tile<const R: usize, const NR: usize>(
     }
 }
 
+/// Row `r`, panels `p0..p0 + P` (columns `16·p0..`, fewer past the last
+/// output) of `x · wᵀ`: one accumulator row per panel.
+#[inline(always)]
+fn nt_row<const P: usize>(x: &Matrix, r: usize, w: &PackedWeights, p0: usize, out: &mut [f32]) {
+    let xr = x.row(r);
+    let n_in = xr.len();
+    // Cut to the row's length, as in `nt_tile`.
+    let panels: [&[PanelRow]; P] = std::array::from_fn(|p| &w.panels[(p0 + p) * n_in..][..n_in]);
+    let mut acc = [[0.0f32; PW]; P];
+    for (k, &xv) in xr.iter().enumerate() {
+        for (a, panel) in acc.iter_mut().zip(&panels) {
+            for (a, &pv) in a.iter_mut().zip(&panel[k].0) {
+                *a += xv * pv;
+            }
+        }
+    }
+    for (p, a) in acc.iter().enumerate() {
+        let j = (p0 + p) * PW;
+        let cols = PW.min(w.rows - j);
+        out[r * w.rows + j..][..cols].copy_from_slice(&a[..cols]);
+    }
+}
+
 /// `out = dy · w`, one tile of rows at a time. `out` holds
 /// `dy.rows × w.cols` values.
 #[inline(always)]
-fn matmul_nn_tiles<const NR: usize>(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
+fn matmul_nn_tiles<const MR: usize, const NR: usize>(dy: &Matrix, w: &Matrix, out: &mut [f32]) {
     let mut r = 0;
     while r + MR <= dy.rows {
         nn_rows::<MR, NR>(dy, w, r, out);
@@ -539,7 +670,7 @@ fn nn_tile<const R: usize, const NR: usize>(
 /// `acc += dyᵀ · x`, one tile of accumulator rows at a time. `acc`
 /// holds `dy.cols × x.cols` values.
 #[inline(always)]
-fn accumulate_tn_tiles<const NR: usize>(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
+fn accumulate_tn_tiles<const MR: usize, const NR: usize>(dy: &Matrix, x: &Matrix, acc: &mut [f32]) {
     let mut j = 0;
     while j + MR <= dy.cols {
         tn_rows::<MR, NR>(dy, x, j, acc);
@@ -718,44 +849,33 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
-    /// One compiled instance of the three products.
-    struct Instance {
-        name: &'static str,
-        matmul_nt: unsafe fn(&Matrix, &PackedWeights, &mut [f32]),
-        matmul_nn: unsafe fn(&Matrix, &Matrix, &mut [f32]),
-        accumulate_tn: unsafe fn(&Matrix, &Matrix, &mut [f32]),
-    }
-
-    /// The baseline instance, and the AVX2 one when this CPU has it.
-    fn instances() -> Vec<Instance> {
-        let mut all = vec![Instance {
-            name: "baseline",
-            matmul_nt: baseline::matmul_nt,
-            matmul_nn: baseline::matmul_nn,
-            accumulate_tn: baseline::accumulate_tn,
-        }];
+    #[test]
+    fn calls_take_the_widest_instance_the_tests_run() {
+        // CI prints this line, so that a run on a CPU without AVX-512 is
+        // not taken for a test of that instance.
+        let names: Vec<&str> = runnable().map(|k| k.name).collect();
+        println!("nn kernel instances tested on this CPU: {}", names.join(", "));
+        assert_eq!(names[0], "baseline");
+        assert_eq!(Some(&widest().name), names.last());
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") {
-            all.push(Instance {
-                name: "avx2",
-                matmul_nt: avx2::matmul_nt,
-                matmul_nn: avx2::matmul_nn,
-                accumulate_tn: avx2::accumulate_tn,
-            });
+        {
+            assert_eq!(names.contains(&"avx2"), is_x86_feature_detected!("avx2"));
+            assert_eq!(names.contains(&"avx512"), is_x86_feature_detected!("avx512f"));
         }
-        all
     }
 
     /// Every `(batch, inner, outputs)` shape the bit-identity tests run:
-    /// batch 1/3/16/17/256 × inner width 7/64/315/512 × outputs
-    /// 1/5/14/64/512. An unoptimised build skips shapes over 2^20
-    /// multiply-adds, which would take most of a minute there; each
-    /// batch still meets every width and every output count.
+    /// batch 1/3/15/16/17/256 × inner width 7/64/315/512 × outputs
+    /// 1/5/14/64/100/512. Batches of 3, 15 and 17 leave rows over after
+    /// the full row tiles, and 100 outputs leave a short strip after the
+    /// leftover rows' widest tiles. An unoptimised build skips shapes
+    /// over 2^20 multiply-adds, which would take most of a minute there;
+    /// each batch still meets every width and every output count.
     fn shapes() -> Vec<(usize, usize, usize)> {
         let mut all = Vec::new();
-        for n in [1, 3, 16, 17, 256] {
+        for n in [1, 3, 15, 16, 17, 256] {
             for k in [7, 64, 315, 512] {
-                for m in [1, 5, 14, 64, 512] {
+                for m in [1, 5, 14, 64, 100, 512] {
                     if !cfg!(debug_assertions) || n * k * m <= 1 << 20 {
                         all.push((n, k, m));
                     }
@@ -775,11 +895,10 @@ mod tests {
             let w = PackedWeights::new(w);
             let shape = format!("n {n}, in {k}, out {m}");
             assert_eq!(bits(&x.matmul_nt(&w).data), want, "matmul_nt: {shape}");
-            for inst in instances() {
+            for inst in runnable() {
                 // Stale contents must be overwritten.
                 let mut out = vec![f32::NAN; n * m];
-                // SAFETY: `instances` lists the AVX2 instance only when
-                // this CPU supports AVX2.
+                // SAFETY: `runnable` lists only instances this CPU runs.
                 unsafe { (inst.matmul_nt)(&x, &w, &mut out) };
                 assert_eq!(bits(&out), want, "{} matmul_nt: {shape}", inst.name);
             }
@@ -797,7 +916,7 @@ mod tests {
             let want = bits(&reference::matmul_nn(&dy, &w).data);
             let shape = format!("n {n}, in {k}, out {m}");
             assert_eq!(bits(&dy.matmul_nn(&w).data), want, "matmul_nn: {shape}");
-            for inst in instances() {
+            for inst in runnable() {
                 let mut out = vec![0.0; n * k];
                 // SAFETY: as in the forward test.
                 unsafe { (inst.matmul_nn)(&dy, &w, &mut out) };
@@ -824,7 +943,7 @@ mod tests {
             dy.accumulate_tn(&x, &mut acc);
             dy.accumulate_tn(&x, &mut acc);
             assert_eq!(bits(&acc.data), want, "accumulate_tn: {shape}");
-            for inst in instances() {
+            for inst in runnable() {
                 let mut acc = acc0.data.clone();
                 // SAFETY: as in the forward test.
                 unsafe {

@@ -91,7 +91,10 @@ pub struct InferBuffer {
 }
 
 /// The shared-trunk policy + value network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Deserialisation refuses a net whose layers disagree with its
+/// `config` (or, through [`Linear`]'s own check, with themselves).
+#[derive(Debug, Clone, Serialize)]
 pub struct PolicyValueNet {
     /// Topology.
     pub config: NetConfig,
@@ -228,6 +231,39 @@ impl PolicyValueNet {
     /// Load from [`PolicyValueNet::to_json`] output.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
+    }
+}
+
+impl Deserialize for PolicyValueNet {
+    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Fields {
+            config: NetConfig,
+            l1: Linear,
+            l2: Linear,
+            dim_head: Linear,
+            act_head: Linear,
+            value_head: Linear,
+            steps: u64,
+        }
+        let Fields { config, l1, l2, dim_head, act_head, value_head, steps } =
+            Fields::deserialize_value(value)?;
+        let NetConfig { obs_dim, dim_actions, num_actions, hidden: [h0, h1] } = config;
+        for (name, layer, shape) in [
+            ("l1", &l1, [h0, obs_dim]),
+            ("l2", &l2, [h1, h0]),
+            ("dim_head", &dim_head, [dim_actions, h1]),
+            ("act_head", &act_head, [num_actions, h1]),
+            ("value_head", &value_head, [1, h1]),
+        ] {
+            let got = [layer.out_dim(), layer.in_dim()];
+            if got != shape {
+                return Err(serde::Error::custom(format!(
+                    "PolicyValueNet: layer `{name}` is {got:?}, its config wants {shape:?}"
+                )));
+            }
+        }
+        Ok(PolicyValueNet { config, l1, l2, dim_head, act_head, value_head, steps })
     }
 }
 
@@ -437,6 +473,32 @@ mod tests {
         let restored = PolicyValueNet::from_json(&net.to_json()).unwrap();
         let obs = [0.1f32, -0.4, 0.9, 0.0, 1.0, -1.0];
         assert_eq!(net.forward_one(&obs), restored.forward_one(&obs));
+        assert_eq!(restored.to_json(), net.to_json());
+    }
+
+    #[test]
+    fn from_json_refuses_malformed_nets() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let json = serde_json::to_value(&tiny_net(&mut rng)).unwrap();
+        let load =
+            |j: serde_json::Value| PolicyValueNet::from_json(&serde_json::to_string(&j).unwrap());
+        // An 8×8 layer whose weight gradient is one entry short: before
+        // the check it loaded, and the first `backward` panicked.
+        let mut cut = json.clone();
+        cut["l2"]["gw"]["data"].as_array_mut().unwrap().pop();
+        let err = load(cut).unwrap_err().to_string();
+        assert!(err.contains("Linear [8, 8]"), "{err}");
+        // A config that disagrees with the layers' shapes.
+        for (key, value) in [
+            ("hidden", serde_json::json!([8, 9])),
+            ("obs_dim", serde_json::json!(7)),
+            ("num_actions", serde_json::json!(5)),
+        ] {
+            let mut j = json.clone();
+            j["config"][key] = value;
+            let err = load(j).unwrap_err().to_string();
+            assert!(err.contains("its config wants"), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //! computes the same function on a group of lanes without branches:
 //! every lane runs every path on its own value and a select keeps the
 //! result of the path `tanhf` would take, so the lane loop vectorises.
-//! It is compiled into the baseline and AVX2 instances of `nn::matrix`
-//! next to the matmul kernels, and `Matrix::tanh_inplace` runs it. The
-//! two agree on all 2^32 inputs (an ignored test sweeps them all).
+//! It is compiled into the three instances of `nn::matrix` next to the
+//! matmul kernels — 4 lanes in the baseline instance, 8 under AVX2 and
+//! 16 under AVX-512F — and `Matrix::tanh_inplace` runs the widest one
+//! the CPU has. Every lane is one element's own chain of operations, as
+//! in [`tanhf`], and none is contracted into a fused multiply-add, so
+//! each instance agrees with the port on all 2^32 inputs (an ignored
+//! test sweeps them all, for every instance the CPU runs).
 //!
 //! `tanhf` calls `expm1f` only with `2|x|` for `1 <= |x| < 22` and with
 //! `-2|x|` for `|x| < 1`, so this port keeps just the `expm1f` paths
@@ -259,33 +263,18 @@ mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    /// A compiled instance's lane-wise `tanh`.
-    type LaneTanh = unsafe fn(&mut [f32]);
-
-    /// The lane-wise `tanh` of each compiled instance: the baseline one,
-    /// and the AVX2 one when this CPU has it.
-    fn instances() -> Vec<(&'static str, LaneTanh)> {
-        let mut all: Vec<(&'static str, LaneTanh)> =
-            vec![("baseline", crate::matrix::baseline::tanh)];
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") {
-            all.push(("avx2", crate::matrix::avx2::tanh));
-        }
-        all
-    }
-
     /// Check every instance against [`tanhf`] on `xs`.
     fn check_lanes(xs: &[f32]) {
-        for (name, tanh) in instances() {
+        for inst in crate::matrix::runnable() {
             let mut got = xs.to_vec();
-            // SAFETY: `instances` lists the AVX2 instance only when this
-            // CPU supports AVX2.
-            unsafe { tanh(&mut got) };
+            // SAFETY: `runnable` lists only instances this CPU runs.
+            unsafe { (inst.tanh)(&mut got) };
             for (&x, &y) in xs.iter().zip(&got) {
                 let want = tanhf(x);
                 assert!(
                     same(y, want),
-                    "{name}: tanh({:#010x}) = {:#010x}, port {:#010x}",
+                    "{}: tanh({:#010x}) = {:#010x}, port {:#010x}",
+                    inst.name,
                     x.to_bits(),
                     y.to_bits(),
                     want.to_bits()
@@ -337,8 +326,9 @@ mod tests {
     fn lanes_match_the_scalar_port_on_the_sweep() {
         let xs = sweep();
         check_lanes(&xs);
-        // Every tail length, each lane position holding a threshold.
-        for n in 1..=9 {
+        // Every tail length of every instance, each lane position holding
+        // a threshold.
+        for n in 1..=17 {
             for start in (0..xs.len() - n).step_by(997) {
                 check_lanes(&xs[start..start + n]);
             }
