@@ -17,7 +17,10 @@
 //!
 //! All five build on the same [`dtree`] substrate NeuroCuts uses, per
 //! the paper's methodology (§5), and every builder's output is checked
-//! against the linear-scan ground truth in tests.
+//! against the linear-scan ground truth in tests. [`classifier`] holds
+//! what every algorithm ends as — a [`Classifier`], the tree compiled
+//! for serving — and [`Baseline`], which maps a name to one of the
+//! five builders under its default configuration.
 
 #![warn(missing_docs)]
 
@@ -29,11 +32,7 @@ pub mod hicuts;
 pub mod hypercuts;
 pub mod hypersplit;
 
-pub use classifier::{
-    build_baseline_classifier, build_baseline_compiled, Classifier, ClassifierStats,
-    CompiledClassifier, CutSplitClassifier, EffiCutsClassifier, HiCutsClassifier,
-    HyperCutsClassifier, HyperSplitClassifier, BASELINE_CLASSIFIERS,
-};
+pub use classifier::{Baseline, Classifier, ClassifierStats};
 pub use common::BuildLimits;
 pub use cutsplit::{build_cutsplit, CutSplitConfig};
 pub use efficuts::{build_efficuts, partition_by_largeness, EffiCutsConfig};

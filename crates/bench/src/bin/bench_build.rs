@@ -30,8 +30,9 @@
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, Packet, RuleSet, TraceConfig,
 };
-use dtree::{DecisionTree, TreeStats};
+use dtree::DecisionTree;
 use nc_bench::emit::{best_of, Report};
+use nc_bench::FIGURE_BASELINES;
 use neurocuts::{NeuroCutsConfig, NeuroCutsEnv, VecEnv};
 use nn::{NetConfig, PolicyValueNet};
 use rand::SeedableRng;
@@ -112,10 +113,10 @@ fn main() {
 
     // Baseline builders, best of REPS, each verified.
     let mut rows = Vec::new();
-    for algo in ["HiCuts", "HyperCuts", "EffiCuts", "CutSplit"] {
-        let (tree, secs) = best_of(REPS, || nc_bench::build_baseline(algo, &rules), |_| 1);
-        mismatches += verify(&tree, &rules, &trace);
-        let stats = TreeStats::compute(&tree);
+    for baseline in FIGURE_BASELINES {
+        let (c, secs) = best_of(REPS, || baseline.build(&rules), |_| 1);
+        mismatches += verify(c.tree(), &rules, &trace);
+        let (algo, stats) = (c.name(), &c.stats().tree);
         eprintln!(
             "{algo:<10} built in {secs:>8.4}s  ({:>7.1} builds/s)  nodes {:>6}  depth {:>2}",
             1.0 / secs,

@@ -3,8 +3,8 @@
 //! one consolidated JSON, every cell verified.
 //!
 //! The figure binaries each reproduce one hand-picked slice of the
-//! paper's evaluation; this emitter runs the full matrix through the
-//! unified [`Classifier`] trait (NeuroCuts plus all five baselines)
+//! paper's evaluation; this emitter runs the full matrix over one
+//! [`Classifier`] type (NeuroCuts plus all five baselines, compiled)
 //! the way artifact-grade evaluations do: one harness, one output,
 //! nothing unverified. Per cell it records flat-batch throughput
 //! (Mpps), the paper's worst-case classification time (`time`, i.e.
@@ -52,7 +52,7 @@ fn list(name: &str, default: &str) -> Vec<String> {
 
 /// Verify one classifier against the linear scan over `trace` through
 /// both lookup paths; returns the number of mismatching packets.
-fn verify_cell(c: &dyn Classifier, rules: &RuleSet, trace: &[Packet]) -> usize {
+fn verify_cell(c: &Classifier, rules: &RuleSet, trace: &[Packet]) -> usize {
     let truth: Vec<Option<usize>> = trace.iter().map(|p| rules.classify(p)).collect();
     let mut batch = vec![None; trace.len()];
     c.classify_batch(trace, &mut batch);
@@ -138,7 +138,7 @@ fn main() {
                 // trains under the env-scaled budget with the cell's
                 // seed, so every cell is reproducible from its row.
                 let nc_cfg = NeuroCutsConfig::small(timesteps).with_seed(seed);
-                let classifiers: Vec<Box<dyn Classifier>> = CLASSIFIER_NAMES
+                let classifiers: Vec<Classifier> = CLASSIFIER_NAMES
                     .iter()
                     .map(|a| nc_bench::build_classifier(a, &rules, &nc_cfg))
                     .collect();
@@ -162,7 +162,7 @@ fn main() {
                     let trace = generate_skewed_trace(&rules, &tcfg);
                     let thash = trace_hash(&trace);
                     for c in &classifiers {
-                        let bad = verify_cell(c.as_ref(), &rules, &trace);
+                        let bad = verify_cell(c, &rules, &trace);
                         mismatches += bad;
                         let mut out = vec![None; trace.len()];
                         let (ns, mpps) = measure_ns(trace.len(), target_ms, || {

@@ -14,8 +14,9 @@
 //! 3. **The train → compile → serve hand-off**: the trained tree is
 //!    compiled to a serving snapshot, verified packet-for-packet against the
 //!    linear-scan ground truth (any mismatch exits non-zero — the
-//!    numbers must never outlive correctness), and pushed through the
-//!    sharded serving engine for an end-to-end Mpps figure.
+//!    numbers must never outlive correctness), and served sharded
+//!    across the hardware threads (`Snapshot::classify_sharded`) for
+//!    an end-to-end Mpps figure.
 //! 4. **Quality vs hand-tuned baselines**: depth/time, nodes, and
 //!    bytes-per-rule against HiCuts and EffiCuts on the same rules.
 //!
@@ -38,8 +39,9 @@
 //! row shows the opposite regime, where the env-side tree mutation
 //! dominates.
 
+use baselines::{classifier::timed, Baseline};
 use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
-use dtree::{run_engine, ClassifierHandle, DecisionTree, EngineConfig, RebuildPolicy, TreeStats};
+use dtree::{ClassifierHandle, DecisionTree, RebuildPolicy, TreeStats};
 use nc_bench::emit::{best_of, hw_threads, knob, Report};
 use neurocuts::{NeuroCutsConfig, NeuroCutsEnv, Trainer, VecEnv};
 use nn::{NetConfig, PolicyValueNet};
@@ -165,25 +167,31 @@ fn main() {
         mismatches == 0,
         format!("trained tree diverged from the linear scan on {mismatches} packets"),
     );
-    let (_, engine) = run_engine(&snap, &trace, EngineConfig::new(hw_threads).with_passes(8));
+    const PASSES: usize = 8;
+    let mut out = vec![None; trace.len()];
+    let ((), secs) = timed(|| {
+        for _ in 0..PASSES {
+            snap.classify_sharded(&trace, &mut out, hw_threads);
+        }
+    });
+    let pps = (trace.len() * PASSES) as f64 / secs;
     eprintln!(
         "trained tree vs linear scan: {mismatches} of {} packets mismatch; serving engine \
-         {}t {:.2} Mpps",
+         {hw_threads}t {:.2} Mpps",
         trace.len(),
-        engine.threads,
-        engine.packets_per_sec / 1e6
+        pps / 1e6
     );
     report.set(
         "serve",
         json!({
             "verified_packets": trace.len(), "mismatches": mismatches,
-            "engine_threads": engine.threads, "engine_pkts_per_sec": engine.packets_per_sec,
+            "engine_threads": hw_threads, "engine_pkts_per_sec": pps,
         }),
     );
 
     // Quality vs the hand-tuned baselines on the same rules.
-    let hicuts = TreeStats::compute(&nc_bench::build_baseline("HiCuts", &rules));
-    let efficuts = TreeStats::compute(&nc_bench::build_baseline("EffiCuts", &rules));
+    let hicuts = TreeStats::compute(&Baseline::HiCuts.build_tree(&rules));
+    let efficuts = TreeStats::compute(&Baseline::EffiCuts.build_tree(&rules));
     eprintln!(
         "NeuroCuts depth {} vs HiCuts {} / EffiCuts {}",
         stats.max_depth, hicuts.max_depth, efficuts.max_depth

@@ -11,6 +11,7 @@
 //! cargo run --release -p nc-bench --bin fig10_efficuts
 //! ```
 
+use baselines::Baseline;
 use dtree::TreeStats;
 use nc_bench::*;
 use neurocuts::PartitionMode;
@@ -26,7 +27,7 @@ fn main() {
     let mut time_improvements: Vec<(String, f64)> = Vec::new();
 
     for entry in &suite {
-        let efficuts = TreeStats::compute(&build_baseline("EffiCuts", &entry.rules));
+        let efficuts = TreeStats::compute(&Baseline::EffiCuts.build_tree(&entry.rules));
         // Space-focused objective with the EffiCuts partition action
         // only (the figure's headline claim is the space improvement,
         // with time "about the same").

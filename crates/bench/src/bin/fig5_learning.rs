@@ -14,6 +14,7 @@
 //! cargo run --release -p nc-bench --bin fig5_learning
 //! ```
 
+use baselines::Baseline;
 use classbench::{generate_rules, ClassifierFamily, GeneratorConfig, DIMS};
 use dtree::{LevelProfile, TreeStats};
 use nc_bench::*;
@@ -73,7 +74,7 @@ fn main() {
     show("\nconverged policy (right panel)", &LevelProfile::compute(&final_tree), &final_stats);
 
     // Panel (b): HiCuts on the same rules.
-    let hicuts = build_baseline("HiCuts", &rules);
+    let hicuts = Baseline::HiCuts.build_tree(&rules);
     let hstats = TreeStats::compute(&hicuts);
     show("HiCuts comparison (panel b)", &LevelProfile::compute(&hicuts), &hstats);
     println!(

@@ -11,6 +11,7 @@
 //! NC_SIZE=1000 NC_TIMESTEPS=9000 cargo run --release -p nc-bench --bin fig8_time
 //! ```
 
+use baselines::Baseline;
 use dtree::TreeStats;
 use nc_bench::*;
 use neurocuts::PartitionMode;
@@ -24,14 +25,14 @@ fn main() {
     );
     print_row(
         "classifier",
-        &BASELINE_NAMES
+        &FIGURE_BASELINES
             .iter()
-            .map(|s| s.to_string())
+            .map(|b| b.name().to_string())
             .chain(["NeuroCuts".to_string()])
             .collect::<Vec<_>>(),
     );
 
-    let mut baseline_times: Vec<Vec<f64>> = vec![Vec::new(); BASELINE_NAMES.len()];
+    let mut baseline_times: Vec<Vec<f64>> = vec![Vec::new(); FIGURE_BASELINES.len()];
     let mut neuro_times: Vec<f64> = Vec::new();
     let mut beat_min = 0usize;
     let mut vs_all_best: Vec<f64> = Vec::new();
@@ -39,8 +40,8 @@ fn main() {
     for entry in &suite {
         let mut cells = Vec::new();
         let mut best_baseline = f64::INFINITY;
-        for (i, name) in BASELINE_NAMES.iter().enumerate() {
-            let t = TreeStats::compute(&build_baseline(name, &entry.rules)).time as f64;
+        for (i, b) in FIGURE_BASELINES.iter().enumerate() {
+            let t = TreeStats::compute(&b.build_tree(&entry.rules)).time as f64;
             baseline_times[i].push(t);
             best_baseline = best_baseline.min(t);
             cells.push(format!("{t:.0}"));
@@ -64,7 +65,7 @@ fn main() {
     }
 
     println!("\n--- medians ---");
-    for (i, name) in BASELINE_NAMES.iter().enumerate() {
+    for (i, b) in FIGURE_BASELINES.iter().enumerate() {
         let med_imp = median(
             &neuro_times
                 .iter()
@@ -73,12 +74,13 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
         println!(
-            "NeuroCuts vs {name:<10} median improvement: {:>6.1}%  (paper: {}%)",
+            "NeuroCuts vs {:<10} median improvement: {:>6.1}%  (paper: {}%)",
+            b.name(),
             med_imp * 100.0,
-            match *name {
-                "HiCuts" => 20,
-                "HyperCuts" => 38,
-                "EffiCuts" => 52,
+            match b {
+                Baseline::HiCuts => 20,
+                Baseline::HyperCuts => 38,
+                Baseline::EffiCuts => 52,
                 _ => 56,
             }
         );

@@ -22,20 +22,20 @@ fn main() {
     );
     print_row(
         "classifier",
-        &BASELINE_NAMES
+        &FIGURE_BASELINES
             .iter()
-            .map(|s| s.to_string())
+            .map(|b| b.name().to_string())
             .chain(["NeuroCuts".to_string()])
             .collect::<Vec<_>>(),
     );
 
-    let mut baseline_space: Vec<Vec<f64>> = vec![Vec::new(); BASELINE_NAMES.len()];
+    let mut baseline_space: Vec<Vec<f64>> = vec![Vec::new(); FIGURE_BASELINES.len()];
     let mut neuro_space: Vec<f64> = Vec::new();
 
     for entry in &suite {
         let mut cells = Vec::new();
-        for (i, name) in BASELINE_NAMES.iter().enumerate() {
-            let s = TreeStats::compute(&build_baseline(name, &entry.rules)).bytes_per_rule;
+        for (i, b) in FIGURE_BASELINES.iter().enumerate() {
+            let s = TreeStats::compute(&b.build_tree(&entry.rules)).bytes_per_rule;
             baseline_space[i].push(s);
             cells.push(format!("{s:.1}"));
         }
@@ -52,7 +52,7 @@ fn main() {
     }
 
     println!("\n--- medians ---");
-    for (i, name) in BASELINE_NAMES.iter().enumerate() {
+    for (i, b) in FIGURE_BASELINES.iter().enumerate() {
         let med_imp = median(
             &neuro_space
                 .iter()
@@ -60,7 +60,11 @@ fn main() {
                 .map(|(&n, &b)| improvement(n, b))
                 .collect::<Vec<_>>(),
         );
-        println!("NeuroCuts vs {name:<10} median space improvement: {:>7.1}%", med_imp * 100.0);
+        println!(
+            "NeuroCuts vs {:<10} median space improvement: {:>7.1}%",
+            b.name(),
+            med_imp * 100.0
+        );
     }
     println!(
         "\npaper shape: >>0% vs HiCuts/HyperCuts, ~40% vs EffiCuts, negative vs CutSplit (-26%)"

@@ -24,10 +24,10 @@
 
 pub mod emit;
 
-use baselines::Classifier;
+use baselines::{Baseline, Classifier};
 use classbench::{generate_rules, ClassifierFamily, GeneratorConfig, RuleSet};
 use dtree::{DecisionTree, TreeStats};
-use neurocuts::{NeuroCutsClassifier, NeuroCutsConfig, Trainer};
+use neurocuts::{train_classifier, NeuroCutsConfig, Trainer};
 
 /// One classifier of the evaluation suite.
 #[derive(Debug, Clone)]
@@ -73,43 +73,37 @@ pub fn suite() -> Vec<SuiteEntry> {
     out
 }
 
-/// The four hand-tuned baselines of §6, by name.
-pub const BASELINE_NAMES: [&str; 4] = ["HiCuts", "HyperCuts", "EffiCuts", "CutSplit"];
+/// The four hand-tuned baselines the figures compare against (§6):
+/// every [`Baseline`] but HyperSplit.
+pub const FIGURE_BASELINES: [Baseline; 4] =
+    [Baseline::HiCuts, Baseline::HyperCuts, Baseline::EffiCuts, Baseline::CutSplit];
 
-/// All six [`Classifier`] implementations, sweep order: NeuroCuts
-/// first, then the baselines.
-pub const CLASSIFIER_NAMES: [&str; 6] =
-    ["NeuroCuts", "HiCuts", "HyperCuts", "HyperSplit", "EffiCuts", "CutSplit"];
+/// The six algorithms, sweep order: NeuroCuts, then every [`Baseline`]
+/// in [`Baseline::ALL`] order.
+pub const CLASSIFIER_NAMES: [&str; 6] = {
+    let mut names = ["NeuroCuts"; 6];
+    let mut i = 0;
+    while i < Baseline::ALL.len() {
+        names[i + 1] = Baseline::ALL[i].name();
+        i += 1;
+    }
+    names
+};
 
-/// Build one baseline by name on `rules`, routed through the unified
-/// [`Classifier`] trait (every figure/ablation binary therefore rides
-/// the same build path the sweep measures).
-///
-/// # Panics
-/// Panics on an unknown name.
-pub fn build_baseline(name: &str, rules: &RuleSet) -> DecisionTree {
-    baselines::build_baseline_compiled(name, rules)
-        .unwrap_or_else(|| panic!("unknown baseline {name}"))
-        .into_tree()
-}
-
-/// Build one of the six [`Classifier`] implementations by name.
+/// Build one of the six algorithms in [`CLASSIFIER_NAMES`] by name.
 /// NeuroCuts trains under `nc_cfg`; the baselines use their default
-/// configurations (the trait's `build`).
+/// configurations ([`Baseline::build`]).
 ///
 /// # Panics
 /// Panics on an unknown name or an untrainable rule set — the
 /// harnesses generate their own rule sets, so those are bugs here.
-pub fn build_classifier(
-    name: &str,
-    rules: &RuleSet,
-    nc_cfg: &NeuroCutsConfig,
-) -> Box<dyn Classifier> {
+pub fn build_classifier(name: &str, rules: &RuleSet, nc_cfg: &NeuroCutsConfig) -> Classifier {
     if name == "NeuroCuts" {
-        Box::new(NeuroCutsClassifier::train(rules, nc_cfg.clone()).expect("trainable rule set"))
+        train_classifier(rules, nc_cfg.clone()).expect("trainable rule set")
     } else {
-        baselines::build_baseline_classifier(name, rules)
+        Baseline::from_name(name)
             .unwrap_or_else(|| panic!("unknown classifier {name}"))
+            .build(rules)
     }
 }
 
@@ -211,17 +205,10 @@ mod tests {
     #[test]
     fn baselines_build_by_name() {
         let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 100));
-        for name in BASELINE_NAMES {
-            let tree = build_baseline(name, &rules);
-            assert!(TreeStats::compute(&tree).time >= 1, "{name}");
+        for b in FIGURE_BASELINES {
+            let tree = b.build_tree(&rules);
+            assert!(TreeStats::compute(&tree).time >= 1, "{}", b.name());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown baseline")]
-    fn unknown_baseline_panics() {
-        let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 10));
-        let _ = build_baseline("TCAM", &rules);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The eight CLI subcommands.
 
 use crate::args::Args;
+use baselines::{classifier::timed, Baseline};
 use classbench::{
     generate_rules, generate_trace, parse_rules, write_rules, ClassifierFamily, GeneratorConfig,
-    RuleSet, TraceConfig,
+    Packet, RuleSet, TraceConfig,
 };
 use dtree::{
-    run_engine, serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, EngineConfig,
-    RebuildPolicy, TreeStats,
+    serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, RebuildPolicy, RuleId, Snapshot,
+    TreeStats,
 };
 use neurocuts::{
     LifecycleConfig, LifecycleWorker, NeuroCutsConfig, PartitionMode, PersistConfig, Persistence,
@@ -77,6 +78,24 @@ fn read_rules(path: &str) -> Result<RuleSet, String> {
 fn read_tree(path: &str) -> Result<DecisionTree, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     DecisionTree::from_json(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Classify `trace` through `snap` on `threads` workers, `passes`
+/// times (min 1); returns the results and the aggregate packets/sec.
+fn serve_timed(
+    snap: &Snapshot,
+    trace: &[Packet],
+    threads: usize,
+    passes: usize,
+) -> (Vec<Option<RuleId>>, f64) {
+    let passes = passes.max(1);
+    let mut out = vec![None; trace.len()];
+    let ((), secs) = timed(|| {
+        for _ in 0..passes {
+            snap.classify_sharded(trace, &mut out, threads);
+        }
+    });
+    (out, (trace.len() * passes) as f64 / secs)
 }
 
 fn write_out(out: Option<&str>, content: &str) -> Result<(), String> {
@@ -181,12 +200,11 @@ pub fn train(argv: &[String]) -> Result<(), String> {
             }
         }
         eprintln!("verified {} packets against the linear-scan ground truth", trace.len());
-        let (_, engine) = run_engine(&snap, &trace, EngineConfig::new(threads));
+        let (_, pps) = serve_timed(&snap, &trace, threads, 1);
         eprintln!(
-            "serving engine {:>2}t  {:>10.0} pkts/s ({:.2} Mpps)",
-            engine.threads,
-            engine.packets_per_sec,
-            engine.packets_per_sec / 1e6
+            "serving engine {:>2}t  {pps:>10.0} pkts/s ({:.2} Mpps)",
+            threads.max(1),
+            pps / 1e6
         );
     }
     write_out(args.get("out"), &tree.to_json())
@@ -197,16 +215,9 @@ pub fn build(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, "rules algo out")?;
     let rules = read_rules(args.required("rules")?)?;
     let algo = args.required("algo")?;
-    let tree = match algo {
-        "hicuts" => baselines::build_hicuts(&rules, &baselines::HiCutsConfig::default()),
-        "hypercuts" => baselines::build_hypercuts(&rules, &baselines::HyperCutsConfig::default()),
-        "hypersplit" => {
-            baselines::build_hypersplit(&rules, &baselines::HyperSplitConfig::default())
-        }
-        "efficuts" => baselines::build_efficuts(&rules, &baselines::EffiCutsConfig::default()),
-        "cutsplit" => baselines::build_cutsplit(&rules, &baselines::CutSplitConfig::default()),
-        other => return Err(format!("unknown algorithm {other:?}")),
-    };
+    let baseline =
+        Baseline::from_name(algo).ok_or_else(|| format!("unknown algorithm {algo:?}"))?;
+    let tree = baseline.build_tree(&rules);
     eprintln!("{algo}: {}", TreeStats::compute(&tree));
     write_out(args.get("out"), &tree.to_json())
 }
@@ -293,11 +304,11 @@ pub fn serve_bench(argv: &[String]) -> Result<(), String> {
     let scalar = (trace.len() * passes) as f64 / start.elapsed().as_secs_f64();
     println!("scalar      1t  {:>10.0} pkts/s  ({hits}/{} matched)", scalar, trace.len());
 
-    let (_, batch) = run_engine(&snap, &trace, EngineConfig::new(1).with_passes(passes));
-    println!("flat-batch  1t  {:>10.0} pkts/s", batch.packets_per_sec);
+    let (_, batch) = serve_timed(&snap, &trace, 1, passes);
+    println!("flat-batch  1t  {batch:>10.0} pkts/s");
 
-    let (out, engine) = run_engine(&snap, &trace, EngineConfig::new(threads).with_passes(passes));
-    println!("engine     {:>2}t  {:>10.0} pkts/s", engine.threads, engine.packets_per_sec);
+    let (out, engine) = serve_timed(&snap, &trace, threads, passes);
+    println!("engine     {:>2}t  {engine:>10.0} pkts/s", threads.max(1));
     if out != expect {
         return Err("engine results diverged from the batched path".into());
     }
@@ -453,14 +464,13 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
     let snap = handle.snapshot();
     let mut got = vec![None; trace.len()];
     snap.classify_batch(&trace, &mut got);
-    let (out, report) = run_engine(&snap, &trace, EngineConfig::new(threads));
+    let (out, pps) = serve_timed(&snap, &trace, threads, 1);
     if out != got {
         return Err("engine diverged from the snapshot".into());
     }
     println!(
-        "engine            {:>2}t  {:>10.0} pkts/s (epoch {})",
-        report.threads,
-        report.packets_per_sec,
+        "engine            {:>2}t  {pps:>10.0} pkts/s (epoch {})",
+        threads.max(1),
         snap.epoch()
     );
     Ok(())

@@ -69,6 +69,17 @@ fn unknown_flags_are_refused_by_name() {
     }
 }
 
+/// `build --algo` takes a baseline's name in any case; anything else
+/// is an error that names it.
+#[test]
+fn build_refuses_an_unknown_algorithm_by_name() {
+    let (rules, _) = rules_and_tree("unknown_algorithm");
+    let out = neurocuts(&["build", "--rules", &rules, "--algo", "tcam"]);
+    let stderr = text(&out.stderr);
+    assert!(!out.status.success(), "an unknown algorithm must be refused; stderr: {stderr}");
+    assert!(stderr.contains("unknown algorithm \"tcam\""), "the error names it: {stderr}");
+}
+
 #[test]
 fn update_bench_auto_retrains_and_verifies_the_final_snapshot() {
     let (rules, tree) = rules_and_tree("auto_retrain");

@@ -74,7 +74,7 @@ pub mod trainer;
 pub mod vecenv;
 
 pub use actions::{Action, ActionSpace};
-pub use classifier::NeuroCutsClassifier;
+pub use classifier::train_classifier;
 pub use config::{NeuroCutsConfig, PartitionMode, RewardScaling};
 pub use env::{EpisodeState, NeuroCutsEnv, PendingDecision};
 pub use lifecycle::{

@@ -10,11 +10,10 @@
 //!   breadth-first from the root, so the hot upper levels of the tree —
 //!   shared by every lookup — pack into a handful of consecutive cache
 //!   lines instead of being scattered in arena creation order.
-//! * **Structure-of-arrays rule store.** Rule bounds live in
-//!   per-dimension `lo`/`hi` arrays in precedence (rank) order, plus a
-//!   cache-packed per-leaf scan copy. A leaf scan touches only the
-//!   bounds it actually compares, in prefetch order, instead of
-//!   dragging whole cloned `Rule` structs through the cache.
+//! * **Cache-packed leaf scans.** Each leaf lists its rules' bounds
+//!   inline, one padded 64-byte entry per rule in precedence (rank)
+//!   order. A leaf scan reads them sequentially, in prefetch order,
+//!   instead of dragging whole cloned `Rule` structs through the cache.
 //! * **Division-free cut indexing.** Equal-size cuts precompute a
 //!   Granlund–Montgomery/Lemire style reciprocal at compile time, so
 //!   the per-level child-index computation is a multiply-and-shift
@@ -34,7 +33,6 @@
 use crate::node::{NodeKind, RuleId};
 use crate::tree::DecisionTree;
 use classbench::{DimRange, Packet, NUM_DIMS};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Sentinel table rank for "no rule matched" in the batched core
@@ -126,7 +124,7 @@ fn div_by_step(x: u64, magic: u64) -> u64 {
 }
 
 /// One compiled node. Parameters index into the [`FlatTree`] pools.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum FlatNode {
     /// `leaf_rules[start..end]` scanned in precedence order.
     Leaf { start: u32, end: u32 },
@@ -147,7 +145,7 @@ enum FlatNode {
 }
 
 /// Per-dimension parameters of one multicut axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct FlatCutDim {
     dim: u8,
     lo: u64,
@@ -165,7 +163,7 @@ enum Step {
 }
 
 /// A compiled decision tree (see module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlatTree {
     /// Compiled nodes in breadth-first order; the root is node 0.
     nodes: Vec<FlatNode>,
@@ -173,22 +171,16 @@ pub struct FlatTree {
     leaf_rules: Vec<u32>,
     bounds: Vec<u64>,
     cut_dims: Vec<FlatCutDim>,
-    /// SoA rule store, dimension-major: the lower bound of rule `rank`
-    /// in dimension `d` is `rule_lo[d * num_rules + rank]`. Ranks are
+    /// Cache-packed rule bounds: entry `j` of `leaf_rules` owns
+    /// `leaf_bounds[16j..16j+16]` — eight lower bounds then eight
+    /// **inclusive** upper bounds (five real dimensions plus
+    /// always-true padding lanes; see [`LEAF_ENTRY`]). Ranks are
     /// precedence order (rank 0 wins every tie), so `leaf_rules` and
-    /// the scan below never consult priorities.
-    rule_lo: Vec<u64>,
-    /// Exclusive upper bounds, same layout as `rule_lo`.
-    rule_hi: Vec<u64>,
-    /// Cache-packed scan copy of the rule bounds: entry `j` of
-    /// `leaf_rules` owns `leaf_bounds[16j..16j+16]` — eight lower
-    /// bounds then eight **inclusive** upper bounds (five real
-    /// dimensions plus always-true padding lanes; see [`LEAF_ENTRY`]).
-    /// A leaf scan walks these sequentially — one 64-byte line per
-    /// rule in prefetch order — instead of gathering from five
-    /// rank-indexed arrays. `u32` is lossless here: every dimension's
-    /// values fit in 32 bits, and a degenerate empty range is encoded
-    /// as the unsatisfiable lane `[1, 0]` rather than wrapping.
+    /// the scan never consult priorities. A leaf scan walks these
+    /// sequentially — one 64-byte line per rule in prefetch order.
+    /// `u32` is lossless here: every dimension's values fit in 32
+    /// bits, and a degenerate empty range is encoded as the
+    /// unsatisfiable lane `[1, 0]` rather than wrapping.
     leaf_bounds: Vec<u32>,
     /// `rank ->` original rule id in the source tree's arena.
     orig_ids: Vec<u32>,
@@ -238,8 +230,6 @@ impl FlatTree {
         order.sort_by(|&a, &b| tree.rule(b).priority.cmp(&tree.rule(a).priority).then(a.cmp(&b)));
         let mut table_index = vec![u32::MAX; tree.rules().len()];
         let n = order.len();
-        let mut rule_lo = vec![0u64; NUM_DIMS * n];
-        let mut rule_hi = vec![0u64; NUM_DIMS * n];
         let mut orig_ids = Vec::with_capacity(n);
         let mut rule_prio = Vec::with_capacity(n);
         // Each rank's leaf-scan entry, built once and copied into every
@@ -250,10 +240,6 @@ impl FlatTree {
             orig_ids.push(r as u32);
             let rule = tree.rule(r);
             rule_prio.push(rule.priority);
-            for d in 0..NUM_DIMS {
-                rule_lo[d * n + rank] = rule.ranges[d].lo;
-                rule_hi[d * n + rank] = rule.ranges[d].hi;
-            }
             entries.push(scan_entry(&rule.ranges));
         }
 
@@ -294,8 +280,6 @@ impl FlatTree {
             leaf_rules: Vec::with_capacity(leaf_entries),
             bounds: Vec::new(),
             cut_dims: Vec::new(),
-            rule_lo,
-            rule_hi,
             leaf_bounds: Vec::with_capacity(leaf_entries * LEAF_ENTRY),
             orig_ids,
             rule_prio,
@@ -455,12 +439,11 @@ impl FlatTree {
     ///
     /// Counted exactly: the `FlatTree` struct itself plus the *capacity*
     /// (not just the length) of every backing array — nodes, child and
-    /// leaf-rule pools, dense-cut boundaries, multicut axes, the SoA
-    /// rule store (`lo`/`hi` per dimension plus the rank-to-id map),
-    /// the rank-priority table, and the cache-packed leaf scan copy of
-    /// the bounds. Nothing in
-    /// the structure owns further heap (rule bounds are inlined into
-    /// the arrays), so this is the full footprint.
+    /// leaf-rule pools, dense-cut boundaries, multicut axes, the
+    /// cache-packed leaf-scan bounds, the rank-to-id map and the
+    /// rank-priority table. Nothing in the structure owns further heap
+    /// (rule bounds are inlined into the arrays), so this is the full
+    /// footprint.
     pub fn resident_bytes(&self) -> usize {
         fn heap<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
@@ -471,8 +454,6 @@ impl FlatTree {
             + heap(&self.leaf_rules)
             + heap(&self.bounds)
             + heap(&self.cut_dims)
-            + heap(&self.rule_lo)
-            + heap(&self.rule_hi)
             + heap(&self.leaf_bounds)
             + heap(&self.orig_ids)
             + heap(&self.rule_prio)
@@ -816,20 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_tree_roundtrips_through_serde() {
-        let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Ipc, 100).with_seed(95));
-        let mut tree = DecisionTree::new(&rules);
-        tree.cut_node(tree.root(), Dim::SrcIp, 16);
-        let flat = FlatTree::compile(&tree);
-        let json = serde_json::to_string(&flat).unwrap();
-        let restored: FlatTree = serde_json::from_str(&json).unwrap();
-        let trace = generate_trace(&rules, &TraceConfig::new(200).with_seed(96));
-        for p in &trace {
-            assert_eq!(flat.classify(p), restored.classify(p));
-        }
-    }
-
-    #[test]
     fn resident_bytes_is_positive_and_scales() {
         let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 60).with_seed(97));
         let mut small_tree = DecisionTree::new(&rules);
@@ -852,16 +819,14 @@ mod tests {
             + flat.leaf_rules.capacity() * 4
             + flat.bounds.capacity() * 8
             + flat.cut_dims.capacity() * std::mem::size_of::<FlatCutDim>()
-            + flat.rule_lo.capacity() * 8
-            + flat.rule_hi.capacity() * 8
             + flat.leaf_bounds.capacity() * 4
             + flat.orig_ids.capacity() * 4
             + flat.rule_prio.capacity() * 4;
         assert_eq!(flat.resident_bytes(), expected);
-        // The SoA store must account for every active rule in every dim,
-        // and the scan copy for every leaf entry in every lane.
-        assert_eq!(flat.rule_lo.len(), NUM_DIMS * flat.num_rules());
-        assert_eq!(flat.rule_hi.len(), NUM_DIMS * flat.num_rules());
+        // The rank tables hold every active rule once, and the scan
+        // bounds every leaf entry in every lane.
+        assert_eq!(flat.orig_ids.len(), tree.num_active_rules());
+        assert_eq!(flat.rule_prio.len(), tree.num_active_rules());
         assert_eq!(flat.leaf_bounds.len(), LEAF_ENTRY * flat.leaf_rules.len());
     }
 

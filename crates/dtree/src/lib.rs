@@ -17,8 +17,8 @@
 //!   time and memory accounting per the paper's Eqs. 1–4
 //!   ([`stats`], [`memory`]);
 //! * the serving path: a compiled [`FlatTree`] with batched wavefront
-//!   lookup and a sharded multi-core engine over serving snapshots
-//!   ([`engine`]);
+//!   lookup, and sharded multi-core lookup over a serving snapshot
+//!   ([`Snapshot::classify_sharded`]);
 //! * live serving under updates: an epoch-swapped
 //!   [`serve::ClassifierHandle`] that applies §4 incremental updates
 //!   and publishes fresh snapshots without pausing readers ([`serve`]);
@@ -32,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod flat;
 pub mod memory;
 pub mod node;
@@ -48,7 +47,6 @@ pub mod validate;
 pub mod viz;
 pub mod wal;
 
-pub use engine::{classify_sharded, run_engine, EngineConfig, EngineReport};
 pub use flat::{FlatTree, StaleTreeError};
 pub use memory::MemoryModel;
 pub use node::{Node, NodeId, NodeKind, RuleId, RuleSpan};

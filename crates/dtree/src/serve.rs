@@ -23,7 +23,8 @@
 //! * A monotonically increasing **epoch counter** (an `AtomicU64`,
 //!   readable without the lock) lets readers detect that a newer
 //!   snapshot exists with a single atomic load and re-fetch at their
-//!   convenience — the sharded engine does this between batches.
+//!   convenience — [`crate::serve_during`]'s readers do this between
+//!   batches.
 //!
 //! Below the rebuild threshold, updates are cheap, and the compiled
 //! `FlatTree` is never copied or changed: every snapshot since the
@@ -52,7 +53,7 @@ use crate::node::RuleId;
 use crate::tree::DecisionTree;
 use crate::updates::{self, UpdateError, UpdateLog};
 use crate::wal;
-use classbench::{Dim, Packet, Rule, RuleSet};
+use classbench::{Packet, Rule, RuleSet};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -213,6 +214,33 @@ impl Snapshot {
         }
     }
 
+    /// [`Self::classify_batch`] sharded across `threads` scoped workers
+    /// (min 1). The packets split into contiguous chunks, one per
+    /// worker, and each worker writes its own sub-slice of `out`, so
+    /// `out[i]` is exactly `self.classify(&packets[i])` whatever the
+    /// thread count. The snapshot is shared read-only: no locks, no
+    /// cloning.
+    ///
+    /// # Panics
+    /// Panics if `packets` and `out` have different lengths.
+    pub fn classify_sharded(&self, packets: &[Packet], out: &mut [Option<RuleId>], threads: usize) {
+        // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
+        assert_eq!(packets.len(), out.len(), "output slice must match the trace");
+        let threads = threads.max(1);
+        if threads == 1 || packets.len() < 2 {
+            self.classify_batch(packets, out);
+            return;
+        }
+        // Ceiling division so every packet lands in one of <= `threads`
+        // contiguous shards (the last shard may be short).
+        let shard = packets.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            for (pkts, results) in packets.chunks(shard).zip(out.chunks_mut(shard)) {
+                scope.spawn(move || self.classify_batch(pkts, results));
+            }
+        });
+    }
+
     /// The wavefront lookup skipping `skip`, merged per packet with the
     /// overlay.
     // nc-lint: kernel
@@ -257,7 +285,7 @@ struct State {
 }
 
 /// A point-in-time health view of a live classifier: the failure side
-/// of the serving story, queryable from the engine and the CLI. The
+/// of the serving story, queryable from the CLI and the harnesses. The
 /// worker-side fields (`consecutive_failures`, `degraded`) are pushed
 /// by the lifecycle worker through
 /// [`ClassifierHandle::note_worker_health`]; the rest the handle tracks
@@ -471,21 +499,6 @@ pub struct AdoptReport {
     pub repaired_placements: usize,
     /// Packets the pre-publish linear-scan spot check verified.
     pub spot_checked: usize,
-}
-
-/// A packet at the low corner of every dimension of `rule` — inside the
-/// rule whenever its ranges are non-empty. Differential checks add one
-/// per overlay rule and per retired rule, so overlay-served inserts and
-/// retired ranks are actually exercised.
-// nc-lint: allow(no-panic-in-serving, reason = "Dim::index() is 0..NUM_DIMS over the fixed [DimRange; NUM_DIMS] array")
-fn probe_packet(rule: &Rule) -> Packet {
-    Packet::new(
-        rule.ranges[Dim::SrcIp.index()].lo,
-        rule.ranges[Dim::DstIp.index()].lo,
-        rule.ranges[Dim::SrcPort.index()].lo,
-        rule.ranges[Dim::DstPort.index()].lo,
-        rule.ranges[Dim::Proto.index()].lo,
-    )
 }
 
 /// `retired` with `rank` added: a fresh bitset over `ranks` compiled
@@ -819,7 +832,7 @@ impl ClassifierHandle {
         let diverged = spot_check
             .iter()
             .copied()
-            .chain(s.overlay.iter().map(|(_, r)| probe_packet(r)))
+            .chain(s.overlay.iter().map(|(_, r)| r.low_corner()))
             .find(|p| grafted.classify(p) != grafted.linear_classify(p));
         if let Some(p) = diverged {
             let err = AdoptError::Diverged(p);
@@ -868,8 +881,8 @@ impl ClassifierHandle {
             let probes: Vec<Packet> = s
                 .overlay
                 .iter()
-                .map(|(_, r)| probe_packet(r))
-                .chain(retired.map(|rank| probe_packet(s.tree.rule(s.flat.rank_to_id(rank)))))
+                .map(|(_, r)| r.low_corner())
+                .chain(retired.map(|rank| s.tree.rule(s.flat.rank_to_id(rank)).low_corner()))
                 .collect();
             (s.published.clone(), FlatTree::compile(&s.tree), probes)
         };
@@ -1678,5 +1691,140 @@ mod tests {
         }
         assert_eq!(small.epoch(), epoch, "a rejected adopt publishes nothing");
         assert!(small.health().last_error.as_deref().unwrap_or("").contains("arena"));
+    }
+
+    /// A handle over a two-level cut tree of `size` ACL rules.
+    fn cut_handle(
+        size: usize,
+        seed: u64,
+        policy: RebuildPolicy,
+    ) -> (ClassifierHandle, classbench::RuleSet) {
+        let rules =
+            generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, size).with_seed(seed));
+        let mut tree = DecisionTree::new(&rules);
+        for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
+            if !tree.is_terminal(k, 8) {
+                tree.cut_node(k, Dim::DstPort, 4);
+            }
+        }
+        (ClassifierHandle::new(tree, policy), rules)
+    }
+
+    /// `snap.classify_sharded` over `trace` into a fresh buffer.
+    fn sharded(snap: &Snapshot, trace: &[Packet], threads: usize) -> Vec<Option<RuleId>> {
+        let mut out = vec![None; trace.len()];
+        snap.classify_sharded(trace, &mut out, threads);
+        out
+    }
+
+    #[test]
+    fn sharded_results_match_scalar_for_any_thread_count() {
+        let (handle, rules) = cut_handle(200, 7, RebuildPolicy::never());
+        let snap = handle.snapshot();
+        let trace = generate_trace(&rules, &TraceConfig::new(333).with_seed(8));
+        let expect: Vec<_> = trace.iter().map(|p| snap.classify(p)).collect();
+        for threads in [0, 1, 2, 3, 4, 8, 64, 1000] {
+            assert_eq!(sharded(&snap, &trace, threads), expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn sharded_handles_degenerate_traces() {
+        let (handle, rules) = cut_handle(200, 7, RebuildPolicy::never());
+        let snap = handle.snapshot();
+        for len in [0usize, 1, 2] {
+            let trace = generate_trace(&rules, &TraceConfig::new(len).with_seed(9));
+            let out = sharded(&snap, &trace, 4);
+            for (p, got) in trace.iter().zip(&out) {
+                assert_eq!(*got, snap.classify(p));
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_snapshot_with_pending_updates_matches_a_recompile() {
+        // A snapshot carrying pending updates (overlay inserts and a
+        // retired rank) shards exactly like a from-scratch compile
+        // of the updated tree.
+        let (handle, rules) = cut_handle(150, 50, RebuildPolicy::never());
+        let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
+        let mut inserted = Vec::new();
+        for (i, k) in [3usize, 40, 90].into_iter().enumerate() {
+            let mut r = rules.rule(k).clone();
+            r.priority = top + 1 + i as i32;
+            inserted.push(handle.insert(r).unwrap());
+        }
+        handle.delete(7).unwrap();
+        let snap = handle.snapshot();
+        assert_eq!(snap.overlay_len(), inserted.len());
+        let trace = generate_trace(&rules, &TraceConfig::new(257).with_seed(51));
+        let flat = handle.with_tree(FlatTree::compile);
+        let expect: Vec<_> = trace.iter().map(|p| flat.classify(p)).collect();
+        assert!(expect.iter().any(|m| m.is_some_and(|id| inserted.contains(&id))));
+        for threads in [1, 2, 5] {
+            assert_eq!(sharded(&snap, &trace, threads), expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn sharded_serves_each_snapshot_as_published() {
+        let (handle, rules) = cut_handle(150, 50, RebuildPolicy::default_policy());
+        let trace = generate_trace(&rules, &TraceConfig::new(120).with_seed(52));
+        // Serve a snapshot, publish an update, serve the newest
+        // snapshot: sharding serves exactly the snapshot it is given.
+        let old = handle.snapshot();
+        let before = sharded(&old, &trace, 2);
+        let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
+        let id = handle.insert(Rule::default_rule(top + 1)).unwrap();
+        let new = handle.snapshot();
+        assert_eq!((old.epoch(), new.epoch()), (0, 1));
+        let after = sharded(&new, &trace, 2);
+        assert!(after.iter().all(|&m| m == Some(id)), "shadowing insert must win everywhere");
+        assert_ne!(before, after);
+        // The old snapshot still serves the state it was published at.
+        assert_eq!(sharded(&old, &trace, 2), before);
+        // And the results equal a from-scratch rebuild of the tree.
+        let rebuilt = handle.with_tree(FlatTree::compile);
+        let want: Vec<_> = trace.iter().map(|p| rebuilt.classify(p)).collect();
+        assert_eq!(after, want);
+    }
+
+    #[test]
+    fn sharded_readers_survive_concurrent_churn() {
+        let (handle, rules) = cut_handle(150, 50, RebuildPolicy::default_policy());
+        let trace = generate_trace(&rules, &TraceConfig::new(400).with_seed(53));
+        let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
+        std::thread::scope(|scope| {
+            let h = &handle;
+            let t = &trace;
+            let reader = scope.spawn(move || {
+                let (mut total, mut epoch) = (0usize, 0u64);
+                for _ in 0..20 {
+                    let snap = h.snapshot();
+                    assert!(snap.epoch() >= epoch, "published epochs never go back");
+                    epoch = snap.epoch();
+                    let out = sharded(&snap, t, 2);
+                    for (p, got) in t.iter().zip(&out) {
+                        assert_eq!(*got, snap.classify(p), "sharded vs scalar at {p}");
+                    }
+                    total += out.len();
+                }
+                total
+            });
+            let mut inserted = Vec::new();
+            for i in 0..30 {
+                inserted.push(h.insert(Rule::default_rule(top + 1 + i)).unwrap());
+                if i % 3 == 0 {
+                    h.delete(inserted[inserted.len() - 1]).unwrap();
+                }
+            }
+            assert_eq!(reader.join().unwrap(), 20 * trace.len());
+        });
+        // After the dust settles, the handle serves exactly a rebuild.
+        let rebuilt = handle.with_tree(FlatTree::compile);
+        let snap = handle.snapshot();
+        for p in &trace {
+            assert_eq!(snap.classify(p), rebuilt.classify(p), "post-churn at {p}");
+        }
     }
 }

@@ -6,16 +6,13 @@
 //! handle's current tree (and to the arena linear scan) after *every*
 //! interleaved insert/delete, on every node kind, with duplicate
 //! priorities and rules spanning multiple partition children, while
-//! sharded engine readers hammer the handle concurrently.
+//! sharded readers hammer the handle concurrently.
 
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, DimRange, GeneratorConfig, Packet, Rule,
     RuleSet, TraceConfig,
 };
-use dtree::{
-    classify_sharded, run_engine, ClassifierHandle, DecisionTree, EngineConfig, FlatTree,
-    RebuildPolicy,
-};
+use dtree::{ClassifierHandle, DecisionTree, FlatTree, RebuildPolicy};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng as _, SeedableRng as _};
@@ -112,7 +109,7 @@ fn assert_snapshot_is_rebuild_identical(handle: &ClassifierHandle, probes: &[Pac
 }
 
 /// The acceptance gate: ≥1k interleaved inserts/deletes applied
-/// through the handle while sharded engine readers serve concurrently;
+/// through the handle while sharded readers serve concurrently;
 /// every published snapshot must match a full rebuild bit-for-bit.
 #[test]
 fn thousand_update_churn_is_rebuild_identical_under_concurrent_reads() {
@@ -142,7 +139,7 @@ fn thousand_update_churn_is_rebuild_identical_under_concurrent_reads() {
             scope.spawn(move || {
                 let mut out = vec![None; trace.len()];
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    classify_sharded(&handle.snapshot(), trace, &mut out, 2);
+                    handle.snapshot().classify_sharded(trace, &mut out, 2);
                     served.fetch_add(trace.len(), std::sync::atomic::Ordering::Relaxed);
                 }
             });
@@ -183,13 +180,14 @@ fn thousand_update_churn_is_rebuild_identical_under_concurrent_reads() {
     assert!(served.load(std::sync::atomic::Ordering::Relaxed) > 0, "readers must have served");
     assert_snapshot_is_rebuild_identical(&handle, &trace);
 
-    // The final snapshot also agrees with a timed engine run.
+    // The final snapshot also agrees when sharded three ways.
     let snap = handle.snapshot();
     assert_eq!(snap.epoch(), 1000);
-    let (out, _) = run_engine(&snap, &trace, EngineConfig::new(3));
+    let mut out = vec![None; trace.len()];
+    snap.classify_sharded(&trace, &mut out, 3);
     let rebuilt = handle.with_tree(FlatTree::compile);
     for (p, got) in trace.iter().zip(&out) {
-        assert_eq!(*got, rebuilt.classify(p), "engine at {p}");
+        assert_eq!(*got, rebuilt.classify(p), "sharded at {p}");
     }
 }
 

@@ -1,6 +1,6 @@
 //! Differential tests for the serving path: the scalar compiled
 //! lookup, the batched wavefront lookup, and the sharded multi-core
-//! engine must all return **bit-identical** rule ids to the arena
+//! lookup must all return **bit-identical** rule ids to the arena
 //! tree's `classify` — and, where rule ids are comparable, to the
 //! `RuleSet` linear-scan ground truth — on every node kind
 //! (Cut / MultiCut / DenseCut / Split / Partition) and on the
@@ -10,9 +10,7 @@ use classbench::{
     generate_rules, generate_trace, ClassifierFamily, Dim, DimRange, GeneratorConfig, Packet, Rule,
     RuleSet, TraceConfig,
 };
-use dtree::{
-    classify_sharded, updates, ClassifierHandle, DecisionTree, FlatTree, RebuildPolicy, Snapshot,
-};
+use dtree::{updates, ClassifierHandle, DecisionTree, FlatTree, RebuildPolicy, Snapshot};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng as _, SeedableRng as _};
@@ -36,8 +34,8 @@ fn assert_all_paths_agree(tree: &DecisionTree, ruleset: Option<&RuleSet>, trace:
     flat.classify_batch(trace, &mut batch);
     for threads in [1, 2, 4, 7] {
         let mut sharded = vec![None; trace.len()];
-        classify_sharded(&snap, trace, &mut sharded, threads);
-        assert_eq!(sharded, batch, "engine({threads}) diverged from batch");
+        snap.classify_sharded(trace, &mut sharded, threads);
+        assert_eq!(sharded, batch, "sharded({threads}) diverged from batch");
     }
     for (p, &batched) in trace.iter().zip(&batch) {
         let scalar = flat.classify(p);
@@ -260,13 +258,13 @@ proptest! {
         let mut batch = vec![None; trace.len()];
         flat.classify_batch(&trace, &mut batch);
         let mut sharded = vec![None; trace.len()];
-        classify_sharded(&snap, &trace, &mut sharded, 3);
+        snap.classify_sharded(&trace, &mut sharded, 3);
         for (i, p) in trace.iter().enumerate() {
             let arena = tree.classify(p);
             prop_assert_eq!(arena, rules.classify(p), "tree vs ground truth at {}", p);
             prop_assert_eq!(flat.classify(p), arena, "flat vs tree at {}", p);
             prop_assert_eq!(batch[i], arena, "batch vs tree at {}", p);
-            prop_assert_eq!(sharded[i], arena, "engine vs tree at {}", p);
+            prop_assert_eq!(sharded[i], arena, "sharded vs tree at {}", p);
         }
     }
 }

@@ -56,14 +56,14 @@ impl LintConfig {
     /// the contracts established by earlier PRs:
     ///
     /// * serving: the branch-free epoch-swap serving path
-    ///   (`dtree::{flat, serve, engine, store}`) must be panic-free;
+    ///   (`dtree::{flat, serve, store}`) must be panic-free;
     ///   `dtree::{wal, storage}` ride along because appends run inline
     ///   under the admission write lock — a panicking durability layer
     ///   would take the serving path down with it.
     /// * determinism: all of `core` (training, the lifecycle worker,
-    ///   persistence), `rl` and `nn` must not read wall clocks or
-    ///   ambient randomness; the lifecycle worker counts polls, not
-    ///   time.
+    ///   persistence), `rl`, `nn` and `dtree` must not read wall clocks
+    ///   or ambient randomness; the lifecycle worker counts polls, not
+    ///   time, and callers time the serving path themselves.
     /// * taxonomy: `dtree` and `core` public APIs report failures as
     ///   typed errors, not panics.
     /// * locks: `state` (the `ClassifierHandle` epoch-swap lock) is the
@@ -74,12 +74,16 @@ impl LintConfig {
             serving: Domain::new(&[
                 "crates/dtree/src/flat.rs",
                 "crates/dtree/src/serve.rs",
-                "crates/dtree/src/engine.rs",
                 "crates/dtree/src/store.rs",
                 "crates/dtree/src/wal.rs",
                 "crates/dtree/src/storage.rs",
             ]),
-            determinism: Domain::new(&["crates/core/src/", "crates/rl/src/", "crates/nn/src/"]),
+            determinism: Domain::new(&[
+                "crates/core/src/",
+                "crates/rl/src/",
+                "crates/nn/src/",
+                "crates/dtree/src/",
+            ]),
             taxonomy: Domain::new(&["crates/dtree/src/", "crates/core/src/"]),
             lock_order: vec!["state".to_string()],
             forbidden_under_write: vec![
@@ -116,6 +120,7 @@ mod tests {
         assert!(c.serving.contains("crates/dtree/src/storage.rs"), "WAL appends call it");
         assert!(c.determinism.contains("crates/rl/src/ppo.rs"));
         assert!(c.determinism.contains("crates/core/src/lifecycle.rs"), "no file is exempt");
+        assert!(c.determinism.contains("crates/dtree/src/serve.rs"), "serving reads no clock");
         assert_eq!(c.lock_order, ["state"]);
         let seam = "retrain".to_string();
         assert!(c.forbidden_under_write.contains(&seam), "the worker's retrain seam");

@@ -10,7 +10,7 @@ use nc_lint::config::LintConfig;
 
 /// Pinned count of allow pragmas in the workspace. If you add one,
 /// bump this — the diff is the review hook.
-const PINNED_ALLOWS: usize = 15;
+const PINNED_ALLOWS: usize = 14;
 /// Pinned count of kernel-marked functions.
 const PINNED_KERNELS: usize = 30;
 

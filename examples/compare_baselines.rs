@@ -1,68 +1,15 @@
-//! Build all five algorithms on the same classifiers through the
-//! unified `Classifier` trait and print a side-by-side comparison of
-//! classification time (tree depth) and memory (bytes/rule) — a
-//! miniature of the paper's Figures 8 and 9 without the RL training
-//! (see the `nc-bench` binaries for the full figure regeneration, and
-//! `bench_sweep` for the full scenario matrix).
-//!
-//! Each row is built twice — once through `Classifier::build`, once
-//! through the direct builder function — and the two trees are
-//! asserted bit-identical (`TreeStats` equality), pinning that the
-//! trait refactor changed the boundary, not the algorithms.
+//! Build all five baselines on the same classifiers and print a
+//! side-by-side comparison of classification time (tree depth) and
+//! memory (bytes/rule) — a miniature of the paper's Figures 8 and 9
+//! without the RL training (see the `nc-bench` binaries for the full
+//! figure regeneration, and `bench_sweep` for the full scenario matrix).
 //!
 //! ```text
 //! cargo run --release --example compare_baselines
 //! ```
 
-use baselines::{
-    build_cutsplit, build_efficuts, build_hicuts, build_hypercuts, build_hypersplit, Classifier,
-    CompiledClassifier, CutSplitClassifier, CutSplitConfig, EffiCutsClassifier, EffiCutsConfig,
-    HiCutsClassifier, HiCutsConfig, HyperCutsClassifier, HyperCutsConfig, HyperSplitClassifier,
-    HyperSplitConfig,
-};
-use classbench::{generate_rules, ClassifierFamily, GeneratorConfig, RuleSet};
-use dtree::{validate::assert_tree_valid, TreeStats};
-
-fn row(c: &CompiledClassifier, direct: TreeStats) {
-    let s = c.stats();
-    println!(
-        "  {:<11} time={:>3}  bytes/rule={:>9.1}  nodes={:>6}  replication={:>6.2}x  \
-         built in {:>8.4}s",
-        c.name(),
-        s.tree.time,
-        s.tree.bytes_per_rule,
-        s.tree.nodes,
-        s.tree.replication,
-        s.build_secs
-    );
-    assert_tree_valid(c.tree(), 200, 7);
-    // The trait path must produce the exact tree the direct builder
-    // does — bit-identical stats, not merely similar ones.
-    assert_eq!(s.tree, direct, "{}: trait build diverged from the direct builder", c.name());
-}
-
-fn compare(rules: &RuleSet) {
-    row(
-        HiCutsClassifier::build(rules).inner(),
-        TreeStats::compute(&build_hicuts(rules, &HiCutsConfig::default())),
-    );
-    row(
-        HyperCutsClassifier::build(rules).inner(),
-        TreeStats::compute(&build_hypercuts(rules, &HyperCutsConfig::default())),
-    );
-    row(
-        HyperSplitClassifier::build(rules).inner(),
-        TreeStats::compute(&build_hypersplit(rules, &HyperSplitConfig::default())),
-    );
-    row(
-        EffiCutsClassifier::build(rules).inner(),
-        TreeStats::compute(&build_efficuts(rules, &EffiCutsConfig::default())),
-    );
-    row(
-        CutSplitClassifier::build(rules).inner(),
-        TreeStats::compute(&build_cutsplit(rules, &CutSplitConfig::default())),
-    );
-}
+use baselines::Baseline;
+use classbench::{generate_rules, ClassifierFamily, GeneratorConfig};
 
 fn main() {
     for family in ClassifierFamily::ALL {
@@ -70,8 +17,20 @@ fn main() {
             let cfg = GeneratorConfig::new(family, 1000).with_seed(seed);
             let rules = generate_rules(&cfg);
             println!("\n=== {} ({} rules) ===", cfg.label(), rules.len());
-            compare(&rules);
+            for baseline in Baseline::ALL {
+                let c = baseline.build(&rules);
+                let s = c.stats();
+                println!(
+                    "  {:<11} time={:>3}  bytes/rule={:>9.1}  nodes={:>6}  replication={:>6.2}x  \
+                     built in {:>8.4}s",
+                    c.name(),
+                    s.tree.time,
+                    s.tree.bytes_per_rule,
+                    s.tree.nodes,
+                    s.tree.replication,
+                    s.build_secs
+                );
+            }
         }
     }
-    println!("\nall trait-built trees validated and bit-identical to the direct builders");
 }

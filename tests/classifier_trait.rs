@@ -1,17 +1,17 @@
-//! Conformance suite for the unified [`Classifier`] trait: every
-//! implementation (the five hand-tuned baselines plus NeuroCuts) must
-//! agree with the linear-scan ground truth on scalar *and* batch
-//! paths, and report sane build statistics.
+//! Conformance suite for [`Classifier`]: every algorithm (the five
+//! hand-tuned baselines plus NeuroCuts) must agree with the
+//! linear-scan ground truth on scalar *and* batch paths, and report
+//! sane build statistics.
 //!
 //! The baselines run under full proptest randomisation; NeuroCuts
 //! (which trains per case) runs on generated ClassBench rule sets with
 //! randomised seeds and a smoke-scale budget.
 
-use baselines::{build_baseline_classifier, Classifier, BASELINE_CLASSIFIERS};
+use baselines::{Baseline, Classifier};
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, Packet, RuleSet, TraceConfig,
 };
-use neurocuts::{NeuroCutsClassifier, NeuroCutsConfig};
+use neurocuts::{train_classifier, NeuroCutsConfig};
 use proptest::prelude::*;
 
 mod common;
@@ -19,8 +19,8 @@ use common::{arb_packet, arb_ruleset};
 
 /// The shared conformance contract: scalar classify, batch classify,
 /// and the linear scan must agree packet-for-packet, and the reported
-/// stats must satisfy the trait's invariants.
-fn assert_conforms(c: &dyn Classifier, rules: &RuleSet, packets: &[Packet]) {
+/// stats must satisfy the [`Classifier`] invariants.
+fn assert_conforms(c: &Classifier, rules: &RuleSet, packets: &[Packet]) {
     let name = c.name();
     let mut batch = vec![None; packets.len()];
     c.classify_batch(packets, &mut batch);
@@ -50,7 +50,7 @@ fn assert_conforms(c: &dyn Classifier, rules: &RuleSet, packets: &[Packet]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// All five baseline implementations conform on fully random rule
+    /// All five baselines conform on fully random rule
     /// sets and uniformly random packets (including packets far from
     /// any generated trace).
     #[test]
@@ -58,10 +58,10 @@ proptest! {
         rules in arb_ruleset(40),
         packets in proptest::collection::vec(arb_packet(), 40))
     {
-        for name in BASELINE_CLASSIFIERS {
-            let c = build_baseline_classifier(name, &rules).expect("known baseline");
-            prop_assert_eq!(c.name(), name);
-            assert_conforms(c.as_ref(), &rules, &packets);
+        for b in Baseline::ALL {
+            let c = b.build(&rules);
+            prop_assert_eq!(c.name(), b.name());
+            assert_conforms(&c, &rules, &packets);
         }
     }
 }
@@ -83,15 +83,15 @@ proptest! {
         let mut packets =
             generate_trace(&rules, &TraceConfig::new(60).with_seed(seed ^ 0xffff));
         packets.extend(random_packets);
-        let c = NeuroCutsClassifier::train(&rules, NeuroCutsConfig::smoke_test())
+        let c = train_classifier(&rules, NeuroCutsConfig::smoke_test())
             .expect("trainable rule set");
         prop_assert_eq!(c.name(), "NeuroCuts");
         assert_conforms(&c, &rules, &packets);
     }
 }
 
-/// One deterministic pass over all six implementations through the
-/// bench harness factory — the exact objects `bench_sweep` measures.
+/// One deterministic pass over all six algorithms through the bench
+/// harness factory — the exact objects `bench_sweep` measures.
 #[test]
 fn all_six_classifiers_conform_via_factory() {
     for family in ClassifierFamily::ALL {

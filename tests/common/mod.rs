@@ -8,18 +8,6 @@ use neurocuts::Trainer;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Every baseline tree builder, by harness name (the bench harness's
-/// `BASELINE_NAMES` plus HyperSplit, which the figures exclude).
-pub const ALL_BASELINES: [&str; 5] = ["HiCuts", "HyperCuts", "HyperSplit", "EffiCuts", "CutSplit"];
-
-/// Build one baseline by name on `rules` with its default config.
-///
-/// # Panics
-/// Panics on an unknown name.
-pub fn build(name: &str, rules: &RuleSet) -> DecisionTree {
-    nc_bench::build_baseline(name, rules)
-}
-
 /// Strategy for one random rule: each dimension is a wildcard, an
 /// exact value, or a range.
 pub fn arb_rule(priority: i32) -> impl Strategy<Value = Rule> {

@@ -2,20 +2,18 @@
 //! classify every probe identically to the linear-scan ground truth on
 //! every family — the "perfect accuracy by construction" premise (§3.2).
 
+use baselines::Baseline;
 use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
 use dtree::validate::assert_tree_valid;
 use dtree::TreeStats;
-
-mod common;
-use common::{build, ALL_BASELINES};
 
 #[test]
 fn every_algorithm_matches_ground_truth_on_every_family() {
     for family in ClassifierFamily::ALL {
         let rules = generate_rules(&GeneratorConfig::new(family, 250).with_seed(200));
         let trace = generate_trace(&rules, &TraceConfig::new(300).with_seed(201));
-        for name in ALL_BASELINES {
-            let tree = build(name, &rules);
+        for b in Baseline::ALL {
+            let (name, tree) = (b.name(), b.build_tree(&rules));
             assert_tree_valid(&tree, 200, 202);
             for p in &trace {
                 assert_eq!(
@@ -39,8 +37,8 @@ fn expected_shape_relationships_hold() {
     for seed in 0..3u64 {
         let rules =
             generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 400).with_seed(seed));
-        let hi = TreeStats::compute(&build("HiCuts", &rules));
-        let ef = TreeStats::compute(&build("EffiCuts", &rules));
+        let hi = TreeStats::compute(&Baseline::HiCuts.build_tree(&rules));
+        let ef = TreeStats::compute(&Baseline::EffiCuts.build_tree(&rules));
         hicuts_time += hi.time as f64;
         efficuts_time += ef.time as f64;
         hicuts_space += hi.bytes_per_rule;
@@ -61,8 +59,8 @@ fn expected_shape_relationships_hold() {
 fn all_families_and_algorithms_have_sane_stats() {
     for family in ClassifierFamily::ALL {
         let rules = generate_rules(&GeneratorConfig::new(family, 200).with_seed(203));
-        for name in ALL_BASELINES {
-            let stats = TreeStats::compute(&build(name, &rules));
+        for b in Baseline::ALL {
+            let (name, stats) = (b.name(), TreeStats::compute(&b.build_tree(&rules)));
             assert!(stats.time >= 1, "{name}/{family}");
             assert!(stats.nodes >= 1);
             assert!(stats.leaves >= 1);

@@ -1,5 +1,5 @@
 //! Nightly-scale smoke test: a 100k-rule `fw` classifier built and
-//! served end-to-end through the [`Classifier`] trait.
+//! served end-to-end as a `baselines::Classifier`.
 //!
 //! `#[ignore]` by default — it takes minutes in release mode and far
 //! longer in debug — and runs in CI only on the nightly schedule:
@@ -13,7 +13,7 @@
 //! rule sets); the RL loop's large-scale behaviour is covered by the
 //! figure harnesses, not here.
 
-use baselines::{Classifier, EffiCutsClassifier};
+use baselines::Baseline;
 use classbench::{
     generate_rules, generate_skewed_trace, ClassifierFamily, GeneratorConfig, SkewedTraceConfig,
     TrafficSkew,
@@ -33,7 +33,7 @@ fn efficuts_serves_100k_fw_rules() {
     let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 100_000).with_seed(0));
     assert!(rules.len() >= 90_000, "generator under-delivered: {} rules", rules.len());
 
-    let c = EffiCutsClassifier::build(&rules);
+    let c = Baseline::EffiCuts.build(&rules);
     let s = c.stats();
     eprintln!(
         "fw/100k: time={} nodes={} bytes/rule={:.1} resident={} B built in {:.1}s",

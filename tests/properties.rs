@@ -1,11 +1,12 @@
 //! Workspace-level property tests: randomised rule sets, packets, and
 //! builder choices must never break the classification invariant.
 
+use baselines::Baseline;
 use classbench::{generate_rules, ClassifierFamily, Dim, GeneratorConfig};
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_packet, arb_rule, arb_ruleset, build};
+use common::{arb_packet, arb_rule, arb_ruleset};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -15,7 +16,7 @@ proptest! {
         rules in arb_ruleset(40),
         packets in proptest::collection::vec(arb_packet(), 30))
     {
-        let tree = build("HiCuts", &rules);
+        let tree = Baseline::HiCuts.build_tree(&rules);
         for p in &packets {
             prop_assert_eq!(tree.classify(p), rules.classify(p), "at {}", p);
         }
@@ -26,7 +27,7 @@ proptest! {
         rules in arb_ruleset(40),
         packets in proptest::collection::vec(arb_packet(), 30))
     {
-        let tree = build("HyperSplit", &rules);
+        let tree = Baseline::HyperSplit.build_tree(&rules);
         for p in &packets {
             prop_assert_eq!(tree.classify(p), rules.classify(p), "at {}", p);
         }
@@ -37,7 +38,7 @@ proptest! {
         rules in arb_ruleset(40),
         packets in proptest::collection::vec(arb_packet(), 30))
     {
-        let tree = build("EffiCuts", &rules);
+        let tree = Baseline::EffiCuts.build_tree(&rules);
         for p in &packets {
             prop_assert_eq!(tree.classify(p), rules.classify(p), "at {}", p);
         }
@@ -48,7 +49,7 @@ proptest! {
         rules in arb_ruleset(40),
         packets in proptest::collection::vec(arb_packet(), 30))
     {
-        let tree = build("CutSplit", &rules);
+        let tree = Baseline::CutSplit.build_tree(&rules);
         for p in &packets {
             prop_assert_eq!(tree.classify(p), rules.classify(p), "at {}", p);
         }
@@ -62,7 +63,7 @@ proptest! {
     {
         let rules = generate_rules(
             &GeneratorConfig::new(ClassifierFamily::Acl, 60).with_seed(seed));
-        let mut tree = build("HiCuts", &rules);
+        let mut tree = Baseline::HiCuts.build_tree(&rules);
         let id = dtree::updates::insert_rule(&mut tree, extra);
         for p in &packets {
             prop_assert_eq!(tree.classify(p), tree.linear_classify(p), "after insert at {}", p);

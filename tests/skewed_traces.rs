@@ -1,7 +1,7 @@
 //! Differential suite for the skewed traffic generators: seed
 //! determinism is pinned with golden trace hashes, and skewed traffic
 //! classifies identically to the linear-scan ground truth through
-//! every [`Classifier`] implementation — skew changes *which* packets
+//! every algorithm's [`Classifier`] — skew changes *which* packets
 //! arrive, never *what* they match.
 
 use baselines::Classifier;
@@ -82,7 +82,7 @@ fn skews_generate_distinct_traffic() {
 fn skewed_traffic_classifies_identically_to_ground_truth() {
     let rules = golden_rules();
     let cfg = NeuroCutsConfig::smoke_test();
-    let classifiers: Vec<Box<dyn Classifier>> = nc_bench::CLASSIFIER_NAMES
+    let classifiers: Vec<Classifier> = nc_bench::CLASSIFIER_NAMES
         .iter()
         .map(|n| nc_bench::build_classifier(n, &rules, &cfg))
         .collect();

@@ -1,6 +1,7 @@
 //! Integration tests of the traffic-aware objective extension (§8):
 //! expected lookup cost under a trace, end to end through the trainer.
 
+use baselines::Baseline;
 use classbench::{
     generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, Packet, TraceConfig,
 };
@@ -8,7 +9,7 @@ use dtree::average_lookup_cost;
 use neurocuts::{NeuroCutsConfig, Trainer};
 
 mod common;
-use common::{best_or_greedy, build};
+use common::best_or_greedy;
 
 #[test]
 fn traffic_aware_training_runs_and_validates() {
@@ -33,7 +34,7 @@ fn average_cost_reacts_to_traffic_concentration() {
     // Build one fixed tree; a trace hitting only shallow paths must
     // yield a lower average cost than one hitting deep paths.
     let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 120).with_seed(402));
-    let tree = build("HiCuts", &rules);
+    let tree = Baseline::HiCuts.build_tree(&rules);
     // Find a shallow and a deep packet by probing.
     let probe = generate_trace(&rules, &TraceConfig::new(2000).with_seed(403));
     let mut costs: Vec<(usize, Packet)> =
