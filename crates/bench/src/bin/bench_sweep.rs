@@ -2,8 +2,8 @@
 //! family × ruleset size × generator seed × traffic skew × algorithm,
 //! one consolidated JSON, every cell verified.
 //!
-//! The figure binaries each reproduce one hand-picked slice of the
-//! paper's evaluation; this emitter runs the full matrix over one
+//! `bench_repro` reproduces the paper's figures at their hand-picked
+//! configurations; this emitter runs the full matrix over one
 //! [`Classifier`] type (NeuroCuts plus all five baselines, compiled)
 //! the way artifact-grade evaluations do: one harness, one output,
 //! nothing unverified. Per cell it records flat-batch throughput
@@ -39,16 +39,10 @@ use classbench::{
     generate_rules, generate_skewed_trace, trace_hash, ClassifierFamily, GeneratorConfig, Packet,
     RuleSet, SkewedTraceConfig, TrafficSkew,
 };
-use nc_bench::emit::{knob, measure_ns, Report};
+use nc_bench::emit::{knob, list, measure_ns, Report};
 use nc_bench::CLASSIFIER_NAMES;
 use neurocuts::NeuroCutsConfig;
 use serde_json::{json, Value};
-
-/// The comma list in environment variable `name` (or `default`).
-fn list(name: &str, default: &str) -> Vec<String> {
-    let raw = knob(name, default.to_string());
-    raw.split(',').map(|t| t.trim().to_string()).filter(|t| !t.is_empty()).collect()
-}
 
 /// Verify one classifier against the linear scan over `trace` through
 /// both lookup paths; returns the number of mismatching packets.
@@ -75,28 +69,12 @@ fn verify_cell(c: &Classifier, rules: &RuleSet, trace: &[Packet]) -> usize {
 }
 
 fn main() {
-    let families: Vec<ClassifierFamily> = list("NC_FAMILIES", "acl,fw,ipc")
-        .iter()
-        .map(|t| {
-            ClassifierFamily::ALL
-                .into_iter()
-                .find(|f| f.tag() == t.as_str())
-                .unwrap_or_else(|| panic!("unknown family {t}"))
-        })
-        .collect();
-    let sizes: Vec<usize> = list("NC_SIZES", "300,1000,10000")
-        .iter()
-        .map(|t| t.parse().unwrap_or_else(|_| panic!("bad size {t}")))
-        .collect();
-    let seeds: Vec<u64> = list("NC_SEEDS", "0,1")
-        .iter()
-        .map(|t| t.parse().unwrap_or_else(|_| panic!("bad seed {t}")))
-        .collect();
-    let skew_tags = list("NC_SKEWS", "uniform,zipf,locality");
-    let skews: Vec<(String, TrafficSkew)> = skew_tags
-        .iter()
-        .map(|t| (t.clone(), TrafficSkew::parse(t).unwrap_or_else(|| panic!("unknown skew {t}"))))
-        .collect();
+    let families: Vec<ClassifierFamily> = nc_bench::families();
+    let sizes: Vec<usize> = list("NC_SIZES", "300,1000,10000", |t| t.parse().ok());
+    let seeds: Vec<u64> = list("NC_SEEDS", "0,1", |t| t.parse().ok());
+    let skews: Vec<(String, TrafficSkew)> = list("NC_SKEWS", "uniform,zipf,locality", |t| {
+        Some((t.to_string(), TrafficSkew::parse(t)?))
+    });
     let timesteps: usize = knob("NC_TIMESTEPS", 2000);
     let trace_len: usize = knob("NC_BENCH_TRACE", 2048);
     let target_ms: u64 = knob("NC_BENCH_MS", 80);
@@ -120,7 +98,8 @@ fn main() {
             "families": join(families.iter().map(|f| f.tag().to_string()).collect()),
             "sizes": join(sizes.iter().map(|s| s.to_string()).collect()),
             "seeds": join(seeds.iter().map(|s| s.to_string()).collect()),
-            "skews": join(skew_tags), "algos": CLASSIFIER_NAMES.join(","),
+            "skews": join(skews.iter().map(|(tag, _)| tag.clone()).collect()),
+            "algos": CLASSIFIER_NAMES.join(","),
             "timesteps": timesteps, "trace": trace_len, "ms": target_ms,
         }),
     );

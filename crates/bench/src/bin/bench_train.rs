@@ -135,10 +135,7 @@ fn main() {
     let trained = trainer.train().expect("training makes progress");
     let train_secs = train_start.elapsed().as_secs_f64().max(1e-9);
     let train_sps = trained.timesteps as f64 / train_secs;
-    let (tree, stats) = match trained.best {
-        Some(b) => (b.tree, b.stats),
-        None => trainer.greedy_tree(),
-    };
+    let (tree, stats) = trainer.deployed_tree();
     let best_objective = trained.history.last().map_or(f64::INFINITY, |h| h.best_objective);
     eprintln!(
         "trained {} steps in {train_secs:.2}s ({train_sps:.0} steps/s, {} iterations), best \

@@ -35,19 +35,11 @@ fn main() {
     let base_cfg = harness_config().with_coeff(1.0).with_seed(8);
 
     let mut worst_case = Trainer::new(rules.clone(), base_cfg.clone()).expect("trainable rule set");
-    let report = worst_case.train().expect("training makes progress");
-    let (wc_tree, wc_stats) = match report.best {
-        Some(b) => (b.tree, b.stats),
-        None => worst_case.greedy_tree(),
-    };
+    let (wc_tree, wc_stats, _) = worst_case.train_to_tree().expect("training makes progress");
 
     let mut traffic_aware =
         Trainer::new(rules.clone(), base_cfg).expect("trainable rule set").set_traffic(train_trace);
-    let report = traffic_aware.train().expect("training makes progress");
-    let (ta_tree, ta_stats) = match report.best {
-        Some(b) => (b.tree, b.stats),
-        None => traffic_aware.greedy_tree(),
-    };
+    let (ta_tree, ta_stats, _) = traffic_aware.train_to_tree().expect("training makes progress");
 
     let wc_avg = average_lookup_cost(&wc_tree, &held_out);
     let ta_avg = average_lookup_cost(&ta_tree, &held_out);

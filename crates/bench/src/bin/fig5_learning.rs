@@ -65,12 +65,7 @@ fn main() {
             s.iteration, s.mean_return, s.best_objective
         );
     }
-    let best = trainer.env().best();
-    let (tree2, stats2) = trainer.greedy_tree();
-    let (final_tree, final_stats) = match &best {
-        Some(b) if b.stats.time <= stats2.time => (b.tree.clone(), b.stats),
-        _ => (tree2, stats2),
-    };
+    let (final_tree, final_stats) = trainer.deployed_tree();
     show("\nconverged policy (right panel)", &LevelProfile::compute(&final_tree), &final_stats);
 
     // Panel (b): HiCuts on the same rules.

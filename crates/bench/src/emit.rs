@@ -3,8 +3,8 @@
 //! one layout and turns a failed correctness check into a non-zero
 //! exit.
 //!
-//! Each emitter (`bench_train`, `bench_build`, `bench_lifecycle`,
-//! `bench_sweep`) builds its rows with
+//! Each emitter (`bench_repro`, `bench_train`, `bench_build`,
+//! `bench_lifecycle`, `bench_sweep`) builds its rows with
 //! [`serde_json::json!`] and hands them to a [`Report`]. The file keeps
 //! one top-level key per line and one row per line: `bench_gate`
 //! matches rows by position, and a fresh file diffs line by line
@@ -14,9 +14,41 @@ use serde_json::{Map, Serialize, Value};
 use std::time::Instant;
 
 /// The environment variable `name` parsed as `T`, or `default` when it
-/// is unset or does not parse.
+/// is unset. A value that is set but does not parse ends the process
+/// with status 2 and a message naming the variable and the value: a
+/// typo such as `NC_TIMESTEPS=2e5` must not run the default scale.
 pub fn knob<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    match std::env::var(name) {
+        Ok(v) => v.parse().unwrap_or_else(|_| refuse(name, &v, "does not parse")),
+        Err(std::env::VarError::NotPresent) => default,
+        Err(std::env::VarError::NotUnicode(v)) => {
+            refuse(name, &v.to_string_lossy(), "is not UTF-8")
+        }
+    }
+}
+
+/// The comma list in environment variable `name` (`default` when
+/// unset), each item read by `item`. An item that `item` refuses, or a
+/// list with no items, ends the process as [`knob`] does, naming the
+/// item.
+pub fn list<T>(name: &str, default: &str, item: impl Fn(&str) -> Option<T>) -> Vec<T> {
+    let raw = knob(name, default.to_string());
+    let items: Vec<T> = raw
+        .split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(|t| item(t).unwrap_or_else(|| refuse(name, &raw, &format!("has unknown item {t:?}"))))
+        .collect();
+    if items.is_empty() {
+        refuse(name, &raw, "names no item");
+    }
+    items
+}
+
+/// Report a malformed knob and exit with status 2.
+fn refuse(name: &str, value: &str, why: &str) -> ! {
+    eprintln!("error: {name}={value:?} {why}");
+    std::process::exit(2)
 }
 
 /// Hardware threads available to this process.

@@ -1,23 +1,38 @@
-//! Shared harness for regenerating the paper's evaluation figures.
+//! Shared harness for the paper's evaluation and the JSON benchmark
+//! emitters.
 //!
-//! Every figure binary (`fig5_learning` … `fig11_tradeoff`,
-//! `ablation_*`) is built from the pieces here: the 36-classifier
-//! ClassBench suite of §6, baseline runners, NeuroCuts runners, and
-//! plain-text table output. Scale is controlled by environment
-//! variables so the same binaries run as quick smoke checks or as
-//! overnight full-scale reproductions:
+//! `bench_repro` reproduces §6 — Figures 8–11 and the ablations — from
+//! one run table it writes to `BENCH_repro.json`: the four figure
+//! baselines per classifier of the suite below, and one training per
+//! distinct NeuroCuts configuration, every tree checked against the
+//! linear scan. Three binaries stay outside that table:
+//!
+//! - `fig5_learning` renders trees from the middle of one training run
+//!   (Fig. 5);
+//! - `fig6_variations` renders trees sampled from one stochastic policy
+//!   (Fig. 6);
+//! - `ext_traffic` trains through `Trainer::set_traffic` (§8) and scores
+//!   its trees on a held-out trace.
+//!
+//! None of them is a per-classifier suite table. Every trained tree any
+//! of them reports is [`neurocuts::Trainer::deployed_tree`], the tree
+//! the CLI, the sweep and the lifecycle worker deploy. Scale is
+//! controlled by environment variables, so the same binaries run as
+//! quick smoke checks or as full-scale reproductions:
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
 //! | `NC_SIZE` | rules per classifier | 300 |
 //! | `NC_TIMESTEPS` | RL timesteps per NeuroCuts run | 24000 |
-//! | `NC_VARIANTS` | seed variants per family (≤5/5/2) | full suite |
+//! | `NC_VARIANTS` | seed variants per family (at least 1; ≤5/5/2 used) | full suite |
 //! | `NC_FAMILIES` | comma list of `acl,fw,ipc` | all |
 //!
-//! The paper trained to 10M timesteps per classifier on AWS; shapes
-//! (who wins, by what factor) are what these defaults reproduce.
+//! A value that does not parse, or an unknown family tag, ends the
+//! process naming it ([`emit::knob`], [`families`]). The paper trained
+//! to 10M timesteps per classifier on AWS; shapes (who wins, by what
+//! factor) are what these budgets reproduce.
 //!
-//! The JSON benchmark emitters (`bench_train`, `bench_build`,
+//! The JSON emitters (`bench_repro`, `bench_train`, `bench_build`,
 //! `bench_lifecycle`, `bench_sweep`) share [`emit`].
 
 #![warn(missing_docs)]
@@ -26,8 +41,7 @@ pub mod emit;
 
 use baselines::{Baseline, Classifier};
 use classbench::{generate_rules, ClassifierFamily, GeneratorConfig, RuleSet};
-use dtree::{DecisionTree, TreeStats};
-use neurocuts::{train_classifier, NeuroCutsConfig, Trainer};
+use neurocuts::{train_classifier, NeuroCutsConfig};
 
 /// One classifier of the evaluation suite.
 #[derive(Debug, Clone)]
@@ -55,22 +69,25 @@ pub fn train_timesteps() -> usize {
 /// `NC_SIZE=10000`/`100000` for the other tiers).
 pub fn suite() -> Vec<SuiteEntry> {
     let size = suite_size();
-    let max_variants = emit::knob("NC_VARIANTS", usize::MAX);
-    let families: Vec<ClassifierFamily> = match std::env::var("NC_FAMILIES") {
-        Ok(list) => ClassifierFamily::ALL
-            .into_iter()
-            .filter(|f| list.split(',').any(|t| t.trim() == f.tag()))
-            .collect(),
-        Err(_) => ClassifierFamily::ALL.to_vec(),
-    };
+    // Zero variants would leave the figures nothing to take a median of.
+    let max_variants = emit::knob("NC_VARIANTS", std::num::NonZeroUsize::MAX).get();
     let mut out = Vec::new();
-    for family in families {
+    for family in families() {
         for seed in 0..family.num_variants().min(max_variants) as u64 {
             let cfg = GeneratorConfig::new(family, size).with_seed(seed);
             out.push(SuiteEntry { label: cfg.label(), family, rules: generate_rules(&cfg) });
         }
     }
     out
+}
+
+/// The families named by `NC_FAMILIES`, a comma list of `acl,fw,ipc`
+/// tags in the order given (all three when unset). An unknown tag ends
+/// the process naming it.
+pub fn families() -> Vec<ClassifierFamily> {
+    emit::list("NC_FAMILIES", "acl,fw,ipc", |t| {
+        ClassifierFamily::ALL.into_iter().find(|f| f.tag() == t)
+    })
 }
 
 /// The four hand-tuned baselines the figures compare against (§6):
@@ -113,43 +130,6 @@ pub fn harness_config() -> NeuroCutsConfig {
     NeuroCutsConfig::small(train_timesteps())
 }
 
-/// Outcome of one NeuroCuts run on one classifier.
-#[derive(Debug, Clone)]
-pub struct NeuroCutsResult {
-    /// Best completed tree's stats (falls back to the greedy tree when
-    /// every training rollout truncated).
-    pub stats: TreeStats,
-    /// The tree behind `stats` (an `Arc` snapshot shared with the
-    /// trainer's best-tree record).
-    pub tree: std::sync::Arc<DecisionTree>,
-    /// Timesteps actually consumed.
-    pub timesteps: usize,
-}
-
-/// Train NeuroCuts on `rules` under `cfg` and return the best tree
-/// (best completed training rollout, or the greedy tree if better /
-/// the only completed one).
-///
-/// # Panics
-/// Panics on degenerate inputs ([`neurocuts::TrainError`]) — the
-/// figure harness generates its own rule sets, so those are bugs here,
-/// not user error.
-pub fn run_neurocuts(rules: &RuleSet, cfg: NeuroCutsConfig) -> NeuroCutsResult {
-    let mut trainer = Trainer::new(rules.clone(), cfg).expect("trainable rule set");
-    let report = trainer.train().expect("training makes progress");
-    let objective = *trainer.env().objective();
-    let score = |s: &TreeStats| objective.value(s.time, s.bytes);
-    let (greedy_tree, greedy_stats) = trainer.greedy_tree();
-    match report.best {
-        Some(best) if score(&best.stats) <= score(&greedy_stats) => {
-            NeuroCutsResult { stats: best.stats, tree: best.tree, timesteps: report.timesteps }
-        }
-        _ => {
-            NeuroCutsResult { stats: greedy_stats, tree: greedy_tree, timesteps: report.timesteps }
-        }
-    }
-}
-
 /// Median of a sample (mean of middle pair for even sizes).
 ///
 /// # Panics
@@ -187,6 +167,7 @@ pub fn print_row(label: &str, cells: &[String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtree::TreeStats;
 
     #[test]
     fn median_odd_even() {

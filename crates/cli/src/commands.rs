@@ -175,10 +175,7 @@ pub fn train(argv: &[String]) -> Result<(), String> {
             h.iteration, h.timesteps, h.mean_return, h.best_objective
         );
     }
-    let (tree, stats) = match report.best {
-        Some(b) => (b.tree, b.stats),
-        None => trainer.greedy_tree(),
-    };
+    let (tree, stats) = trainer.deployed_tree();
     eprintln!("best tree: {stats}");
 
     // Compile to the serving form and prove it correct before it is

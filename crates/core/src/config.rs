@@ -45,7 +45,7 @@ impl RewardScaling {
 /// experiments and doc-tests (the paper itself notes convergence within
 /// a few hundred rollouts — size affects wall-clock, not
 /// rollouts-to-converge).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NeuroCutsConfig {
     /// Time-space coefficient `c ∈ [0, 1]` (Eq. 5): 1 optimises
     /// classification time only, 0 memory only.
@@ -217,6 +217,11 @@ mod tests {
         assert!((cfg.ppo.clip - 0.3).abs() < 1e-9);
         assert!((cfg.ppo.vf_clip - 10.0).abs() < 1e-9);
         assert!((cfg.ppo.kl_target - 0.01).abs() < 1e-9);
+        assert_eq!(cfg.time_space_coeff, 1.0);
+        assert_eq!(cfg.partition_mode, PartitionMode::None);
+        assert_eq!(cfg.reward_scaling, RewardScaling::Linear);
+        assert_eq!(cfg.max_timesteps_per_rollout, 15_000);
+        assert_eq!(cfg.max_tree_depth, 100);
     }
 
     #[test]

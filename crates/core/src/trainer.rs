@@ -251,20 +251,24 @@ impl Trainer {
         Ok(TrainReport { history, best: self.env.best(), timesteps: self.timesteps })
     }
 
-    /// Train to completion and hand back the tree to deploy: the best
-    /// completed rollout when one exists, otherwise the greedy argmax
-    /// tree — the train→compile→serve glue the lifecycle worker and
-    /// the CLI share. Returns the tree, its stats, and the timesteps
-    /// consumed. Deterministic for a fixed (rules, config).
+    /// Train to completion and hand back [`Trainer::deployed_tree`] —
+    /// the train→compile→serve glue the lifecycle worker and the CLI
+    /// share. Returns the tree, its stats, and the timesteps consumed.
+    /// Deterministic for a fixed (rules, config).
     pub fn train_to_tree(&mut self) -> Result<(Arc<DecisionTree>, TreeStats, usize), TrainError> {
         let report = self.train()?;
-        let timesteps = report.timesteps;
-        match report.best {
-            Some(best) => Ok((best.tree, best.stats, timesteps)),
-            None => {
-                let (tree, stats) = self.greedy_tree();
-                Ok((tree, stats, timesteps))
-            }
+        let (tree, stats) = self.deployed_tree();
+        Ok((tree, stats, report.timesteps))
+    }
+
+    /// The tree to deploy: the best completed rollout so far, or the
+    /// greedy argmax tree when no rollout has completed one. The one
+    /// tree-selection rule every caller (the CLI, the lifecycle
+    /// worker, the emitters and the figures) deploys.
+    pub fn deployed_tree(&self) -> (Arc<DecisionTree>, TreeStats) {
+        match self.env.best() {
+            Some(best) => (best.tree, best.stats),
+            None => self.greedy_tree(),
         }
     }
 
@@ -368,6 +372,17 @@ mod tests {
         let (_t2, s2) = trainer.greedy_tree();
         assert_eq!(s1, s2);
         assert_tree_valid(&t1, 200, 83);
+    }
+
+    #[test]
+    fn deployed_tree_is_the_best_rollout_else_the_greedy_tree() {
+        let mut trainer = Trainer::new(rules(64), NeuroCutsConfig::smoke_test()).unwrap();
+        // No rollout has completed yet: the greedy tree.
+        assert_eq!(trainer.deployed_tree().1, trainer.greedy_tree().1);
+        let (tree, stats, _) = trainer.train_to_tree().unwrap();
+        let best = trainer.env().best().expect("a completed rollout");
+        assert!(Arc::ptr_eq(&tree, &best.tree));
+        assert_eq!(stats, best.stats);
     }
 
     #[test]

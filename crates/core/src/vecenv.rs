@@ -81,7 +81,6 @@ struct Scratch {
 /// let a = VecEnv::new(env.clone(), 4, 99).collect(&net, 60, 1);
 /// let b = VecEnv::new(env, 4, 99).collect(&net, 60, 2);
 /// assert!(a.len() >= 60);
-/// assert_eq!(a.spans, b.spans);
 /// assert_eq!(a.samples.len(), b.samples.len());
 /// assert!(a.samples.iter().zip(&b.samples).all(|(x, y)| x.reward == y.reward));
 /// ```
@@ -150,7 +149,7 @@ impl VecEnv {
         let mut serial_phase =
             |slots: &[Mutex<Slot>], batch: &mut RolloutBatch, counter: &mut u64| -> bool {
                 let mut all_idle = true;
-                for (i, s) in slots.iter().enumerate() {
+                for s in slots {
                     let mut slot = s.lock();
                     if let Some(ep) = slot.finished.take() {
                         env.record_best(&ep);
@@ -158,7 +157,7 @@ impl VecEnv {
                         // the target, or a degenerate (instantly terminal)
                         // environment would loop forever.
                         collected += ep.samples.len().max(1);
-                        batch.push_episode(i, ep.samples, -ep.objective);
+                        batch.push_episode(ep.samples, -ep.objective);
                     }
                     if slot.st.is_none() && slot.restart.is_none() && collected < min_samples {
                         slot.restart = Some(Self::next_seed(counter, base));
@@ -301,7 +300,6 @@ mod tests {
     }
 
     fn assert_batches_bit_identical(a: &RolloutBatch, b: &RolloutBatch) {
-        assert_eq!(a.spans, b.spans);
         assert_eq!(a.episodes, b.episodes);
         assert_eq!(a.mean_episode_return.to_bits(), b.mean_episode_return.to_bits());
         assert_eq!(a.samples.len(), b.samples.len());
@@ -359,26 +357,18 @@ mod tests {
         let mut k = 0u64;
         while scalar.len() < 40 {
             let ep = env.build_tree(&net, 500 + k, false);
-            scalar.push_episode(0, ep.samples, -ep.objective);
+            scalar.push_episode(ep.samples, -ep.objective);
             k += 1;
         }
         assert_batches_bit_identical(&batch, &scalar);
     }
 
     #[test]
-    fn collect_reaches_the_sample_target_and_spans_partition_the_batch() {
+    fn collect_reaches_the_sample_target() {
         let (env, net) = env_and_net(PartitionMode::None, 80);
         let batch = VecEnv::new(env, 4, 7).collect(&net, 200, 2);
         assert!(batch.len() >= 200);
         assert!(batch.episodes >= 4);
-        // Spans tile the sample vector exactly, in order.
-        let mut cursor = 0;
-        for span in &batch.spans {
-            assert_eq!(span.start, cursor);
-            assert!(span.env < 4);
-            cursor += span.len;
-        }
-        assert_eq!(cursor, batch.len());
     }
 
     #[test]

@@ -273,7 +273,7 @@ fn scalar_and_vecenv_streams_agree_for_all_families_and_modes() {
             let mut k = 0u64;
             while scalar.len() < 30 {
                 let ep = env.build_tree(&net, 4242 + k, false);
-                scalar.push_episode(0, ep.samples, -ep.objective);
+                scalar.push_episode(ep.samples, -ep.objective);
                 k += 1;
             }
             assert_eq!(batch_fingerprint(&batch), batch_fingerprint(&scalar));

@@ -5,7 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Adam hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdamConfig {
     /// Step size (Table 1: `5e-5`).
     pub lr: f32,

@@ -8,10 +8,8 @@
 //! complete. This crate implements exactly that training stack:
 //!
 //! * [`Sample`]/[`RolloutBatch`] — 1-step experiences with joint
-//!   two-head log-probabilities and masks, grouped into per-env
-//!   trajectories by [`EpisodeSpan`]s with GAE(γ, λ) advantage
-//!   estimation ([`RolloutBatch::gae`]; γ = 0 recovers the paper's
-//!   independent 1-step advantages);
+//!   two-head log-probabilities and masks, and the paper's independent
+//!   1-step advantages `r − V(s)` ([`RolloutBatch::advantages`]);
 //! * [`Ppo`] — the clipped-surrogate actor-critic update with entropy
 //!   regularisation, clipped value loss, and KL-target early stopping
 //!   (the paper's PPO, Table 1 hyperparameters);
@@ -30,4 +28,4 @@ pub mod rollout;
 
 pub use ppo::{Ppo, PpoConfig, UpdateStats};
 pub use qlearning::{QConfig, QLearner, QStats};
-pub use rollout::{EpisodeSpan, RolloutBatch, Sample};
+pub use rollout::{RolloutBatch, Sample};

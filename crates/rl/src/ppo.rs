@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// PPO hyperparameters (defaults = Table 1 of the paper).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PpoConfig {
     /// Surrogate clip parameter (`0.3`).
     pub clip: f32,
@@ -33,14 +33,6 @@ pub struct PpoConfig {
     pub adam: AdamConfig,
     /// Global gradient-norm clip.
     pub max_grad_norm: f32,
-    /// Discount factor across the decisions of one episode trajectory
-    /// (`0.0`, the paper's setting: every NeuroCuts reward is already a
-    /// complete subtree return, so decisions are independent 1-step
-    /// problems). Raising it turns on per-trajectory
-    /// [`RolloutBatch::gae`] over the batch's episode spans.
-    pub gamma: f32,
-    /// GAE λ (only meaningful when `gamma > 0`).
-    pub gae_lambda: f32,
 }
 
 impl Default for PpoConfig {
@@ -55,8 +47,6 @@ impl Default for PpoConfig {
             minibatch: 1000,
             adam: AdamConfig::default(),
             max_grad_norm: 10.0,
-            gamma: 0.0,
-            gae_lambda: 0.95,
         }
     }
 }
@@ -91,16 +81,15 @@ impl Ppo {
         Ppo { config, rng: ChaCha8Rng::seed_from_u64(seed ^ 0x70_706f) }
     }
 
-    /// One PPO update of `net` on `batch`. Advantages are per-env
-    /// GAE(γ, λ) over the batch's episode spans (with the default
-    /// `gamma = 0` this is exactly the paper's independent 1-step
-    /// advantage `r − V(s)`), normalised batch-wide; value targets are
-    /// the matching bootstrapped returns `A + V(s)`. Returns
+    /// One PPO update of `net` on `batch`. Advantages are the paper's
+    /// independent 1-step advantages `r − V(s)`
+    /// ([`RolloutBatch::advantages`]), normalised batch-wide; value
+    /// targets are the matching returns `A + V(s)`. Returns
     /// diagnostics.
     pub fn update(&mut self, net: &mut PolicyValueNet, batch: &RolloutBatch) -> UpdateStats {
         assert!(!batch.is_empty(), "cannot update on an empty batch");
         let cfg = self.config;
-        let raw = batch.gae(cfg.gamma, cfg.gae_lambda);
+        let raw = batch.advantages();
         let advantages = crate::rollout::normalize(&raw);
         let returns: Vec<f32> = raw.iter().zip(&batch.samples).map(|(a, s)| a + s.value).collect();
         let mut indices: Vec<usize> = (0..batch.len()).collect();
@@ -238,12 +227,7 @@ mod tests {
                 reward,
             });
         }
-        RolloutBatch {
-            samples,
-            episodes: n,
-            mean_episode_return: total / n as f64,
-            ..Default::default()
-        }
+        RolloutBatch { samples, episodes: n, mean_episode_return: total / n as f64 }
     }
 
     #[test]
@@ -318,7 +302,6 @@ mod tests {
             samples: vec![mk(1, 1.0), mk(2, -1.0)],
             episodes: 2,
             mean_episode_return: 0.0,
-            ..Default::default()
         };
         let cfg = PpoConfig {
             minibatch: 2,
@@ -360,7 +343,6 @@ mod tests {
             samples: vec![s.clone(), Sample { reward: -1.0, act_action: 0, ..s }],
             episodes: 2,
             mean_episode_return: 0.0,
-            ..Default::default()
         };
         let mut ppo = Ppo::new(PpoConfig { minibatch: 2, sgd_iters: 3, ..Default::default() }, 4);
         let stats = ppo.update(&mut net, &batch);

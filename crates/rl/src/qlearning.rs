@@ -148,12 +148,7 @@ mod tests {
                 reward,
             });
         }
-        RolloutBatch {
-            samples,
-            episodes: n,
-            mean_episode_return: total / n as f64,
-            ..Default::default()
-        }
+        RolloutBatch { samples, episodes: n, mean_episode_return: total / n as f64 }
     }
 
     #[test]

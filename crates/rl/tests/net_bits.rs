@@ -90,7 +90,6 @@ fn batch(net: &PolicyValueNet, n: usize, rng: &mut ChaCha8Rng) -> RolloutBatch {
         let act_action = act.sample(rng.gen());
         let reward = rng.gen_range(-2.0f32..1.0);
         out.push_episode(
-            0,
             vec![Sample {
                 obs,
                 dim_action,

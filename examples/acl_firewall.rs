@@ -32,11 +32,7 @@ fn main() {
     // fast path cares about worst-case lookup latency.
     let cfg = NeuroCutsConfig::small(24_000).with_coeff(1.0);
     let mut trainer = Trainer::new(rules.clone(), cfg).expect("trainable rule set");
-    let report = trainer.train().expect("training makes progress");
-    let (tree, stats) = match report.best {
-        Some(b) => (b.tree, b.stats),
-        None => trainer.greedy_tree(),
-    };
+    let (tree, stats, _) = trainer.train_to_tree().expect("training makes progress");
     println!(
         "\nlearned firewall tree: depth {} ({} nodes, {:.0} bytes/rule)",
         stats.time, stats.nodes, stats.bytes_per_rule

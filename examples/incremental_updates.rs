@@ -20,13 +20,10 @@ fn main() {
     let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 200).with_seed(5));
     let cfg = NeuroCutsConfig::small(12_000);
     let mut trainer = Trainer::new(rules.clone(), cfg).expect("trainable rule set");
-    let report = trainer.train().expect("training makes progress");
+    let (tree, _, _) = trainer.train_to_tree().expect("training makes progress");
     // Updates mutate the tree in place, so take it out of the shared
     // best-tree snapshot (clones only if the record still holds it).
-    let mut tree = std::sync::Arc::unwrap_or_clone(match report.best {
-        Some(b) => b.tree,
-        None => trainer.greedy_tree().0,
-    });
+    let mut tree = std::sync::Arc::unwrap_or_clone(tree);
     println!("trained tree: {}", TreeStats::compute(&tree));
 
     // New devices come online: add one high-priority allow rule each.

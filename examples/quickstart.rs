@@ -31,10 +31,7 @@ fn main() {
 
     // Best tree found during training, or the current policy's greedy
     // tree if every training rollout truncated (tiny budgets only).
-    let (tree, stats) = match report.best {
-        Some(best) => (best.tree, best.stats),
-        None => trainer.greedy_tree(),
-    };
+    let (tree, stats) = trainer.deployed_tree();
     println!("\nNeuroCuts tree: {stats}");
 
     // 3. The hand-tuned baseline on the same rules.

@@ -3,10 +3,7 @@
 #![allow(dead_code)]
 
 use classbench::{DimRange, Packet, Rule, RuleSet};
-use dtree::{DecisionTree, TreeStats};
-use neurocuts::Trainer;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Strategy for one random rule: each dimension is a wildcard, an
 /// exact value, or a range.
@@ -48,15 +45,4 @@ pub fn arb_ruleset(max_rules: usize) -> impl Strategy<Value = RuleSet> {
 pub fn arb_packet() -> impl Strategy<Value = Packet> {
     (0..1u64 << 32, 0..1u64 << 32, 0..1u64 << 16, 0..1u64 << 16, 0..256u64)
         .prop_map(|(a, b, c, d, e)| Packet::new(a, b, c, d, e))
-}
-
-/// Best completed training tree, or the greedy tree when the tiny smoke
-/// budget never completed a rollout (untrained policies are heavy-
-/// tailed; the bench harness uses the same fallback).
-pub fn best_or_greedy(trainer: &mut Trainer) -> (Arc<DecisionTree>, TreeStats) {
-    let report = trainer.train().expect("training makes progress");
-    match report.best {
-        Some(b) => (b.tree, b.stats),
-        None => trainer.greedy_tree(),
-    }
 }

@@ -11,9 +11,6 @@ use dtree::validate::assert_tree_valid;
 use dtree::TreeStats;
 use neurocuts::{NeuroCutsConfig, PartitionMode, Trainer};
 
-mod common;
-use common::best_or_greedy;
-
 #[test]
 fn generate_train_classify_pipeline() {
     // Generate -> serialise -> parse (the ClassBench interchange loop).
@@ -24,7 +21,7 @@ fn generate_train_classify_pipeline() {
 
     // Train with a tiny budget.
     let mut trainer = Trainer::new(rules.clone(), NeuroCutsConfig::smoke_test()).unwrap();
-    let (tree, _) = best_or_greedy(&mut trainer);
+    let (tree, _, _) = trainer.train_to_tree().unwrap();
     assert_tree_valid(&tree, 400, 101);
 
     // The learned tree and the baseline agree with the ground truth on
@@ -62,7 +59,7 @@ fn all_partition_modes_end_to_end() {
         let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 80).with_seed(105));
         let cfg = NeuroCutsConfig::smoke_test().with_partition_mode(mode);
         let mut trainer = Trainer::new(rules.clone(), cfg).unwrap();
-        let (tree, stats) = best_or_greedy(&mut trainer);
+        let (tree, stats, _) = trainer.train_to_tree().unwrap();
         assert_tree_valid(&tree, 300, 106);
         assert!(stats.time >= 1, "{mode:?}");
     }

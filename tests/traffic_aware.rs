@@ -8,9 +8,6 @@ use classbench::{
 use dtree::average_lookup_cost;
 use neurocuts::{NeuroCutsConfig, Trainer};
 
-mod common;
-use common::best_or_greedy;
-
 #[test]
 fn traffic_aware_training_runs_and_validates() {
     let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 80).with_seed(400));
@@ -18,7 +15,7 @@ fn traffic_aware_training_runs_and_validates() {
     let mut trainer = Trainer::new(rules.clone(), NeuroCutsConfig::smoke_test())
         .unwrap()
         .set_traffic(trace.clone());
-    let (tree, _) = best_or_greedy(&mut trainer);
+    let (tree, _, _) = trainer.train_to_tree().unwrap();
     // Exactness is independent of the objective.
     for p in &trace {
         assert_eq!(tree.classify(p), rules.classify(p));
