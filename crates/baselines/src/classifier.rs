@@ -12,13 +12,9 @@
 //! * **accounting** — [`Classifier::stats`] reports depth, node count,
 //!   bytes/rule, compiled footprint, and build time.
 //!
-//! [`Baseline`] is the one place a baseline's name maps to its builder
-//! and default configuration.
+//! [`Baseline`] is the one place a baseline's name maps to its builder.
 
-use crate::{
-    build_cutsplit, build_efficuts, build_hicuts, build_hypercuts, build_hypersplit,
-    CutSplitConfig, EffiCutsConfig, HiCutsConfig, HyperCutsConfig, HyperSplitConfig,
-};
+use crate::{build_cutsplit, build_efficuts, build_hicuts, build_hypercuts, build_hypersplit};
 use classbench::{Packet, RuleSet};
 use dtree::{DecisionTree, FlatTree, RuleId, TreeStats};
 use std::time::Instant;
@@ -140,7 +136,7 @@ impl Classifier {
 }
 
 /// The five hand-tuned baselines of §6: the one place a name maps to an
-/// algorithm and its default configuration.
+/// algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Baseline {
     /// HiCuts ([`build_hicuts`]).
@@ -182,19 +178,20 @@ impl Baseline {
         Baseline::ALL.into_iter().find(|b| b.name().eq_ignore_ascii_case(name))
     }
 
-    /// Build the arena tree under the default configuration.
+    /// Build the arena tree.
     pub fn build_tree(self, rules: &RuleSet) -> DecisionTree {
-        match self {
-            Baseline::HiCuts => build_hicuts(rules, &HiCutsConfig::default()),
-            Baseline::HyperCuts => build_hypercuts(rules, &HyperCutsConfig::default()),
-            Baseline::HyperSplit => build_hypersplit(rules, &HyperSplitConfig::default()),
-            Baseline::EffiCuts => build_efficuts(rules, &EffiCutsConfig::default()),
-            Baseline::CutSplit => build_cutsplit(rules, &CutSplitConfig::default()),
-        }
+        let build = match self {
+            Baseline::HiCuts => build_hicuts,
+            Baseline::HyperCuts => build_hypercuts,
+            Baseline::HyperSplit => build_hypersplit,
+            Baseline::EffiCuts => build_efficuts,
+            Baseline::CutSplit => build_cutsplit,
+        };
+        build(rules)
     }
 
-    /// Build the tree under the default configuration and compile it;
-    /// `stats().build_secs` covers both steps.
+    /// Build the tree and compile it; `stats().build_secs` covers both
+    /// steps.
     pub fn build(self, rules: &RuleSet) -> Classifier {
         Classifier::compile_timed(self.name(), || self.build_tree(rules))
     }
@@ -242,18 +239,18 @@ mod tests {
     }
 
     /// Every [`Baseline`] builds exactly the tree its builder function
-    /// does under the default configuration: same stats, same answers.
+    /// does: same stats, same answers.
     #[test]
     fn trait_build_equals_direct_build_bit_identically() {
         let rs = rules();
         let trace = generate_trace(&rs, &TraceConfig::new(256).with_seed(11));
         for b in Baseline::ALL {
             let direct = match b {
-                Baseline::HiCuts => build_hicuts(&rs, &HiCutsConfig::default()),
-                Baseline::HyperCuts => build_hypercuts(&rs, &HyperCutsConfig::default()),
-                Baseline::HyperSplit => build_hypersplit(&rs, &HyperSplitConfig::default()),
-                Baseline::EffiCuts => build_efficuts(&rs, &EffiCutsConfig::default()),
-                Baseline::CutSplit => build_cutsplit(&rs, &CutSplitConfig::default()),
+                Baseline::HiCuts => build_hicuts(&rs),
+                Baseline::HyperCuts => build_hypercuts(&rs),
+                Baseline::HyperSplit => build_hypersplit(&rs),
+                Baseline::EffiCuts => build_efficuts(&rs),
+                Baseline::CutSplit => build_cutsplit(&rs),
             };
             let c = b.build(&rs);
             assert_eq!(c.stats().tree, TreeStats::compute(&direct), "{}", b.name());

@@ -1,32 +1,34 @@
 //! Shared helpers for the baseline tree builders: node-local statistics
-//! (distinct ranges, endpoints) and global build limits.
+//! (distinct ranges, endpoints) and the build limits.
 
-use classbench::{Dim, DimRange, DIMS};
+use classbench::{Dim, DIMS};
 use dtree::{DecisionTree, NodeId};
 
-/// Safety limits shared by all builders: every recursion stops at
-/// `binth` rules, `max_depth` levels, or `max_nodes` total nodes,
-/// whichever comes first. The depth/node caps exist so that adversarial
-/// inputs degrade to larger leaves instead of runaway trees.
+/// Safety limits: every recursion stops at `binth` rules, `max_depth`
+/// levels, or `max_nodes` total nodes, whichever comes first. The
+/// depth and node caps exist so that adversarial inputs degrade to
+/// larger leaves instead of runaway trees.
 #[derive(Debug, Clone, Copy)]
-pub struct BuildLimits {
+pub(crate) struct Limits {
     /// Terminal leaf threshold (rules per leaf).
-    pub binth: usize,
+    pub(crate) binth: usize,
     /// Maximum node depth.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
     /// Maximum total nodes in the tree.
-    pub max_nodes: usize,
+    pub(crate) max_nodes: usize,
 }
 
-impl Default for BuildLimits {
-    fn default() -> Self {
-        BuildLimits { binth: 16, max_depth: 100, max_nodes: 2_000_000 }
-    }
-}
+/// The limits of HiCuts, HyperCuts and EffiCuts: 16 rules per leaf,
+/// depth 100, 2M nodes.
+pub(crate) const LIMITS: Limits = Limits { binth: 16, max_depth: 100, max_nodes: 2_000_000 };
 
-impl BuildLimits {
+/// The limits of HyperSplit and CutSplit: as [`LIMITS`], but binary
+/// splits get depth 200.
+pub(crate) const SPLIT_LIMITS: Limits = Limits { max_depth: 200, ..LIMITS };
+
+impl Limits {
     /// True when the node must become a leaf under these limits.
-    pub fn must_stop(&self, tree: &DecisionTree, id: NodeId) -> bool {
+    pub(crate) fn must_stop(&self, tree: &DecisionTree, id: NodeId) -> bool {
         tree.is_terminal(id, self.binth)
             || tree.node(id).depth >= self.max_depth
             || tree.num_nodes() >= self.max_nodes
@@ -107,15 +109,10 @@ pub fn dims_by_distinct_ranges(tree: &DecisionTree, id: NodeId) -> Vec<(Dim, usi
     out
 }
 
-/// A `DimRange` sanity alias used by builders when clipping.
-pub fn clip(rule_range: &DimRange, space: &DimRange) -> DimRange {
-    rule_range.intersect(space)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use classbench::{Rule, RuleSet};
+    use classbench::{DimRange, Rule, RuleSet};
 
     fn tree() -> DecisionTree {
         let mut a = Rule::default_rule(3);
@@ -178,11 +175,11 @@ mod tests {
     #[test]
     fn build_limits_stop_conditions() {
         let t = tree();
-        let tight = BuildLimits { binth: 10, ..Default::default() };
+        let tight = Limits { binth: 10, ..LIMITS };
         assert!(tight.must_stop(&t, t.root())); // 4 rules <= 10
-        let loose = BuildLimits { binth: 2, max_depth: 0, ..Default::default() };
+        let loose = Limits { binth: 2, max_depth: 0, ..LIMITS };
         assert!(loose.must_stop(&t, t.root())); // depth 0 >= 0
-        let nodes = BuildLimits { binth: 2, max_depth: 100, max_nodes: 1 };
+        let nodes = Limits { binth: 2, max_depth: 100, max_nodes: 1 };
         assert!(nodes.must_stop(&t, t.root())); // already 1 node
     }
 }

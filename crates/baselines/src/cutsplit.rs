@@ -6,41 +6,31 @@
 //! get dense and overlapping. It therefore:
 //!
 //! 1. partitions rules into four subsets by which IP fields are small
-//!    (source small & destination small / only source / only
-//!    destination / neither);
+//!    (covering at most [`SMALL_THRESHOLD`] of the address space):
+//!    source small & destination small / only source / only
+//!    destination / neither;
 //! 2. runs **FiCuts** — fixed-dimension equal-size cuts in exactly the
-//!    small field(s) — until nodes fall below a pre-cut threshold;
+//!    small field(s), [`FICUTS_FANOUT`] pieces per step — until nodes
+//!    hold at most [`PRECUT_THRESHOLD`] rules;
 //! 3. finishes each remaining node with HyperSplit post-splitting.
+//!
+//! Recursion stops at 16 rules per leaf, depth 200 (FiCuts: 100) or 2M
+//! nodes.
 
-use crate::common::{simulate_cut, simulate_multicut, BuildLimits};
-use crate::hypersplit::{split_subtrees, HyperSplitConfig};
+use crate::common::{simulate_cut, simulate_multicut, SPLIT_LIMITS};
+use crate::hypersplit::split_subtrees;
 use classbench::{Dim, RuleSet};
 use dtree::{DecisionTree, NodeId, RuleId};
 
-/// CutSplit tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct CutSplitConfig {
-    /// Leaf threshold and safety limits.
-    pub limits: BuildLimits,
-    /// A rule's IP field is "small" when it covers at most this fraction
-    /// of the address space (the paper's /16 boundary = `2^-16`).
-    pub small_threshold: f64,
-    /// FiCuts keeps cutting while a node holds more rules than this.
-    pub precut_threshold: usize,
-    /// Equal-size cuts per FiCuts step (per dimension).
-    pub ficuts_fanout: usize,
-}
+/// A rule's IP field is "small" when it covers at most this fraction of
+/// the address space (the paper's /16 boundary = `2^-16`).
+pub const SMALL_THRESHOLD: f64 = 1.0 / 65536.0;
 
-impl Default for CutSplitConfig {
-    fn default() -> Self {
-        CutSplitConfig {
-            limits: BuildLimits { max_depth: 200, ..Default::default() },
-            small_threshold: 1.0 / 65536.0, // /16 or longer prefixes
-            precut_threshold: 32,
-            ficuts_fanout: 8,
-        }
-    }
-}
+/// FiCuts keeps cutting while a node holds more rules than this.
+pub const PRECUT_THRESHOLD: usize = 32;
+
+/// Equal-size cuts per FiCuts step (per dimension).
+pub const FICUTS_FANOUT: usize = 8;
 
 /// The four CutSplit subsets, keyed by which IP dimensions are small.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +46,9 @@ enum Subset {
     NeitherSmall,
 }
 
-fn classify_rule(tree: &DecisionTree, id: RuleId, threshold: f64) -> Subset {
-    let src_small = tree.rule(id).largeness(Dim::SrcIp) <= threshold;
-    let dst_small = tree.rule(id).largeness(Dim::DstIp) <= threshold;
+fn classify_rule(tree: &DecisionTree, id: RuleId) -> Subset {
+    let src_small = tree.rule(id).largeness(Dim::SrcIp) <= SMALL_THRESHOLD;
+    let dst_small = tree.rule(id).largeness(Dim::DstIp) <= SMALL_THRESHOLD;
     match (src_small, dst_small) {
         (true, true) => Subset::BothSmall,
         (true, false) => Subset::SrcSmall,
@@ -68,29 +58,23 @@ fn classify_rule(tree: &DecisionTree, id: RuleId, threshold: f64) -> Subset {
 }
 
 /// FiCuts: keep applying fixed-dimension equal-size cuts below `root`
-/// while nodes hold more than `precut_threshold` rules and the cut makes
-/// progress; leave the rest for post-splitting.
-fn ficuts(
-    tree: &mut DecisionTree,
-    root: NodeId,
-    dims: &[Dim],
-    cfg: &CutSplitConfig,
-) -> Vec<NodeId> {
+/// while nodes hold more than [`PRECUT_THRESHOLD`] rules and the cut
+/// makes progress; leave the rest for post-splitting.
+fn ficuts(tree: &mut DecisionTree, root: NodeId, dims: &[Dim]) -> Vec<NodeId> {
     let mut stack = vec![root];
     let mut remaining = Vec::new();
     while let Some(id) = stack.pop() {
         let n = tree.node(id).num_rules();
-        if n <= cfg.precut_threshold
-            || tree.node(id).depth >= cfg.limits.max_depth / 2
-            || tree.num_nodes() >= cfg.limits.max_nodes
+        if n <= PRECUT_THRESHOLD
+            || tree.node(id).depth >= SPLIT_LIMITS.max_depth / 2
+            || tree.num_nodes() >= SPLIT_LIMITS.max_nodes
         {
             remaining.push(id);
             continue;
         }
         let children = match dims {
             [d] => {
-                let fan =
-                    cfg.ficuts_fanout.min(tree.node(id).space.range(*d).len().max(2) as usize);
+                let fan = FICUTS_FANOUT.min(tree.node(id).space.range(*d).len().max(2) as usize);
                 if simulate_cut(tree, id, *d, fan).iter().all(|&c| c >= n) {
                     remaining.push(id);
                     continue;
@@ -98,7 +82,7 @@ fn ficuts(
                 tree.cut_node(id, *d, fan)
             }
             [a, b] => {
-                let fan = (cfg.ficuts_fanout / 2).max(2);
+                let fan = (FICUTS_FANOUT / 2).max(2);
                 let spec = [(*a, fan), (*b, fan)];
                 if simulate_multicut(tree, id, &spec).iter().all(|&c| c >= n) {
                     remaining.push(id);
@@ -120,7 +104,7 @@ fn ficuts(
 }
 
 /// Build a CutSplit classifier for `rules`.
-pub fn build_cutsplit(rules: &RuleSet, cfg: &CutSplitConfig) -> DecisionTree {
+pub fn build_cutsplit(rules: &RuleSet) -> DecisionTree {
     let mut tree = DecisionTree::new(rules);
     let root = tree.root();
     let all = tree.rules_at(root).to_vec();
@@ -132,7 +116,7 @@ pub fn build_cutsplit(rules: &RuleSet, cfg: &CutSplitConfig) -> DecisionTree {
         (Subset::NeitherSmall, Vec::new()),
     ];
     for &id in &all {
-        let s = classify_rule(&tree, id, cfg.small_threshold);
+        let s = classify_rule(&tree, id);
         groups.iter_mut().find(|(g, _)| *g == s).unwrap().1.push(id);
     }
     groups.retain(|(_, ids)| !ids.is_empty());
@@ -145,7 +129,6 @@ pub fn build_cutsplit(rules: &RuleSet, cfg: &CutSplitConfig) -> DecisionTree {
         vec![(groups.pop().map(|(s, _)| s).unwrap_or(Subset::NeitherSmall), root)]
     };
 
-    let split_cfg = HyperSplitConfig { limits: cfg.limits, ..Default::default() };
     for (subset, node) in children {
         let dims: &[Dim] = match subset {
             Subset::BothSmall => &[Dim::SrcIp, Dim::DstIp],
@@ -154,8 +137,8 @@ pub fn build_cutsplit(rules: &RuleSet, cfg: &CutSplitConfig) -> DecisionTree {
             Subset::NeitherSmall => &[],
         };
         let mut remaining =
-            if dims.is_empty() { vec![node] } else { ficuts(&mut tree, node, dims, cfg) };
-        split_subtrees(&mut tree, &mut remaining, &split_cfg);
+            if dims.is_empty() { vec![node] } else { ficuts(&mut tree, node, dims) };
+        split_subtrees(&mut tree, &mut remaining);
     }
     tree
 }
@@ -170,7 +153,7 @@ mod tests {
     fn builds_valid_trees_for_all_families() {
         for fam in ClassifierFamily::ALL {
             let rs = generate_rules(&GeneratorConfig::new(fam, 300).with_seed(51));
-            let tree = build_cutsplit(&rs, &CutSplitConfig::default());
+            let tree = build_cutsplit(&rs);
             assert_tree_valid(&tree, 400, 52);
         }
     }
@@ -178,7 +161,7 @@ mod tests {
     #[test]
     fn partitions_by_small_fields() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 400).with_seed(53));
-        let tree = build_cutsplit(&rs, &CutSplitConfig::default());
+        let tree = build_cutsplit(&rs);
         // FW sets mix specific and wildcard IPs, so the root partitions.
         assert!(matches!(tree.node(tree.root()).kind, NodeKind::Partition { .. }));
     }
@@ -186,7 +169,7 @@ mod tests {
     #[test]
     fn uses_both_cuts_and_splits() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 500).with_seed(54));
-        let tree = build_cutsplit(&rs, &CutSplitConfig::default());
+        let tree = build_cutsplit(&rs);
         let cuts = tree
             .nodes()
             .iter()
@@ -201,11 +184,8 @@ mod tests {
     #[test]
     fn memory_competitive_with_efficuts() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 500).with_seed(55));
-        let cs = TreeStats::compute(&build_cutsplit(&rs, &CutSplitConfig::default()));
-        let hi = TreeStats::compute(&crate::hicuts::build_hicuts(
-            &rs,
-            &crate::hicuts::HiCutsConfig::default(),
-        ));
+        let cs = TreeStats::compute(&build_cutsplit(&rs));
+        let hi = TreeStats::compute(&crate::hicuts::build_hicuts(&rs));
         // CutSplit's claim: much less memory than pure cutting.
         assert!(cs.bytes_per_rule < hi.bytes_per_rule, "cutsplit {cs} vs hicuts {hi}");
     }
@@ -213,7 +193,7 @@ mod tests {
     #[test]
     fn trace_agreement() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Ipc, 250).with_seed(56));
-        let tree = build_cutsplit(&rs, &CutSplitConfig::default());
+        let tree = build_cutsplit(&rs);
         let trace = classbench::generate_trace(&rs, &classbench::TraceConfig::new(400));
         for p in &trace {
             assert_eq!(tree.classify(p), rs.classify(p));

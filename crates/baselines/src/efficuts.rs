@@ -6,49 +6,35 @@
 //!
 //! 1. **Separable trees** — partition the rules by their per-dimension
 //!    "largeness" signature (a rule is *large* in a dimension when it
-//!    covers more than `largeness_threshold` of the full span). Rules
+//!    covers more than [`LARGENESS_THRESHOLD`] of the full span). Rules
 //!    that are large in the same set of dimensions never force each
 //!    other to replicate, so each signature gets its own tree.
-//!    **Selective tree merging** then folds small partitions into a
-//!    partition whose signature differs in one dimension, bounding the
-//!    number of trees (and thus lookup cost).
+//!    **Selective tree merging** then folds partitions smaller than
+//!    [`MIN_PARTITION`] into a partition whose signature differs in one
+//!    dimension, bounding the number of trees (and thus lookup cost).
 //! 2. **Equi-dense cuts** — instead of equal-size cuts, cut at rule
 //!    boundaries chosen so children receive roughly equal numbers of
 //!    rules, eliminating the empty/duplicate children of equal-size
-//!    cutting.
+//!    cutting; at most [`MAX_FANOUT`] children per cut.
 //!
-//! The paper's NeuroCuts uses this module's partitioner as its
-//! "EffiCuts partition action" (§4, §6.3).
+//! Recursion stops at 16 rules per leaf, depth 100 or 2M nodes. The
+//! paper's NeuroCuts uses this module's partitioner, with the same
+//! constants, as its "EffiCuts partition action" (§4, §6.3).
 
-use crate::common::{dims_by_distinct_ranges, interior_endpoints, BuildLimits};
+use crate::common::{dims_by_distinct_ranges, interior_endpoints, LIMITS};
 use classbench::{Dim, RuleSet, DIMS};
 use dtree::{DecisionTree, NodeId, RuleId};
 
-/// EffiCuts tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct EffiCutsConfig {
-    /// Leaf threshold and safety limits.
-    pub limits: BuildLimits,
-    /// Coverage fraction above which a rule counts as "large" in a
-    /// dimension (0.5 in the paper).
-    pub largeness_threshold: f64,
-    /// Partitions smaller than this are merged into a 1-bit-different
-    /// neighbour (selective tree merging).
-    pub min_partition: usize,
-    /// Maximum children per equi-dense cut.
-    pub max_fanout: usize,
-}
+/// Coverage fraction above which a rule counts as "large" in a
+/// dimension (0.5 in the paper).
+pub const LARGENESS_THRESHOLD: f64 = 0.5;
 
-impl Default for EffiCutsConfig {
-    fn default() -> Self {
-        EffiCutsConfig {
-            limits: BuildLimits::default(),
-            largeness_threshold: 0.5,
-            min_partition: 16,
-            max_fanout: 16,
-        }
-    }
-}
+/// Partitions smaller than this are merged into a 1-bit-different
+/// neighbour (selective tree merging).
+pub const MIN_PARTITION: usize = 16;
+
+/// Maximum children per equi-dense cut.
+pub const MAX_FANOUT: usize = 16;
 
 /// Largeness signature of a rule: bit `d` set when the rule is large in
 /// dimension `d`.
@@ -116,9 +102,9 @@ pub fn partition_by_largeness(
 }
 
 /// Equi-dense boundaries for cutting `dim` at node `id` into at most
-/// `fanout` children with roughly equal rule counts. Returns `None`
+/// [`MAX_FANOUT`] children with roughly equal rule counts. Returns `None`
 /// when fewer than two children are possible.
-fn equi_dense_bounds(tree: &DecisionTree, id: NodeId, dim: Dim, fanout: usize) -> Option<Vec<u64>> {
+fn equi_dense_bounds(tree: &DecisionTree, id: NodeId, dim: Dim) -> Option<Vec<u64>> {
     let node = tree.node(id);
     let space = *node.space.range(dim);
     let endpoints = interior_endpoints(tree, id, dim);
@@ -126,7 +112,7 @@ fn equi_dense_bounds(tree: &DecisionTree, id: NodeId, dim: Dim, fanout: usize) -
         return None;
     }
     let n = node.num_rules();
-    let target = n.div_ceil(fanout).max(1);
+    let target = n.div_ceil(MAX_FANOUT).max(1);
 
     // Sweep the endpoints, counting rules that *start* before each
     // candidate; emit a boundary whenever a chunk has accumulated
@@ -143,7 +129,7 @@ fn equi_dense_bounds(tree: &DecisionTree, id: NodeId, dim: Dim, fanout: usize) -
     let mut bounds = vec![space.lo];
     for &e in &endpoints {
         let since_last = starts.iter().filter(|&&s| s >= *bounds.last().unwrap() && s < e).count();
-        if since_last >= target && bounds.len() < fanout {
+        if since_last >= target && bounds.len() < MAX_FANOUT {
             bounds.push(e);
         }
     }
@@ -158,60 +144,43 @@ fn equi_dense_bounds(tree: &DecisionTree, id: NodeId, dim: Dim, fanout: usize) -
 
 /// Grow one separable tree (below one partition child) with equi-dense
 /// cuts.
-fn grow_equidense(tree: &mut DecisionTree, root: NodeId, cfg: &EffiCutsConfig) {
+fn grow_equidense(tree: &mut DecisionTree, root: NodeId) {
     let mut stack = vec![root];
     while let Some(id) = stack.pop() {
-        if cfg.limits.must_stop(tree, id) {
+        if LIMITS.must_stop(tree, id) {
             continue;
         }
         let n = tree.node(id).num_rules();
-        let mut expanded = false;
         for (dim, distinct) in dims_by_distinct_ranges(tree, id) {
             if distinct <= 1 {
                 break;
             }
-            if let Some(bounds) = equi_dense_bounds(tree, id, dim, cfg.max_fanout) {
+            if let Some(bounds) = equi_dense_bounds(tree, id, dim) {
                 // Progress check: some child must shrink.
-                let mut trial = tree.clone_node_counts(id, dim, &bounds);
-                trial.sort_unstable();
-                if trial.iter().all(|&c| c >= n) {
+                if tree.dense_child_counts(id, dim, &bounds).iter().all(|&c| c >= n) {
                     continue;
                 }
-                let children = tree.dense_cut_node(id, dim, bounds);
-                for c in children {
+                for c in tree.dense_cut_node(id, dim, bounds) {
                     tree.truncate_covered(c);
                     stack.push(c);
                 }
-                expanded = true;
                 break;
             }
         }
-        let _ = expanded;
-    }
-}
-
-/// Rule counts each dense-cut child would receive (progress check).
-trait DenseCutProbe {
-    fn clone_node_counts(&self, id: NodeId, dim: Dim, bounds: &[u64]) -> Vec<usize>;
-}
-
-impl DenseCutProbe for DecisionTree {
-    fn clone_node_counts(&self, id: NodeId, dim: Dim, bounds: &[u64]) -> Vec<usize> {
-        self.dense_child_counts(id, dim, bounds)
     }
 }
 
 /// Build an EffiCuts classifier: a top-level rule partition by largeness
 /// signature (with selective merging), one equi-dense tree per group.
-pub fn build_efficuts(rules: &RuleSet, cfg: &EffiCutsConfig) -> DecisionTree {
+pub fn build_efficuts(rules: &RuleSet) -> DecisionTree {
     let mut tree = DecisionTree::new(rules);
     let root = tree.root();
     let all = tree.rules_at(root).to_vec();
-    let groups = partition_by_largeness(&tree, &all, cfg.largeness_threshold, cfg.min_partition);
+    let groups = partition_by_largeness(&tree, &all, LARGENESS_THRESHOLD, MIN_PARTITION);
     let children: Vec<NodeId> =
         if groups.len() >= 2 { tree.partition_node(root, groups) } else { vec![root] };
     for c in children {
-        grow_equidense(&mut tree, c, cfg);
+        grow_equidense(&mut tree, c);
     }
     tree
 }
@@ -225,12 +194,12 @@ mod tests {
     #[test]
     fn signature_flags_large_dims() {
         let r = Rule::default_rule(0);
-        assert_eq!(largeness_signature(&r, 0.5), 0b11111);
+        assert_eq!(largeness_signature(&r, LARGENESS_THRESHOLD), 0b11111);
         let mut narrow = Rule::default_rule(0);
         narrow.ranges[Dim::SrcIp.index()] = DimRange::exact(5);
         narrow.ranges[Dim::Proto.index()] = DimRange::exact(6);
         assert_eq!(
-            largeness_signature(&narrow, 0.5),
+            largeness_signature(&narrow, LARGENESS_THRESHOLD),
             (1 << Dim::DstIp.index()) | (1 << Dim::SrcPort.index()) | (1 << Dim::DstPort.index())
         );
     }
@@ -240,7 +209,7 @@ mod tests {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 300).with_seed(41));
         let tree = DecisionTree::new(&rs);
         let all = tree.rules_at(tree.root()).to_vec();
-        let groups = partition_by_largeness(&tree, &all, 0.5, 16);
+        let groups = partition_by_largeness(&tree, &all, LARGENESS_THRESHOLD, MIN_PARTITION);
         let mut seen: Vec<RuleId> = groups.iter().flatten().copied().collect();
         seen.sort_unstable();
         let mut expected = all.clone();
@@ -257,8 +226,8 @@ mod tests {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 300).with_seed(42));
         let tree = DecisionTree::new(&rs);
         let all = tree.rules_at(tree.root()).to_vec();
-        let merged = partition_by_largeness(&tree, &all, 0.5, 32);
-        let unmerged = partition_by_largeness(&tree, &all, 0.5, 1);
+        let merged = partition_by_largeness(&tree, &all, LARGENESS_THRESHOLD, MIN_PARTITION);
+        let unmerged = partition_by_largeness(&tree, &all, LARGENESS_THRESHOLD, 1);
         assert!(merged.len() <= unmerged.len());
     }
 
@@ -266,7 +235,7 @@ mod tests {
     fn builds_valid_trees_for_all_families() {
         for fam in ClassifierFamily::ALL {
             let rs = generate_rules(&GeneratorConfig::new(fam, 300).with_seed(43));
-            let tree = build_efficuts(&rs, &EffiCutsConfig::default());
+            let tree = build_efficuts(&rs);
             assert_tree_valid(&tree, 400, 44);
         }
     }
@@ -274,18 +243,15 @@ mod tests {
     #[test]
     fn root_is_a_partition_on_mixed_rule_sets() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 400).with_seed(45));
-        let tree = build_efficuts(&rs, &EffiCutsConfig::default());
+        let tree = build_efficuts(&rs);
         assert!(matches!(tree.node(tree.root()).kind, NodeKind::Partition { .. }));
     }
 
     #[test]
     fn much_less_replication_than_hicuts_on_fw() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 500).with_seed(46));
-        let ef = TreeStats::compute(&build_efficuts(&rs, &EffiCutsConfig::default()));
-        let hi = TreeStats::compute(&crate::hicuts::build_hicuts(
-            &rs,
-            &crate::hicuts::HiCutsConfig::default(),
-        ));
+        let ef = TreeStats::compute(&build_efficuts(&rs));
+        let hi = TreeStats::compute(&crate::hicuts::build_hicuts(&rs));
         // The EffiCuts headline: drastically less memory on
         // wildcard-heavy sets, at some cost in classification time.
         assert!(ef.bytes_per_rule < hi.bytes_per_rule, "efficuts {ef} vs hicuts {hi}");
@@ -295,7 +261,7 @@ mod tests {
     #[test]
     fn trace_agreement() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Ipc, 250).with_seed(47));
-        let tree = build_efficuts(&rs, &EffiCutsConfig::default());
+        let tree = build_efficuts(&rs);
         let trace = classbench::generate_trace(&rs, &classbench::TraceConfig::new(400));
         for p in &trace {
             assert_eq!(tree.classify(p), rs.classify(p));

@@ -2,56 +2,38 @@
 //!
 //! HyperCuts generalises HiCuts by cutting several dimensions at one
 //! node. Dimension selection follows the paper: dimensions whose
-//! distinct-projection count exceeds the mean are candidates. The cut
-//! counts are grown greedily — repeatedly double the count of whichever
-//! candidate dimension most reduces the largest child — under a global
-//! child budget of `spfac * sqrt(rules(node))`.
+//! distinct-projection count is at least the mean are candidates, at
+//! most [`MAX_DIMS`] of them. The cut counts are grown greedily —
+//! repeatedly double the count of whichever candidate dimension most
+//! reduces the largest child — under a global child budget of
+//! [`SPFAC`] `* sqrt(rules(node))`, capped at [`MAX_CHILDREN`].
+//! Children apply the rule-overlap optimisation. Recursion stops at 16
+//! rules per leaf, depth 100 or 2M nodes.
 
-use crate::common::{dims_by_distinct_ranges, simulate_multicut, BuildLimits};
+use crate::common::{dims_by_distinct_ranges, simulate_multicut, LIMITS};
 use classbench::{Dim, RuleSet};
 use dtree::{DecisionTree, NodeId};
 
-/// HyperCuts tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct HyperCutsConfig {
-    /// Leaf threshold and safety limits.
-    pub limits: BuildLimits,
-    /// Space factor: child budget multiplier (`spfac * sqrt(n)`).
-    pub spfac: f64,
-    /// Maximum dimensions cut simultaneously (the paper typically uses
-    /// up to 2–3 in practice).
-    pub max_dims: usize,
-    /// Hard cap on children per node regardless of budget.
-    pub max_children: usize,
-    /// Apply covered-rule truncation to children.
-    pub rule_overlap: bool,
-}
+/// Space factor: child budget multiplier (`SPFAC * sqrt(n)`).
+pub const SPFAC: f64 = 4.0;
 
-impl Default for HyperCutsConfig {
-    fn default() -> Self {
-        HyperCutsConfig {
-            limits: BuildLimits::default(),
-            spfac: 4.0,
-            max_dims: 2,
-            max_children: 128,
-            rule_overlap: true,
-        }
-    }
-}
+/// Maximum dimensions cut simultaneously (the paper typically uses up
+/// to 2–3 in practice).
+pub const MAX_DIMS: usize = 2;
+
+/// Hard cap on children per node regardless of budget. It binds once
+/// a node holds more than `(MAX_CHILDREN / SPFAC)^2` = 1,024 rules.
+pub const MAX_CHILDREN: usize = 128;
 
 /// Greedily grow per-dimension cut counts under the child budget.
 /// Returns the chosen `(dim, ncuts)` list (only dims with `ncuts >= 2`),
 /// or `None` if no multicut makes progress.
-fn choose_multicut(
-    tree: &DecisionTree,
-    id: NodeId,
-    cfg: &HyperCutsConfig,
-) -> Option<Vec<(Dim, usize)>> {
+fn choose_multicut(tree: &DecisionTree, id: NodeId) -> Option<Vec<(Dim, usize)>> {
     let n = tree.node(id).num_rules();
-    let budget = ((cfg.spfac * (n as f64).sqrt()) as usize).clamp(4, cfg.max_children);
+    let budget = ((SPFAC * (n as f64).sqrt()) as usize).clamp(4, MAX_CHILDREN);
 
-    // Candidate dims: distinct count above the mean (HyperCuts' rule),
-    // keeping at most `max_dims` of the most discriminating.
+    // Candidate dims: distinct count at least the mean (HyperCuts'
+    // rule), keeping at most `MAX_DIMS` of the most discriminating.
     let ranked = dims_by_distinct_ranges(tree, id);
     if ranked.is_empty() || ranked[0].1 <= 1 {
         return None;
@@ -61,7 +43,7 @@ fn choose_multicut(
         .iter()
         .filter(|&&(_, c)| c as f64 >= mean && c > 1)
         .map(|&(d, _)| d)
-        .take(cfg.max_dims)
+        .take(MAX_DIMS)
         .collect();
     if candidates.is_empty() {
         candidates.push(ranked[0].0);
@@ -125,19 +107,16 @@ fn choose_multicut(
 }
 
 /// Build a HyperCuts tree for `rules`.
-pub fn build_hypercuts(rules: &RuleSet, cfg: &HyperCutsConfig) -> DecisionTree {
+pub fn build_hypercuts(rules: &RuleSet) -> DecisionTree {
     let mut tree = DecisionTree::new(rules);
     let mut stack: Vec<NodeId> = vec![tree.root()];
     while let Some(id) = stack.pop() {
-        if cfg.limits.must_stop(&tree, id) {
+        if LIMITS.must_stop(&tree, id) {
             continue;
         }
-        if let Some(dims) = choose_multicut(&tree, id, cfg) {
-            let children = tree.multicut_node(id, &dims);
-            for c in children {
-                if cfg.rule_overlap {
-                    tree.truncate_covered(c);
-                }
+        if let Some(dims) = choose_multicut(&tree, id) {
+            for c in tree.multicut_node(id, &dims) {
+                tree.truncate_covered(c);
                 stack.push(c);
             }
         }
@@ -155,7 +134,7 @@ mod tests {
     fn builds_valid_trees_for_all_families() {
         for fam in ClassifierFamily::ALL {
             let rs = generate_rules(&GeneratorConfig::new(fam, 300).with_seed(21));
-            let tree = build_hypercuts(&rs, &HyperCutsConfig::default());
+            let tree = build_hypercuts(&rs);
             assert_tree_valid(&tree, 400, 22);
         }
     }
@@ -163,7 +142,7 @@ mod tests {
     #[test]
     fn uses_multidimensional_cuts() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 500).with_seed(23));
-        let tree = build_hypercuts(&rs, &HyperCutsConfig::default());
+        let tree = build_hypercuts(&rs);
         let multi = tree
             .nodes()
             .iter()
@@ -181,24 +160,20 @@ mod tests {
         for seed in 0..3 {
             let rs =
                 generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 400).with_seed(seed));
-            hyper_depth +=
-                TreeStats::compute(&build_hypercuts(&rs, &HyperCutsConfig::default())).time;
-            hi_depth += TreeStats::compute(&crate::hicuts::build_hicuts(
-                &rs,
-                &crate::hicuts::HiCutsConfig::default(),
-            ))
-            .time;
+            hyper_depth += TreeStats::compute(&build_hypercuts(&rs)).time;
+            hi_depth += TreeStats::compute(&crate::hicuts::build_hicuts(&rs)).time;
         }
         assert!(hyper_depth <= hi_depth + 3, "hypercuts {hyper_depth} vs hicuts {hi_depth}");
     }
 
     #[test]
     fn child_budget_is_respected() {
-        let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 300).with_seed(25));
-        let cfg = HyperCutsConfig { max_children: 16, ..Default::default() };
-        let tree = build_hypercuts(&rs, &cfg);
+        // The cap only binds above 1,024 rules at a node: the root here.
+        let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 1500).with_seed(25));
+        let tree = build_hypercuts(&rs);
+        assert!(tree.node(tree.root()).num_rules() > 1024);
         for n in tree.nodes() {
-            assert!(n.kind.children().len() <= 16);
+            assert!(n.kind.children().len() <= MAX_CHILDREN);
         }
         assert_tree_valid(&tree, 300, 26);
     }
@@ -206,7 +181,7 @@ mod tests {
     #[test]
     fn trace_agreement() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Ipc, 250).with_seed(27));
-        let tree = build_hypercuts(&rs, &HyperCutsConfig::default());
+        let tree = build_hypercuts(&rs);
         let trace = classbench::generate_trace(&rs, &classbench::TraceConfig::new(400));
         for p in &trace {
             assert_eq!(tree.classify(p), rs.classify(p));

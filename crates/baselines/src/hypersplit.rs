@@ -2,34 +2,21 @@
 //!
 //! Instead of equal-size cuts, HyperSplit picks a rule-range endpoint as
 //! a binary split threshold, choosing the dimension/threshold pair that
-//! most evenly balances the rules across the two children. Binary splits
+//! most evenly balances the rules across the two children; at most
+//! [`MAX_CANDIDATES`] thresholds are tried per dimension. Binary splits
 //! give logarithmic-ish depth with far less rule replication than wide
 //! equal cuts — the memory-friendly end of the design space, and the
 //! post-processing stage CutSplit applies inside its partitions.
+//! Recursion stops at 16 rules per leaf, depth 200 or 2M nodes.
 
-use crate::common::{interior_endpoints, BuildLimits};
+use crate::common::{interior_endpoints, SPLIT_LIMITS};
 use classbench::{Dim, RuleSet, DIMS};
 use dtree::{DecisionTree, NodeId};
 
-/// HyperSplit tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct HyperSplitConfig {
-    /// Leaf threshold and safety limits.
-    pub limits: BuildLimits,
-    /// At most this many candidate thresholds are evaluated per
-    /// dimension (evenly sampled from the endpoint list) to bound the
-    /// per-node work on large nodes.
-    pub max_candidates: usize,
-}
-
-impl Default for HyperSplitConfig {
-    fn default() -> Self {
-        HyperSplitConfig {
-            limits: BuildLimits { max_depth: 200, ..Default::default() },
-            max_candidates: 32,
-        }
-    }
-}
+/// At most this many candidate thresholds are evaluated per dimension
+/// (evenly sampled from the endpoint list) to bound the per-node work
+/// on large nodes.
+pub const MAX_CANDIDATES: usize = 32;
 
 /// Score of a split: `(max(left, right), left + right)` — primary
 /// balance, secondary total replication. Lower is better.
@@ -57,7 +44,7 @@ fn split_score(tree: &DecisionTree, id: NodeId, dim: Dim, threshold: u64) -> Sco
 
 /// Best `(dim, threshold)` for a node, or `None` when no endpoint-based
 /// split makes progress.
-fn choose_split(tree: &DecisionTree, id: NodeId, cfg: &HyperSplitConfig) -> Option<(Dim, u64)> {
+fn choose_split(tree: &DecisionTree, id: NodeId) -> Option<(Dim, u64)> {
     let n = tree.node(id).num_rules();
     let mut best: Option<(Score, Dim, u64)> = None;
     for &dim in &DIMS {
@@ -66,7 +53,7 @@ fn choose_split(tree: &DecisionTree, id: NodeId, cfg: &HyperSplitConfig) -> Opti
             continue;
         }
         // Evenly sample candidates when there are too many endpoints.
-        let step = endpoints.len().div_ceil(cfg.max_candidates);
+        let step = endpoints.len().div_ceil(MAX_CANDIDATES);
         for t in endpoints.iter().step_by(step.max(1)) {
             let score = split_score(tree, id, dim, *t);
             if score.0 >= n {
@@ -81,25 +68,21 @@ fn choose_split(tree: &DecisionTree, id: NodeId, cfg: &HyperSplitConfig) -> Opti
 }
 
 /// Build a HyperSplit tree for `rules`.
-pub fn build_hypersplit(rules: &RuleSet, cfg: &HyperSplitConfig) -> DecisionTree {
+pub fn build_hypersplit(rules: &RuleSet) -> DecisionTree {
     let mut tree = DecisionTree::new(rules);
     let mut stack = vec![tree.root()];
-    split_subtrees(&mut tree, &mut stack, cfg);
+    split_subtrees(&mut tree, &mut stack);
     tree
 }
 
 /// Drive HyperSplit recursion over the given work stack; exposed so
 /// CutSplit can run the same post-splitting over its pre-cut leaves.
-pub(crate) fn split_subtrees(
-    tree: &mut DecisionTree,
-    stack: &mut Vec<NodeId>,
-    cfg: &HyperSplitConfig,
-) {
+pub(crate) fn split_subtrees(tree: &mut DecisionTree, stack: &mut Vec<NodeId>) {
     while let Some(id) = stack.pop() {
-        if cfg.limits.must_stop(tree, id) {
+        if SPLIT_LIMITS.must_stop(tree, id) {
             continue;
         }
-        if let Some((dim, threshold)) = choose_split(tree, id, cfg) {
+        if let Some((dim, threshold)) = choose_split(tree, id) {
             let (l, r) = tree.split_node(id, dim, threshold);
             tree.truncate_covered(l);
             tree.truncate_covered(r);
@@ -119,7 +102,7 @@ mod tests {
     fn builds_valid_trees_for_all_families() {
         for fam in ClassifierFamily::ALL {
             let rs = generate_rules(&GeneratorConfig::new(fam, 300).with_seed(31));
-            let tree = build_hypersplit(&rs, &HyperSplitConfig::default());
+            let tree = build_hypersplit(&rs);
             assert_tree_valid(&tree, 400, 32);
         }
     }
@@ -127,7 +110,7 @@ mod tests {
     #[test]
     fn only_binary_splits_are_used() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 200).with_seed(33));
-        let tree = build_hypersplit(&rs, &HyperSplitConfig::default());
+        let tree = build_hypersplit(&rs);
         for n in tree.nodes() {
             assert!(
                 matches!(n.kind, NodeKind::Leaf | NodeKind::Split { .. }),
@@ -140,11 +123,8 @@ mod tests {
     #[test]
     fn less_replication_than_hicuts() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 400).with_seed(34));
-        let hs = TreeStats::compute(&build_hypersplit(&rs, &HyperSplitConfig::default()));
-        let hc = TreeStats::compute(&crate::hicuts::build_hicuts(
-            &rs,
-            &crate::hicuts::HiCutsConfig::default(),
-        ));
+        let hs = TreeStats::compute(&build_hypersplit(&rs));
+        let hc = TreeStats::compute(&crate::hicuts::build_hicuts(&rs));
         // HyperSplit's raison d'être: balanced splits replicate less on
         // wildcard-heavy (FW) rule sets.
         assert!(hs.bytes_per_rule <= hc.bytes_per_rule * 1.5, "hypersplit {hs} vs hicuts {hc}");
@@ -153,7 +133,7 @@ mod tests {
     #[test]
     fn splits_balance_children() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 300).with_seed(35));
-        let tree = build_hypersplit(&rs, &HyperSplitConfig::default());
+        let tree = build_hypersplit(&rs);
         // Spot-check the root split: neither child should hold everything.
         if let NodeKind::Split { children, .. } = &tree.node(tree.root()).kind {
             let total = tree.node(tree.root()).num_rules();
@@ -168,7 +148,7 @@ mod tests {
     #[test]
     fn trace_agreement() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Ipc, 250).with_seed(36));
-        let tree = build_hypersplit(&rs, &HyperSplitConfig::default());
+        let tree = build_hypersplit(&rs);
         let trace = classbench::generate_trace(&rs, &classbench::TraceConfig::new(400));
         for p in &trace {
             assert_eq!(tree.classify(p), rs.classify(p));
@@ -178,13 +158,12 @@ mod tests {
     #[test]
     fn binth_respected_where_progress_is_possible() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 300).with_seed(37));
-        let cfg = HyperSplitConfig::default();
-        let tree = build_hypersplit(&rs, &cfg);
+        let tree = build_hypersplit(&rs);
         for id in tree.leaf_ids() {
-            if tree.node(id).num_rules() > cfg.limits.binth
-                && tree.node(id).depth < cfg.limits.max_depth
+            if tree.node(id).num_rules() > SPLIT_LIMITS.binth
+                && tree.node(id).depth < SPLIT_LIMITS.max_depth
             {
-                assert!(choose_split(&tree, id, &cfg).is_none());
+                assert!(choose_split(&tree, id).is_none());
             }
         }
     }

@@ -8,11 +8,13 @@
 //! Scans every top-level array of row objects in the baseline (e.g.
 //! `collect` in `BENCH_train.json`, `phases` in `BENCH_lifecycle.json`)
 //! and, for each row carrying one of the gated metrics
-//! (`steps_per_sec`, `episodes_per_sec`, `mpps`), compares the fresh
+//! (`steps_per_sec`, `episodes_per_sec`, `mpps`) or tree columns
+//! (`time`, `max_depth`, `nodes`, `trace_hash`), compares the fresh
 //! run's matching row (same position and identity fields). The gate
 //! **fails** (exit 1) when any fresh metric drops below
 //! `NC_GATE_MIN_RATIO` (default `0.8`, i.e. a >20% regression) of the
-//! committed baseline.
+//! committed baseline, or when any tree column differs from it at all:
+//! the trees are deterministic, so a changed tree is never noise.
 //!
 //! Absolute throughput only compares like with like, so:
 //!
@@ -36,6 +38,10 @@ use serde_json::Value;
 /// `bench_sweep` cells and per-family medians.
 const METRICS: [&str; 3] = ["steps_per_sec", "episodes_per_sec", "mpps"];
 
+/// The per-row tree columns a fresh run must reproduce exactly: the
+/// built trees' shape and the traced classification results.
+const TREE_COLUMNS: [&str; 4] = ["time", "max_depth", "nodes", "trace_hash"];
+
 /// Identity fields used to label a row in failure messages. The
 /// `family`/`size`/`seed`/`skew` axes identify `bench_sweep` matrix
 /// cells and per-family summary rows.
@@ -48,7 +54,7 @@ fn scalar(v: &Value) -> String {
     } else if let Some(u) = v.as_u64() {
         u.to_string()
     } else {
-        format!("{v:?}")
+        serde_json::to_string(v).expect("a parsed value serialises")
     }
 }
 
@@ -117,19 +123,24 @@ fn main() {
     };
     let mut checked = 0usize;
     let mut failures = 0usize;
+    let mut columns = 0usize;
+    let mut changed = 0usize;
     for (key, val) in obj.iter() {
         let Some(rows) = val.as_array() else { continue };
         for (i, row) in rows.iter().enumerate() {
+            if METRICS.iter().chain(&TREE_COLUMNS).all(|f| row[*f].is_null()) {
+                continue;
+            }
+            let fresh_row = &fresh[key.as_str()][i];
+            // Rows must still describe the same measurement.
+            for f in ID_FIELDS {
+                assert_eq!(
+                    row[f], fresh_row[f],
+                    "row identity drift at {key}[{i}].{f} — regenerate the baseline"
+                );
+            }
             for metric in METRICS {
                 let Some(base) = row[metric].as_f64() else { continue };
-                let fresh_row = &fresh[key.as_str()][i];
-                // Rows must still describe the same measurement.
-                for f in ID_FIELDS {
-                    assert_eq!(
-                        row[f], fresh_row[f],
-                        "row identity drift at {key}[{i}].{f} — regenerate the baseline"
-                    );
-                }
                 let got = fresh_row[metric].as_f64().unwrap_or(0.0);
                 let ratio = if base > 0.0 { got / base } else { 1.0 };
                 checked += 1;
@@ -145,12 +156,29 @@ fn main() {
                     row_label(row)
                 );
             }
+            for column in TREE_COLUMNS {
+                let base = &row[column];
+                if base.is_null() {
+                    continue;
+                }
+                columns += 1;
+                if fresh_row[column] != *base {
+                    changed += 1;
+                    eprintln!(
+                        "{key}[{i}] {:<28} {column:>16}: {} vs baseline {}  CHANGED",
+                        row_label(row),
+                        scalar(&fresh_row[column]),
+                        scalar(base)
+                    );
+                }
+            }
         }
     }
     eprintln!(
-        "bench_gate: {checked} metrics checked, {failures} below {min_ratio:.2}x of baseline"
+        "bench_gate: {checked} metrics checked, {failures} below {min_ratio:.2}x of baseline; \
+         {columns} tree columns checked, {changed} changed"
     );
-    if failures > 0 {
+    if failures > 0 || changed > 0 {
         std::process::exit(1);
     }
 }

@@ -61,6 +61,43 @@ fn one_metric_under_the_ratio_fails() {
     assert!(stderr(&out).contains("2 metrics checked, 1 below"), "{}", stderr(&out));
 }
 
+/// A `bench_sweep`-shaped document: one verified cell per tree shape,
+/// at the same throughput.
+fn cells(trees: [(u64, u64, u64, &str); 2]) -> String {
+    let mut r = Report::new("sweep", config());
+    r.set(
+        "cells",
+        trees.map(|(time, max_depth, nodes, trace_hash)| {
+            json!({"family": "acl", "algo": "HiCuts", "mpps": 50.0, "time": time,
+                   "max_depth": max_depth, "nodes": nodes, "trace_hash": trace_hash})
+        }),
+    );
+    r.render()
+}
+
+#[test]
+fn a_changed_tree_column_fails_at_any_throughput() {
+    let base = [(3, 2, 81, "b1d9bb35cb1fad35"), (4, 3, 15, "b1d9bb35cb1fad35")];
+    let out = gate("trees-same", Some(cells(base)), cells(base));
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stderr(&out).contains("8 tree columns checked, 0 changed"), "{}", stderr(&out));
+    for (case, i, changed) in [
+        ("time", 0, (4, 2, 81, "b1d9bb35cb1fad35")),
+        ("max_depth", 1, (4, 4, 15, "b1d9bb35cb1fad35")),
+        ("nodes", 0, (3, 2, 80, "b1d9bb35cb1fad35")),
+        ("trace_hash", 1, (4, 3, 15, "0000000000000000")),
+    ] {
+        let mut fresh = base;
+        fresh[i] = changed;
+        let out = gate(case, Some(cells(base)), cells(fresh));
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{case}: {err}");
+        let line = err.lines().find(|l| l.ends_with("CHANGED")).expect("the change is reported");
+        assert!(line.starts_with(&format!("cells[{i}]")) && line.contains(case), "{line}");
+        assert!(err.contains("0 below") && err.contains("1 changed"), "{case}: {err}");
+    }
+}
+
 #[test]
 fn config_drift_fails() {
     let changed = json!({"family": "acl", "size": 301, "hw_threads": 1, "rule_seed": 1});

@@ -80,6 +80,23 @@ fn build_refuses_an_unknown_algorithm_by_name() {
     assert!(stderr.contains("unknown algorithm \"tcam\""), "the error names it: {stderr}");
 }
 
+/// A tree file whose root lists itself as a child would send a lookup
+/// round that cycle forever; loading it fails instead, naming the file.
+#[test]
+fn classify_refuses_a_tree_that_lists_itself_as_a_child() {
+    let (rules, tree) = rules_and_tree("self_child");
+    let json = std::fs::read_to_string(&tree).expect("read the built tree");
+    let first_child = r#""children":[1,"#;
+    assert!(json.contains(first_child), "the root is a cut");
+    std::fs::write(&tree, json.replacen(first_child, r#""children":[0,"#, 1))
+        .expect("write the edited tree");
+    let out = neurocuts(&["classify", "--tree", &tree, "--rules", &rules, "--trace", "100"]);
+    let stderr = text(&out.stderr);
+    assert!(!out.status.success(), "a cyclic tree must be refused; stderr: {stderr}");
+    assert!(stderr.contains(&tree), "the error names the file: {stderr}");
+    assert!(stderr.contains("node 0: child 0 does not come after"), "and the node: {stderr}");
+}
+
 #[test]
 fn update_bench_auto_retrains_and_verifies_the_final_snapshot() {
     let (rules, tree) = rules_and_tree("auto_retrain");

@@ -41,7 +41,7 @@ impl RewardScaling {
 }
 
 /// Full NeuroCuts configuration. `paper_default` reproduces Table 1;
-/// `fast` and `smoke_test` scale the budget down for laptop-scale
+/// `small` and `smoke_test` scale the budget down for laptop-scale
 /// experiments and doc-tests (the paper itself notes convergence within
 /// a few hundred rollouts — size affects wall-clock, not
 /// rollouts-to-converge).
@@ -121,26 +121,6 @@ impl NeuroCutsConfig {
         }
     }
 
-    /// A laptop-scale budget for ~1k-rule classifiers: smaller model,
-    /// paper-proportioned batches (the batch must be several rollout
-    /// caps wide, or a single truncated early episode devours the whole
-    /// batch), same algorithm.
-    pub fn fast() -> Self {
-        let mut cfg = Self::paper_default();
-        cfg.hidden = [128, 128];
-        cfg.max_timesteps = 120_000;
-        cfg.timesteps_per_batch = 12_000;
-        // The paper found 15000-step rollouts necessary for larger
-        // classifiers; early random policies need the headroom to
-        // complete trees at all.
-        cfg.max_timesteps_per_rollout = 12_000;
-        cfg.ppo.minibatch = 512;
-        cfg.ppo.sgd_iters = 8;
-        cfg.ppo.adam.lr = 3e-4;
-        cfg.patience = 5;
-        cfg
-    }
-
     /// A budget sized for a few-hundred-rule classifier: completes in
     /// tens of seconds and usually converges visibly. Used by the
     /// examples and the figure harness.
@@ -163,7 +143,7 @@ impl NeuroCutsConfig {
 
     /// A seconds-scale budget for doc-tests and CI smoke tests.
     pub fn smoke_test() -> Self {
-        let mut cfg = Self::fast();
+        let mut cfg = Self::paper_default();
         cfg.hidden = [32, 32];
         cfg.max_timesteps = 1_600;
         cfg.timesteps_per_batch = 400;
@@ -173,6 +153,8 @@ impl NeuroCutsConfig {
         cfg.max_timesteps_per_rollout = 5_000;
         cfg.ppo.minibatch = 128;
         cfg.ppo.sgd_iters = 4;
+        cfg.ppo.adam.lr = 3e-4;
+        cfg.patience = 5;
         cfg.workers = 2;
         cfg.num_envs = 4;
         cfg
@@ -222,6 +204,42 @@ mod tests {
         assert_eq!(cfg.reward_scaling, RewardScaling::Linear);
         assert_eq!(cfg.max_timesteps_per_rollout, 15_000);
         assert_eq!(cfg.max_tree_depth, 100);
+    }
+
+    /// Every field of the smoke configuration the unit, integration and
+    /// golden-stream tests train under, so that none moves unnoticed.
+    #[test]
+    fn smoke_test_is_pinned() {
+        let want = NeuroCutsConfig {
+            time_space_coeff: 1.0,
+            partition_mode: PartitionMode::None,
+            reward_scaling: RewardScaling::Linear,
+            max_timesteps_per_rollout: 5_000,
+            max_tree_depth: 100,
+            max_timesteps: 1_600,
+            timesteps_per_batch: 400,
+            hidden: [32, 32],
+            ppo: PpoConfig {
+                clip: 0.3,
+                vf_clip: 10.0,
+                entropy_coeff: 0.01,
+                vf_coeff: 1.0,
+                kl_target: 0.01,
+                sgd_iters: 4,
+                minibatch: 128,
+                adam: nn::AdamConfig { lr: 3e-4, beta1: 0.9, beta2: 0.999, eps: 1e-8 },
+                max_grad_norm: 10.0,
+            },
+            binth: 16,
+            workers: 2,
+            num_envs: 4,
+            seed: 0,
+            patience: 5,
+            dense_rewards: true,
+            partition_anywhere: false,
+            use_qlearning: false,
+        };
+        assert_eq!(NeuroCutsConfig::smoke_test(), want);
     }
 
     #[test]

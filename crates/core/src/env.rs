@@ -13,9 +13,10 @@ use crate::actions::{Action, ActionSpace};
 use crate::config::NeuroCutsConfig;
 use crate::obs::ObsEncoder;
 use crate::partitioner::{plan_efficuts_partition, plan_simple_partition};
-use crate::reward::{subtree_avg_time, subtree_metrics, Objective};
+use crate::reward::{subtree_avg_time, Objective};
 use classbench::{Packet, RuleSet, NUM_DIMS};
-use dtree::{DecisionTree, LevelProfile, NodeId, TreeStats};
+use dtree::stats::subtree_metrics;
+use dtree::{DecisionTree, NodeId, TreeStats};
 use nn::{MaskedCategorical, PolicyValueNet};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
@@ -52,16 +53,14 @@ impl NodeMeta {
     }
 }
 
-/// The best tree found during training, with everything the evaluation
-/// harness needs to reproduce the paper's figures.
+/// The best tree found during training: its objective, its statistics
+/// and the tree itself.
 #[derive(Debug, Clone)]
 pub struct BestTree {
     /// The scalarised objective (lower is better).
     pub objective: f64,
     /// Full statistics of the tree.
     pub stats: TreeStats,
-    /// Per-level profile (Figure 5/6 visualisations).
-    pub profile: LevelProfile,
     /// The tree itself — an `Arc` snapshot shared with the episode that
     /// produced it, so recording an improvement under the mutex is O(1)
     /// instead of a deep tree clone.
@@ -177,11 +176,6 @@ impl NeuroCutsEnv {
     /// The rule set being optimised.
     pub fn rules(&self) -> &RuleSet {
         &self.rules
-    }
-
-    /// The scalarised objective.
-    pub fn objective(&self) -> &Objective {
-        &self.objective
     }
 
     /// The best tree recorded so far across all clones of this
@@ -385,7 +379,7 @@ impl NeuroCutsEnv {
     pub fn finish_episode(&self, st: EpisodeState) -> Episode {
         let EpisodeState { tree, mut samples, sample_nodes, truncated, .. } = st;
         let tree = Arc::new(tree);
-        let (time, bytes) = subtree_metrics(&tree, &self.objective.memory);
+        let (time, bytes) = subtree_metrics(&tree);
         // Traffic-aware extension (§8): replace worst-case depth with
         // the expected lookup cost under the configured trace.
         let avg_time: Option<Vec<f64>> = self.traffic.as_ref().map(|trace| {
@@ -398,10 +392,7 @@ impl NeuroCutsEnv {
                 None => time[node] as f64,
             }
         };
-        let value_at = |node: NodeId| -> f64 {
-            self.objective.c * self.objective.scaling.apply(time_at(node))
-                + (1.0 - self.objective.c) * self.objective.scaling.apply(bytes[node] as f64)
-        };
+        let value_at = |node: NodeId| self.objective.value(time_at(node), bytes[node]);
         let objective = value_at(tree.root());
         if self.config.dense_rewards {
             for (s, &node) in samples.iter_mut().zip(&sample_nodes) {
@@ -428,7 +419,6 @@ impl NeuroCutsEnv {
             *best = Some(BestTree {
                 objective: ep.objective,
                 stats: TreeStats::compute(&ep.tree),
-                profile: LevelProfile::compute(&ep.tree),
                 // O(1) snapshot: the record shares the episode's tree.
                 tree: Arc::clone(&ep.tree),
             });

@@ -79,7 +79,7 @@ pub use config::{NeuroCutsConfig, PartitionMode, RewardScaling};
 pub use env::{EpisodeState, NeuroCutsEnv, PendingDecision};
 pub use lifecycle::{
     retrain_snapshot, LifecycleConfig, LifecycleError, LifecycleEvent, LifecycleReport,
-    LifecycleWorker, RetrainFn, RetryPolicy, WorkerHealth,
+    LifecycleWorker, RetrainFn, RetryPolicy,
 };
 pub use obs::ObsEncoder;
 pub use persist::{

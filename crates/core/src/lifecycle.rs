@@ -121,21 +121,6 @@ impl std::fmt::Display for LifecycleError {
 
 impl std::error::Error for LifecycleError {}
 
-/// The worker's own health, mirrored into the handle's
-/// [`dtree::HealthReport`] after every attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerHealth {
-    /// Consecutive transient failures (0 when healthy).
-    pub consecutive_failures: u64,
-    /// True after [`RetryPolicy::max_failures`] consecutive failures
-    /// forced a heuristic fallback rebuild; cleared by the next
-    /// successful retrain.
-    pub degraded: bool,
-    /// True while a failure backoff is pending (polls return `None`
-    /// without evaluating the trigger).
-    pub in_backoff: bool,
-}
-
 /// The function a [`LifecycleWorker`] trains through: the frozen
 /// snapshot's rules, [`LifecycleConfig::train`] and the attempt's seed
 /// in; the tree to adopt, its stats and the timesteps consumed out.
@@ -312,24 +297,9 @@ impl LifecycleWorker {
         }
     }
 
-    /// Retrain attempts so far (adopted + skipped).
-    pub fn retrains(&self) -> usize {
-        self.retrains
-    }
-
-    /// The worker's current health (failure streak, degraded flag,
-    /// pending backoff).
-    pub fn health(&self) -> WorkerHealth {
-        WorkerHealth {
-            consecutive_failures: self.consecutive_failures as u64,
-            degraded: self.degraded,
-            in_backoff: self.in_backoff(),
-        }
-    }
-
     /// True while a failure backoff is pending: the next polls return
     /// `None` without evaluating the trigger until it is used up.
-    pub fn in_backoff(&self) -> bool {
+    fn in_backoff(&self) -> bool {
         self.backoff_left > 0
     }
 
@@ -671,7 +641,7 @@ mod tests {
             handle.insert(classbench::Rule::default_rule(200_000 + i)).unwrap();
         }
         assert!(worker.poll(&handle, &trace).is_none(), "below the update floor");
-        assert_eq!(worker.retrains(), 0);
+        assert_eq!(worker.into_report().retrains, 0);
     }
 
     #[test]
@@ -810,7 +780,7 @@ mod tests {
         let event = worker.poll(&handle, &trace).expect("retry runs").clone();
         assert!(event.adopted, "retry must succeed: {:?}", event.skipped);
         assert_eq!(event.failures_after, 0);
-        assert!(!worker.health().degraded);
+        assert!(!handle.health().degraded);
         assert_eq!(handle.health().consecutive_failures, 0);
         assert_eq!(handle.check_divergence(&trace), None);
     }

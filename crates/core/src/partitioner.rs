@@ -4,6 +4,7 @@
 
 use crate::actions::COVERAGE_LEVELS;
 use crate::env::NodeMeta;
+use baselines::efficuts::{partition_by_largeness, LARGENESS_THRESHOLD, MIN_PARTITION};
 use classbench::Dim;
 use dtree::{DecisionTree, NodeId, RuleId};
 
@@ -51,15 +52,16 @@ pub fn plan_simple_partition(
 }
 
 /// Plan an EffiCuts partition of node `id`: the separable-tree grouping
-/// of [`baselines::efficuts`], tagged with partition ids for the
-/// observation encoding. Returns `None` when the rules all fall in one
-/// group (nothing to partition).
+/// of [`baselines::efficuts`] under its own constants, tagged with
+/// partition ids for the observation encoding. Returns `None` when the
+/// rules all fall in one group (nothing to partition).
 pub fn plan_efficuts_partition(
     tree: &DecisionTree,
     id: NodeId,
     meta: &NodeMeta,
 ) -> Option<(Vec<Vec<RuleId>>, Vec<NodeMeta>)> {
-    let groups = baselines::partition_by_largeness(tree, tree.rules_at(id), 0.5, 16);
+    let groups =
+        partition_by_largeness(tree, tree.rules_at(id), LARGENESS_THRESHOLD, MIN_PARTITION);
     if groups.len() < 2 {
         return None;
     }

@@ -852,6 +852,19 @@ mod tests {
             decode_checkpoint(b""),
             Err(CheckpointError::MissingField { field: "version" })
         ));
+
+        // An intact body holding a tree no lookup could walk.
+        let body = ck.tree.to_json().replacen(r#""root":0"#, r#""root":9"#, 1);
+        let mut unwalkable = format!(
+            "{CHECKPOINT_VERSION}\ngeneration 0\nepoch 0\ntrain_seed 0\ntree_len {}\ntree_fnv {:016x}\n",
+            body.len(),
+            fnv1a(body.as_bytes())
+        );
+        unwalkable.push_str(&body);
+        assert!(matches!(
+            decode_checkpoint(unwalkable.as_bytes()),
+            Err(CheckpointError::BadTree { why }) if why.contains("root 9 out of range")
+        ));
     }
 
     #[test]

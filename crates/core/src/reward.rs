@@ -1,81 +1,44 @@
-//! The NeuroCuts reward (Eqs. 1–5 and Algorithm 1, line 17):
+//! The NeuroCuts reward (Eq. 5 and Algorithm 1, line 17):
 //!
 //! ```text
 //! R(node) = -( c · f(Time(subtree)) + (1 − c) · f(Space(subtree)) )
 //! ```
 //!
-//! where `Time`/`Space` aggregate recursively — `max` over children for
-//! cut-like nodes and `sum` for partitions (time); `sum` for both
-//! (space). The rewards are the *true* objective; the paper explicitly
-//! avoids reward engineering (§4 footnote 2).
+//! `Time` and `Space` are the cost model's per-node subtree metrics
+//! (Eqs. 1–4, [`dtree::stats::subtree_metrics`]). The rewards are the
+//! *true* objective; the paper explicitly avoids reward engineering (§4
+//! footnote 2).
 
 use crate::config::{NeuroCutsConfig, RewardScaling};
-use dtree::{DecisionTree, MemoryModel, NodeKind};
+use dtree::{DecisionTree, NodeKind};
 use serde::{Deserialize, Serialize};
 
-/// The scalarised objective `c·f(T) + (1−c)·f(S)`; rewards are its
-/// negation. Lower objective = better tree.
+/// The scalarised objective `c·f(T) + (1−c)·f(S)` (Eq. 5); rewards are
+/// its negation. Lower objective = better tree.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Objective {
     /// Time-space coefficient `c`.
     pub c: f64,
     /// Reward scaling `f`.
     pub scaling: RewardScaling,
-    /// Memory model used for `Space`.
-    pub memory: MemoryModel,
 }
 
 impl Objective {
     /// Build from a NeuroCuts configuration.
     pub fn from_config(cfg: &NeuroCutsConfig) -> Self {
-        Objective {
-            c: cfg.time_space_coeff,
-            scaling: cfg.reward_scaling,
-            memory: MemoryModel::default(),
-        }
+        Objective { c: cfg.time_space_coeff, scaling: cfg.reward_scaling }
     }
 
-    /// Scalarise a `(time, bytes)` pair.
-    pub fn value(&self, time: usize, bytes: usize) -> f64 {
-        self.c * self.scaling.apply(time as f64) + (1.0 - self.c) * self.scaling.apply(bytes as f64)
+    /// Scalarise a `(time, bytes)` pair. `time` is a float so the
+    /// traffic-aware objective can pass an expected lookup cost.
+    pub fn value(&self, time: f64, bytes: usize) -> f64 {
+        self.c * self.scaling.apply(time) + (1.0 - self.c) * self.scaling.apply(bytes as f64)
     }
 
     /// Reward for a node whose subtree has the given metrics.
-    pub fn reward(&self, time: usize, bytes: usize) -> f64 {
+    pub fn reward(&self, time: f64, bytes: usize) -> f64 {
         -self.value(time, bytes)
     }
-}
-
-/// Per-node `(Time, Space)` of every subtree, computed in one reverse
-/// pass over the arena (children are always appended after their
-/// parent, so reverse id order is a valid post-order).
-///
-/// `Space` here is the structural bytes of the subtree (Algorithm 1's
-/// `Space(s)`), excluding the rule table shared by the whole classifier.
-pub fn subtree_metrics(tree: &DecisionTree, memory: &MemoryModel) -> (Vec<usize>, Vec<usize>) {
-    let n = tree.num_nodes();
-    let mut time = vec![0usize; n];
-    let mut bytes = vec![0usize; n];
-    for id in (0..n).rev() {
-        let node = tree.node(id);
-        let own_bytes = memory.node_bytes(&node.kind, node.num_rules());
-        match &node.kind {
-            NodeKind::Leaf => {
-                time[id] = 1;
-                bytes[id] = own_bytes;
-            }
-            NodeKind::Partition { children } => {
-                time[id] = 1 + children.iter().map(|&c| time[c]).sum::<usize>();
-                bytes[id] = own_bytes + children.iter().map(|&c| bytes[c]).sum::<usize>();
-            }
-            other => {
-                let kids = other.children();
-                time[id] = 1 + kids.iter().map(|&c| time[c]).max().unwrap_or(0);
-                bytes[id] = own_bytes + kids.iter().map(|&c| bytes[c]).sum::<usize>();
-            }
-        }
-    }
-    (time, bytes)
 }
 
 /// Traffic-weighted expected lookup time per subtree (the paper's §8
@@ -116,7 +79,7 @@ mod tests {
     use super::*;
     use crate::config::PartitionMode;
     use classbench::{Dim, DimRange, Rule, RuleSet};
-    use dtree::stats::{subtree_bytes, subtree_time};
+    use dtree::stats::subtree_time;
 
     fn rules() -> RuleSet {
         let mut a = Rule::default_rule(2);
@@ -127,28 +90,13 @@ mod tests {
     }
 
     #[test]
-    fn metrics_match_recursive_reference() {
-        let mut t = DecisionTree::new(&rules());
-        let kids = t.cut_node(t.root(), Dim::DstPort, 4);
-        t.cut_node(kids[0], Dim::Proto, 2);
-        let part_kids = t.partition_node(kids[1], vec![vec![0], vec![2]]);
-        t.cut_node(part_kids[0], Dim::SrcIp, 2);
-        let memory = MemoryModel::default();
-        let (time, bytes) = subtree_metrics(&t, &memory);
-        for id in 0..t.num_nodes() {
-            assert_eq!(time[id], subtree_time(&t, id), "time at node {id}");
-            assert_eq!(bytes[id], subtree_bytes(&t, id, &memory), "bytes at node {id}");
-        }
-    }
-
-    #[test]
     fn pure_time_objective_is_depth() {
         let mut cfg = crate::NeuroCutsConfig::smoke_test();
         cfg.time_space_coeff = 1.0;
         cfg.reward_scaling = RewardScaling::Linear;
         let obj = Objective::from_config(&cfg);
-        assert_eq!(obj.value(12, 999_999), 12.0);
-        assert_eq!(obj.reward(12, 999_999), -12.0);
+        assert_eq!(obj.value(12.0, 999_999), 12.0);
+        assert_eq!(obj.reward(12.0, 999_999), -12.0);
     }
 
     #[test]
@@ -157,7 +105,7 @@ mod tests {
         cfg.time_space_coeff = 0.0;
         cfg.reward_scaling = RewardScaling::Linear;
         let obj = Objective::from_config(&cfg);
-        assert_eq!(obj.value(999, 1000), 1000.0);
+        assert_eq!(obj.value(999.0, 1000), 1000.0);
     }
 
     #[test]
@@ -166,7 +114,7 @@ mod tests {
             .with_coeff(0.5)
             .with_partition_mode(PartitionMode::Simple);
         let obj = Objective::from_config(&cfg);
-        let v = obj.value(16, 4096);
+        let v = obj.value(16.0, 4096);
         let expect = 0.5 * (16f64).ln() + 0.5 * (4096f64).ln();
         assert!((v - expect).abs() < 1e-9);
     }
@@ -212,6 +160,6 @@ mod tests {
     fn better_trees_get_higher_reward() {
         let cfg = crate::NeuroCutsConfig::smoke_test();
         let obj = Objective::from_config(&cfg);
-        assert!(obj.reward(5, 100) > obj.reward(10, 100));
+        assert!(obj.reward(5.0, 100) > obj.reward(10.0, 100));
     }
 }

@@ -13,9 +13,13 @@
 //!   multi-dimension cuts (HyperCuts), threshold **splits**
 //!   (HyperSplit/CutSplit), and rule **partitions** (EffiCuts /
 //!   NeuroCuts partition actions);
-//! * lookup ([`DecisionTree::classify`]), worst-case classification
-//!   time and memory accounting per the paper's Eqs. 1–4
-//!   ([`stats`], [`memory`]);
+//! * lookup ([`DecisionTree::classify`]), and the cost model every
+//!   algorithm is scored by: worst-case classification time and bytes
+//!   per the paper's Eqs. 1–4, from the byte constants
+//!   [`stats::NODE_HEADER_BYTES`], [`stats::CHILD_PTR_BYTES`],
+//!   [`stats::LEAF_RULE_REF_BYTES`], [`stats::RULE_TABLE_ENTRY_BYTES`]
+//!   and [`stats::DENSE_BOUND_BYTES`] in one pass,
+//!   [`stats::subtree_metrics`];
 //! * the serving path: a compiled [`FlatTree`] with batched wavefront
 //!   lookup, and sharded multi-core lookup over a serving snapshot
 //!   ([`Snapshot::classify_sharded`]);
@@ -33,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod flat;
-pub mod memory;
 pub mod node;
 pub mod replay;
 pub mod serve;
@@ -48,7 +51,6 @@ pub mod viz;
 pub mod wal;
 
 pub use flat::{FlatTree, StaleTreeError};
-pub use memory::MemoryModel;
 pub use node::{Node, NodeId, NodeKind, RuleId, RuleSpan};
 pub use replay::{serve_during, ChurnSchedule};
 pub use serve::{

@@ -1,5 +1,5 @@
-//! Worst-case classification time and space statistics, per the paper's
-//! recursion (Eqs. 1–4).
+//! The cost model every tree in the workspace is scored by: worst-case
+//! classification time and bytes, per the paper's recursion (Eqs. 1–4).
 //!
 //! For a node `n` with per-node access cost `t_n = 1` and byte cost
 //! `s_n`:
@@ -10,18 +10,46 @@
 //!
 //! `T_root` is the metric plotted as *classification time* in Figures 8,
 //! 10 and 11 — for non-partitioned trees it is simply the tree depth.
+//!
+//! The byte costs `s_n` are constants, the same for every algorithm, so
+//! ratios between algorithms are meaningful even though absolute bytes
+//! differ from the authors' C++ structures. They follow the
+//! HyperCuts/EffiCuts conventions: an interior node costs
+//! [`NODE_HEADER_BYTES`] plus [`CHILD_PTR_BYTES`] per child (plus
+//! [`DENSE_BOUND_BYTES`] per interior boundary of an equi-dense cut); a
+//! leaf costs the header plus [`LEAF_RULE_REF_BYTES`] per stored rule, so
+//! rule replication is charged at every leaf a rule reaches; and each
+//! active rule costs [`RULE_TABLE_ENTRY_BYTES`] once, in the rule table
+//! the whole classifier shares.
+//!
+//! [`subtree_metrics`] computes `T` and `S` for every node in one
+//! reverse pass. [`TreeStats::compute`] reads its root entry and the
+//! NeuroCuts environment reads it per node for its rewards (Eq. 5). The
+//! recursive [`subtree_time`] and [`subtree_bytes`] restate Eqs. 1–4
+//! directly and serve as the reference the tests check the pass against.
 
-use crate::memory::MemoryModel;
 use crate::node::{NodeId, NodeKind};
 use crate::tree::DecisionTree;
 use serde::{Deserialize, Serialize};
+
+/// Fixed bytes of every node (kind tag, bounds, counts).
+pub const NODE_HEADER_BYTES: usize = 16;
+/// Bytes of one child pointer at an interior node.
+pub const CHILD_PTR_BYTES: usize = 4;
+/// Bytes of one rule reference at a leaf (rule pointer + priority cache).
+pub const LEAF_RULE_REF_BYTES: usize = 8;
+/// Bytes of one rule in the shared rule table: two bounds of
+/// 4+4+2+2+1 bytes, padded, plus the priority.
+pub const RULE_TABLE_ENTRY_BYTES: usize = 36;
+/// Bytes of one interior boundary an equi-dense cut stores.
+pub const DENSE_BOUND_BYTES: usize = 4;
 
 /// Summary statistics of a built tree.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TreeStats {
     /// Worst-case classification time `T_root` (Eqs. 1/3).
     pub time: usize,
-    /// Total bytes under the default [`MemoryModel`].
+    /// Total bytes: every node plus the shared rule table.
     pub bytes: usize,
     /// Bytes per active rule (the paper's space metric).
     pub bytes_per_rule: f64,
@@ -38,8 +66,50 @@ pub struct TreeStats {
     pub largest_leaf: usize,
 }
 
+/// Bytes charged to one node, excluding the shared rule table. Rules
+/// listed at an interior node are not charged: they live in its
+/// children.
+fn node_bytes(kind: &NodeKind, num_rules: usize) -> usize {
+    NODE_HEADER_BYTES
+        + match kind {
+            NodeKind::Leaf => LEAF_RULE_REF_BYTES * num_rules,
+            NodeKind::DenseCut { bounds, children, .. } => {
+                CHILD_PTR_BYTES * children.len()
+                    + DENSE_BOUND_BYTES * bounds.len().saturating_sub(2)
+            }
+            other => CHILD_PTR_BYTES * other.children().len(),
+        }
+}
+
+/// Per-node `(Time, Space)` of every subtree, computed in one reverse
+/// pass over the arena: children always come after their parent (the
+/// expansions append them, and [`DecisionTree::from_json`] refuses a
+/// tree where they do not), so reverse id order is a valid post-order.
+///
+/// `Space` is the structural bytes of the subtree (Algorithm 1's
+/// `Space(s)`), excluding the rule table the whole classifier shares.
+pub fn subtree_metrics(tree: &DecisionTree) -> (Vec<usize>, Vec<usize>) {
+    let n = tree.num_nodes();
+    let mut time = vec![0usize; n];
+    let mut bytes = vec![0usize; n];
+    for id in (0..n).rev() {
+        let node = tree.node(id);
+        let kids = node.kind.children();
+        let kid_times = kids.iter().map(|&c| time[c]);
+        time[id] = 1 + if node.kind.is_partition() {
+            kid_times.sum::<usize>()
+        } else {
+            kid_times.max().unwrap_or(0)
+        };
+        bytes[id] = node_bytes(&node.kind, node.num_rules())
+            + kids.iter().map(|&c| bytes[c]).sum::<usize>();
+    }
+    (time, bytes)
+}
+
 /// Worst-case classification time of the subtree rooted at `id`
-/// (`Time(s)` in Algorithm 1).
+/// (`Time(s)` in Algorithm 1), by direct recursion: the reference
+/// [`subtree_metrics`] is tested against.
 pub fn subtree_time(tree: &DecisionTree, id: NodeId) -> usize {
     let node = tree.node(id);
     match &node.kind {
@@ -52,11 +122,12 @@ pub fn subtree_time(tree: &DecisionTree, id: NodeId) -> usize {
 }
 
 /// Bytes of the subtree rooted at `id` (`Space(s)` in Algorithm 1),
-/// excluding the shared rule table.
-pub fn subtree_bytes(tree: &DecisionTree, id: NodeId, model: &MemoryModel) -> usize {
+/// excluding the shared rule table, by direct recursion: the reference
+/// [`subtree_metrics`] is tested against.
+pub fn subtree_bytes(tree: &DecisionTree, id: NodeId) -> usize {
     let node = tree.node(id);
-    let own = model.node_bytes(&node.kind, node.num_rules());
-    own + node.kind.children().iter().map(|&c| subtree_bytes(tree, c, model)).sum::<usize>()
+    let own = node_bytes(&node.kind, node.num_rules());
+    own + node.kind.children().iter().map(|&c| subtree_bytes(tree, c)).sum::<usize>()
 }
 
 /// Average lookup cost (nodes visited) over a packet trace — the
@@ -72,16 +143,11 @@ pub fn average_lookup_cost(tree: &DecisionTree, trace: &[classbench::Packet]) ->
 }
 
 impl TreeStats {
-    /// Compute all statistics for a tree under the default memory model.
+    /// Compute all statistics for a tree.
     pub fn compute(tree: &DecisionTree) -> TreeStats {
-        TreeStats::compute_with(tree, &MemoryModel::default())
-    }
-
-    /// Compute all statistics under an explicit memory model.
-    pub fn compute_with(tree: &DecisionTree, model: &MemoryModel) -> TreeStats {
-        let time = subtree_time(tree, tree.root());
-        let bytes = subtree_bytes(tree, tree.root(), model)
-            + model.rule_table_entry * tree.num_active_rules();
+        let (time, bytes) = subtree_metrics(tree);
+        let time = time[tree.root()];
+        let bytes = bytes[tree.root()] + RULE_TABLE_ENTRY_BYTES * tree.num_active_rules();
         let mut leaves = 0usize;
         let mut max_depth = 0usize;
         let mut leaf_rule_refs = 0usize;
@@ -178,10 +244,77 @@ mod tests {
     fn subtree_bytes_match_model_totals() {
         let mut t = DecisionTree::new(&rules());
         t.cut_node(t.root(), Dim::Proto, 2);
-        let model = MemoryModel::default();
         let s = TreeStats::compute(&t);
-        assert_eq!(s.bytes, subtree_bytes(&t, t.root(), &model) + 3 * model.rule_table_entry);
-        assert_eq!(s.bytes, model.tree_bytes(&t));
+        assert_eq!(s.bytes, subtree_bytes(&t, t.root()) + 3 * RULE_TABLE_ENTRY_BYTES);
+        // Root: header + 2 pointers; two leaves: header + their refs.
+        let refs: usize = t.leaf_ids().map(|id| t.node(id).num_rules()).sum();
+        assert_eq!(s.bytes, (16 + 2 * 4) + 2 * 16 + 8 * refs + 3 * 36);
+    }
+
+    #[test]
+    fn metrics_match_recursive_reference() {
+        let mut t = DecisionTree::new(&rules());
+        let kids = t.cut_node(t.root(), Dim::DstPort, 4);
+        t.cut_node(kids[0], Dim::Proto, 2);
+        let part_kids = t.partition_node(kids[1], vec![vec![0], vec![2]]);
+        t.cut_node(part_kids[0], Dim::SrcIp, 2);
+        let (time, bytes) = subtree_metrics(&t);
+        for id in 0..t.num_nodes() {
+            assert_eq!(time[id], subtree_time(&t, id), "time at node {id}");
+            assert_eq!(bytes[id], subtree_bytes(&t, id), "bytes at node {id}");
+        }
+    }
+
+    fn three_wildcards() -> DecisionTree {
+        DecisionTree::new(&RuleSet::from_ordered(vec![Rule::default_rule(0); 3]))
+    }
+
+    #[test]
+    fn leaf_cost_scales_with_rules() {
+        assert_eq!(node_bytes(&NodeKind::Leaf, 0), 16);
+        assert_eq!(node_bytes(&NodeKind::Leaf, 10), 16 + 80);
+    }
+
+    #[test]
+    fn internal_cost_scales_with_children() {
+        let kind = NodeKind::Cut { dim: Dim::SrcIp, ncuts: 32, children: (0..32).collect() };
+        // Rules listed at internal nodes are not charged: they live in
+        // the children after expansion.
+        assert_eq!(node_bytes(&kind, 99), 16 + 32 * 4);
+        // An equi-dense cut also stores its interior boundaries.
+        let dense = NodeKind::DenseCut {
+            dim: Dim::SrcIp,
+            bounds: vec![0, 5, 9, 20],
+            children: vec![1, 2, 3],
+        };
+        assert_eq!(node_bytes(&dense, 99), 16 + 3 * 4 + 2 * 4);
+    }
+
+    #[test]
+    fn tree_bytes_single_leaf() {
+        let s = TreeStats::compute(&three_wildcards());
+        // One leaf with 3 rules + 3 rule-table entries.
+        assert_eq!(s.bytes, 16 + 3 * 8 + 3 * 36);
+        assert!((s.bytes_per_rule - (16.0 + 24.0 + 108.0) / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn replication_is_charged_per_leaf() {
+        let mut t = three_wildcards();
+        let before = TreeStats::compute(&t).bytes;
+        // All rules are full wildcards: a cut replicates every rule into
+        // both children, adding a whole extra leaf's worth of refs.
+        t.cut_node(t.root(), Dim::SrcIp, 2);
+        let after = TreeStats::compute(&t).bytes;
+        // Root became internal (16 + 2*4), two leaves of 3 rules each.
+        assert_eq!(after, (16 + 8) + 2 * (16 + 24) + 3 * 36);
+        assert!(after > before);
+    }
+
+    #[test]
+    fn bytes_per_rule_guard_against_empty() {
+        let t = DecisionTree::new(&RuleSet::from_ordered(vec![]));
+        assert!(TreeStats::compute(&t).bytes_per_rule.is_finite());
     }
 
     #[test]

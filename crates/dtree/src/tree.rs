@@ -129,6 +129,8 @@ impl Deserialize for DecisionTree {
             nodes.push(Node { space, span, kind, depth, parent });
         }
         let root: NodeId = Deserialize::deserialize_value(field("root")?)?;
+        check_structure(rules.len(), active.len(), &nodes, &pool, root)
+            .map_err(|why| serde::Error::custom(format!("DecisionTree: {why}")))?;
         let num_active = active.iter().filter(|&&a| a).count();
         let sep_cache = vec![0; nodes.len()];
         Ok(DecisionTree {
@@ -143,6 +145,57 @@ impl Deserialize for DecisionTree {
             generation: 0,
         })
     }
+}
+
+/// Refuse a decoded arena that lookups, compilation or the cost model
+/// could not walk: a `root`, child or rule id out of range, an `active`
+/// list of the wrong length, an interior node with fewer than 2
+/// children or a child count its cut does not produce, and a child that
+/// does not come after its parent (the expansions always append
+/// children, so this also rules out cycles, and
+/// [`crate::stats::subtree_metrics`]' reverse pass relies on it).
+fn check_structure(
+    num_rules: usize,
+    active_len: usize,
+    nodes: &[Node],
+    pool: &[RuleId],
+    root: NodeId,
+) -> Result<(), String> {
+    if active_len != num_rules {
+        return Err(format!("`active` has {active_len} entries for {num_rules} rules"));
+    }
+    if root >= nodes.len() {
+        return Err(format!("root {root} out of range ({} nodes)", nodes.len()));
+    }
+    for (id, node) in nodes.iter().enumerate() {
+        let rules = &pool[node.span.start..node.span.start + node.span.len];
+        if let Some(r) = rules.iter().find(|&&r| r >= num_rules) {
+            return Err(format!("node {id}: rule id {r} out of range ({num_rules} rules)"));
+        }
+        let children = node.kind.children();
+        let pieces = match &node.kind {
+            NodeKind::Leaf => continue,
+            NodeKind::Cut { ncuts, .. } => *ncuts,
+            NodeKind::MultiCut { dims, .. } => {
+                dims.iter().fold(1usize, |n, &(_, ncuts)| n.saturating_mul(ncuts))
+            }
+            NodeKind::DenseCut { bounds, .. } => bounds.len().saturating_sub(1),
+            NodeKind::Split { .. } | NodeKind::Partition { .. } => children.len(),
+        };
+        if children.len() < 2 {
+            return Err(format!("node {id}: {} children, fewer than 2", children.len()));
+        }
+        if pieces != children.len() {
+            return Err(format!("node {id}: {} children for {pieces} cuts", children.len()));
+        }
+        if let Some(&c) = children.iter().find(|&&c| c >= nodes.len()) {
+            return Err(format!("node {id}: child {c} out of range ({} nodes)", nodes.len()));
+        }
+        if let Some(&c) = children.iter().find(|&&c| c <= id) {
+            return Err(format!("node {id}: child {c} does not come after its parent"));
+        }
+    }
+    Ok(())
 }
 
 impl DecisionTree {
@@ -850,7 +903,10 @@ impl DecisionTree {
         serde_json::to_string(self).expect("tree serialises")
     }
 
-    /// Load a tree saved by [`Self::to_json`].
+    /// Load a tree saved by [`Self::to_json`]. A tree whose structure
+    /// lookups could not walk is refused with an error naming the node:
+    /// an id out of range, a child count its cut does not produce, or a
+    /// child that does not come after its parent.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }

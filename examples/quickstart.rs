@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use baselines::{build_hicuts, HiCutsConfig};
+use baselines::build_hicuts;
 use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
 use dtree::TreeStats;
 use neurocuts::{NeuroCutsConfig, Trainer};
@@ -35,7 +35,7 @@ fn main() {
     println!("\nNeuroCuts tree: {stats}");
 
     // 3. The hand-tuned baseline on the same rules.
-    let hicuts = build_hicuts(&rules, &HiCutsConfig::default());
+    let hicuts = build_hicuts(&rules);
     println!("HiCuts tree:    {}", TreeStats::compute(&hicuts));
 
     // 4. Both classify identically to the linear-scan ground truth.

@@ -2,13 +2,14 @@
 //! through training to a validated, deployable tree, spanning every
 //! crate in the workspace.
 
-use baselines::{build_hicuts, HiCutsConfig};
+use baselines::{build_hicuts, Baseline};
 use classbench::{
     generate_rules, generate_trace, parse_rules, write_rules, ClassifierFamily, GeneratorConfig,
     TraceConfig,
 };
+use dtree::stats::{subtree_bytes, subtree_metrics, subtree_time, RULE_TABLE_ENTRY_BYTES};
 use dtree::validate::assert_tree_valid;
-use dtree::TreeStats;
+use dtree::{DecisionTree, NodeKind, TreeStats};
 use neurocuts::{NeuroCutsConfig, PartitionMode, Trainer};
 
 #[test]
@@ -26,7 +27,7 @@ fn generate_train_classify_pipeline() {
 
     // The learned tree and the baseline agree with the ground truth on
     // a realistic trace.
-    let hicuts = build_hicuts(&rules, &HiCutsConfig::default());
+    let hicuts = build_hicuts(&rules);
     let trace = generate_trace(&rules, &TraceConfig::new(600).with_seed(102));
     for p in &trace {
         let truth = rules.classify(p);
@@ -79,7 +80,7 @@ fn space_objective_trains_smaller_trees_than_it_reports() {
         .expect("at least one of ten seeds completes a tree");
     // c = 0 with log scaling: objective is log(bytes).
     let expect = (best.stats.bytes as f64
-        - (dtree::MemoryModel::default().rule_table_entry * best.tree.num_active_rules()) as f64)
+        - (RULE_TABLE_ENTRY_BYTES * best.tree.num_active_rules()) as f64)
         .max(1.0)
         .ln();
     assert!((best.objective - expect).abs() < 1e-6);
@@ -87,13 +88,41 @@ fn space_objective_trains_smaller_trees_than_it_reports() {
 
 #[test]
 fn stats_are_consistent_across_the_stack() {
-    // TreeStats (dtree), subtree_metrics (neurocuts::reward) and the
-    // harness memory model must agree about the same tree.
-    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 150).with_seed(108));
-    let tree = build_hicuts(&rules, &HiCutsConfig::default());
-    let stats = TreeStats::compute(&tree);
-    let model = dtree::MemoryModel::default();
-    let (time, bytes) = neurocuts::reward::subtree_metrics(&tree, &model);
-    assert_eq!(stats.time, time[tree.root()]);
-    assert_eq!(stats.bytes, bytes[tree.root()] + model.rule_table_entry * tree.num_active_rules());
+    // The cost model's one reverse pass equals the recursive Eqs. 1–4
+    // at every node, and `TreeStats` reads its root entry, on every
+    // baseline's tree for each family and on a trained NeuroCuts tree:
+    // cuts, multi-cuts, dense cuts, splits and partitions.
+    let mut trees: Vec<(String, DecisionTree)> = Vec::new();
+    for family in ClassifierFamily::ALL {
+        let rules = generate_rules(&GeneratorConfig::new(family, 200).with_seed(108));
+        for b in Baseline::ALL {
+            trees.push((format!("{} on {family}", b.name()), b.build_tree(&rules)));
+        }
+    }
+    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 200).with_seed(109));
+    let cfg = NeuroCutsConfig::smoke_test().with_partition_mode(PartitionMode::Simple);
+    let (tree, _, _) = Trainer::new(rules, cfg).unwrap().train_to_tree().unwrap();
+    trees.push(("NeuroCuts".to_string(), (*tree).clone()));
+
+    let mut kinds = [false; 6];
+    for (name, tree) in &trees {
+        let (time, bytes) = subtree_metrics(tree);
+        for (id, node) in tree.nodes().iter().enumerate() {
+            assert_eq!(time[id], subtree_time(tree, id), "{name}: time at node {id}");
+            assert_eq!(bytes[id], subtree_bytes(tree, id), "{name}: bytes at node {id}");
+            kinds[match node.kind {
+                NodeKind::Leaf => 0,
+                NodeKind::Cut { .. } => 1,
+                NodeKind::MultiCut { .. } => 2,
+                NodeKind::DenseCut { .. } => 3,
+                NodeKind::Split { .. } => 4,
+                NodeKind::Partition { .. } => 5,
+            }] = true;
+        }
+        let stats = TreeStats::compute(tree);
+        assert_eq!(stats.time, time[tree.root()], "{name}");
+        let table = RULE_TABLE_ENTRY_BYTES * tree.num_active_rules();
+        assert_eq!(stats.bytes, bytes[tree.root()] + table, "{name}");
+    }
+    assert_eq!(kinds, [true; 6], "every node kind is covered");
 }

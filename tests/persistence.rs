@@ -3,7 +3,10 @@
 //! deployment path (train once, ship the tree).
 
 use baselines::Baseline;
-use classbench::{generate_rules, generate_trace, ClassifierFamily, GeneratorConfig, TraceConfig};
+use classbench::{
+    generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, Rule, RuleSet,
+    TraceConfig,
+};
 use dtree::DecisionTree;
 
 #[test]
@@ -57,4 +60,31 @@ fn corrupted_json_is_rejected() {
     let mut json = tree.to_json();
     json.truncate(json.len() / 2);
     assert!(DecisionTree::from_json(&json).is_err());
+
+    // Well-formed JSON whose structure a lookup could not walk: each
+    // edit of a valid tree is refused with an error naming the cause.
+    let rules = RuleSet::new(vec![Rule::default_rule(1), Rule::default_rule(0)]);
+    let refused = |tree: &DecisionTree, from: &str, to: &str, why: &str| {
+        let json = tree.to_json();
+        assert!(json.contains(from), "{from} is not in {json}");
+        assert!(DecisionTree::from_json(&json).is_ok());
+        let err = DecisionTree::from_json(&json.replacen(from, to, 1)).expect_err(to).to_string();
+        assert!(err.contains(why), "{to}: {err}");
+    };
+    let mut cut = DecisionTree::new(&rules);
+    cut.cut_node(cut.root(), Dim::DstPort, 2);
+    let children = r#""children":[1,2]"#;
+    refused(&cut, children, r#""children":[0,2]"#, "node 0: child 0 does not come after");
+    refused(&cut, children, r#""children":[1,9]"#, "node 0: child 9 out of range");
+    refused(&cut, r#""ncuts":2"#, r#""ncuts":3"#, "node 0: 2 children for 3 cuts");
+    refused(&cut, r#""ncuts":2,"children":[1,2]"#, r#""ncuts":1,"children":[1]"#, "fewer than 2");
+    refused(&cut, r#""rules":[0,1],"kind":"Leaf""#, r#""rules":[0,5],"kind":"Leaf""#, "rule id 5");
+    refused(&cut, r#""active":[true,true]"#, r#""active":[true]"#, "`active` has 1 entries");
+    refused(&cut, r#""root":0"#, r#""root":3"#, "root 3 out of range");
+    let mut multi = DecisionTree::new(&rules);
+    multi.multicut_node(multi.root(), &[(Dim::DstPort, 2), (Dim::Proto, 2)]);
+    refused(&multi, r#"[1,2,3,4]"#, r#"[1,2,3]"#, "node 0: 3 children for 4 cuts");
+    let mut dense = DecisionTree::new(&rules);
+    dense.dense_cut_node(dense.root(), Dim::DstPort, vec![0, 80, 65536]);
+    refused(&dense, r#"[0,80,65536]"#, r#"[0,80,443,65536]"#, "node 0: 2 children for 3 cuts");
 }
