@@ -166,11 +166,7 @@ fn main() {
     );
     const PASSES: usize = 8;
     let mut out = vec![None; trace.len()];
-    let ((), secs) = timed(|| {
-        for _ in 0..PASSES {
-            snap.classify_sharded(&trace, &mut out, hw_threads);
-        }
-    });
+    let ((), secs) = timed(|| snap.classify_sharded(&trace, &mut out, hw_threads, PASSES));
     let pps = (trace.len() * PASSES) as f64 / secs;
     eprintln!(
         "trained tree vs linear scan: {mismatches} of {} packets mismatch; serving engine \

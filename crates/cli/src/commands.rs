@@ -90,11 +90,7 @@ fn serve_timed(
 ) -> (Vec<Option<RuleId>>, f64) {
     let passes = passes.max(1);
     let mut out = vec![None; trace.len()];
-    let ((), secs) = timed(|| {
-        for _ in 0..passes {
-            snap.classify_sharded(trace, &mut out, threads);
-        }
-    });
+    let ((), secs) = timed(|| snap.classify_sharded(trace, &mut out, threads, passes));
     (out, (trace.len() * passes) as f64 / secs)
 }
 

@@ -97,6 +97,23 @@ fn classify_refuses_a_tree_that_lists_itself_as_a_child() {
     assert!(stderr.contains("node 0: child 0 does not come after"), "and the node: {stderr}");
 }
 
+/// A tree file with a leaf at depth 2^62 made `stats` size its level
+/// table from that depth and panic; loading it fails instead.
+#[test]
+fn stats_refuses_a_tree_with_a_wrong_depth() {
+    let (_, tree) = rules_and_tree("bad_depth");
+    let json = std::fs::read_to_string(&tree).expect("read the built tree");
+    let leaf = r#""kind":"Leaf","depth":1,"#;
+    assert!(json.contains(leaf), "the root's children are leaves at depth 1");
+    std::fs::write(&tree, json.replacen(leaf, r#""kind":"Leaf","depth":4611686018427387904,"#, 1))
+        .expect("write the edited tree");
+    let out = neurocuts(&["stats", "--tree", &tree]);
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a wrong depth must be refused; stderr: {stderr}");
+    assert!(stderr.contains(&tree), "the error names the file: {stderr}");
+    assert!(stderr.contains("at depth 4611686018427387904"), "and the depth: {stderr}");
+}
+
 #[test]
 fn update_bench_auto_retrains_and_verifies_the_final_snapshot() {
     let (rules, tree) = rules_and_tree("auto_retrain");

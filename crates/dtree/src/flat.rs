@@ -11,18 +11,41 @@
 //!   shared by every lookup — pack into a handful of consecutive cache
 //!   lines instead of being scattered in arena creation order.
 //! * **Cache-packed leaf scans.** Each leaf lists its rules' bounds
-//!   inline, one padded 64-byte entry per rule in precedence (rank)
-//!   order. A leaf scan reads them sequentially, in prefetch order,
-//!   instead of dragging whole cloned `Rule` structs through the cache.
+//!   inline, one 64-byte-aligned `LeafEntry` (one cache line) per rule
+//!   in precedence (rank) order, read sequentially in prefetch order.
+//!   An entry is sixteen `i32` lanes: lanes 0–7 hold `lo ^ 0x8000_0000`
+//!   and lanes 8–15 hold `!hi ^ 0x8000_0000` (`hi` inclusive), each half
+//!   the five dimensions plus always-true padding. A packet's key holds
+//!   each field `v` as `v ^ 0x8000_0000`, then `!v ^ 0x8000_0000`; the
+//!   xor turns unsigned order into signed order and the complement
+//!   turns `v <= hi` around, so a rule matches exactly when no lane of
+//!   its entry exceeds the key's matching lane. An empty range is
+//!   stored as `lo = 1, hi = 0`, which no value satisfies.
 //! * **Division-free cut indexing.** Equal-size cuts precompute a
 //!   Granlund–Montgomery/Lemire style reciprocal at compile time, so
 //!   the per-level child-index computation is a multiply-and-shift
 //!   rather than a hardware `u64` divide.
-//! * **Batched lookup.** [`FlatTree::classify_batch`] traverses many
-//!   packets as an interleaved wavefront: a level-synchronous frontier
-//!   advances every in-flight packet one node per round, so
-//!   independent node fetches overlap in the memory pipeline instead
-//!   of serialising per packet.
+//! * **Batched lookup with leaf compaction.**
+//!   [`FlatTree::classify_batch`] traverses many packets as an
+//!   interleaved wavefront: each round moves every in-flight packet at
+//!   a cut or a split one node down, so independent node fetches
+//!   overlap instead of serialising per packet. Child ids carry a leaf
+//!   tag bit, and the packet is appended without a branch to either the
+//!   next round's frontier or a list of packets that reached a leaf: it
+//!   is written to both and one cursor advances. Leaves never enter a
+//!   round, so its node-kind dispatch stays predictable; one pass after
+//!   the last round scans every leaf reached.
+//! * **A branch-free chunk scan.** On a CPU with AVX-512F that pass
+//!   tests a leaf 8 entries at a time: one vector compare per entry
+//!   against the key, the 8 compare masks folded into an 8-bit chunk
+//!   mask of matching entries, bits past the leaf's end cleared, and
+//!   the lowest set bit whose rank the [`RankSkip`] keeps wins. The
+//!   entry table ends in 7 entries that never match, so a chunk may read
+//!   past the last leaf. Elsewhere, the portable instance scans one
+//!   entry at a time over the same encoding and stops at the first
+//!   match; it also serves scalar [`FlatTree::classify`] and Miri. One
+//!   platform check (`is_x86_feature_detected!`) picks the instance, and
+//!   both return the same ranks.
 //!
 //! `FlatTree::classify` returns the **same rule ids** as the source
 //! tree, so results remain comparable with the [`classbench::RuleSet`]
@@ -39,15 +62,88 @@ use std::collections::VecDeque;
 /// (ranks are dense from 0, so `u32::MAX` can never be a real rank).
 const NO_RANK: u32 = u32::MAX;
 
-/// Width of one `leaf_bounds` entry in `u32` words: 8 lower bounds
-/// then 8 inclusive upper bounds. The five real dimensions are padded
-/// to a power-of-two lane count with always-true lanes (`lo = 0`,
-/// `hi = u32::MAX`) so the per-rule match test is two straight-line
-/// 8-wide compare loops the compiler can vectorise.
-const LEAF_ENTRY: usize = 16;
+/// Set on a child id in `children` (and on a split's `left`/`right`)
+/// when the child is a leaf, so the wavefront can move a packet to its
+/// leaf list without reading the child's node. Node ids stay below it.
+const LEAF_TAG: u32 = 1 << 31;
 
-/// Lanes per bound half of a [`LEAF_ENTRY`] (real dims + padding).
-const LEAF_LANES: usize = LEAF_ENTRY / 2;
+/// Lanes per bound half of a [`LeafEntry`]: the five real dimensions
+/// plus always-true padding.
+const LEAF_LANES: usize = 8;
+
+/// Entries one chunk of the AVX-512F leaf scan tests at once. The
+/// entry table ends in `CHUNK - 1` entries that never match, so a
+/// chunk that starts inside the last leaf stays in bounds.
+const CHUNK: usize = 8;
+
+/// Maps unsigned order to signed order: `a <= b` as `u32` exactly when
+/// `(a ^ SIGN) as i32 <= (b ^ SIGN) as i32`.
+const SIGN: u32 = 0x8000_0000;
+
+/// `v` encoded for a lower-bound lane.
+fn lower(v: u32) -> i32 {
+    (v ^ SIGN) as i32
+}
+
+/// `v` encoded for an upper-bound lane: complemented, so that `v <= hi`
+/// becomes `!hi <= !v`, the same direction as the lower half.
+fn upper(v: u32) -> i32 {
+    (!v ^ SIGN) as i32
+}
+
+/// One rule's leaf-scan entry, or a packet's key, in one cache line:
+/// lanes 0–7 hold lower bounds as [`lower`], lanes 8–15 inclusive upper
+/// bounds as [`upper`]. A rule matches a packet exactly when no lane of
+/// its entry exceeds the matching lane of the packet's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(64))]
+struct LeafEntry([i32; 2 * LEAF_LANES]);
+
+impl LeafEntry {
+    /// The entry the table ends in. No key admits it: every key's
+    /// padding lanes 5–7 hold `lower(0)`, which is `i32::MIN`.
+    const NEVER: LeafEntry = LeafEntry([i32::MAX; 2 * LEAF_LANES]);
+
+    /// The entry of a rule with these ranges. Padding lanes are
+    /// always-true (`lower(0)` and `upper(u32::MAX)`, both `i32::MIN`);
+    /// a degenerate empty range (lo >= hi, matches nothing) gets
+    /// `lo = 1, hi = 0`, which no value satisfies, so the rule never
+    /// wins, exactly like `Rule::matches`.
+    fn rule(ranges: &[DimRange; NUM_DIMS]) -> LeafEntry {
+        let mut lanes = [i32::MIN; 2 * LEAF_LANES];
+        let (los, his) = lanes.split_at_mut(LEAF_LANES);
+        for ((lo, hi), rg) in los.iter_mut().zip(his.iter_mut()).zip(ranges) {
+            let (l, h) = if rg.is_empty() {
+                (1, 0)
+            } else {
+                debug_assert!(rg.hi <= 1 << 32);
+                (rg.lo as u32, (rg.hi - 1) as u32)
+            };
+            (*lo, *hi) = (lower(l), upper(h));
+        }
+        LeafEntry(lanes)
+    }
+
+    /// A packet's key: each field in both encodings, padding lanes as
+    /// the value 0.
+    #[inline(always)]
+    fn key(packet: &Packet) -> LeafEntry {
+        let mut lanes = [lower(0); 2 * LEAF_LANES];
+        let (los, his) = lanes.split_at_mut(LEAF_LANES);
+        his.fill(upper(0));
+        for ((lo, hi), &v) in los.iter_mut().zip(his.iter_mut()).zip(&packet.values) {
+            (*lo, *hi) = (lower(v as u32), upper(v as u32));
+        }
+        LeafEntry(lanes)
+    }
+
+    /// True when no lane exceeds `key`'s: the rule matches the packet.
+    /// The lanes fold with `&`, not `&&`, so the test is branch-free.
+    #[inline(always)]
+    fn admits(&self, key: &LeafEntry) -> bool {
+        self.0.iter().zip(&key.0).fold(true, |ok, (e, k)| ok & (e <= k))
+    }
+}
 
 /// A set of table ranks a lookup skips: a leaf scan that matches a
 /// skipped rank keeps scanning, so the next rule in precedence order
@@ -81,23 +177,26 @@ impl RankSkip for &[u64] {
     }
 }
 
-/// One rule's leaf-scan entry (see [`FlatTree`]'s `leaf_bounds`).
-/// Padding lanes are always-true; a degenerate empty range (lo >= hi,
-/// matches nothing) gets the unsatisfiable lane [1, 0] so the rule
-/// never wins, exactly like `Rule::matches`.
-fn scan_entry(ranges: &[DimRange; NUM_DIMS]) -> [u32; LEAF_ENTRY] {
-    let mut entry = [0u32; LEAF_ENTRY];
-    let (los, his) = entry.split_at_mut(LEAF_LANES);
-    his.fill(u32::MAX);
-    for ((lo, hi), rg) in los.iter_mut().zip(his.iter_mut()).zip(ranges) {
-        (*lo, *hi) = if rg.is_empty() {
-            (1, 0)
-        } else {
-            debug_assert!(rg.hi <= 1 << 32);
-            (rg.lo as u32, (rg.hi - 1) as u32)
-        };
+/// A compiled instance of the wavefront's leaf pass (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Instance {
+    /// The per-entry early-exit scan, compiled for the build's target.
+    Portable,
+    /// The 8-entry chunk scan, on a CPU [`avx512::detect`] vouched for.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(avx512::Cpu),
+}
+
+impl Instance {
+    /// The widest instance this CPU runs, the one every batch takes: a
+    /// platform check, not a setting.
+    fn widest() -> Instance {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = avx512::detect() {
+            return Instance::Avx512(cpu);
+        }
+        Instance::Portable
     }
-    entry
 }
 
 /// Precompute the reciprocal for division-free `x / step`, exact for
@@ -156,7 +255,7 @@ struct FlatCutDim {
 
 /// Outcome of advancing one lookup by one node.
 enum Step {
-    /// Continue at this node.
+    /// Continue at this child, as `children` stores it (leaf-tagged).
     Descend(u32),
     /// Lookup finished with this winning table rank (if any).
     Done(Option<u32>),
@@ -167,21 +266,18 @@ enum Step {
 pub struct FlatTree {
     /// Compiled nodes in breadth-first order; the root is node 0.
     nodes: Vec<FlatNode>,
+    /// Child ids, each tagged with [`LEAF_TAG`] when the child is a leaf.
     children: Vec<u32>,
     leaf_rules: Vec<u32>,
     bounds: Vec<u64>,
     cut_dims: Vec<FlatCutDim>,
-    /// Cache-packed rule bounds: entry `j` of `leaf_rules` owns
-    /// `leaf_bounds[16j..16j+16]` — eight lower bounds then eight
-    /// **inclusive** upper bounds (five real dimensions plus
-    /// always-true padding lanes; see [`LEAF_ENTRY`]). Ranks are
+    /// Cache-packed rule bounds: entry `j` is the [`LeafEntry`] of
+    /// `leaf_rules[j]`, one 64-byte-aligned line per rule, and the table
+    /// ends in `CHUNK - 1` [`LeafEntry::NEVER`] entries. Ranks are
     /// precedence order (rank 0 wins every tie), so `leaf_rules` and
     /// the scan never consult priorities. A leaf scan walks these
-    /// sequentially — one 64-byte line per rule in prefetch order.
-    /// `u32` is lossless here: every dimension's values fit in 32
-    /// bits, and a degenerate empty range is encoded as the
-    /// unsatisfiable lane `[1, 0]` rather than wrapping.
-    leaf_bounds: Vec<u32>,
+    /// sequentially, in prefetch order.
+    leaf_entries: Vec<LeafEntry>,
     /// `rank ->` original rule id in the source tree's arena.
     orig_ids: Vec<u32>,
     /// `rank ->` rule priority. Table order already encodes precedence,
@@ -240,7 +336,7 @@ impl FlatTree {
             orig_ids.push(r as u32);
             let rule = tree.rule(r);
             rule_prio.push(rule.priority);
-            entries.push(scan_entry(&rule.ranges));
+            entries.push(LeafEntry::rule(&rule.ranges));
         }
 
         // Breadth-first renumbering: hot upper levels become the first
@@ -266,7 +362,12 @@ impl FlatTree {
                 *nid = bfs.len() as u32;
                 bfs.push(old);
             }
+            // From here on `new_id` holds child ids as `children` stores them.
+            if tree.node(old).is_leaf() {
+                *nid |= LEAF_TAG;
+            }
         }
+        debug_assert!(bfs.len() < LEAF_TAG as usize);
 
         // The leaf tables are reserved at their final length, so the
         // closing `shrink_to_fit` moves nothing.
@@ -280,7 +381,7 @@ impl FlatTree {
             leaf_rules: Vec::with_capacity(leaf_entries),
             bounds: Vec::new(),
             cut_dims: Vec::new(),
-            leaf_bounds: Vec::with_capacity(leaf_entries * LEAF_ENTRY),
+            leaf_entries: Vec::with_capacity(leaf_entries + CHUNK - 1),
             orig_ids,
             rule_prio,
             generation: tree.generation(),
@@ -295,7 +396,9 @@ impl FlatTree {
                     for &r in tree.rules_at(old).iter().filter(|&&r| tree.is_active(r)) {
                         let rank = table_index[r];
                         flat.leaf_rules.push(rank);
-                        flat.leaf_bounds.extend_from_slice(&entries[rank as usize]);
+                        // `extend_from_slice` copies the line; `push` compiled slower.
+                        flat.leaf_entries
+                            .extend_from_slice(std::slice::from_ref(&entries[rank as usize]));
                     }
                     FlatNode::Leaf { start, end: flat.leaf_rules.len() as u32 }
                 }
@@ -349,12 +452,13 @@ impl FlatTree {
             flat.nodes.push(compiled);
         }
 
+        flat.leaf_entries.extend_from_slice(&[LeafEntry::NEVER; CHUNK - 1]);
         // A deployment artifact should hold no slack capacity (and
         // `resident_bytes` reports capacity, not length).
         flat.nodes.shrink_to_fit();
         flat.children.shrink_to_fit();
         flat.leaf_rules.shrink_to_fit();
-        flat.leaf_bounds.shrink_to_fit();
+        flat.leaf_entries.shrink_to_fit();
         flat.bounds.shrink_to_fit();
         flat.cut_dims.shrink_to_fit();
         flat.rule_prio.shrink_to_fit();
@@ -454,50 +558,24 @@ impl FlatTree {
             + heap(&self.leaf_rules)
             + heap(&self.bounds)
             + heap(&self.cut_dims)
-            + heap(&self.leaf_bounds)
+            + heap(&self.leaf_entries)
             + heap(&self.orig_ids)
             + heap(&self.rule_prio)
     }
 
     /// Scan `leaf_rules[start..end]` (ascending rank = precedence
-    /// order) for the first rule containing the packet whose rank
-    /// `skip` does not skip.
-    ///
-    /// Bounds come from the cache-packed `leaf_bounds` copy, and the
-    /// dimension test is evaluated branch-free (`&`, not `&&`) over
-    /// the padded 8-lane halves: whether one dimension matches is
-    /// data-dependent and would mispredict, while the one per-rule
-    /// "matched?" branch is almost always false until the winner. The
-    /// fixed-width lane loops vectorise, and `chunks_exact` keeps the
-    /// compares free of per-element bounds checks. The skip test runs
-    /// only on a matched entry, and vanishes for [`NoSkip`].
+    /// order) for the first rule admitting `key` whose rank `skip` does
+    /// not skip: the portable instance, one entry at a time. Each
+    /// entry's lane test is branch-free ([`LeafEntry::admits`]); the
+    /// one per-entry "matched?" branch is almost always false until the
+    /// winner. The skip test runs only on a matched entry, and vanishes
+    /// for [`NoSkip`].
     // nc-lint: kernel
     #[inline]
-    fn leaf_scan<S: RankSkip>(
-        &self,
-        start: u32,
-        end: u32,
-        packet: &Packet,
-        skip: S,
-    ) -> Option<u32> {
-        let mut pv = [0u32; LEAF_LANES];
-        for (lane, &v) in pv.iter_mut().zip(&packet.values) {
-            *lane = v as u32;
-        }
+    fn scan<S: RankSkip>(&self, start: u32, end: u32, key: &LeafEntry, skip: S) -> Option<u32> {
         let (s, e) = (start as usize, end as usize);
-        let entries = self.leaf_bounds[s * LEAF_ENTRY..e * LEAF_ENTRY]
-            .chunks_exact(LEAF_ENTRY)
-            .zip(&self.leaf_rules[s..e]);
-        for (b, &rank) in entries {
-            let (los, his) = b.split_at(LEAF_LANES);
-            let mut matched = true;
-            for lane in 0..LEAF_LANES {
-                matched &= pv[lane] >= los[lane];
-            }
-            for lane in 0..LEAF_LANES {
-                matched &= pv[lane] <= his[lane];
-            }
-            if matched && !skip.skips(rank) {
+        for (entry, &rank) in self.leaf_entries[s..e].iter().zip(&self.leaf_rules[s..e]) {
+            if entry.admits(key) && !skip.skips(rank) {
                 return Some(rank);
             }
         }
@@ -509,7 +587,9 @@ impl FlatTree {
     #[inline]
     fn step<S: RankSkip>(&self, id: u32, packet: &Packet, skip: S) -> Step {
         match self.nodes[id as usize] {
-            FlatNode::Leaf { start, end } => Step::Done(self.leaf_scan(start, end, packet, skip)),
+            FlatNode::Leaf { start, end } => {
+                Step::Done(self.scan(start, end, &LeafEntry::key(packet), skip))
+            }
             FlatNode::Cut { dim, lo, magic, ncuts, base } => {
                 let v = packet.values[dim as usize];
                 let idx = div_by_step(v.saturating_sub(lo), magic).min(u64::from(ncuts) - 1) as u32;
@@ -539,7 +619,7 @@ impl FlatTree {
             FlatNode::Partition { start, end } => {
                 let mut best: Option<u32> = None;
                 for &c in &self.children[start as usize..end as usize] {
-                    if let Some(ti) = self.classify_from(c, packet, skip) {
+                    if let Some(ti) = self.classify_from(c & !LEAF_TAG, packet, skip) {
                         // Table order *is* precedence order.
                         if best.is_none_or(|b| ti < b) {
                             best = Some(ti);
@@ -593,18 +673,18 @@ impl FlatTree {
             if let FlatNode::Cut { dim, lo, magic, ncuts, base } = *node {
                 let v = packet.values[dim as usize];
                 let idx = div_by_step(v.saturating_sub(lo), magic).min(u64::from(ncuts) - 1) as u32;
-                id = self.children[(base + idx) as usize];
+                id = self.children[(base + idx) as usize] & !LEAF_TAG;
                 continue;
             }
             if let FlatNode::Leaf { start, end } = *node {
-                return self.leaf_scan(start, end, packet, skip);
+                return self.scan(start, end, &LeafEntry::key(packet), skip);
             }
             if let FlatNode::Split { dim, threshold, left, right } = *node {
-                id = if packet.values[dim as usize] < threshold { left } else { right };
+                id = if packet.values[dim as usize] < threshold { left } else { right } & !LEAF_TAG;
                 continue;
             }
             match self.step(id, packet, skip) {
-                Step::Descend(next) => id = next,
+                Step::Descend(next) => id = next & !LEAF_TAG,
                 Step::Done(result) => return result,
             }
         }
@@ -637,14 +717,32 @@ impl FlatTree {
     /// order. [`Self::classify_batch`] is this with [`NoSkip`] plus the
     /// rank-to-id mapping; the live-update layer consumes the ranks
     /// directly to merge against its overlay by precedence.
-    // nc-lint: kernel
     pub fn classify_batch_with<S: RankSkip, F: FnMut(usize, Option<u32>)>(
         &self,
         packets: &[Packet],
         skip: S,
+        emit: F,
+    ) {
+        self.classify_batch_on(Instance::widest(), packets, skip, emit);
+    }
+
+    /// [`Self::classify_batch_with`] through one leaf-pass instance.
+    /// The wavefront's buffers are allocated once per batch.
+    // nc-lint: kernel
+    fn classify_batch_on<S: RankSkip, F: FnMut(usize, Option<u32>)>(
+        &self,
+        instance: Instance,
+        packets: &[Packet],
+        skip: S,
         mut emit: F,
     ) {
-        if let FlatNode::Partition { start, end } = self.nodes[self.root as usize] {
+        // nc-lint: allow(no-alloc-in-kernels, reason = "the in-flight frontier, one allocation per batch, amortised over every packet in it")
+        let mut frontier = vec![(0u32, 0u32); packets.len()];
+        // nc-lint: allow(no-alloc-in-kernels, reason = "the reached-leaf list, one allocation per batch, reused by every subtree of a root partition")
+        let mut reached = vec![(0u32, 0u32); packets.len()];
+        let mut wave = Wavefront { frontier: &mut frontier, reached: &mut reached };
+        let root = self.root as usize;
+        if let FlatNode::Partition { start, end } = self.nodes[root] {
             // A root partition (EffiCuts / CutSplit separable trees)
             // would force every packet through the scalar fallback.
             // Instead, wavefront the whole batch through each subtree
@@ -655,7 +753,7 @@ impl FlatTree {
             // nc-lint: allow(no-alloc-in-kernels, reason = "one amortised rank buffer per batch at a root partition, not per packet")
             let mut best = vec![NO_RANK; packets.len()];
             for &c in &self.children[start as usize..end as usize] {
-                self.classify_batch_ranks(c, packets, skip, |pi, rank| {
+                self.wavefront(instance, c, packets, skip, &mut wave, &mut |pi, rank| {
                     if let Some(rank) = rank {
                         best[pi] = best[pi].min(rank);
                     }
@@ -665,61 +763,207 @@ impl FlatTree {
                 emit(pi, (rank != NO_RANK).then_some(rank));
             }
         } else {
-            self.classify_batch_ranks(self.root, packets, skip, emit);
+            let tag = if matches!(self.nodes[root], FlatNode::Leaf { .. }) { LEAF_TAG } else { 0 };
+            self.wavefront(instance, self.root | tag, packets, skip, &mut wave, &mut emit);
         }
     }
 
-    /// The wavefront core: classify every packet starting from node
-    /// `from`, reporting each packet's winning table rank (or `None`)
-    /// through `emit` exactly once, in no particular order.
+    /// The wavefront core: classify every packet starting from the
+    /// leaf-tagged node `from`, reporting each packet's winning table
+    /// rank (or `None`) through `emit` exactly once, in no particular
+    /// order.
     ///
-    /// Traversal is level-synchronous: a frontier of `(packet, node)`
-    /// pairs advances every in-flight packet by one node per round.
-    /// Within a round the iterations are fully independent — no
-    /// packet's next node depends on another's — so the CPU can keep
-    /// many node fetches in flight at once instead of serialising on
-    /// one packet's root-to-leaf dependence chain. Finished packets
-    /// (leaf reached, or interior partition resolved via the scalar
-    /// path) simply drop out of the next round's frontier.
+    /// Traversal is level-synchronous: each round moves every in-flight
+    /// packet at a cut or a split to its child; the other node kinds
+    /// take [`Self::step`], and a packet an interior partition resolves
+    /// is emitted at once. The child's leaf tag then appends the packet
+    /// without a branch to either the next round's frontier (compacted
+    /// in place) or the reached-leaf list: it is written to both and
+    /// one cursor advances. Within a round the iterations are
+    /// independent, so the CPU keeps many node fetches in flight; leaves
+    /// never enter a round, so its kind dispatch stays predictable. One
+    /// pass after the last round scans every leaf reached.
     // nc-lint: kernel
-    fn classify_batch_ranks<S: RankSkip, F: FnMut(usize, Option<u32>)>(
+    fn wavefront<S: RankSkip, F: FnMut(usize, Option<u32>)>(
         &self,
+        instance: Instance,
         from: u32,
         packets: &[Packet],
         skip: S,
-        mut emit: F,
+        wave: &mut Wavefront<'_>,
+        emit: &mut F,
     ) {
-        // nc-lint: allow(no-alloc-in-kernels, reason = "one frontier allocation per batch, amortised over every packet in it")
-        let mut frontier: Vec<(u32, u32)> = (0..packets.len() as u32).map(|i| (i, from)).collect();
-        // nc-lint: allow(no-alloc-in-kernels, reason = "second frontier buffer, swapped and reused across wavefront rounds")
-        let mut next_round: Vec<(u32, u32)> = Vec::with_capacity(frontier.len());
-        while !frontier.is_empty() {
-            for &(pi, nid) in &frontier {
+        let n = packets.len();
+        let (frontier, reached) = (&mut wave.frontier[..n], &mut wave.reached[..n]);
+        let at_leaf = from & LEAF_TAG != 0;
+        let start = from & !LEAF_TAG;
+        for (pi, slot) in if at_leaf { reached.iter_mut() } else { frontier.iter_mut() }.enumerate()
+        {
+            *slot = (pi as u32, start);
+        }
+        let (mut live, mut done) = if at_leaf { (0, n) } else { (n, 0) };
+        while live > 0 {
+            let mut kept = 0;
+            for i in 0..live {
+                let (pi, nid) = frontier[i];
                 let packet = &packets[pi as usize];
-                // One full dispatch per packet per round. Because a
-                // round holds one tree level, the node kinds it meets
-                // are near-homogeneous and the dispatch branch stays
-                // well predicted — unlike the scalar loop, which
-                // alternates kinds along each root-to-leaf path.
-                match self.nodes[nid as usize] {
+                let child = match self.nodes[nid as usize] {
                     FlatNode::Cut { dim, lo, magic, ncuts, base } => {
                         let v = packet.values[dim as usize];
                         let idx = div_by_step(v.saturating_sub(lo), magic).min(u64::from(ncuts) - 1)
                             as u32;
-                        next_round.push((pi, self.children[(base + idx) as usize]));
+                        self.children[(base + idx) as usize]
                     }
-                    FlatNode::Leaf { start, end } => {
-                        emit(pi as usize, self.leaf_scan(start, end, packet, skip));
+                    FlatNode::Split { dim, threshold, left, right } => {
+                        if packet.values[dim as usize] < threshold {
+                            left
+                        } else {
+                            right
+                        }
                     }
                     _ => match self.step(nid, packet, skip) {
-                        Step::Descend(id) => next_round.push((pi, id)),
-                        Step::Done(result) => emit(pi as usize, result),
+                        Step::Descend(child) => child,
+                        Step::Done(rank) => {
+                            emit(pi as usize, rank);
+                            continue;
+                        }
                     },
-                }
+                };
+                // A packet in flight is in neither list yet, so both
+                // cursors stay in bounds (`kept <= i`, `done < n`).
+                let entry = (pi, child & !LEAF_TAG);
+                let leaf = (child >> 31) as usize;
+                frontier[kept] = entry;
+                reached[done] = entry;
+                kept += 1 - leaf;
+                done += leaf;
             }
-            std::mem::swap(&mut frontier, &mut next_round);
-            next_round.clear();
+            live = kept;
         }
+        let reached = &reached[..done];
+        match instance {
+            Instance::Portable => self.scan_leaves(reached, packets, skip, emit, Self::scan),
+            #[cfg(target_arch = "x86_64")]
+            Instance::Avx512(cpu) => avx512::scan_leaves(cpu, self, reached, packets, skip, emit),
+        }
+    }
+
+    /// The leaf pass: emit the rank `scan` finds for each `(packet,
+    /// leaf)` in `reached`. A leaf-tagged id always names a leaf; were it
+    /// any other node, the lookup walks on from it, still exactly.
+    // nc-lint: kernel
+    #[inline(always)]
+    fn scan_leaves<S: RankSkip, F: FnMut(usize, Option<u32>)>(
+        &self,
+        reached: &[(u32, u32)],
+        packets: &[Packet],
+        skip: S,
+        emit: &mut F,
+        scan: impl Fn(&Self, u32, u32, &LeafEntry, S) -> Option<u32>,
+    ) {
+        for &(pi, leaf) in reached {
+            let packet = &packets[pi as usize];
+            let rank = if let FlatNode::Leaf { start, end } = self.nodes[leaf as usize] {
+                scan(self, start, end, &LeafEntry::key(packet), skip)
+            } else {
+                self.classify_from(leaf, packet, skip)
+            };
+            emit(pi as usize, rank);
+        }
+    }
+}
+
+/// The wavefront's per-batch buffers of `(packet, node)` pairs.
+struct Wavefront<'a> {
+    /// Packets in flight; each round compacts it in place.
+    frontier: &'a mut [(u32, u32)],
+    /// Packets that reached a leaf, with that leaf.
+    reached: &'a mut [(u32, u32)],
+}
+
+/// The AVX-512F instance of the leaf pass: it tests a leaf 8 entries at
+/// a time. Each entry is one vector compare against the key; the 8
+/// compare masks fold into a chunk mask of matching entries, bits past
+/// the leaf's end are cleared, and the lowest set bit whose rank `skip`
+/// keeps wins: no branch per entry.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{FlatTree, LeafEntry, RankSkip, CHUNK};
+    use classbench::Packet;
+    use std::arch::x86_64::{__m512i, _mm512_cmpgt_epi32_mask, _mm512_load_si512};
+
+    /// Proof that this CPU runs AVX-512F: only [`detect`] makes one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Cpu(());
+
+    /// The one platform check: a [`Cpu`] when this CPU has AVX-512F.
+    pub(super) fn detect() -> Option<Cpu> {
+        is_x86_feature_detected!("avx512f").then_some(Cpu(()))
+    }
+
+    /// [`FlatTree::scan_leaves`] with the chunked scan.
+    pub(super) fn scan_leaves<S: RankSkip, F: FnMut(usize, Option<u32>)>(
+        _: Cpu,
+        tree: &FlatTree,
+        reached: &[(u32, u32)],
+        packets: &[Packet],
+        skip: S,
+        emit: &mut F,
+    ) {
+        // SAFETY: a `Cpu` exists only where `detect` found AVX-512F.
+        unsafe { scan_leaves_avx512(tree, reached, packets, skip, emit) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn scan_leaves_avx512<S: RankSkip, F: FnMut(usize, Option<u32>)>(
+        tree: &FlatTree,
+        reached: &[(u32, u32)],
+        packets: &[Packet],
+        skip: S,
+        emit: &mut F,
+    ) {
+        tree.scan_leaves(reached, packets, skip, emit, |tree, start, end, key, skip| {
+            scan(tree, start, end, key, skip)
+        });
+    }
+
+    /// One entry as a vector.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load(entry: &LeafEntry) -> __m512i {
+        // SAFETY: a `LeafEntry` is 64 bytes at 64-byte alignment.
+        unsafe { _mm512_load_si512((entry as *const LeafEntry).cast()) }
+    }
+
+    /// [`FlatTree::scan`], 8 entries per chunk.
+    // nc-lint: kernel
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn scan<S: RankSkip>(
+        tree: &FlatTree,
+        start: u32,
+        end: u32,
+        key: &LeafEntry,
+        skip: S,
+    ) -> Option<u32> {
+        let key = load(key);
+        let (mut at, end) = (start as usize, end as usize);
+        while at < end {
+            let mut hits = 0u32;
+            for (i, entry) in tree.leaf_entries[at..at + CHUNK].iter().enumerate() {
+                hits |= u32::from(_mm512_cmpgt_epi32_mask(load(entry), key) == 0) << i;
+            }
+            hits &= (1 << (end - at).min(CHUNK)) - 1;
+            while hits != 0 {
+                let rank = tree.leaf_rules[at + hits.trailing_zeros() as usize];
+                if !skip.skips(rank) {
+                    return Some(rank);
+                }
+                hits &= hits - 1;
+            }
+            at += CHUNK;
+        }
+        None
     }
 }
 
@@ -819,15 +1063,15 @@ mod tests {
             + flat.leaf_rules.capacity() * 4
             + flat.bounds.capacity() * 8
             + flat.cut_dims.capacity() * std::mem::size_of::<FlatCutDim>()
-            + flat.leaf_bounds.capacity() * 4
+            + flat.leaf_entries.capacity() * 64
             + flat.orig_ids.capacity() * 4
             + flat.rule_prio.capacity() * 4;
         assert_eq!(flat.resident_bytes(), expected);
         // The rank tables hold every active rule once, and the scan
-        // bounds every leaf entry in every lane.
+        // entries every leaf entry plus the never-matching tail.
         assert_eq!(flat.orig_ids.len(), tree.num_active_rules());
         assert_eq!(flat.rule_prio.len(), tree.num_active_rules());
-        assert_eq!(flat.leaf_bounds.len(), LEAF_ENTRY * flat.leaf_rules.len());
+        assert_eq!(flat.leaf_entries.len(), flat.leaf_rules.len() + CHUNK - 1);
     }
 
     #[test]
@@ -934,6 +1178,171 @@ mod tests {
         let fresh = FlatTree::compile(&tree);
         assert!(!fresh.is_stale(&tree));
         assert_eq!(fresh.classify_checked(&tree, &p).unwrap(), tree.classify(&p));
+    }
+
+    /// Every leaf-pass instance this CPU runs, narrowest first.
+    fn runnable() -> Vec<(&'static str, Instance)> {
+        let mut all = vec![("portable", Instance::Portable)];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = avx512::detect() {
+            all.push(("avx512", Instance::Avx512(cpu)));
+        }
+        all
+    }
+
+    #[test]
+    fn batches_take_the_widest_instance_the_tests_run() {
+        // CI prints this line, so that a run on a CPU without AVX-512F
+        // is not taken for a test of that instance.
+        let names: Vec<&str> = runnable().iter().map(|(name, _)| *name).collect();
+        println!("dtree leaf-scan instances tested on this CPU: {}", names.join(", "));
+        assert_eq!(runnable().last().map(|&(_, inst)| inst), Some(Instance::widest()));
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(names.contains(&"avx512"), is_x86_feature_detected!("avx512f"));
+    }
+
+    /// The winning rank by linear scan over the table in rank order,
+    /// passing over `skip`.
+    fn linear_rank(tree: &DecisionTree, flat: &FlatTree, p: &Packet, skip: &[u64]) -> Option<u32> {
+        (0..flat.num_rules() as u32)
+            .find(|&r| !skip.skips(r) && tree.rule(flat.rank_to_id(r)).matches(p))
+    }
+
+    /// Every instance, and the scalar path, against the linear scan on
+    /// `packets` under each skip set.
+    fn instances_agree(tree: &DecisionTree, packets: &[Packet], skips: &[Vec<u64>]) {
+        let flat = FlatTree::compile(tree);
+        for skip in skips {
+            let want: Vec<Option<u32>> =
+                packets.iter().map(|p| linear_rank(tree, &flat, p, skip)).collect();
+            for (p, &w) in packets.iter().zip(&want) {
+                assert_eq!(flat.classify_rank(p, &skip[..]), w, "scalar at {p}");
+            }
+            for (name, inst) in runnable() {
+                let mut got = vec![Some(u32::MAX); packets.len()];
+                flat.classify_batch_on(inst, packets, &skip[..], |pi, rank| got[pi] = rank);
+                assert_eq!(got, want, "{name}, skip {skip:?}");
+            }
+        }
+    }
+
+    /// Each packet, and copies with one field at 0 and at its maximum.
+    fn with_edges(packets: &[Packet]) -> Vec<Packet> {
+        let max = [u64::from(u32::MAX), u64::from(u32::MAX), 65_535, 65_535, 255];
+        let mut all = packets.to_vec();
+        for p in packets {
+            for (d, &m) in max.iter().enumerate() {
+                for v in [0, m] {
+                    let mut q = *p;
+                    q.values[d] = v;
+                    all.push(q);
+                }
+            }
+        }
+        all.push(Packet::new(0, 0, 0, 0, 0));
+        all.push(Packet::new(max[0], max[1], max[2], max[3], max[4]));
+        all
+    }
+
+    /// Rank bitset of `ranks`.
+    fn bitset(ranks: impl IntoIterator<Item = u32>) -> Vec<u64> {
+        let mut words = vec![0u64; 64];
+        for r in ranks {
+            words[r as usize / 64] |= 1 << (r % 64);
+        }
+        words
+    }
+
+    #[test]
+    fn every_instance_matches_the_linear_scan_on_leaf_sizes() {
+        use classbench::{DimRange, RuleSet};
+        // A root cut on protocol into 8 leaves of 0, 1, 7, 8, 9, 16, 0
+        // and 17 entries; the 17-entry leaf is the table's last, so its
+        // second chunk reads the never-matching tail. In a leaf, entry
+        // `j` admits source ports below `(j + 1) * 1000`, so a packet's
+        // first match moves through every chunk position, and every
+        // later entry matches too.
+        let sizes = [0usize, 1, 7, 8, 9, 16, 0, 17];
+        let mut rules = Vec::new();
+        for (g, &n) in sizes.iter().enumerate() {
+            for j in 0..n {
+                let mut r = Rule::default_rule(0);
+                r.ranges[Dim::Proto.index()] = DimRange::new(32 * g as u64, 32 * g as u64 + 1);
+                r.ranges[Dim::SrcPort.index()] = DimRange::new(0, (j as u64 + 1) * 1000);
+                rules.push(r);
+            }
+        }
+        // An empty range at the top of the 9-entry leaf.
+        rules[16].ranges[Dim::DstPort.index()] = DimRange::new(80, 80);
+        let count = rules.len() as i32;
+        for (i, r) in rules.iter_mut().enumerate() {
+            r.priority = count - i as i32;
+        }
+        let rules = RuleSet::new(rules);
+        let mut tree = DecisionTree::new(&rules);
+        tree.cut_node(tree.root(), Dim::Proto, 8);
+        let leaves: Vec<usize> = tree.leaf_ids().map(|id| tree.rules_at(id).len()).collect();
+        assert_eq!(leaves, sizes);
+        let mut packets = Vec::new();
+        for g in 0..8u64 {
+            for sp in (0..18_500).step_by(500) {
+                packets.push(Packet::new(1, 2, sp, 80 + g % 2, 32 * g));
+            }
+        }
+        let last = (count - 17) as u32..count as u32;
+        let skips = [
+            bitset([]),
+            // Every third rank: many first matches inside a chunk give
+            // way to a later entry of the same chunk.
+            bitset((0..count as u32).filter(|r| r % 3 == 0)),
+            // Every match of the last leaf.
+            bitset(last.clone()),
+            // The last leaf's entries 2 and 8: the first match of a
+            // packet at port 2500 gives way to entry 3, and at 8500 to
+            // entry 9, in the next chunk.
+            bitset([last.start + 2, last.start + 8]),
+        ];
+        instances_agree(&tree, &with_edges(&packets), &skips);
+    }
+
+    #[test]
+    fn every_instance_matches_the_linear_scan_on_every_node_kind() {
+        let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 200).with_seed(95));
+        let trace = with_edges(&generate_trace(&rules, &TraceConfig::new(300).with_seed(96)));
+        let skips = [bitset([]), bitset((0..200).filter(|r| r % 4 == 1))];
+        // A root leaf, with an empty-range rule in it.
+        let mut empty = rules.rules().to_vec();
+        empty[3].ranges[Dim::SrcPort.index()] = classbench::DimRange::new(7, 7);
+        let single = DecisionTree::new(&classbench::RuleSet::new(empty));
+        instances_agree(&single, &trace, &skips);
+        // A root partition over a multicut, a split over a dense cut,
+        // and a cut with a partition below it.
+        let mut tree = DecisionTree::new(&rules);
+        let all = tree.rules_at(tree.root()).to_vec();
+        let third = all.len() / 3;
+        let parts = tree.partition_node(
+            tree.root(),
+            vec![all[..third].to_vec(), all[third..2 * third].to_vec(), all[2 * third..].to_vec()],
+        );
+        tree.multicut_node(parts[0], &[(Dim::SrcIp, 4), (Dim::Proto, 2)]);
+        let (left, _) = tree.split_node(parts[1], Dim::DstPort, 1024);
+        tree.dense_cut_node(left, Dim::DstPort, vec![0, 80, 443, 1024]);
+        let kids = tree.cut_node(parts[2], Dim::DstIp, 4);
+        let below = tree.rules_at(kids[0]).to_vec();
+        if below.len() >= 2 {
+            let (a, b) = below.split_at(below.len() / 2);
+            tree.partition_node(kids[0], vec![a.to_vec(), b.to_vec()]);
+        }
+        instances_agree(&tree, &trace, &skips);
+        // The same shapes below a root cut, so no partition is at the root.
+        let mut tree = DecisionTree::new(&rules);
+        let kids = tree.cut_node(tree.root(), Dim::Proto, 2);
+        let all = tree.rules_at(kids[0]).to_vec();
+        let (a, b) = all.split_at(all.len() / 2);
+        let parts = tree.partition_node(kids[0], vec![a.to_vec(), b.to_vec()]);
+        tree.split_node(parts[0], Dim::SrcPort, 4096);
+        tree.multicut_node(kids[1], &[(Dim::DstIp, 2), (Dim::DstPort, 2)]);
+        instances_agree(&tree, &trace, &skips);
     }
 
     #[test]

@@ -215,20 +215,28 @@ impl Snapshot {
     }
 
     /// [`Self::classify_batch`] sharded across `threads` scoped workers
-    /// (min 1). The packets split into contiguous chunks, one per
-    /// worker, and each worker writes its own sub-slice of `out`, so
-    /// `out[i]` is exactly `self.classify(&packets[i])` whatever the
-    /// thread count. The snapshot is shared read-only: no locks, no
-    /// cloning.
+    /// (min 1), `passes` times over (min 1). The packets split into
+    /// contiguous chunks, one per worker, and each worker classifies its
+    /// chunk `passes` times into its own sub-slice of `out`, so `out[i]`
+    /// is exactly `self.classify(&packets[i])` whatever the thread
+    /// count. The workers start once per call, so a timed loop of
+    /// passes pays thread start-up once. The snapshot is shared
+    /// read-only: no locks, no cloning.
     ///
     /// # Panics
     /// Panics if `packets` and `out` have different lengths.
-    pub fn classify_sharded(&self, packets: &[Packet], out: &mut [Option<RuleId>], threads: usize) {
+    pub fn classify_sharded(
+        &self,
+        packets: &[Packet],
+        out: &mut [Option<RuleId>],
+        threads: usize,
+        passes: usize,
+    ) {
         // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
         assert_eq!(packets.len(), out.len(), "output slice must match the trace");
-        let threads = threads.max(1);
+        let (threads, passes) = (threads.max(1), passes.max(1));
         if threads == 1 || packets.len() < 2 {
-            self.classify_batch(packets, out);
+            (0..passes).for_each(|_| self.classify_batch(packets, out));
             return;
         }
         // Ceiling division so every packet lands in one of <= `threads`
@@ -236,7 +244,7 @@ impl Snapshot {
         let shard = packets.len().div_ceil(threads);
         std::thread::scope(|scope| {
             for (pkts, results) in packets.chunks(shard).zip(out.chunks_mut(shard)) {
-                scope.spawn(move || self.classify_batch(pkts, results));
+                scope.spawn(move || (0..passes).for_each(|_| self.classify_batch(pkts, results)));
             }
         });
     }
@@ -1713,7 +1721,7 @@ mod tests {
     /// `snap.classify_sharded` over `trace` into a fresh buffer.
     fn sharded(snap: &Snapshot, trace: &[Packet], threads: usize) -> Vec<Option<RuleId>> {
         let mut out = vec![None; trace.len()];
-        snap.classify_sharded(trace, &mut out, threads);
+        snap.classify_sharded(trace, &mut out, threads, 1);
         out
     }
 

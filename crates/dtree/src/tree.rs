@@ -153,7 +153,11 @@ impl Deserialize for DecisionTree {
 /// children or a child count its cut does not produce, and a child that
 /// does not come after its parent (the expansions always append
 /// children, so this also rules out cycles, and
-/// [`crate::stats::subtree_metrics`]' reverse pass relies on it).
+/// [`crate::stats::subtree_metrics`]' reverse pass relies on it). The
+/// root must have depth 0 and no parent; every other node must be
+/// listed as a child by exactly one node, record it as its `parent`
+/// and sit at its depth + 1, as `push_child` writes
+/// them, so a stored depth is never larger than the node count.
 fn check_structure(
     num_rules: usize,
     active_len: usize,
@@ -167,6 +171,14 @@ fn check_structure(
     if root >= nodes.len() {
         return Err(format!("root {root} out of range ({} nodes)", nodes.len()));
     }
+    if nodes[root].depth != 0 || nodes[root].parent.is_some() {
+        return Err(format!(
+            "root {root}: depth {} and parent {:?}, not 0 and none",
+            nodes[root].depth, nodes[root].parent
+        ));
+    }
+    // Which node lists each node as a child; the root must stay unlisted.
+    let mut listed_by = vec![None; nodes.len()];
     for (id, node) in nodes.iter().enumerate() {
         let rules = &pool[node.span.start..node.span.start + node.span.len];
         if let Some(r) = rules.iter().find(|&&r| r >= num_rules) {
@@ -194,6 +206,20 @@ fn check_structure(
         if let Some(&c) = children.iter().find(|&&c| c <= id) {
             return Err(format!("node {id}: child {c} does not come after its parent"));
         }
+        for &c in children {
+            if c == root || listed_by[c].replace(id).is_some() {
+                return Err(format!("node {c}: listed as a child more than once or as the root"));
+            }
+            if nodes[c].parent != Some(id) || nodes[c].depth != node.depth + 1 {
+                return Err(format!(
+                    "node {c}: parent {:?} at depth {}, but node {id} at depth {} lists it",
+                    nodes[c].parent, nodes[c].depth, node.depth
+                ));
+            }
+        }
+    }
+    if let Some(orphan) = (0..nodes.len()).find(|&id| id != root && listed_by[id].is_none()) {
+        return Err(format!("node {orphan}: no node lists it as a child"));
     }
     Ok(())
 }

@@ -139,7 +139,7 @@ fn thousand_update_churn_is_rebuild_identical_under_concurrent_reads() {
             scope.spawn(move || {
                 let mut out = vec![None; trace.len()];
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    handle.snapshot().classify_sharded(trace, &mut out, 2);
+                    handle.snapshot().classify_sharded(trace, &mut out, 2, 1);
                     served.fetch_add(trace.len(), std::sync::atomic::Ordering::Relaxed);
                 }
             });
@@ -184,7 +184,7 @@ fn thousand_update_churn_is_rebuild_identical_under_concurrent_reads() {
     let snap = handle.snapshot();
     assert_eq!(snap.epoch(), 1000);
     let mut out = vec![None; trace.len()];
-    snap.classify_sharded(&trace, &mut out, 3);
+    snap.classify_sharded(&trace, &mut out, 3, 1);
     let rebuilt = handle.with_tree(FlatTree::compile);
     for (p, got) in trace.iter().zip(&out) {
         assert_eq!(*got, rebuilt.classify(p), "sharded at {p}");

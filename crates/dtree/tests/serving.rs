@@ -34,7 +34,7 @@ fn assert_all_paths_agree(tree: &DecisionTree, ruleset: Option<&RuleSet>, trace:
     flat.classify_batch(trace, &mut batch);
     for threads in [1, 2, 4, 7] {
         let mut sharded = vec![None; trace.len()];
-        snap.classify_sharded(trace, &mut sharded, threads);
+        snap.classify_sharded(trace, &mut sharded, threads, 1);
         assert_eq!(sharded, batch, "sharded({threads}) diverged from batch");
     }
     for (p, &batched) in trace.iter().zip(&batch) {
@@ -258,7 +258,7 @@ proptest! {
         let mut batch = vec![None; trace.len()];
         flat.classify_batch(&trace, &mut batch);
         let mut sharded = vec![None; trace.len()];
-        snap.classify_sharded(&trace, &mut sharded, 3);
+        snap.classify_sharded(&trace, &mut sharded, 3, 2);
         for (i, p) in trace.iter().enumerate() {
             let arena = tree.classify(p);
             prop_assert_eq!(arena, rules.classify(p), "tree vs ground truth at {}", p);

@@ -12,7 +12,7 @@ use nc_lint::config::LintConfig;
 /// bump this — the diff is the review hook.
 const PINNED_ALLOWS: usize = 14;
 /// Pinned count of kernel-marked functions.
-const PINNED_KERNELS: usize = 30;
+const PINNED_KERNELS: usize = 32;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -87,4 +87,15 @@ fn corrupted_json_is_rejected() {
     let mut dense = DecisionTree::new(&rules);
     dense.dense_cut_node(dense.root(), Dim::DstPort, vec![0, 80, 65536]);
     refused(&dense, r#"[0,80,65536]"#, r#"[0,80,443,65536]"#, "node 0: 2 children for 3 cuts");
+    // A depth or parent the file got wrong: level tables are sized from
+    // the largest depth, so a huge one used to overflow an allocation.
+    let leaf = r#""kind":"Leaf","depth":1,"parent":0"#;
+    refused(
+        &cut,
+        leaf,
+        r#""kind":"Leaf","depth":4611686018427387904,"parent":0"#,
+        "node 1: parent",
+    );
+    refused(&cut, leaf, r#""kind":"Leaf","depth":1,"parent":null"#, "node 1: parent None");
+    refused(&cut, r#""depth":0,"parent":null"#, r#""depth":0,"parent":2"#, "root 0: depth 0");
 }
