@@ -13,14 +13,13 @@
 //! * **Cache-packed leaf scans.** Each leaf lists its rules' bounds
 //!   inline, one 64-byte-aligned `LeafEntry` (one cache line) per rule
 //!   in precedence (rank) order, read sequentially in prefetch order.
-//!   An entry is sixteen `i32` lanes: lanes 0–7 hold `lo ^ 0x8000_0000`
-//!   and lanes 8–15 hold `!hi ^ 0x8000_0000` (`hi` inclusive), each half
-//!   the five dimensions plus always-true padding. A packet's key holds
-//!   each field `v` as `v ^ 0x8000_0000`, then `!v ^ 0x8000_0000`; the
-//!   xor turns unsigned order into signed order and the complement
-//!   turns `v <= hi` around, so a rule matches exactly when no lane of
-//!   its entry exceeds the key's matching lane. An empty range is
-//!   stored as `lo = 1, hi = 0`, which no value satisfies.
+//!   An entry is sixteen `u32` lanes: lanes 0–7 hold `lo` and lanes
+//!   8–15 hold `!hi` (`hi` inclusive), each half the five dimensions
+//!   plus always-true padding. A packet's key holds each field `v`,
+//!   then `!v`; the complement turns `v <= hi` into `!hi <= !v`, so a
+//!   rule matches exactly when no lane of its entry exceeds the key's
+//!   matching lane. An empty range is stored as `lo = 1, hi = 0`, which
+//!   no value satisfies.
 //! * **Division-free cut indexing.** Equal-size cuts precompute a
 //!   Granlund–Montgomery/Lemire style reciprocal at compile time, so
 //!   the per-level child-index computation is a multiply-and-shift
@@ -41,11 +40,12 @@
 //!   mask of matching entries, bits past the leaf's end cleared, and
 //!   the lowest set bit whose rank the [`RankSkip`] keeps wins. The
 //!   entry table ends in 7 entries that never match, so a chunk may read
-//!   past the last leaf. Elsewhere, the portable instance scans one
-//!   entry at a time over the same encoding and stops at the first
-//!   match; it also serves scalar [`FlatTree::classify`] and Miri. One
-//!   platform check (`is_x86_feature_detected!`) picks the instance, and
-//!   both return the same ranks.
+//!   past the last leaf. Elsewhere, and under Miri, the portable
+//!   instance scans one entry at a time over the same encoding and
+//!   stops at the first match. One platform check
+//!   (`is_x86_feature_detected!`) picks the instance for batches and
+//!   for scalar [`FlatTree::classify`] alike, and both instances return
+//!   the same ranks.
 //!
 //! `FlatTree::classify` returns the **same rule ids** as the source
 //! tree, so results remain comparable with the [`classbench::RuleSet`]
@@ -76,41 +76,29 @@ const LEAF_LANES: usize = 8;
 /// chunk that starts inside the last leaf stays in bounds.
 const CHUNK: usize = 8;
 
-/// Maps unsigned order to signed order: `a <= b` as `u32` exactly when
-/// `(a ^ SIGN) as i32 <= (b ^ SIGN) as i32`.
-const SIGN: u32 = 0x8000_0000;
-
-/// `v` encoded for a lower-bound lane.
-fn lower(v: u32) -> i32 {
-    (v ^ SIGN) as i32
-}
-
-/// `v` encoded for an upper-bound lane: complemented, so that `v <= hi`
-/// becomes `!hi <= !v`, the same direction as the lower half.
-fn upper(v: u32) -> i32 {
-    (!v ^ SIGN) as i32
-}
-
-/// One rule's leaf-scan entry, or a packet's key, in one cache line:
-/// lanes 0–7 hold lower bounds as [`lower`], lanes 8–15 inclusive upper
-/// bounds as [`upper`]. A rule matches a packet exactly when no lane of
-/// its entry exceeds the matching lane of the packet's key.
+/// One rule's leaf-scan entry, or a packet's key, in one cache line of
+/// sixteen `u32` lanes. An entry holds each dimension's `lo` in lanes
+/// 0–7 and the complement `!hi` of its inclusive upper bound in lanes
+/// 8–15, so that `v <= hi` reads `!hi <= !v`, the same direction as
+/// `lo <= v`; a key holds each field `v`, then `!v`. A rule matches a
+/// packet exactly when no lane of its entry exceeds the matching lane
+/// of the packet's key. Padding lanes are 0 in both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C, align(64))]
-struct LeafEntry([i32; 2 * LEAF_LANES]);
+struct LeafEntry([u32; 2 * LEAF_LANES]);
 
 impl LeafEntry {
     /// The entry the table ends in. No key admits it: every key's
-    /// padding lanes 5–7 hold `lower(0)`, which is `i32::MIN`.
-    const NEVER: LeafEntry = LeafEntry([i32::MAX; 2 * LEAF_LANES]);
+    /// padding lanes hold 0.
+    const NEVER: LeafEntry = LeafEntry([u32::MAX; 2 * LEAF_LANES]);
 
-    /// The entry of a rule with these ranges. Padding lanes are
-    /// always-true (`lower(0)` and `upper(u32::MAX)`, both `i32::MIN`);
-    /// a degenerate empty range (lo >= hi, matches nothing) gets
-    /// `lo = 1, hi = 0`, which no value satisfies, so the rule never
-    /// wins, exactly like `Rule::matches`.
+    /// The entry of a rule with these ranges. Padding lanes are 0,
+    /// always true (`lo = 0`, `!hi` of `hi = u32::MAX`); a degenerate
+    /// empty range (lo >= hi, matches nothing) gets `lo = 1, hi = 0`,
+    /// which no value satisfies, so the rule never wins, exactly like
+    /// `Rule::matches`.
     fn rule(ranges: &[DimRange; NUM_DIMS]) -> LeafEntry {
-        let mut lanes = [i32::MIN; 2 * LEAF_LANES];
+        let mut lanes = [0; 2 * LEAF_LANES];
         let (los, his) = lanes.split_at_mut(LEAF_LANES);
         for ((lo, hi), rg) in los.iter_mut().zip(his.iter_mut()).zip(ranges) {
             let (l, h) = if rg.is_empty() {
@@ -119,20 +107,18 @@ impl LeafEntry {
                 debug_assert!(rg.hi <= 1 << 32);
                 (rg.lo as u32, (rg.hi - 1) as u32)
             };
-            (*lo, *hi) = (lower(l), upper(h));
+            (*lo, *hi) = (l, !h);
         }
         LeafEntry(lanes)
     }
 
-    /// A packet's key: each field in both encodings, padding lanes as
-    /// the value 0.
+    /// A packet's key: each field, then its complement.
     #[inline(always)]
     fn key(packet: &Packet) -> LeafEntry {
-        let mut lanes = [lower(0); 2 * LEAF_LANES];
+        let mut lanes = [0; 2 * LEAF_LANES];
         let (los, his) = lanes.split_at_mut(LEAF_LANES);
-        his.fill(upper(0));
         for ((lo, hi), &v) in los.iter_mut().zip(his.iter_mut()).zip(&packet.values) {
-            (*lo, *hi) = (lower(v as u32), upper(v as u32));
+            (*lo, *hi) = (v as u32, !(v as u32));
         }
         LeafEntry(lanes)
     }
@@ -177,7 +163,8 @@ impl RankSkip for &[u64] {
     }
 }
 
-/// A compiled instance of the wavefront's leaf pass (module docs).
+/// A compiled instance of the leaf scan, which the wavefront's leaf
+/// pass and the scalar walk share (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Instance {
     /// The per-entry early-exit scan, compiled for the build's target.
@@ -188,7 +175,7 @@ enum Instance {
 }
 
 impl Instance {
-    /// The widest instance this CPU runs, the one every batch takes: a
+    /// The widest instance this CPU runs, the one every lookup takes: a
     /// platform check, not a setting.
     fn widest() -> Instance {
         #[cfg(target_arch = "x86_64")]
@@ -196,6 +183,24 @@ impl Instance {
             return Instance::Avx512(cpu);
         }
         Instance::Portable
+    }
+
+    /// The first rank of leaf `start..end` whose entry admits `packet`
+    /// and that `skip` keeps, through this instance.
+    #[inline(always)]
+    fn scan<S: RankSkip>(
+        self,
+        tree: &FlatTree,
+        start: u32,
+        end: u32,
+        packet: &Packet,
+        skip: S,
+    ) -> Option<u32> {
+        match self {
+            Instance::Portable => tree.scan(start, end, packet, skip),
+            #[cfg(target_arch = "x86_64")]
+            Instance::Avx512(cpu) => avx512::scan(cpu, tree, start, end, packet, skip),
+        }
     }
 }
 
@@ -564,31 +569,34 @@ impl FlatTree {
     }
 
     /// Scan `leaf_rules[start..end]` (ascending rank = precedence
-    /// order) for the first rule admitting `key` whose rank `skip` does
-    /// not skip: the portable instance, one entry at a time. Each
+    /// order) for the first rule admitting `packet` whose rank `skip`
+    /// does not skip: the portable instance, one entry at a time. Each
     /// entry's lane test is branch-free ([`LeafEntry::admits`]); the
     /// one per-entry "matched?" branch is almost always false until the
     /// winner. The skip test runs only on a matched entry, and vanishes
-    /// for [`NoSkip`].
+    /// for [`NoSkip`]. The key is built here, from the packet, so that
+    /// it stays in registers.
     // nc-lint: kernel
     #[inline]
-    fn scan<S: RankSkip>(&self, start: u32, end: u32, key: &LeafEntry, skip: S) -> Option<u32> {
+    fn scan<S: RankSkip>(&self, start: u32, end: u32, packet: &Packet, skip: S) -> Option<u32> {
+        let key = LeafEntry::key(packet);
         let (s, e) = (start as usize, end as usize);
         for (entry, &rank) in self.leaf_entries[s..e].iter().zip(&self.leaf_rules[s..e]) {
-            if entry.admits(key) && !skip.skips(rank) {
+            if entry.admits(&key) && !skip.skips(rank) {
                 return Some(rank);
             }
         }
         None
     }
 
-    /// Advance a lookup at `id` by one node.
+    /// Advance a lookup at `id` by one node, scanning leaves through
+    /// `instance`.
     // nc-lint: kernel
     #[inline]
-    fn step<S: RankSkip>(&self, id: u32, packet: &Packet, skip: S) -> Step {
+    fn step<S: RankSkip>(&self, instance: Instance, id: u32, packet: &Packet, skip: S) -> Step {
         match self.nodes[id as usize] {
             FlatNode::Leaf { start, end } => {
-                Step::Done(self.scan(start, end, &LeafEntry::key(packet), skip))
+                Step::Done(instance.scan(self, start, end, packet, skip))
             }
             FlatNode::Cut { dim, lo, magic, ncuts, base } => {
                 let v = packet.values[dim as usize];
@@ -619,7 +627,7 @@ impl FlatTree {
             FlatNode::Partition { start, end } => {
                 let mut best: Option<u32> = None;
                 for &c in &self.children[start as usize..end as usize] {
-                    if let Some(ti) = self.classify_from(c & !LEAF_TAG, packet, skip) {
+                    if let Some(ti) = self.classify_from(instance, c & !LEAF_TAG, packet, skip) {
                         // Table order *is* precedence order.
                         if best.is_none_or(|b| ti < b) {
                             best = Some(ti);
@@ -643,7 +651,7 @@ impl FlatTree {
     /// deleted since the compile and merges the rank against its
     /// overlay inserts by priority.
     pub fn classify_rank<S: RankSkip>(&self, packet: &Packet, skip: S) -> Option<u32> {
-        self.classify_from(self.root, packet, skip)
+        self.classify_from(Instance::widest(), self.root, packet, skip)
     }
 
     /// The original arena rule id behind a table rank.
@@ -658,7 +666,8 @@ impl FlatTree {
         self.rule_prio[rank as usize]
     }
 
-    /// Returns the winning *table* rank (precedence order), or `None`.
+    /// Returns the winning *table* rank (precedence order), or `None`,
+    /// scanning the leaf through `instance`.
     ///
     /// The loop tests the dominant node kinds (equal-size cuts, then
     /// leaves, then splits) with cheap conditional branches before
@@ -667,7 +676,13 @@ impl FlatTree {
     /// data-dependent and mispredicts every level, while "is it a
     /// Cut?" is predicted almost perfectly on cut-built trees.
     // nc-lint: kernel
-    fn classify_from<S: RankSkip>(&self, mut id: u32, packet: &Packet, skip: S) -> Option<u32> {
+    fn classify_from<S: RankSkip>(
+        &self,
+        instance: Instance,
+        mut id: u32,
+        packet: &Packet,
+        skip: S,
+    ) -> Option<u32> {
         loop {
             let node = &self.nodes[id as usize];
             if let FlatNode::Cut { dim, lo, magic, ncuts, base } = *node {
@@ -677,13 +692,13 @@ impl FlatTree {
                 continue;
             }
             if let FlatNode::Leaf { start, end } = *node {
-                return self.scan(start, end, &LeafEntry::key(packet), skip);
+                return instance.scan(self, start, end, packet, skip);
             }
             if let FlatNode::Split { dim, threshold, left, right } = *node {
                 id = if packet.values[dim as usize] < threshold { left } else { right } & !LEAF_TAG;
                 continue;
             }
-            match self.step(id, packet, skip) {
+            match self.step(instance, id, packet, skip) {
                 Step::Descend(next) => id = next & !LEAF_TAG,
                 Step::Done(result) => return result,
             }
@@ -821,7 +836,7 @@ impl FlatTree {
                             right
                         }
                     }
-                    _ => match self.step(nid, packet, skip) {
+                    _ => match self.step(instance, nid, packet, skip) {
                         Step::Descend(child) => child,
                         Step::Done(rank) => {
                             emit(pi as usize, rank);
@@ -842,31 +857,33 @@ impl FlatTree {
         }
         let reached = &reached[..done];
         match instance {
-            Instance::Portable => self.scan_leaves(reached, packets, skip, emit, Self::scan),
+            Instance::Portable => self.scan_leaves(instance, reached, packets, skip, emit),
             #[cfg(target_arch = "x86_64")]
             Instance::Avx512(cpu) => avx512::scan_leaves(cpu, self, reached, packets, skip, emit),
         }
     }
 
-    /// The leaf pass: emit the rank `scan` finds for each `(packet,
-    /// leaf)` in `reached`. A leaf-tagged id always names a leaf; were it
-    /// any other node, the lookup walks on from it, still exactly.
+    /// The leaf pass: emit the rank `instance` scans for each `(packet,
+    /// leaf)` in `reached`. Inlined into the AVX-512F instance's
+    /// target-feature function, so its chunk scan inlines too. A
+    /// leaf-tagged id always names a leaf; were it any other node, the
+    /// lookup walks on from it, still exactly.
     // nc-lint: kernel
     #[inline(always)]
     fn scan_leaves<S: RankSkip, F: FnMut(usize, Option<u32>)>(
         &self,
+        instance: Instance,
         reached: &[(u32, u32)],
         packets: &[Packet],
         skip: S,
         emit: &mut F,
-        scan: impl Fn(&Self, u32, u32, &LeafEntry, S) -> Option<u32>,
     ) {
         for &(pi, leaf) in reached {
             let packet = &packets[pi as usize];
             let rank = if let FlatNode::Leaf { start, end } = self.nodes[leaf as usize] {
-                scan(self, start, end, &LeafEntry::key(packet), skip)
+                instance.scan(self, start, end, packet, skip)
             } else {
-                self.classify_from(leaf, packet, skip)
+                self.classify_from(instance, leaf, packet, skip)
             };
             emit(pi as usize, rank);
         }
@@ -888,9 +905,9 @@ struct Wavefront<'a> {
 /// keeps wins: no branch per entry.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{FlatTree, LeafEntry, RankSkip, CHUNK};
+    use super::{FlatTree, Instance, LeafEntry, RankSkip, CHUNK};
     use classbench::Packet;
-    use std::arch::x86_64::{__m512i, _mm512_cmpgt_epi32_mask, _mm512_load_si512};
+    use std::arch::x86_64::{__m512i, _mm512_cmpgt_epu32_mask, _mm512_load_si512};
 
     /// Proof that this CPU runs AVX-512F: only [`detect`] makes one.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -901,9 +918,10 @@ mod avx512 {
         is_x86_feature_detected!("avx512f").then_some(Cpu(()))
     }
 
-    /// [`FlatTree::scan_leaves`] with the chunked scan.
+    /// [`FlatTree::scan_leaves`] compiled for AVX-512F, so that every
+    /// leaf's chunk scan inlines into the one loop.
     pub(super) fn scan_leaves<S: RankSkip, F: FnMut(usize, Option<u32>)>(
-        _: Cpu,
+        cpu: Cpu,
         tree: &FlatTree,
         reached: &[(u32, u32)],
         packets: &[Packet],
@@ -911,20 +929,34 @@ mod avx512 {
         emit: &mut F,
     ) {
         // SAFETY: a `Cpu` exists only where `detect` found AVX-512F.
-        unsafe { scan_leaves_avx512(tree, reached, packets, skip, emit) }
+        unsafe { scan_leaves_avx512(cpu, tree, reached, packets, skip, emit) }
     }
 
     #[target_feature(enable = "avx512f")]
     fn scan_leaves_avx512<S: RankSkip, F: FnMut(usize, Option<u32>)>(
+        cpu: Cpu,
         tree: &FlatTree,
         reached: &[(u32, u32)],
         packets: &[Packet],
         skip: S,
         emit: &mut F,
     ) {
-        tree.scan_leaves(reached, packets, skip, emit, |tree, start, end, key, skip| {
-            scan(tree, start, end, key, skip)
-        });
+        tree.scan_leaves(Instance::Avx512(cpu), reached, packets, skip, emit);
+    }
+
+    /// One leaf's chunk scan for `packet`: [`Instance::scan`] on this
+    /// instance.
+    #[inline(always)]
+    pub(super) fn scan<S: RankSkip>(
+        _: Cpu,
+        tree: &FlatTree,
+        start: u32,
+        end: u32,
+        packet: &Packet,
+        skip: S,
+    ) -> Option<u32> {
+        // SAFETY: a `Cpu` exists only where `detect` found AVX-512F.
+        unsafe { scan_chunks(tree, start, end, packet, skip) }
     }
 
     /// One entry as a vector.
@@ -939,19 +971,19 @@ mod avx512 {
     // nc-lint: kernel
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn scan<S: RankSkip>(
+    fn scan_chunks<S: RankSkip>(
         tree: &FlatTree,
         start: u32,
         end: u32,
-        key: &LeafEntry,
+        packet: &Packet,
         skip: S,
     ) -> Option<u32> {
-        let key = load(key);
+        let key = load(&LeafEntry::key(packet));
         let (mut at, end) = (start as usize, end as usize);
         while at < end {
             let mut hits = 0u32;
             for (i, entry) in tree.leaf_entries[at..at + CHUNK].iter().enumerate() {
-                hits |= u32::from(_mm512_cmpgt_epi32_mask(load(entry), key) == 0) << i;
+                hits |= u32::from(_mm512_cmpgt_epu32_mask(load(entry), key) == 0) << i;
             }
             hits &= (1 << (end - at).min(CHUNK)) - 1;
             while hits != 0 {
@@ -1208,8 +1240,8 @@ mod tests {
             .find(|&r| !skip.skips(r) && tree.rule(flat.rank_to_id(r)).matches(p))
     }
 
-    /// Every instance, and the scalar path, against the linear scan on
-    /// `packets` under each skip set.
+    /// Every instance, batched and per packet, and the scalar entry
+    /// point against the linear scan on `packets` under each skip set.
     fn instances_agree(tree: &DecisionTree, packets: &[Packet], skips: &[Vec<u64>]) {
         let flat = FlatTree::compile(tree);
         for skip in skips {
@@ -1219,6 +1251,13 @@ mod tests {
                 assert_eq!(flat.classify_rank(p, &skip[..]), w, "scalar at {p}");
             }
             for (name, inst) in runnable() {
+                for (p, &w) in packets.iter().zip(&want) {
+                    assert_eq!(
+                        flat.classify_from(inst, flat.root, p, &skip[..]),
+                        w,
+                        "{name} at {p}"
+                    );
+                }
                 let mut got = vec![Some(u32::MAX); packets.len()];
                 flat.classify_batch_on(inst, packets, &skip[..], |pi, rank| got[pi] = rank);
                 assert_eq!(got, want, "{name}, skip {skip:?}");
@@ -1343,6 +1382,40 @@ mod tests {
         tree.split_node(parts[0], Dim::SrcPort, 4096);
         tree.multicut_node(kids[1], &[(Dim::DstIp, 2), (Dim::DstPort, 2)]);
         instances_agree(&tree, &trace, &skips);
+    }
+
+    #[test]
+    fn a_chunk_stops_at_its_leaf_end() {
+        use classbench::{DimRange, RuleSet};
+        // Two leaves under a protocol cut, both listing every rule; the
+        // file then drops the wide rule from the first leaf, so the next
+        // entries in the table after that leaf are the second leaf's
+        // narrow and wide rules. A packet of the first leaf that only the
+        // wide rule matches matches nothing there, as in the tree,
+        // although its 8-entry chunk reads the wide rule's entry.
+        let mut narrow = Rule::default_rule(1);
+        narrow.ranges[Dim::SrcPort.index()] = DimRange::new(0, 1000);
+        let mut tree = DecisionTree::new(&RuleSet::new(vec![narrow, Rule::default_rule(0)]));
+        tree.cut_node(tree.root(), Dim::Proto, 2);
+        let (both, first) = (r#""rules":[0,1],"kind":"Leaf""#, r#""rules":[0],"kind":"Leaf""#);
+        let tree = DecisionTree::from_json(&tree.to_json().replacen(both, first, 1)).unwrap();
+        let flat = FlatTree::compile(&tree);
+        let packets = [
+            Packet::new(1, 2, 500, 80, 6),
+            Packet::new(1, 2, 5000, 80, 6),
+            Packet::new(1, 2, 5000, 80, 200),
+        ];
+        let want: Vec<Option<u32>> =
+            packets.iter().map(|p| tree.classify(p).and_then(|id| flat.rank_of(id))).collect();
+        assert_eq!(want, [Some(0), None, Some(1)]);
+        for (name, inst) in runnable() {
+            let mut got = vec![Some(u32::MAX); packets.len()];
+            flat.classify_batch_on(inst, &packets, NoSkip, |pi, rank| got[pi] = rank);
+            assert_eq!(got, want, "{name}");
+            let one: Vec<Option<u32>> =
+                packets.iter().map(|p| flat.classify_from(inst, flat.root, p, NoSkip)).collect();
+            assert_eq!(one, want, "{name} per packet");
+        }
     }
 
     #[test]

@@ -178,8 +178,14 @@ fn check_structure(
         ));
     }
     // Which node lists each node as a child; the root must stay unlisted.
+    // Children come after their parents, so every node that may list
+    // `id` has been checked by the time `id` is, and a node refused here
+    // is refused before its own depth is read.
     let mut listed_by = vec![None; nodes.len()];
     for (id, node) in nodes.iter().enumerate() {
+        if id != root && listed_by[id].is_none() {
+            return Err(format!("node {id}: no node lists it as a child"));
+        }
         let rules = &pool[node.span.start..node.span.start + node.span.len];
         if let Some(r) = rules.iter().find(|&&r| r >= num_rules) {
             return Err(format!("node {id}: rule id {r} out of range ({num_rules} rules)"));
@@ -217,9 +223,6 @@ fn check_structure(
                 ));
             }
         }
-    }
-    if let Some(orphan) = (0..nodes.len()).find(|&id| id != root && listed_by[id].is_none()) {
-        return Err(format!("node {orphan}: no node lists it as a child"));
     }
     Ok(())
 }

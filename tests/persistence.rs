@@ -98,4 +98,20 @@ fn corrupted_json_is_rejected() {
     );
     refused(&cut, leaf, r#""kind":"Leaf","depth":1,"parent":null"#, "node 1: parent None");
     refused(&cut, r#""depth":0,"parent":null"#, r#""depth":0,"parent":2"#, "root 0: depth 0");
+    // An interior node no node lists, at depth `usize::MAX`: refused
+    // before its children's depths are compared with its own + 1 (which
+    // overflows). The root lists its sibling and its second child
+    // instead, and that child records the root as its parent.
+    let mut deep = DecisionTree::new(&rules);
+    let kids = deep.cut_node(deep.root(), Dim::DstPort, 2);
+    deep.cut_node(kids[0], Dim::SrcPort, 2);
+    let json = deep.to_json();
+    assert!(DecisionTree::from_json(&json).is_ok());
+    let (lower, last) = (r#""depth":2,"parent":1"#, r#""depth":1,"parent":0"#);
+    let at = json.rfind(lower).expect(&json);
+    let json = format!("{}{last}{}", &json[..at], &json[at + lower.len()..]);
+    let json = json.replacen(r#""children":[1,2]"#, r#""children":[2,4]"#, 1);
+    let json = json.replacen(last, r#""depth":18446744073709551615,"parent":0"#, 1);
+    let err = DecisionTree::from_json(&json).expect_err(&json).to_string();
+    assert!(err.contains("node 1: no node lists it"), "{err}");
 }
