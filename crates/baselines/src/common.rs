@@ -82,20 +82,6 @@ pub fn interior_endpoints(tree: &DecisionTree, id: NodeId, dim: Dim) -> Vec<u64>
     points
 }
 
-/// Rule counts each child of an equal-size cut would receive, without
-/// materialising the children. Used to evaluate `spfac` budgets.
-/// Delegates to the tree's single-pass counting kernel: O(rules +
-/// overlapped children) instead of one full rescan per child.
-pub fn simulate_cut(tree: &DecisionTree, id: NodeId, dim: Dim, ncuts: usize) -> Vec<usize> {
-    tree.cut_child_counts(id, dim, ncuts)
-}
-
-/// Rule counts for a simultaneous multi-dimension cut (HyperCuts),
-/// single-pass like [`simulate_cut`].
-pub fn simulate_multicut(tree: &DecisionTree, id: NodeId, dims: &[(Dim, usize)]) -> Vec<usize> {
-    tree.multicut_child_counts(id, dims)
-}
-
 /// Dimensions ordered by decreasing distinct-range count; dimensions
 /// whose node range cannot be cut (length < 2) are excluded.
 pub fn dims_by_distinct_ranges(tree: &DecisionTree, id: NodeId) -> Vec<(Dim, usize)> {
@@ -144,10 +130,12 @@ mod tests {
         assert!(interior_endpoints(&t, t.root(), Dim::SrcIp).is_empty());
     }
 
+    // The builders price a cut by the counts `cut_child_counts` simulates
+    // without materialising children; they must equal the real cut's.
     #[test]
     fn simulate_cut_matches_real_cut() {
         let mut t = tree();
-        let sim = simulate_cut(&t, t.root(), Dim::DstPort, 4);
+        let sim = t.cut_child_counts(t.root(), &[(Dim::DstPort, 4)]);
         let kids = t.cut_node(t.root(), Dim::DstPort, 4);
         let real: Vec<usize> = kids.iter().map(|&k| t.node(k).num_rules()).collect();
         assert_eq!(sim, real);
@@ -157,7 +145,7 @@ mod tests {
     fn simulate_multicut_matches_real() {
         let mut t = tree();
         let dims = [(Dim::DstPort, 2), (Dim::Proto, 2)];
-        let sim = simulate_multicut(&t, t.root(), &dims);
+        let sim = t.cut_child_counts(t.root(), &dims);
         let kids = t.multicut_node(t.root(), &dims);
         let real: Vec<usize> = kids.iter().map(|&k| t.node(k).num_rules()).collect();
         assert_eq!(sim, real);

@@ -17,7 +17,7 @@
 //! Recursion stops at 16 rules per leaf, depth 200 (FiCuts: 100) or 2M
 //! nodes.
 
-use crate::common::{simulate_cut, simulate_multicut, SPLIT_LIMITS};
+use crate::common::SPLIT_LIMITS;
 use crate::hypersplit::split_subtrees;
 use classbench::{Dim, RuleSet};
 use dtree::{DecisionTree, NodeId, RuleId};
@@ -75,7 +75,7 @@ fn ficuts(tree: &mut DecisionTree, root: NodeId, dims: &[Dim]) -> Vec<NodeId> {
         let children = match dims {
             [d] => {
                 let fan = FICUTS_FANOUT.min(tree.node(id).space.range(*d).len().max(2) as usize);
-                if simulate_cut(tree, id, *d, fan).iter().all(|&c| c >= n) {
+                if tree.cut_child_counts(id, &[(*d, fan)]).iter().all(|&c| c >= n) {
                     remaining.push(id);
                     continue;
                 }
@@ -84,7 +84,7 @@ fn ficuts(tree: &mut DecisionTree, root: NodeId, dims: &[Dim]) -> Vec<NodeId> {
             [a, b] => {
                 let fan = (FICUTS_FANOUT / 2).max(2);
                 let spec = [(*a, fan), (*b, fan)];
-                if simulate_multicut(tree, id, &spec).iter().all(|&c| c >= n) {
+                if tree.cut_child_counts(id, &spec).iter().all(|&c| c >= n) {
                     remaining.push(id);
                     continue;
                 }

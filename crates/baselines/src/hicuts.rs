@@ -8,7 +8,7 @@
 //! optimisation (drop rules shadowed by a covering higher-priority
 //! rule). Recursion stops at 16 rules per leaf, depth 100 or 2M nodes.
 
-use crate::common::{dims_by_distinct_ranges, simulate_cut, Limits, LIMITS};
+use crate::common::{dims_by_distinct_ranges, Limits, LIMITS};
 use classbench::{Dim, RuleSet};
 use dtree::{DecisionTree, NodeId};
 
@@ -35,7 +35,7 @@ fn choose_ncuts(tree: &DecisionTree, id: NodeId, dim: Dim) -> Option<usize> {
     let mut best: Option<usize> = None;
     let mut ncuts = 2usize;
     while ncuts <= MAX_CUTS && (ncuts as u64) <= range_len.max(2) {
-        let counts = simulate_cut(tree, id, dim, ncuts);
+        let counts = tree.cut_child_counts(id, &[(dim, ncuts)]);
         if space_measure(&counts) > budget {
             break;
         }

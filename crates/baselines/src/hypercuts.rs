@@ -10,7 +10,7 @@
 //! Children apply the rule-overlap optimisation. Recursion stops at 16
 //! rules per leaf, depth 100 or 2M nodes.
 
-use crate::common::{dims_by_distinct_ranges, simulate_multicut, LIMITS};
+use crate::common::{dims_by_distinct_ranges, LIMITS};
 use classbench::{Dim, RuleSet};
 use dtree::{DecisionTree, NodeId};
 
@@ -61,7 +61,7 @@ fn choose_multicut(tree: &DecisionTree, id: NodeId) -> Option<Vec<(Dim, usize)>>
         let current_worst = if current.is_empty() {
             n
         } else {
-            *simulate_multicut(tree, id, &current).iter().max().unwrap_or(&n)
+            *tree.cut_child_counts(id, &current).iter().max().unwrap_or(&n)
         };
 
         let mut best: Option<(usize, usize)> = None; // (candidate idx, worst child)
@@ -81,7 +81,7 @@ fn choose_multicut(tree: &DecisionTree, id: NodeId) -> Option<Vec<(Dim, usize)>>
             if trial.is_empty() {
                 continue;
             }
-            let worst = *simulate_multicut(tree, id, &trial).iter().max().unwrap();
+            let worst = *tree.cut_child_counts(id, &trial).iter().max().unwrap();
             if worst < current_worst && best.is_none_or(|(_, w)| worst < w) {
                 best = Some((i, worst));
             }
@@ -98,7 +98,7 @@ fn choose_multicut(tree: &DecisionTree, id: NodeId) -> Option<Vec<(Dim, usize)>>
         return None;
     }
     // Require progress.
-    let sim = simulate_multicut(tree, id, &chosen);
+    let sim = tree.cut_child_counts(id, &chosen);
     if sim.iter().any(|&c| c < n) {
         Some(chosen)
     } else {

@@ -12,8 +12,9 @@
 //!    paper's production width, where the batched policy forward
 //!    shares the bill). Reported as env-steps/sec *and* episodes/sec.
 //! 2. **Baseline build times** for HiCuts, HyperCuts, EffiCuts, and
-//!    CutSplit — the same single-pass assignment kernels drive their
-//!    `simulate_*` probes and expansions.
+//!    CutSplit — one route per expansion kind maps each rule to its
+//!    children, for the baselines' count probes (`cut_child_counts`,
+//!    `dense_child_counts`) and expansions alike.
 //! 3. **Ground truth**: every tree the benchmark touches (one episode
 //!    tree per width, every baseline) is verified packet-for-packet
 //!    against the rule set's linear scan; any mismatch exits non-zero,

@@ -106,25 +106,6 @@ impl DimRange {
         self.intersect(space).len() as f64 / space.len() as f64
     }
 
-    /// Split the range into `n` equal-size sub-ranges (the last absorbs
-    /// any remainder). Requires `n >= 1`.
-    ///
-    /// This is HiCuts-style equal-size cutting; degenerate ranges shorter
-    /// than `n` produce fewer, possibly empty, children clamped to `hi`.
-    pub fn split_equal(&self, n: usize) -> Vec<DimRange> {
-        assert!(n >= 1, "cannot split into zero pieces");
-        let n64 = n as u64;
-        let step = (self.len() / n64).max(1);
-        let mut out = Vec::with_capacity(n);
-        let mut lo = self.lo;
-        for i in 0..n64 {
-            let hi = if i == n64 - 1 { self.hi } else { (lo + step).min(self.hi) };
-            out.push(DimRange { lo, hi: hi.max(lo) });
-            lo = hi.max(lo);
-        }
-        out
-    }
-
     /// Split at `point` into `[lo, point)` and `[point, hi)`.
     ///
     /// `point` is clamped into the range, so an out-of-range threshold
@@ -201,37 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn split_equal_covers_whole_range() {
-        let r = DimRange::new(0, 100);
-        let parts = r.split_equal(4);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts[0], DimRange::new(0, 25));
-        assert_eq!(parts[3].hi, 100);
-        let total: u64 = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn split_equal_with_remainder() {
-        let r = DimRange::new(0, 10);
-        let parts = r.split_equal(4);
-        // step = 2, last child absorbs remainder [6, 10).
-        assert_eq!(parts[0], DimRange::new(0, 2));
-        assert_eq!(parts[3], DimRange::new(6, 10));
-    }
-
-    #[test]
-    fn split_equal_degenerate_tiny_range() {
-        let r = DimRange::new(5, 7);
-        let parts = r.split_equal(8);
-        assert_eq!(parts.len(), 8);
-        let total: u64 = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, 2);
-        // No inverted ranges.
-        assert!(parts.iter().all(|p| p.lo <= p.hi));
-    }
-
-    #[test]
     fn split_at_clamps() {
         let r = DimRange::new(10, 20);
         let (a, b) = r.split_at(15);
@@ -254,21 +204,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_split_equal_partitions(lo in 0u64..1000, len in 0u64..10_000, n in 1usize..33) {
-            let r = DimRange::new(lo, lo + len);
-            let parts = r.split_equal(n);
-            prop_assert_eq!(parts.len(), n);
-            // Children tile the parent: contiguous, in order, total length preserved.
-            let mut cursor = r.lo;
-            for p in &parts {
-                prop_assert_eq!(p.lo, cursor);
-                prop_assert!(p.hi >= p.lo);
-                cursor = p.hi;
-            }
-            prop_assert_eq!(cursor, r.hi);
-        }
-
         #[test]
         fn prop_intersect_commutative(a_lo in 0u64..1000, a_len in 0u64..1000,
                                       b_lo in 0u64..1000, b_len in 0u64..1000) {

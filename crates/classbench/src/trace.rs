@@ -301,20 +301,6 @@ pub fn trace_hash(trace: &[Packet]) -> u64 {
     h
 }
 
-/// Serialise a trace to the 13-bytes-per-packet wire layout.
-pub fn trace_to_bytes(trace: &[Packet]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(trace.len() * 13);
-    for p in trace {
-        buf.extend_from_slice(&p.to_wire());
-    }
-    buf
-}
-
-/// Inverse of [`trace_to_bytes`]. Trailing partial records are ignored.
-pub fn trace_from_bytes(data: &[u8]) -> Vec<Packet> {
-    data.chunks_exact(13).map(|c| Packet::from_wire(c.try_into().unwrap())).collect()
-}
-
 /// Check that every value of every packet lies inside its dimension span.
 pub fn trace_is_valid(trace: &[Packet]) -> bool {
     trace.iter().all(|p| DIMS.iter().all(|&d| p.value(d) < d.span()))
@@ -362,15 +348,6 @@ mod tests {
         // Skew means a decent fraction hits the top half of the rule list.
         let top_half_hits = trace.iter().filter(|p| rs.classify(p).unwrap() < rs.len() / 2).count();
         assert!(top_half_hits > trace.len() / 2);
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let rs = rules();
-        let trace = generate_trace(&rs, &TraceConfig::new(64));
-        let bytes = trace_to_bytes(&trace);
-        assert_eq!(bytes.len(), 64 * 13);
-        assert_eq!(trace_from_bytes(&bytes), trace);
     }
 
     #[test]

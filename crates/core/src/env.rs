@@ -121,11 +121,6 @@ impl EpisodeState {
     pub fn pending(&self) -> Option<&PendingDecision> {
         self.pending.as_ref()
     }
-
-    /// Number of decisions recorded so far.
-    pub fn num_samples(&self) -> usize {
-        self.samples.len()
-    }
 }
 
 /// The NeuroCuts environment. Clones share the rule set and the

@@ -53,7 +53,8 @@
 //! each field lies inside its dimension's span, which the reciprocal
 //! cut indexing relies on (all dividends and divisors fit in 32 bits).
 
-use crate::node::{NodeKind, RuleId};
+use crate::node::{precedence, NodeKind, RuleId};
+use crate::space::EqualCut;
 use crate::tree::DecisionTree;
 use classbench::{DimRange, Packet, NUM_DIMS};
 use std::collections::VecDeque;
@@ -328,7 +329,7 @@ impl FlatTree {
         // Active rules in precedence order; remember original ids.
         let mut order: Vec<RuleId> =
             (0..tree.rules().len()).filter(|&r| tree.is_active(r)).collect();
-        order.sort_by(|&a, &b| tree.rule(b).priority.cmp(&tree.rule(a).priority).then(a.cmp(&b)));
+        order.sort_by_key(|&r| precedence(tree.rule(r).priority, r));
         let mut table_index = vec![u32::MAX; tree.rules().len()];
         let n = order.len();
         let mut orig_ids = Vec::with_capacity(n);
@@ -413,7 +414,7 @@ impl FlatTree {
                     FlatNode::Cut {
                         dim: dim.index() as u8,
                         lo: range.lo,
-                        magic: step_magic((range.len() / *ncuts as u64).max(1)),
+                        magic: step_magic(EqualCut::new(range, *ncuts).step),
                         ncuts: *ncuts as u32,
                         base,
                     }
@@ -425,7 +426,7 @@ impl FlatTree {
                         flat.cut_dims.push(FlatCutDim {
                             dim: dim.index() as u8,
                             lo: range.lo,
-                            magic: step_magic((range.len() / ncuts as u64).max(1)),
+                            magic: step_magic(EqualCut::new(range, ncuts).step),
                             ncuts: ncuts as u32,
                         });
                     }

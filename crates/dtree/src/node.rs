@@ -3,6 +3,7 @@
 use crate::space::NodeSpace;
 use classbench::Dim;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Index of a node in its tree's arena.
 pub type NodeId = usize;
@@ -12,6 +13,15 @@ pub type NodeId = usize;
 /// Rule ids never shift: incremental updates append to the arena and
 /// mark deletions, so leaf rule lists stay valid across updates.
 pub type RuleId = usize;
+
+/// The precedence key of rule `id` at `priority`: the smaller key wins,
+/// so higher priority comes first and ties go to the lower id. Tree
+/// lookups, leaf lists, the compiled rank table and the serving overlay
+/// all order rules by it, as the linear-scan ground truth does.
+#[inline]
+pub(crate) fn precedence(priority: i32, id: RuleId) -> (Reverse<i32>, RuleId) {
+    (Reverse(priority), id)
+}
 
 /// A node's rule list as a `(start, len)` window into the tree's shared
 /// rule-id pool ([`crate::DecisionTree`] owns one growable `Vec<RuleId>`

@@ -49,7 +49,7 @@
 //! bounds the retired set as it bounds the overlay.
 
 use crate::flat::{FlatTree, NoSkip, RankSkip};
-use crate::node::RuleId;
+use crate::node::{precedence, RuleId};
 use crate::tree::DecisionTree;
 use crate::updates::{self, UpdateError, UpdateLog};
 use crate::wal;
@@ -111,8 +111,6 @@ impl Default for RebuildPolicy {
 pub struct Snapshot {
     /// Epoch this snapshot was published at (monotonic per handle).
     epoch: u64,
-    /// [`DecisionTree::generation`] this snapshot faithfully serves.
-    tree_generation: u64,
     /// The compiled tree. Shared (never copied) by every snapshot
     /// until a rebuild replaces it.
     flat: Arc<FlatTree>,
@@ -130,11 +128,6 @@ impl Snapshot {
     /// The epoch this snapshot was published at.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The tree generation this snapshot serves exactly.
-    pub fn tree_generation(&self) -> u64 {
-        self.tree_generation
     }
 
     /// The compiled tree inside (stats, resident bytes, …), as
@@ -177,11 +170,7 @@ impl Snapshot {
             (Some(rank), Some((oid, oprio))) => {
                 let fid = self.flat.rank_to_id(rank);
                 let fprio = self.flat.rank_priority(rank);
-                if oprio > fprio || (oprio == fprio && oid < fid) {
-                    Some(oid)
-                } else {
-                    Some(fid)
-                }
+                Some(if precedence(oprio, oid) < precedence(fprio, fid) { oid } else { fid })
             }
         }
     }
@@ -398,7 +387,6 @@ impl UpdateStats {
 pub struct RuleSnapshot {
     rules: RuleSet,
     map: Vec<RuleId>,
-    generation: u64,
     epoch: u64,
 }
 
@@ -422,12 +410,6 @@ impl RuleSnapshot {
     /// `map[i]` = handle-arena id of snapshot rule `i`.
     pub fn map(&self) -> &[RuleId] {
         &self.map
-    }
-
-    /// The tree generation at snapshot time (updates applied since then
-    /// are reconciled by [`ClassifierHandle::adopt`]).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The published epoch at snapshot time.
@@ -549,7 +531,6 @@ impl ClassifierHandle {
         debug_assert!(!flat.is_stale(&tree));
         let published = Arc::new(Snapshot {
             epoch,
-            tree_generation: tree.generation(),
             flat: flat.clone(),
             retired: Arc::default(),
             overlay: Arc::new(Vec::new()),
@@ -647,9 +628,7 @@ impl ClassifierHandle {
             let pos = s
                 .overlay
                 .iter()
-                .position(|(oid, r)| {
-                    rule.priority > r.priority || (rule.priority == r.priority && id < *oid)
-                })
+                .position(|(oid, r)| precedence(rule.priority, id) < precedence(r.priority, *oid))
                 .unwrap_or(s.overlay.len());
             s.overlay.insert(pos, (id, rule));
         }
@@ -665,30 +644,16 @@ impl ClassifierHandle {
     /// unknown/already-deleted ids without touching the serving state.
     pub fn delete(&self, id: RuleId) -> Result<(), UpdateError> {
         let mut s = self.state.write();
-        // Admission-check first (mirroring `delete_rule`'s own guards)
-        // so only deletes that will actually land reach the WAL; then
-        // log before mutating.
-        let err = if id >= s.tree.rules().len() {
-            Some(UpdateError::UnknownRule(id))
-        } else if !s.tree.is_active(id) {
-            Some(UpdateError::InactiveRule(id))
-        } else {
-            None
-        };
-        if let Some(err) = err {
+        // Admission-check first so only deletes that will land reach the
+        // WAL; then log before mutating.
+        if let Err(err) = updates::check_deletable(&s.tree, id) {
             s.last_error = Some(err.to_string());
             return Err(err);
         }
         if let Err(kind) = Self::wal_append_locked(&mut s, &wal::WalRecord::Delete { id }) {
             return Err(UpdateError::WalAppend { kind });
         }
-        let refilled = match updates::delete_and_refill(&mut s.tree, id) {
-            Ok(refilled) => refilled,
-            Err(err) => {
-                s.last_error = Some(err.to_string());
-                return Err(err);
-            }
-        };
+        let refilled = updates::delete_and_refill(&mut s.tree, id);
         s.log.deleted += 1;
         s.total_deleted += 1;
         // Check the rebuild policy *first*: when this delete tips the
@@ -741,14 +706,13 @@ impl ClassifierHandle {
             .filter(|&id| s.tree.is_active(id))
             .map(|id| (id, s.tree.rule(id).clone()))
             .collect();
-        // Stable sort by descending priority: exactly the order
-        // `RuleSet::new` imposes, with ascending handle id as the tie
-        // order — so snapshot-id precedence maps onto handle-id
-        // precedence and grafting preserves every tie-break.
-        pairs.sort_by_key(|(_, r)| std::cmp::Reverse(r.priority));
+        // Precedence order, which `RuleSet::new`'s stable sort by
+        // descending priority keeps: snapshot-id precedence maps onto
+        // handle-id precedence, and grafting preserves every tie-break.
+        pairs.sort_by_key(|(id, r)| precedence(r.priority, *id));
         let map: Vec<RuleId> = pairs.iter().map(|&(id, _)| id).collect();
         let rules = RuleSet::new(pairs.into_iter().map(|(_, r)| r).collect());
-        RuleSnapshot { rules, map, generation: s.tree.generation(), epoch: s.published.epoch }
+        RuleSnapshot { rules, map, epoch: s.published.epoch }
     }
 
     /// Swap in an externally built tree (typically a background retrain
@@ -1048,7 +1012,6 @@ impl ClassifierHandle {
         // content claim.
         s.published = Arc::new(Snapshot {
             epoch,
-            tree_generation: s.tree.generation(),
             flat: s.flat.clone(),
             retired: s.retired.clone(),
             overlay: Arc::new(s.overlay.clone()),

@@ -61,12 +61,11 @@ impl NodeSpace {
 
     /// Cut along `dim` into `ncuts` equal sub-boxes (HiCuts-style).
     pub fn cut(&self, dim: Dim, ncuts: usize) -> Vec<NodeSpace> {
-        self.ranges[dim.index()]
-            .split_equal(ncuts)
-            .into_iter()
-            .map(|r| {
+        let cut = EqualCut::new(self.range(dim), ncuts);
+        (0..ncuts)
+            .map(|i| {
                 let mut s = *self;
-                s.ranges[dim.index()] = r;
+                s.ranges[dim.index()] = cut.range(i);
                 s
             })
             .collect()
@@ -96,32 +95,63 @@ impl NodeSpace {
         (left, right)
     }
 
-    /// Shrink each dimension to the tight bounding box of the given rules
-    /// clipped to this space (HyperCuts' *region compaction* optimisation).
-    ///
-    /// Returns `None` when `rules` is empty (nothing to bound).
-    pub fn compact_to_rules<'a>(
-        &self,
-        rules: impl IntoIterator<Item = &'a Rule>,
-    ) -> Option<NodeSpace> {
-        let mut bounds: Option<[DimRange; NUM_DIMS]> = None;
-        for rule in rules {
-            let clipped: [DimRange; NUM_DIMS] =
-                std::array::from_fn(|i| rule.ranges[i].intersect(&self.ranges[i]));
-            bounds = Some(match bounds {
-                None => clipped,
-                Some(b) => std::array::from_fn(|i| DimRange {
-                    lo: b[i].lo.min(clipped[i].lo),
-                    hi: b[i].hi.max(clipped[i].hi),
-                }),
-            });
-        }
-        bounds.map(|ranges| NodeSpace { ranges })
-    }
-
     /// True when any dimension's range is empty (the box covers nothing).
     pub fn is_empty(&self) -> bool {
         self.ranges.iter().any(|r| r.is_empty())
+    }
+}
+
+/// An equal-size cut of one dimension's range `[lo, hi)` into `n`
+/// children (HiCuts-style): child `i` covers `[lo + i·step, lo +
+/// (i+1)·step)` and the last child absorbs the remainder. A range
+/// shorter than `n` gets `step` 1 and empty trailing children anchored
+/// at `hi`. The one statement of the cut geometry: child spaces, packet
+/// routing, rule routing and the compiled step all read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EqualCut {
+    /// Inclusive lower bound of the cut range.
+    pub(crate) lo: u64,
+    /// Exclusive upper bound of the cut range.
+    pub(crate) hi: u64,
+    /// Width of every child but the last: `max(len / n, 1)`.
+    pub(crate) step: u64,
+    /// Number of children.
+    pub(crate) n: usize,
+}
+
+impl EqualCut {
+    /// Cut `range` into `n` children.
+    ///
+    /// # Panics
+    /// Panics if `n` is 0.
+    #[inline]
+    pub(crate) fn new(range: &DimRange, n: usize) -> Self {
+        assert!(n >= 1, "cannot cut into zero pieces");
+        EqualCut { lo: range.lo, hi: range.hi, step: (range.len() / n as u64).max(1), n }
+    }
+
+    /// The child value `v` descends into, clamped so values outside the
+    /// range map to the nearest end child.
+    #[inline]
+    pub(crate) fn child(&self, v: u64) -> usize {
+        (v.saturating_sub(self.lo) / self.step).min(self.n as u64 - 1) as usize
+    }
+
+    /// The inclusive child-index range a rule projection `[rl, rh)`
+    /// that overlaps `[lo, hi)` lands in: exactly the children whose
+    /// [`Self::range`] overlaps it under the half-open predicate. A
+    /// rule reaching past `hi` also overlaps the empty children
+    /// anchored there, so it runs to the last child.
+    #[inline]
+    pub(crate) fn children(&self, rl: u64, rh: u64) -> (usize, usize) {
+        let last = if rh > self.hi { self.n - 1 } else { self.child(rh.saturating_sub(1)) };
+        (self.child(rl), last)
+    }
+
+    /// The range child `i` covers.
+    pub(crate) fn range(&self, i: usize) -> DimRange {
+        let start = |k: usize| (self.lo + k as u64 * self.step).min(self.hi);
+        DimRange { lo: start(i), hi: if i + 1 == self.n { self.hi } else { start(i + 1) } }
     }
 }
 
@@ -202,19 +232,63 @@ mod tests {
     }
 
     #[test]
-    fn region_compaction_bounds_rules() {
-        let s = NodeSpace::full();
-        let mut r1 = Rule::default_rule(0);
-        r1.ranges[Dim::SrcPort.index()] = DimRange::new(100, 200);
-        let mut r2 = Rule::default_rule(0);
-        r2.ranges[Dim::SrcPort.index()] = DimRange::new(150, 400);
-        let c = s.compact_to_rules([&r1, &r2]).unwrap();
-        assert_eq!(c.range(Dim::SrcPort), &DimRange::new(100, 400));
-        assert_eq!(c.range(Dim::DstIp), s.range(Dim::DstIp));
-        assert!(s.compact_to_rules(std::iter::empty()).is_none());
+    fn equal_cut_covers_whole_range() {
+        let cut = EqualCut::new(&DimRange::new(0, 100), 4);
+        assert_eq!(cut.range(0), DimRange::new(0, 25));
+        assert_eq!(cut.range(3), DimRange::new(75, 100));
+        assert_eq!((0..4).map(|i| cut.range(i).len()).sum::<u64>(), 100);
+    }
+
+    #[test]
+    fn equal_cut_last_child_absorbs_remainder() {
+        // step = 2, so the last child takes [6, 10).
+        let cut = EqualCut::new(&DimRange::new(0, 10), 4);
+        assert_eq!(cut.step, 2);
+        assert_eq!(cut.range(0), DimRange::new(0, 2));
+        assert_eq!(cut.range(3), DimRange::new(6, 10));
+        assert_eq!(cut.child(9), 3);
+        assert_eq!(cut.child(1_000), 3, "values past hi clamp to the last child");
+    }
+
+    #[test]
+    fn equal_cut_degenerate_tiny_range() {
+        // Two values cut into 8: two unit children, then six empty ones
+        // anchored at hi, which a rule reaching past hi still overlaps.
+        let cut = EqualCut::new(&DimRange::new(5, 7), 8);
+        assert_eq!((cut.range(0), cut.range(1)), (DimRange::exact(5), DimRange::exact(6)));
+        assert!((2..8).all(|i| cut.range(i) == DimRange { lo: 7, hi: 7 }));
+        assert_eq!(cut.children(6, 7), (1, 1));
+        assert_eq!(cut.children(6, 9), (1, 7));
     }
 
     proptest! {
+        #[test]
+        fn prop_equal_cut_contract(
+            lo in 0u64..1000, len in prop_oneof![0u64..40, 0u64..10_000], n in 1usize..33,
+            v in 0u64..12_000, a in 0u64..12_000, b in 0u64..12_000)
+        {
+            let parent = DimRange::new(lo, lo + len);
+            let cut = EqualCut::new(&parent, n);
+            let kids: Vec<DimRange> = (0..n).map(|i| cut.range(i)).collect();
+            // The children tile the parent: contiguous, in order, none inverted.
+            prop_assert_eq!(kids[0].lo, parent.lo);
+            prop_assert_eq!(kids[n - 1].hi, parent.hi);
+            prop_assert!(kids.windows(2).all(|w| w[0].hi == w[1].lo));
+            prop_assert!(kids.iter().all(|k| k.lo <= k.hi));
+            // A value falls in the child whose range holds it.
+            if parent.contains(v) {
+                prop_assert!(kids[cut.child(v)].contains(v));
+            }
+            // A rule overlapping the parent lands in exactly the children
+            // it overlaps, empty trailing children included.
+            let rule = DimRange::new(a.min(b), a.max(b) + 1);
+            if rule.overlaps(&parent) {
+                let (first, last) = cut.children(rule.lo, rule.hi);
+                let overlapped: Vec<usize> = (0..n).filter(|&i| kids[i].overlaps(&rule)).collect();
+                prop_assert_eq!((first..=last).collect::<Vec<_>>(), overlapped);
+            }
+        }
+
         #[test]
         fn prop_cut_children_disjoint_and_complete(
             ncuts in 1usize..33, dim_idx in 0usize..5,

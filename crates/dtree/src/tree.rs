@@ -1,10 +1,12 @@
 //! The arena-backed decision tree and its expansion operations.
 
-use crate::node::{Node, NodeId, NodeKind, RuleId, RuleSpan};
-use crate::space::NodeSpace;
+use crate::node::{precedence, Node, NodeId, NodeKind, RuleId, RuleSpan};
+use crate::space::{EqualCut, NodeSpace};
 use crate::store::RuleStore;
-use classbench::{Dim, DimRange, Packet, Rule, RuleSet, NUM_DIMS};
+use crate::updates;
+use classbench::{Dim, DimRange, Packet, Rule, RuleSet, DIMS, NUM_DIMS};
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Bit set in the separability cache when a node's mask is computed.
@@ -129,7 +131,7 @@ impl Deserialize for DecisionTree {
             nodes.push(Node { space, span, kind, depth, parent });
         }
         let root: NodeId = Deserialize::deserialize_value(field("root")?)?;
-        check_structure(rules.len(), active.len(), &nodes, &pool, root)
+        check_structure(&rules, active.len(), &nodes, &pool, root)
             .map_err(|why| serde::Error::custom(format!("DecisionTree: {why}")))?;
         let num_active = active.iter().filter(|&&a| a).count();
         let sep_cache = vec![0; nodes.len()];
@@ -148,23 +150,31 @@ impl Deserialize for DecisionTree {
 }
 
 /// Refuse a decoded arena that lookups, compilation or the cost model
-/// could not walk: a `root`, child or rule id out of range, an `active`
-/// list of the wrong length, an interior node with fewer than 2
-/// children or a child count its cut does not produce, and a child that
-/// does not come after its parent (the expansions always append
-/// children, so this also rules out cycles, and
-/// [`crate::stats::subtree_metrics`]' reverse pass relies on it). The
-/// root must have depth 0 and no parent; every other node must be
-/// listed as a child by exactly one node, record it as its `parent`
-/// and sit at its depth + 1, as `push_child` writes
-/// them, so a stored depth is never larger than the node count.
+/// could not walk: a rule range that is inverted or leaves its
+/// dimension's span ([`updates::check_range`]), a `root`, child or rule
+/// id out of range, an `active` list of the wrong length, an interior
+/// node with fewer than 2 children or a child count its cut does not
+/// produce, and a child that does not come after its parent (the
+/// expansions always append children, so this also rules out cycles,
+/// and [`crate::stats::subtree_metrics`]' reverse pass relies on it).
+/// The root must have depth 0 and no parent; every other node must be
+/// listed as a child by exactly one node, record it as its `parent` and
+/// sit at its depth + 1, as `push_child` writes them, so a stored depth
+/// is never larger than the node count.
 fn check_structure(
-    num_rules: usize,
+    rules: &[Rule],
     active_len: usize,
     nodes: &[Node],
     pool: &[RuleId],
     root: NodeId,
 ) -> Result<(), String> {
+    for (id, rule) in rules.iter().enumerate() {
+        for dim in DIMS {
+            updates::check_range(dim, rule.range(dim))
+                .map_err(|err| format!("rule {id}: {err}"))?;
+        }
+    }
+    let num_rules = rules.len();
     if active_len != num_rules {
         return Err(format!("`active` has {active_len} entries for {num_rules} rules"));
     }
@@ -365,8 +375,7 @@ impl DecisionTree {
     /// `true` if rule `a` takes precedence over rule `b`.
     #[inline]
     pub fn precedes(&self, a: RuleId, b: RuleId) -> bool {
-        let (pa, pb) = (self.store.rule(a).priority, self.store.rule(b).priority);
-        pa > pb || (pa == pb && a < b)
+        precedence(self.store.rule(a).priority, a) < precedence(self.store.rule(b).priority, b)
     }
 
     /// Ground-truth linear scan over the arena (used by the validator
@@ -380,16 +389,6 @@ impl DecisionTree {
             }
         }
         best
-    }
-
-    /// Index of the child a packet descends into under an equal-size cut
-    /// of `range` into `ncuts` pieces. Clamped, so packets outside the
-    /// (possibly region-compacted) range map to the nearest child; leaf
-    /// matching re-checks full rule predicates, preserving correctness.
-    #[inline]
-    fn cut_child_index(range: &classbench::DimRange, ncuts: usize, value: u64) -> usize {
-        let step = (range.len() / ncuts as u64).max(1);
-        ((value.saturating_sub(range.lo)) / step).min(ncuts as u64 - 1) as usize
     }
 
     /// Classify a packet: id of the highest-precedence matching rule.
@@ -439,18 +438,14 @@ impl DecisionTree {
                         .find(|&r| self.active[r] && self.store.rule(r).matches(packet));
                 }
                 NodeKind::Cut { dim, ncuts, children } => {
-                    let idx =
-                        Self::cut_child_index(node.space.range(*dim), *ncuts, packet.value(*dim));
-                    id = children[idx];
+                    id = children
+                        [EqualCut::new(node.space.range(*dim), *ncuts).child(packet.value(*dim))];
                 }
                 NodeKind::MultiCut { dims, children } => {
-                    let mut idx = 0usize;
-                    for &(dim, ncuts) in dims {
-                        let i =
-                            Self::cut_child_index(node.space.range(dim), ncuts, packet.value(dim));
-                        idx = idx * ncuts + i;
-                    }
-                    id = children[idx];
+                    id = children[dims.iter().fold(0, |idx, &(dim, ncuts)| {
+                        idx * ncuts
+                            + EqualCut::new(node.space.range(dim), ncuts).child(packet.value(dim))
+                    })];
                 }
                 NodeKind::DenseCut { dim, bounds, children } => {
                     let v = packet.value(*dim);
@@ -482,71 +477,71 @@ impl DecisionTree {
         }
     }
 
-    /// Inclusive child-index range a rule with raw projection
-    /// `[rl, rh)` overlaps under an equal-size cut of `range` into
-    /// `ncuts` pieces with the given `step`. Matches the per-child
-    /// `DimRange::overlaps` filter exactly, including the degenerate
-    /// tail (ranges shorter than `ncuts` produce empty trailing
-    /// children anchored at `range.hi`, which a rule extending past
-    /// `range.hi` *does* overlap under the half-open predicate).
-    #[inline]
-    fn cut_span_of(range: &DimRange, step: u64, ncuts: usize, rl: u64, rh: u64) -> (usize, usize) {
-        let first = ((rl.max(range.lo) - range.lo) / step).min(ncuts as u64 - 1) as usize;
-        let last = if rh > range.hi {
-            ncuts - 1
-        } else {
-            (((rh - 1).max(range.lo) - range.lo) / step).min(ncuts as u64 - 1) as usize
-        };
-        (first, last)
+    /// How many rules each child of `route` receives: one counting
+    /// pass over the node's active rules that intersect its space.
+    fn route_counts(&self, id: NodeId, route: &Route) -> Vec<usize> {
+        let node = &self.nodes[id];
+        let mut counts = vec![0usize; route.len()];
+        for &r in self.span_slice(node.span) {
+            if self.active[r] && self.store.intersects(r, &node.space) {
+                route.for_each_child(&self.store, r, |run| {
+                    counts[run].iter_mut().for_each(|c| *c += 1);
+                });
+            }
+        }
+        counts
     }
 
-    /// Single-pass child assignment: size every child's span (counting
-    /// pass), reserve them contiguously in the pool, then write each
-    /// active, parent-intersecting rule into the children reported by
-    /// `children_of` (inclusive index range). Rules land in each child
-    /// in parent order, so child lists are exactly the old per-child
-    /// filter's output. Zero allocations besides the single pool grow
-    /// and the per-child bookkeeping.
-    fn assign_spans(
-        &mut self,
-        id: NodeId,
-        nchildren: usize,
-        children_of: impl Fn(&RuleStore, RuleId) -> (usize, usize),
-    ) -> Vec<RuleSpan> {
-        let parent = self.nodes[id].span;
-        let space = self.nodes[id].space;
-        let mut counts = vec![0usize; nchildren];
-        for i in parent.start..parent.start + parent.len {
-            let r = self.pool[i];
-            if !self.active[r] || !self.store.intersects(r, &space) {
-                continue;
-            }
-            let (first, last) = children_of(&self.store, r);
-            for c in &mut counts[first..=last] {
-                *c += 1;
-            }
-        }
-        let mut spans = Vec::with_capacity(nchildren);
-        let mut cursors = Vec::with_capacity(nchildren);
+    /// Single-pass child assignment: size every child's span with
+    /// [`Self::route_counts`], reserve them contiguously in the pool,
+    /// then write each rule the counting pass saw into the children
+    /// `route` sends it to. Rules land in each child in parent order, so
+    /// child lists are exactly a per-child overlap filter's output.
+    fn assign_spans(&mut self, id: NodeId, route: &Route) -> Vec<RuleSpan> {
         let mut offset = self.pool.len();
-        for &c in &counts {
-            spans.push(RuleSpan { start: offset, len: c });
-            cursors.push(offset);
-            offset += c;
-        }
+        let spans: Vec<RuleSpan> = self
+            .route_counts(id, route)
+            .into_iter()
+            .map(|len| {
+                offset += len;
+                RuleSpan { start: offset - len, len }
+            })
+            .collect();
         self.pool.resize(offset, 0);
+        let mut cursors: Vec<usize> = spans.iter().map(|s| s.start).collect();
+        let Node { span: parent, space, .. } = self.nodes[id];
         for i in parent.start..parent.start + parent.len {
             let r = self.pool[i];
-            if !self.active[r] || !self.store.intersects(r, &space) {
-                continue;
-            }
-            let (first, last) = children_of(&self.store, r);
-            for cur in &mut cursors[first..=last] {
-                self.pool[*cur] = r;
-                *cur += 1;
+            if self.active[r] && self.store.intersects(r, &space) {
+                let pool = &mut self.pool;
+                route.for_each_child(&self.store, r, |run| {
+                    for cur in &mut cursors[run] {
+                        pool[*cur] = r;
+                        *cur += 1;
+                    }
+                });
             }
         }
         spans
+    }
+
+    /// Expand leaf `id`: one child per entry of `spaces`, holding the
+    /// rules `route` assigns it, recorded as the node kind `kind` builds
+    /// from the new child ids.
+    fn expand(
+        &mut self,
+        id: NodeId,
+        route: &Route,
+        spaces: Vec<NodeSpace>,
+        kind: impl FnOnce(Vec<NodeId>) -> NodeKind,
+    ) -> Vec<NodeId> {
+        assert!(self.nodes[id].is_leaf(), "node {id} already expanded");
+        let spans = self.assign_spans(id, route);
+        let children: Vec<NodeId> =
+            spaces.into_iter().zip(spans).map(|(s, span)| self.push_child(id, s, span)).collect();
+        self.nodes[id].kind = kind(children.clone());
+        self.bump_generation();
+        children
     }
 
     fn push_child(&mut self, parent: NodeId, space: NodeSpace, span: RuleSpan) -> NodeId {
@@ -563,21 +558,14 @@ impl DecisionTree {
     /// # Panics
     /// Panics if the node is not a leaf or `ncuts < 2`.
     pub fn cut_node(&mut self, id: NodeId, dim: Dim, ncuts: usize) -> Vec<NodeId> {
-        assert!(self.nodes[id].is_leaf(), "node {id} already expanded");
         assert!(ncuts >= 2, "a cut needs at least 2 pieces");
-        let range = *self.nodes[id].space.range(dim);
-        let step = (range.len() / ncuts as u64).max(1);
-        let d = dim.index();
-        let spans = self.assign_spans(id, ncuts, |store, r| {
-            let (rl, rh) = store.proj(d, r);
-            Self::cut_span_of(&range, step, ncuts, rl, rh)
-        });
-        let spaces = self.nodes[id].space.cut(dim, ncuts);
-        let children: Vec<NodeId> =
-            spaces.into_iter().zip(spans).map(|(s, span)| self.push_child(id, s, span)).collect();
-        self.nodes[id].kind = NodeKind::Cut { dim, ncuts, children: children.clone() };
-        self.bump_generation();
-        children
+        let space = self.nodes[id].space;
+        let route = Route::cuts(&space, &[(dim, ncuts)]);
+        self.expand(id, &route, space.cut(dim, ncuts), |children| NodeKind::Cut {
+            dim,
+            ncuts,
+            children,
+        })
     }
 
     /// Apply simultaneous cuts along several dimensions (HyperCuts).
@@ -587,7 +575,6 @@ impl DecisionTree {
     /// Panics if the node is not a leaf, `dims` is empty, contains a
     /// repeated dimension, or any count is `< 2`.
     pub fn multicut_node(&mut self, id: NodeId, dims: &[(Dim, usize)]) -> Vec<NodeId> {
-        assert!(self.nodes[id].is_leaf(), "node {id} already expanded");
         assert!(!dims.is_empty(), "multicut needs at least one dimension");
         assert!(dims.iter().all(|&(_, n)| n >= 2), "each cut needs >= 2 pieces");
         let mut seen = [false; NUM_DIMS];
@@ -595,116 +582,12 @@ impl DecisionTree {
             assert!(!seen[d.index()], "dimension {d} repeated in multicut");
             seen[d.index()] = true;
         }
-        let specs: Vec<(usize, DimRange, u64, usize)> = dims
-            .iter()
-            .map(|&(dim, n)| {
-                let range = *self.nodes[id].space.range(dim);
-                (dim.index(), range, (range.len() / n as u64).max(1), n)
-            })
-            .collect();
-        let nchildren: usize = dims.iter().map(|&(_, n)| n).product();
-        // Row-major composite index: the first dimension is the most
-        // significant digit, matching `NodeSpace::multi_cut` and the
-        // lookup path. A single-dim multicut degenerates to the plain
-        // cut assignment; true multi-dim cuts enumerate the Cartesian
-        // product of each rule's per-dimension index ranges.
-        let spans = if let [(d, range, step, n)] = specs[..] {
-            self.assign_spans(id, nchildren, |store, r| {
-                let (rl, rh) = store.proj(d, r);
-                Self::cut_span_of(&range, step, n, rl, rh)
-            })
-        } else {
-            self.multi_spans(id, &specs, nchildren)
-        };
-        let spaces = self.nodes[id].space.multi_cut(dims);
-        let children: Vec<NodeId> =
-            spaces.into_iter().zip(spans).map(|(s, span)| self.push_child(id, s, span)).collect();
-        self.nodes[id].kind =
-            NodeKind::MultiCut { dims: dims.to_vec(), children: children.clone() };
-        self.bump_generation();
-        children
-    }
-
-    /// Enumerate the composite (row-major) child indices rule `r`
-    /// overlaps under a multi-dimension cut and invoke `visit` on each.
-    fn for_each_multi_child(
-        store: &RuleStore,
-        specs: &[(usize, DimRange, u64, usize)],
-        r: RuleId,
-        mut visit: impl FnMut(usize),
-    ) {
-        let k = specs.len();
-        let mut first = [0usize; NUM_DIMS];
-        let mut last = [0usize; NUM_DIMS];
-        for (i, &(d, range, step, n)) in specs.iter().enumerate() {
-            let (rl, rh) = store.proj(d, r);
-            let (f, l) = Self::cut_span_of(&range, step, n, rl, rh);
-            first[i] = f;
-            last[i] = l;
-        }
-        // Odometer over the per-dimension index ranges.
-        let mut idx = first;
-        loop {
-            let mut composite = 0usize;
-            for (i, &(_, _, _, n)) in specs.iter().enumerate() {
-                composite = composite * n + idx[i];
-            }
-            visit(composite);
-            let mut dim = k;
-            loop {
-                if dim == 0 {
-                    return;
-                }
-                dim -= 1;
-                if idx[dim] < last[dim] {
-                    idx[dim] += 1;
-                    break;
-                }
-                idx[dim] = first[dim];
-            }
-        }
-    }
-
-    /// The multi-dimension analogue of [`Self::assign_spans`]: counting
-    /// pass + fill pass over composite child indices.
-    fn multi_spans(
-        &mut self,
-        id: NodeId,
-        specs: &[(usize, DimRange, u64, usize)],
-        nchildren: usize,
-    ) -> Vec<RuleSpan> {
-        let parent = self.nodes[id].span;
         let space = self.nodes[id].space;
-        let mut counts = vec![0usize; nchildren];
-        for i in parent.start..parent.start + parent.len {
-            let r = self.pool[i];
-            if !self.active[r] || !self.store.intersects(r, &space) {
-                continue;
-            }
-            Self::for_each_multi_child(&self.store, specs, r, |c| counts[c] += 1);
-        }
-        let mut spans = Vec::with_capacity(nchildren);
-        let mut cursors = Vec::with_capacity(nchildren);
-        let mut offset = self.pool.len();
-        for &c in &counts {
-            spans.push(RuleSpan { start: offset, len: c });
-            cursors.push(offset);
-            offset += c;
-        }
-        self.pool.resize(offset, 0);
-        let store = Arc::clone(&self.store);
-        for i in parent.start..parent.start + parent.len {
-            let r = self.pool[i];
-            if !self.active[r] || !store.intersects(r, &space) {
-                continue;
-            }
-            let pool = &mut self.pool;
-            Self::for_each_multi_child(&store, specs, r, |c| {
-                pool[cursors[c]] = r;
-                cursors[c] += 1;
-            });
-        }
-        spans
+        let route = Route::cuts(&space, dims);
+        self.expand(id, &route, space.multi_cut(dims), |children| NodeKind::MultiCut {
+            dims: dims.to_vec(),
+            children,
+        })
     }
 
     /// Apply an equi-dense cut at the explicit `bounds` (EffiCuts):
@@ -715,34 +598,27 @@ impl DecisionTree {
     /// increasing, do not start/end exactly at the node's range, or
     /// would create fewer than two children.
     pub fn dense_cut_node(&mut self, id: NodeId, dim: Dim, bounds: Vec<u64>) -> Vec<NodeId> {
-        assert!(self.nodes[id].is_leaf(), "node {id} already expanded");
         assert!(bounds.len() >= 3, "dense cut needs at least two children");
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must strictly increase");
-        let range = *self.nodes[id].space.range(dim);
+        let space = self.nodes[id].space;
+        let range = space.range(dim);
         assert_eq!(bounds[0], range.lo, "bounds must start at the node range");
         assert_eq!(*bounds.last().unwrap(), range.hi, "bounds must end at the node range");
         let d = dim.index();
-        let nchildren = bounds.len() - 1;
-        let spans = self.assign_spans(id, nchildren, |store, r| {
-            let (rl, rh) = store.proj(d, r);
-            // First child whose upper bound exceeds the rule's start;
-            // last child whose lower bound the rule's end exceeds.
-            let first = bounds[1..].partition_point(|&b| b <= rl).min(nchildren - 1);
-            let last = bounds[..nchildren].partition_point(|&b| b < rh).saturating_sub(1);
-            (first, last)
-        });
-        let children: Vec<NodeId> = bounds
+        let spaces = bounds
             .windows(2)
-            .zip(spans)
-            .map(|(w, span)| {
-                let mut space = self.nodes[id].space;
-                space.ranges[d] = DimRange::new(w[0], w[1]);
-                self.push_child(id, space, span)
+            .map(|w| {
+                let mut s = space;
+                s.ranges[d] = DimRange::new(w[0], w[1]);
+                s
             })
             .collect();
-        self.nodes[id].kind = NodeKind::DenseCut { dim, bounds, children: children.clone() };
-        self.bump_generation();
-        children
+        let route = Route::Dense { d, bounds: &bounds };
+        self.expand(id, &route, spaces, |children| NodeKind::DenseCut {
+            dim,
+            bounds: bounds.clone(),
+            children,
+        })
     }
 
     /// Apply a binary threshold split (HyperSplit / CutSplit):
@@ -752,23 +628,20 @@ impl DecisionTree {
     /// Panics if the node is not a leaf or the threshold is outside the
     /// node's open range (which would create an empty child).
     pub fn split_node(&mut self, id: NodeId, dim: Dim, threshold: u64) -> (NodeId, NodeId) {
-        assert!(self.nodes[id].is_leaf(), "node {id} already expanded");
-        let range = *self.nodes[id].space.range(dim);
+        let space = self.nodes[id].space;
+        let range = space.range(dim);
         assert!(
             range.lo < threshold && threshold < range.hi,
             "threshold {threshold} outside open range {range}"
         );
-        let d = dim.index();
-        let spans = self.assign_spans(id, 2, |store, r| {
-            let (rl, rh) = store.proj(d, r);
-            (if rl < threshold { 0 } else { 1 }, if rh > threshold { 1 } else { 0 })
+        let (left, right) = space.split(dim, threshold);
+        let route = Route::Split { d: dim.index(), threshold };
+        let children = self.expand(id, &route, vec![left, right], |c| NodeKind::Split {
+            dim,
+            threshold,
+            children: [c[0], c[1]],
         });
-        let (ls, rs) = self.nodes[id].space.split(dim, threshold);
-        let left = self.push_child(id, ls, spans[0]);
-        let right = self.push_child(id, rs, spans[1]);
-        self.nodes[id].kind = NodeKind::Split { dim, threshold, children: [left, right] };
-        self.bump_generation();
-        (left, right)
+        (children[0], children[1])
     }
 
     /// Apply a rule partition: children share the node's space and own
@@ -801,10 +674,7 @@ impl DecisionTree {
             .into_iter()
             .map(|mut subset| {
                 // Keep precedence order within each partition.
-                subset.sort_by(|&a, &b| {
-                    let (pa, pb) = (self.store.rule(a).priority, self.store.rule(b).priority);
-                    pb.cmp(&pa).then(a.cmp(&b))
-                });
+                subset.sort_by_key(|&r| precedence(self.store.rule(r).priority, r));
                 let span = RuleSpan { start: self.pool.len(), len: subset.len() };
                 self.pool.extend_from_slice(&subset);
                 self.push_child(id, space, span)
@@ -839,7 +709,8 @@ impl DecisionTree {
         }
     }
 
-    pub(crate) fn push_rule_impl(&mut self, rule: Rule) -> RuleId {
+    /// Append a rule to the arena, active (incremental inserts).
+    pub(crate) fn push_rule(&mut self, rule: Rule) -> RuleId {
         let id = Arc::make_mut(&mut self.store).push(rule);
         self.active.push(true);
         self.num_active += 1;
@@ -933,9 +804,10 @@ impl DecisionTree {
     }
 
     /// Load a tree saved by [`Self::to_json`]. A tree whose structure
-    /// lookups could not walk is refused with an error naming the node:
-    /// an id out of range, a child count its cut does not produce, or a
-    /// child that does not come after its parent.
+    /// lookups could not walk is refused with an error naming the node
+    /// or rule: an id out of range, a child count its cut does not
+    /// produce, a child that does not come after its parent, or a rule
+    /// range that is inverted or leaves its dimension's span.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
@@ -943,11 +815,6 @@ impl DecisionTree {
     /// Iterate over the ids of all current leaf nodes.
     pub fn leaf_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len()).filter(|&i| self.nodes[i].is_leaf())
-    }
-
-    /// Iterate over the ids of all internal (expanded) nodes.
-    pub fn internal_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).filter(|&i| !self.nodes[i].is_leaf())
     }
 
     /// True when the node holds at most `binth` rules (the standard
@@ -1050,82 +917,111 @@ impl DecisionTree {
         self.compute_separability(id) != 0
     }
 
-    /// Rule counts each child of an equal-size cut would receive,
-    /// without materialising the children: one pass over the node's
-    /// rules, O(rules + overlapped children) instead of the old
-    /// per-child rescan. Exactly the counts [`Self::cut_node`] would
-    /// assign.
-    pub fn cut_child_counts(&self, id: NodeId, dim: Dim, ncuts: usize) -> Vec<usize> {
-        let node = &self.nodes[id];
-        let range = *node.space.range(dim);
-        let step = (range.len() / ncuts as u64).max(1);
-        let d = dim.index();
-        let space = node.space;
-        let mut counts = vec![0usize; ncuts];
-        for &r in self.span_slice(node.span) {
-            if !self.active[r] || !self.store.intersects(r, &space) {
-                continue;
-            }
-            let (rl, rh) = self.store.proj(d, r);
-            let (first, last) = Self::cut_span_of(&range, step, ncuts, rl, rh);
-            for c in &mut counts[first..=last] {
-                *c += 1;
-            }
-        }
-        counts
+    /// Rule counts each child of an equal-size cut along `dims` would
+    /// receive (one dimension for a HiCuts cut, several for a
+    /// HyperCuts multicut, children row-major), without materialising
+    /// the children: exactly the counts [`Self::cut_node`] and
+    /// [`Self::multicut_node`] would assign.
+    ///
+    /// # Panics
+    /// Panics if `dims` is empty.
+    pub fn cut_child_counts(&self, id: NodeId, dims: &[(Dim, usize)]) -> Vec<usize> {
+        self.route_counts(id, &Route::cuts(&self.nodes[id].space, dims))
     }
 
-    /// Rule counts for a simultaneous multi-dimension cut (HyperCuts),
-    /// single-pass like [`Self::cut_child_counts`].
-    pub fn multicut_child_counts(&self, id: NodeId, dims: &[(Dim, usize)]) -> Vec<usize> {
-        let node = &self.nodes[id];
-        let specs: Vec<(usize, DimRange, u64, usize)> = dims
-            .iter()
-            .map(|&(dim, n)| {
-                let range = *node.space.range(dim);
-                (dim.index(), range, (range.len() / n as u64).max(1), n)
-            })
-            .collect();
-        let nchildren: usize = dims.iter().map(|&(_, n)| n).product();
-        let space = node.space;
-        let mut counts = vec![0usize; nchildren];
-        for &r in self.span_slice(node.span) {
-            if !self.active[r] || !self.store.intersects(r, &space) {
-                continue;
-            }
-            Self::for_each_multi_child(&self.store, &specs, r, |c| counts[c] += 1);
-        }
-        counts
-    }
-
-    /// Rule counts each equi-dense-cut child would receive, single-pass
-    /// (EffiCuts' progress probe).
+    /// Rule counts each equi-dense-cut child would receive (EffiCuts'
+    /// progress probe): exactly the counts [`Self::dense_cut_node`]
+    /// would assign.
     pub fn dense_child_counts(&self, id: NodeId, dim: Dim, bounds: &[u64]) -> Vec<usize> {
-        let node = &self.nodes[id];
-        let d = dim.index();
-        let nchildren = bounds.len() - 1;
-        let space = node.space;
-        let mut counts = vec![0usize; nchildren];
-        for &r in self.span_slice(node.span) {
-            if !self.active[r] || !self.store.intersects(r, &space) {
-                continue;
-            }
-            let (rl, rh) = self.store.proj(d, r);
-            let first = bounds[1..].partition_point(|&b| b <= rl).min(nchildren - 1);
-            let last = bounds[..nchildren].partition_point(|&b| b < rh).saturating_sub(1);
-            for c in &mut counts[first..=last] {
-                *c += 1;
-            }
-        }
-        counts
+        self.route_counts(id, &Route::Dense { d: dim.index(), bounds })
+    }
+}
+
+/// How one expansion sends a rule to its children. Every expansion but
+/// a partition builds one, and [`Route::for_each_child`] is the only
+/// code that maps a rule to child indices: the counting pass
+/// ([`DecisionTree::route_counts`]), the fill pass
+/// ([`DecisionTree::assign_spans`]) and the count probes all read it.
+enum Route<'a> {
+    /// Equal cuts, one per `(dimension column, cut)`; children are
+    /// row-major, the first dimension the most significant digit.
+    Cuts(Vec<(usize, EqualCut)>),
+    /// Child `i` covers `[bounds[i], bounds[i + 1])` in column `d`.
+    Dense { d: usize, bounds: &'a [u64] },
+    /// Left child `[lo, threshold)`, right `[threshold, hi)` in column `d`.
+    Split { d: usize, threshold: u64 },
+}
+
+impl Route<'_> {
+    /// Equal cuts of `space` along `dims`.
+    fn cuts(space: &NodeSpace, dims: &[(Dim, usize)]) -> Self {
+        Route::Cuts(
+            dims.iter()
+                .map(|&(dim, n)| (dim.index(), EqualCut::new(space.range(dim), n)))
+                .collect(),
+        )
     }
 
-    /// True when cutting would make progress: at least one child would
-    /// hold strictly fewer rules than the node. Builders use this to
-    /// avoid infinite recursion when every rule spans the whole node.
-    pub fn cut_makes_progress(&self, id: NodeId, dim: Dim, ncuts: usize) -> bool {
-        let n = self.nodes[id].span.len;
-        self.cut_child_counts(id, dim, ncuts).iter().any(|&c| c < n)
+    /// Number of children.
+    fn len(&self) -> usize {
+        match self {
+            Route::Cuts(cuts) => cuts.iter().map(|(_, cut)| cut.n).product(),
+            Route::Dense { bounds, .. } => bounds.len() - 1,
+            Route::Split { .. } => 2,
+        }
+    }
+
+    /// Call `visit` with the children rule `r` lands in, as runs of
+    /// consecutive child indices. `r` must intersect the node's space;
+    /// it then lands in exactly the children whose space it overlaps.
+    #[inline]
+    fn for_each_child(
+        &self,
+        store: &RuleStore,
+        r: RuleId,
+        mut visit: impl FnMut(RangeInclusive<usize>),
+    ) {
+        match *self {
+            Route::Cuts(ref cuts) => {
+                // The last dimension's children are one run per choice
+                // of the outer dimensions' children; a plain cut has
+                // none, and an odometer walks a multicut's choices.
+                let (&(d, cut), outer) = cuts.split_last().expect("a cut has a dimension");
+                let (rl, rh) = store.proj(d, r);
+                let (f, l) = cut.children(rl, rh);
+                if outer.is_empty() {
+                    return visit(f..=l);
+                }
+                let k = outer.len();
+                let mut first = [0usize; NUM_DIMS];
+                let mut last = [0usize; NUM_DIMS];
+                for (i, &(d, cut)) in outer.iter().enumerate() {
+                    let (rl, rh) = store.proj(d, r);
+                    (first[i], last[i]) = cut.children(rl, rh);
+                }
+                let mut idx = first;
+                loop {
+                    let base = outer.iter().zip(&idx).fold(0, |b, (&(_, c), &i)| b * c.n + i);
+                    visit(base * cut.n + f..=base * cut.n + l);
+                    let Some(j) = (0..k).rev().find(|&j| idx[j] < last[j]) else { return };
+                    idx[j] += 1;
+                    idx[j + 1..k].copy_from_slice(&first[j + 1..k]);
+                }
+            }
+            Route::Dense { d, bounds } => {
+                let (rl, rh) = store.proj(d, r);
+                let n = bounds.len() - 1;
+                // First child whose upper bound exceeds the rule's start;
+                // last child whose lower bound the rule's end exceeds.
+                let first = bounds[1..].partition_point(|&b| b <= rl).min(n - 1);
+                let last = bounds[..n].partition_point(|&b| b < rh).saturating_sub(1);
+                visit(first..=last);
+            }
+            Route::Split { d, threshold } => {
+                let (rl, rh) = store.proj(d, r);
+                visit(usize::from(rl >= threshold)..=usize::from(rh > threshold));
+            }
+        }
     }
 }
 
@@ -1308,17 +1204,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_makes_progress_detection() {
-        let rs = small_rules();
-        let t = DecisionTree::new(&rs);
-        // All three rules are full-width in SrcIp: cutting there cannot
-        // separate them.
-        assert!(!t.cut_makes_progress(t.root(), Dim::SrcIp, 8));
-        // Cutting DstPort separates the low-port rule.
-        assert!(t.cut_makes_progress(t.root(), Dim::DstPort, 8));
-    }
-
-    #[test]
     fn separability_mask_matches_per_dim_queries_and_memoizes() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Ipc, 80).with_seed(9));
         let mut t = DecisionTree::new(&rs);
@@ -1348,25 +1233,38 @@ mod tests {
     #[test]
     fn child_counts_match_materialised_children() {
         let rs = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 120).with_seed(31));
+        let sizes = |t: &DecisionTree, kids: &[NodeId]| -> Vec<usize> {
+            kids.iter().map(|&k| t.rules_at(k).len()).collect()
+        };
         for ncuts in [2, 7, 32] {
             let mut t = DecisionTree::new(&rs);
-            let sim = t.cut_child_counts(t.root(), Dim::SrcIp, ncuts);
+            let sim = t.cut_child_counts(t.root(), &[(Dim::SrcIp, ncuts)]);
             let kids = t.cut_node(t.root(), Dim::SrcIp, ncuts);
-            let real: Vec<usize> = kids.iter().map(|&k| t.rules_at(k).len()).collect();
-            assert_eq!(sim, real, "ncuts {ncuts}");
+            assert_eq!(sim, sizes(&t, &kids), "ncuts {ncuts}");
         }
         let mut t = DecisionTree::new(&rs);
         let dims = [(Dim::SrcIp, 4), (Dim::DstIp, 2), (Dim::Proto, 2)];
-        let sim = t.multicut_child_counts(t.root(), &dims);
+        let sim = t.cut_child_counts(t.root(), &dims);
         let kids = t.multicut_node(t.root(), &dims);
-        let real: Vec<usize> = kids.iter().map(|&k| t.rules_at(k).len()).collect();
-        assert_eq!(sim, real);
+        assert_eq!(sim, sizes(&t, &kids));
         let mut t = DecisionTree::new(&rs);
         let bounds = vec![0, 1 << 8, 1 << 20, 1 << 30, 1 << 32];
         let sim = t.dense_child_counts(t.root(), Dim::DstIp, &bounds);
         let kids = t.dense_cut_node(t.root(), Dim::DstIp, bounds);
-        let real: Vec<usize> = kids.iter().map(|&k| t.rules_at(k).len()).collect();
-        assert_eq!(sim, real);
+        assert_eq!(sim, sizes(&t, &kids));
+        // A split sends a rule left when it starts below the threshold
+        // and right when it ends above it; both sides must match the
+        // materialised children's overlap filter.
+        for threshold in [1, 80, 1024, 65535] {
+            let mut t = DecisionTree::new(&rs);
+            let (l, r) = t.split_node(t.root(), Dim::DstPort, threshold);
+            for k in [l, r] {
+                let space = t.node(k).space;
+                let overlapping =
+                    (0..t.rules().len()).filter(|&r| space.intersects_rule(t.rule(r))).count();
+                assert_eq!(t.rules_at(k).len(), overlapping, "threshold {threshold} child {k}");
+            }
+        }
     }
 
     #[test]
@@ -1466,7 +1364,7 @@ mod tests {
         let mut t = DecisionTree::new(&rs);
         t.cut_node(t.root(), Dim::Proto, 2);
         assert_eq!(t.leaf_ids().count(), 2);
-        assert_eq!(t.internal_ids().count(), 1);
+        assert_eq!(t.nodes().iter().filter(|n| !n.is_leaf()).count(), 1);
         assert_eq!(t.num_nodes(), 3);
     }
 }

@@ -10,7 +10,7 @@
 use crate::node::{NodeId, NodeKind, RuleId};
 use crate::space::NodeSpace;
 use crate::tree::DecisionTree;
-use classbench::{Dim, Rule, DIMS};
+use classbench::{Dim, DimRange, Rule, DIMS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -75,7 +75,8 @@ impl std::fmt::Display for UpdateError {
                 write!(f, "{dim:?} range [{lo}, {hi}) has inverted bounds")
             }
             UpdateError::InvalidRange { dim, lo, hi } => {
-                write!(f, "{dim:?} range [{lo}, {hi}) is empty or exceeds the dimension span")
+                let why = if *hi > dim.span() { "exceeds the dimension span" } else { "is empty" };
+                write!(f, "{dim:?} range [{lo}, {hi}) {why}")
             }
             UpdateError::DuplicateRule(id) => {
                 write!(f, "an identical rule is already active as id {id}")
@@ -100,14 +101,41 @@ impl std::error::Error for UpdateError {}
 pub fn validate_rule(rule: &Rule) -> Result<(), UpdateError> {
     for dim in DIMS {
         let r = rule.range(dim);
-        if r.lo > r.hi {
-            return Err(UpdateError::InvertedRange { dim, lo: r.lo, hi: r.hi });
-        }
-        if r.lo == r.hi || r.hi > dim.span() {
+        check_range(dim, r)?;
+        if r.is_empty() {
             return Err(UpdateError::InvalidRange { dim, lo: r.lo, hi: r.hi });
         }
     }
     Ok(())
+}
+
+/// The bounds every stored rule range keeps, `lo ≤ hi ≤ span`, so that
+/// the compiled leaf tables and the arena walk read the same rule. Live
+/// inserts also refuse an empty range ([`validate_rule`]); a stored
+/// tree may hold one ([`DecisionTree::from_json`] checks only these
+/// bounds).
+pub(crate) fn check_range(dim: Dim, r: &DimRange) -> Result<(), UpdateError> {
+    if r.lo > r.hi {
+        Err(UpdateError::InvertedRange { dim, lo: r.lo, hi: r.hi })
+    } else if r.hi > dim.span() {
+        Err(UpdateError::InvalidRange { dim, lo: r.lo, hi: r.hi })
+    } else {
+        Ok(())
+    }
+}
+
+/// Refuse to delete an id outside the arena or one already deleted. The
+/// one guard of [`delete_rule`] and of
+/// [`crate::serve::ClassifierHandle::delete`], which checks before it
+/// logs so that only deletes that will land reach the write-ahead log.
+pub(crate) fn check_deletable(tree: &DecisionTree, id: RuleId) -> Result<(), UpdateError> {
+    if id >= tree.rules().len() {
+        Err(UpdateError::UnknownRule(id))
+    } else if !tree.is_active(id) {
+        Err(UpdateError::InactiveRule(id))
+    } else {
+        Ok(())
+    }
 }
 
 /// Running counters of in-place updates applied to a tree.
@@ -288,23 +316,20 @@ fn subtree_holds(tree: &DecisionTree, nid: NodeId, id: RuleId) -> bool {
 /// id, so callers driving live update streams can surface bad updates
 /// without crashing the serving process.
 pub fn delete_rule(tree: &mut DecisionTree, id: RuleId) -> Result<(), UpdateError> {
-    delete_and_refill(tree, id).map(drop)
+    check_deletable(tree, id)?;
+    delete_and_refill(tree, id);
+    Ok(())
 }
 
-/// [`delete_rule`], returning how many leaf placements the refill of
-/// truncated leaves added (a compiled copy of the tree that only
-/// retires the deleted rule is stale when this is not 0).
-pub(crate) fn delete_and_refill(tree: &mut DecisionTree, id: RuleId) -> Result<usize, UpdateError> {
-    if id >= tree.rules().len() {
-        return Err(UpdateError::UnknownRule(id));
-    }
-    if !tree.is_active(id) {
-        return Err(UpdateError::InactiveRule(id));
-    }
+/// [`delete_rule`] of an id [`check_deletable`] admitted, returning how
+/// many leaf placements the refill of truncated leaves added (a
+/// compiled copy of the tree that only retires the deleted rule is
+/// stale when this is not 0).
+pub(crate) fn delete_and_refill(tree: &mut DecisionTree, id: RuleId) -> usize {
     tree.deactivate_rule(id);
     let covered = route_remove(tree, id);
     if covered.is_empty() {
-        return Ok(0);
+        return 0;
     }
     // Rules below a covered leaf's next covering rule stay unreachable
     // there; with no covering rule left, every rule below `id` is back.
@@ -319,7 +344,7 @@ pub(crate) fn delete_and_refill(tree: &mut DecisionTree, id: RuleId) -> Result<u
         .filter(|(_, cover)| cover.is_none_or(|c| tree.precedes(id, c)))
         .collect();
     if next_cover.is_empty() {
-        return Ok(0);
+        return 0;
     }
     // Candidates: the active rules below `id` that overlap it (a
     // covered leaf lies inside `id`'s box). Each is routed to the
@@ -349,14 +374,7 @@ pub(crate) fn delete_and_refill(tree: &mut DecisionTree, id: RuleId) -> Result<u
             }
         }
     }
-    Ok(refilled)
-}
-
-impl DecisionTree {
-    /// Append a rule to the arena (used by [`insert_rule`]).
-    pub(crate) fn push_rule(&mut self, rule: Rule) -> RuleId {
-        self.push_rule_impl(rule)
-    }
+    refilled
 }
 
 #[cfg(test)]

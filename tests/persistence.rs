@@ -81,6 +81,11 @@ fn corrupted_json_is_rejected() {
     refused(&cut, r#""rules":[0,1],"kind":"Leaf""#, r#""rules":[0,5],"kind":"Leaf""#, "rule id 5");
     refused(&cut, r#""active":[true,true]"#, r#""active":[true]"#, "`active` has 1 entries");
     refused(&cut, r#""root":0"#, r#""root":3"#, "root 3 out of range");
+    // A rule range the leaf tables cannot hold: past its span, or inverted.
+    let (ip, bad_ip) = (r#"{"lo":0,"hi":4294967296}"#, r#"{"lo":0,"hi":4294967297}"#);
+    refused(&cut, ip, bad_ip, "rule 0: SrcIp range [0, 4294967297) exceeds");
+    let (proto, bad) = (r#"{"lo":0,"hi":256}],"priority":0"#, r#"{"lo":7,"hi":6}],"priority":0"#);
+    refused(&cut, proto, bad, "rule 1: Proto range [7, 6) has inverted");
     let mut multi = DecisionTree::new(&rules);
     multi.multicut_node(multi.root(), &[(Dim::DstPort, 2), (Dim::Proto, 2)]);
     refused(&multi, r#"[1,2,3,4]"#, r#"[1,2,3]"#, "node 0: 3 children for 4 cuts");
